@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -19,11 +19,10 @@ from . import fusion_vae as fv
 from . import metrics
 from . import ranking as rk
 from .corpus_io import corpus_read, corpus_write, generate_clustered_corpus
-from .quantizers import (KMeansCodebook, kmeans_fit, product_split,
-                         residual_fit, residual_quantize, save_codebooks,
-                         load_codebooks)
-from .sid_codec import (SidScheme, pack_all, read_sid_file, side_embed,
-                        unpack_all, write_sid_file)
+from .quantizers import (kmeans_fit, load_codebooks, product_split,
+                         residual_fit, residual_quantize, save_codebooks)
+from .sid_codec import (SidScheme, pack_all, read_sid_file, unpack_all,
+                        write_sid_file)
 
 
 class PipelineError(ValueError):
@@ -96,14 +95,11 @@ def load_config(path):
     return PipelineConfig(**cfg).validate()
 
 
-def _signal_specs(paths, dims):
-    return tuple(fv.SignalSpec(name=f"sig{i}", dim=d)
-                 for i, d in enumerate(dims))
-
-
 def _build_fusion(cfg, dims, seed):
     spec = fv.FusionSpec(
-        signals=_signal_specs(None, dims), latent=cfg.latent, hidden=cfg.hidden,
+        signals=tuple(fv.SignalSpec(name=f"sig{i}", dim=d)
+                      for i, d in enumerate(dims)),
+        latent=cfg.latent, hidden=cfg.hidden,
         quantizer=fv.QuantizerSpec(kind=cfg.quantizer, levels=cfg.levels,
                                    depth=cfg.depth, groups=cfg.groups))
     return fv.FusionModel(spec, seed=seed)
@@ -174,11 +170,7 @@ def cmd_train(args):
         if len(args.corpus) != 1:
             raise PipelineError("classical quantizers train on one corpus")
         books = _fit_classical(cfg, bundle["sig0"])
-        arrays = {}
-        for layer, book in enumerate(books):
-            arrays[f"kmeans.l{layer}.centroids"] = book.centroids
-        from .nn_core import save_checkpoint
-        save_checkpoint(args.out, arrays)
+        save_codebooks(args.out, kmeans=books)
         print(f"fitted {cfg.quantizer} ({len(books)} codebooks) -> {args.out}")
         return 0
     model = _build_fusion(cfg, dims, cfg.seed)
@@ -195,18 +187,18 @@ def cmd_train(args):
     return 0
 
 
-def _load_classical(path):
-    from .nn_core import load_checkpoint
-    arrays = load_checkpoint(path)
-    layers = sorted(arrays, key=lambda k: int(k.split(".")[1][1:]))
-    return [KMeansCodebook(arrays[k]) for k in layers]
+def _load_kmeans(path):
+    books = load_codebooks(path).get("kmeans")
+    if not books:
+        raise PipelineError(f"{path} holds no k-means codebooks")
+    return books
 
 
 def cmd_encode(args):
     cfg = load_config(args.config)
     bundle, dims = _load_bundle(args.corpus)
     if cfg.quantizer in ("kmeans", "rq", "pq"):
-        books = _load_classical(args.ckpt)
+        books = _load_kmeans(args.ckpt)
         codes = _classical_codes(cfg, books, bundle["sig0"])
         scheme = SidScheme.for_digits(codes.shape[1], base=cfg.levels,
                                       ngram=cfg.ngram)
@@ -224,7 +216,7 @@ def cmd_decode(args):
     scheme, sids = read_sid_file(args.sids)
     digits = unpack_all(scheme, sids)
     if cfg.quantizer in ("kmeans", "rq", "pq"):
-        books = _load_classical(args.ckpt)
+        books = _load_kmeans(args.ckpt)
         idx = digits + scheme.offset
         if cfg.quantizer == "pq":
             parts = [books[g].centroids[idx[:, g]] for g in range(len(books))]
@@ -320,13 +312,7 @@ def cmd_sweep(args):
     ngrams = [int(v) for v in (args.ngrams or str(cfg.ngram)).split(",")]
     rows = []
     for L, D, P, n in product(levels, depths, groups, ngrams):
-        combo = PipelineConfig(
-            quantizer=cfg.quantizer, levels=L, depth=D, groups=P,
-            latent=cfg.latent, hidden=cfg.hidden, ngram=n,
-            batch_size=cfg.batch_size, epochs=cfg.epochs, lr=cfg.lr,
-            commitment_weight=cfg.commitment_weight,
-            codebook_weight=cfg.codebook_weight,
-            quantizer_dropout=cfg.quantizer_dropout, seed=cfg.seed).validate()
+        combo = replace(cfg, levels=L, depth=D, groups=P, ngram=n).validate()
         model = _build_fusion(combo, dims, combo.seed)
         model, _ = fv.train(model, bundle, combo.train_config())
         data = fv.normalize_bundle(model, bundle)

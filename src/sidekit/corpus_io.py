@@ -8,12 +8,11 @@ payload length and report the byte offset of any problem.
 
 from __future__ import annotations
 
-import os
 import struct
 
 import numpy as np
 
-from .nn_core import DTYPE
+from .nn_core import DTYPE, _atomic_write
 
 CORPUS_MAGIC = b"SIDE"
 CORPUS_VERSION = 1
@@ -32,12 +31,9 @@ def corpus_write(path, corpus):
     arr = np.ascontiguousarray(corpus, dtype=DTYPE)
     if arr.ndim != 2:
         raise CorpusFormatError(f"corpus must be 2-D, got ndim={arr.ndim}")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(CORPUS_MAGIC, CORPUS_VERSION,
-                              arr.shape[0], arr.shape[1]))
-        fh.write(arr.astype("<f4").tobytes())
-    os.replace(tmp, path)
+    _atomic_write(path, [_HEADER.pack(CORPUS_MAGIC, CORPUS_VERSION,
+                                      arr.shape[0], arr.shape[1]),
+                         arr.astype("<f4").tobytes()])
 
 
 def corpus_read(path):

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn_core as nn
-from .nn_core import DTYPE, AdamState, ParamStore, adam_step
-from .quantizers import (DpcaStack, FsqConfig, dpca_encode, fsq_quantize,
+from .nn_core import DTYPE, ParamStore
+from .quantizers import (DpcaStack, FsqConfig, dpca_arrays, dpca_decode,
+                         dpca_encode, dpca_from_arrays, fsq_quantize,
                          fsq_values)
 from .sid_codec import SidScheme, pack_all
 
@@ -68,7 +69,6 @@ class FusionSpec:
     latent: int = 15
     hidden: int = 128
     quantizer: QuantizerSpec = field(default_factory=QuantizerSpec)
-    init_gain: float | None = None  # None: 2.0 for fsq, else 1.0
 
     def __post_init__(self):
         if not self.signals:
@@ -82,8 +82,6 @@ class FusionSpec:
 
     @property
     def fuse_gain(self):
-        if self.init_gain is not None:
-            return self.init_gain
         # A tanh-bounded grid dead-zones a small-variance latent: every
         # digit starts at 0 and no gradient signal ever activates the
         # grid. Widening the fusion layer's init spreads h across levels.
@@ -109,7 +107,6 @@ class TrainConfig:
     commitment_weight: float = 0.25
     codebook_weight: float = 1.0
     quantizer_dropout: float = 0.0
-    fsq_dither: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -128,6 +125,7 @@ class ForwardResult:
     s: nn.Node
     recon: dict
     codes: np.ndarray | None
+    params: nn.Binding
 
 
 class FusionModel:
@@ -154,58 +152,25 @@ class FusionModel:
         self.params.zeros("trunk.b", 1, h)
         q = spec.quantizer
         if q.kind == "dpca":
-            width = spec.latent // q.groups
-            rng = np.random.default_rng(seed + 1)
-            for g in range(q.groups):
-                for t in range(q.depth):
-                    self.params.add(f"dpca.g{g}.d{t}.u",
-                                    rng.normal(0.0, 0.5, size=(1, width)))
-                    self.params.add(f"dpca.g{g}.d{t}.b", np.zeros((1, width)))
+            stack = DpcaStack.random(spec.latent, q.depth, q.groups,
+                                     seed=seed + 1)
+            for name, row in dpca_arrays(stack).items():
+                self.params.add(name, row)
         self.fsq = FsqConfig(latent_dims=spec.latent, levels=q.levels) \
             if q.kind == "fsq" else None
-        self._pnodes = {}
-
-    def _p(self, name):
-        """Per-graph parameter node; one node per name so grads accumulate."""
-        node = self._pnodes.get(name)
-        if node is None:
-            node = self.params.node(name)
-            self._pnodes[name] = node
-        return node
-
-    def collect_grads(self):
-        """Gradients by parameter name after backward (zeros if unused)."""
-        out = {}
-        for name, arr in self.params.items():
-            node = self._pnodes.get(name)
-            if node is not None and node.grad is not None:
-                out[name] = node.grad
-            else:
-                out[name] = np.zeros_like(arr)
-        return out
-
-    # -- quantizer views ----------------------------------------------------
 
     def dpca_stack(self):
         """Current component vectors as an immutable encode/decode stack."""
-        q = self.spec.quantizer
-        width = self.spec.latent // q.groups
-        comps = np.zeros((q.groups, q.depth, width), dtype=DTYPE)
-        offs = np.zeros((q.groups, q.depth, width), dtype=DTYPE)
-        for g in range(q.groups):
-            for t in range(q.depth):
-                comps[g, t] = self.params.get(f"dpca.g{g}.d{t}.u")[0]
-                offs[g, t] = self.params.get(f"dpca.g{g}.d{t}.b")[0]
-        return DpcaStack(comps, offs)
+        return dpca_from_arrays(dict(self.params.items()))
 
-    # -- graph building -----------------------------------------------------
+    # -- graph building: `p` is the graph's parameter Binding ---------------
 
-    def _mlp(self, prefix, x):
-        y = nn.relu(nn.add(nn.matmul(x, self._p(f"{prefix}.w1")),
-                           self._p(f"{prefix}.b1")))
-        return nn.add(nn.matmul(y, self._p(f"{prefix}.w2")), self._p(f"{prefix}.b2"))
+    @staticmethod
+    def _mlp(p, prefix, x):
+        y = nn.relu(nn.add(nn.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
+        return nn.add(nn.matmul(y, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
-    def _quantize_node(self, h, depth=None, dither_rng=None):
+    def _quantize_node(self, h, p, depth=None, dither_rng=None):
         """Build (h_hat, codes) for the current quantizer.
 
         For DPCA, h_hat is an expression of the component parameters with
@@ -239,8 +204,8 @@ class FusionModel:
             for t in range(depth):
                 s_col = nn.constant(
                     codes[:, g * q.depth + t].reshape(batch, 1).astype(DTYPE))
-                term = nn.add(nn.mul(s_col, self._p(f"dpca.g{g}.d{t}.u")),
-                              self._p(f"dpca.g{g}.d{t}.b"))
+                term = nn.add(nn.mul(s_col, p[f"dpca.g{g}.d{t}.u"]),
+                              p[f"dpca.g{g}.d{t}.b"])
                 acc = term if acc is None else nn.add(acc, term)
             group_nodes.append(acc)
         h_hat = group_nodes[0] if len(group_nodes) == 1 \
@@ -249,28 +214,29 @@ class FusionModel:
 
     def forward(self, batch, depth=None, dither_rng=None):
         """Run the mixing model on a dict of per-signal input matrices."""
-        self._pnodes = {}
         for sig in self.spec.signals:
             if sig.name not in batch:
                 raise FusionError(f"missing signal '{sig.name}'")
-        encoded = [self._mlp(f"enc.{s.name}", nn.constant(batch[s.name], s.name))
+        p = self.params.bind()
+        encoded = [self._mlp(p, f"enc.{s.name}",
+                             nn.constant(batch[s.name], s.name))
                    for s in self.spec.signals]
         stacked = encoded[0] if len(encoded) == 1 else nn.concat_cols(encoded)
-        h = nn.add(nn.matmul(stacked, self._p("fuse.w")),
-                   self._p("fuse.b"), name="h")
-        h_hat, codes = self._quantize_node(h, depth=depth, dither_rng=dither_rng)
+        h = nn.add(nn.matmul(stacked, p["fuse.w"]), p["fuse.b"], name="h")
+        h_hat, codes = self._quantize_node(h, p, depth=depth,
+                                           dither_rng=dither_rng)
         if h_hat is h:
             s = h
         else:
             s = nn.sub(h, nn.stop_gradient(nn.sub(h, h_hat)), name="s")
-        trunk = nn.relu(nn.add(nn.matmul(s, self._p("trunk.w")),
-                               self._p("trunk.b")))
-        recon = {sig.name: self._mlp(f"head.{sig.name}", trunk)
-                 for sig in self.spec.signals}
-        return ForwardResult(h=h, h_hat=h_hat, s=s, recon=recon, codes=codes)
+        return ForwardResult(h=h, h_hat=h_hat, s=s, recon=self.decode(s, p),
+                             codes=codes, params=p)
 
-    def trainable(self):
-        return dict(self.params.items())
+    def decode(self, s, p):
+        """Trunk and heads: one reconstruction node per signal from s."""
+        trunk = nn.relu(nn.add(nn.matmul(s, p["trunk.w"]), p["trunk.b"]))
+        return {sig.name: self._mlp(p, f"head.{sig.name}", trunk)
+                for sig in self.spec.signals}
 
     # -- persistence ----------------------------------------------------
 
@@ -399,54 +365,24 @@ def train(model, bundle, cfg):
     sizes = {len(v) for v in data.values()}
     if len(sizes) != 1:
         raise FusionError(f"signals disagree on sample count: {sorted(sizes)}")
-    n = sizes.pop()
     rng = np.random.default_rng(cfg.seed)
-    opt = AdamState(lr=cfg.lr)
-    history = TrainHistory()
     q = model.spec.quantizer
-    last_good = model.params.snapshot()
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        sums = {}
-        batches = 0
-        try:
-            for lo in range(0, n, cfg.batch_size):
-                idx = order[lo:lo + cfg.batch_size]
-                batch = {k: v[idx] for k, v in data.items()}
-                depth = None
-                if (q.kind == "dpca" and cfg.quantizer_dropout > 0.0
-                        and rng.random() < cfg.quantizer_dropout):
-                    depth = int(rng.integers(1, q.depth + 1))
-                dither = rng if (q.kind == "fsq" and cfg.fsq_dither) else None
-                result = model.forward(batch, depth=depth, dither_rng=dither)
-                loss, breakdown = fusion_loss(model, batch, result, cfg)
-                if not np.isfinite(breakdown["total"]):
-                    raise nn.TrainingDiverged(f"epoch {epoch}")
-                nn.backward(loss)
-                adam_step(opt, model.trainable(), model.collect_grads())
-                for k, v in breakdown.items():
-                    sums[k] = sums.get(k, 0.0) + v
-                batches += 1
-        except (nn.TrainingDiverged, nn.NonFiniteError) as exc:
-            # non-finite anywhere in the batch counts as divergence
-            if epoch == 0:
-                raise nn.TrainingDiverged(str(exc)) from None
-            model.params.restore(last_good)
-            history.diverged_at = epoch
-            break
-        row = {"epoch": epoch}
-        row.update({k: v / batches for k, v in sums.items()})
-        history.rows.append(row)
-        last_good = model.params.snapshot()
-    return model, history
+    def step(idx):
+        batch = {k: v[idx] for k, v in data.items()}
+        depth = None
+        if (q.kind == "dpca" and cfg.quantizer_dropout > 0.0
+                and rng.random() < cfg.quantizer_dropout):
+            depth = int(rng.integers(1, q.depth + 1))
+        dither = rng if q.kind == "fsq" else None
+        result = model.forward(batch, depth=depth, dither_rng=dither)
+        loss, breakdown = fusion_loss(model, batch, result, cfg)
+        return loss, result.params, breakdown
 
-
-def encode_latent(model, bundle):
-    """Deterministic batch inference of the pre-quantizer latent h."""
-    data = normalize_bundle(model, bundle)
-    result = model.forward(data)
-    return result.h.value.copy()
+    rows, diverged_at = nn.fit(model.params, sizes.pop(), step, rng,
+                               cfg.epochs, cfg.batch_size, cfg.lr,
+                               weight_decay=0.0)
+    return model, TrainHistory(rows, diverged_at)
 
 
 def encode_codes(model, bundle):
@@ -468,27 +404,18 @@ def encode_corpus(model, bundle, ngram=3):
 def decode_from_digits(model, digits):
     """Reconstruct every signal from centered digits (the SIDE path).
 
-    For FSQ the digits are rescaled onto the quantizer grid; for DPCA the
+    For FSQ the digits are mapped onto the quantizer grid; for DPCA the
     digits drive the component-vector sum. The decoder then maps the
     recovered latent through the trunk and heads.
     """
     q = model.spec.quantizer
-    model._pnodes = {}
     digits = np.atleast_2d(np.asarray(digits, dtype=np.int64))
     digits = digits[:, :model.spec.code_digits]
     if q.kind == "fsq":
-        latent = (2.0 * (digits + model.fsq.offset) / (q.levels - 1) - 1.0)
+        latent = fsq_values(model.fsq, digits + model.fsq.offset)
     elif q.kind == "dpca":
-        latent = dpca_decode_stack(model, digits)
+        latent = dpca_decode(model.dpca_stack(), digits.astype(np.int8))
     else:
         raise FusionError("identity quantizer has no digit decoding")
-    s = nn.constant(latent.astype(DTYPE))
-    trunk = nn.relu(nn.add(nn.matmul(s, model._p("trunk.w")),
-                           model._p("trunk.b")))
-    return {sig.name: model._mlp(f"head.{sig.name}", trunk).value
-            for sig in model.spec.signals}
-
-
-def dpca_decode_stack(model, digits):
-    from .quantizers import dpca_decode
-    return dpca_decode(model.dpca_stack(), digits.astype(np.int8))
+    recon = model.decode(nn.constant(latent), model.params.bind())
+    return {name: node.value for name, node in recon.items()}

@@ -7,13 +7,15 @@ the graph is rebuilt from scratch for every batch. `backward` walks the
 recorded graph from a scalar (1x1) loss node and accumulates gradients
 into every reachable node that requires them.
 
-Also provides the Adam optimizer, a named parameter store with the
-initialization rules used across the package, and the binary checkpoint
-format (magic "SIDK") shared by models and codebooks.
+Also provides the Adam optimizer and the one minibatch training loop
+(`fit`), a named parameter store with the initialization rules used
+across the package, and the binary checkpoint format (magic "SIDK")
+shared by models and codebooks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import struct
@@ -445,9 +447,10 @@ class ParamStore:
             array.shape if np.ndim(array) == 2 else (1, -1))
         return self._arrays[name]
 
-    def node(self, name):
-        """Fresh graph leaf backed by the stored array."""
-        return Node(self._arrays[name], name, (), None, requires_grad=True)
+    def bind(self):
+        """Fresh graph leaves for every parameter, for one per-batch graph."""
+        return Binding((n, Node(a, n, (), None, requires_grad=True))
+                       for n, a in self._arrays.items())
 
     def get(self, name):
         return self._arrays[name]
@@ -461,9 +464,6 @@ class ParamStore:
     def items(self):
         return self._arrays.items()
 
-    def __contains__(self, name):
-        return name in self._arrays
-
     def count(self, prefix=""):
         return sum(a.size for n, a in self._arrays.items() if n.startswith(prefix))
 
@@ -473,6 +473,16 @@ class ParamStore:
     def restore(self, snap):
         for n, a in snap.items():
             self._arrays[n][...] = a
+
+
+class Binding(dict):
+    """Parameter name -> graph leaf. Every use of a name in the graph shares
+    its one leaf, so the gradient of each parameter accumulates there."""
+
+    def grads(self):
+        """Gradients by parameter name after backward (zeros if unused)."""
+        return {n: node.grad if node.grad is not None
+                else np.zeros_like(node.value) for n, node in self.items()}
 
 
 @dataclass
@@ -496,8 +506,15 @@ def adam_step(state, params, grads):
     """Apply one bias-corrected Adam update in place.
 
     `params` maps names to float32 arrays (mutated), `grads` maps the same
-    names to gradient arrays. Returns the state for chaining.
+    names to gradient arrays. Every gradient is checked before any
+    parameter or moment changes. Returns the state for chaining.
     """
+    for name, p in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteError("non-finite gradient", name)
+        if g.shape != p.shape:
+            raise GraphError(f"gradient shape {g.shape} != param {p.shape}", name)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -505,10 +522,6 @@ def adam_step(state, params, grads):
     c2 = 1.0 - b2 ** t
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError("non-finite gradient", name)
-        if g.shape != p.shape:
-            raise GraphError(f"gradient shape {g.shape} != param {p.shape}", name)
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -519,6 +532,69 @@ def adam_step(state, params, grads):
             v += (1.0 - b2) * (g * g - v)
             p -= DTYPE(state.lr) * (m / c1) / (np.sqrt(v / c2) + DTYPE(state.eps))
     return state
+
+
+def fit(params, n, step, rng, epochs, batch_size, lr, weight_decay):
+    """Minibatch Adam training over `n` samples with rollback on divergence.
+
+    Each epoch visits the samples in the order of one `rng.permutation(n)`,
+    `batch_size` at a time. `step(idx)` builds the graph for the sample
+    indices `idx` and returns (scalar loss node, the `Binding` it used,
+    per-term floats). A positive `weight_decay` then shrinks every
+    parameter by (1 - lr * weight_decay): decoupled weight decay.
+
+    Returns (rows, diverged_at): one row per finished epoch holding the
+    epoch and the batch mean of each term. A non-finite value anywhere in
+    a batch counts as divergence: the parameters are restored to the end
+    of the last finished epoch, training stops and diverged_at records the
+    epoch; if epoch 0 diverges a TrainingDiverged error is raised instead.
+    """
+    arrays = dict(params.items())
+    opt = AdamState(lr=lr)
+    shrink = DTYPE(1.0 - lr * weight_decay)
+    rows = []
+    last_good = params.snapshot()
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        sums = {}
+        batches = 0
+        try:
+            for lo in range(0, n, batch_size):
+                loss, bound, terms = step(order[lo:lo + batch_size])
+                backward(loss)
+                adam_step(opt, arrays, bound.grads())
+                if weight_decay > 0.0:
+                    for arr in arrays.values():
+                        arr *= shrink
+                for k, v in terms.items():
+                    sums[k] = sums.get(k, 0.0) + v
+                batches += 1
+        except NonFiniteError as exc:
+            if epoch == 0:
+                raise TrainingDiverged(str(exc)) from None
+            params.restore(last_good)
+            return rows, epoch
+        row = {"epoch": epoch}
+        row.update({k: v / batches for k, v in sums.items()})
+        rows.append(row)
+        last_good = params.snapshot()
+    return rows, None
+
+
+def _atomic_write(path, chunks):
+    """Write byte chunks to `path` through a per-process temp file and an
+    atomic rename. If writing raises, the temp file is removed and an
+    existing `path` is left untouched."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -537,20 +613,17 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, arrays):
     """Write named 2-D float32 arrays; the write is atomic via rename."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+    def records():
+        yield CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
         for name, arr in arrays.items():
             arr = np.ascontiguousarray(arr, dtype=DTYPE)
             if arr.ndim != 2:
                 raise CheckpointError(f"tensor '{name}' is not 2-D")
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-            fh.write(arr.astype("<f4").tobytes())
-    os.replace(tmp, path)
+            yield (struct.pack("<I", len(encoded)) + encoded
+                   + struct.pack("<II", arr.shape[0], arr.shape[1]))
+            yield arr.astype("<f4").tobytes()
+    _atomic_write(path, records())
 
 
 def load_checkpoint(path):

@@ -34,11 +34,6 @@ def _rows(x):
     return arr, False
 
 
-def _round_half_away(x):
-    # np.round is round-half-even; the scalar grids need half-away-from-zero.
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 # ---------------------------------------------------------------------------
 # k-means
 
@@ -467,48 +462,72 @@ def dpca_decode(stack, codes, depth=None):
 
 
 # ---------------------------------------------------------------------------
-# Codebook serialization (shared checkpoint format, reserved name prefixes)
+# Codebook serialization (shared checkpoint format, reserved name prefixes):
+# k-means layer i is "kmeans.l{i}.centroids"; DPCA row [g, t] is
+# "dpca.g{g}.d{t}.u" (component) and "dpca.g{g}.d{t}.b" (offset).
+
+
+def dpca_arrays(stack):
+    """Named (1, width) rows of a DPCA stack, group-major then depth."""
+    arrays = {}
+    for g in range(stack.groups):
+        for t in range(stack.depth):
+            arrays[f"dpca.g{g}.d{t}.u"] = stack.components[g, t].reshape(1, -1)
+            arrays[f"dpca.g{g}.d{t}.b"] = stack.offsets[g, t].reshape(1, -1)
+    return arrays
+
+
+def dpca_from_arrays(arrays):
+    """Inverse of dpca_arrays over the "dpca." names of `arrays`; None if
+    there are none."""
+    keys = [k for k in arrays if k.startswith("dpca.")]
+    if not keys:
+        return None
+    groups = 1 + max(int(k.split(".")[1][1:]) for k in keys)
+    depth = 1 + max(int(k.split(".")[2][1:]) for k in keys)
+    try:
+        comps = [[arrays[f"dpca.g{g}.d{t}.u"][0] for t in range(depth)]
+                 for g in range(groups)]
+        offs = [[arrays[f"dpca.g{g}.d{t}.b"][0] for t in range(depth)]
+                for g in range(groups)]
+    except KeyError as exc:
+        raise QuantizerError(f"missing DPCA tensor {exc}") from None
+    return DpcaStack(comps, offs)
 
 
 def save_codebooks(path, kmeans=None, line=None, dpca=None):
+    """Write a list of k-means codebooks (one per layer or product group),
+    a line codebook and a DPCA stack, each optional, to one checkpoint."""
     arrays = {}
-    if kmeans is not None:
-        arrays["kmeans.centroids"] = kmeans.centroids
-        arrays["kmeans.degenerate"] = np.array(
-            [[1.0 if kmeans.degenerate else 0.0]], dtype=DTYPE)
+    for layer, book in enumerate(kmeans or ()):
+        arrays[f"kmeans.l{layer}.centroids"] = book.centroids
     if line is not None:
         arrays["line.directions"] = line.directions
         arrays["line.references"] = line.references
         arrays["line.levels"] = np.array([[line.levels]], dtype=DTYPE)
     if dpca is not None:
-        for g in range(dpca.groups):
-            for t in range(dpca.depth):
-                arrays[f"dpca.g{g}.d{t}.u"] = dpca.components[g, t].reshape(1, -1)
-                arrays[f"dpca.g{g}.d{t}.b"] = dpca.offsets[g, t].reshape(1, -1)
+        arrays.update(dpca_arrays(dpca))
     save_checkpoint(path, arrays)
 
 
 def load_codebooks(path):
+    """Read save_codebooks' output into a dict holding the kinds present:
+    "kmeans" (list), "line" and "dpca"."""
     arrays = load_checkpoint(path)
     out = {}
-    if "kmeans.centroids" in arrays:
-        out["kmeans"] = KMeansCodebook(
-            arrays["kmeans.centroids"],
-            degenerate=bool(arrays.get("kmeans.degenerate", [[0]])[0][0]))
+    kmeans = [k for k in arrays if k.startswith("kmeans.")]
+    if kmeans:
+        names = [f"kmeans.l{i}.centroids" for i in range(len(kmeans))]
+        if set(kmeans) != set(names):
+            raise QuantizerError(
+                f"k-means layers must be {names[0]} .. {names[-1]}, "
+                f"got {sorted(kmeans)}")
+        out["kmeans"] = [KMeansCodebook(arrays[k]) for k in names]
     if "line.directions" in arrays:
         out["line"] = LineCodebook(arrays["line.directions"],
                                    arrays["line.references"],
                                    levels=int(arrays["line.levels"][0][0]))
-    dpca_keys = sorted(k for k in arrays if k.startswith("dpca."))
-    if dpca_keys:
-        groups = 1 + max(int(k.split(".")[1][1:]) for k in dpca_keys)
-        depth = 1 + max(int(k.split(".")[2][1:]) for k in dpca_keys)
-        width = arrays[dpca_keys[0]].shape[1]
-        comps = np.zeros((groups, depth, width), dtype=DTYPE)
-        offs = np.zeros((groups, depth, width), dtype=DTYPE)
-        for g in range(groups):
-            for t in range(depth):
-                comps[g, t] = arrays[f"dpca.g{g}.d{t}.u"][0]
-                offs[g, t] = arrays[f"dpca.g{g}.d{t}.b"][0]
-        out["dpca"] = DpcaStack(comps, offs)
+    dpca = dpca_from_arrays(arrays)
+    if dpca is not None:
+        out["dpca"] = dpca
     return out

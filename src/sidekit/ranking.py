@@ -22,64 +22,36 @@ sigmoid(a * <mean of history latents, candidate latent> + b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn_core as nn
-from .nn_core import DTYPE, AdamState, ParamStore, adam_step
+from .nn_core import DTYPE, ParamStore
 from .metrics import NEReport, normalized_entropy
 from .quantizers import FsqConfig, fsq_quantize
-from .sid_codec import SidScheme, pack_all, sid_hash, side_embed, unpack_all
+from .sid_codec import SidScheme, pack_all, sid_hash
 
 
 class RankingError(ValueError):
     pass
 
 
-def pma_forward(queries, values, theta):
-    """One-layer pooled attention: softmax(Q K^T / sqrt(d)) V, K = V Theta.
+def pooled_attention(queries, values, theta, seq_len):
+    """One-layer pooled attention per user: softmax(q K^T / sqrt(d)) V with
+    K = V Theta, as graph ops.
 
-    queries is (k, d), values (l, d), theta (d, d); returns (k, d). The
-    attention rows are a softmax, so each sums to 1.
+    queries is (b, d), one query per user; values is (b * seq_len, d),
+    each user's seq_len events in consecutive rows; theta is (d, d).
+    Returns the (b, d) pooled values.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    th = np.asarray(theta, dtype=np.float64)
-    d = q.shape[1]
-    if v.shape[1] != d or th.shape != (d, d):
-        raise RankingError(
-            f"shape mismatch: Q {q.shape}, V {v.shape}, Theta {th.shape}")
-    keys = v @ th
-    logits = q @ keys.T / np.sqrt(d)
-    logits -= logits.max(axis=1, keepdims=True)
-    attn = np.exp(logits)
-    attn /= attn.sum(axis=1, keepdims=True)
-    return (attn @ v).astype(DTYPE)
-
-
-def build_features_sid(event_sids, table, hash_size):
-    """Hashed sparse lookup per event: mean of the gram embeddings.
-
-    event_sids is (l, grams) of u64 SIDs; table is (hash_size, d). SIDs
-    congruent modulo hash_size share rows by construction.
-    """
-    table = np.asarray(table)
-    if table.shape[0] != hash_size:
-        raise RankingError(
-            f"table has {table.shape[0]} rows, hash_size is {hash_size}")
-    idx = sid_hash(np.asarray(event_sids, dtype=np.uint64), hash_size)
-    return table[idx].mean(axis=1).astype(DTYPE)
-
-
-def build_features_side(event_digits, omega):
-    """Project unpacked SIDE digits through the t x d matrix omega."""
-    digits = np.asarray(event_digits, dtype=DTYPE)
-    omega = np.asarray(omega)
-    if digits.shape[-1] != omega.shape[0]:
-        raise RankingError(
-            f"SIDE length {digits.shape[-1]} != projection rows {omega.shape[0]}")
-    return (digits @ omega).astype(DTYPE)
+    b, d = queries.shape
+    keys = nn.matmul(values, theta)
+    qrep = nn.repeat_rows(queries, seq_len)
+    logits = nn.scale(nn.sum_axis1(nn.mul(keys, qrep)), 1.0 / np.sqrt(d))
+    attn = nn.softmax_rows(nn.reshape(logits, b, seq_len))
+    return nn.segment_sum_rows(
+        nn.mul(values, nn.reshape(attn, b * seq_len, 1)), seq_len)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +85,6 @@ class SyntheticEngagementSet:
     labels: np.ndarray         # (users,) binary click
     segments: np.ndarray       # (users,) categorical id
     dense: np.ndarray          # (users, dense_dim)
-
-    @property
-    def sid_cardinality(self):
-        return int(self.scheme.base ** self.scheme.ngram)
 
     def collision_free_size(self):
         return self.scheme.max_sid + 1
@@ -223,26 +191,18 @@ class ToyRankingModel:
         self.params.weight("pma.theta", d, d)
         self.params.weight("head.w", 5 * d, 1)
         self.params.zeros("head.b", 1, 1)
-        self._pnodes = {}
         # precomputed per-item inputs for the feature path
         if variant == "sid":
             offsets = (np.arange(grams) * hash_size)[None, :]
             self.item_hash = sid_hash(dataset.item_sids, hash_size) + offsets
         self.item_digits = dataset.item_digits.astype(DTYPE)
 
-    def _p(self, name):
-        node = self._pnodes.get(name)
-        if node is None:
-            node = self.params.node(name)
-            self._pnodes[name] = node
-        return node
-
-    def _item_features(self, item_ids):
+    def _item_features(self, p, item_ids):
         """Feature node for a flat vector of item ids."""
         ids = np.asarray(item_ids).ravel()
         if self.variant == "sid":
             grams = self.item_hash.shape[1]
-            looked = [nn.gather_rows(self._p("feature.table"),
+            looked = [nn.gather_rows(p["feature.table"],
                                      self.item_hash[ids, g])
                       for g in range(grams)]
             acc = looked[0]
@@ -251,46 +211,27 @@ class ToyRankingModel:
             return nn.scale(acc, 1.0 / grams)
         if self.variant == "side":
             digits = nn.constant(self.item_digits[ids])
-            return nn.matmul(digits, self._p("feature.omega"))
+            return nn.matmul(digits, p["feature.omega"])
         return nn.constant(np.zeros((ids.size, self.cfg.feature_dim)))
 
-    def logits(self, rows):
-        """Forward pass for a batch of user row indices; returns (node, p)."""
-        self._pnodes = {}
+    def logits(self, rows, p):
+        """Logit node for a batch of user row indices, built on the
+        parameter Binding p."""
         ds = self.dataset
-        d = self.cfg.feature_dim
-        l = ds.config.seq_len
-        b = rows.size
-
-        seg = nn.gather_rows(self._p("sparse.segments"), ds.segments[rows])
-        dense = nn.add(nn.matmul(nn.constant(ds.dense[rows]),
-                                 self._p("dense.w")), self._p("dense.b"))
-        cand = self._item_features(ds.candidates[rows])
-        hist = self._item_features(ds.history[rows])      # (b*l, d)
-
-        keys = nn.matmul(hist, self._p("pma.theta"))
-        qrep = nn.repeat_rows(cand, l)
-        logits = nn.scale(nn.sum_axis1(nn.mul(keys, qrep)), 1.0 / np.sqrt(d))
-        attn = nn.softmax_rows(nn.reshape(logits, b, l))
-        pooled = nn.segment_sum_rows(
-            nn.mul(hist, nn.reshape(attn, b * l, 1)), l)
-
+        seg = nn.gather_rows(p["sparse.segments"], ds.segments[rows])
+        dense = nn.add(nn.matmul(nn.constant(ds.dense[rows]), p["dense.w"]),
+                       p["dense.b"])
+        cand = self._item_features(p, ds.candidates[rows])
+        hist = self._item_features(p, ds.history[rows])      # (b*l, d)
+        pooled = pooled_attention(cand, hist, p["pma.theta"],
+                                  ds.config.seq_len)
         inter = nn.mul(pooled, cand)
         feats = nn.concat_cols([seg, dense, cand, pooled, inter])
-        z = nn.add(nn.matmul(feats, self._p("head.w")), self._p("head.b"))
-        return z
+        return nn.add(nn.matmul(feats, p["head.w"]), p["head.b"])
 
     def predict(self, rows):
-        z = self.logits(rows)
+        z = self.logits(rows, self.params.bind())
         return 1.0 / (1.0 + np.exp(-z.value[:, 0].astype(np.float64)))
-
-    def collect_grads(self):
-        out = {}
-        for name, arr in self.params.items():
-            node = self._pnodes.get(name)
-            out[name] = node.grad if node is not None and node.grad is not None \
-                else np.zeros_like(arr)
-        return out
 
     def feature_path_params(self):
         """Parameter count of the item feature path only."""
@@ -299,9 +240,6 @@ class ToyRankingModel:
         if self.variant == "side":
             return self.params.count("feature.omega")
         return 0
-
-    def parameter_census(self):
-        return {name: arr.size for name, arr in self.params.items()}
 
 
 def _bce_loss(logit_node, labels):
@@ -322,24 +260,16 @@ def train_ranker(dataset, variant, hash_size, cfg):
         raise RankingError("training split is single-class")
 
     model = ToyRankingModel(dataset, variant, hash_size, cfg)
-    opt = AdamState(lr=cfg.lr)
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(train_rows.size)
-        for lo in range(0, train_rows.size, cfg.batch_size):
-            rows = train_rows[perm[lo:lo + cfg.batch_size]]
-            z = model.logits(rows)
-            loss = _bce_loss(z, dataset.labels[rows])
-            if not np.isfinite(loss.value[0, 0]):
-                raise nn.TrainingDiverged("ranking loss became non-finite")
-            nn.backward(loss)
-            params = dict(model.params.items())
-            adam_step(opt, params, model.collect_grads())
-            if cfg.weight_decay > 0.0:
-                # decoupled decay; keeps rarely touched table rows from
-                # freezing noise into the eval logits
-                shrink = DTYPE(1.0 - cfg.lr * cfg.weight_decay)
-                for arr in params.values():
-                    arr *= shrink
+
+    def step(idx):
+        rows = train_rows[idx]
+        p = model.params.bind()
+        return _bce_loss(model.logits(rows, p), dataset.labels[rows]), p, {}
+
+    # decoupled weight decay keeps rarely touched table rows from freezing
+    # noise into the eval logits
+    nn.fit(model.params, train_rows.size, step, rng, cfg.epochs,
+           cfg.batch_size, cfg.lr, weight_decay=cfg.weight_decay)
     preds = model.predict(eval_rows)
     report = normalized_entropy(dataset.labels[eval_rows], preds)
     return model, report
@@ -369,26 +299,19 @@ class AbReport:
         return "\n".join(lines)
 
 
-def run_ab(dataset, hash_size, cfg, variants=("sid", "side"),
-           include_baseline=True):
-    """Train each variant on identical splits and report paired NE.
+def run_ab(dataset, hash_size, cfg):
+    """Train the no-history ablation, SID and SIDE on identical splits and
+    report paired NE.
 
     The no-history ablation anchors the NE-gain column; a positive gain
     means the feature path reduced NE relative to ranking without item
     identity features.
     """
-    results = {}
-    baseline_ne = None
-    if include_baseline:
-        _, base_report = train_ranker(dataset, "none", hash_size, cfg)
-        baseline_ne = base_report.ne
-        results["none"] = AbResult("none", base_report, 0)
-    for variant in variants:
-        _, report = train_ranker(dataset, variant, hash_size, cfg)
-        gain = None
-        if baseline_ne is not None:
-            gain = 100.0 * (baseline_ne - report.ne) / baseline_ne
-        model = ToyRankingModel(dataset, variant, hash_size, cfg)
+    _, base_report = train_ranker(dataset, "none", hash_size, cfg)
+    results = {"none": AbResult("none", base_report, 0)}
+    for variant in ("sid", "side"):
+        model, report = train_ranker(dataset, variant, hash_size, cfg)
+        gain = 100.0 * (base_report.ne - report.ne) / base_report.ne
         results[variant] = AbResult(variant, report,
                                     model.feature_path_params(), gain)
     return AbReport(hash_size=hash_size, results=results, seed=cfg.seed)

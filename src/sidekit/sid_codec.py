@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import DTYPE
+from .nn_core import DTYPE, _atomic_write
 
 _U64_MAX = 2**64 - 1
 
@@ -28,16 +28,15 @@ class SidError(ValueError):
 class SidScheme:
     """Packing layout: base L, n digits per gram, number of grams.
 
-    `offset` is the centering shift applied to digits before packing
-    (1 for ternary digits in {-1, 0, +1}); it defaults to (L-1)//2. The
-    codeword vector is partitioned into `grams` contiguous n-grams; a
-    short final gram is padded with the centered-zero digit.
+    `offset` is the centering shift applied to digits before packing:
+    (L-1)//2, so 1 for ternary digits in {-1, 0, +1}. The codeword vector
+    is partitioned into `grams` contiguous n-grams; a short final gram is
+    padded with the centered-zero digit.
     """
 
     base: int = 3
     ngram: int = 3
     grams: int = 1
-    offset: int | None = None
 
     def __post_init__(self):
         if self.base < 2:
@@ -46,14 +45,14 @@ class SidScheme:
             raise SidError(f"ngram must be >= 1, got {self.ngram}")
         if self.grams < 1:
             raise SidError(f"grams must be >= 1, got {self.grams}")
-        if self.offset is None:
-            object.__setattr__(self, "offset", (self.base - 1) // 2)
-        if not 0 <= self.offset < self.base:
-            raise SidError(f"offset {self.offset} outside [0, {self.base})")
         if self.max_sid > _U64_MAX:
             raise SidError(
                 f"scheme overflows u64: base={self.base} ngram={self.ngram} "
                 f"needs {self.max_sid.bit_length()} bits")
+
+    @property
+    def offset(self):
+        return (self.base - 1) // 2
 
     @property
     def max_sid(self):
@@ -218,11 +217,7 @@ def write_sid_file(path, scheme, sids):
         raise SidError(f"records have {arr.shape[1]} SIDs, scheme {scheme.grams}")
     lines = [scheme.header()]
     lines.extend(" ".join(str(int(v)) for v in row) for row in arr)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    import os
-    os.replace(tmp, path)
+    _atomic_write(path, [("\n".join(lines) + "\n").encode("ascii")])
 
 
 def read_sid_file(path):

@@ -31,6 +31,20 @@ def spec_for(dim, kind="fsq", latent=8, depth=4, groups=1, n=1, hidden=32):
                                                     groups=groups))
 
 
+def nan_weight_on_forward(monkeypatch, model, call):
+    """Set a fusion weight to NaN just before the call-th forward pass."""
+    forward = model.forward
+    calls = []
+
+    def poisoned(batch, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            model.params.get("fuse.w")[0, 0] = np.nan
+        return forward(batch, **kwargs)
+
+    monkeypatch.setattr(model, "forward", poisoned)
+
+
 class TestForward:
     def test_identity_quantizer_is_pure_autoencoder(self):
         model = fv.FusionModel(spec_for(10, kind="none"), seed=0)
@@ -116,8 +130,7 @@ class TestLoss:
         codes = np.array([[1, -1, 0], [0, 1, 1]], dtype=np.int8)
         h_val = q.dpca_decode(stack, codes)
         h = nn.leaf(h_val, requires_grad=True)
-        model._pnodes = {}
-        h_hat, out_codes = model._quantize_node(h)
+        h_hat, out_codes = model._quantize_node(h, model.params.bind())
         np.testing.assert_array_equal(out_codes, codes)
         commit = float(np.square(h.value - h_hat.value).mean())
         assert commit == 0.0
@@ -146,10 +159,7 @@ class TestStraightThrough:
         st_grad = result.h.grad.copy()
 
         direct = nn.leaf(result.h_hat.value, requires_grad=True)
-        model._pnodes = {}
-        trunk = nn.relu(nn.add(nn.matmul(direct, model._p("trunk.w")),
-                               model._p("trunk.b")))
-        recon = model._mlp("head.sig0", trunk)
+        recon = model.decode(direct, model.params.bind())["sig0"]
         loss2 = fv._cosine_loss_node(x, recon)
         nn.backward(loss2)
         np.testing.assert_allclose(st_grad, direct.grad, atol=1e-6)
@@ -173,10 +183,7 @@ class TestStraightThrough:
         def loss_value(arrs):
             h = nn.leaf(arrs["h"], requires_grad=True)
             s = nn.sub(h, nn.constant(c))
-            model._pnodes = {}
-            trunk = nn.relu(nn.add(nn.matmul(s, model._p("trunk.w")),
-                                   model._p("trunk.b")))
-            recon = model._mlp("head.sig0", trunk)
+            recon = model.decode(s, model.params.bind())["sig0"]
             return float(fv._cosine_loss_node(x, recon).value[0, 0])
 
         numeric = numeric_grad(loss_value, arrays, "h")
@@ -235,18 +242,28 @@ class TestTrain:
         lb = cosine_recon_loss(data["b"], result.recon["b"].value)
         assert abs(la - lb) / max(la, lb) < 0.05
 
-    def test_divergence_rolls_back(self):
+    def test_divergence_rolls_back(self, monkeypatch):
         x = structured_corpus(64, 8, 15)
+        for kind in ("fsq", "dpca"):
+            stopped = fv.FusionModel(spec_for(8, kind=kind, latent=4), seed=15)
+            fv.train(stopped, {"sig0": x},
+                     fv.TrainConfig(batch_size=32, epochs=1, seed=15))
+            model = fv.FusionModel(spec_for(8, kind=kind, latent=4), seed=15)
+            # 2 batches per epoch: the first batch of epoch 1 goes NaN
+            nan_weight_on_forward(monkeypatch, model, 3)
+            model, hist = fv.train(model, {"sig0": x}, fv.TrainConfig(
+                batch_size=32, epochs=3, seed=15))
+            assert hist.diverged_at == 1
+            assert len(hist.rows) == 1
+            for name, arr in stopped.params.items():
+                np.testing.assert_array_equal(model.params.get(name), arr)
+
+    def test_divergence_in_first_epoch_raises(self):
         model = fv.FusionModel(spec_for(8, latent=4), seed=15)
-        model, hist = fv.train(model, {"sig0": x},
-                               fv.TrainConfig(batch_size=32, epochs=3, seed=15))
-        snap = model.params.snapshot()
-        # poison one parameter so the next epoch NaNs immediately
-        model.params.get("fuse.w")[...] = 1e30
-        model2, hist2 = fv.train(model, {"sig0": x},
-                                 fv.TrainConfig(batch_size=32, epochs=3,
-                                                seed=15))
-        assert hist2.diverged_at is None or hist2.diverged_at >= 1
+        model.params.get("fuse.w")[0, 0] = np.nan
+        with pytest.raises(nn.TrainingDiverged):
+            fv.train(model, {"sig0": structured_corpus(64, 8, 15)},
+                     fv.TrainConfig(batch_size=32, epochs=3, seed=15))
 
     def test_mismatched_sample_counts_rejected(self):
         sigs = (fv.SignalSpec("a", 8), fv.SignalSpec("b", 8))

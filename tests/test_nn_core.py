@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sidekit import nn_core as nn
+from sidekit.corpus_io import corpus_write
+from sidekit.sid_codec import SidScheme, write_sid_file
 from oracles import grad_close, numeric_grad
 
 RNG_SEEDS = range(10)  # the acceptance suite re-runs the fd sweep at 100 seeds
@@ -264,6 +266,17 @@ class TestAdam:
         with pytest.raises(nn.NonFiniteError, match="'w'"):
             nn.adam_step(nn.AdamState(), p, {"w": bad})
 
+    def test_nonfinite_gradient_updates_nothing(self):
+        p = {"a": np.ones((1, 1), dtype=np.float32),
+             "b": np.ones((1, 1), dtype=np.float32)}
+        state = nn.AdamState(lr=0.1)
+        grads = {"a": np.ones((1, 1), dtype=np.float32),
+                 "b": np.array([[np.nan]], dtype=np.float32)}
+        with pytest.raises(nn.NonFiniteError, match="'b'"):
+            nn.adam_step(state, p, grads)
+        np.testing.assert_array_equal(p["a"], [[1.0]])
+        assert state.step == 0 and not state.m
+
     def test_lr_must_be_positive(self):
         with pytest.raises(ValueError):
             nn.AdamState(lr=0.0)
@@ -305,3 +318,39 @@ class TestCheckpoint:
         assert raw[8:12] == (1).to_bytes(4, "little")
         assert raw[12:13] == b"x"
         assert raw[-4:] == np.float32(1.0).tobytes()
+
+
+REJECTED_WRITES = {
+    "checkpoint": lambda path: nn.save_checkpoint(
+        path, {"w": np.zeros((2, 2)), "t": np.zeros((2, 2, 2))}),
+    "corpus": lambda path: corpus_write(path, np.zeros((2, 2, 2))),
+    "sid_file": lambda path: write_sid_file(path, SidScheme(grams=1),
+                                            [[0, 3]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REJECTED_WRITES))
+def test_rejected_write_leaves_target_and_no_temp(tmp_path, kind):
+    path = tmp_path / "target"
+    path.write_bytes(b"old")
+    with pytest.raises(ValueError):
+        REJECTED_WRITES[kind](path)
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+
+
+def test_atomic_write_failure_removes_temp(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        nn._atomic_write(path, chunks())
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+    nn._atomic_write(path, [b"n", b"ew"])
+    assert path.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]

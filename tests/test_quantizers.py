@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidekit import quantizers as q
+from sidekit.nn_core import save_checkpoint
 from oracles import (brute_force_line_codeword, brute_force_line_distance,
                      naive_dpca_sum)
 
@@ -375,13 +376,37 @@ class TestCodebookSerialization:
     def test_roundtrip_all_kinds(self, tmp_path):
         rng = np.random.default_rng(23)
         km = q.KMeansCodebook(rng.normal(size=(5, 4)).astype(np.float32))
+        km2 = q.KMeansCodebook(rng.normal(size=(3, 4)).astype(np.float32))
         line = random_line_codebook(rng, 3, 4)
         dpca = q.DpcaStack.random(8, 2, groups=2, seed=3)
         path = tmp_path / "books.ckpt"
-        q.save_codebooks(path, kmeans=km, line=line, dpca=dpca)
+        q.save_codebooks(path, kmeans=[km, km2], line=line, dpca=dpca)
         loaded = q.load_codebooks(path)
-        np.testing.assert_array_equal(loaded["kmeans"].centroids, km.centroids)
+        assert len(loaded["kmeans"]) == 2
+        np.testing.assert_array_equal(loaded["kmeans"][0].centroids,
+                                      km.centroids)
+        np.testing.assert_array_equal(loaded["kmeans"][1].centroids,
+                                      km2.centroids)
         np.testing.assert_array_equal(loaded["line"].directions, line.directions)
         assert loaded["line"].levels == 3
         np.testing.assert_array_equal(loaded["dpca"].components, dpca.components)
         np.testing.assert_array_equal(loaded["dpca"].offsets, dpca.offsets)
+
+    @pytest.mark.parametrize("names", [
+        ["kmeans.l1.centroids"],
+        ["kmeans.l0.centroids", "kmeans.l2.centroids"],
+        ["kmeans.l0.centroids", "kmeans.degenerate"]])
+    def test_missing_or_extra_kmeans_layers_rejected(self, tmp_path, names):
+        path = tmp_path / "books.ckpt"
+        save_checkpoint(path, {n: np.ones((2, 3), dtype=np.float32)
+                               for n in names})
+        with pytest.raises(q.QuantizerError, match="k-means layers"):
+            q.load_codebooks(path)
+
+    def test_missing_dpca_tensor_rejected(self, tmp_path):
+        path = tmp_path / "books.ckpt"
+        arrays = q.dpca_arrays(q.DpcaStack.random(4, 2, seed=0))
+        del arrays["dpca.g0.d1.b"]
+        save_checkpoint(path, arrays)
+        with pytest.raises(q.QuantizerError, match="dpca.g0.d1.b"):
+            q.load_codebooks(path)

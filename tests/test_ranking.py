@@ -1,0 +1,103 @@
+"""Ranking harness tests: the pooled attention against a scalar oracle,
+its gradient, training rollback, and the A/B report."""
+
+import numpy as np
+import pytest
+
+from sidekit import nn_core as nn
+from sidekit import ranking as rk
+from oracles import grad_close, naive_pma, numeric_grad
+
+
+def attention_inputs(seed, users=3, seq_len=5, d=4):
+    rng = np.random.default_rng(seed)
+    return {"q": rng.normal(size=(users, d)).astype(np.float32),
+            "v": rng.normal(size=(users * seq_len, d)).astype(np.float32),
+            "theta": rng.normal(size=(d, d)).astype(np.float32)}
+
+
+def attention(arrays, seq_len=5):
+    leaves = {k: nn.leaf(v, k, requires_grad=True) for k, v in arrays.items()}
+    out = rk.pooled_attention(leaves["q"], leaves["v"], leaves["theta"],
+                              seq_len)
+    return leaves, out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pooled_attention_matches_naive_per_user(seed):
+    arrays = attention_inputs(seed)
+    _, out = attention(arrays)
+    for u in range(3):
+        expect = naive_pma(arrays["q"][u:u + 1], arrays["v"][5 * u:5 * u + 5],
+                           arrays["theta"])
+        np.testing.assert_allclose(out.value[u:u + 1], expect, atol=1e-5)
+
+
+@pytest.mark.parametrize("key", ["q", "v", "theta"])
+def test_pooled_attention_gradient(key):
+    arrays = attention_inputs(7)
+    w = np.random.default_rng(8).normal(size=(3, 4)).astype(np.float32)
+
+    def loss(arrs):
+        _, out = attention(arrs)
+        return nn.sum_all(nn.mul(out, nn.constant(w)))
+
+    leaves, out = attention(arrays)
+    nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
+    numeric = numeric_grad(lambda a: float(loss(a).value[0, 0]), arrays, key)
+    assert grad_close(leaves[key].grad, numeric)
+
+
+def small_dataset():
+    return rk.generate_engagement(rk.EngagementConfig(
+        users=400, items=80, seq_len=6, seed=3))
+
+
+def test_divergence_rolls_back(monkeypatch):
+    ds = small_dataset()
+    cfg = rk.RankTrainConfig(batch_size=160, epochs=3, seed=4)
+    stopped, _ = rk.train_ranker(ds, "side", 100, rk.RankTrainConfig(
+        batch_size=160, epochs=1, seed=4))
+    logits = rk.ToyRankingModel.logits
+    calls = []
+
+    def poisoned(self, rows, p):
+        # 320 training rows: the first batch of epoch 1 goes NaN
+        calls.append(1)
+        if len(calls) == 3:
+            self.params.get("head.w")[0, 0] = np.nan
+        return logits(self, rows, p)
+
+    monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
+    model, report = rk.train_ranker(ds, "side", 100, cfg)
+    assert np.isfinite(report.ne)
+    for name, arr in stopped.params.items():
+        np.testing.assert_array_equal(model.params.get(name), arr)
+
+
+def test_divergence_in_first_epoch_raises(monkeypatch):
+    ds = small_dataset()
+    logits = rk.ToyRankingModel.logits
+
+    def poisoned(self, rows, p):
+        self.params.get("head.w")[0, 0] = np.inf
+        return logits(self, rows, p)
+
+    monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
+    with pytest.raises(nn.TrainingDiverged):
+        rk.train_ranker(ds, "sid", 100, rk.RankTrainConfig(epochs=2, seed=4))
+
+
+def test_ab_report_counts_trained_feature_params():
+    ds = small_dataset()
+    report = rk.run_ab(ds, 50, rk.RankTrainConfig(epochs=1, seed=5))
+    assert list(report.results) == ["none", "sid", "side"]
+    grams = ds.scheme.grams
+    assert report.results["sid"].feature_params == grams * 50 * 16
+    digits = ds.item_digits.shape[1]
+    assert report.results["side"].feature_params == digits * 16
+    assert report.results["none"].ne_gain_pct is None
+    base = report.results["none"].ne.ne
+    for name in ("sid", "side"):
+        r = report.results[name]
+        assert r.ne_gain_pct == pytest.approx(100.0 * (base - r.ne.ne) / base)

@@ -1,6 +1,9 @@
 """Codec tests: packing exactness, exhaustive and property-based
 roundtrips, SIDE recovery, hashing, and the SID file format."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,12 @@ def test_roundtrip_property(base, ngram, data):
     sid = sc.pack(scheme, digits)
     assert 0 <= sid <= scheme.max_sid
     assert sc.unpack(scheme, sid).tolist() == digits
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "one.sid")
+        sc.write_sid_file(path, scheme, [[sid]])
+        read_scheme, sids = sc.read_sid_file(path)
+    assert read_scheme == scheme
+    assert sc.unpack_all(read_scheme, sids)[0].tolist() == digits
 
 
 class TestScheme:

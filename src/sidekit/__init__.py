@@ -23,7 +23,6 @@ from .quantizers import (
     dpca_encode,
     fsq_quantize,
     kmeans_assign,
-    kmeans_assign_topk,
     kmeans_fit,
     product_join,
     product_split,
@@ -60,10 +59,8 @@ from .metrics import (
     RecallReport,
     cosine_recon_loss,
     cosine_topk,
-    delta_percent,
     knn_ground_truth,
     normalized_entropy,
-    random_baseline_recall,
     recall_at_k,
 )
 

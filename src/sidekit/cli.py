@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import product
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,7 +30,10 @@ class PipelineError(ValueError):
     pass
 
 
-QUANTIZER_KINDS = ("kmeans", "rq", "pq", "fsq", "dpca", "none")
+CLASSICAL_KINDS = ("kmeans", "rq", "pq")
+QUANTIZER_KINDS = CLASSICAL_KINDS + ("fsq", "dpca", "none")
+ENGAGEMENT_ARRAYS = ("item_latents", "item_digits", "item_sids", "history",
+                     "candidates", "labels", "segments", "dense")
 
 
 @dataclass
@@ -74,10 +78,10 @@ class PipelineConfig:
 
 
 def load_config(path):
+    """Read key=value lines, each value cast to its PipelineConfig field
+    type; a bad key or value is reported as path:line."""
     cfg = {}
-    valid = {f.name: f.type for f in fields(PipelineConfig)}
-    casts = {"lr": float, "commitment_weight": float, "codebook_weight": float,
-             "quantizer_dropout": float}
+    types = get_type_hints(PipelineConfig)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -86,12 +90,14 @@ def load_config(path):
             if "=" not in line:
                 raise PipelineError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in valid:
+            if key not in types:
                 raise PipelineError(f"{path}:{lineno}: unknown key '{key}'")
-            if key == "quantizer":
-                cfg[key] = value
-            else:
-                cfg[key] = casts.get(key, int)(value)
+            try:
+                cfg[key] = types[key](value)
+            except ValueError:
+                raise PipelineError(
+                    f"{path}:{lineno}: {key}: expected "
+                    f"{types[key].__name__}, got '{value}'") from None
     return PipelineConfig(**cfg).validate()
 
 
@@ -130,11 +136,9 @@ def cmd_gen_engagement(args):
     cfg = rk.EngagementConfig(users=args.users, items=args.items,
                               seq_len=args.seq_len, seed=args.seed)
     ds = rk.generate_engagement(cfg)
-    np.savez(args.out, item_latents=ds.item_latents, item_digits=ds.item_digits,
-             item_sids=ds.item_sids, history=ds.history,
-             candidates=ds.candidates, labels=ds.labels, segments=ds.segments,
-             dense=ds.dense, users=cfg.users, items=cfg.items,
-             seq_len=cfg.seq_len, seed=cfg.seed)
+    np.savez(args.out, **{k: getattr(ds, k) for k in ENGAGEMENT_ARRAYS},
+             users=cfg.users, items=cfg.items, seq_len=cfg.seq_len,
+             seed=cfg.seed)
     print(f"wrote engagement set ({cfg.users} users, {cfg.items} items) to {args.out}")
     return 0
 
@@ -161,12 +165,17 @@ def _classical_codes(cfg, books, corpus):
     return np.concatenate(cols, axis=1)
 
 
+def _warn_diverged(what, epoch):
+    print(f"warning: {what} diverged at epoch {epoch}; "
+          "kept last good checkpoint", file=sys.stderr)
+
+
 def cmd_train(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     bundle, dims = _load_bundle(args.corpus)
-    if cfg.quantizer in ("kmeans", "rq", "pq"):
+    if cfg.quantizer in CLASSICAL_KINDS:
         if len(args.corpus) != 1:
             raise PipelineError("classical quantizers train on one corpus")
         books = _fit_classical(cfg, bundle["sig0"])
@@ -182,23 +191,28 @@ def cmd_train(args):
     print(f"trained {cfg.quantizer} fusion model -> {args.out} "
           f"(final loss {last.get('total', float('nan')):.4f})")
     if history.diverged_at is not None:
-        print(f"warning: diverged at epoch {history.diverged_at}; "
-              "kept last good checkpoint")
+        _warn_diverged(f"{cfg.quantizer} training", history.diverged_at)
     return 0
 
 
-def _load_kmeans(path):
+def _load_kmeans(cfg, path):
+    """The checkpoint's k-means codebooks: one for kmeans, `depth` for rq,
+    `groups` for pq."""
     books = load_codebooks(path).get("kmeans")
     if not books:
         raise PipelineError(f"{path} holds no k-means codebooks")
+    need = {"kmeans": 1, "rq": cfg.depth, "pq": cfg.groups}[cfg.quantizer]
+    if len(books) != need:
+        raise PipelineError(f"{path} holds {len(books)} k-means codebooks, "
+                            f"the {cfg.quantizer} config needs {need}")
     return books
 
 
 def cmd_encode(args):
     cfg = load_config(args.config)
     bundle, dims = _load_bundle(args.corpus)
-    if cfg.quantizer in ("kmeans", "rq", "pq"):
-        books = _load_kmeans(args.ckpt)
+    if cfg.quantizer in CLASSICAL_KINDS:
+        books = _load_kmeans(cfg, args.ckpt)
         codes = _classical_codes(cfg, books, bundle["sig0"])
         scheme = SidScheme.for_digits(codes.shape[1], base=cfg.levels,
                                       ngram=cfg.ngram)
@@ -207,7 +221,7 @@ def cmd_encode(args):
         model = _build_fusion(cfg, dims, cfg.seed).load(args.ckpt)
         scheme, sids = fv.encode_corpus(model, bundle, ngram=cfg.ngram)
     write_sid_file(args.out, scheme, sids)
-    print(f"encoded {len(np.atleast_2d(sids))} records -> {args.out}")
+    print(f"encoded {len(sids)} records -> {args.out}")
     return 0
 
 
@@ -215,8 +229,8 @@ def cmd_decode(args):
     cfg = load_config(args.config)
     scheme, sids = read_sid_file(args.sids)
     digits = unpack_all(scheme, sids)
-    if cfg.quantizer in ("kmeans", "rq", "pq"):
-        books = _load_kmeans(args.ckpt)
+    if cfg.quantizer in CLASSICAL_KINDS:
+        books = _load_kmeans(cfg, args.ckpt)
         idx = digits + scheme.offset
         if cfg.quantizer == "pq":
             parts = [books[g].centroids[idx[:, g]] for g in range(len(books))]
@@ -275,14 +289,8 @@ def cmd_rank_ab(args):
                                   items=int(loaded["items"]),
                                   seq_len=int(loaded["seq_len"]),
                                   seed=int(loaded["seed"]))
-        scheme = SidScheme.for_digits(loaded["item_digits"].shape[1],
-                                      base=3, ngram=cfg.ngram)
         ds = rk.SyntheticEngagementSet(
-            config=cfg, item_latents=loaded["item_latents"],
-            item_digits=loaded["item_digits"], item_sids=loaded["item_sids"],
-            scheme=scheme, history=loaded["history"],
-            candidates=loaded["candidates"], labels=loaded["labels"],
-            segments=loaded["segments"], dense=loaded["dense"])
+            config=cfg, **{k: loaded[k] for k in ENGAGEMENT_ARRAYS})
     else:
         ds = rk.generate_engagement(rk.EngagementConfig(
             users=args.users, items=args.items, seq_len=args.seq_len,
@@ -291,6 +299,9 @@ def cmd_rank_ab(args):
     tcfg = rk.RankTrainConfig(epochs=args.epochs, lr=args.lr,
                               feature_dim=args.feature_dim, seed=args.seed)
     report = rk.run_ab(ds, hash_size, tcfg)
+    for name, r in report.results.items():
+        if r.diverged_at is not None:
+            _warn_diverged(f"{name} ranker training", r.diverged_at)
     if args.json:
         payload = {name: {"ne": r.ne.as_dict(), "feature_params": r.feature_params,
                           "ne_gain_pct": r.ne_gain_pct}
@@ -305,6 +316,9 @@ def cmd_rank_ab(args):
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
+    if cfg.quantizer in CLASSICAL_KINDS:
+        raise PipelineError(f"sweep trains fusion models only (fsq, dpca, "
+                            f"none), not '{cfg.quantizer}'")
     bundle, dims = _load_bundle(args.corpus)
     levels = [int(v) for v in (args.levels or str(cfg.levels)).split(",")]
     depths = [int(v) for v in (args.depths or str(cfg.depth)).split(",")]

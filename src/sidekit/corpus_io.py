@@ -58,24 +58,12 @@ def corpus_read(path):
     return payload.reshape(rows, dim).astype(DTYPE)
 
 
-def generate_clustered_corpus(rows, dim, clusters=100, noise=0.08, seed=0,
-                              correlated_with=None, mix=0.7):
-    """Unit-norm vectors around random cluster centers.
-
-    With `correlated_with` (another corpus of equal shape), each row is a
-    normalized blend mix*other + (1-mix)*fresh so two signals share latent
-    structure without being identical.
-    """
+def generate_clustered_corpus(rows, dim, clusters=100, noise=0.08, seed=0):
+    """Unit-norm vectors around random cluster centers."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(clusters, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     assign = rng.integers(0, clusters, size=rows)
     x = centers[assign] + noise * rng.normal(size=(rows, dim))
-    if correlated_with is not None:
-        other = np.asarray(correlated_with, dtype=np.float64)
-        if other.shape != (rows, dim):
-            raise CorpusFormatError(
-                f"correlated corpus shape {other.shape} != ({rows}, {dim})")
-        x = mix * other + (1.0 - mix) * x
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return x.astype(DTYPE)

@@ -156,8 +156,7 @@ class FusionModel:
                                      seed=seed + 1)
             for name, row in dpca_arrays(stack).items():
                 self.params.add(name, row)
-        self.fsq = FsqConfig(latent_dims=spec.latent, levels=q.levels) \
-            if q.kind == "fsq" else None
+        self.fsq = FsqConfig(levels=q.levels) if q.kind == "fsq" else None
 
     def dpca_stack(self):
         """Current component vectors as an immutable encode/decode stack."""
@@ -402,14 +401,18 @@ def encode_corpus(model, bundle, ngram=3):
 
 
 def decode_from_digits(model, digits):
-    """Reconstruct every signal from centered digits (the SIDE path).
+    """Reconstruct every signal from an (m, digits) matrix of centered
+    digits (the SIDE path).
 
     For FSQ the digits are mapped onto the quantizer grid; for DPCA the
     digits drive the component-vector sum. The decoder then maps the
     recovered latent through the trunk and heads.
     """
     q = model.spec.quantizer
-    digits = np.atleast_2d(np.asarray(digits, dtype=np.int64))
+    digits = np.asarray(digits, dtype=np.int64)
+    if digits.ndim != 2:
+        raise FusionError(
+            f"expected a 2-D digit matrix, got ndim={digits.ndim}")
     digits = digits[:, :model.spec.code_digits]
     if q.kind == "fsq":
         latent = fsq_values(model.fsq, digits + model.fsq.offset)

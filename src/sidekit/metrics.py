@@ -50,11 +50,6 @@ def cosine_recon_loss(x, x_hat):
     return float(np.mean(1.0 - np.einsum("ij,ij->i", xn, rn)))
 
 
-def delta_percent(fusion_loss, iso_loss):
-    """Percentage increase of a fused-model loss over its 1:1 counterpart."""
-    return 100.0 * (fusion_loss - iso_loss) / iso_loss
-
-
 def cosine_topk(base, queries, k, exclude_self=None):
     """Exhaustive top-k indices of `base` rows by cosine similarity.
 
@@ -160,11 +155,6 @@ def recall_at_k(ground_truth, candidates, ks=DEFAULT_KS, corpus_size=None):
                         gt.shape[1])
 
 
-def random_baseline_recall(corpus_size, k, _gt_depth=20):
-    """Expected recall of k uniformly random candidates (self excluded)."""
-    return k / (corpus_size - 1)
-
-
 @dataclass
 class NEReport:
     """Normalized entropy: mean binary log-loss over the prior entropy."""
@@ -209,44 +199,7 @@ def normalized_entropy(labels, predictions):
 
 
 # ---------------------------------------------------------------------------
-# Report rendering
-
-
-def format_recon_table(rows):
-    """Pretty-print reconstruction losses with the percentage-increase column.
-
-    `rows` is a list of dicts with keys: setting, method, and one loss per
-    task name; 1:1 rows anchor the percentage for the matching fusion row.
-    """
-    tasks = [k for k in rows[0] if k not in ("setting", "method")]
-    iso = {(r["method"], t): r[t] for r in rows if r["setting"] == "1:1"
-           for t in tasks}
-    header = ["Setting", "Method"]
-    for t in tasks:
-        header += [t, "d%"]
-    lines = ["  ".join(f"{h:>10}" for h in header)]
-    for r in rows:
-        cells = [f"{r['setting']:>10}", f"{r['method']:>10}"]
-        for t in tasks:
-            cells.append(f"{r[t]:>10.4f}")
-            if r["setting"] == "fusion" and (r["method"], t) in iso:
-                cells.append(f"{delta_percent(r[t], iso[(r['method'], t)]):>9.2f}%")
-            else:
-                cells.append(f"{'-':>10}")
-        lines.append("  ".join(cells))
-    return "\n".join(lines)
-
-
-def format_recall_table(rows):
-    """Rows of {corpus, method, report: RecallReport} as an aligned table."""
-    ks = rows[0]["report"].ks
-    header = ["Corpus", "Method"] + [f"R@{k}" for k in ks]
-    lines = ["  ".join(f"{h:>10}" for h in header)]
-    for r in rows:
-        cells = [f"{r['corpus']:>10}", f"{r['method']:>10}"]
-        cells += [f"{v:>10.4f}" for v in r["report"].recalls]
-        lines.append("  ".join(cells))
-    return "\n".join(lines)
+# Report output
 
 
 def emit_report(payload, as_json=False, stream=None):

@@ -74,8 +74,6 @@ class Node:
 
 def _as_matrix(x, name):
     arr = np.asarray(x, dtype=DTYPE)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise GraphError(f"expected a 2-D array, got ndim={arr.ndim}", name)
     return arr
@@ -180,13 +178,6 @@ def matmul(a, b, name=None):
     return _make("matmul", value, (a, b), backward, name)
 
 
-def transpose(a, name=None):
-    def backward(out):
-        if a.requires_grad:
-            a.grad += out.grad.T
-    return _make("transpose", np.ascontiguousarray(a.value.T), (a,), backward, name)
-
-
 def scale(a, c, name=None):
     c = float(c)
 
@@ -212,25 +203,9 @@ def relu(a, name=None):
                   lambda g, x, y: g * (x > 0), name)
 
 
-def tanh(a, name=None):
-    return _unary("tanh", a, np.tanh,
-                  lambda g, x, y: g * (1.0 - y * y), name)
-
-
-def sigmoid(a, name=None):
-    def fwd(x):
-        return 1.0 / (1.0 + np.exp(-x))
-    return _unary("sigmoid", a, fwd,
-                  lambda g, x, y: g * y * (1.0 - y), name)
-
-
 def softplus(a, name=None):
     return _unary("softplus", a, lambda x: np.logaddexp(0.0, x),
                   lambda g, x, y: g / (1.0 + np.exp(-x)), name)
-
-
-def log(a, name=None):
-    return _unary("log", a, np.log, lambda g, x, y: g / x, name)
 
 
 def sqrt(a, name=None):
@@ -280,20 +255,6 @@ def concat_cols(nodes, name=None):
     return _make("concat", value, tuple(nodes), backward, name)
 
 
-def slice_cols(a, start, stop, name=None):
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise GraphError(
-            f"slice [{start}:{stop}] out of range for {a.shape}", name or "slice")
-    value = np.ascontiguousarray(a.value[:, start:stop])
-
-    def backward(out):
-        if a.requires_grad:
-            g = np.zeros(a.shape, dtype=DTYPE)
-            g[:, start:stop] = out.grad
-            a.grad += g
-    return _make("slice", value, (a,), backward, name)
-
-
 def sum_all(a, name=None):
     value = np.array([[a.value.sum(dtype=DTYPE)]], dtype=DTYPE)
 
@@ -320,15 +281,6 @@ def sum_axis1(a, name=None):
         if a.requires_grad:
             a.grad += np.broadcast_to(out.grad, a.shape)
     return _make("sum_axis1", value, (a,), backward, name)
-
-
-def sum_axis0(a, name=None):
-    value = a.value.sum(axis=0, keepdims=True, dtype=DTYPE)
-
-    def backward(out):
-        if a.requires_grad:
-            a.grad += np.broadcast_to(out.grad, a.shape)
-    return _make("sum_axis0", value, (a,), backward, name)
 
 
 def reshape(a, rows, cols, name=None):
@@ -443,8 +395,7 @@ class ParamStore:
     def add(self, name, array):
         if name in self._arrays:
             raise KeyError(f"parameter '{name}' already registered")
-        self._arrays[name] = np.asarray(array, dtype=DTYPE).reshape(
-            array.shape if np.ndim(array) == 2 else (1, -1))
+        self._arrays[name] = _as_matrix(array, name)
         return self._arrays[name]
 
     def bind(self):
@@ -485,14 +436,17 @@ class Binding(dict):
                 else np.zeros_like(node.value) for n, node in self.items()}
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam optimizer state; moment shapes mirror the parameter shapes."""
+    """Adam optimizer state; moment shapes mirror the parameter shapes.
+    The decay rates and epsilon are the ADAM_* constants."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -517,7 +471,7 @@ def adam_step(state, params, grads):
             raise GraphError(f"gradient shape {g.shape} != param {p.shape}", name)
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p in params.items():
@@ -530,7 +484,7 @@ def adam_step(state, params, grads):
         with np.errstate(over="ignore", invalid="ignore"):
             m += (1.0 - b1) * (g - m)
             v += (1.0 - b2) * (g * g - v)
-            p -= DTYPE(state.lr) * (m / c1) / (np.sqrt(v / c2) + DTYPE(state.eps))
+            p -= DTYPE(state.lr) * (m / c1) / (np.sqrt(v / c2) + DTYPE(ADAM_EPS))
     return state
 
 

@@ -7,8 +7,9 @@ vectors with a ternary {-1, 0, +1} scalar codebook, optionally in parallel
 product groups).
 
 All assign/encode/decode functions are pure over immutable codebooks and
-accept either a single vector or a row-major batch of vectors. Ties are
-broken toward the lower index everywhere.
+take a 2-D row-major batch, one vector (or one code) per row; a single
+vector is a batch of one row. Any other ndim raises QuantizerError. Ties
+are broken toward the lower index everywhere.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ class QuantizerError(ValueError):
     pass
 
 
-def _rows(x):
-    """Coerce input to a (n, d) float32 matrix, remembering if it was 1-D."""
-    arr = np.asarray(x, dtype=DTYPE)
-    if arr.ndim == 1:
-        return arr.reshape(1, -1), True
+def _rows(x, dtype=DTYPE):
+    """The input as a (n, d) array; anything but 2-D is rejected."""
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 2:
-        raise QuantizerError(f"expected vector or matrix, got ndim={arr.ndim}")
-    return arr, False
+        raise QuantizerError(
+            f"expected a 2-D batch of rows, got ndim={arr.ndim}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def kmeans_fit(corpus, k, iters=25, seed=0):
     point currently farthest from its assigned centroid, which can only
     shrink nearest-centroid distances.
     """
-    x, _ = _rows(corpus)
+    x = _rows(corpus)
     n = x.shape[0]
     if k < 1:
         raise QuantizerError(f"k must be >= 1, got {k}")
@@ -112,30 +112,16 @@ def kmeans_fit(corpus, k, iters=25, seed=0):
 
 def kmeans_assign(codebook, x):
     """Index of the nearest centroid by Euclidean distance (lowest wins ties)."""
-    rows, single = _rows(x)
+    rows = _rows(x)
     if rows.shape[1] != codebook.d:
         raise QuantizerError(
             f"dimension mismatch: input has {rows.shape[1]}, codebook {codebook.d}")
-    idx = _sq_dists(rows, codebook.centroids).argmin(axis=1)
-    return int(idx[0]) if single else idx
-
-
-def kmeans_assign_topk(codebook, x, k):
-    """The k nearest centroid indices, ascending by distance then index."""
-    rows, single = _rows(x)
-    if rows.shape[1] != codebook.d:
-        raise QuantizerError(
-            f"dimension mismatch: input has {rows.shape[1]}, codebook {codebook.d}")
-    if k > codebook.k:
-        raise QuantizerError(f"top-{k} requested from {codebook.k} centroids")
-    d2 = _sq_dists(rows, codebook.centroids)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return order[0] if single else order
+    return _sq_dists(rows, codebook.centroids).argmin(axis=1)
 
 
 def residual_fit(corpus, k, depth, iters=25, seed=0):
     """Stack of k-means codebooks, each fitted on the previous residuals."""
-    x, _ = _rows(corpus)
+    x = _rows(corpus)
     stack = []
     residual = x.copy()
     for layer in range(depth):
@@ -151,7 +137,7 @@ def residual_quantize(stack, x):
     Returns (indices, reconstruction); the reconstruction is the sum of
     the selected codeword from every layer.
     """
-    rows, single = _rows(x)
+    rows = _rows(x)
     d = stack[0].d
     for cb in stack:
         if cb.d != d:
@@ -164,13 +150,10 @@ def residual_quantize(stack, x):
     indices = np.empty((rows.shape[0], len(stack)), dtype=np.int64)
     for layer, cb in enumerate(stack):
         idx = kmeans_assign(cb, residual)
-        idx = np.atleast_1d(idx)
         chosen = cb.centroids[idx]
         residual -= chosen
         recon += chosen
         indices[:, layer] = idx
-    if single:
-        return indices[0], recon[0]
     return indices, recon
 
 
@@ -207,14 +190,11 @@ class FsqConfig:
     are not fixed points of the tanh bounding.
     """
 
-    latent_dims: int
     levels: int = 3
 
     def __post_init__(self):
         if self.levels < 2:
             raise QuantizerError(f"levels must be >= 2, got {self.levels}")
-        if self.latent_dims < 1:
-            raise QuantizerError(f"latent_dims must be >= 1, got {self.latent_dims}")
 
     @property
     def offset(self):
@@ -229,7 +209,7 @@ def fsq_quantize(cfg, z):
     L-level grid (ties round half away from zero), and returned both as a
     level index in [0, L) and as the grid value.
     """
-    rows, single = _rows(z)
+    rows = _rows(z)
     if not np.all(np.isfinite(rows)):
         raise QuantizerError("non-finite latent input")
     u = np.tanh(rows)
@@ -237,10 +217,7 @@ def fsq_quantize(cfg, z):
     pos = (u + 1.0) * 0.5 * (cfg.levels - 1)
     levels = np.floor(pos + 0.5).astype(np.int64)
     levels = np.clip(levels, 0, cfg.levels - 1)
-    values = fsq_values(cfg, levels)
-    if single:
-        return levels[0], values[0]
-    return levels, values
+    return levels, fsq_values(cfg, levels)
 
 
 def fsq_values(cfg, levels):
@@ -322,7 +299,7 @@ def structured_assign(cb, x):
 
     The reconstruction is grid(s) * u_khat + b_khat.
     """
-    rows, single = _rows(x)
+    rows = _rows(x)
     if rows.shape[1] != cb.d:
         raise QuantizerError(
             f"dimension mismatch: input has {rows.shape[1]}, codebook {cb.d}")
@@ -335,12 +312,8 @@ def structured_assign(cb, x):
     s_hat = proj[np.arange(n), group]
     level, value = grid_quantize(cb.levels, s_hat)
     recon = value[:, None] * cb.directions[group] + cb.references[group]
-    out = StructuredAssignment(group, level, s_hat.astype(DTYPE),
-                               recon.astype(DTYPE))
-    if single:
-        return StructuredAssignment(int(group[0]), int(level[0]),
-                                    float(s_hat[0]), recon[0].astype(DTYPE))
-    return out
+    return StructuredAssignment(group, level, s_hat.astype(DTYPE),
+                                recon.astype(DTYPE))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +374,7 @@ class DpcaStack:
         return cls(comps, offs)
 
 
-_TERNARY = FsqConfig(latent_dims=1, levels=3)
+_TERNARY = FsqConfig(levels=3)
 
 
 def dpca_encode(stack, x):
@@ -411,7 +384,7 @@ def dpca_encode(stack, x):
     ternary quantization of <r_t - b_t, u_t>/||u_t||^2 (the least-squares
     coefficient), after which r_{t+1} = r_t - (s_t u_t + b_t).
     """
-    rows, single = _rows(x)
+    rows = _rows(x)
     if rows.shape[1] != stack.dim:
         raise QuantizerError(
             f"dimension mismatch: input has {rows.shape[1]}, stack {stack.dim}")
@@ -431,7 +404,7 @@ def dpca_encode(stack, x):
             s = (level[:, 0] - 1).astype(np.int8)
             r -= s[:, None] * u + b
             codes[:, g * stack.depth + t] = s
-    return codes[0] if single else codes
+    return codes
 
 
 def dpca_decode(stack, codes, depth=None):
@@ -440,9 +413,7 @@ def dpca_decode(stack, codes, depth=None):
     `depth` truncates the sum to a prefix of residual layers, yielding the
     coarser reconstruction that prefix codes define.
     """
-    arr = np.asarray(codes)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
+    arr = _rows(codes, dtype=None)
     if arr.shape[1] != stack.digits:
         raise QuantizerError(
             f"code length {arr.shape[1]} != groups*depth = {stack.digits}")
@@ -457,8 +428,7 @@ def dpca_decode(stack, codes, depth=None):
         u = stack.components[g, :depth]
         b = stack.offsets[g, :depth]
         parts.append(s @ u + b.sum(axis=0))
-    out = product_join(parts).astype(DTYPE)
-    return out[0] if single else out
+    return product_join(parts).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------

@@ -58,33 +58,36 @@ def pooled_attention(queries, values, theta, seq_len):
 # Synthetic engagement data
 
 
+LATENT_DIM = 16          # ternary digits per item
+SEGMENTS = 16            # categories of the sparse user feature
+DENSE_DIM = 4            # dense user features
+AFFINITY_SCALE = 8.0     # a in sigmoid(a * <pref, item> + b)
+AFFINITY_BIAS = -1.5     # b
+HISTORY_SHARPNESS = 20.0
+SID_SCHEME = SidScheme.for_digits(LATENT_DIM, base=3, ngram=8)
+
+
 @dataclass(frozen=True)
 class EngagementConfig:
     users: int = 10_000
     items: int = 2_000
     seq_len: int = 32
-    latent_dim: int = 16
-    segments: int = 16
-    dense_dim: int = 4
-    ngram: int = 8
-    affinity_scale: float = 8.0   # a in sigmoid(a * <pref, item> + b)
-    affinity_bias: float = -1.5   # b
-    history_sharpness: float = 20.0
     seed: int = 0
 
 
 @dataclass
 class SyntheticEngagementSet:
     config: EngagementConfig
-    item_latents: np.ndarray   # (items, latent_dim), rows on the ternary grid
-    item_digits: np.ndarray    # (items, latent_dim) centered ternary digits
-    item_sids: np.ndarray      # (items, grams) u64
-    scheme: SidScheme
+    item_latents: np.ndarray   # (items, LATENT_DIM), rows on the ternary grid
+    item_digits: np.ndarray    # (items, LATENT_DIM) centered ternary digits
+    item_sids: np.ndarray      # (items, grams) u64, packed with SID_SCHEME
     history: np.ndarray        # (users, seq_len) item ids
     candidates: np.ndarray     # (users,) item id shown
     labels: np.ndarray         # (users,) binary click
     segments: np.ndarray       # (users,) categorical id
-    dense: np.ndarray          # (users, dense_dim)
+    dense: np.ndarray          # (users, DENSE_DIM)
+
+    scheme = SID_SCHEME
 
     def collision_free_size(self):
         return self.scheme.max_sid + 1
@@ -101,7 +104,7 @@ def generate_engagement(cfg):
     sigmoid(a * <mean history latent, candidate latent> + b).
     """
     rng = np.random.default_rng(cfg.seed)
-    t = cfg.latent_dim
+    t = LATENT_DIM
 
     raw = rng.integers(-1, 2, size=(cfg.items, t))
     dead = ~raw.any(axis=1)
@@ -110,19 +113,17 @@ def generate_engagement(cfg):
 
     # digits via the ternary scalar quantizer at a gain that clears the
     # tanh dead zone for entries of magnitude 1/sqrt(t)
-    fsq = FsqConfig(latent_dims=t, levels=3)
-    levels, _ = fsq_quantize(fsq, latents * (2.0 * np.sqrt(t)))
+    levels, _ = fsq_quantize(FsqConfig(levels=3), latents * (2.0 * np.sqrt(t)))
     digits = (levels - 1).astype(np.int8)
     if not np.array_equal(digits, np.sign(raw)):
         raise RankingError("digit extraction failed to recover the grid")
 
-    scheme = SidScheme.for_digits(t, base=3, ngram=cfg.ngram)
-    sids = pack_all(scheme, digits)
+    sids = pack_all(SID_SCHEME, digits)
 
     taste = rng.normal(size=(cfg.users, t))
     taste /= np.linalg.norm(taste, axis=1, keepdims=True)
     affinity = taste @ latents.T                       # (users, items)
-    w = np.exp(cfg.history_sharpness * affinity)
+    w = np.exp(HISTORY_SHARPNESS * affinity)
     w /= w.sum(axis=1, keepdims=True)
     cum = np.cumsum(w, axis=1)
     draws = rng.random(size=(cfg.users, cfg.seq_len))
@@ -131,14 +132,14 @@ def generate_engagement(cfg):
     candidates = rng.integers(0, cfg.items, size=cfg.users)
     pref = latents[history].mean(axis=1)
     dot = np.einsum("ud,ud->u", pref, latents[candidates])
-    p_click = 1.0 / (1.0 + np.exp(-(cfg.affinity_scale * dot + cfg.affinity_bias)))
+    p_click = 1.0 / (1.0 + np.exp(-(AFFINITY_SCALE * dot + AFFINITY_BIAS)))
     labels = (rng.random(cfg.users) < p_click).astype(np.int8)
 
-    segments = rng.integers(0, cfg.segments, size=cfg.users)
-    dense = rng.normal(size=(cfg.users, cfg.dense_dim)).astype(DTYPE)
+    segments = rng.integers(0, SEGMENTS, size=cfg.users)
+    dense = rng.normal(size=(cfg.users, DENSE_DIM)).astype(DTYPE)
     return SyntheticEngagementSet(
         config=cfg, item_latents=latents.astype(DTYPE), item_digits=digits,
-        item_sids=sids, scheme=scheme, history=history, candidates=candidates,
+        item_sids=sids, history=history, candidates=candidates,
         labels=labels, segments=segments, dense=dense)
 
 
@@ -146,14 +147,18 @@ def generate_engagement(cfg):
 # Toy ranking model
 
 
+# Decoupled weight decay keeps rarely touched table rows from freezing
+# noise into the eval logits.
+WEIGHT_DECAY = 1e-3
+EVAL_FRACTION = 0.2      # users held out for the NE report
+
+
 @dataclass
 class RankTrainConfig:
     batch_size: int = 256
     epochs: int = 12
     lr: float = 3e-3
-    weight_decay: float = 1e-3
     feature_dim: int = 16
-    eval_fraction: float = 0.2
     seed: int = 0
 
 
@@ -175,8 +180,8 @@ class ToyRankingModel:
         d = cfg.feature_dim
         t = dataset.item_digits.shape[1]
         self.params = ParamStore(cfg.seed)
-        self.params.table("sparse.segments", dataset.config.segments, d)
-        self.params.weight("dense.w", dataset.config.dense_dim, d)
+        self.params.table("sparse.segments", SEGMENTS, d)
+        self.params.weight("dense.w", DENSE_DIM, d)
         self.params.zeros("dense.b", 1, d)
         grams = dataset.scheme.grams
         if variant == "sid":
@@ -249,11 +254,14 @@ def _bce_loss(logit_node, labels):
 
 
 def train_ranker(dataset, variant, hash_size, cfg):
-    """Train one variant; returns (model, NEReport on the eval split)."""
+    """Train one variant; returns (model, NEReport on the eval split,
+    diverged_at). diverged_at is None unless a non-finite loss stopped
+    training, in which case it is the epoch whose start the parameters
+    were rolled back to (see nn_core.fit)."""
     rng = np.random.default_rng(cfg.seed)
     n = dataset.config.users
     order = rng.permutation(n)
-    n_eval = int(n * cfg.eval_fraction)
+    n_eval = int(n * EVAL_FRACTION)
     eval_rows = order[:n_eval]
     train_rows = order[n_eval:]
     if dataset.labels[train_rows].min() == dataset.labels[train_rows].max():
@@ -266,13 +274,12 @@ def train_ranker(dataset, variant, hash_size, cfg):
         p = model.params.bind()
         return _bce_loss(model.logits(rows, p), dataset.labels[rows]), p, {}
 
-    # decoupled weight decay keeps rarely touched table rows from freezing
-    # noise into the eval logits
-    nn.fit(model.params, train_rows.size, step, rng, cfg.epochs,
-           cfg.batch_size, cfg.lr, weight_decay=cfg.weight_decay)
+    _, diverged_at = nn.fit(model.params, train_rows.size, step, rng,
+                            cfg.epochs, cfg.batch_size, cfg.lr,
+                            weight_decay=WEIGHT_DECAY)
     preds = model.predict(eval_rows)
     report = normalized_entropy(dataset.labels[eval_rows], preds)
-    return model, report
+    return model, report, diverged_at
 
 
 @dataclass
@@ -280,6 +287,7 @@ class AbResult:
     variant: str
     ne: NEReport
     feature_params: int
+    diverged_at: int | None    # epoch training was rolled back at, if any
     ne_gain_pct: float | None = None  # vs the no-history ablation
 
 
@@ -307,11 +315,13 @@ def run_ab(dataset, hash_size, cfg):
     means the feature path reduced NE relative to ranking without item
     identity features.
     """
-    _, base_report = train_ranker(dataset, "none", hash_size, cfg)
-    results = {"none": AbResult("none", base_report, 0)}
+    _, base_report, diverged_at = train_ranker(dataset, "none", hash_size, cfg)
+    results = {"none": AbResult("none", base_report, 0, diverged_at)}
     for variant in ("sid", "side"):
-        model, report = train_ranker(dataset, variant, hash_size, cfg)
+        model, report, diverged_at = train_ranker(dataset, variant, hash_size,
+                                                  cfg)
         gain = 100.0 * (base_report.ne - report.ne) / base_report.ne
         results[variant] = AbResult(variant, report,
-                                    model.feature_path_params(), gain)
+                                    model.feature_path_params(), diverged_at,
+                                    gain)
     return AbReport(hash_size=hash_size, results=results, seed=cfg.seed)

@@ -7,6 +7,11 @@ plain base-L reading of the digits). Unpacking is exact via floor-divide
 and modulo, which is what makes SID embeddings (SIDE) possible: the latent
 digits are recovered from the integer alone, with no lookup table and no
 learned parameters.
+
+Every function takes batches: digits and SID records are 2-D arrays with
+one sample per row, and `unpack` takes a 1-D column of SIDs (one gram
+position across samples). A single sample is a batch of one row. Any
+other ndim raises SidError.
 """
 
 from __future__ import annotations
@@ -93,6 +98,13 @@ class SidScheme:
         return cls(base=base, ngram=ngram, grams=grams)
 
 
+def _array(x, dtype, ndim=2):
+    arr = np.asarray(x, dtype=dtype)
+    if arr.ndim != ndim:
+        raise SidError(f"expected a {ndim}-D array, got ndim={arr.ndim}")
+    return arr
+
+
 def _powers(scheme):
     # L^1 .. L^n as u64; safe because the scheme bound was checked.
     return (scheme.base ** np.arange(1, scheme.ngram + 1)).astype(np.uint64)
@@ -108,25 +120,20 @@ def _check_digits(scheme, digits):
 
 
 def pack(scheme, digits):
-    """Pack one n-gram of centered digits into a SID integer.
-
-    digits may be a length-n vector (returns int) or an (m, n) matrix
-    (returns an m-vector of u64).
-    """
-    arr = np.asarray(digits, dtype=np.int64)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
+    """Pack each row of an (m, n) matrix of centered digits, one n-gram per
+    row, into a SID: returns an m-vector of u64."""
+    arr = _array(digits, np.int64)
     _check_digits(scheme, arr)
     shifted = (arr + scheme.offset).astype(np.uint64)
-    sids = (shifted * _powers(scheme)[None, :]).sum(axis=1, dtype=np.uint64)
-    return int(sids[0]) if single else sids
+    return (shifted * _powers(scheme)[None, :]).sum(axis=1, dtype=np.uint64)
 
 
 def unpack(scheme, sids):
-    """Invert pack via floor-divide and modulo; exact for every valid SID."""
-    arr = np.asarray(sids, dtype=np.uint64)
-    single = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    """Invert pack via floor-divide and modulo; exact for every valid SID.
+
+    Takes an m-vector of SIDs and returns the (m, n) digit matrix.
+    """
+    arr = _array(sids, np.uint64, ndim=1)
     if arr.size and int(arr.max()) > scheme.max_sid:
         raise SidError(
             f"SID {int(arr.max())} exceeds scheme maximum {scheme.max_sid}")
@@ -135,18 +142,16 @@ def unpack(scheme, sids):
         raise SidError("SID not divisible by the base; not a packed value")
     digits = (arr[:, None] // _powers(scheme)[None, :] % base).astype(np.int64)
     digits -= scheme.offset
-    return digits[0] if single else digits
+    return digits
 
 
-def pack_all(scheme, digit_vector):
-    """Pack a full codeword vector into its `grams` SIDs.
+def pack_all(scheme, digits):
+    """Pack each row of an (m, digits) codeword matrix into its `grams` SIDs.
 
-    Accepts a (digits,) vector or (m, digits) matrix where digits may fall
-    short of grams*ngram; the tail is padded with centered-zero digits.
+    The row width may fall short of grams*ngram; the tail is padded with
+    centered-zero digits. Returns an (m, grams) u64 matrix.
     """
-    arr = np.asarray(digit_vector, dtype=np.int64)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
+    arr = _array(digits, np.int64)
     total = scheme.digits
     if arr.shape[1] > total:
         raise SidError(
@@ -155,41 +160,34 @@ def pack_all(scheme, digit_vector):
         pad = np.zeros((arr.shape[0], total - arr.shape[1]), dtype=np.int64)
         arr = np.concatenate([arr, pad], axis=1)
     grouped = arr.reshape(arr.shape[0], scheme.grams, scheme.ngram)
-    sids = np.stack([pack(scheme, grouped[:, g]) for g in range(scheme.grams)],
-                    axis=1)
-    return sids[0] if single else sids
+    return np.stack([pack(scheme, grouped[:, g])
+                     for g in range(scheme.grams)], axis=1)
+
+
+def _records(scheme, sids):
+    arr = _array(sids, np.uint64)
+    if arr.shape[1] != scheme.grams:
+        raise SidError(f"expected {scheme.grams} SIDs per record, got {arr.shape[1]}")
+    return arr
 
 
 def unpack_all(scheme, sids):
-    """Recover the full digit vector (grams * ngram long, padding included)."""
-    arr = np.asarray(sids, dtype=np.uint64)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != scheme.grams:
-        raise SidError(f"expected {scheme.grams} SIDs per record, got {arr.shape[1]}")
-    digits = np.concatenate(
+    """Recover the (m, grams * ngram) digit matrix, padding included, from
+    (m, grams) SID records."""
+    arr = _records(scheme, sids)
+    return np.concatenate(
         [unpack(scheme, arr[:, g]) for g in range(scheme.grams)], axis=1)
-    return digits[0] if single else digits
 
 
-def side_embed(scheme, sids, gram_indices=None):
-    """Deterministically recover latent vectors from SIDs.
+def side_embed(scheme, sids):
+    """Deterministically recover latent vectors from (m, grams) SID records.
 
     Returns the centered digits as float32, concatenated across grams.
     This is a pure function of (scheme, sids): no model, no table, no
     learned state, so the memory cost is independent of how many distinct
-    SIDs exist. `gram_indices` optionally restricts the output to a subset
-    of grams (e.g. a prefix), in order.
+    SIDs exist.
     """
-    arr = np.asarray(sids, dtype=np.uint64)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != scheme.grams:
-        raise SidError(f"expected {scheme.grams} SIDs per record, got {arr.shape[1]}")
-    grams = range(scheme.grams) if gram_indices is None else gram_indices
-    cols = [unpack(scheme, arr[:, g]).astype(DTYPE) for g in grams]
-    out = np.concatenate(cols, axis=1)
-    return out[0] if single else out
+    return unpack_all(scheme, sids).astype(DTYPE)
 
 
 def sid_hash(sids, table_size):
@@ -212,9 +210,7 @@ def sid_hash(sids, table_size):
 
 
 def write_sid_file(path, scheme, sids):
-    arr = np.atleast_2d(np.asarray(sids, dtype=np.uint64))
-    if arr.shape[1] != scheme.grams:
-        raise SidError(f"records have {arr.shape[1]} SIDs, scheme {scheme.grams}")
+    arr = _records(scheme, sids)
     lines = [scheme.header()]
     lines.extend(" ".join(str(int(v)) for v in row) for row in arr)
     _atomic_write(path, [("\n".join(lines) + "\n").encode("ascii")])

@@ -1,0 +1,65 @@
+"""The batch contract: quantizers, the SID codec, graph leaves, parameters
+and digit decoding take 2-D batches (the codec's `unpack` a 1-D column)
+and reject any other ndim with their own module's error, naming it."""
+
+import numpy as np
+import pytest
+
+from sidekit import fusion_vae as fv
+from sidekit import nn_core as nn
+from sidekit import quantizers as q
+from sidekit import sid_codec as sc
+
+VEC = np.zeros(4, dtype=np.float32)
+KMEANS = q.KMeansCodebook(np.eye(4, dtype=np.float32))
+LINE = q.LineCodebook(np.eye(4, dtype=np.float32), np.zeros((4, 4)))
+DPCA = q.DpcaStack.random(4, 2, seed=0)
+SCHEME = sc.SidScheme(base=3, ngram=2, grams=2)
+
+
+def fusion_model():
+    spec = fv.FusionSpec(signals=(fv.SignalSpec("sig0", 4),), latent=4,
+                         hidden=8)
+    return fv.FusionModel(spec, seed=0)
+
+
+CASES = {
+    "kmeans_fit": (q.QuantizerError, lambda: q.kmeans_fit(VEC, 1)),
+    "residual_fit": (q.QuantizerError, lambda: q.residual_fit(VEC, 1, 1)),
+    "kmeans_assign": (q.QuantizerError, lambda: q.kmeans_assign(KMEANS, VEC)),
+    "residual_quantize": (q.QuantizerError,
+                          lambda: q.residual_quantize([KMEANS], VEC)),
+    "fsq_quantize": (q.QuantizerError,
+                     lambda: q.fsq_quantize(q.FsqConfig(), VEC)),
+    "structured_assign": (q.QuantizerError,
+                          lambda: q.structured_assign(LINE, VEC)),
+    "dpca_encode": (q.QuantizerError, lambda: q.dpca_encode(DPCA, VEC)),
+    "dpca_decode": (q.QuantizerError,
+                    lambda: q.dpca_decode(DPCA, np.zeros(2, dtype=np.int8))),
+    "pack": (sc.SidError, lambda: sc.pack(SCHEME, [0, 0])),
+    "pack_all": (sc.SidError, lambda: sc.pack_all(SCHEME, [0, 0, 0, 0])),
+    "unpack_all": (sc.SidError, lambda: sc.unpack_all(SCHEME, [3, 3])),
+    "side_embed": (sc.SidError, lambda: sc.side_embed(SCHEME, [3, 3])),
+    "write_sid_file": (sc.SidError,
+                       lambda: sc.write_sid_file("unused.sid", SCHEME, [3, 3])),
+    "leaf": (nn.GraphError, lambda: nn.leaf(VEC)),
+    "constant": (nn.GraphError, lambda: nn.constant(VEC)),
+    "ParamStore.add": (nn.GraphError, lambda: nn.ParamStore().add("w", VEC)),
+    "decode_from_digits": (fv.FusionError, lambda: fv.decode_from_digits(
+        fusion_model(), np.zeros(4, dtype=np.int64))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_dimensional_input_rejected(name, tmp_path, monkeypatch):
+    # a write_sid_file that failed to reject its input would write here
+    monkeypatch.chdir(tmp_path)
+    error, call = CASES[name]
+    with pytest.raises(error, match="ndim=1"):
+        call()
+
+
+@pytest.mark.parametrize("sids, ndim", [(3, 0), ([[3], [6]], 2)])
+def test_unpack_takes_one_column(sids, ndim):
+    with pytest.raises(sc.SidError, match=f"ndim={ndim}"):
+        sc.unpack(SCHEME, sids)

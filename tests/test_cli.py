@@ -1,11 +1,14 @@
-"""CLI round trips: gen-corpus -> train -> encode -> decode -> eval-recon
-for every quantizer kind, at toy sizes."""
+"""CLI tests at toy sizes: gen-corpus -> train -> encode -> decode ->
+eval-recon for every quantizer kind, rejected configs and checkpoints,
+rank-ab from a gen-engagement file, eval-recall and eval-ne."""
 
 import json
 
+import numpy as np
 import pytest
 
-from sidekit import cli
+from sidekit import cli, metrics
+from sidekit import ranking as rk
 from sidekit.corpus_io import corpus_read
 from sidekit.quantizers import load_codebooks
 from sidekit.sid_codec import read_sid_file
@@ -80,3 +83,104 @@ def test_kmeans_config_rejects_a_fusion_checkpoint(tmp_path, corpus, capsys):
                config(tmp_path, "kmeans"), "--ckpt", ckpt,
                "--out", tmp_path / "x.sid") == 1
     assert "no k-means codebooks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, body, need", [("rq", "levels=4\ndepth=3", 3),
+                                              ("kmeans", "levels=4", 1)])
+def test_codebook_count_must_match_config(tmp_path, corpus, capsys, kind,
+                                          body, need):
+    trained = config(tmp_path, "rq")  # depth=2: two codebooks
+    ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config", trained,
+               "--out", ckpt) == 0
+    assert run("encode", "--corpus", corpus, "--config", trained,
+               "--ckpt", ckpt, "--out", sids) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text(f"quantizer={kind}\n{body}\n")
+    capsys.readouterr()
+    assert run("encode", "--corpus", corpus, "--config", other, "--ckpt", ckpt,
+               "--out", tmp_path / "y.sid") == 1
+    err = capsys.readouterr().err
+    assert "holds 2 k-means codebooks" in err and f"needs {need}" in err
+    assert run("decode", "--sids", sids, "--config", other, "--ckpt", ckpt,
+               "--out", tmp_path / "rec") == 1
+    assert f"needs {need}" in capsys.readouterr().err
+
+
+def test_sweep_rejects_classical_quantizers(tmp_path, corpus, capsys):
+    assert run("sweep", "--corpus", corpus, "--config",
+               config(tmp_path, "rq"), "--depths", "1,2") == 1
+    assert "fusion models only" in capsys.readouterr().err
+
+
+def test_bad_config_value_names_its_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("quantizer=fsq\n# levels next\nlevels=abc\nlr=0.5\n")
+    with pytest.raises(cli.PipelineError, match=r"bad\.cfg:3: levels"):
+        cli.load_config(path)
+    path.write_text("lr=0.5\nlatent=7\n")
+    cfg = cli.load_config(path)
+    assert (cfg.lr, cfg.latent) == (0.5, 7)
+    assert type(cfg.latent) is int and type(cfg.lr) is float
+
+
+ENGAGEMENT = ("--users", 300, "--items", 60, "--seq-len", 6, "--seed", 2)
+
+
+def test_rank_ab_from_file_equals_inline(tmp_path, capsys):
+    data = tmp_path / "eng.npz"
+    assert run("gen-engagement", *ENGAGEMENT, "--out", data) == 0
+    capsys.readouterr()
+    assert run("rank-ab", "--data", data, "--epochs", 1, "--seed", 2,
+               "--json") == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--json") == 0
+    inline = json.loads(capsys.readouterr().out)
+    assert from_file == inline
+    assert set(inline) == {"none", "sid", "side", "hash_size"}
+
+
+def test_rank_ab_warns_when_a_ranker_rolls_back(monkeypatch, capsys):
+    logits = rk.ToyRankingModel.logits
+    calls = []
+
+    def poisoned(self, rows, p):
+        # 240 training rows make one batch per epoch: epoch 1 of the
+        # first variant goes NaN
+        calls.append(1)
+        if len(calls) == 2:
+            self.params.get("head.w")[0, 0] = np.nan
+        return logits(self, rows, p)
+
+    monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
+    assert run("rank-ab", *ENGAGEMENT, "--epochs", 2, "--json") == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["none"]["ne"]["n"] == 60
+    assert captured.err == ("warning: none ranker training diverged at "
+                            "epoch 1; kept last good checkpoint\n")
+
+
+def test_eval_recall_is_a_monotone_fraction(tmp_path, corpus, capsys):
+    cands = tmp_path / "c.emb"
+    assert run("gen-corpus", "--rows", 64, "--dim", 8, "--clusters", 5,
+               "--noise", 0.3, "--seed", 1, "--out", cands) == 0
+    capsys.readouterr()
+    assert run("eval-recall", "--corpus", corpus, "--candidates", cands,
+               "--queries", 16, "--depth", 5, "--ks", "5,10,20",
+               "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    recalls = [report[f"recall@{k}"] for k in (5, 10, 20)]
+    assert all(0.0 <= r <= 1.0 for r in recalls)
+    assert recalls == sorted(recalls)
+    assert (report["queries"], report["corpus"]) == (16, 64)
+
+
+def test_eval_ne_matches_the_metric(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    labels, preds = tmp_path / "y.txt", tmp_path / "p.txt"
+    np.savetxt(labels, (rng.random(200) < 0.3).astype(int), fmt="%d")
+    np.savetxt(preds, rng.random(200))
+    assert run("eval-ne", "--labels", labels, "--predictions", preds,
+               "--json") == 0
+    expect = metrics.normalized_entropy(np.loadtxt(labels), np.loadtxt(preds))
+    assert json.loads(capsys.readouterr().out) == expect.as_dict()

@@ -34,12 +34,6 @@ class TestCosineReconLoss:
         x = unit(10, 6, 3)
         assert m.cosine_recon_loss(x, 7.0 * x) == pytest.approx(0.0, abs=1e-6)
 
-    def test_paper_style_delta_percent(self):
-        # percentage-increase column: 100 * (fusion - iso) / iso
-        assert m.delta_percent(0.2224, 0.1995) == pytest.approx(11.47, abs=0.01)
-        assert m.delta_percent(0.2365, 0.2319) == pytest.approx(1.98, abs=0.01)
-        assert m.delta_percent(0.2803, 0.2435) == pytest.approx(15.11, abs=0.01)
-
 
 class TestKnnGroundTruth:
     def test_duplicate_ranked_first(self):
@@ -130,10 +124,6 @@ class TestRecallAtK:
                                     1000, 200_000, 20)
             assert report.recalls[0] <= report.recalls[1] <= report.recalls[2]
 
-    def test_random_baseline(self):
-        assert m.random_baseline_recall(20_000, 100) == pytest.approx(
-            100 / 19_999)
-
 
 class TestNormalizedEntropy:
     def test_prior_predictor_is_one(self):
@@ -169,24 +159,6 @@ class TestNormalizedEntropy:
 
 
 class TestRendering:
-    def test_recon_table_has_delta_column(self):
-        rows = [
-            {"setting": "1:1", "method": "dpca", "image": 0.1870, "text": 0.2319},
-            {"setting": "1:1", "method": "fsq", "image": 0.1549, "text": 0.2435},
-            {"setting": "fusion", "method": "dpca", "image": 0.1945, "text": 0.2365},
-            {"setting": "fusion", "method": "fsq", "image": 0.21607, "text": 0.2803},
-        ]
-        table = m.format_recon_table(rows)
-        assert "4.01%" in table
-        assert "1.98%" in table
-        assert "15.11%" in table
-
-    def test_recall_table_renders(self):
-        report = m.RecallReport((20, 50, 100), (0.1, 0.2, 0.3), 10, 100, 20)
-        table = m.format_recall_table(
-            [{"corpus": "x", "method": "fsq", "report": report}])
-        assert "R@20" in table and "0.1000" in table
-
     def test_json_emission(self, capsys):
         report = m.normalized_entropy([1, 0], [0.8, 0.2])
         m.emit_report({"ne": report}, as_json=True)

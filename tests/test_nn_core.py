@@ -29,7 +29,6 @@ def op_scenarios(seed):
     rng = np.random.default_rng(seed)
     r44 = _rand(rng, 4, 4)
     r41 = _rand(rng, 4, 1)
-    r14 = _rand(rng, 1, 4)
     r48 = _rand(rng, 4, 8)
     r24 = _rand(rng, 2, 4)
 
@@ -40,15 +39,14 @@ def op_scenarios(seed):
     # point is meaningless at any tolerance
     relu_in = _rand(rng, 4, 4)
     relu_in[np.abs(relu_in) < 0.05] = 0.1
-    # log/sqrt need positive inputs with headroom for the +-h probe
+    # sqrt and the div denominator need positive inputs with headroom for
+    # the +-h probe
     pos = np.abs(_rand(rng, 4, 4)) + 0.5
 
     idx = rng.integers(0, 4, size=6)
     return {
         "matmul": ({"a": _rand(rng, 4, 3), "b": _rand(rng, 3, 4)},
                    lambda d: weighted(nn.matmul(d["a"], d["b"]), r44)),
-        "transpose": ({"a": _rand(rng, 4, 2)},
-                      lambda d: weighted(nn.transpose(d["a"]), r24)),
         "add": ({"a": r44.copy(), "b": _rand(rng, 4, 4)},
                 lambda d: weighted(nn.add(d["a"], d["b"]), r44)),
         "add_rowbcast": ({"a": _rand(rng, 4, 4), "b": _rand(rng, 1, 4)},
@@ -67,14 +65,8 @@ def op_scenarios(seed):
                   lambda d: weighted(nn.scale(d["a"], 1.7), r44)),
         "relu": ({"a": relu_in},
                  lambda d: weighted(nn.relu(d["a"]), r44)),
-        "tanh": ({"a": _rand(rng, 4, 4)},
-                 lambda d: weighted(nn.tanh(d["a"]), r44)),
-        "sigmoid": ({"a": _rand(rng, 4, 4)},
-                    lambda d: weighted(nn.sigmoid(d["a"]), r44)),
         "softplus": ({"a": _rand(rng, 4, 4)},
                      lambda d: weighted(nn.softplus(d["a"]), r44)),
-        "log": ({"a": pos.copy()},
-                lambda d: weighted(nn.log(d["a"]), r44)),
         "sqrt": ({"a": pos.copy()},
                  lambda d: weighted(nn.sqrt(d["a"]), r44)),
         "square": ({"a": _rand(rng, 4, 4)},
@@ -85,16 +77,12 @@ def op_scenarios(seed):
                              lambda d: weighted(nn.log_softmax_rows(d["a"]), r44)),
         "concat": ({"a": _rand(rng, 4, 4), "b": _rand(rng, 4, 4)},
                    lambda d: weighted(nn.concat_cols([d["a"], d["b"]]), r48)),
-        "slice": ({"a": _rand(rng, 4, 8)},
-                  lambda d: weighted(nn.slice_cols(d["a"], 2, 6), r44)),
         "sum_all": ({"a": _rand(rng, 4, 4)},
                     lambda d: nn.sum_all(d["a"])),
         "mean_all": ({"a": _rand(rng, 4, 4)},
                      lambda d: nn.scale(nn.mean_all(d["a"]), 3.0)),
         "sum_axis1": ({"a": _rand(rng, 4, 4)},
                       lambda d: weighted(nn.sum_axis1(d["a"]), r41)),
-        "sum_axis0": ({"a": _rand(rng, 4, 4)},
-                      lambda d: weighted(nn.sum_axis0(d["a"]), r14)),
         "reshape": ({"a": _rand(rng, 2, 8)},
                     lambda d: weighted(nn.reshape(d["a"], 4, 4), r44)),
         "repeat_rows": ({"a": _rand(rng, 2, 4)},
@@ -152,7 +140,7 @@ class TestForward:
         w = rng.normal(size=(6, 6)).astype(np.float32)
 
         def run():
-            return nn.tanh(nn.matmul(nn.leaf(x), nn.leaf(w))).value
+            return nn.softplus(nn.matmul(nn.leaf(x), nn.leaf(w))).value
 
         first = run()
         for _ in range(3):
@@ -169,9 +157,9 @@ class TestForward:
             nn.leaf(bad, "x")
 
     def test_nonfinite_op_output(self):
-        a = nn.leaf([[0.0, 1.0]])
-        with pytest.raises(nn.NonFiniteError, match="log"):
-            nn.log(a)
+        a = nn.leaf([[-1.0, 1.0]])
+        with pytest.raises(nn.NonFiniteError, match="sqrt"):
+            nn.sqrt(a)
 
 
 class TestBackward:

@@ -74,46 +74,36 @@ class TestAssign:
         self.cb = q.KMeansCodebook(rng.normal(size=(8, 6)).astype(np.float32))
 
     def test_exact_centroid(self):
-        assert q.kmeans_assign(self.cb, self.cb.centroids[3]) == 3
+        assert q.kmeans_assign(self.cb, self.cb.centroids[3:4]).tolist() == [3]
 
     def test_tie_breaks_low_index(self):
         cb = q.KMeansCodebook(np.array(
             [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [2.0, 0.0], [-1.0, 0.0]],
             dtype=np.float32))
         # origin is equidistant from centroids 1 and 4 (and 0 and 2)
-        assert q.kmeans_assign(cb, np.zeros(2, dtype=np.float32)) == 0
-        top = q.kmeans_assign_topk(cb, np.zeros(2, dtype=np.float32), 4)
-        assert top.tolist() == [0, 1, 2, 4]
-
-    def test_topk_matches_brute_force(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            x = rng.normal(size=6).astype(np.float32)
-            top = q.kmeans_assign_topk(self.cb, x, 5)
-            d2 = ((self.cb.centroids - x) ** 2).sum(axis=1)
-            expect = np.argsort(d2, kind="stable")[:5]
-            np.testing.assert_array_equal(top, expect)
+        origin = np.zeros((1, 2), dtype=np.float32)
+        assert q.kmeans_assign(cb, origin).tolist() == [0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(q.QuantizerError, match="mismatch"):
-            q.kmeans_assign(self.cb, np.zeros(4, dtype=np.float32))
+            q.kmeans_assign(self.cb, np.zeros((1, 4), dtype=np.float32))
 
 
 class TestResidual:
     def test_depth_one_reduces_to_assign(self):
         rng = np.random.default_rng(7)
         cb = q.KMeansCodebook(rng.normal(size=(5, 4)).astype(np.float32))
-        x = rng.normal(size=4).astype(np.float32)
+        x = rng.normal(size=(1, 4)).astype(np.float32)
         idx, recon = q.residual_quantize([cb], x)
-        assert idx[0] == q.kmeans_assign(cb, x)
-        np.testing.assert_array_equal(recon, cb.centroids[idx[0]])
+        assert idx[0, 0] == q.kmeans_assign(cb, x)[0]
+        np.testing.assert_array_equal(recon[0], cb.centroids[idx[0, 0]])
 
     def test_exact_cover_zero_residual(self):
         rng = np.random.default_rng(8)
         cb1 = q.KMeansCodebook(rng.normal(size=(4, 4)).astype(np.float32))
         cb2 = q.KMeansCodebook(
             0.01 * rng.normal(size=(4, 4)).astype(np.float32))
-        x = cb1.centroids[2] + cb2.centroids[1]
+        x = cb1.centroids[2:3] + cb2.centroids[1:2]
         idx, recon = q.residual_quantize([cb1, cb2], x)
         np.testing.assert_allclose(recon, x, atol=1e-6)
 
@@ -124,7 +114,8 @@ class TestResidual:
             0.3 * rng.normal(size=(4, 6)).astype(np.float32))
         for _ in range(50):
             x = rng.normal(size=6).astype(np.float32)
-            idx, recon = q.residual_quantize([cb1, cb2], x)
+            idx, recon = q.residual_quantize([cb1, cb2], x[None, :])
+            idx, recon = idx[0], recon[0]
             greedy_res = float(((x - recon) ** 2).sum())
             # exhaustive over the 16 pairs
             best = min(
@@ -175,23 +166,23 @@ class TestProduct:
 
 class TestFsq:
     def test_center_level(self):
-        lv, v = q.fsq_quantize(q.FsqConfig(1, 3), np.array([0.0]))
-        assert lv[0] == 1 and v[0] == 0.0
+        lv, v = q.fsq_quantize(q.FsqConfig(3), np.array([[0.0]]))
+        assert lv[0, 0] == 1 and v[0, 0] == 0.0
 
     def test_saturation(self):
-        lv, v = q.fsq_quantize(q.FsqConfig(1, 3), np.array([10.0]))
-        assert lv[0] == 2 and v[0] == 1.0
+        lv, v = q.fsq_quantize(q.FsqConfig(3), np.array([[10.0]]))
+        assert lv[0, 0] == 2 and v[0, 0] == 1.0
 
     def test_hand_case_l5(self):
         # tanh(0.3)=0.29131; (1.29131/2)*4 = 2.5826 -> level 3 -> value 0.5
-        lv, v = q.fsq_quantize(q.FsqConfig(1, 5), np.array([0.3]))
-        assert lv[0] == 3
-        assert v[0] == pytest.approx(0.5)
+        lv, v = q.fsq_quantize(q.FsqConfig(5), np.array([[0.3]]))
+        assert lv[0, 0] == 3
+        assert v[0, 0] == pytest.approx(0.5)
 
     def test_values_on_grid(self):
         rng = np.random.default_rng(12)
         for levels in (2, 3, 4, 5, 7):
-            cfg = q.FsqConfig(1, levels)
+            cfg = q.FsqConfig(levels)
             _, vals = q.fsq_quantize(cfg, rng.normal(size=(50, 4)) * 3)
             grid = 2.0 * np.arange(levels) / (levels - 1) - 1.0
             assert np.isin(vals, grid.astype(np.float32)).all()
@@ -205,15 +196,15 @@ class TestFsq:
         # so grid values re-quantize to their own level exactly there
         if level >= levels:
             level = levels - 1
-        cfg = q.FsqConfig(1, levels)
-        value = q.fsq_values(cfg, np.array([level]))
+        cfg = q.FsqConfig(levels)
+        value = q.fsq_values(cfg, np.array([[level]]))
         lv, again = q.fsq_quantize(cfg, value.astype(np.float64))
-        assert lv[0] == level
+        assert lv[0, 0] == level
         np.testing.assert_array_equal(again, value)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(q.QuantizerError, match="non-finite"):
-            q.fsq_quantize(q.FsqConfig(1, 3), np.array([np.nan]))
+            q.fsq_quantize(q.FsqConfig(3), np.array([[np.nan]]))
 
     def test_half_up_ties_on_grid_positions(self):
         # midpoint positions round to the upper level (half away from
@@ -238,27 +229,27 @@ class TestStructured:
     def test_point_on_line(self):
         rng = np.random.default_rng(13)
         cb = random_line_codebook(rng, 4, 8)
-        x = cb.references[2] + 0.7 * cb.directions[2]
+        x = cb.references[2:3] + 0.7 * cb.directions[2:3]
         out = q.structured_assign(cb, x)
-        assert out.group == 2
-        assert out.signed_distance == pytest.approx(0.7, abs=1e-5)
+        assert out.group[0] == 2
+        assert out.signed_distance[0] == pytest.approx(0.7, abs=1e-5)
 
     def test_reference_point_hits_zero_bin(self):
         rng = np.random.default_rng(14)
         cb = random_line_codebook(rng, 4, 8)
-        out = q.structured_assign(cb, cb.references[1])
-        assert out.signed_distance == pytest.approx(0.0, abs=1e-6)
-        assert out.level == 1  # the s=0 grid point for L=3
+        out = q.structured_assign(cb, cb.references[1:2])
+        assert out.signed_distance[0] == pytest.approx(0.0, abs=1e-6)
+        assert out.level[0] == 1  # the s=0 grid point for L=3
 
     def test_line_choice_matches_distance_formula(self):
         rng = np.random.default_rng(15)
         for _ in range(100):
             cb = random_line_codebook(rng, 4, 8)
             x = rng.normal(size=8).astype(np.float32)
-            out = q.structured_assign(cb, x)
+            out = q.structured_assign(cb, x[None, :])
             expect = int(np.argmin(
                 brute_force_line_distance(cb.directions, cb.references, x)))
-            assert out.group == expect
+            assert out.group[0] == expect
 
     def test_matches_exhaustive_codeword_search(self):
         # instances conditioned to the regime where the three-step
@@ -277,13 +268,14 @@ class TestStructured:
             s = float((x - cb.references[order[0]]) @ cb.directions[order[0]])
             if gap <= 0.26 or abs(s) > 1.0:
                 continue
-            out = q.structured_assign(cb, x)
+            out = q.structured_assign(cb, x[None, :])
             bk, bl, _ = brute_force_line_codeword(
                 cb.directions, cb.references, cb.levels, x)
-            assert (out.group, out.level) == (bk, bl)
+            assert (out.group[0], out.level[0]) == (bk, bl)
             grid_val = 2.0 * bl / (cb.levels - 1) - 1.0
             expect = cb.references[bk] + grid_val * cb.directions[bk]
-            np.testing.assert_allclose(out.reconstruction, expect, atol=1e-5)
+            np.testing.assert_allclose(out.reconstruction[0], expect,
+                                       atol=1e-5)
             checked += 1
 
     def test_unit_norm_enforced(self):
@@ -295,13 +287,13 @@ class TestDpca:
     def test_exact_component(self):
         u = np.array([[[0.6, 0.8, 0.0, 0.0]]], dtype=np.float32)
         stack = q.DpcaStack(u, np.zeros_like(u))
-        codes = q.dpca_encode(stack, u[0, 0])
-        assert codes.tolist() == [1]
-        np.testing.assert_allclose(q.dpca_decode(stack, codes), u[0, 0])
+        codes = q.dpca_encode(stack, u[0])
+        assert codes.tolist() == [[1]]
+        np.testing.assert_allclose(q.dpca_decode(stack, codes), u[0])
 
     def test_zero_input_zero_codes(self):
         stack = q.DpcaStack.random(8, 4, groups=2, seed=17)
-        codes = q.dpca_encode(stack, np.zeros(8, dtype=np.float32))
+        codes = q.dpca_encode(stack, np.zeros((1, 8), dtype=np.float32))
         assert np.all(codes == 0)
 
     def test_encode_decode_matches_direct_sum(self):
@@ -311,11 +303,11 @@ class TestDpca:
         b = rng.normal(size=(1, 2, 4)) * 0.1
         stack = q.DpcaStack(np.stack([u1, u2])[None].astype(np.float32),
                             b.astype(np.float32))
-        x = (u1 - u2 + b.sum(axis=1)[0]).astype(np.float32)
+        x = (u1 - u2 + b.sum(axis=1)).astype(np.float32)
         codes = q.dpca_encode(stack, x)
         recon = q.dpca_decode(stack, codes)
-        expect = naive_dpca_sum(stack.components, stack.offsets, codes)
-        np.testing.assert_allclose(recon, expect, atol=1e-6)
+        expect = naive_dpca_sum(stack.components, stack.offsets, codes[0])
+        np.testing.assert_allclose(recon[0], expect, atol=1e-6)
 
     def test_decode_matches_naive_sum_random(self):
         rng = np.random.default_rng(19)
@@ -323,10 +315,10 @@ class TestDpca:
             stack = q.DpcaStack(
                 rng.normal(size=(2, 3, 4)).astype(np.float32),
                 rng.normal(size=(2, 3, 4)).astype(np.float32) * 0.2)
-            codes = rng.integers(-1, 2, size=6).astype(np.int8)
+            codes = rng.integers(-1, 2, size=(1, 6)).astype(np.int8)
             recon = q.dpca_decode(stack, codes)
-            expect = naive_dpca_sum(stack.components, stack.offsets, codes)
-            np.testing.assert_allclose(recon, expect, atol=1e-5,
+            expect = naive_dpca_sum(stack.components, stack.offsets, codes[0])
+            np.testing.assert_allclose(recon[0], expect, atol=1e-5,
                                        rtol=1e-5)
 
     def test_offsets_only_when_codes_zero(self):
@@ -334,10 +326,10 @@ class TestDpca:
         stack = q.DpcaStack(
             rng.normal(size=(2, 3, 4)).astype(np.float32),
             rng.normal(size=(2, 3, 4)).astype(np.float32))
-        recon = q.dpca_decode(stack, np.zeros(6, dtype=np.int8))
+        recon = q.dpca_decode(stack, np.zeros((1, 6), dtype=np.int8))
         expect = np.concatenate([stack.offsets[g].sum(axis=0)
                                  for g in range(2)])
-        np.testing.assert_allclose(recon, expect, atol=1e-6)
+        np.testing.assert_allclose(recon[0], expect, atol=1e-6)
 
     def test_orthonormal_stack_roundtrips_exactly(self):
         basis = np.eye(6, dtype=np.float32)[None, :4, :]  # orthonormal rows
@@ -351,25 +343,25 @@ class TestDpca:
         u = np.zeros((1, 1, 4), dtype=np.float32)
         stack = q.DpcaStack(u, np.zeros_like(u))
         with pytest.raises(q.QuantizerError, match="zero-norm"):
-            q.dpca_encode(stack, np.ones(4, dtype=np.float32))
+            q.dpca_encode(stack, np.ones((1, 4), dtype=np.float32))
 
     def test_code_validation(self):
         stack = q.DpcaStack.random(4, 2, seed=0)
         with pytest.raises(q.QuantizerError, match="ternary"):
-            q.dpca_decode(stack, np.array([2, 0]))
+            q.dpca_decode(stack, np.array([[2, 0]]))
         with pytest.raises(q.QuantizerError, match="length"):
-            q.dpca_decode(stack, np.array([1, 0, 1]))
+            q.dpca_decode(stack, np.array([[1, 0, 1]]))
 
     def test_prefix_decode(self):
         rng = np.random.default_rng(22)
         stack = q.DpcaStack(
             rng.normal(size=(1, 3, 4)).astype(np.float32),
             rng.normal(size=(1, 3, 4)).astype(np.float32) * 0.1)
-        codes = np.array([1, -1, 0], dtype=np.int8)
+        codes = np.array([[1, -1, 0]], dtype=np.int8)
         partial = q.dpca_decode(stack, codes, depth=2)
-        expect = (codes[0] * stack.components[0, 0] + stack.offsets[0, 0]
-                  + codes[1] * stack.components[0, 1] + stack.offsets[0, 1])
-        np.testing.assert_allclose(partial, expect, atol=1e-6)
+        expect = (codes[0, 0] * stack.components[0, 0] + stack.offsets[0, 0]
+                  + codes[0, 1] * stack.components[0, 1] + stack.offsets[0, 1])
+        np.testing.assert_allclose(partial[0], expect, atol=1e-6)
 
 
 class TestCodebookSerialization:

@@ -56,8 +56,9 @@ def small_dataset():
 def test_divergence_rolls_back(monkeypatch):
     ds = small_dataset()
     cfg = rk.RankTrainConfig(batch_size=160, epochs=3, seed=4)
-    stopped, _ = rk.train_ranker(ds, "side", 100, rk.RankTrainConfig(
+    stopped, _, clean = rk.train_ranker(ds, "side", 100, rk.RankTrainConfig(
         batch_size=160, epochs=1, seed=4))
+    assert clean is None
     logits = rk.ToyRankingModel.logits
     calls = []
 
@@ -69,7 +70,8 @@ def test_divergence_rolls_back(monkeypatch):
         return logits(self, rows, p)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
-    model, report = rk.train_ranker(ds, "side", 100, cfg)
+    model, report, diverged_at = rk.train_ranker(ds, "side", 100, cfg)
+    assert diverged_at == 1
     assert np.isfinite(report.ne)
     for name, arr in stopped.params.items():
         np.testing.assert_array_equal(model.params.get(name), arr)
@@ -97,6 +99,7 @@ def test_ab_report_counts_trained_feature_params():
     digits = ds.item_digits.shape[1]
     assert report.results["side"].feature_params == digits * 16
     assert report.results["none"].ne_gain_pct is None
+    assert all(r.diverged_at is None for r in report.results.values())
     base = report.results["none"].ne.ne
     for name in ("sid", "side"):
         r = report.results[name]

@@ -16,13 +16,14 @@ from sidekit.quantizers import DpcaStack, dpca_encode
 class TestPack:
     def test_all_zero_digits(self):
         scheme = sc.SidScheme(base=3, ngram=2)
-        assert sc.pack(scheme, [-1, -1]) == 0
+        assert sc.pack(scheme, [[-1, -1]]).tolist() == [0]
 
     def test_hand_cases(self):
         two = sc.SidScheme(base=3, ngram=2)
-        assert sc.pack(two, [1, 1]) == 24          # 3*2 + 9*2
+        assert sc.pack(two, [[1, 1]]).tolist() == [24]        # 3*2 + 9*2
         three = sc.SidScheme(base=3, ngram=3)
-        assert sc.pack(three, [0, 1, -1]) == 21    # 3*1 + 9*2 + 27*0
+        # 3*1 + 9*2 + 27*0
+        assert sc.pack(three, [[0, 1, -1]]).tolist() == [21]
 
     def test_every_sid_divisible_by_base(self):
         scheme = sc.SidScheme(base=3, ngram=3)
@@ -34,14 +35,14 @@ class TestPack:
     def test_digit_out_of_range(self):
         scheme = sc.SidScheme(base=3, ngram=2)
         with pytest.raises(sc.SidError, match="out of range"):
-            sc.pack(scheme, [2, 0])
+            sc.pack(scheme, [[2, 0]])
 
     def test_injective_small_scheme(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         from itertools import product
         seen = set()
         for digits in product((-1, 0, 1), repeat=3):
-            s = sc.pack(scheme, list(digits))
+            s = int(sc.pack(scheme, [digits])[0])
             assert s not in seen
             seen.add(s)
         assert len(seen) == 27
@@ -50,28 +51,28 @@ class TestPack:
 class TestUnpack:
     def test_zero(self):
         scheme = sc.SidScheme(base=3, ngram=2)
-        assert sc.unpack(scheme, 0).tolist() == [-1, -1]
+        assert sc.unpack(scheme, [0]).tolist() == [[-1, -1]]
 
     def test_inverse_of_pack_example(self):
         scheme = sc.SidScheme(base=3, ngram=2)
-        assert sc.unpack(scheme, 24).tolist() == [1, 1]
+        assert sc.unpack(scheme, [24]).tolist() == [[1, 1]]
 
     def test_exhaustive_ternary_trigram(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         from itertools import product
         for digits in product((-1, 0, 1), repeat=3):
-            s = sc.pack(scheme, list(digits))
-            assert sc.unpack(scheme, s).tolist() == list(digits)
+            s = sc.pack(scheme, [digits])
+            assert sc.unpack(scheme, s).tolist() == [list(digits)]
 
     def test_above_maximum_rejected(self):
         scheme = sc.SidScheme(base=3, ngram=2)
         with pytest.raises(sc.SidError, match="maximum"):
-            sc.unpack(scheme, scheme.max_sid + 3)
+            sc.unpack(scheme, [scheme.max_sid + 3])
 
     def test_non_multiple_rejected(self):
         scheme = sc.SidScheme(base=3, ngram=2)
         with pytest.raises(sc.SidError, match="divisible"):
-            sc.unpack(scheme, 7)
+            sc.unpack(scheme, [7])
 
 
 @given(base=st.integers(min_value=2, max_value=64),
@@ -83,12 +84,12 @@ def test_roundtrip_property(base, ngram, data):
     digits = data.draw(st.lists(
         st.integers(min_value=scheme.digit_lo, max_value=scheme.digit_hi),
         min_size=ngram, max_size=ngram))
-    sid = sc.pack(scheme, digits)
-    assert 0 <= sid <= scheme.max_sid
-    assert sc.unpack(scheme, sid).tolist() == digits
+    sids = sc.pack(scheme, [digits])
+    assert 0 <= int(sids[0]) <= scheme.max_sid
+    assert sc.unpack(scheme, sids).tolist() == [digits]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "one.sid")
-        sc.write_sid_file(path, scheme, [[sid]])
+        sc.write_sid_file(path, scheme, sids[:, None])
         read_scheme, sids = sc.read_sid_file(path)
     assert read_scheme == scheme
     assert sc.unpack_all(read_scheme, sids)[0].tolist() == digits
@@ -108,8 +109,8 @@ class TestScheme:
         scheme = sc.SidScheme.for_digits(8, base=3, ngram=3)
         assert scheme.grams == 3
         digits = np.arange(8) % 3 - 1
-        sids = sc.pack_all(scheme, digits)
-        back = sc.unpack_all(scheme, sids)
+        sids = sc.pack_all(scheme, digits[None, :])
+        back = sc.unpack_all(scheme, sids)[0]
         assert back[:8].tolist() == digits.tolist()
         assert back[8] == 0  # centered-zero padding
 
@@ -122,8 +123,8 @@ class TestScheme:
 class TestSideEmbed:
     def test_single_gram_all_low(self):
         scheme = sc.SidScheme(base=3, ngram=3, grams=1)
-        out = sc.side_embed(scheme, np.array([0], dtype=np.uint64))
-        assert out.tolist() == [-1.0, -1.0, -1.0]
+        out = sc.side_embed(scheme, np.array([[0]], dtype=np.uint64))
+        assert out.tolist() == [[-1.0, -1.0, -1.0]]
 
     def test_equals_unpacked_digits(self):
         scheme = sc.SidScheme(base=3, ngram=3, grams=2)
@@ -133,15 +134,6 @@ class TestSideEmbed:
         out = sc.side_embed(scheme, sids)
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, digits.astype(np.float32))
-
-    def test_gram_subset_selector(self):
-        scheme = sc.SidScheme(base=3, ngram=2, grams=3)
-        digits = np.array([[1, 0, -1, 1, 0, -1]])
-        sids = sc.pack_all(scheme, digits)
-        out = sc.side_embed(scheme, sids, gram_indices=[0])
-        np.testing.assert_array_equal(out, [[1.0, 0.0]])
-        out2 = sc.side_embed(scheme, sids, gram_indices=[2, 0])
-        np.testing.assert_array_equal(out2, [[0.0, -1.0, 1.0, 0.0]])
 
     def test_pipeline_identity_with_dpca(self):
         # digits recovered from SIDs equal the digits the encoder produced
@@ -163,15 +155,15 @@ class TestSidHash:
     def test_injective_when_table_covers(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         from itertools import product
-        sids = [sc.pack(scheme, list(d)) for d in product((-1, 0, 1), repeat=3)]
-        hashed = {sc.sid_hash(s, scheme.max_sid + 1) for s in sids}
+        sids = sc.pack(scheme, list(product((-1, 0, 1), repeat=3)))
+        hashed = {int(h) for h in sc.sid_hash(sids, scheme.max_sid + 1)}
         assert len(hashed) == len(sids)
 
     def test_collision_prone_when_small(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         from itertools import product
-        sids = [sc.pack(scheme, list(d)) for d in product((-1, 0, 1), repeat=3)]
-        hashed = {sc.sid_hash(s, 5) for s in sids}
+        sids = sc.pack(scheme, list(product((-1, 0, 1), repeat=3)))
+        hashed = {int(h) for h in sc.sid_hash(sids, 5)}
         assert len(hashed) <= 5
 
     def test_sixty_four_level_trigram_cardinality(self):
@@ -179,9 +171,9 @@ class TestSidHash:
         scheme = sc.SidScheme(base=64, ngram=3)
         assert 64 ** 3 == 262_144
         # the scheme addresses them all without overflow
-        top = sc.pack(scheme, [scheme.digit_hi] * 3)
-        assert top == scheme.max_sid
-        assert len(sc.unpack(scheme, top)) == 3
+        top = sc.pack(scheme, [[scheme.digit_hi] * 3])
+        assert top.tolist() == [scheme.max_sid]
+        assert sc.unpack(scheme, top).shape == (1, 3)
 
 
 class TestSidFile:

@@ -24,6 +24,9 @@ from .quantizers import (
     fsq_quantize,
     kmeans_assign,
     kmeans_fit,
+    kmeans_grid_decode,
+    kmeans_grid_encode,
+    kmeans_grid_fit,
     product_join,
     product_split,
     residual_fit,
@@ -33,12 +36,10 @@ from .quantizers import (
 from .sid_codec import (
     SidError,
     SidScheme,
-    pack,
     pack_all,
     read_sid_file,
     sid_hash,
     side_embed,
-    unpack,
     unpack_all,
     write_sid_file,
 )

@@ -20,8 +20,9 @@ from . import fusion_vae as fv
 from . import metrics
 from . import ranking as rk
 from .corpus_io import corpus_read, corpus_write, generate_clustered_corpus
-from .quantizers import (kmeans_fit, load_codebooks, product_split,
-                         residual_fit, residual_quantize, save_codebooks)
+from .nn_core import TrainingDiverged
+from .quantizers import (kmeans_grid_decode, kmeans_grid_encode,
+                         kmeans_grid_fit, load_codebooks, save_codebooks)
 from .sid_codec import (SidScheme, pack_all, read_sid_file, unpack_all,
                         write_sid_file)
 
@@ -34,6 +35,7 @@ CLASSICAL_KINDS = ("kmeans", "rq", "pq")
 QUANTIZER_KINDS = CLASSICAL_KINDS + ("fsq", "dpca", "none")
 ENGAGEMENT_ARRAYS = ("item_latents", "item_digits", "item_sids", "history",
                      "candidates", "labels", "segments", "dense")
+ENGAGEMENT_SIZES = ("users", "items", "seq_len", "seed")
 
 
 @dataclass
@@ -59,12 +61,10 @@ class PipelineConfig:
     def validate(self):
         if self.quantizer not in QUANTIZER_KINDS:
             raise PipelineError(f"unknown quantizer '{self.quantizer}'")
-        if self.quantizer in ("kmeans", "fsq") and self.depth != 1:
+        if self.quantizer in ("kmeans", "pq", "fsq") and self.depth != 1:
             raise PipelineError(f"depth only applies to rq/dpca, got {self.depth}")
         if self.quantizer in ("kmeans", "rq", "fsq") and self.groups != 1:
             raise PipelineError(f"groups only applies to pq/dpca, got {self.groups}")
-        if self.quantizer == "pq" and self.depth != 1:
-            raise PipelineError("pq has no residual depth")
         if self.quantizer == "dpca" and self.levels != 3:
             raise PipelineError("dpca uses the ternary codebook; levels must be 3")
         return self
@@ -133,36 +133,12 @@ def cmd_gen_corpus(args):
 
 
 def cmd_gen_engagement(args):
-    cfg = rk.EngagementConfig(users=args.users, items=args.items,
-                              seq_len=args.seq_len, seed=args.seed)
+    cfg = rk.EngagementConfig(**{k: getattr(args, k) for k in ENGAGEMENT_SIZES})
     ds = rk.generate_engagement(cfg)
     np.savez(args.out, **{k: getattr(ds, k) for k in ENGAGEMENT_ARRAYS},
-             users=cfg.users, items=cfg.items, seq_len=cfg.seq_len,
-             seed=cfg.seed)
+             **{k: getattr(cfg, k) for k in ENGAGEMENT_SIZES})
     print(f"wrote engagement set ({cfg.users} users, {cfg.items} items) to {args.out}")
     return 0
-
-
-def _fit_classical(cfg, corpus):
-    if cfg.quantizer == "kmeans":
-        return [kmeans_fit(corpus, cfg.levels, iters=cfg.kmeans_iters,
-                           seed=cfg.seed)]
-    if cfg.quantizer == "rq":
-        return residual_fit(corpus, cfg.levels, cfg.depth,
-                            iters=cfg.kmeans_iters, seed=cfg.seed)
-    # pq: independent codebooks per contiguous slice
-    return [kmeans_fit(part, cfg.levels, iters=cfg.kmeans_iters,
-                       seed=cfg.seed + g)
-            for g, part in enumerate(product_split(corpus, cfg.groups))]
-
-
-def _classical_codes(cfg, books, corpus):
-    if cfg.quantizer in ("kmeans", "rq"):
-        idx, _ = residual_quantize(books, corpus)
-        return idx
-    parts = product_split(corpus, cfg.groups)
-    cols = [residual_quantize([b], p)[0] for b, p in zip(books, parts)]
-    return np.concatenate(cols, axis=1)
 
 
 def _warn_diverged(what, epoch):
@@ -178,7 +154,8 @@ def cmd_train(args):
     if cfg.quantizer in CLASSICAL_KINDS:
         if len(args.corpus) != 1:
             raise PipelineError("classical quantizers train on one corpus")
-        books = _fit_classical(cfg, bundle["sig0"])
+        books = kmeans_grid_fit(bundle["sig0"], cfg.levels, cfg.groups,
+                                cfg.depth, cfg.kmeans_iters, cfg.seed)
         save_codebooks(args.out, kmeans=books)
         print(f"fitted {cfg.quantizer} ({len(books)} codebooks) -> {args.out}")
         return 0
@@ -196,12 +173,11 @@ def cmd_train(args):
 
 
 def _load_kmeans(cfg, path):
-    """The checkpoint's k-means codebooks: one for kmeans, `depth` for rq,
-    `groups` for pq."""
+    """The checkpoint's k-means codebooks, `groups * depth` of them."""
     books = load_codebooks(path).get("kmeans")
     if not books:
         raise PipelineError(f"{path} holds no k-means codebooks")
-    need = {"kmeans": 1, "rq": cfg.depth, "pq": cfg.groups}[cfg.quantizer]
+    need = cfg.groups * cfg.depth
     if len(books) != need:
         raise PipelineError(f"{path} holds {len(books)} k-means codebooks, "
                             f"the {cfg.quantizer} config needs {need}")
@@ -213,7 +189,7 @@ def cmd_encode(args):
     bundle, dims = _load_bundle(args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
         books = _load_kmeans(cfg, args.ckpt)
-        codes = _classical_codes(cfg, books, bundle["sig0"])
+        codes = kmeans_grid_encode(books, cfg.groups, bundle["sig0"])
         scheme = SidScheme.for_digits(codes.shape[1], base=cfg.levels,
                                       ngram=cfg.ngram)
         sids = pack_all(scheme, codes - scheme.offset)
@@ -231,16 +207,15 @@ def cmd_decode(args):
     digits = unpack_all(scheme, sids)
     if cfg.quantizer in CLASSICAL_KINDS:
         books = _load_kmeans(cfg, args.ckpt)
-        idx = digits + scheme.offset
-        if cfg.quantizer == "pq":
-            parts = [books[g].centroids[idx[:, g]] for g in range(len(books))]
-            recon = np.concatenate(parts, axis=1)
-        else:
-            recon = sum(b.centroids[idx[:, i]] for i, b in enumerate(books))
+        recon = kmeans_grid_decode(books, cfg.groups, digits + scheme.offset)
         corpus_write(f"{args.out}.sig0.emb", recon)
         print(f"decoded {recon.shape[0]} rows -> {args.out}.sig0.emb")
         return 0
-    dims = [int(d) for d in args.dims.split(",")]
+    try:
+        dims = [int(d) for d in args.dims.split(",")]
+    except ValueError:
+        raise PipelineError(f"{cfg.quantizer} decoding needs --dims, the "
+                            f"signal dims as ints, got '{args.dims}'") from None
     model = _build_fusion(cfg, dims, cfg.seed).load(args.ckpt)
     recon = fv.decode_from_digits(model, digits)
     for name, arr in recon.items():
@@ -284,17 +259,18 @@ def cmd_eval_ne(args):
 
 def cmd_rank_ab(args):
     if args.data:
-        loaded = np.load(args.data)
-        cfg = rk.EngagementConfig(users=int(loaded["users"]),
-                                  items=int(loaded["items"]),
-                                  seq_len=int(loaded["seq_len"]),
-                                  seed=int(loaded["seed"]))
-        ds = rk.SyntheticEngagementSet(
-            config=cfg, **{k: loaded[k] for k in ENGAGEMENT_ARRAYS})
+        with np.load(args.data) as loaded:
+            missing = [k for k in ENGAGEMENT_ARRAYS + ENGAGEMENT_SIZES
+                       if k not in loaded]
+            if missing:
+                raise PipelineError(f"{args.data} lacks {', '.join(missing)}")
+            cfg = rk.EngagementConfig(
+                **{k: int(loaded[k]) for k in ENGAGEMENT_SIZES})
+            ds = rk.SyntheticEngagementSet(
+                config=cfg, **{k: loaded[k] for k in ENGAGEMENT_ARRAYS})
     else:
         ds = rk.generate_engagement(rk.EngagementConfig(
-            users=args.users, items=args.items, seq_len=args.seq_len,
-            seed=args.seed))
+            **{k: getattr(args, k) for k in ENGAGEMENT_SIZES}))
     hash_size = args.hash_size or ds.collision_free_size()
     tcfg = rk.RankTrainConfig(epochs=args.epochs, lr=args.lr,
                               feature_dim=args.feature_dim, seed=args.seed)
@@ -452,7 +428,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -202,9 +203,8 @@ def normalized_entropy(labels, predictions):
 # Report output
 
 
-def emit_report(payload, as_json=False, stream=None):
-    import sys
-    stream = stream or sys.stdout
+def emit_report(payload, as_json=False):
+    stream = sys.stdout
     if as_json:
         def default(o):
             if hasattr(o, "as_dict"):

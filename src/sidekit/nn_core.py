@@ -525,7 +525,7 @@ def fit(params, n, step, rng, epochs, batch_size, lr, weight_decay):
                 batches += 1
         except NonFiniteError as exc:
             if epoch == 0:
-                raise TrainingDiverged(str(exc)) from None
+                raise TrainingDiverged(f"diverged in epoch 0: {exc}") from None
             params.restore(last_good)
             return rows, epoch
         row = {"epoch": epoch}

@@ -6,6 +6,11 @@ codewords), and discrete-PCA stacks (residual layers of learned component
 vectors with a ternary {-1, 0, +1} scalar codebook, optionally in parallel
 product groups).
 
+The k-means kinds are one (groups, depth) grid: each contiguous product
+slice holds a residual stack of `depth` k-means codebooks, so kmeans is
+1 x 1, rq 1 x depth and pq groups x 1. Books, code columns and the
+"kmeans.l{i}" checkpoint layers are group-major: i = g*depth + t.
+
 All assign/encode/decode functions are pure over immutable codebooks and
 take a 2-D row-major batch, one vector (or one code) per row; a single
 vector is a batch of one row. Any other ndim raises QuantizerError. Ties
@@ -121,40 +126,25 @@ def kmeans_assign(codebook, x):
 
 def residual_fit(corpus, k, depth, iters=25, seed=0):
     """Stack of k-means codebooks, each fitted on the previous residuals."""
-    x = _rows(corpus)
+    residual = _rows(corpus)
     stack = []
-    residual = x.copy()
     for layer in range(depth):
-        cb = kmeans_fit(residual, k, iters=iters, seed=seed + layer)
-        stack.append(cb)
-        residual = residual - cb.centroids[kmeans_assign(cb, residual)]
+        if stack:
+            prev = stack[-1]
+            residual = residual - prev.centroids[kmeans_assign(prev, residual)]
+        stack.append(kmeans_fit(residual, k, iters=iters, seed=seed + layer))
     return stack
 
 
 def residual_quantize(stack, x):
-    """Greedy layer-by-layer assignment against a residual codebook stack.
-
-    Returns (indices, reconstruction); the reconstruction is the sum of
-    the selected codeword from every layer.
-    """
-    rows = _rows(x)
-    d = stack[0].d
-    for cb in stack:
-        if cb.d != d:
-            raise QuantizerError("codebook stack has inconsistent dimensions")
-    if rows.shape[1] != d:
-        raise QuantizerError(
-            f"dimension mismatch: input has {rows.shape[1]}, stack {d}")
-    residual = rows.copy()
-    recon = np.zeros_like(rows)
-    indices = np.empty((rows.shape[0], len(stack)), dtype=np.int64)
+    """Greedy layer-by-layer assignment against a residual codebook stack:
+    the (n, depth) indices of the codeword chosen at each layer."""
+    residual = _rows(x).copy()
+    indices = np.empty((residual.shape[0], len(stack)), dtype=np.int64)
     for layer, cb in enumerate(stack):
-        idx = kmeans_assign(cb, residual)
-        chosen = cb.centroids[idx]
-        residual -= chosen
-        recon += chosen
-        indices[:, layer] = idx
-    return indices, recon
+        indices[:, layer] = kmeans_assign(cb, residual)
+        residual -= cb.centroids[indices[:, layer]]
+    return indices
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +164,39 @@ def product_split(x, groups):
 def product_join(parts):
     """Exact inverse of product_split."""
     return np.concatenate(parts, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# The k-means grid: kmeans, rq and pq as (groups, depth) layouts
+
+
+def kmeans_grid_fit(corpus, k, groups, depth, iters, seed):
+    """residual_fit on each product slice g, seeded seed + g; the books
+    are listed group-major."""
+    parts = product_split(_rows(corpus), groups)
+    return [book for g, part in enumerate(parts)
+            for book in residual_fit(part, k, depth, iters=iters, seed=seed + g)]
+
+
+def kmeans_grid_encode(books, groups, x):
+    """(n, len(books)) codes: residual_quantize per product slice."""
+    depth = len(books) // groups
+    parts = product_split(_rows(x), groups)
+    return np.concatenate(
+        [residual_quantize(books[g * depth:(g + 1) * depth], part)
+         for g, part in enumerate(parts)], axis=1)
+
+
+def kmeans_grid_decode(books, groups, codes):
+    """Per group the sum of its layers' selected centroids, the groups
+    joined with product_join; extra code columns (SID padding) are ignored."""
+    depth = len(books) // groups
+    idx = _rows(codes, dtype=np.int64)
+    if idx.shape[1] < len(books):
+        raise QuantizerError(f"{idx.shape[1]} code columns, {len(books)} books")
+    return product_join([sum(books[i].centroids[idx[:, i]]
+                             for i in range(g * depth, (g + 1) * depth))
+                         for g in range(groups)])
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +295,6 @@ class LineCodebook:
     @property
     def d(self):
         return self.directions.shape[1]
-
-    def codewords(self):
-        """The explicit (K*L, d) codeword set, ordered group-major."""
-        grid = (2.0 * np.arange(self.levels) / (self.levels - 1) - 1.0)
-        out = (self.references[:, None, :]
-               + grid[None, :, None] * self.directions[:, None, :])
-        return out.reshape(-1, self.d).astype(DTYPE)
 
 
 @dataclass

@@ -23,14 +23,14 @@ sigmoid(a * <mean of history latents, candidate latent> + b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import nn_core as nn
 from .nn_core import DTYPE, ParamStore
 from .metrics import NEReport, normalized_entropy
-from .quantizers import FsqConfig, fsq_quantize
-from .sid_codec import SidScheme, pack_all, sid_hash
+from .sid_codec import SidError, SidScheme, pack_all, side_embed, sid_hash
 
 
 class RankingError(ValueError):
@@ -89,6 +89,29 @@ class SyntheticEngagementSet:
 
     scheme = SID_SCHEME
 
+    def __post_init__(self):
+        """Reject arrays that disagree with the config, naming the array."""
+        c = self.config
+        shapes = {"item_latents": (c.items, LATENT_DIM),
+                  "item_digits": (c.items, LATENT_DIM),
+                  "item_sids": (c.items, self.scheme.grams),
+                  "history": (c.users, c.seq_len), "candidates": (c.users,),
+                  "labels": (c.users,), "segments": (c.users,),
+                  "dense": (c.users, DENSE_DIM)}
+        for name, shape in shapes.items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise RankingError(f"{name} has shape {got}, expected {shape}")
+        ids = np.concatenate([self.history.ravel(), self.candidates])
+        if ids.size and not 0 <= ids.min() <= ids.max() < c.items:
+            raise RankingError(f"history/candidates: id outside [0, {c.items})")
+        try:
+            digits = side_embed(self.scheme, self.item_sids)
+        except SidError as exc:
+            raise RankingError(f"item_sids: {exc}") from None
+        if not np.array_equal(digits, self.item_digits):
+            raise RankingError("item_sids do not unpack to item_digits")
+
     def collision_free_size(self):
         return self.scheme.max_sid + 1
 
@@ -110,14 +133,7 @@ def generate_engagement(cfg):
     dead = ~raw.any(axis=1)
     raw[dead, 0] = 1  # no zero vectors on the grid
     latents = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-    # digits via the ternary scalar quantizer at a gain that clears the
-    # tanh dead zone for entries of magnitude 1/sqrt(t)
-    levels, _ = fsq_quantize(FsqConfig(levels=3), latents * (2.0 * np.sqrt(t)))
-    digits = (levels - 1).astype(np.int8)
-    if not np.array_equal(digits, np.sign(raw)):
-        raise RankingError("digit extraction failed to recover the grid")
-
+    digits = raw.astype(np.int8)  # the centered ternary digits of the latent
     sids = pack_all(SID_SCHEME, digits)
 
     taste = rng.normal(size=(cfg.users, t))
@@ -178,7 +194,8 @@ class ToyRankingModel:
         self.cfg = cfg
         self.dataset = dataset
         d = cfg.feature_dim
-        t = dataset.item_digits.shape[1]
+        # the SIDE path's digits come from the SIDs alone, with no table
+        self.item_digits = side_embed(dataset.scheme, dataset.item_sids)
         self.params = ParamStore(cfg.seed)
         self.params.table("sparse.segments", SEGMENTS, d)
         self.params.weight("dense.w", DENSE_DIM, d)
@@ -192,7 +209,7 @@ class ToyRankingModel:
             # interaction path with no usable gradient.
             self.params.table("feature.table", grams * hash_size, d, scale=0.3)
         elif variant == "side":
-            self.params.weight("feature.omega", t, d)
+            self.params.weight("feature.omega", self.item_digits.shape[1], d)
         self.params.weight("pma.theta", d, d)
         self.params.weight("head.w", 5 * d, 1)
         self.params.zeros("head.b", 1, 1)
@@ -200,7 +217,6 @@ class ToyRankingModel:
         if variant == "sid":
             offsets = (np.arange(grams) * hash_size)[None, :]
             self.item_hash = sid_hash(dataset.item_sids, hash_size) + offsets
-        self.item_digits = dataset.item_digits.astype(DTYPE)
 
     def _item_features(self, p, item_ids):
         """Feature node for a flat vector of item ids."""
@@ -210,10 +226,7 @@ class ToyRankingModel:
             looked = [nn.gather_rows(p["feature.table"],
                                      self.item_hash[ids, g])
                       for g in range(grams)]
-            acc = looked[0]
-            for node in looked[1:]:
-                acc = nn.add(acc, node)
-            return nn.scale(acc, 1.0 / grams)
+            return nn.scale(reduce(nn.add, looked), 1.0 / grams)
         if self.variant == "side":
             digits = nn.constant(self.item_digits[ids])
             return nn.matmul(digits, p["feature.omega"])

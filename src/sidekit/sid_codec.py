@@ -9,9 +9,8 @@ digits are recovered from the integer alone, with no lookup table and no
 learned parameters.
 
 Every function takes batches: digits and SID records are 2-D arrays with
-one sample per row, and `unpack` takes a 1-D column of SIDs (one gram
-position across samples). A single sample is a batch of one row. Any
-other ndim raises SidError.
+one sample per row, packed and unpacked whole. A single sample is a batch
+of one row; zero rows are a valid batch. Any other ndim raises SidError.
 """
 
 from __future__ import annotations
@@ -98,51 +97,16 @@ class SidScheme:
         return cls(base=base, ngram=ngram, grams=grams)
 
 
-def _array(x, dtype, ndim=2):
+def _array(x, dtype):
     arr = np.asarray(x, dtype=dtype)
-    if arr.ndim != ndim:
-        raise SidError(f"expected a {ndim}-D array, got ndim={arr.ndim}")
+    if arr.ndim != 2:
+        raise SidError(f"expected a 2-D array, got ndim={arr.ndim}")
     return arr
 
 
 def _powers(scheme):
     # L^1 .. L^n as u64; safe because the scheme bound was checked.
     return (scheme.base ** np.arange(1, scheme.ngram + 1)).astype(np.uint64)
-
-
-def _check_digits(scheme, digits):
-    if digits.shape[-1] != scheme.ngram:
-        raise SidError(
-            f"expected {scheme.ngram} digits per gram, got {digits.shape[-1]}")
-    if digits.min() < scheme.digit_lo or digits.max() > scheme.digit_hi:
-        raise SidError(
-            f"digit out of range [{scheme.digit_lo}, {scheme.digit_hi}]")
-
-
-def pack(scheme, digits):
-    """Pack each row of an (m, n) matrix of centered digits, one n-gram per
-    row, into a SID: returns an m-vector of u64."""
-    arr = _array(digits, np.int64)
-    _check_digits(scheme, arr)
-    shifted = (arr + scheme.offset).astype(np.uint64)
-    return (shifted * _powers(scheme)[None, :]).sum(axis=1, dtype=np.uint64)
-
-
-def unpack(scheme, sids):
-    """Invert pack via floor-divide and modulo; exact for every valid SID.
-
-    Takes an m-vector of SIDs and returns the (m, n) digit matrix.
-    """
-    arr = _array(sids, np.uint64, ndim=1)
-    if arr.size and int(arr.max()) > scheme.max_sid:
-        raise SidError(
-            f"SID {int(arr.max())} exceeds scheme maximum {scheme.max_sid}")
-    base = np.uint64(scheme.base)
-    if arr.size and np.any(arr % base != 0):
-        raise SidError("SID not divisible by the base; not a packed value")
-    digits = (arr[:, None] // _powers(scheme)[None, :] % base).astype(np.int64)
-    digits -= scheme.offset
-    return digits
 
 
 def pack_all(scheme, digits):
@@ -156,12 +120,12 @@ def pack_all(scheme, digits):
     if arr.shape[1] > total:
         raise SidError(
             f"codeword has {arr.shape[1]} digits; scheme holds {total}")
-    if arr.shape[1] < total:
-        pad = np.zeros((arr.shape[0], total - arr.shape[1]), dtype=np.int64)
-        arr = np.concatenate([arr, pad], axis=1)
-    grouped = arr.reshape(arr.shape[0], scheme.grams, scheme.ngram)
-    return np.stack([pack(scheme, grouped[:, g])
-                     for g in range(scheme.grams)], axis=1)
+    if arr.size and (arr.min() < scheme.digit_lo or arr.max() > scheme.digit_hi):
+        raise SidError(
+            f"digit out of range [{scheme.digit_lo}, {scheme.digit_hi}]")
+    shifted = np.pad(arr, ((0, 0), (0, total - arr.shape[1]))) + scheme.offset
+    grouped = shifted.astype(np.uint64).reshape(-1, scheme.grams, scheme.ngram)
+    return (grouped * _powers(scheme)).sum(axis=2, dtype=np.uint64)
 
 
 def _records(scheme, sids):
@@ -173,10 +137,17 @@ def _records(scheme, sids):
 
 def unpack_all(scheme, sids):
     """Recover the (m, grams * ngram) digit matrix, padding included, from
-    (m, grams) SID records."""
+    (m, grams) SID records: floor-divide and modulo, exact for every valid
+    SID."""
     arr = _records(scheme, sids)
-    return np.concatenate(
-        [unpack(scheme, arr[:, g]) for g in range(scheme.grams)], axis=1)
+    if arr.size and int(arr.max()) > scheme.max_sid:
+        raise SidError(
+            f"SID {int(arr.max())} exceeds scheme maximum {scheme.max_sid}")
+    base = np.uint64(scheme.base)
+    if np.any(arr % base != 0):
+        raise SidError("SID not divisible by the base; not a packed value")
+    digits = (arr[:, :, None] // _powers(scheme) % base).astype(np.int64)
+    return digits.reshape(arr.shape[0], scheme.digits) - scheme.offset
 
 
 def side_embed(scheme, sids):
@@ -199,9 +170,7 @@ def sid_hash(sids, table_size):
     """
     if table_size < 1:
         raise SidError(f"table_size must be >= 1, got {table_size}")
-    arr = np.asarray(sids, dtype=np.uint64)
-    out = (arr % np.uint64(table_size)).astype(np.int64)
-    return int(out) if out.ndim == 0 else out
+    return (_array(sids, np.uint64) % np.uint64(table_size)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The batch contract: quantizers, the SID codec, graph leaves, parameters
-and digit decoding take 2-D batches (the codec's `unpack` a 1-D column)
-and reject any other ndim with their own module's error, naming it."""
+and digit decoding take 2-D batches and reject any other ndim with their
+own module's error, naming it."""
 
 import numpy as np
 import pytest
@@ -36,10 +36,10 @@ CASES = {
     "dpca_encode": (q.QuantizerError, lambda: q.dpca_encode(DPCA, VEC)),
     "dpca_decode": (q.QuantizerError,
                     lambda: q.dpca_decode(DPCA, np.zeros(2, dtype=np.int8))),
-    "pack": (sc.SidError, lambda: sc.pack(SCHEME, [0, 0])),
     "pack_all": (sc.SidError, lambda: sc.pack_all(SCHEME, [0, 0, 0, 0])),
     "unpack_all": (sc.SidError, lambda: sc.unpack_all(SCHEME, [3, 3])),
     "side_embed": (sc.SidError, lambda: sc.side_embed(SCHEME, [3, 3])),
+    "sid_hash": (sc.SidError, lambda: sc.sid_hash([3, 3], 5)),
     "write_sid_file": (sc.SidError,
                        lambda: sc.write_sid_file("unused.sid", SCHEME, [3, 3])),
     "leaf": (nn.GraphError, lambda: nn.leaf(VEC)),
@@ -58,8 +58,3 @@ def test_one_dimensional_input_rejected(name, tmp_path, monkeypatch):
     with pytest.raises(error, match="ndim=1"):
         call()
 
-
-@pytest.mark.parametrize("sids, ndim", [(3, 0), ([[3], [6]], 2)])
-def test_unpack_takes_one_column(sids, ndim):
-    with pytest.raises(sc.SidError, match=f"ndim={ndim}"):
-        sc.unpack(SCHEME, sids)

@@ -1,6 +1,7 @@
 """CLI tests at toy sizes: gen-corpus -> train -> encode -> decode ->
-eval-recon for every quantizer kind, rejected configs and checkpoints,
-rank-ab from a gen-engagement file, eval-recall and eval-ne."""
+eval-recon for every quantizer kind, a zero-row corpus, rejected configs,
+checkpoints and engagement files, training divergence, rank-ab from a
+gen-engagement file, eval-recall and eval-ne."""
 
 import json
 
@@ -9,7 +10,7 @@ import pytest
 
 from sidekit import cli, metrics
 from sidekit import ranking as rk
-from sidekit.corpus_io import corpus_read
+from sidekit.corpus_io import corpus_read, corpus_write
 from sidekit.quantizers import load_codebooks
 from sidekit.sid_codec import read_sid_file
 
@@ -63,6 +64,50 @@ def test_round_trip(tmp_path, corpus, kind, capsys):
     if kind in ("kmeans", "rq", "pq"):
         books = load_codebooks(ckpt)["kmeans"]
         assert len(books) == {"kmeans": 1, "rq": 2, "pq": 2}[kind]
+
+
+@pytest.mark.parametrize("kind", ["rq", "fsq"])
+def test_zero_row_corpus_round_trips(tmp_path, corpus, kind):
+    cfg = config(tmp_path, kind)
+    empty, ckpt = tmp_path / "empty.emb", tmp_path / "q.ckpt"
+    sids, out = tmp_path / "e.sid", tmp_path / "rec"
+    corpus_write(empty, np.zeros((0, 8), dtype=np.float32))
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    assert run("encode", "--corpus", empty, "--config", cfg, "--ckpt", ckpt,
+               "--out", sids) == 0
+    scheme, records = read_sid_file(sids)
+    assert sids.read_text() == scheme.header() + "\n"
+    assert records.shape == (0, scheme.grams)
+    assert run("decode", "--sids", sids, "--config", cfg, "--ckpt", ckpt,
+               "--dims", 8, "--out", out) == 0
+    assert corpus_read(f"{out}.sig0.emb").shape == (0, 8)
+
+
+def test_divergence_in_the_first_epoch_is_an_error(tmp_path, corpus, capsys):
+    cfg = tmp_path / "wild.cfg"
+    cfg.write_text(f"quantizer=fsq\n{CONFIGS['fsq']}\nlr=1e30\n")
+    with np.errstate(over="ignore"):
+        assert run("train", "--corpus", corpus, "--config", cfg,
+                   "--out", tmp_path / "q.ckpt") == 1
+    assert capsys.readouterr().err.startswith(
+        "error: diverged in epoch 0: node ")
+    assert not (tmp_path / "q.ckpt").exists()
+
+
+@pytest.mark.parametrize("dims", [None, "8,a"])
+def test_fusion_decode_names_missing_dims(tmp_path, corpus, capsys, dims):
+    cfg = config(tmp_path, "fsq")
+    ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    assert run("encode", "--corpus", corpus, "--config", cfg, "--ckpt", ckpt,
+               "--out", sids) == 0
+    capsys.readouterr()
+    extra = () if dims is None else ("--dims", dims)
+    assert run("decode", "--sids", sids, "--config", cfg, "--ckpt", ckpt,
+               *extra, "--out", tmp_path / "rec") == 1
+    assert "needs --dims" in capsys.readouterr().err
 
 
 def test_identity_quantizer_fails_at_encode(tmp_path, corpus, capsys):
@@ -138,6 +183,44 @@ def test_rank_ab_from_file_equals_inline(tmp_path, capsys):
     inline = json.loads(capsys.readouterr().out)
     assert from_file == inline
     assert set(inline) == {"none", "sid", "side", "hash_size"}
+
+
+def _flip_first_digit(digits):
+    out = digits.copy()
+    out[0, 0] = 1 if out[0, 0] != 1 else -1
+    return out
+
+
+@pytest.mark.parametrize("key, corrupt, message", [
+    ("item_digits", lambda a: a[:, :12],  # the SIDs still pack 16 digits
+     "item_digits has shape (60, 12), expected (60, 16)"),
+    ("history", lambda a: a[:, :5],
+     "history has shape (300, 5), expected (300, 6)"),
+    ("labels", lambda a: a[:-1], "labels has shape (299,), expected (300,)"),
+    ("candidates", lambda a: np.concatenate([[60], a[1:]]),
+     "history/candidates: id outside [0, 60)"),
+    ("item_sids", lambda a: a + np.uint64(1),
+     "item_sids: SID not divisible by the base"),
+    ("item_digits", _flip_first_digit, "item_sids do not unpack to item_digits"),
+    ("segments", None, "lacks segments"),
+], ids=["digits-cut", "history-cut", "labels-short", "candidate-id",
+        "sids-unpacked", "digits-flipped", "segments-missing"])
+def test_rank_ab_rejects_an_inconsistent_data_file(tmp_path, capsys, key,
+                                                   corrupt, message):
+    data, bad = tmp_path / "eng.npz", tmp_path / "bad.npz"
+    assert run("gen-engagement", *ENGAGEMENT, "--out", data) == 0
+    with np.load(data) as loaded:
+        arrays = dict(loaded)
+    if corrupt is None:
+        del arrays[key]
+    else:
+        arrays[key] = corrupt(arrays[key])
+    np.savez(bad, **arrays)
+    capsys.readouterr()
+    assert run("rank-ab", "--data", bad, "--epochs", 1, "--json") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
 
 
 def test_rank_ab_warns_when_a_ranker_rolls_back(monkeypatch, capsys):

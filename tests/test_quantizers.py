@@ -94,7 +94,8 @@ class TestResidual:
         rng = np.random.default_rng(7)
         cb = q.KMeansCodebook(rng.normal(size=(5, 4)).astype(np.float32))
         x = rng.normal(size=(1, 4)).astype(np.float32)
-        idx, recon = q.residual_quantize([cb], x)
+        idx = q.residual_quantize([cb], x)
+        recon = q.kmeans_grid_decode([cb], 1, idx)
         assert idx[0, 0] == q.kmeans_assign(cb, x)[0]
         np.testing.assert_array_equal(recon[0], cb.centroids[idx[0, 0]])
 
@@ -104,7 +105,8 @@ class TestResidual:
         cb2 = q.KMeansCodebook(
             0.01 * rng.normal(size=(4, 4)).astype(np.float32))
         x = cb1.centroids[2:3] + cb2.centroids[1:2]
-        idx, recon = q.residual_quantize([cb1, cb2], x)
+        idx = q.residual_quantize([cb1, cb2], x)
+        recon = q.kmeans_grid_decode([cb1, cb2], 1, idx)
         np.testing.assert_allclose(recon, x, atol=1e-6)
 
     def test_greedy_against_pair_enumeration(self):
@@ -114,8 +116,9 @@ class TestResidual:
             0.3 * rng.normal(size=(4, 6)).astype(np.float32))
         for _ in range(50):
             x = rng.normal(size=6).astype(np.float32)
-            idx, recon = q.residual_quantize([cb1, cb2], x[None, :])
-            idx, recon = idx[0], recon[0]
+            idx = q.residual_quantize([cb1, cb2], x[None, :])
+            recon = q.kmeans_grid_decode([cb1, cb2], 1, idx)[0]
+            idx = idx[0]
             greedy_res = float(((x - recon) ** 2).sum())
             # exhaustive over the 16 pairs
             best = min(
@@ -136,9 +139,58 @@ class TestResidual:
         stack = q.residual_fit(pts, 8, depth=3, iters=15, seed=0)
         errs = []
         for depth in (1, 2, 3):
-            _, recon = q.residual_quantize(stack[:depth], pts)
+            recon = q.kmeans_grid_decode(
+                stack[:depth], 1, q.residual_quantize(stack[:depth], pts))
             errs.append(float(((pts - recon) ** 2).sum()))
         assert errs[0] > errs[1] > errs[2]
+
+
+class TestGrid:
+    """kmeans, rq and pq as (groups, depth) grids of k-means codebooks."""
+
+    pts = np.random.default_rng(11).normal(size=(120, 6)).astype(np.float32)
+
+    def test_fit_layouts_match_direct_fits(self):
+        one = q.kmeans_grid_fit(self.pts, 5, 1, 1, 4, 3)
+        direct = q.kmeans_fit(self.pts, 5, iters=4, seed=3)
+        np.testing.assert_array_equal(one[0].centroids, direct.centroids)
+        rq = q.kmeans_grid_fit(self.pts, 5, 1, 2, 4, 3)
+        for got, want in zip(rq, q.residual_fit(self.pts, 5, 2, iters=4,
+                                                seed=3)):
+            np.testing.assert_array_equal(got.centroids, want.centroids)
+        pq = q.kmeans_grid_fit(self.pts, 5, 3, 1, 4, 3)
+        for g, part in enumerate(q.product_split(self.pts, 3)):
+            want = q.kmeans_fit(part, 5, iters=4, seed=3 + g)
+            np.testing.assert_array_equal(pq[g].centroids, want.centroids)
+
+    @pytest.mark.parametrize("groups, depth", [(1, 1), (1, 3), (3, 1),
+                                               (2, 2)])
+    def test_books_group_major(self, groups, depth):
+        books = q.kmeans_grid_fit(self.pts, 4, groups, depth, 3, 0)
+        assert len(books) == groups * depth
+        codes = q.kmeans_grid_encode(books, groups, self.pts)
+        assert codes.shape == (120, groups * depth)
+        for g, part in enumerate(q.product_split(self.pts, groups)):
+            stack = books[g * depth:(g + 1) * depth]
+            np.testing.assert_array_equal(codes[:, g * depth:(g + 1) * depth],
+                                          q.residual_quantize(stack, part))
+        # decode: each group's centroid sum, recomputed by hand
+        recon = q.kmeans_grid_decode(books, groups, codes)
+        want = np.zeros_like(self.pts)
+        w = 6 // groups
+        for i, book in enumerate(books):
+            g = i // depth
+            want[:, g * w:(g + 1) * w] += book.centroids[codes[:, i]]
+        np.testing.assert_allclose(recon, want, atol=1e-6)
+
+    def test_decode_ignores_padding_and_rejects_short_codes(self):
+        books = q.kmeans_grid_fit(self.pts, 4, 1, 2, 3, 0)
+        codes = q.kmeans_grid_encode(books, 1, self.pts)
+        padded = np.concatenate([codes, np.ones((120, 1), np.int64)], axis=1)
+        np.testing.assert_array_equal(q.kmeans_grid_decode(books, 1, padded),
+                                      q.kmeans_grid_decode(books, 1, codes))
+        with pytest.raises(q.QuantizerError, match="1 code columns, 2 books"):
+            q.kmeans_grid_decode(books, 1, codes[:, :1])
 
 
 class TestProduct:

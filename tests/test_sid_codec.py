@@ -16,33 +16,33 @@ from sidekit.quantizers import DpcaStack, dpca_encode
 class TestPack:
     def test_all_zero_digits(self):
         scheme = sc.SidScheme(base=3, ngram=2)
-        assert sc.pack(scheme, [[-1, -1]]).tolist() == [0]
+        assert sc.pack_all(scheme, [[-1, -1]]).tolist() == [[0]]
 
     def test_hand_cases(self):
         two = sc.SidScheme(base=3, ngram=2)
-        assert sc.pack(two, [[1, 1]]).tolist() == [24]        # 3*2 + 9*2
+        assert sc.pack_all(two, [[1, 1]]).tolist() == [[24]]        # 3*2 + 9*2
         three = sc.SidScheme(base=3, ngram=3)
         # 3*1 + 9*2 + 27*0
-        assert sc.pack(three, [[0, 1, -1]]).tolist() == [21]
+        assert sc.pack_all(three, [[0, 1, -1]]).tolist() == [[21]]
 
     def test_every_sid_divisible_by_base(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         rng = np.random.default_rng(0)
         digits = rng.integers(-1, 2, size=(100, 3))
-        sids = sc.pack(scheme, digits)
+        sids = sc.pack_all(scheme, digits)
         assert np.all(sids % 3 == 0)
 
     def test_digit_out_of_range(self):
         scheme = sc.SidScheme(base=3, ngram=2)
         with pytest.raises(sc.SidError, match="out of range"):
-            sc.pack(scheme, [[2, 0]])
+            sc.pack_all(scheme, [[2, 0]])
 
     def test_injective_small_scheme(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         from itertools import product
         seen = set()
         for digits in product((-1, 0, 1), repeat=3):
-            s = int(sc.pack(scheme, [digits])[0])
+            s = int(sc.pack_all(scheme, [digits])[0, 0])
             assert s not in seen
             seen.add(s)
         assert len(seen) == 27
@@ -51,28 +51,28 @@ class TestPack:
 class TestUnpack:
     def test_zero(self):
         scheme = sc.SidScheme(base=3, ngram=2)
-        assert sc.unpack(scheme, [0]).tolist() == [[-1, -1]]
+        assert sc.unpack_all(scheme, [[0]]).tolist() == [[-1, -1]]
 
     def test_inverse_of_pack_example(self):
         scheme = sc.SidScheme(base=3, ngram=2)
-        assert sc.unpack(scheme, [24]).tolist() == [[1, 1]]
+        assert sc.unpack_all(scheme, [[24]]).tolist() == [[1, 1]]
 
     def test_exhaustive_ternary_trigram(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         from itertools import product
         for digits in product((-1, 0, 1), repeat=3):
-            s = sc.pack(scheme, [digits])
-            assert sc.unpack(scheme, s).tolist() == [list(digits)]
+            s = sc.pack_all(scheme, [digits])
+            assert sc.unpack_all(scheme, s).tolist() == [list(digits)]
 
     def test_above_maximum_rejected(self):
         scheme = sc.SidScheme(base=3, ngram=2)
         with pytest.raises(sc.SidError, match="maximum"):
-            sc.unpack(scheme, [scheme.max_sid + 3])
+            sc.unpack_all(scheme, [[scheme.max_sid + 3]])
 
     def test_non_multiple_rejected(self):
         scheme = sc.SidScheme(base=3, ngram=2)
         with pytest.raises(sc.SidError, match="divisible"):
-            sc.unpack(scheme, [7])
+            sc.unpack_all(scheme, [[7]])
 
 
 @given(base=st.integers(min_value=2, max_value=64),
@@ -84,15 +84,50 @@ def test_roundtrip_property(base, ngram, data):
     digits = data.draw(st.lists(
         st.integers(min_value=scheme.digit_lo, max_value=scheme.digit_hi),
         min_size=ngram, max_size=ngram))
-    sids = sc.pack(scheme, [digits])
-    assert 0 <= int(sids[0]) <= scheme.max_sid
-    assert sc.unpack(scheme, sids).tolist() == [digits]
+    sids = sc.pack_all(scheme, [digits])
+    assert 0 <= int(sids[0, 0]) <= scheme.max_sid
+    assert sc.unpack_all(scheme, sids).tolist() == [digits]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "one.sid")
-        sc.write_sid_file(path, scheme, sids[:, None])
+        sc.write_sid_file(path, scheme, sids)
         read_scheme, sids = sc.read_sid_file(path)
     assert read_scheme == scheme
     assert sc.unpack_all(read_scheme, sids)[0].tolist() == digits
+
+
+class TestWholeRecords:
+    def test_matches_per_digit_formula(self):
+        # gram g of a record is sum_k L^k * (offset + c_{g,k}), in Python ints
+        scheme = sc.SidScheme(base=5, ngram=3, grams=3)
+        rng = np.random.default_rng(4)
+        digits = rng.integers(-2, 3, size=(40, 8))
+        sids = sc.pack_all(scheme, digits)
+        padded = np.pad(digits, ((0, 0), (0, 1)))
+        for row, record in zip(padded.tolist(), sids):
+            want = [sum(5 ** (k + 1) * (2 + row[g * 3 + k]) for k in range(3))
+                    for g in range(3)]
+            assert record.tolist() == want
+        np.testing.assert_array_equal(sc.unpack_all(scheme, sids), padded)
+
+    def test_zero_rows(self, tmp_path):
+        scheme = sc.SidScheme(base=3, ngram=2, grams=2)
+        sids = sc.pack_all(scheme, np.zeros((0, 3), dtype=np.int64))
+        assert sids.shape == (0, 2) and sids.dtype == np.uint64
+        assert sc.unpack_all(scheme, sids).shape == (0, 4)
+        path = tmp_path / "empty.sid"
+        sc.write_sid_file(path, scheme, sids)
+        assert path.read_text() == scheme.header() + "\n"
+        again, records = sc.read_sid_file(path)
+        assert again == scheme and records.shape == (0, 2)
+
+    def test_bad_value_in_a_later_gram(self):
+        scheme = sc.SidScheme(base=3, ngram=2, grams=2)
+        with pytest.raises(sc.SidError, match="out of range"):
+            sc.pack_all(scheme, [[0, 0, 0, 2]])
+        with pytest.raises(sc.SidError, match="maximum"):
+            sc.unpack_all(scheme, [[0, scheme.max_sid + 3]])
+        with pytest.raises(sc.SidError, match="divisible"):
+            sc.unpack_all(scheme, [[0, 7]])
 
 
 class TestScheme:
@@ -150,20 +185,21 @@ class TestSideEmbed:
 
 class TestSidHash:
     def test_table_size_one(self):
-        assert sc.sid_hash(12345, 1) == 0
+        sids = np.array([[12345, 7]], dtype=np.uint64)
+        assert sc.sid_hash(sids, 1).tolist() == [[0, 0]]
 
     def test_injective_when_table_covers(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         from itertools import product
-        sids = sc.pack(scheme, list(product((-1, 0, 1), repeat=3)))
-        hashed = {int(h) for h in sc.sid_hash(sids, scheme.max_sid + 1)}
+        sids = sc.pack_all(scheme, list(product((-1, 0, 1), repeat=3)))
+        hashed = {int(h) for h in sc.sid_hash(sids, scheme.max_sid + 1)[:, 0]}
         assert len(hashed) == len(sids)
 
     def test_collision_prone_when_small(self):
         scheme = sc.SidScheme(base=3, ngram=3)
         from itertools import product
-        sids = sc.pack(scheme, list(product((-1, 0, 1), repeat=3)))
-        hashed = {int(h) for h in sc.sid_hash(sids, 5)}
+        sids = sc.pack_all(scheme, list(product((-1, 0, 1), repeat=3)))
+        hashed = {int(h) for h in sc.sid_hash(sids, 5)[:, 0]}
         assert len(hashed) <= 5
 
     def test_sixty_four_level_trigram_cardinality(self):
@@ -171,9 +207,9 @@ class TestSidHash:
         scheme = sc.SidScheme(base=64, ngram=3)
         assert 64 ** 3 == 262_144
         # the scheme addresses them all without overflow
-        top = sc.pack(scheme, [[scheme.digit_hi] * 3])
-        assert top.tolist() == [scheme.max_sid]
-        assert sc.unpack(scheme, top).shape == (1, 3)
+        top = sc.pack_all(scheme, [[scheme.digit_hi] * 3])
+        assert top.tolist() == [[scheme.max_sid]]
+        assert sc.unpack_all(scheme, top).shape == (1, 3)
 
 
 class TestSidFile:

@@ -207,6 +207,10 @@ def cmd_decode(args):
     digits = unpack_all(scheme, sids)
     if cfg.quantizer in CLASSICAL_KINDS:
         books = _load_kmeans(cfg, args.ckpt)
+        if scheme.base != books[0].k:
+            raise PipelineError(
+                f"{args.sids} has SID base {scheme.base}, the codebooks in "
+                f"{args.ckpt} have k={books[0].k} centroids")
         recon = kmeans_grid_decode(books, cfg.groups, digits + scheme.offset)
         corpus_write(f"{args.out}.sig0.emb", recon)
         print(f"decoded {recon.shape[0]} rows -> {args.out}.sig0.emb")

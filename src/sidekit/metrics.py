@@ -2,8 +2,13 @@
 truth with Recall@k, and normalized entropy for binary predictions.
 
 All functions are pure. kNN is exhaustive by design (desk-scale corpora
-make exactness cheap and remove the index as a confound); query batches
-can be evaluated in parallel, capped by the SIDEKIT_THREADS env var.
+make exactness cheap and remove the index as a confound). Top-k is
+k-selection, not a sort of every candidate: per query row a partition
+finds the k-th best similarity, and only the candidates at or above it
+are stably sorted. Queries run in row blocks of at most BLOCK_CELLS
+similarity cells, so memory does not grow with the query count; blocks
+run in parallel, capped by the SIDEKIT_THREADS env var. Inputs must be
+finite with non-zero rows; a bad row is rejected by index.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import numpy as np
 
 DEFAULT_KS = (20, 50, 100)
 NE_CLIP = 1e-7
+# Cells of one row block of a (rows x width) float64 intermediate: 16 MB.
+BLOCK_CELLS = 1 << 21
 
 
 class MetricError(ValueError):
@@ -31,8 +38,21 @@ def worker_count():
     return min(8, os.cpu_count() or 1)
 
 
+def _row_blocks(rows, width):
+    """(lo, hi) bounds of near-equal row blocks, each of at most
+    max(1, BLOCK_CELLS // width) rows; none for zero rows. Near-equal
+    blocks leave no one-row tail: BLAS takes a matrix-vector path for a
+    single row, whose products can differ in the last bit."""
+    per = max(1, BLOCK_CELLS // max(1, width))
+    count = -(-rows // per)
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
 def _unit_rows(x, what):
     x = np.asarray(x, dtype=np.float64)
+    bad = np.where(~np.isfinite(x).all(axis=1))[0]
+    if bad.size:
+        raise MetricError(f"non-finite row {int(bad[0])} in {what}")
     norms = np.linalg.norm(x, axis=1)
     bad = np.where(norms == 0.0)[0]
     if bad.size:
@@ -56,32 +76,41 @@ def cosine_topk(base, queries, k, exclude_self=None):
 
     `queries` is a (q, d) matrix; `exclude_self` optionally gives, per
     query, a base index to mask out (for queries drawn from the corpus).
-    Ties break toward the lower base index. Runs query chunks on a small
-    thread pool (matrix products release the GIL).
+    Ties break toward the lower base index: the result is the first k of
+    a stable sort of every candidate by descending similarity. Per row,
+    np.partition finds the k-th best similarity, and only the candidates
+    at or above it, in index order, are stably sorted. Rows are handled
+    in blocks of at most BLOCK_CELLS similarities, mapped over a small
+    thread pool (matrix products release the GIL). Every row of `base`
+    and `queries` must be finite and non-zero.
     """
     base_n = _unit_rows(base, "base corpus")
     q = _unit_rows(queries, "queries")
-    nq = q.shape[0]
-    limit = base_n.shape[0] - (1 if exclude_self is not None else 0)
+    n = base_n.shape[0]
+    limit = n - (1 if exclude_self is not None else 0)
     if k > limit:
         raise MetricError(f"k={k} exceeds candidate pool of {limit}")
-    out = np.empty((nq, k), dtype=np.int64)
+    out = np.empty((q.shape[0], k), dtype=np.int64)
 
-    def run(lo, hi):
-        sims = q[lo:hi] @ base_n.T
+    def run(block):
+        lo, hi = block
+        neg = q[lo:hi] @ base_n.T
+        np.negative(neg, out=neg)  # ascending order of -sims is best first
         if exclude_self is not None:
-            sims[np.arange(hi - lo), exclude_self[lo:hi]] = -np.inf
-        # stable sort on -sims: equal similarities keep ascending index order
-        out[lo:hi] = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+            neg[np.arange(hi - lo), exclude_self[lo:hi]] = np.inf
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
+        for i in range(hi - lo):
+            cand = np.flatnonzero(neg[i] <= kth[i])
+            out[lo + i] = cand[np.argsort(neg[i, cand], kind="stable")[:k]]
 
-    workers = worker_count()
-    chunk = max(1, -(-nq // workers))
-    bounds = [(i, min(i + chunk, nq)) for i in range(0, nq, chunk)]
-    if len(bounds) == 1:
-        run(*bounds[0])
+    blocks = _row_blocks(q.shape[0], n)
+    workers = min(worker_count(), len(blocks))
+    if workers <= 1:
+        for block in blocks:
+            run(block)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run(*b), bounds))
+            list(pool.map(run, blocks))
     return out
 
 

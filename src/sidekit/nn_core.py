@@ -513,16 +513,18 @@ def fit(params, n, step, rng, epochs, batch_size, lr, weight_decay):
         sums = {}
         batches = 0
         try:
-            for lo in range(0, n, batch_size):
-                loss, bound, terms = step(order[lo:lo + batch_size])
-                backward(loss)
-                adam_step(opt, arrays, bound.grads())
-                if weight_decay > 0.0:
-                    for arr in arrays.values():
-                        arr *= shrink
-                for k, v in terms.items():
-                    sums[k] = sums.get(k, 0.0) + v
-                batches += 1
+            # overflow shows up as the NonFiniteError naming node and row
+            with np.errstate(all="ignore"):
+                for lo in range(0, n, batch_size):
+                    loss, bound, terms = step(order[lo:lo + batch_size])
+                    backward(loss)
+                    adam_step(opt, arrays, bound.grads())
+                    if weight_decay > 0.0:
+                        for arr in arrays.values():
+                            arr *= shrink
+                    for k, v in terms.items():
+                        sums[k] = sums.get(k, 0.0) + v
+                    batches += 1
         except NonFiniteError as exc:
             if epoch == 0:
                 raise TrainingDiverged(f"diverged in epoch 0: {exc}") from None

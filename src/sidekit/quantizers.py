@@ -65,13 +65,13 @@ class KMeansCodebook:
 
 
 def _sq_dists(x, centroids):
-    # ||x||^2 - 2 x.C^T + ||c||^2, clipped at 0 against rounding.
-    d2 = (
-        np.einsum("ij,ij->i", x, x)[:, None]
-        - 2.0 * (x @ centroids.T)
-        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    # ||x||^2 - 2 x.C^T + ||c||^2, clipped at 0 against rounding, built in
+    # one (n, k) buffer; -2xc + ||x||^2 equals ||x||^2 - 2xc bit for bit.
+    d2 = x @ centroids.T
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", x, x)[:, None]
+    d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeans_fit(corpus, k, iters=25, seed=0):
@@ -81,6 +81,11 @@ def kmeans_fit(corpus, k, iters=25, seed=0):
     is non-increasing: reseeding relocates an unused centroid onto the
     point currently farthest from its assigned centroid, which can only
     shrink nearest-centroid distances.
+
+    One distance pass per iteration: the distances that give the recorded
+    objective also give the next iteration's assignment. Rows are grouped
+    by cluster with one stable argsort, so each centroid is the mean of a
+    contiguous slice holding its rows in corpus order.
     """
     x = _rows(corpus)
     n = x.shape[0]
@@ -98,14 +103,16 @@ def kmeans_fit(corpus, k, iters=25, seed=0):
     rng = np.random.default_rng(seed)
     centroids = x[rng.choice(n, size=k, replace=False)].copy()
     history = []
+    d2 = _sq_dists(x, centroids)
     for _ in range(iters):
-        d2 = _sq_dists(x, centroids)
         assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), assign]
-        for c in range(k):
-            mask = assign == c
-            if mask.any():
-                centroids[c] = x[mask].mean(axis=0, dtype=np.float64)
+        grouped = x[np.argsort(assign, kind="stable")]
+        counts = np.bincount(assign, minlength=k)
+        ends = np.cumsum(counts)
+        for c, (lo, hi) in enumerate(zip(ends - counts, ends)):
+            if lo < hi:
+                centroids[c] = grouped[lo:hi].mean(axis=0, dtype=np.float64)
             else:
                 far = int(point_d2.argmax())
                 centroids[c] = x[far]

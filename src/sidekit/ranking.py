@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nn_core as nn
 from .nn_core import DTYPE, ParamStore
-from .metrics import NEReport, normalized_entropy
+from .metrics import NEReport, _row_blocks, normalized_entropy
 from .sid_codec import SidError, SidScheme, pack_all, side_embed, sid_hash
 
 
@@ -125,6 +125,11 @@ def generate_engagement(cfg):
     items with probability softmax(sharpness * <taste, item latent>), and
     the click label on a uniformly drawn candidate follows
     sigmoid(a * <mean history latent, candidate latent> + b).
+
+    History items are drawn by inverse-CDF sampling: the softmax CDF is
+    built for one block of users at a time (at most metrics.BLOCK_CELLS
+    cells), and each uniform draw maps to the count of CDF entries below
+    it, found with np.searchsorted.
     """
     rng = np.random.default_rng(cfg.seed)
     t = LATENT_DIM
@@ -138,12 +143,18 @@ def generate_engagement(cfg):
 
     taste = rng.normal(size=(cfg.users, t))
     taste /= np.linalg.norm(taste, axis=1, keepdims=True)
-    affinity = taste @ latents.T                       # (users, items)
-    w = np.exp(HISTORY_SHARPNESS * affinity)
-    w /= w.sum(axis=1, keepdims=True)
-    cum = np.cumsum(w, axis=1)
     draws = rng.random(size=(cfg.users, cfg.seq_len))
-    history = (draws[:, :, None] > cum[:, None, :]).sum(axis=2).astype(np.int64)
+    history = np.empty((cfg.users, cfg.seq_len), dtype=np.int64)
+    for lo, hi in _row_blocks(cfg.users, cfg.items):
+        # one (block, items) buffer: affinity, softmax weights, then CDF
+        cdf = taste[lo:hi] @ latents.T
+        cdf *= HISTORY_SHARPNESS
+        np.exp(cdf, out=cdf)
+        cdf /= cdf.sum(axis=1, keepdims=True)
+        np.cumsum(cdf, axis=1, out=cdf)
+        for u in range(lo, hi):
+            # the count of CDF entries below each draw
+            history[u] = np.searchsorted(cdf[u - lo], draws[u], side="left")
 
     candidates = rng.integers(0, cfg.items, size=cfg.users)
     pref = latents[history].mean(axis=1)

@@ -123,3 +123,83 @@ def eval_cosine_loss(model_forward, data, name):
     xn = x / np.linalg.norm(x, axis=1, keepdims=True)
     rn = x_hat / np.linalg.norm(x_hat, axis=1, keepdims=True)
     return float(np.mean(1.0 - np.einsum("ij,ij->i", xn, rn)))
+
+
+def full_sort_topk(base, queries, k, exclude_self=None):
+    """Top-k by cosine from one full sort of every candidate per query.
+
+    Each query ranks all (-similarity, index) pairs, so equal similarities
+    keep ascending index order; the excluded index ranks last.
+    """
+    b = np.asarray(base, dtype=np.float64)
+    q = np.asarray(queries, dtype=np.float64)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    out = []
+    for i in range(q.shape[0]):
+        keyed = []
+        for j in range(b.shape[0]):
+            if exclude_self is not None and j == exclude_self[i]:
+                keyed.append((np.inf, j))
+            else:
+                keyed.append((-float(q[i] @ b[j]), j))
+        keyed.sort()
+        out.append([j for _, j in keyed[:k]])
+    return np.asarray(out, dtype=np.int64).reshape(q.shape[0], k)
+
+
+def mask_loop_kmeans(corpus, k, iters, seed):
+    """Lloyd's algorithm with one boolean mask per cluster and two distance
+    passes per iteration; an empty cluster takes the unclaimed point
+    farthest from its centroid. Returns (centroids, objective history,
+    number of reseeds). Distances use the same float expression as
+    quantizers._sq_dists, so results can be compared bit for bit."""
+    x = np.asarray(corpus, dtype=np.float32)
+    n = x.shape[0]
+
+    def sq_dists(c):
+        d2 = (np.einsum("ij,ij->i", x, x)[:, None] - 2.0 * (x @ c.T)
+              + np.einsum("ij,ij->i", c, c)[None, :])
+        return np.maximum(d2, 0.0)
+
+    rng = np.random.default_rng(seed)
+    centroids = x[rng.choice(n, size=k, replace=False)].copy()
+    history, reseeds = [], 0
+    for _ in range(iters):
+        d2 = sq_dists(centroids)
+        assign = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), assign]
+        for c in range(k):
+            mask = assign == c
+            if mask.any():
+                centroids[c] = x[mask].mean(axis=0, dtype=np.float64)
+            else:
+                far = int(point_d2.argmax())
+                centroids[c] = x[far]
+                point_d2[far] = 0.0
+                reseeds += 1
+        history.append(float(sq_dists(centroids).min(axis=1).sum()))
+    return centroids, history, reseeds
+
+
+def broadcast_history(users, items, seq_len, seed, latent_dim, sharpness):
+    """History item ids drawn as generate_engagement's random stream does,
+    each id the count of CDF entries below the draw, compared one by one
+    against the whole users x items CDF."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(-1, 2, size=(items, latent_dim))
+    raw[~raw.any(axis=1), 0] = 1
+    latents = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    taste = rng.normal(size=(users, latent_dim))
+    taste /= np.linalg.norm(taste, axis=1, keepdims=True)
+    w = np.exp(sharpness * (taste @ latents.T))
+    w /= w.sum(axis=1, keepdims=True)
+    cum = np.cumsum(w, axis=1)
+    draws = rng.random(size=(users, seq_len))
+    history = np.zeros((users, seq_len), dtype=np.int64)
+    for u in range(users):
+        for s in range(seq_len):
+            for i in range(items):
+                if draws[u, s] > cum[u, i]:
+                    history[u, s] += 1
+    return history

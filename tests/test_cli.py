@@ -4,6 +4,9 @@ checkpoints and engagement files, training divergence, rank-ab from a
 gen-engagement file, eval-recall and eval-ne."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +98,22 @@ def test_divergence_in_the_first_epoch_is_an_error(tmp_path, corpus, capsys):
     assert not (tmp_path / "q.ckpt").exists()
 
 
+def test_divergence_prints_only_the_error_line(tmp_path, corpus):
+    # a fresh process, so numpy's warnings reach stderr as a user sees them
+    cfg = tmp_path / "wild.cfg"
+    cfg.write_text(f"quantizer=fsq\n{CONFIGS['fsq']}\nlr=1e30\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sidekit.cli", "train", "--corpus", str(corpus),
+         "--config", str(cfg), "--out", str(tmp_path / "q.ckpt")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: diverged in epoch 0: node "), proc.stderr
+
+
 @pytest.mark.parametrize("dims", [None, "8,a"])
 def test_fusion_decode_names_missing_dims(tmp_path, corpus, capsys, dims):
     cfg = config(tmp_path, "fsq")
@@ -150,6 +169,28 @@ def test_codebook_count_must_match_config(tmp_path, corpus, capsys, kind,
     assert run("decode", "--sids", sids, "--config", other, "--ckpt", ckpt,
                "--out", tmp_path / "rec") == 1
     assert f"needs {need}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sid_levels, ckpt_levels", [(16, 4), (4, 16)])
+def test_decode_rejects_a_sid_base_other_than_k(tmp_path, corpus, capsys,
+                                                sid_levels, ckpt_levels):
+    paths = {}
+    for levels in (sid_levels, ckpt_levels):
+        cfg = tmp_path / f"rq{levels}.cfg"
+        cfg.write_text(f"quantizer=rq\nlevels={levels}\ndepth=2\n")
+        ckpt, sids = tmp_path / f"{levels}.ckpt", tmp_path / f"{levels}.sid"
+        assert run("train", "--corpus", corpus, "--config", cfg,
+                   "--out", ckpt) == 0
+        assert run("encode", "--corpus", corpus, "--config", cfg,
+                   "--ckpt", ckpt, "--out", sids) == 0
+        paths[levels] = cfg, ckpt, sids
+    capsys.readouterr()
+    cfg, ckpt, _ = paths[ckpt_levels]
+    assert run("decode", "--sids", paths[sid_levels][2], "--config", cfg,
+               "--ckpt", ckpt, "--out", tmp_path / "rec") == 1
+    err = capsys.readouterr().err
+    assert f"SID base {sid_levels}" in err and f"k={ckpt_levels}" in err
+    assert not (tmp_path / "rec.sig0.emb").exists()
 
 
 def test_sweep_rejects_classical_quantizers(tmp_path, corpus, capsys):

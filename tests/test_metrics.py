@@ -1,11 +1,14 @@
 """Metric tests: cosine reconstruction loss, exhaustive kNN against a
-second implementation, recall accounting, and normalized entropy."""
+second implementation, k-selection top-k against a full stable sort,
+recall accounting, and normalized entropy."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sidekit import metrics as m
-from oracles import naive_knn
+from oracles import full_sort_topk, naive_knn
 
 
 def unit(rows, dim, seed):
@@ -28,6 +31,13 @@ class TestCosineReconLoss:
         bad = x.copy()
         bad[3] = 0.0
         with pytest.raises(m.MetricError, match="row 3"):
+            m.cosine_recon_loss(x, bad)
+
+    def test_non_finite_row_names_index(self):
+        x = unit(10, 4, 9)
+        bad = x.copy()
+        bad[6, 0] = np.inf
+        with pytest.raises(m.MetricError, match="non-finite row 6"):
             m.cosine_recon_loss(x, bad)
 
     def test_scale_invariance(self):
@@ -85,6 +95,96 @@ class TestKnnGroundTruth:
         monkeypatch.setenv("SIDEKIT_THREADS", "1")
         gt_serial = m.knn_ground_truth(x, np.arange(60), depth=5)
         np.testing.assert_array_equal(gt, gt_serial)
+
+
+def half_rows(rows, dim, seed):
+    """Rows with four entries of +-0.5 and the rest 0: exactly unit norm,
+    so every cosine is an exact multiple of 1/4 and ties abound."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((rows, dim), dtype=np.float32)
+    for r in range(rows):
+        x[r, rng.choice(dim, size=4, replace=False)] = rng.choice([-0.5, 0.5],
+                                                                  size=4)
+    return x
+
+
+class TestCosineTopk:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 3-row blocks over a 2-worker pool; the recorded pool sizes show
+        # that both workers ran
+        monkeypatch.setattr(m, "BLOCK_CELLS", 3 * 200)
+        monkeypatch.setenv("SIDEKIT_THREADS", "2")
+        pools = []
+
+        class Pool(m.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(m, "ThreadPoolExecutor", Pool)
+        return pools
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 199, 200])
+    def test_ties_across_the_kth_value_match_a_full_sort(self, small_blocks, k):
+        base, queries = half_rows(200, 8, 0), half_rows(31, 8, 1)
+        got = m.cosine_topk(base, queries, k)
+        np.testing.assert_array_equal(got, full_sort_topk(base, queries, k))
+        assert small_blocks == [2]  # 31 queries: 11 blocks, not a multiple
+
+    @pytest.mark.parametrize("k", [5, 199])  # 199 == limit
+    def test_exclude_self_matches_a_full_sort(self, small_blocks, k):
+        base = half_rows(200, 8, 2)
+        idx = np.arange(0, 200, 6)
+        got = m.cosine_topk(base, base[idx], k, exclude_self=idx)
+        np.testing.assert_array_equal(
+            got, full_sort_topk(base, base[idx], k, exclude_self=idx))
+        assert all(i not in row for i, row in zip(idx, got))
+        assert small_blocks == [2]
+
+    def test_random_rows_match_a_full_sort(self, small_blocks):
+        base, queries = unit(200, 16, 3), unit(20, 16, 4)
+        np.testing.assert_array_equal(m.cosine_topk(base, queries, 25),
+                                      full_sort_topk(base, queries, 25))
+
+    def test_one_block_and_no_queries(self, small_blocks, monkeypatch):
+        base, queries = half_rows(200, 8, 5), half_rows(9, 8, 6)
+        monkeypatch.setattr(m, "BLOCK_CELLS", 1 << 21)
+        np.testing.assert_array_equal(m.cosine_topk(base, queries, 12),
+                                      full_sort_topk(base, queries, 12))
+        assert m.cosine_topk(base, queries[:0], 12).shape == (0, 12)
+        assert small_blocks == []
+
+    @pytest.mark.parametrize("where", ["base", "queries"])
+    def test_non_finite_row_names_index(self, where):
+        base, queries = unit(30, 8, 7), unit(5, 8, 8)
+        bad = (base if where == "base" else queries).copy()
+        bad[4, 2] = np.nan
+        args = (bad, queries) if where == "base" else (base, bad)
+        with pytest.raises(m.MetricError, match=f"non-finite row 4 in {where}"):
+            m.cosine_topk(*args, 3)
+
+
+def test_topk_peak_memory_is_flat_in_queries(monkeypatch):
+    """Queries run in row blocks of at most BLOCK_CELLS similarities, so
+    the peak does not follow the query count. Split into one chunk per
+    worker instead, 2,000 queries over 20,000 rows hold 320 MB of float64
+    similarities, ten times what 200 queries hold. One worker, so the peak
+    does not depend on whether two workers' blocks overlap in time."""
+    monkeypatch.setenv("SIDEKIT_THREADS", "1")
+    rng = np.random.default_rng(10)
+    base = rng.normal(size=(20_000, 16)).astype(np.float32)
+    queries = rng.normal(size=(2_000, 16)).astype(np.float32)
+
+    def peak(nq):
+        tracemalloc.start()
+        try:
+            m.cosine_topk(base, queries[:nq], 10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2_000) <= 1.25 * peak(200)
 
 
 class TestRecallAtK:

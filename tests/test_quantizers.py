@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sidekit import quantizers as q
 from sidekit.nn_core import save_checkpoint
 from oracles import (brute_force_line_codeword, brute_force_line_distance,
-                     naive_dpca_sum)
+                     mask_loop_kmeans, naive_dpca_sum)
 
 
 def unit_rows(arr):
@@ -66,6 +66,28 @@ class TestKMeans:
     def test_k_exceeds_rows(self):
         with pytest.raises(q.QuantizerError, match="exceeds"):
             q.kmeans_fit(np.ones((3, 2), dtype=np.float32), 5)
+
+    @pytest.mark.parametrize("rows, k, iters, seed",
+                             [(300, 12, 6, 0), (500, 1, 3, 1), (64, 64, 2, 2)])
+    def test_matches_the_mask_loop_bitwise(self, rows, k, iters, seed):
+        pts = np.random.default_rng(seed).normal(size=(rows, 8)).astype(
+            np.float32)
+        cb = q.kmeans_fit(pts, k, iters=iters, seed=seed)
+        centroids, history, _ = mask_loop_kmeans(pts, k, iters, seed)
+        np.testing.assert_array_equal(cb.centroids, centroids)
+        assert cb.objective_history == history
+
+    def test_empty_cluster_reseed_matches_the_mask_loop(self):
+        # 20 distinct points, each 4 times, and 30 centroids: some start on
+        # the same point, so clusters go empty and are reseeded
+        rng = np.random.default_rng(5)
+        pts = np.repeat(rng.normal(size=(20, 6)), 4, axis=0).astype(np.float32)
+        cb = q.kmeans_fit(pts, 30, iters=4, seed=6)
+        centroids, history, reseeds = mask_loop_kmeans(pts, 30, 4, 6)
+        assert reseeds > 0
+        np.testing.assert_array_equal(cb.centroids, centroids)
+        assert cb.objective_history == history
+        assert all(a >= b for a, b in zip(history, history[1:]))
 
 
 class TestAssign:

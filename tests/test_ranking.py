@@ -1,12 +1,16 @@
 """Ranking harness tests: the pooled attention against a scalar oracle,
-its gradient, training rollback, and the A/B report."""
+its gradient, the history sampler against a broadcast comparison and its
+peak memory, training rollback, and the A/B report."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sidekit import metrics
 from sidekit import nn_core as nn
 from sidekit import ranking as rk
-from oracles import grad_close, naive_pma, numeric_grad
+from oracles import broadcast_history, grad_close, naive_pma, numeric_grad
 
 
 def attention_inputs(seed, users=3, seq_len=5, d=4):
@@ -46,6 +50,36 @@ def test_pooled_attention_gradient(key):
     nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
     numeric = numeric_grad(lambda a: float(loss(a).value[0, 0]), arrays, key)
     assert grad_close(leaves[key].grad, numeric)
+
+
+@pytest.mark.parametrize("users, block_rows", [(37, 5), (40, 8), (3, 1000)])
+def test_history_matches_the_broadcast_comparison(monkeypatch, users,
+                                                  block_rows):
+    items, seq_len, seed = 50, 6, 11
+    monkeypatch.setattr(metrics, "BLOCK_CELLS", block_rows * items)
+    ds = rk.generate_engagement(rk.EngagementConfig(
+        users=users, items=items, seq_len=seq_len, seed=seed))
+    np.testing.assert_array_equal(ds.history, broadcast_history(
+        users, items, seq_len, seed, rk.LATENT_DIM, rk.HISTORY_SHARPNESS))
+
+
+def test_generate_engagement_peak_memory_is_bounded():
+    """4,096 users x 32 draws x 2,000 items as one boolean comparison is
+    262 MB. The block sampler keeps one (block, items) float64 buffer of
+    at most BLOCK_CELLS = 2^21 cells, 16.8 MB, and the previous block's
+    buffer lives until the next one replaces it: 34 MB. After the loop the
+    last buffer meets latents[history] (4,096 x 32 x 16 float64, 16.8 MB),
+    again 34 MB. Taste, draws, history and the other per-user arrays add
+    under 4 MB. 48 MB leaves slack and is under a fifth of the boolean
+    array alone."""
+    cfg = rk.EngagementConfig(users=4_096, items=2_000, seed=1)
+    tracemalloc.start()
+    try:
+        rk.generate_engagement(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def small_dataset():

@@ -20,7 +20,7 @@ from . import fusion_vae as fv
 from . import metrics
 from . import ranking as rk
 from .corpus_io import corpus_read, corpus_write, generate_clustered_corpus
-from .nn_core import TrainingDiverged
+from .nn_core import TrainingDiverged, _no_record
 from .quantizers import (kmeans_grid_decode, kmeans_grid_encode,
                          kmeans_grid_fit, load_codebooks, save_codebooks)
 from .sid_codec import (SidScheme, pack_all, read_sid_file, unpack_all,
@@ -172,8 +172,10 @@ def cmd_train(args):
     return 0
 
 
-def _load_kmeans(cfg, path):
-    """The checkpoint's k-means codebooks, `groups * depth` of them."""
+def _load_kmeans(cfg, path, base, source):
+    """The checkpoint's k-means codebooks, `groups * depth` of them, whose
+    centroid count must equal the SID `base`; `source` says where that
+    base came from."""
     books = load_codebooks(path).get("kmeans")
     if not books:
         raise PipelineError(f"{path} holds no k-means codebooks")
@@ -181,6 +183,9 @@ def _load_kmeans(cfg, path):
     if len(books) != need:
         raise PipelineError(f"{path} holds {len(books)} k-means codebooks, "
                             f"the {cfg.quantizer} config needs {need}")
+    if base != books[0].k:
+        raise PipelineError(f"{source}, the codebooks in {path} have "
+                            f"k={books[0].k} centroids")
     return books
 
 
@@ -188,7 +193,8 @@ def cmd_encode(args):
     cfg = load_config(args.config)
     bundle, dims = _load_bundle(args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
-        books = _load_kmeans(cfg, args.ckpt)
+        books = _load_kmeans(cfg, args.ckpt, cfg.levels,
+                             f"{args.config} sets levels={cfg.levels}")
         codes = kmeans_grid_encode(books, cfg.groups, bundle["sig0"])
         scheme = SidScheme.for_digits(codes.shape[1], base=cfg.levels,
                                       ngram=cfg.ngram)
@@ -206,11 +212,8 @@ def cmd_decode(args):
     scheme, sids = read_sid_file(args.sids)
     digits = unpack_all(scheme, sids)
     if cfg.quantizer in CLASSICAL_KINDS:
-        books = _load_kmeans(cfg, args.ckpt)
-        if scheme.base != books[0].k:
-            raise PipelineError(
-                f"{args.sids} has SID base {scheme.base}, the codebooks in "
-                f"{args.ckpt} have k={books[0].k} centroids")
+        books = _load_kmeans(cfg, args.ckpt, scheme.base,
+                             f"{args.sids} has SID base {scheme.base}")
         recon = kmeans_grid_decode(books, cfg.groups, digits + scheme.offset)
         corpus_write(f"{args.out}.sig0.emb", recon)
         print(f"decoded {recon.shape[0]} rows -> {args.out}.sig0.emb")
@@ -310,7 +313,8 @@ def cmd_sweep(args):
         model = _build_fusion(combo, dims, combo.seed)
         model, _ = fv.train(model, bundle, combo.train_config())
         data = fv.normalize_bundle(model, bundle)
-        result = model.forward(data)
+        with _no_record():
+            result = model.forward(data)
         losses = {name: metrics.cosine_recon_loss(data[name],
                                                   result.recon[name].value)
                   for name in data}

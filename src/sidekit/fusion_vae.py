@@ -14,6 +14,15 @@ together. FSQ has no trainable codebook and needs neither term.
 With a residual quantizer, depth dropout (sampling a random prefix depth
 per step and decoding from that partial sum) pushes prefix codes to stay
 useful on their own.
+
+Inference records no graph. Encoding a corpus runs only the encoder half
+(`FusionModel.encode`, the same wiring `forward` uses) to the latent h and
+quantizes it to digits; no h_hat graph, trunk or head is built. Decoding
+maps digits to the latent and runs the trunk and heads. Both go over
+near-equal row blocks (`metrics._row_blocks`) under `nn_core._no_record`
+and write into preallocated outputs, so their memory follows the block,
+not the corpus, and the results are bit-identical to one whole-corpus
+graph.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn_core as nn
+from .metrics import _row_blocks
 from .nn_core import DTYPE, ParamStore
 from .quantizers import (DpcaStack, FsqConfig, dpca_arrays, dpca_decode,
                          dpca_encode, dpca_from_arrays, fsq_quantize,
@@ -189,12 +199,11 @@ class FusionModel:
                 pos = pos + dither_rng.uniform(-0.5, 0.5, size=pos.shape)
                 levels = np.clip(np.floor(pos + 0.5), 0, q.levels - 1)
                 levels = levels.astype(np.int64)
-                values = fsq_values(self.fsq, levels)
             else:
-                levels, values = fsq_quantize(self.fsq, h.value)
-            return nn.constant(values, "h_hat"), (levels - self.fsq.offset)
-        stack = self.dpca_stack()
-        codes = dpca_encode(stack, h.value)
+                levels, _ = fsq_quantize(self.fsq, h.value)
+            return (nn.constant(fsq_values(self.fsq, levels), "h_hat"),
+                    levels - self.fsq.offset)
+        codes = self.digits(h.value)
         depth = q.depth if depth is None else depth
         batch = h.shape[0]
         group_nodes = []
@@ -211,17 +220,36 @@ class FusionModel:
             else nn.concat_cols(group_nodes)
         return h_hat, codes
 
-    def forward(self, batch, depth=None, dither_rng=None):
-        """Run the mixing model on a dict of per-signal input matrices."""
+    def digits(self, h):
+        """Centered digits of latent values `h` (an array, not a node): the
+        FSQ grid snap, or the greedy residual codes of the DPCA stack."""
+        if self.fsq is not None:
+            return fsq_quantize(self.fsq, h)[0] - self.fsq.offset
+        return dpca_encode(self.dpca_stack(), h)
+
+    def latent(self, digits):
+        """Latent values of centered digits, the inverse map of `digits`:
+        FSQ grid values, or the DPCA stack's component sums."""
+        if self.fsq is not None:
+            return fsq_values(self.fsq, digits + self.fsq.offset)
+        return dpca_decode(self.dpca_stack(), digits.astype(np.int8))
+
+    def encode(self, batch, p):
+        """Encoder MLPs and fusion layer: the latent node h from a dict of
+        per-signal input matrices."""
         for sig in self.spec.signals:
             if sig.name not in batch:
                 raise FusionError(f"missing signal '{sig.name}'")
-        p = self.params.bind()
         encoded = [self._mlp(p, f"enc.{s.name}",
                              nn.constant(batch[s.name], s.name))
                    for s in self.spec.signals]
         stacked = encoded[0] if len(encoded) == 1 else nn.concat_cols(encoded)
-        h = nn.add(nn.matmul(stacked, p["fuse.w"]), p["fuse.b"], name="h")
+        return nn.add(nn.matmul(stacked, p["fuse.w"]), p["fuse.b"], name="h")
+
+    def forward(self, batch, depth=None, dither_rng=None):
+        """Run the mixing model on a dict of per-signal input matrices."""
+        p = self.params.bind()
+        h = self.encode(batch, p)
         h_hat, codes = self._quantize_node(h, p, depth=depth,
                                            dither_rng=dither_rng)
         if h_hat is h:
@@ -322,7 +350,8 @@ def fusion_loss(model, batch, result, cfg=None):
 
 
 def normalize_bundle(model, bundle):
-    """L2-normalize embedding signals on ingestion; leaves xent targets alone."""
+    """L2-normalize embedding signals on ingestion; leaves xent targets alone.
+    Every signal must have the same sample count."""
     out = {}
     for sig in model.spec.signals:
         x = np.asarray(bundle[sig.name], dtype=DTYPE)
@@ -334,7 +363,14 @@ def normalize_bundle(model, bundle):
                     f"zero-norm input for '{sig.name}' at row {int(bad[0])}")
             x = x / norms
         out[sig.name] = x
+    sizes = {len(v) for v in out.values()}
+    if len(sizes) != 1:
+        raise FusionError(f"signals disagree on sample count: {sorted(sizes)}")
     return out
+
+
+def _sample_count(data):
+    return len(next(iter(data.values())))
 
 
 @dataclass
@@ -361,9 +397,6 @@ def train(model, bundle, cfg):
     TrainingDiverged error is raised instead.
     """
     data = normalize_bundle(model, bundle)
-    sizes = {len(v) for v in data.values()}
-    if len(sizes) != 1:
-        raise FusionError(f"signals disagree on sample count: {sorted(sizes)}")
     rng = np.random.default_rng(cfg.seed)
     q = model.spec.quantizer
 
@@ -378,19 +411,51 @@ def train(model, bundle, cfg):
         loss, breakdown = fusion_loss(model, batch, result, cfg)
         return loss, result.params, breakdown
 
-    rows, diverged_at = nn.fit(model.params, sizes.pop(), step, rng,
+    rows, diverged_at = nn.fit(model.params, _sample_count(data), step, rng,
                                cfg.epochs, cfg.batch_size, cfg.lr,
                                weight_decay=0.0)
     return model, TrainHistory(rows, diverged_at)
 
 
+def _each_block(model, rows, run):
+    """Call run(lo, hi) over near-equal row blocks with no graph recorded.
+
+    Blocks are sized by the widest per-row array, the concatenated
+    encoder outputs or a signal, so memory follows the block and not the
+    corpus. A NonFiniteError names the corpus row, not the row within its
+    block.
+    """
+    signals = model.spec.signals
+    width = max(model.spec.hidden * len(signals), *(s.dim for s in signals))
+    with nn._no_record():
+        for lo, hi in _row_blocks(rows, width):
+            try:
+                run(lo, hi)
+            except nn.NonFiniteError as exc:
+                row = exc.row + lo
+                raise nn.NonFiniteError(f"non-finite output at corpus row {row}",
+                                        exc.node, row) from None
+
+
 def encode_codes(model, bundle):
-    """Centered digit matrix for a corpus bundle."""
-    data = normalize_bundle(model, bundle)
-    result = model.forward(data)
-    if result.codes is None:
+    """Centered digit matrix for a corpus bundle.
+
+    Each row block runs the encoders to the latent h and quantizes it;
+    the decoder half of the model is never built.
+    """
+    if model.spec.quantizer.kind == "none":
         raise FusionError("identity quantizer produces no codes")
-    return np.asarray(result.codes, dtype=np.int64)
+    data = normalize_bundle(model, bundle)
+    rows = _sample_count(data)
+    codes = np.empty((rows, model.spec.code_digits), dtype=np.int64)
+    p = model.params.bind()
+
+    def run(lo, hi):
+        h = model.encode({k: v[lo:hi] for k, v in data.items()}, p)
+        codes[lo:hi] = model.digits(h.value)
+
+    _each_block(model, rows, run)
+    return codes
 
 
 def encode_corpus(model, bundle, ngram=3):
@@ -406,19 +471,25 @@ def decode_from_digits(model, digits):
 
     For FSQ the digits are mapped onto the quantizer grid; for DPCA the
     digits drive the component-vector sum. The decoder then maps the
-    recovered latent through the trunk and heads.
+    recovered latent through the trunk and heads, one row block at a
+    time, into preallocated outputs.
     """
-    q = model.spec.quantizer
+    if model.spec.quantizer.kind == "none":
+        raise FusionError("identity quantizer has no digit decoding")
     digits = np.asarray(digits, dtype=np.int64)
     if digits.ndim != 2:
         raise FusionError(
             f"expected a 2-D digit matrix, got ndim={digits.ndim}")
     digits = digits[:, :model.spec.code_digits]
-    if q.kind == "fsq":
-        latent = fsq_values(model.fsq, digits + model.fsq.offset)
-    elif q.kind == "dpca":
-        latent = dpca_decode(model.dpca_stack(), digits.astype(np.int8))
-    else:
-        raise FusionError("identity quantizer has no digit decoding")
-    recon = model.decode(nn.constant(latent), model.params.bind())
-    return {name: node.value for name, node in recon.items()}
+    rows = digits.shape[0]
+    out = {s.name: np.empty((rows, s.dim), dtype=DTYPE)
+           for s in model.spec.signals}
+    p = model.params.bind()
+
+    def run(lo, hi):
+        recon = model.decode(nn.constant(model.latent(digits[lo:hi])), p)
+        for name, node in recon.items():
+            out[name][lo:hi] = node.value
+
+    _each_block(model, rows, run)
+    return out

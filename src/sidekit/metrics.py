@@ -48,27 +48,39 @@ def _row_blocks(rows, width):
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def _unit_rows(x, what):
-    x = np.asarray(x, dtype=np.float64)
+def _unit_rows(x, what, first=0):
+    """Rows of `x` scaled to unit norm in a new float64 array; errors
+    number the rows from `first`."""
+    x = np.array(x, dtype=np.float64)
     bad = np.where(~np.isfinite(x).all(axis=1))[0]
     if bad.size:
-        raise MetricError(f"non-finite row {int(bad[0])} in {what}")
+        raise MetricError(f"non-finite row {first + int(bad[0])} in {what}")
     norms = np.linalg.norm(x, axis=1)
     bad = np.where(norms == 0.0)[0]
     if bad.size:
-        raise MetricError(f"zero-norm row {int(bad[0])} in {what}")
-    return x / norms[:, None]
+        raise MetricError(f"zero-norm row {first + int(bad[0])} in {what}")
+    x /= norms[:, None]
+    return x
 
 
 def cosine_recon_loss(x, x_hat):
-    """Mean over rows of 1 - cos(x_i, x_hat_i)."""
+    """Mean over rows of 1 - cos(x_i, x_hat_i).
+
+    The per-row cosines are computed one row block at a time into a single
+    float64 vector, and the mean is taken once over all of it.
+    """
     x = np.asarray(x)
     x_hat = np.asarray(x_hat)
     if x.shape != x_hat.shape:
         raise MetricError(f"shape mismatch {x.shape} vs {x_hat.shape}")
-    xn = _unit_rows(x, "original corpus")
-    rn = _unit_rows(x_hat, "reconstruction")
-    return float(np.mean(1.0 - np.einsum("ij,ij->i", xn, rn)))
+    cos = np.empty(x.shape[0])
+    # a block holds three float64 (rows x dim) arrays at once: both unit
+    # copies and the squares np.linalg.norm sums
+    for lo, hi in _row_blocks(x.shape[0], 3 * x.shape[1]):
+        xn = _unit_rows(x[lo:hi], "original corpus", lo)
+        rn = _unit_rows(x_hat[lo:hi], "reconstruction", lo)
+        cos[lo:hi] = np.einsum("ij,ij->i", xn, rn)
+    return float(np.mean(1.0 - cos))
 
 
 def cosine_topk(base, queries, k, exclude_self=None):

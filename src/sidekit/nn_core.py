@@ -7,6 +7,14 @@ the graph is rebuilt from scratch for every batch. `backward` walks the
 recorded graph from a scalar (1x1) loss node and accumulates gradients
 into every reachable node that requires them.
 
+Inference needs no graph. Inside `with _no_record():` every op still
+computes its value and checks it for NaN/Inf, but the node it returns
+keeps no inputs and no backward closure, so each intermediate array is
+freed as soon as the next op has consumed it. Callers that run a whole
+corpus through a model also split it into row blocks, which bounds their
+memory by the block size instead of the corpus size. The switch is
+module state, not a graph op; training never sets it.
+
 Also provides the Adam optimizer and the one minibatch training loop
 (`fit`), a named parameter store with the initialization rules used
 across the package, and the binary checkpoint format (magic "SIDK")
@@ -40,12 +48,28 @@ class GraphError(ValueError):
 class NonFiniteError(GraphError):
     """An op produced NaN or Inf; names the node and the first bad batch row."""
 
+    def __init__(self, message, node=None, row=None):
+        super().__init__(message, node)
+        self.row = row
+
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite and no usable checkpoint exists."""
 
 
 _node_ids = itertools.count()
+_recording = True
+
+
+@contextlib.contextmanager
+def _no_record():
+    """Ops inside the block build nodes with no inputs and no backward."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Node:
@@ -81,14 +105,15 @@ def _as_matrix(x, name):
 
 def _check_finite(value, name):
     if not np.all(np.isfinite(value)):
-        bad = np.where(~np.isfinite(value).all(axis=1))[0]
-        raise NonFiniteError(
-            f"non-finite output at batch row {int(bad[0])}", name)
+        row = int(np.where(~np.isfinite(value).all(axis=1))[0][0])
+        raise NonFiniteError(f"non-finite output at batch row {row}", name, row)
 
 
 def _make(opname, value, inputs, backward, name=None):
     name = name or f"{opname}#{next(_node_ids)}"
     _check_finite(value, name)
+    if not _recording:
+        return Node(value, name)
     req = any(i.requires_grad for i in inputs)
     return Node(value, name, inputs, backward if req else None, req)
 

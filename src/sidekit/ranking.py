@@ -129,7 +129,8 @@ def generate_engagement(cfg):
     History items are drawn by inverse-CDF sampling: the softmax CDF is
     built for one block of users at a time (at most metrics.BLOCK_CELLS
     cells), and each uniform draw maps to the count of CDF entries below
-    it, found with np.searchsorted.
+    it, found with np.searchsorted. The mean history latent is likewise
+    taken one block of users at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     t = LATENT_DIM
@@ -157,7 +158,9 @@ def generate_engagement(cfg):
             history[u] = np.searchsorted(cdf[u - lo], draws[u], side="left")
 
     candidates = rng.integers(0, cfg.items, size=cfg.users)
-    pref = latents[history].mean(axis=1)
+    pref = np.empty((cfg.users, t))
+    for lo, hi in _row_blocks(cfg.users, cfg.seq_len * t):
+        pref[lo:hi] = latents[history[lo:hi]].mean(axis=1)
     dot = np.einsum("ud,ud->u", pref, latents[candidates])
     p_click = 1.0 / (1.0 + np.exp(-(AFFINITY_SCALE * dot + AFFINITY_BIAS)))
     labels = (rng.random(cfg.users) < p_click).astype(np.int8)
@@ -259,7 +262,8 @@ class ToyRankingModel:
         return nn.add(nn.matmul(feats, p["head.w"]), p["head.b"])
 
     def predict(self, rows):
-        z = self.logits(rows, self.params.bind())
+        with nn._no_record():
+            z = self.logits(rows, self.params.bind())
         return 1.0 / (1.0 + np.exp(-z.value[:, 0].astype(np.float64)))
 
     def feature_path_params(self):

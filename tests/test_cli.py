@@ -193,6 +193,23 @@ def test_decode_rejects_a_sid_base_other_than_k(tmp_path, corpus, capsys,
     assert not (tmp_path / "rec.sig0.emb").exists()
 
 
+@pytest.mark.parametrize("levels", [16, 2])
+def test_encode_rejects_levels_other_than_k(tmp_path, corpus, capsys, levels):
+    trained = tmp_path / "rq4.cfg"
+    trained.write_text("quantizer=rq\nlevels=4\ndepth=2\n")
+    ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config", trained,
+               "--out", ckpt) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text(f"quantizer=rq\nlevels={levels}\ndepth=2\n")
+    capsys.readouterr()
+    assert run("encode", "--corpus", corpus, "--config", other,
+               "--ckpt", ckpt, "--out", sids) == 1
+    err = capsys.readouterr().err
+    assert f"levels={levels}" in err and "k=4" in err
+    assert not sids.exists()
+
+
 def test_sweep_rejects_classical_quantizers(tmp_path, corpus, capsys):
     assert run("sweep", "--corpus", corpus, "--config",
                config(tmp_path, "rq"), "--depths", "1,2") == 1

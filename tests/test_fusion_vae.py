@@ -1,10 +1,13 @@
 """Fusion autoencoder tests: forward contracts, straight-through
 gradients, loss terms, training behavior, and corpus encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sidekit import fusion_vae as fv
+from sidekit import metrics
 from sidekit import nn_core as nn
 from sidekit import quantizers as q
 from sidekit.metrics import cosine_recon_loss
@@ -321,3 +324,100 @@ class TestEncodeCorpus:
         digits = side_embed(scheme, sids).astype(np.int64)
         recon = fv.decode_from_digits(model, digits)
         assert recon["sig0"].shape == x.shape
+
+
+class TestBlockedInference:
+    """encode_codes and decode_from_digits run row blocks with no graph
+    recorded; the results must equal one whole-batch graph."""
+
+    ROWS = 100
+
+    def _model(self, kind, seed=21):
+        spec = spec_for(12, kind=kind, latent=6, depth=3,
+                        groups=2 if kind == "dpca" else 1, n=2)
+        bundle = {"sig0": unit(self.ROWS, 12, seed),
+                  "sig1": unit(self.ROWS, 12, seed + 1)}
+        return fv.FusionModel(spec, seed=seed), bundle
+
+    @staticmethod
+    def _blocks_of(monkeypatch, model, rows):
+        # the block width of _each_block: hidden x signals exceeds each dim
+        width = model.spec.hidden * len(model.spec.signals)
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", rows * width)
+        assert len(metrics._row_blocks(TestBlockedInference.ROWS, width)) >= 3
+
+    @pytest.mark.parametrize("kind", ["fsq", "dpca"])
+    def test_encode_equals_whole_batch_forward(self, monkeypatch, kind):
+        model, bundle = self._model(kind)
+        whole = model.forward(fv.normalize_bundle(model, bundle)).codes
+        self._blocks_of(monkeypatch, model, 30)
+        np.testing.assert_array_equal(fv.encode_codes(model, bundle), whole)
+
+    @pytest.mark.parametrize("kind", ["fsq", "dpca"])
+    def test_decode_equals_whole_batch_graph(self, monkeypatch, kind):
+        model, bundle = self._model(kind)
+        digits = fv.encode_codes(model, bundle)
+        if kind == "fsq":
+            latent = q.fsq_values(model.fsq, digits + model.fsq.offset)
+        else:
+            latent = q.dpca_decode(model.dpca_stack(), digits.astype(np.int8))
+        whole = model.decode(nn.constant(latent), model.params.bind())
+        self._blocks_of(monkeypatch, model, 30)
+        recon = fv.decode_from_digits(model, digits)
+        for name, node in whole.items():
+            np.testing.assert_array_equal(recon[name], node.value)
+
+    def test_encode_error_names_the_corpus_row(self, monkeypatch):
+        model, bundle = self._model("fsq")
+        bundle["sig1"][97, 3] = np.nan
+        self._blocks_of(monkeypatch, model, 30)
+        with pytest.raises(nn.NonFiniteError, match="'sig1'.*row 97") as exc:
+            fv.encode_codes(model, bundle)
+        assert exc.value.row == 97
+
+    def test_decode_error_names_the_corpus_row(self, monkeypatch):
+        # All-zero digits give a zero latent; row 97's one +1 digit meets
+        # a huge trunk weight, and the head's sum overflows to inf.
+        model, _ = self._model("fsq")
+        model.params.get("trunk.w")[0] = 3e38
+        model.params.get("head.sig0.w1")[...] = 1.0
+        digits = np.zeros((self.ROWS, model.spec.code_digits), dtype=np.int64)
+        digits[97, 0] = 1
+        self._blocks_of(monkeypatch, model, 30)
+        with np.errstate(over="ignore"), \
+                pytest.raises(nn.NonFiniteError, match="row 97") as exc:
+            fv.decode_from_digits(model, digits)
+        assert exc.value.row == 97
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["fsq", "dpca"])
+def test_inference_memory_growth_per_row_is_small(kind):
+    """Between 8k and 32k rows, encode and decode each grow by what they
+    keep per row (normalized inputs, digits, reconstructions), under 1 KB.
+    A whole-corpus graph holds every intermediate: several KB per row."""
+    spec = fv.FusionSpec(
+        signals=(fv.SignalSpec("sig0", 64), fv.SignalSpec("sig1", 32)),
+        latent=15, hidden=128,
+        quantizer=fv.QuantizerSpec(kind=kind, depth=5 if kind == "dpca" else 1,
+                                   groups=3 if kind == "dpca" else 1))
+    model = fv.FusionModel(spec, seed=3)
+    big = {"sig0": unit(32_768, 64, 4), "sig1": unit(32_768, 32, 5)}
+    small = {k: v[:8_192].copy() for k, v in big.items()}
+    digits = fv.encode_codes(model, big)
+    few = digits[:8_192].copy()
+    span = 32_768 - 8_192
+    grow = (_traced_peak(lambda: fv.encode_codes(model, big))
+            - _traced_peak(lambda: fv.encode_codes(model, small))) / span
+    assert grow < 1_024
+    grow = (_traced_peak(lambda: fv.decode_from_digits(model, digits))
+            - _traced_peak(lambda: fv.decode_from_digits(model, few))) / span
+    assert grow < 1_024

@@ -44,6 +44,27 @@ class TestCosineReconLoss:
         x = unit(10, 6, 3)
         assert m.cosine_recon_loss(x, 7.0 * x) == pytest.approx(0.0, abs=1e-6)
 
+    def test_blocked_rows_name_the_corpus_row(self, monkeypatch):
+        x = unit(100, 8, 11)
+        monkeypatch.setattr(m, "BLOCK_CELLS", 30 * 3 * 8)
+        assert len(m._row_blocks(100, 3 * 8)) == 4
+        bad = x.copy()
+        bad[97, 2] = np.nan
+        with pytest.raises(m.MetricError,
+                           match="non-finite row 97 in reconstruction"):
+            m.cosine_recon_loss(x, bad)
+        with pytest.raises(m.MetricError,
+                           match="zero-norm row 98 in original corpus"):
+            m.cosine_recon_loss(np.where(np.arange(100)[:, None] == 98,
+                                         0.0, x), x)
+
+    def test_blocked_value_is_bit_identical_to_one_pass(self, monkeypatch):
+        x, x_hat = unit(100, 8, 12), unit(100, 8, 13)
+        rows = np.einsum("ij,ij->i", m._unit_rows(x, "x"),
+                         m._unit_rows(x_hat, "x_hat"))
+        monkeypatch.setattr(m, "BLOCK_CELLS", 30 * 3 * 8)
+        assert m.cosine_recon_loss(x, x_hat) == float(np.mean(1.0 - rows))
+
 
 class TestKnnGroundTruth:
     def test_duplicate_ranked_first(self):

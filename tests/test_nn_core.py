@@ -162,6 +162,26 @@ class TestForward:
             nn.sqrt(a)
 
 
+class TestNoRecord:
+    def test_node_keeps_no_inputs_or_backward(self):
+        x = nn.leaf(np.ones((4, 3)), "x")
+        w = nn.leaf(np.full((3, 2), 0.5), "w", requires_grad=True)
+        with nn._no_record():
+            y = nn.relu(nn.matmul(x, w))
+        assert y.inputs == () and y._backward is None
+        assert not y.requires_grad
+        recorded = nn.relu(nn.matmul(x, w))
+        np.testing.assert_array_equal(y.value, recorded.value)
+        assert recorded.inputs and recorded._backward is not None
+
+    def test_still_checks_finiteness_and_restores_recording(self):
+        with pytest.raises(nn.NonFiniteError, match="sqrt"):
+            with nn._no_record():
+                nn.sqrt(nn.leaf([[-1.0, 1.0]]))
+        w = nn.leaf(np.ones((2, 2)), "w", requires_grad=True)
+        assert nn.scale(w, 2.0)._backward is not None
+
+
 class TestBackward:
     def test_linear_map_gradient(self):
         w = nn.leaf(np.ones((2, 2)), "W", requires_grad=True)

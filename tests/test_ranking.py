@@ -82,6 +82,32 @@ def test_generate_engagement_peak_memory_is_bounded():
     assert peak < 48e6
 
 
+def test_generate_engagement_memory_growth_per_user_is_small():
+    """Growth per user is the per-user arrays (history, draws, taste, the
+    mean history latent), under 1 KB. Averaging latents[history] over all
+    users at once adds seq_len x 16 float64 values, 4 KB, per user."""
+    def peak(users):
+        cfg = rk.EngagementConfig(users=users, items=2_000, seed=1)
+        tracemalloc.start()
+        try:
+            rk.generate_engagement(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(16_384) - peak(4_096)) / (16_384 - 4_096) < 1_500
+
+
+@pytest.mark.parametrize("variant", ["sid", "side"])
+def test_predict_matches_the_recorded_graph(variant):
+    ds = small_dataset()
+    model = rk.ToyRankingModel(ds, variant, 100, rk.RankTrainConfig(seed=5))
+    rows = np.arange(50)
+    z = model.logits(rows, model.params.bind()).value[:, 0]
+    np.testing.assert_array_equal(
+        model.predict(rows), 1.0 / (1.0 + np.exp(-z.astype(np.float64))))
+
+
 def small_dataset():
     return rk.generate_engagement(rk.EngagementConfig(
         users=400, items=80, seq_len=6, seed=3))

@@ -17,7 +17,6 @@ from .quantizers import (
     DpcaStack,
     FsqConfig,
     KMeansCodebook,
-    LineCodebook,
     QuantizerError,
     dpca_decode,
     dpca_encode,
@@ -31,7 +30,6 @@ from .quantizers import (
     product_split,
     residual_fit,
     residual_quantize,
-    structured_assign,
 )
 from .sid_codec import (
     SidError,

@@ -52,9 +52,6 @@ class PipelineConfig:
     batch_size: int = 256
     epochs: int = 50
     lr: float = 1e-3
-    commitment_weight: float = 0.25
-    codebook_weight: float = 1.0
-    quantizer_dropout: float = 0.0
     kmeans_iters: int = 25
     seed: int = 0
 
@@ -70,11 +67,8 @@ class PipelineConfig:
         return self
 
     def train_config(self):
-        return fv.TrainConfig(
-            batch_size=self.batch_size, epochs=self.epochs, lr=self.lr,
-            commitment_weight=self.commitment_weight,
-            codebook_weight=self.codebook_weight,
-            quantizer_dropout=self.quantizer_dropout, seed=self.seed)
+        return fv.TrainConfig(batch_size=self.batch_size, epochs=self.epochs,
+                              lr=self.lr, seed=self.seed)
 
 
 def load_config(path):
@@ -156,7 +150,7 @@ def cmd_train(args):
             raise PipelineError("classical quantizers train on one corpus")
         books = kmeans_grid_fit(bundle["sig0"], cfg.levels, cfg.groups,
                                 cfg.depth, cfg.kmeans_iters, cfg.seed)
-        save_codebooks(args.out, kmeans=books)
+        save_codebooks(args.out, books)
         print(f"fitted {cfg.quantizer} ({len(books)} codebooks) -> {args.out}")
         return 0
     model = _build_fusion(cfg, dims, cfg.seed)
@@ -176,7 +170,7 @@ def _load_kmeans(cfg, path, base, source):
     """The checkpoint's k-means codebooks, `groups * depth` of them, whose
     centroid count must equal the SID `base`; `source` says where that
     base came from."""
-    books = load_codebooks(path).get("kmeans")
+    books = load_codebooks(path)
     if not books:
         raise PipelineError(f"{path} holds no k-means codebooks")
     need = cfg.groups * cfg.depth
@@ -265,6 +259,8 @@ def cmd_eval_ne(args):
 
 
 def cmd_rank_ab(args):
+    if args.hash_size is not None and args.hash_size < 1:
+        raise PipelineError(f"--hash-size must be >= 1, got {args.hash_size}")
     if args.data:
         with np.load(args.data) as loaded:
             missing = [k for k in ENGAGEMENT_ARRAYS + ENGAGEMENT_SIZES
@@ -278,7 +274,8 @@ def cmd_rank_ab(args):
     else:
         ds = rk.generate_engagement(rk.EngagementConfig(
             **{k: getattr(args, k) for k in ENGAGEMENT_SIZES}))
-    hash_size = args.hash_size or ds.collision_free_size()
+    hash_size = (ds.collision_free_size() if args.hash_size is None
+                 else args.hash_size)
     tcfg = rk.RankTrainConfig(epochs=args.epochs, lr=args.lr,
                               feature_dim=args.feature_dim, seed=args.seed)
     report = rk.run_ab(ds, hash_size, tcfg)

@@ -11,10 +11,6 @@ reconstruction losses plus, for parameterized quantizers, the commitment
 and codebook terms that bind the encoder and the component vectors
 together. FSQ has no trainable codebook and needs neither term.
 
-With a residual quantizer, depth dropout (sampling a random prefix depth
-per step and decoding from that partial sum) pushes prefix codes to stay
-useful on their own.
-
 Inference records no graph. Encoding a corpus runs only the encoder half
 (`FusionModel.encode`, the same wiring `forward` uses) to the latent h and
 quantizes it to digits; no h_hat graph, trunk or head is built. Decoding
@@ -35,9 +31,8 @@ import numpy as np
 from . import nn_core as nn
 from .metrics import _row_blocks
 from .nn_core import DTYPE, ParamStore
-from .quantizers import (DpcaStack, FsqConfig, dpca_arrays, dpca_decode,
-                         dpca_encode, dpca_from_arrays, fsq_quantize,
-                         fsq_values)
+from .quantizers import (DpcaStack, FsqConfig, _fsq_snap, dpca_decode,
+                         dpca_encode, fsq_quantize, fsq_values)
 from .sid_codec import SidScheme, pack_all
 
 
@@ -51,11 +46,11 @@ class SignalSpec:
 
     name: str
     dim: int
-    loss: str = "cosine"  # cosine | mse | xent
+    loss: str = "cosine"  # cosine | xent
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.loss not in ("cosine", "mse", "xent"):
+        if self.loss not in ("cosine", "xent"):
             raise FusionError(f"unknown loss '{self.loss}'")
         if self.weight < 0:
             raise FusionError(f"negative task weight for '{self.name}'")
@@ -114,16 +109,12 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 50
     lr: float = 1e-3
-    commitment_weight: float = 0.25
-    codebook_weight: float = 1.0
-    quantizer_dropout: float = 0.0
     seed: int = 0
 
-    def __post_init__(self):
-        if self.commitment_weight < 0:
-            raise FusionError("commitment weight must be >= 0")
-        if not 0.0 <= self.quantizer_dropout <= 1.0:
-            raise FusionError("dropout probability outside [0, 1]")
+
+# Weights of the DPCA commitment and codebook loss terms.
+COMMITMENT_WEIGHT = 0.25
+CODEBOOK_WEIGHT = 1.0
 
 
 @dataclass
@@ -164,13 +155,25 @@ class FusionModel:
         if q.kind == "dpca":
             stack = DpcaStack.random(spec.latent, q.depth, q.groups,
                                      seed=seed + 1)
-            for name, row in dpca_arrays(stack).items():
-                self.params.add(name, row)
+            for g, row in enumerate(self._dpca_names()):
+                for t, (u, b) in enumerate(row):
+                    self.params.add(u, stack.components[g, t].reshape(1, -1))
+                    self.params.add(b, stack.offsets[g, t].reshape(1, -1))
         self.fsq = FsqConfig(levels=q.levels) if q.kind == "fsq" else None
+
+    def _dpca_names(self):
+        """Parameter names of the DPCA rows: per group, per depth t, the
+        (component, offset) pair "dpca.g{g}.d{t}.u" and "dpca.g{g}.d{t}.b"."""
+        q = self.spec.quantizer
+        return [[(f"dpca.g{g}.d{t}.u", f"dpca.g{g}.d{t}.b")
+                 for t in range(q.depth)] for g in range(q.groups)]
 
     def dpca_stack(self):
         """Current component vectors as an immutable encode/decode stack."""
-        return dpca_from_arrays(dict(self.params.items()))
+        get = self.params.get
+        names = self._dpca_names()
+        return DpcaStack([[get(u)[0] for u, _ in row] for row in names],
+                         [[get(b)[0] for _, b in row] for row in names])
 
     # -- graph building: `p` is the graph's parameter Binding ---------------
 
@@ -179,7 +182,7 @@ class FusionModel:
         y = nn.relu(nn.add(nn.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
         return nn.add(nn.matmul(y, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
-    def _quantize_node(self, h, p, depth=None, dither_rng=None):
+    def _quantize_node(self, h, p, dither_rng=None):
         """Build (h_hat, codes) for the current quantizer.
 
         For DPCA, h_hat is an expression of the component parameters with
@@ -193,27 +196,18 @@ class FusionModel:
         if q.kind == "none":
             return h, None
         if q.kind == "fsq":
-            if dither_rng is not None:
-                u = np.tanh(h.value)
-                pos = (u + 1.0) * 0.5 * (q.levels - 1)
-                pos = pos + dither_rng.uniform(-0.5, 0.5, size=pos.shape)
-                levels = np.clip(np.floor(pos + 0.5), 0, q.levels - 1)
-                levels = levels.astype(np.int64)
-            else:
-                levels, _ = fsq_quantize(self.fsq, h.value)
+            levels = _fsq_snap(self.fsq, h.value, dither_rng)
             return (nn.constant(fsq_values(self.fsq, levels), "h_hat"),
                     levels - self.fsq.offset)
         codes = self.digits(h.value)
-        depth = q.depth if depth is None else depth
         batch = h.shape[0]
         group_nodes = []
-        for g in range(q.groups):
+        for g, row in enumerate(self._dpca_names()):
             acc = None
-            for t in range(depth):
+            for t, (u, b) in enumerate(row):
                 s_col = nn.constant(
                     codes[:, g * q.depth + t].reshape(batch, 1).astype(DTYPE))
-                term = nn.add(nn.mul(s_col, p[f"dpca.g{g}.d{t}.u"]),
-                              p[f"dpca.g{g}.d{t}.b"])
+                term = nn.add(nn.mul(s_col, p[u]), p[b])
                 acc = term if acc is None else nn.add(acc, term)
             group_nodes.append(acc)
         h_hat = group_nodes[0] if len(group_nodes) == 1 \
@@ -246,12 +240,11 @@ class FusionModel:
         stacked = encoded[0] if len(encoded) == 1 else nn.concat_cols(encoded)
         return nn.add(nn.matmul(stacked, p["fuse.w"]), p["fuse.b"], name="h")
 
-    def forward(self, batch, depth=None, dither_rng=None):
+    def forward(self, batch, dither_rng=None):
         """Run the mixing model on a dict of per-signal input matrices."""
         p = self.params.bind()
         h = self.encode(batch, p)
-        h_hat, codes = self._quantize_node(h, p, depth=depth,
-                                           dither_rng=dither_rng)
+        h_hat, codes = self._quantize_node(h, p, dither_rng=dither_rng)
         if h_hat is h:
             s = h
         else:
@@ -273,16 +266,24 @@ class FusionModel:
         nn.save_checkpoint(path, arrays)
 
     def load(self, path):
+        """Read save's output. The checkpoint must hold exactly the spec's
+        parameters, each in its shape; nothing is set unless all match."""
         arrays = nn.load_checkpoint(path)
         latent = int(arrays.pop("meta.latent", [[self.spec.latent]])[0][0])
         if latent != self.spec.latent:
             raise FusionError(
                 f"checkpoint latent width {latent} != spec {self.spec.latent}")
-        for name in self.params.names():
+        names = self.params.names()
+        unknown = [name for name in arrays if name not in names]
+        if unknown:
+            raise FusionError(
+                f"checkpoint parameter '{unknown[0]}' is not in the spec")
+        for name in names:
             if name not in arrays:
                 raise FusionError(f"checkpoint missing parameter '{name}'")
             if arrays[name].shape != self.params.get(name).shape:
                 raise FusionError(f"checkpoint shape mismatch for '{name}'")
+        for name in names:
             self.params.set(name, arrays[name])
         return self
 
@@ -309,22 +310,19 @@ def _cosine_loss_node(target, recon_node):
 def _task_loss_node(sig, target, recon_node):
     if sig.loss == "cosine":
         return _cosine_loss_node(target, recon_node)
-    if sig.loss == "mse":
-        return nn.mean_all(nn.square(nn.sub(nn.constant(target), recon_node)))
     # cross-entropy against a one-hot (or distribution) target
     logp = nn.log_softmax_rows(recon_node)
     per_row = nn.sum_axis1(nn.mul(nn.constant(target), logp))
     return nn.scale(nn.mean_all(per_row), -1.0)
 
 
-def fusion_loss(model, batch, result, cfg=None):
+def fusion_loss(model, batch, result):
     """Total training loss node plus a per-term float breakdown.
 
-    Total = sum_k w_k * task_k  +  beta * ||h - sg(h_hat)||^2
-          + codebook_weight * ||sg(h) - h_hat||^2,
+    Total = sum_k w_k * task_k  +  COMMITMENT_WEIGHT * ||h - sg(h_hat)||^2
+          + CODEBOOK_WEIGHT * ||sg(h) - h_hat||^2,
     with the two quantizer terms only when the quantizer has parameters.
     """
-    cfg = cfg or TrainConfig()
     weights = np.array([s.weight for s in model.spec.signals], dtype=np.float64)
     weights = weights / weights.sum()
     terms = []
@@ -343,8 +341,8 @@ def fusion_loss(model, batch, result, cfg=None):
             nn.sub(nn.stop_gradient(result.h), result.h_hat)))
         breakdown["commitment"] = float(commit.value[0, 0])
         breakdown["codebook"] = float(codebook.value[0, 0])
-        total = nn.add(total, nn.scale(commit, cfg.commitment_weight))
-        total = nn.add(total, nn.scale(codebook, cfg.codebook_weight))
+        total = nn.add(total, nn.scale(commit, COMMITMENT_WEIGHT))
+        total = nn.add(total, nn.scale(codebook, CODEBOOK_WEIGHT))
     breakdown["total"] = float(total.value[0, 0])
     return total, breakdown
 
@@ -402,13 +400,9 @@ def train(model, bundle, cfg):
 
     def step(idx):
         batch = {k: v[idx] for k, v in data.items()}
-        depth = None
-        if (q.kind == "dpca" and cfg.quantizer_dropout > 0.0
-                and rng.random() < cfg.quantizer_dropout):
-            depth = int(rng.integers(1, q.depth + 1))
         dither = rng if q.kind == "fsq" else None
-        result = model.forward(batch, depth=depth, dither_rng=dither)
-        loss, breakdown = fusion_loss(model, batch, result, cfg)
+        result = model.forward(batch, dither_rng=dither)
+        loss, breakdown = fusion_loss(model, batch, result)
         return loss, result.params, breakdown
 
     rows, diverged_at = nn.fit(model.params, _sample_count(data), step, rng,

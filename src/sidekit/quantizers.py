@@ -1,10 +1,9 @@
 """Codebook-based and scalar quantizers.
 
 Covers plain and residual k-means, product splitting, finite scalar
-quantization (FSQ), line-structured codebooks (groups of colinear
-codewords), and discrete-PCA stacks (residual layers of learned component
-vectors with a ternary {-1, 0, +1} scalar codebook, optionally in parallel
-product groups).
+quantization (FSQ), and discrete-PCA stacks (residual layers of learned
+component vectors with a ternary {-1, 0, +1} scalar codebook, optionally
+in parallel product groups).
 
 The k-means kinds are one (groups, depth) grid: each contiguous product
 slice holds a residual stack of `depth` k-means codebooks, so kmeans is
@@ -242,101 +241,28 @@ def fsq_quantize(cfg, z):
     rows = _rows(z)
     if not np.all(np.isfinite(rows)):
         raise QuantizerError("non-finite latent input")
-    u = np.tanh(rows)
+    levels = _fsq_snap(cfg, rows)
+    return levels, fsq_values(cfg, levels)
+
+
+def _fsq_snap(cfg, z, dither_rng=None):
+    """Level indices of the tanh-bounded grid snap of finite `z`.
+
+    `dither_rng` adds uniform half-step noise to the grid position before
+    rounding (the training-time dither).
+    """
+    u = np.tanh(z)
     # (u+1)/2*(L-1) is nonnegative, so half-away-from-zero == floor(x+0.5).
     pos = (u + 1.0) * 0.5 * (cfg.levels - 1)
+    if dither_rng is not None:
+        pos = pos + dither_rng.uniform(-0.5, 0.5, size=pos.shape)
     levels = np.floor(pos + 0.5).astype(np.int64)
-    levels = np.clip(levels, 0, cfg.levels - 1)
-    return levels, fsq_values(cfg, levels)
+    return np.clip(levels, 0, cfg.levels - 1)
 
 
 def fsq_values(cfg, levels):
     """Grid value for each level index: 2*level/(L-1) - 1."""
     return (2.0 * np.asarray(levels) / (cfg.levels - 1) - 1.0).astype(DTYPE)
-
-
-def grid_quantize(levels, s):
-    """Snap scalars to the nearest point of the uniform L-grid on [-1, 1].
-
-    Unlike fsq_quantize there is no tanh bound: this is plain nearest-value
-    rounding with clamping at the grid ends, which is what line-structured
-    codebook assignment needs to agree with exhaustive nearest-codeword
-    search. Ties round toward the higher level.
-    """
-    pos = (np.asarray(s, dtype=np.float64) + 1.0) * 0.5 * (levels - 1)
-    idx = np.clip(np.floor(pos + 0.5), 0, levels - 1).astype(np.int64)
-    value = (2.0 * idx / (levels - 1) - 1.0).astype(DTYPE)
-    return idx, value
-
-
-# ---------------------------------------------------------------------------
-# Line-structured codebooks
-
-
-@dataclass
-class LineCodebook:
-    """Codebook of K colinear codeword groups.
-
-    Group k is the set {s_l * u_k + b_k} where u_k is a unit direction,
-    b_k a reference point, and s_l ranges over the shared L-level scalar
-    grid on [-1, 1].
-    """
-
-    directions: np.ndarray  # (K, d), rows unit-norm
-    references: np.ndarray  # (K, d)
-    levels: int = 3
-
-    def __post_init__(self):
-        self.directions = np.asarray(self.directions, dtype=DTYPE)
-        self.references = np.asarray(self.references, dtype=DTYPE)
-        if self.levels < 2:
-            raise QuantizerError(f"levels must be >= 2, got {self.levels}")
-        norms = np.linalg.norm(self.directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-5):
-            raise QuantizerError("direction rows must be unit-norm")
-
-    @property
-    def k(self):
-        return self.directions.shape[0]
-
-    @property
-    def d(self):
-        return self.directions.shape[1]
-
-
-@dataclass
-class StructuredAssignment:
-    group: np.ndarray
-    level: np.ndarray
-    signed_distance: np.ndarray
-    reconstruction: np.ndarray
-
-
-def structured_assign(cb, x):
-    """Three-step inference against a line-structured codebook.
-
-    1. pick the group whose line is closest to x, by
-       ||x - b_k||^2 - <x - b_k, u_k>^2 (lower index wins ties);
-    2. project: s = <x - b_khat, u_khat>;
-    3. snap s to the shared scalar grid.
-
-    The reconstruction is grid(s) * u_khat + b_khat.
-    """
-    rows = _rows(x)
-    if rows.shape[1] != cb.d:
-        raise QuantizerError(
-            f"dimension mismatch: input has {rows.shape[1]}, codebook {cb.d}")
-    diff_sq = _sq_dists(rows, cb.references)          # (n, K)
-    proj = rows @ cb.directions.T - np.einsum(
-        "ij,ij->i", cb.references, cb.directions)[None, :]
-    line_d2 = diff_sq - proj ** 2
-    group = line_d2.argmin(axis=1)
-    n = rows.shape[0]
-    s_hat = proj[np.arange(n), group]
-    level, value = grid_quantize(cb.levels, s_hat)
-    recon = value[:, None] * cb.directions[group] + cb.references[group]
-    return StructuredAssignment(group, level, s_hat.astype(DTYPE),
-                                recon.astype(DTYPE))
 
 
 # ---------------------------------------------------------------------------
@@ -430,97 +356,39 @@ def dpca_encode(stack, x):
     return codes
 
 
-def dpca_decode(stack, codes, depth=None):
-    """Evaluate the codebook sum sum_t (s_t u_t + b_t) per product group.
-
-    `depth` truncates the sum to a prefix of residual layers, yielding the
-    coarser reconstruction that prefix codes define.
-    """
+def dpca_decode(stack, codes):
+    """Evaluate the codebook sum sum_t (s_t u_t + b_t) per product group."""
     arr = _rows(codes, dtype=None)
     if arr.shape[1] != stack.digits:
         raise QuantizerError(
             f"code length {arr.shape[1]} != groups*depth = {stack.digits}")
     if not np.isin(arr, (-1, 0, 1)).all():
         raise QuantizerError("codes must be ternary in {-1, 0, +1}")
-    depth = stack.depth if depth is None else depth
-    if not 1 <= depth <= stack.depth:
-        raise QuantizerError(f"prefix depth {depth} out of range")
     parts = []
     for g in range(stack.groups):
-        s = arr[:, g * stack.depth:g * stack.depth + depth].astype(DTYPE)
-        u = stack.components[g, :depth]
-        b = stack.offsets[g, :depth]
-        parts.append(s @ u + b.sum(axis=0))
+        s = arr[:, g * stack.depth:(g + 1) * stack.depth].astype(DTYPE)
+        parts.append(s @ stack.components[g] + stack.offsets[g].sum(axis=0))
     return product_join(parts).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
-# Codebook serialization (shared checkpoint format, reserved name prefixes):
-# k-means layer i is "kmeans.l{i}.centroids"; DPCA row [g, t] is
-# "dpca.g{g}.d{t}.u" (component) and "dpca.g{g}.d{t}.b" (offset).
+# Codebook checkpoints: k-means layer i is "kmeans.l{i}.centroids".
 
 
-def dpca_arrays(stack):
-    """Named (1, width) rows of a DPCA stack, group-major then depth."""
-    arrays = {}
-    for g in range(stack.groups):
-        for t in range(stack.depth):
-            arrays[f"dpca.g{g}.d{t}.u"] = stack.components[g, t].reshape(1, -1)
-            arrays[f"dpca.g{g}.d{t}.b"] = stack.offsets[g, t].reshape(1, -1)
-    return arrays
-
-
-def dpca_from_arrays(arrays):
-    """Inverse of dpca_arrays over the "dpca." names of `arrays`; None if
-    there are none."""
-    keys = [k for k in arrays if k.startswith("dpca.")]
-    if not keys:
-        return None
-    groups = 1 + max(int(k.split(".")[1][1:]) for k in keys)
-    depth = 1 + max(int(k.split(".")[2][1:]) for k in keys)
-    try:
-        comps = [[arrays[f"dpca.g{g}.d{t}.u"][0] for t in range(depth)]
-                 for g in range(groups)]
-        offs = [[arrays[f"dpca.g{g}.d{t}.b"][0] for t in range(depth)]
-                for g in range(groups)]
-    except KeyError as exc:
-        raise QuantizerError(f"missing DPCA tensor {exc}") from None
-    return DpcaStack(comps, offs)
-
-
-def save_codebooks(path, kmeans=None, line=None, dpca=None):
-    """Write a list of k-means codebooks (one per layer or product group),
-    a line codebook and a DPCA stack, each optional, to one checkpoint."""
-    arrays = {}
-    for layer, book in enumerate(kmeans or ()):
-        arrays[f"kmeans.l{layer}.centroids"] = book.centroids
-    if line is not None:
-        arrays["line.directions"] = line.directions
-        arrays["line.references"] = line.references
-        arrays["line.levels"] = np.array([[line.levels]], dtype=DTYPE)
-    if dpca is not None:
-        arrays.update(dpca_arrays(dpca))
-    save_checkpoint(path, arrays)
+def save_codebooks(path, books):
+    """Write a list of k-means codebooks, group-major, to one checkpoint."""
+    save_checkpoint(path, {f"kmeans.l{layer}.centroids": book.centroids
+                           for layer, book in enumerate(books)})
 
 
 def load_codebooks(path):
-    """Read save_codebooks' output into a dict holding the kinds present:
-    "kmeans" (list), "line" and "dpca"."""
+    """Read save_codebooks' output back into its list of k-means codebooks
+    (empty if the checkpoint holds none); other names are not read."""
     arrays = load_checkpoint(path)
-    out = {}
-    kmeans = [k for k in arrays if k.startswith("kmeans.")]
-    if kmeans:
-        names = [f"kmeans.l{i}.centroids" for i in range(len(kmeans))]
-        if set(kmeans) != set(names):
-            raise QuantizerError(
-                f"k-means layers must be {names[0]} .. {names[-1]}, "
-                f"got {sorted(kmeans)}")
-        out["kmeans"] = [KMeansCodebook(arrays[k]) for k in names]
-    if "line.directions" in arrays:
-        out["line"] = LineCodebook(arrays["line.directions"],
-                                   arrays["line.references"],
-                                   levels=int(arrays["line.levels"][0][0]))
-    dpca = dpca_from_arrays(arrays)
-    if dpca is not None:
-        out["dpca"] = dpca
-    return out
+    found = [k for k in arrays if k.startswith("kmeans.")]
+    names = [f"kmeans.l{i}.centroids" for i in range(len(found))]
+    if set(found) != set(names):
+        raise QuantizerError(
+            f"k-means layers must be {names[0]} .. {names[-1]}, "
+            f"got {sorted(found)}")
+    return [KMeansCodebook(arrays[k]) for k in names]

@@ -83,10 +83,15 @@ class SidScheme:
         parts = line.strip().split()
         if not parts or parts[0] != "#SIDv1":
             raise SidError(f"bad SID file header: {line!r}")
-        kv = dict(p.split("=", 1) for p in parts[1:])
+        kv = {}
+        for part in parts[1:]:
+            key, sep, value = part.partition("=")
+            if not sep:
+                raise SidError(f"SID header field {part!r} is not key=value")
+            kv[key] = value
         try:
-            return cls(base=int(kv["base"]), ngram=int(kv["ngram"]),
-                       grams=int(kv["grams"]))
+            return cls(**{k: _u64s([kv[k]], f"SID header field {k}")[0]
+                          for k in ("base", "ngram", "grams")})
         except KeyError as exc:
             raise SidError(f"SID header missing field {exc}") from None
 
@@ -95,6 +100,21 @@ class SidScheme:
         """Scheme covering `total_digits` codeword digits (last gram padded)."""
         grams = -(-total_digits // ngram)
         return cls(base=base, ngram=ngram, grams=grams)
+
+
+def _u64s(texts, where):
+    """`texts` as ints if each is plain ASCII decimal digits no larger than
+    the u64 maximum; otherwise a SidError naming `where` and the first bad
+    text. One check covers the whole list when all are valid."""
+    joined = "".join(texts)
+    if joined.isascii() and joined.isdigit() and max(map(len, texts)) <= 20:
+        values = [int(t) for t in texts]
+        if max(values) <= _U64_MAX:
+            return values
+    bad = next(t for t in texts
+               if not (t.isascii() and t.isdigit() and len(t) <= 20)
+               or int(t) > _U64_MAX)
+    raise SidError(f"{where}: expected a decimal u64, got {bad!r}")
 
 
 def _array(x, dtype):
@@ -198,10 +218,7 @@ def read_sid_file(path):
             if len(fields) != scheme.grams:
                 raise SidError(
                     f"line {lineno}: expected {scheme.grams} SIDs, got {len(fields)}")
-            try:
-                rows.append([int(f) for f in fields])
-            except ValueError:
-                raise SidError(f"line {lineno}: non-integer SID") from None
+            rows.append(_u64s(fields, f"line {lineno}"))
     sids = np.asarray(rows, dtype=np.uint64).reshape(len(rows), scheme.grams)
     unpack_all(scheme, sids)  # validates range and divisibility
     return scheme, sids

@@ -88,33 +88,6 @@ def naive_dpca_sum(components, offsets, codes):
     return out
 
 
-def brute_force_line_codeword(directions, references, levels, x):
-    """Exhaustive nearest codeword over the explicit line-codebook set.
-
-    Enumerates every (group, level) pair; returns (group, level, dist2).
-    Ties go to the lower group index, then the lower level.
-    """
-    grid = [2.0 * l / (levels - 1) - 1.0 for l in range(levels)]
-    best = None
-    for k in range(directions.shape[0]):
-        for l, s in enumerate(grid):
-            cw = references[k] + s * directions[k]
-            d2 = float(np.sum((np.asarray(x, dtype=np.float64) - cw) ** 2))
-            if best is None or d2 < best[2] - 1e-12:
-                best = (k, l, d2)
-    return best
-
-
-def brute_force_line_distance(directions, references, x):
-    """Point-to-line distances: ||x-b||^2 - <x-b, u>^2 for every group."""
-    x = np.asarray(x, dtype=np.float64)
-    out = []
-    for k in range(directions.shape[0]):
-        diff = x - references[k]
-        out.append(float(diff @ diff - (diff @ directions[k]) ** 2))
-    return np.asarray(out)
-
-
 def eval_cosine_loss(model_forward, data, name):
     """Clean-pass cosine reconstruction loss for a trained fusion model."""
     result = model_forward(data)

@@ -12,7 +12,6 @@ from sidekit import sid_codec as sc
 
 VEC = np.zeros(4, dtype=np.float32)
 KMEANS = q.KMeansCodebook(np.eye(4, dtype=np.float32))
-LINE = q.LineCodebook(np.eye(4, dtype=np.float32), np.zeros((4, 4)))
 DPCA = q.DpcaStack.random(4, 2, seed=0)
 SCHEME = sc.SidScheme(base=3, ngram=2, grams=2)
 
@@ -31,8 +30,6 @@ CASES = {
                           lambda: q.residual_quantize([KMEANS], VEC)),
     "fsq_quantize": (q.QuantizerError,
                      lambda: q.fsq_quantize(q.FsqConfig(), VEC)),
-    "structured_assign": (q.QuantizerError,
-                          lambda: q.structured_assign(LINE, VEC)),
     "dpca_encode": (q.QuantizerError, lambda: q.dpca_encode(DPCA, VEC)),
     "dpca_decode": (q.QuantizerError,
                     lambda: q.dpca_decode(DPCA, np.zeros(2, dtype=np.int8))),

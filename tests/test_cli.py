@@ -65,7 +65,7 @@ def test_round_trip(tmp_path, corpus, kind, capsys):
     assert records.shape == (64, scheme.grams)
     assert corpus_read(f"{out}.sig0.emb").shape == (64, 8)
     if kind in ("kmeans", "rq", "pq"):
-        books = load_codebooks(ckpt)["kmeans"]
+        books = load_codebooks(ckpt)
         assert len(books) == {"kmeans": 1, "rq": 2, "pq": 2}[kind]
 
 
@@ -147,6 +147,26 @@ def test_kmeans_config_rejects_a_fusion_checkpoint(tmp_path, corpus, capsys):
                config(tmp_path, "kmeans"), "--ckpt", ckpt,
                "--out", tmp_path / "x.sid") == 1
     assert "no k-means codebooks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, unknown", [
+    ("quantizer=fsq\nlatent=4\nhidden=8", "dpca.g0.d0.u"),
+    ("quantizer=dpca\nlatent=4\nhidden=8\ndepth=1\ngroups=2", "dpca.g0.d1.u")])
+def test_fusion_encode_rejects_parameters_the_config_lacks(tmp_path, corpus,
+                                                           capsys, body,
+                                                           unknown):
+    # a depth-2, 2-group DPCA checkpoint under an fsq or a depth-1 config
+    ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config",
+               config(tmp_path, "dpca"), "--out", ckpt) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text(body + "\n")
+    capsys.readouterr()
+    assert run("encode", "--corpus", corpus, "--config", other,
+               "--ckpt", ckpt, "--out", sids) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint parameter '{unknown}' is not in the spec\n")
+    assert not sids.exists()
 
 
 @pytest.mark.parametrize("kind, body, need", [("rq", "levels=4\ndepth=3", 3),
@@ -241,6 +261,21 @@ def test_rank_ab_from_file_equals_inline(tmp_path, capsys):
     inline = json.loads(capsys.readouterr().out)
     assert from_file == inline
     assert set(inline) == {"none", "sid", "side", "hash_size"}
+
+
+@pytest.mark.parametrize("size", [0, -4])
+def test_rank_ab_rejects_hash_size_below_one(capsys, size):
+    assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--hash-size", size,
+               "--json") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --hash-size must be >= 1, got {size}\n"
+    assert captured.out == ""
+
+
+def test_rank_ab_uses_the_hash_size_given(capsys):
+    assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--hash-size", 1,
+               "--json") == 0
+    assert json.loads(capsys.readouterr().out)["hash_size"] == 1
 
 
 def _flip_first_digit(digits):

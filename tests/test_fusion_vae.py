@@ -277,6 +277,83 @@ class TestTrain:
                      fv.TrainConfig(epochs=1))
 
 
+class TestCheckpointLayout:
+    SPEC = fv.FusionSpec(
+        signals=(fv.SignalSpec("a", 6), fv.SignalSpec("b", 4)), latent=4,
+        hidden=8, quantizer=fv.QuantizerSpec(kind="dpca", depth=2, groups=2))
+
+    def test_parameter_names_in_record_order(self, tmp_path):
+        model = fv.FusionModel(self.SPEC, seed=0)
+        expected = [
+            "enc.a.w1", "enc.a.b1", "enc.a.w2", "enc.a.b2",
+            "head.a.w1", "head.a.b1", "head.a.w2", "head.a.b2",
+            "enc.b.w1", "enc.b.b1", "enc.b.w2", "enc.b.b2",
+            "head.b.w1", "head.b.b1", "head.b.w2", "head.b.b2",
+            "fuse.w", "fuse.b", "trunk.w", "trunk.b",
+            "dpca.g0.d0.u", "dpca.g0.d0.b", "dpca.g0.d1.u", "dpca.g0.d1.b",
+            "dpca.g1.d0.u", "dpca.g1.d0.b", "dpca.g1.d1.u", "dpca.g1.d1.b"]
+        assert model.params.names() == expected
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        assert list(nn.load_checkpoint(path)) == expected + ["meta.latent"]
+
+    def test_dpca_rows_hold_the_seeded_stack(self):
+        model = fv.FusionModel(self.SPEC, seed=5)
+        expect = q.DpcaStack.random(4, 2, groups=2, seed=6)
+        stack = model.dpca_stack()
+        np.testing.assert_array_equal(stack.components, expect.components)
+        np.testing.assert_array_equal(stack.offsets, expect.offsets)
+        assert model.params.get("dpca.g1.d0.u").tolist() == \
+            [expect.components[1, 0].tolist()]
+
+
+class TestLoad:
+    """FusionModel.load takes a checkpoint holding exactly the spec's
+    parameters, each in its shape, and sets nothing otherwise."""
+
+    def _saved(self, tmp_path, kind="dpca", depth=3, latent=6):
+        model = fv.FusionModel(spec_for(10, kind=kind, latent=latent,
+                                        depth=depth), seed=30)
+        path = tmp_path / f"{kind}{depth}.ckpt"
+        model.save(path)
+        return path
+
+    def _rejects(self, spec, path, match):
+        model = fv.FusionModel(spec, seed=31)
+        before = model.params.snapshot()
+        with pytest.raises(fv.FusionError, match=match):
+            model.load(path)
+        for name, arr in model.params.items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    def test_extra_parameter_rejected(self, tmp_path):
+        # a DPCA checkpoint under an FSQ spec, and a deeper stack than the
+        # spec's: both name the first parameter the spec lacks
+        path = self._saved(tmp_path, depth=3)
+        self._rejects(spec_for(10, kind="fsq", latent=6), path,
+                      "'dpca.g0.d0.u' is not in the spec")
+        self._rejects(spec_for(10, kind="dpca", latent=6, depth=2), path,
+                      "'dpca.g0.d2.u' is not in the spec")
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = self._saved(tmp_path, depth=2)
+        arrays = nn.load_checkpoint(path)
+        del arrays["dpca.g0.d1.b"]
+        nn.save_checkpoint(path, arrays)
+        self._rejects(spec_for(10, kind="dpca", latent=6, depth=2), path,
+                      "missing parameter 'dpca.g0.d1.b'")
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path = self._saved(tmp_path, kind="fsq")
+        self._rejects(spec_for(12, kind="fsq", latent=6), path,
+                      "shape mismatch for 'enc.sig0.w1'")
+
+    def test_latent_width_mismatch_rejected(self, tmp_path):
+        path = self._saved(tmp_path, kind="fsq", latent=6)
+        self._rejects(spec_for(10, kind="fsq", latent=8), path,
+                      "latent width 6 != spec 8")
+
+
 class TestEncodeCorpus:
     def _trained(self, seed=17):
         x = structured_corpus(128, 12, seed)

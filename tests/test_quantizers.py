@@ -1,6 +1,5 @@
 """Quantizer tests: Lloyd's algorithm, residual and product composition,
-the scalar grid, line-structured assignment against exhaustive codeword
-search, and discrete-PCA encode/decode."""
+the scalar grid, discrete-PCA encode/decode, and codebook checkpoints."""
 
 import numpy as np
 import pytest
@@ -9,12 +8,7 @@ from hypothesis import strategies as st
 
 from sidekit import quantizers as q
 from sidekit.nn_core import save_checkpoint
-from oracles import (brute_force_line_codeword, brute_force_line_distance,
-                     mask_loop_kmeans, naive_dpca_sum)
-
-
-def unit_rows(arr):
-    return arr / np.linalg.norm(arr, axis=1, keepdims=True)
+from oracles import mask_loop_kmeans, naive_dpca_sum
 
 
 class TestKMeans:
@@ -262,6 +256,24 @@ class TestFsq:
             assert np.isin(vals, grid.astype(np.float32)).all()
             assert vals.min() >= -1.0 and vals.max() <= 1.0
 
+    def test_dither_snap_rounds_half_up_and_clamps(self):
+        # z=0 sits at grid position 1 of 3 levels; z=20 at position 2.
+        # A -0.5 / +0.5 dither puts positions on the .5 ties (rounded up)
+        # and at 2.5 (clamped to the top level).
+        class Dither:
+            def uniform(self, lo, hi, size):
+                return np.broadcast_to([-0.5, 0.5], size)
+
+        z = np.array([[0.0, 0.0], [20.0, 20.0]], dtype=np.float32)
+        levels = q._fsq_snap(q.FsqConfig(3), z, Dither())
+        assert levels.tolist() == [[1, 2], [2, 2]]
+
+    def test_undithered_snap_is_fsq_quantize(self):
+        cfg = q.FsqConfig(5)
+        z = np.random.default_rng(24).normal(size=(30, 6)).astype(np.float32)
+        np.testing.assert_array_equal(q._fsq_snap(cfg, z),
+                                      q.fsq_quantize(cfg, z)[0])
+
     @given(st.integers(min_value=2, max_value=5),
            st.integers(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -279,82 +291,6 @@ class TestFsq:
     def test_nonfinite_rejected(self):
         with pytest.raises(q.QuantizerError, match="non-finite"):
             q.fsq_quantize(q.FsqConfig(3), np.array([[np.nan]]))
-
-    def test_half_up_ties_on_grid_positions(self):
-        # midpoint positions round to the upper level (half away from
-        # zero on the nonnegative position axis)
-        lv, val = q.grid_quantize(3, np.array([-0.5, 0.5]))
-        assert lv.tolist() == [1, 2]
-        assert val.tolist() == [0.0, 1.0]
-
-    def test_grid_quantize_clamps(self):
-        lv, val = q.grid_quantize(3, np.array([-7.0, 7.0]))
-        assert lv.tolist() == [0, 2]
-        assert val.tolist() == [-1.0, 1.0]
-
-
-def random_line_codebook(rng, k, d, levels=3):
-    u = unit_rows(rng.normal(size=(k, d)))
-    b = rng.normal(size=(k, d))
-    return q.LineCodebook(u.astype(np.float32), b.astype(np.float32), levels)
-
-
-class TestStructured:
-    def test_point_on_line(self):
-        rng = np.random.default_rng(13)
-        cb = random_line_codebook(rng, 4, 8)
-        x = cb.references[2:3] + 0.7 * cb.directions[2:3]
-        out = q.structured_assign(cb, x)
-        assert out.group[0] == 2
-        assert out.signed_distance[0] == pytest.approx(0.7, abs=1e-5)
-
-    def test_reference_point_hits_zero_bin(self):
-        rng = np.random.default_rng(14)
-        cb = random_line_codebook(rng, 4, 8)
-        out = q.structured_assign(cb, cb.references[1:2])
-        assert out.signed_distance[0] == pytest.approx(0.0, abs=1e-6)
-        assert out.level[0] == 1  # the s=0 grid point for L=3
-
-    def test_line_choice_matches_distance_formula(self):
-        rng = np.random.default_rng(15)
-        for _ in range(100):
-            cb = random_line_codebook(rng, 4, 8)
-            x = rng.normal(size=8).astype(np.float32)
-            out = q.structured_assign(cb, x[None, :])
-            expect = int(np.argmin(
-                brute_force_line_distance(cb.directions, cb.references, x)))
-            assert out.group[0] == expect
-
-    def test_matches_exhaustive_codeword_search(self):
-        # instances conditioned to the regime where the three-step
-        # inference provably equals exhaustive search: the projection on
-        # the winning line lies inside the grid and the line-distance gap
-        # exceeds the worst-case quantization residue (half step squared)
-        rng = np.random.default_rng(16)
-        checked = 0
-        while checked < 200:
-            k, d = int(rng.integers(2, 9)), int(rng.integers(4, 17))
-            cb = random_line_codebook(rng, k, d)
-            x = rng.normal(size=d).astype(np.float32)
-            ld = brute_force_line_distance(cb.directions, cb.references, x)
-            order = np.argsort(ld)
-            gap = ld[order[1]] - ld[order[0]]
-            s = float((x - cb.references[order[0]]) @ cb.directions[order[0]])
-            if gap <= 0.26 or abs(s) > 1.0:
-                continue
-            out = q.structured_assign(cb, x[None, :])
-            bk, bl, _ = brute_force_line_codeword(
-                cb.directions, cb.references, cb.levels, x)
-            assert (out.group[0], out.level[0]) == (bk, bl)
-            grid_val = 2.0 * bl / (cb.levels - 1) - 1.0
-            expect = cb.references[bk] + grid_val * cb.directions[bk]
-            np.testing.assert_allclose(out.reconstruction[0], expect,
-                                       atol=1e-5)
-            checked += 1
-
-    def test_unit_norm_enforced(self):
-        with pytest.raises(q.QuantizerError, match="unit-norm"):
-            q.LineCodebook(np.ones((2, 4)), np.zeros((2, 4)))
 
 
 class TestDpca:
@@ -426,37 +362,24 @@ class TestDpca:
         with pytest.raises(q.QuantizerError, match="length"):
             q.dpca_decode(stack, np.array([[1, 0, 1]]))
 
-    def test_prefix_decode(self):
-        rng = np.random.default_rng(22)
-        stack = q.DpcaStack(
-            rng.normal(size=(1, 3, 4)).astype(np.float32),
-            rng.normal(size=(1, 3, 4)).astype(np.float32) * 0.1)
-        codes = np.array([[1, -1, 0]], dtype=np.int8)
-        partial = q.dpca_decode(stack, codes, depth=2)
-        expect = (codes[0, 0] * stack.components[0, 0] + stack.offsets[0, 0]
-                  + codes[0, 1] * stack.components[0, 1] + stack.offsets[0, 1])
-        np.testing.assert_allclose(partial[0], expect, atol=1e-6)
-
 
 class TestCodebookSerialization:
     def test_roundtrip_all_kinds(self, tmp_path):
-        rng = np.random.default_rng(23)
-        km = q.KMeansCodebook(rng.normal(size=(5, 4)).astype(np.float32))
-        km2 = q.KMeansCodebook(rng.normal(size=(3, 4)).astype(np.float32))
-        line = random_line_codebook(rng, 3, 4)
-        dpca = q.DpcaStack.random(8, 2, groups=2, seed=3)
-        path = tmp_path / "books.ckpt"
-        q.save_codebooks(path, kmeans=[km, km2], line=line, dpca=dpca)
-        loaded = q.load_codebooks(path)
-        assert len(loaded["kmeans"]) == 2
-        np.testing.assert_array_equal(loaded["kmeans"][0].centroids,
-                                      km.centroids)
-        np.testing.assert_array_equal(loaded["kmeans"][1].centroids,
-                                      km2.centroids)
-        np.testing.assert_array_equal(loaded["line"].directions, line.directions)
-        assert loaded["line"].levels == 3
-        np.testing.assert_array_equal(loaded["dpca"].components, dpca.components)
-        np.testing.assert_array_equal(loaded["dpca"].offsets, dpca.offsets)
+        # kmeans (1 x 1), rq (1 x 3) and pq (2 x 1) grids, group-major
+        x = np.random.default_rng(23).normal(size=(40, 4)).astype(np.float32)
+        for groups, depth in ((1, 1), (1, 3), (2, 1)):
+            books = q.kmeans_grid_fit(x, 5, groups, depth, iters=3, seed=0)
+            path = tmp_path / f"books{groups}x{depth}.ckpt"
+            q.save_codebooks(path, books)
+            loaded = q.load_codebooks(path)
+            assert len(loaded) == groups * depth
+            for got, book in zip(loaded, books):
+                np.testing.assert_array_equal(got.centroids, book.centroids)
+
+    def test_no_kmeans_layers_loads_empty(self, tmp_path):
+        path = tmp_path / "fusion.ckpt"
+        save_checkpoint(path, {"fuse.w": np.ones((2, 3), dtype=np.float32)})
+        assert q.load_codebooks(path) == []
 
     @pytest.mark.parametrize("names", [
         ["kmeans.l1.centroids"],
@@ -467,12 +390,4 @@ class TestCodebookSerialization:
         save_checkpoint(path, {n: np.ones((2, 3), dtype=np.float32)
                                for n in names})
         with pytest.raises(q.QuantizerError, match="k-means layers"):
-            q.load_codebooks(path)
-
-    def test_missing_dpca_tensor_rejected(self, tmp_path):
-        path = tmp_path / "books.ckpt"
-        arrays = q.dpca_arrays(q.DpcaStack.random(4, 2, seed=0))
-        del arrays["dpca.g0.d1.b"]
-        save_checkpoint(path, arrays)
-        with pytest.raises(q.QuantizerError, match="dpca.g0.d1.b"):
             q.load_codebooks(path)

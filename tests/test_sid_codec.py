@@ -248,3 +248,37 @@ class TestSidFile:
         path.write_text("#SIDv1 base=3 ngram=2 grams=1\n7\n")
         with pytest.raises(sc.SidError, match="divisible"):
             sc.read_sid_file(path)
+
+    @pytest.mark.parametrize(
+        "field", ["-3", str(2**64), str(2**70), "1_2", "+12", "12.0", "0x1b",
+                  "9" * 5000],
+        ids=["negative", "2**64", "2**70", "underscore", "plus", "point",
+             "hex", "5000-digits"])
+    def test_malformed_sid_field_names_its_line(self, tmp_path, field):
+        path = tmp_path / "f.sids"
+        path.write_text(f"#SIDv1 base=3 ngram=2 grams=2\n3 3\n3 {field}\n")
+        with pytest.raises(sc.SidError) as exc:
+            sc.read_sid_file(path)
+        assert str(exc.value) == \
+            f"line 3: expected a decimal u64, got {field!r}"
+
+    def test_u64_bounds_are_parsed(self, tmp_path):
+        # base 2, ngram 63: the largest SID is 2**64 - 2; 2**64 - 1 parses
+        # and then fails the scheme's range check, not the field check
+        path = tmp_path / "b.sids"
+        path.write_text(f"#SIDv1 base=2 ngram=63 grams=1\n{2**64 - 2}\n")
+        assert sc.read_sid_file(path)[1].tolist() == [[2**64 - 2]]
+        path.write_text(f"#SIDv1 base=2 ngram=63 grams=1\n{2**64 - 1}\n")
+        with pytest.raises(sc.SidError, match="exceeds scheme maximum"):
+            sc.read_sid_file(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("#SIDv1 base=3 ngram2 grams=1", "'ngram2' is not key=value"),
+        ("#SIDv1 base=+3 ngram=2 grams=1", "field base: expected a decimal"),
+        ("#SIDv1 base=3 ngram=1_2 grams=1", "field ngram: expected"),
+        ("#SIDv1 base=3 ngram=2 grams=-1", "field grams: expected"),
+        ("#SIDv1 base=\u0663 ngram=2 grams=1", "field base: expected"),
+        ("#SIDv1 base=3 grams=1", "missing field 'ngram'")])
+    def test_malformed_header_field_is_named(self, header, message):
+        with pytest.raises(sc.SidError, match=message):
+            sc.SidScheme.from_header(header)

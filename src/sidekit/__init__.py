@@ -3,6 +3,7 @@ a multi-task VQ-fusion autoencoder, and the evaluation harness around them."""
 
 from .nn_core import (
     AdamState,
+    FitConfig,
     GraphError,
     NonFiniteError,
     ParamStore,
@@ -47,7 +48,6 @@ from .fusion_vae import (
     FusionSpec,
     QuantizerSpec,
     SignalSpec,
-    TrainConfig,
     encode_corpus,
     fusion_loss,
     train,

@@ -2,8 +2,10 @@
 into file-based pipelines.
 
 Commands: gen-corpus, gen-engagement, train, encode, decode, eval-recon,
-eval-recall, eval-ne, rank-ab, sweep. All randomness flows from --seed
-flags; SIDEKIT_THREADS caps metric-evaluation parallelism.
+eval-recall, eval-ne, rank-ab, sweep. `train` and `sweep` draw their
+randomness from the config file's `seed` key, the rest from --seed flags.
+The CLI owns the default of every setting it exposes (PipelineConfig and
+the flags). SIDEKIT_THREADS caps metric-evaluation parallelism.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import fusion_vae as fv
 from . import metrics
 from . import ranking as rk
 from .corpus_io import corpus_read, corpus_write, generate_clustered_corpus
-from .nn_core import TrainingDiverged, _no_record
+from .nn_core import FitConfig, TrainingDiverged, _no_record
 from .quantizers import (kmeans_grid_decode, kmeans_grid_encode,
                          kmeans_grid_fit, load_codebooks, save_codebooks)
 from .sid_codec import (SidScheme, pack_all, read_sid_file, unpack_all,
@@ -36,6 +38,8 @@ QUANTIZER_KINDS = CLASSICAL_KINDS + ("fsq", "dpca", "none")
 ENGAGEMENT_ARRAYS = ("item_latents", "item_digits", "item_sids", "history",
                      "candidates", "labels", "segments", "dense")
 ENGAGEMENT_SIZES = ("users", "items", "seq_len", "seed")
+LEAST = dict(levels=2, depth=1, groups=1, latent=1, hidden=1, ngram=1,
+             batch_size=1, epochs=1, kmeans_iters=1)
 
 
 @dataclass
@@ -58,6 +62,12 @@ class PipelineConfig:
     def validate(self):
         if self.quantizer not in QUANTIZER_KINDS:
             raise PipelineError(f"unknown quantizer '{self.quantizer}'")
+        for key, least in LEAST.items():
+            if getattr(self, key) < least:
+                raise PipelineError(
+                    f"{key} must be >= {least}, got {getattr(self, key)}")
+        if not self.lr > 0:
+            raise PipelineError(f"lr must be > 0, got {self.lr}")
         if self.quantizer in ("kmeans", "pq", "fsq") and self.depth != 1:
             raise PipelineError(f"depth only applies to rq/dpca, got {self.depth}")
         if self.quantizer in ("kmeans", "rq", "fsq") and self.groups != 1:
@@ -66,9 +76,9 @@ class PipelineConfig:
             raise PipelineError("dpca uses the ternary codebook; levels must be 3")
         return self
 
-    def train_config(self):
-        return fv.TrainConfig(batch_size=self.batch_size, epochs=self.epochs,
-                              lr=self.lr, seed=self.seed)
+    def fit_config(self):
+        return FitConfig(epochs=self.epochs, batch_size=self.batch_size,
+                         lr=self.lr, seed=self.seed)
 
 
 def load_config(path):
@@ -95,14 +105,14 @@ def load_config(path):
     return PipelineConfig(**cfg).validate()
 
 
-def _build_fusion(cfg, dims, seed):
+def _build_fusion(cfg, dims):
     spec = fv.FusionSpec(
         signals=tuple(fv.SignalSpec(name=f"sig{i}", dim=d)
                       for i, d in enumerate(dims)),
         latent=cfg.latent, hidden=cfg.hidden,
         quantizer=fv.QuantizerSpec(kind=cfg.quantizer, levels=cfg.levels,
                                    depth=cfg.depth, groups=cfg.groups))
-    return fv.FusionModel(spec, seed=seed)
+    return fv.FusionModel(spec, seed=cfg.seed)
 
 
 def _load_bundle(paths):
@@ -142,8 +152,6 @@ def _warn_diverged(what, epoch):
 
 def cmd_train(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     bundle, dims = _load_bundle(args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
         if len(args.corpus) != 1:
@@ -153,8 +161,8 @@ def cmd_train(args):
         save_codebooks(args.out, books)
         print(f"fitted {cfg.quantizer} ({len(books)} codebooks) -> {args.out}")
         return 0
-    model = _build_fusion(cfg, dims, cfg.seed)
-    model, history = fv.train(model, bundle, cfg.train_config())
+    model = _build_fusion(cfg, dims)
+    model, history = fv.train(model, bundle, cfg.fit_config())
     model.save(args.out)
     if args.history:
         history.to_csv(args.history)
@@ -194,7 +202,7 @@ def cmd_encode(args):
                                       ngram=cfg.ngram)
         sids = pack_all(scheme, codes - scheme.offset)
     else:
-        model = _build_fusion(cfg, dims, cfg.seed).load(args.ckpt)
+        model = _build_fusion(cfg, dims).load(args.ckpt)
         scheme, sids = fv.encode_corpus(model, bundle, ngram=cfg.ngram)
     write_sid_file(args.out, scheme, sids)
     print(f"encoded {len(sids)} records -> {args.out}")
@@ -217,7 +225,7 @@ def cmd_decode(args):
     except ValueError:
         raise PipelineError(f"{cfg.quantizer} decoding needs --dims, the "
                             f"signal dims as ints, got '{args.dims}'") from None
-    model = _build_fusion(cfg, dims, cfg.seed).load(args.ckpt)
+    model = _build_fusion(cfg, dims).load(args.ckpt)
     recon = fv.decode_from_digits(model, digits)
     for name, arr in recon.items():
         corpus_write(f"{args.out}.{name}.emb", arr)
@@ -276,9 +284,9 @@ def cmd_rank_ab(args):
             **{k: getattr(args, k) for k in ENGAGEMENT_SIZES}))
     hash_size = (ds.collision_free_size() if args.hash_size is None
                  else args.hash_size)
-    tcfg = rk.RankTrainConfig(epochs=args.epochs, lr=args.lr,
-                              feature_dim=args.feature_dim, seed=args.seed)
-    report = rk.run_ab(ds, hash_size, tcfg)
+    fit = FitConfig(epochs=args.epochs, batch_size=rk.BATCH_SIZE, lr=args.lr,
+                    seed=args.seed)
+    report = rk.run_ab(ds, hash_size, args.feature_dim, fit)
     for name, r in report.results.items():
         if r.diverged_at is not None:
             _warn_diverged(f"{name} ranker training", r.diverged_at)
@@ -305,23 +313,22 @@ def cmd_sweep(args):
     groups = [int(v) for v in (args.groups or str(cfg.groups)).split(",")]
     ngrams = [int(v) for v in (args.ngrams or str(cfg.ngram)).split(",")]
     rows = []
-    for L, D, P, n in product(levels, depths, groups, ngrams):
-        combo = replace(cfg, levels=L, depth=D, groups=P, ngram=n).validate()
-        model = _build_fusion(combo, dims, combo.seed)
-        model, _ = fv.train(model, bundle, combo.train_config())
+    # the n-gram size changes only the SID scheme: one model per (L, D, P)
+    for L, D, P in product(levels, depths, groups):
+        combos = [replace(cfg, levels=L, depth=D, groups=P, ngram=n).validate()
+                  for n in ngrams]
+        model = _build_fusion(combos[0], dims)
+        model, _ = fv.train(model, bundle, combos[0].fit_config())
         data = fv.normalize_bundle(model, bundle)
         with _no_record():
             result = model.forward(data)
-        losses = {name: metrics.cosine_recon_loss(data[name],
-                                                  result.recon[name].value)
-                  for name in data}
-        digits = model.spec.code_digits
-        bits = digits * np.log2(combo.levels)
-        scheme = model.spec.sid_scheme(ngram=n)
-        row = {"quantizer": combo.quantizer, "L": L, "D": D, "P": P, "n": n,
-               "bits": round(float(bits), 1), "sids_per_item": scheme.grams}
-        row.update({f"loss.{k}": round(v, 4) for k, v in losses.items()})
-        rows.append(row)
+        losses = {f"loss.{name}": round(metrics.cosine_recon_loss(
+            data[name], result.recon[name].value), 4) for name in data}
+        bits = round(float(model.spec.code_digits * np.log2(L)), 1)
+        rows += [{"quantizer": cfg.quantizer, "L": L, "D": D, "P": P,
+                  "n": c.ngram, "bits": bits,
+                  "sids_per_item": model.spec.sid_scheme(c.ngram).grams,
+                  **losses} for c in combos]
     cols = list(rows[0])
     print(",".join(cols))
     for row in rows:
@@ -330,6 +337,14 @@ def cmd_sweep(args):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _add_engagement_sizes(p):
+    """The ENGAGEMENT_SIZES flags of gen-engagement and rank-ab."""
+    p.add_argument("--users", type=int, default=10_000)
+    p.add_argument("--items", type=int, default=2_000)
+    p.add_argument("--seq-len", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -348,10 +363,7 @@ def build_parser():
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("gen-engagement", help="write synthetic engagement data")
-    p.add_argument("--users", type=int, default=10_000)
-    p.add_argument("--items", type=int, default=2_000)
-    p.add_argument("--seq-len", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    _add_engagement_sizes(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_engagement)
 
@@ -359,7 +371,6 @@ def build_parser():
     p.add_argument("--corpus", action="append", required=True,
                    help="embedding corpus; repeat for multiple signals")
     p.add_argument("--config", required=True, help="key=value config file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--history", help="write per-epoch loss CSV here")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -405,15 +416,12 @@ def build_parser():
 
     p = sub.add_parser("rank-ab", help="SID vs SIDE ranking A/B on synthetic data")
     p.add_argument("--data", help="engagement .npz from gen-engagement")
-    p.add_argument("--users", type=int, default=10_000)
-    p.add_argument("--items", type=int, default=2_000)
-    p.add_argument("--seq-len", type=int, default=32)
+    _add_engagement_sizes(p)
     p.add_argument("--hash-size", type=int, default=None,
                    help="sparse table rows per gram; default collision-free")
     p.add_argument("--epochs", type=int, default=12)
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rank_ab)
 

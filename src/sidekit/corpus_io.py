@@ -2,12 +2,14 @@
 
 Corpus files are little-endian binary: magic "SIDE", version u32, rows
 u32, dim u32, then rows*dim float32 payload. Writes go through a
-temporary file and an atomic rename; reads validate the header and the
-payload length and report the byte offset of any problem.
+temporary file and an atomic rename. Reads check the header against the
+file size, report the byte offset of any problem, and read the payload
+once, straight into the array.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -38,27 +40,26 @@ def corpus_write(path, corpus):
 
 def corpus_read(path):
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise CorpusFormatError(
-            f"file too short for header: {len(data)} bytes", offset=len(data))
-    magic, version, rows, dim = _HEADER.unpack_from(data, 0)
-    if magic != CORPUS_MAGIC:
-        raise CorpusFormatError(f"bad magic {magic!r}", offset=0)
-    if version != CORPUS_VERSION:
-        raise CorpusFormatError(f"unsupported version {version}", offset=4)
-    expected = rows * dim * 4
-    actual = len(data) - _HEADER.size
-    if actual != expected:
-        raise CorpusFormatError(
-            f"payload length mismatch: expected {expected} bytes "
-            f"({rows}x{dim} f32), got {actual}", offset=_HEADER.size)
-    payload = np.frombuffer(data, dtype="<f4", count=rows * dim,
-                            offset=_HEADER.size)
-    return payload.reshape(rows, dim).astype(DTYPE)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise CorpusFormatError(
+                f"file too short for header: {size} bytes", offset=size)
+        magic, version, rows, dim = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != CORPUS_MAGIC:
+            raise CorpusFormatError(f"bad magic {magic!r}", offset=0)
+        if version != CORPUS_VERSION:
+            raise CorpusFormatError(f"unsupported version {version}", offset=4)
+        expected = rows * dim * 4
+        actual = size - _HEADER.size
+        if actual != expected:
+            raise CorpusFormatError(
+                f"payload length mismatch: expected {expected} bytes "
+                f"({rows}x{dim} f32), got {actual}", offset=_HEADER.size)
+        payload = np.fromfile(fh, dtype="<f4", count=rows * dim)
+    return payload.reshape(rows, dim).astype(DTYPE, copy=False)
 
 
-def generate_clustered_corpus(rows, dim, clusters=100, noise=0.08, seed=0):
+def generate_clustered_corpus(rows, dim, clusters, noise, seed):
     """Unit-norm vectors around random cluster centers."""
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(clusters, dim))

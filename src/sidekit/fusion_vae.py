@@ -24,7 +24,7 @@ graph.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,10 +58,10 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    kind: str = "fsq"  # fsq | dpca | none
-    levels: int = 3
-    depth: int = 1     # dpca residual layers
-    groups: int = 1    # dpca product groups
+    kind: str      # fsq | dpca | none
+    levels: int
+    depth: int     # dpca residual layers
+    groups: int    # dpca product groups
 
     def __post_init__(self):
         if self.kind not in ("fsq", "dpca", "none"):
@@ -71,9 +71,9 @@ class QuantizerSpec:
 @dataclass(frozen=True)
 class FusionSpec:
     signals: tuple
-    latent: int = 15
-    hidden: int = 128
-    quantizer: QuantizerSpec = field(default_factory=QuantizerSpec)
+    latent: int
+    hidden: int
+    quantizer: QuantizerSpec
 
     def __post_init__(self):
         if not self.signals:
@@ -99,17 +99,9 @@ class FusionSpec:
             return q.depth * q.groups
         return self.latent
 
-    def sid_scheme(self, ngram=3):
+    def sid_scheme(self, ngram):
         return SidScheme.for_digits(self.code_digits,
                                     base=self.quantizer.levels, ngram=ngram)
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 256
-    epochs: int = 50
-    lr: float = 1e-3
-    seed: int = 0
 
 
 # Weights of the DPCA commitment and codebook loss terms.
@@ -373,8 +365,8 @@ def _sample_count(data):
 
 @dataclass
 class TrainHistory:
-    rows: list = field(default_factory=list)
-    diverged_at: int | None = None
+    rows: list              # one dict per finished epoch, see nn_core.fit
+    diverged_at: int | None
 
     def to_csv(self, path):
         if not self.rows:
@@ -406,8 +398,7 @@ def train(model, bundle, cfg):
         return loss, result.params, breakdown
 
     rows, diverged_at = nn.fit(model.params, _sample_count(data), step, rng,
-                               cfg.epochs, cfg.batch_size, cfg.lr,
-                               weight_decay=0.0)
+                               cfg, weight_decay=0.0)
     return model, TrainHistory(rows, diverged_at)
 
 
@@ -452,7 +443,7 @@ def encode_codes(model, bundle):
     return codes
 
 
-def encode_corpus(model, bundle, ngram=3):
+def encode_corpus(model, bundle, ngram):
     """SID records (one row of grams per sample) via the packing codec."""
     codes = encode_codes(model, bundle)
     scheme = model.spec.sid_scheme(ngram=ngram)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_KS = (20, 50, 100)
 NE_CLIP = 1e-7
 # Cells of one row block of a (rows x width) float64 intermediate: 16 MB.
 BLOCK_CELLS = 1 << 21
@@ -126,7 +125,7 @@ def cosine_topk(base, queries, k, exclude_self=None):
     return out
 
 
-def knn_ground_truth(corpus, query_indices, depth=20):
+def knn_ground_truth(corpus, query_indices, depth):
     """Exact closest-`depth` neighbors of corpus rows, self excluded.
 
     Queries are given as row indices into the corpus; the query's own row
@@ -168,7 +167,7 @@ class RecallReport:
         return f"{cells}  ({self.query_count} queries, corpus {self.corpus_size})"
 
 
-def recall_at_k(ground_truth, candidates, ks=DEFAULT_KS, corpus_size=None):
+def recall_at_k(ground_truth, candidates, ks, corpus_size=None):
     """Mean over queries of |gt ∩ candidates[:k]| / |gt|.
 
     Candidate lists must be at least max(ks) long. For nested candidate
@@ -244,7 +243,7 @@ def normalized_entropy(labels, predictions):
 # Report output
 
 
-def emit_report(payload, as_json=False):
+def emit_report(payload, as_json):
     stream = sys.stdout
     if as_json:
         def default(o):

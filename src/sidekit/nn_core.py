@@ -175,22 +175,22 @@ def sub(a, b, name=None):
                    lambda g, av, bv: -g, name)
 
 
-def mul(a, b, name=None):
+def mul(a, b):
     return _binary("mul", a, b, np.multiply,
                    lambda g, av, bv: g * bv,
-                   lambda g, av, bv: g * av, name)
+                   lambda g, av, bv: g * av)
 
 
-def div(a, b, name=None):
+def div(a, b):
     return _binary("div", a, b, np.divide,
                    lambda g, av, bv: g / bv,
-                   lambda g, av, bv: -g * av / (bv * bv), name)
+                   lambda g, av, bv: -g * av / (bv * bv))
 
 
-def matmul(a, b, name=None):
+def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise GraphError(
-            f"matmul shape mismatch {a.shape} @ {b.shape}", name or "matmul")
+            f"matmul shape mismatch {a.shape} @ {b.shape}", "matmul")
     value = a.value @ b.value
 
     def backward(out):
@@ -200,76 +200,72 @@ def matmul(a, b, name=None):
         if b.requires_grad:
             b.grad += a.value.T @ g
 
-    return _make("matmul", value, (a, b), backward, name)
+    return _make("matmul", value, (a, b), backward)
 
 
-def scale(a, c, name=None):
+def scale(a, c):
     c = float(c)
 
     def backward(out):
-        if a.requires_grad:
-            a.grad += out.grad * DTYPE(c)
-    return _make("scale", a.value * DTYPE(c), (a,), backward, name)
+        a.grad += out.grad * DTYPE(c)
+    return _make("scale", a.value * DTYPE(c), (a,), backward)
 
 
-def _unary(opname, a, fn, dfn, name=None):
+def _unary(opname, a, fn, dfn):
     with np.errstate(all="ignore"):
         value = fn(a.value).astype(DTYPE, copy=False)
 
     def backward(out):
-        if a.requires_grad:
-            a.grad += dfn(out.grad, a.value, value)
-    return _make(opname, value, (a,), backward, name)
+        a.grad += dfn(out.grad, a.value, value)
+    return _make(opname, value, (a,), backward)
 
 
-def relu(a, name=None):
+def relu(a):
     # Subgradient at 0 is taken as 0.
     return _unary("relu", a, lambda x: np.maximum(x, 0.0),
-                  lambda g, x, y: g * (x > 0), name)
+                  lambda g, x, y: g * (x > 0))
 
 
-def softplus(a, name=None):
+def softplus(a):
     return _unary("softplus", a, lambda x: np.logaddexp(0.0, x),
-                  lambda g, x, y: g / (1.0 + np.exp(-x)), name)
+                  lambda g, x, y: g / (1.0 + np.exp(-x)))
 
 
-def sqrt(a, name=None):
-    return _unary("sqrt", a, np.sqrt, lambda g, x, y: g / (2.0 * y), name)
+def sqrt(a):
+    return _unary("sqrt", a, np.sqrt, lambda g, x, y: g / (2.0 * y))
 
 
-def square(a, name=None):
-    return _unary("square", a, np.square, lambda g, x, y: g * 2.0 * x, name)
+def square(a):
+    return _unary("square", a, np.square, lambda g, x, y: g * 2.0 * x)
 
 
-def softmax_rows(a, name=None):
+def softmax_rows(a):
     x = a.value
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     value = e / e.sum(axis=1, keepdims=True)
 
     def backward(out):
-        if a.requires_grad:
-            g = out.grad
-            s = out.value
-            a.grad += s * (g - (g * s).sum(axis=1, keepdims=True))
-    return _make("softmax_rows", value.astype(DTYPE), (a,), backward, name)
+        g = out.grad
+        s = out.value
+        a.grad += s * (g - (g * s).sum(axis=1, keepdims=True))
+    return _make("softmax_rows", value.astype(DTYPE), (a,), backward)
 
 
-def log_softmax_rows(a, name=None):
+def log_softmax_rows(a):
     x = a.value
     shifted = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     value = shifted - lse
 
     def backward(out):
-        if a.requires_grad:
-            g = out.grad
-            s = np.exp(out.value)
-            a.grad += g - s * g.sum(axis=1, keepdims=True)
-    return _make("log_softmax_rows", value.astype(DTYPE), (a,), backward, name)
+        g = out.grad
+        s = np.exp(out.value)
+        a.grad += g - s * g.sum(axis=1, keepdims=True)
+    return _make("log_softmax_rows", value.astype(DTYPE), (a,), backward)
 
 
-def concat_cols(nodes, name=None):
+def concat_cols(nodes):
     value = np.concatenate([n.value for n in nodes], axis=1)
     offsets = np.cumsum([0] + [n.shape[1] for n in nodes])
 
@@ -277,92 +273,84 @@ def concat_cols(nodes, name=None):
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if n.requires_grad:
                 n.grad += out.grad[:, lo:hi]
-    return _make("concat", value, tuple(nodes), backward, name)
+    return _make("concat", value, tuple(nodes), backward)
 
 
-def sum_all(a, name=None):
+def sum_all(a):
     value = np.array([[a.value.sum(dtype=DTYPE)]], dtype=DTYPE)
 
     def backward(out):
-        if a.requires_grad:
-            a.grad += np.full(a.shape, out.grad[0, 0], dtype=DTYPE)
-    return _make("sum", value, (a,), backward, name)
+        a.grad += np.full(a.shape, out.grad[0, 0], dtype=DTYPE)
+    return _make("sum", value, (a,), backward)
 
 
-def mean_all(a, name=None):
+def mean_all(a):
     n = a.value.size
     value = np.array([[a.value.sum(dtype=DTYPE) / n]], dtype=DTYPE)
 
     def backward(out):
-        if a.requires_grad:
-            a.grad += np.full(a.shape, out.grad[0, 0] / n, dtype=DTYPE)
-    return _make("mean", value, (a,), backward, name)
+        a.grad += np.full(a.shape, out.grad[0, 0] / n, dtype=DTYPE)
+    return _make("mean", value, (a,), backward)
 
 
-def sum_axis1(a, name=None):
+def sum_axis1(a):
     value = a.value.sum(axis=1, keepdims=True, dtype=DTYPE)
 
     def backward(out):
-        if a.requires_grad:
-            a.grad += np.broadcast_to(out.grad, a.shape)
-    return _make("sum_axis1", value, (a,), backward, name)
+        a.grad += np.broadcast_to(out.grad, a.shape)
+    return _make("sum_axis1", value, (a,), backward)
 
 
-def reshape(a, rows, cols, name=None):
+def reshape(a, rows, cols):
     if rows * cols != a.value.size:
         raise GraphError(
-            f"cannot reshape {a.shape} to ({rows}, {cols})", name or "reshape")
+            f"cannot reshape {a.shape} to ({rows}, {cols})", "reshape")
     value = a.value.reshape(rows, cols)
 
     def backward(out):
-        if a.requires_grad:
-            a.grad += out.grad.reshape(a.shape)
-    return _make("reshape", value, (a,), backward, name)
+        a.grad += out.grad.reshape(a.shape)
+    return _make("reshape", value, (a,), backward)
 
 
-def repeat_rows(a, k, name=None):
+def repeat_rows(a, k):
     value = np.repeat(a.value, k, axis=0)
 
     def backward(out):
-        if a.requires_grad:
-            n, m = a.shape
-            a.grad += out.grad.reshape(n, k, m).sum(axis=1, dtype=DTYPE)
-    return _make("repeat_rows", value, (a,), backward, name)
+        n, m = a.shape
+        a.grad += out.grad.reshape(n, k, m).sum(axis=1, dtype=DTYPE)
+    return _make("repeat_rows", value, (a,), backward)
 
 
-def segment_sum_rows(a, k, name=None):
+def segment_sum_rows(a, k):
     """Sum consecutive blocks of k rows; adjoint of repeat_rows."""
     n, m = a.shape
     if n % k != 0:
-        raise GraphError(f"row count {n} not divisible by {k}", name or "segment_sum")
+        raise GraphError(f"row count {n} not divisible by {k}", "segment_sum")
     value = a.value.reshape(n // k, k, m).sum(axis=1, dtype=DTYPE)
 
     def backward(out):
-        if a.requires_grad:
-            a.grad += np.repeat(out.grad, k, axis=0)
-    return _make("segment_sum", value, (a,), backward, name)
+        a.grad += np.repeat(out.grad, k, axis=0)
+    return _make("segment_sum", value, (a,), backward)
 
 
-def gather_rows(table, indices, name=None):
+def gather_rows(table, indices):
     """Row lookup into a parameter table; backward scatter-adds."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise GraphError(
             f"index out of range for table with {table.shape[0]} rows",
-            name or "gather")
+            "gather")
     value = table.value[idx]
 
     def backward(out):
-        if table.requires_grad:
-            np.add.at(table.grad, idx, out.grad)
-    return _make("gather", value, (table,), backward, name)
+        np.add.at(table.grad, idx, out.grad)
+    return _make("gather", value, (table,), backward)
 
 
-def stop_gradient(a, name=None):
+def stop_gradient(a):
     """Forward-identity node that blocks all gradient flow through it."""
-    node = Node(a.value, name or f"stop_gradient#{next(_node_ids)}",
-                (a,), None, requires_grad=False)
-    return node
+    return Node(a.value, f"stop_gradient#{next(_node_ids)}", (a,), None,
+                requires_grad=False)
 
 
 def backward(loss):
@@ -471,10 +459,10 @@ class AdamState:
     """Adam optimizer state; moment shapes mirror the parameter shapes.
     The decay rates and epsilon are the ADAM_* constants."""
 
-    lr: float = 1e-3
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    lr: float
+    step: int = field(default=0, init=False)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -513,11 +501,21 @@ def adam_step(state, params, grads):
     return state
 
 
-def fit(params, n, step, rng, epochs, batch_size, lr, weight_decay):
+@dataclass(frozen=True)
+class FitConfig:
+    """The settings of one `fit` run; `seed` seeds the `rng` it is handed."""
+
+    epochs: int
+    batch_size: int
+    lr: float
+    seed: int
+
+
+def fit(params, n, step, rng, cfg, weight_decay):
     """Minibatch Adam training over `n` samples with rollback on divergence.
 
     Each epoch visits the samples in the order of one `rng.permutation(n)`,
-    `batch_size` at a time. `step(idx)` builds the graph for the sample
+    `cfg.batch_size` at a time. `step(idx)` builds the graph for the sample
     indices `idx` and returns (scalar loss node, the `Binding` it used,
     per-term floats). A positive `weight_decay` then shrinks every
     parameter by (1 - lr * weight_decay): decoupled weight decay.
@@ -529,19 +527,19 @@ def fit(params, n, step, rng, epochs, batch_size, lr, weight_decay):
     epoch; if epoch 0 diverges a TrainingDiverged error is raised instead.
     """
     arrays = dict(params.items())
-    opt = AdamState(lr=lr)
-    shrink = DTYPE(1.0 - lr * weight_decay)
+    opt = AdamState(lr=cfg.lr)
+    shrink = DTYPE(1.0 - cfg.lr * weight_decay)
     rows = []
     last_good = params.snapshot()
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         sums = {}
         batches = 0
         try:
             # overflow shows up as the NonFiniteError naming node and row
             with np.errstate(all="ignore"):
-                for lo in range(0, n, batch_size):
-                    loss, bound, terms = step(order[lo:lo + batch_size])
+                for lo in range(0, n, cfg.batch_size):
+                    loss, bound, terms = step(order[lo:lo + cfg.batch_size])
                     backward(loss)
                     adam_step(opt, arrays, bound.grads())
                     if weight_decay > 0.0:

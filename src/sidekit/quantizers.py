@@ -73,7 +73,7 @@ def _sq_dists(x, centroids):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def kmeans_fit(corpus, k, iters=25, seed=0):
+def kmeans_fit(corpus, k, iters, seed):
     """Lloyd's algorithm with farthest-point reseeding of empty clusters.
 
     The within-cluster sum of squares is recorded once per iteration and
@@ -130,7 +130,7 @@ def kmeans_assign(codebook, x):
     return _sq_dists(rows, codebook.centroids).argmin(axis=1)
 
 
-def residual_fit(corpus, k, depth, iters=25, seed=0):
+def residual_fit(corpus, k, depth, iters, seed):
     """Stack of k-means codebooks, each fitted on the previous residuals."""
     residual = _rows(corpus)
     stack = []
@@ -219,7 +219,7 @@ class FsqConfig:
     are not fixed points of the tanh bounding.
     """
 
-    levels: int = 3
+    levels: int
 
     def __post_init__(self):
         if self.levels < 2:
@@ -269,6 +269,9 @@ def fsq_values(cfg, levels):
 # Discrete-PCA stacks
 
 
+DPCA_INIT_STD = 0.5  # std of the entries of DpcaStack.random's components
+
+
 @dataclass
 class DpcaStack:
     """Residual stack of learned component vectors with a ternary codebook.
@@ -313,12 +316,12 @@ class DpcaStack:
         return self.groups * self.depth
 
     @classmethod
-    def random(cls, dim, depth, groups=1, seed=0, scale=0.5):
+    def random(cls, dim, depth, groups=1, seed=0):
         if dim % groups != 0:
             raise QuantizerError(f"{groups} groups do not divide dimension {dim}")
         rng = np.random.default_rng(seed)
         w = dim // groups
-        comps = rng.normal(0.0, scale, size=(groups, depth, w))
+        comps = rng.normal(0.0, DPCA_INIT_STD, size=(groups, depth, w))
         offs = np.zeros((groups, depth, w))
         return cls(comps, offs)
 

@@ -69,10 +69,10 @@ SID_SCHEME = SidScheme.for_digits(LATENT_DIM, base=3, ngram=8)
 
 @dataclass(frozen=True)
 class EngagementConfig:
-    users: int = 10_000
-    items: int = 2_000
-    seq_len: int = 32
-    seed: int = 0
+    users: int
+    items: int
+    seq_len: int
+    seed: int
 
 
 @dataclass
@@ -181,15 +181,7 @@ def generate_engagement(cfg):
 # noise into the eval logits.
 WEIGHT_DECAY = 1e-3
 EVAL_FRACTION = 0.2      # users held out for the NE report
-
-
-@dataclass
-class RankTrainConfig:
-    batch_size: int = 256
-    epochs: int = 12
-    lr: float = 3e-3
-    feature_dim: int = 16
-    seed: int = 0
+BATCH_SIZE = 256         # training users per Adam step
 
 
 class ToyRankingModel:
@@ -200,17 +192,16 @@ class ToyRankingModel:
     features ablated to zero).
     """
 
-    def __init__(self, dataset, variant, hash_size, cfg):
+    def __init__(self, dataset, variant, hash_size, feature_dim, seed):
         if variant not in ("sid", "side", "none"):
             raise RankingError(f"unknown variant '{variant}'")
         self.variant = variant
-        self.hash_size = hash_size
-        self.cfg = cfg
+        self.feature_dim = feature_dim
         self.dataset = dataset
-        d = cfg.feature_dim
+        d = feature_dim
         # the SIDE path's digits come from the SIDs alone, with no table
         self.item_digits = side_embed(dataset.scheme, dataset.item_sids)
-        self.params = ParamStore(cfg.seed)
+        self.params = ParamStore(seed)
         self.params.table("sparse.segments", SEGMENTS, d)
         self.params.weight("dense.w", DENSE_DIM, d)
         self.params.zeros("dense.b", 1, d)
@@ -244,7 +235,7 @@ class ToyRankingModel:
         if self.variant == "side":
             digits = nn.constant(self.item_digits[ids])
             return nn.matmul(digits, p["feature.omega"])
-        return nn.constant(np.zeros((ids.size, self.cfg.feature_dim)))
+        return nn.constant(np.zeros((ids.size, self.feature_dim)))
 
     def logits(self, rows, p):
         """Logit node for a batch of user row indices, built on the
@@ -281,11 +272,12 @@ def _bce_loss(logit_node, labels):
     return nn.mean_all(nn.sub(nn.softplus(logit_node), nn.mul(y, logit_node)))
 
 
-def train_ranker(dataset, variant, hash_size, cfg):
-    """Train one variant; returns (model, NEReport on the eval split,
-    diverged_at). diverged_at is None unless a non-finite loss stopped
-    training, in which case it is the epoch whose start the parameters
-    were rolled back to (see nn_core.fit)."""
+def train_ranker(dataset, variant, hash_size, feature_dim, cfg):
+    """Train one variant of width `feature_dim` as the `nn_core.FitConfig`
+    `cfg` sets; returns (model, NEReport on the eval split, diverged_at).
+    diverged_at is None unless a non-finite loss stopped training, in
+    which case it is the epoch whose start the parameters were rolled
+    back to (see nn_core.fit)."""
     rng = np.random.default_rng(cfg.seed)
     n = dataset.config.users
     order = rng.permutation(n)
@@ -295,15 +287,14 @@ def train_ranker(dataset, variant, hash_size, cfg):
     if dataset.labels[train_rows].min() == dataset.labels[train_rows].max():
         raise RankingError("training split is single-class")
 
-    model = ToyRankingModel(dataset, variant, hash_size, cfg)
+    model = ToyRankingModel(dataset, variant, hash_size, feature_dim, cfg.seed)
 
     def step(idx):
         rows = train_rows[idx]
         p = model.params.bind()
         return _bce_loss(model.logits(rows, p), dataset.labels[rows]), p, {}
 
-    _, diverged_at = nn.fit(model.params, train_rows.size, step, rng,
-                            cfg.epochs, cfg.batch_size, cfg.lr,
+    _, diverged_at = nn.fit(model.params, train_rows.size, step, rng, cfg,
                             weight_decay=WEIGHT_DECAY)
     preds = model.predict(eval_rows)
     report = normalized_entropy(dataset.labels[eval_rows], preds)
@@ -316,14 +307,12 @@ class AbResult:
     ne: NEReport
     feature_params: int
     diverged_at: int | None    # epoch training was rolled back at, if any
-    ne_gain_pct: float | None = None  # vs the no-history ablation
+    ne_gain_pct: float | None  # vs the no-history ablation; None for it
 
 
 @dataclass
 class AbReport:
-    hash_size: int
-    results: dict
-    seed: int
+    results: dict  # variant -> AbResult, in training order
 
     def markdown(self):
         lines = ["| Variant | Click NE | NE gain | Feature-path params |",
@@ -335,7 +324,7 @@ class AbReport:
         return "\n".join(lines)
 
 
-def run_ab(dataset, hash_size, cfg):
+def run_ab(dataset, hash_size, feature_dim, cfg):
     """Train the no-history ablation, SID and SIDE on identical splits and
     report paired NE.
 
@@ -343,13 +332,14 @@ def run_ab(dataset, hash_size, cfg):
     means the feature path reduced NE relative to ranking without item
     identity features.
     """
-    _, base_report, diverged_at = train_ranker(dataset, "none", hash_size, cfg)
-    results = {"none": AbResult("none", base_report, 0, diverged_at)}
+    _, base_report, diverged_at = train_ranker(dataset, "none", hash_size,
+                                               feature_dim, cfg)
+    results = {"none": AbResult("none", base_report, 0, diverged_at, None)}
     for variant in ("sid", "side"):
         model, report, diverged_at = train_ranker(dataset, variant, hash_size,
-                                                  cfg)
+                                                  feature_dim, cfg)
         gain = 100.0 * (base_report.ne - report.ne) / base_report.ne
         results[variant] = AbResult(variant, report,
                                     model.feature_path_params(), diverged_at,
                                     gain)
-    return AbReport(hash_size=hash_size, results=results, seed=cfg.seed)
+    return AbReport(results)

@@ -205,13 +205,22 @@ def write_sid_file(path, scheme, sids):
     _atomic_write(path, [("\n".join(lines) + "\n").encode("ascii")])
 
 
+def _ascii(raw, lineno):
+    """SID file line `lineno`, bytes `raw`, as text; else a SidError."""
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        where = "SID header" if lineno == 1 else f"line {lineno}"
+        raise SidError(f"{where}: non-ASCII byte 0x{raw[exc.start]:02x} "
+                       f"at column {exc.start + 1}") from None
+
+
 def read_sid_file(path):
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        scheme = SidScheme.from_header(header)
+    with open(path, "rb") as fh:
+        scheme = SidScheme.from_header(_ascii(fh.readline(), 1))
         rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=2):
+            line = _ascii(raw, lineno).strip()
             if not line:
                 continue
             fields = line.split()

@@ -18,18 +18,20 @@ SCHEME = sc.SidScheme(base=3, ngram=2, grams=2)
 
 def fusion_model():
     spec = fv.FusionSpec(signals=(fv.SignalSpec("sig0", 4),), latent=4,
-                         hidden=8)
+                         hidden=8, quantizer=fv.QuantizerSpec(
+                             kind="fsq", levels=3, depth=1, groups=1))
     return fv.FusionModel(spec, seed=0)
 
 
 CASES = {
-    "kmeans_fit": (q.QuantizerError, lambda: q.kmeans_fit(VEC, 1)),
-    "residual_fit": (q.QuantizerError, lambda: q.residual_fit(VEC, 1, 1)),
+    "kmeans_fit": (q.QuantizerError, lambda: q.kmeans_fit(VEC, 1, 25, 0)),
+    "residual_fit": (q.QuantizerError,
+                     lambda: q.residual_fit(VEC, 1, 1, 25, 0)),
     "kmeans_assign": (q.QuantizerError, lambda: q.kmeans_assign(KMEANS, VEC)),
     "residual_quantize": (q.QuantizerError,
                           lambda: q.residual_quantize([KMEANS], VEC)),
     "fsq_quantize": (q.QuantizerError,
-                     lambda: q.fsq_quantize(q.FsqConfig(), VEC)),
+                     lambda: q.fsq_quantize(q.FsqConfig(3), VEC)),
     "dpca_encode": (q.QuantizerError, lambda: q.dpca_encode(DPCA, VEC)),
     "dpca_decode": (q.QuantizerError,
                     lambda: q.dpca_decode(DPCA, np.zeros(2, dtype=np.int8))),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sidekit import cli, metrics
+from sidekit import fusion_vae as fv
 from sidekit import ranking as rk
 from sidekit.corpus_io import corpus_read, corpus_write
 from sidekit.quantizers import load_codebooks
@@ -230,6 +231,28 @@ def test_encode_rejects_levels_other_than_k(tmp_path, corpus, capsys, levels):
     assert not sids.exists()
 
 
+@pytest.mark.parametrize("kind, grid", [("fsq", ("--levels", "3,5")),
+                                        ("dpca", ("--depths", "1,2"))])
+def test_sweep_trains_once_per_grid_point_for_all_ngrams(
+        tmp_path, corpus, capsys, monkeypatch, kind, grid):
+    train, trained = fv.train, []
+
+    def counted(*args):
+        trained.append(args)
+        return train(*args)
+
+    monkeypatch.setattr(fv, "train", counted)
+    assert run("sweep", "--corpus", corpus, "--config",
+               config(tmp_path, kind), *grid, "--ngrams", "2,3") == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "quantizer,L,D,P,n,bits,sids_per_item,loss.sig0"
+    rows = [line.split(",") for line in lines]
+    assert len(rows) == 4 and len(trained) == 2
+    assert [row[4] for row in rows] == ["2", "3", "2", "3"]
+    for n2, n3 in (rows[0], rows[1]), (rows[2], rows[3]):
+        assert n2[:4] == n3[:4] and n2[-1] == n3[-1]
+
+
 def test_sweep_rejects_classical_quantizers(tmp_path, corpus, capsys):
     assert run("sweep", "--corpus", corpus, "--config",
                config(tmp_path, "rq"), "--depths", "1,2") == 1
@@ -245,6 +268,29 @@ def test_bad_config_value_names_its_line(tmp_path):
     cfg = cli.load_config(path)
     assert (cfg.lr, cfg.latent) == (0.5, 7)
     assert type(cfg.latent) is int and type(cfg.lr) is float
+
+
+@pytest.mark.parametrize("kind, line, message", [
+    ("kmeans", "levels=1", "levels must be >= 2, got 1"),
+    ("rq", "depth=0", "depth must be >= 1, got 0"),
+    ("pq", "groups=0", "groups must be >= 1, got 0"),
+    ("dpca", "groups=0", "groups must be >= 1, got 0"),
+    ("fsq", "latent=0", "latent must be >= 1, got 0"),
+    ("fsq", "hidden=0", "hidden must be >= 1, got 0"),
+    ("fsq", "ngram=0", "ngram must be >= 1, got 0"),
+    ("fsq", "batch_size=-5", "batch_size must be >= 1, got -5"),
+    ("fsq", "epochs=0", "epochs must be >= 1, got 0"),
+    ("rq", "kmeans_iters=0", "kmeans_iters must be >= 1, got 0"),
+    ("fsq", "lr=0", "lr must be > 0, got 0.0"),
+    ("fsq", "lr=nan", "lr must be > 0, got nan")])
+def test_config_rejects_sizes_below_one(tmp_path, corpus, capsys, kind, line,
+                                        message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"quantizer={kind}\n{line}\n")
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", tmp_path / "q.ckpt") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "q.ckpt").exists()
 
 
 ENGAGEMENT = ("--users", 300, "--items", 60, "--seq-len", 6, "--seed", 2)

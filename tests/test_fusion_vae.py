@@ -30,8 +30,13 @@ def structured_corpus(rows, dim, seed, rank=4):
 def spec_for(dim, kind="fsq", latent=8, depth=4, groups=1, n=1, hidden=32):
     sigs = tuple(fv.SignalSpec(f"sig{i}", dim) for i in range(n))
     return fv.FusionSpec(signals=sigs, latent=latent, hidden=hidden,
-                         quantizer=fv.QuantizerSpec(kind=kind, depth=depth,
-                                                    groups=groups))
+                         quantizer=fv.QuantizerSpec(
+                             kind=kind, levels=3, depth=depth, groups=groups))
+
+
+def quantizer(kind):
+    """A one-layer, one-group 3-level quantizer spec of this kind."""
+    return fv.QuantizerSpec(kind=kind, levels=3, depth=1, groups=1)
 
 
 def nan_weight_on_forward(monkeypatch, model, call):
@@ -100,7 +105,7 @@ class TestLoss:
         sigs = (fv.SignalSpec("a", 8, weight=1.0),
                 fv.SignalSpec("b", 8, weight=0.0))
         spec = fv.FusionSpec(signals=sigs, latent=4, hidden=16,
-                             quantizer=fv.QuantizerSpec(kind="none"))
+                             quantizer=quantizer("none"))
         model = fv.FusionModel(spec, seed=6)
         xa, xb = unit(6, 8, 6), unit(6, 8, 7)
         result = model.forward({"a": xa, "b": xb})
@@ -141,12 +146,13 @@ class TestLoss:
     def test_xent_task_mechanism(self):
         sigs = (fv.SignalSpec("cat", 5, loss="xent"),)
         spec = fv.FusionSpec(signals=sigs, latent=4, hidden=16,
-                             quantizer=fv.QuantizerSpec(kind="none"))
+                             quantizer=quantizer("none"))
         model = fv.FusionModel(spec, seed=9)
         rng = np.random.default_rng(9)
         onehot = np.eye(5, dtype=np.float32)[rng.integers(0, 5, size=32)]
         model, hist = fv.train(model, {"cat": onehot},
-                               fv.TrainConfig(batch_size=16, epochs=30, seed=9))
+                               nn.FitConfig(epochs=30, batch_size=16,
+                                            lr=1e-3, seed=9))
         assert hist.rows[-1]["total"] < hist.rows[0]["total"]
 
 
@@ -175,7 +181,8 @@ class TestStraightThrough:
         model = fv.FusionModel(spec_for(8, kind="fsq", latent=4), seed=11)
         x = unit(4, 8, 11)
         model, _ = fv.train(model, {"sig0": x},
-                            fv.TrainConfig(batch_size=4, epochs=30, seed=11))
+                            nn.FitConfig(epochs=30, batch_size=4, lr=1e-3,
+                                         seed=11))
         result = model.forward({"sig0": x})
         c = (result.h.value - result.h_hat.value).copy()
         nn.backward(fv.fusion_loss(model, {"sig0": x}, result)[0])
@@ -201,8 +208,8 @@ class TestTrain:
         before = model.params.snapshot()
         x = unit(32, 8, 12)
         model, _ = fv.train(model, {"sig0": x},
-                            fv.TrainConfig(batch_size=16, epochs=2,
-                                           lr=1e-12, seed=12))
+                            nn.FitConfig(epochs=2, batch_size=16,
+                                         lr=1e-12, seed=12))
         for name, arr in model.params.items():
             np.testing.assert_allclose(arr, before[name], atol=1e-5)
 
@@ -213,10 +220,11 @@ class TestTrain:
         pts = (pts / np.linalg.norm(pts, axis=1, keepdims=True)).astype(
             np.float32)
         spec = fv.FusionSpec(signals=(fv.SignalSpec("sig0", 16),), latent=1,
-                             hidden=32, quantizer=fv.QuantizerSpec(kind="fsq"))
+                             hidden=32, quantizer=quantizer("fsq"))
         model = fv.FusionModel(spec, seed=0)
         model, _ = fv.train(model, {"sig0": pts},
-                            fv.TrainConfig(batch_size=16, epochs=500, seed=0))
+                            nn.FitConfig(epochs=500, batch_size=16,
+                                         lr=1e-3, seed=0))
         data = fv.normalize_bundle(model, {"sig0": pts})
         result = model.forward(data)
         loss = cosine_recon_loss(data["sig0"], result.recon["sig0"].value)
@@ -228,17 +236,18 @@ class TestTrain:
         model = fv.FusionModel(spec_for(24, kind="fsq", latent=8), seed=seed)
         model, hist = fv.train(
             model, {"sig0": x},
-            fv.TrainConfig(batch_size=64, epochs=11, seed=seed))
+            nn.FitConfig(epochs=11, batch_size=64, lr=1e-3, seed=seed))
         assert hist.rows[10]["total"] < hist.rows[0]["total"]
 
     def test_symmetric_duplicate_signals_converge_together(self):
         x = structured_corpus(192, 16, 14)
         sigs = (fv.SignalSpec("a", 16), fv.SignalSpec("b", 16))
         spec = fv.FusionSpec(signals=sigs, latent=6, hidden=48,
-                             quantizer=fv.QuantizerSpec(kind="fsq"))
+                             quantizer=quantizer("fsq"))
         model = fv.FusionModel(spec, seed=14)
         model, _ = fv.train(model, {"a": x, "b": x},
-                            fv.TrainConfig(batch_size=64, epochs=150, seed=14))
+                            nn.FitConfig(epochs=150, batch_size=64,
+                                         lr=1e-3, seed=14))
         data = fv.normalize_bundle(model, {"a": x, "b": x})
         result = model.forward(data)
         la = cosine_recon_loss(data["a"], result.recon["a"].value)
@@ -250,12 +259,13 @@ class TestTrain:
         for kind in ("fsq", "dpca"):
             stopped = fv.FusionModel(spec_for(8, kind=kind, latent=4), seed=15)
             fv.train(stopped, {"sig0": x},
-                     fv.TrainConfig(batch_size=32, epochs=1, seed=15))
+                     nn.FitConfig(epochs=1, batch_size=32, lr=1e-3,
+                                  seed=15))
             model = fv.FusionModel(spec_for(8, kind=kind, latent=4), seed=15)
             # 2 batches per epoch: the first batch of epoch 1 goes NaN
             nan_weight_on_forward(monkeypatch, model, 3)
-            model, hist = fv.train(model, {"sig0": x}, fv.TrainConfig(
-                batch_size=32, epochs=3, seed=15))
+            model, hist = fv.train(model, {"sig0": x}, nn.FitConfig(
+                epochs=3, batch_size=32, lr=1e-3, seed=15))
             assert hist.diverged_at == 1
             assert len(hist.rows) == 1
             for name, arr in stopped.params.items():
@@ -266,21 +276,25 @@ class TestTrain:
         model.params.get("fuse.w")[0, 0] = np.nan
         with pytest.raises(nn.TrainingDiverged):
             fv.train(model, {"sig0": structured_corpus(64, 8, 15)},
-                     fv.TrainConfig(batch_size=32, epochs=3, seed=15))
+                     nn.FitConfig(epochs=3, batch_size=32, lr=1e-3,
+                                  seed=15))
 
     def test_mismatched_sample_counts_rejected(self):
         sigs = (fv.SignalSpec("a", 8), fv.SignalSpec("b", 8))
-        spec = fv.FusionSpec(signals=sigs, latent=4, hidden=16)
+        spec = fv.FusionSpec(signals=sigs, latent=4, hidden=16,
+                             quantizer=quantizer("fsq"))
         model = fv.FusionModel(spec, seed=16)
         with pytest.raises(fv.FusionError, match="sample count"):
             fv.train(model, {"a": unit(10, 8, 16), "b": unit(12, 8, 17)},
-                     fv.TrainConfig(epochs=1))
+                     nn.FitConfig(epochs=1, batch_size=256, lr=1e-3,
+                                  seed=0))
 
 
 class TestCheckpointLayout:
     SPEC = fv.FusionSpec(
         signals=(fv.SignalSpec("a", 6), fv.SignalSpec("b", 4)), latent=4,
-        hidden=8, quantizer=fv.QuantizerSpec(kind="dpca", depth=2, groups=2))
+        hidden=8, quantizer=fv.QuantizerSpec(kind="dpca", levels=3, depth=2,
+                                             groups=2))
 
     def test_parameter_names_in_record_order(self, tmp_path):
         model = fv.FusionModel(self.SPEC, seed=0)
@@ -360,27 +374,28 @@ class TestEncodeCorpus:
         model = fv.FusionModel(
             spec_for(12, kind="dpca", latent=8, depth=6), seed=seed)
         model, _ = fv.train(model, {"sig0": x},
-                            fv.TrainConfig(batch_size=64, epochs=10, seed=seed))
+                            nn.FitConfig(epochs=10, batch_size=64, lr=1e-3,
+                                         seed=seed))
         return model, x
 
     def test_determinism(self):
         model, x = self._trained()
-        _, sids1 = fv.encode_corpus(model, {"sig0": x})
-        _, sids2 = fv.encode_corpus(model, {"sig0": x})
+        _, sids1 = fv.encode_corpus(model, {"sig0": x}, ngram=3)
+        _, sids2 = fv.encode_corpus(model, {"sig0": x}, ngram=3)
         np.testing.assert_array_equal(sids1, sids2)
 
     def test_one_record_per_sample_in_order(self):
         model, x = self._trained()
-        scheme, sids = fv.encode_corpus(model, {"sig0": x})
+        scheme, sids = fv.encode_corpus(model, {"sig0": x}, ngram=3)
         assert sids.shape == (128, scheme.grams)
         # first row encodes the first sample: re-encode it alone
-        _, single = fv.encode_corpus(model, {"sig0": x[:1]})
+        _, single = fv.encode_corpus(model, {"sig0": x[:1]}, ngram=3)
         np.testing.assert_array_equal(sids[:1], single)
 
     def test_sids_match_direct_pipeline(self):
         from sidekit.sid_codec import pack_all
         model, x = self._trained()
-        scheme, sids = fv.encode_corpus(model, {"sig0": x})
+        scheme, sids = fv.encode_corpus(model, {"sig0": x}, ngram=3)
         codes = fv.encode_codes(model, {"sig0": x})
         np.testing.assert_array_equal(sids, pack_all(scheme, codes))
 
@@ -390,14 +405,14 @@ class TestEncodeCorpus:
         model.save(path)
         again = fv.FusionModel(
             spec_for(12, kind="dpca", latent=8, depth=6), seed=99).load(path)
-        _, sids1 = fv.encode_corpus(model, {"sig0": x})
-        _, sids2 = fv.encode_corpus(again, {"sig0": x})
+        _, sids1 = fv.encode_corpus(model, {"sig0": x}, ngram=3)
+        _, sids2 = fv.encode_corpus(again, {"sig0": x}, ngram=3)
         np.testing.assert_array_equal(sids1, sids2)
 
     def test_decode_from_digits_shapes(self):
         from sidekit.sid_codec import side_embed
         model, x = self._trained()
-        scheme, sids = fv.encode_corpus(model, {"sig0": x})
+        scheme, sids = fv.encode_corpus(model, {"sig0": x}, ngram=3)
         digits = side_embed(scheme, sids).astype(np.int64)
         recon = fv.decode_from_digits(model, digits)
         assert recon["sig0"].shape == x.shape
@@ -484,7 +499,8 @@ def test_inference_memory_growth_per_row_is_small(kind):
     spec = fv.FusionSpec(
         signals=(fv.SignalSpec("sig0", 64), fv.SignalSpec("sig1", 32)),
         latent=15, hidden=128,
-        quantizer=fv.QuantizerSpec(kind=kind, depth=5 if kind == "dpca" else 1,
+        quantizer=fv.QuantizerSpec(kind=kind, levels=3,
+                                   depth=5 if kind == "dpca" else 1,
                                    groups=3 if kind == "dpca" else 1))
     model = fv.FusionModel(spec, seed=3)
     big = {"sig0": unit(32_768, 64, 4), "sig1": unit(32_768, 32, 5)}

@@ -213,13 +213,13 @@ class TestRecallAtK:
         gt = np.arange(40).reshape(2, 20)
         cands = np.concatenate([gt, 1000 + np.arange(160).reshape(2, 80)],
                                axis=1)
-        report = m.recall_at_k(gt, cands)
+        report = m.recall_at_k(gt, cands, (20, 50, 100))
         assert report.recalls[0] == 1.0
 
     def test_disjoint_candidates(self):
         gt = np.arange(40).reshape(2, 20)
         cands = 1000 + np.arange(200).reshape(2, 100)
-        report = m.recall_at_k(gt, cands)
+        report = m.recall_at_k(gt, cands, (20, 50, 100))
         assert report.recalls == (0.0, 0.0, 0.0)
 
     def test_monotone_in_k(self):
@@ -227,13 +227,13 @@ class TestRecallAtK:
         gt = np.stack([rng.choice(500, size=20, replace=False)
                        for _ in range(30)])
         cands = np.stack([rng.permutation(500)[:100] for _ in range(30)])
-        report = m.recall_at_k(gt, cands)
+        report = m.recall_at_k(gt, cands, (20, 50, 100))
         assert report.recalls[0] <= report.recalls[1] <= report.recalls[2]
 
     def test_short_candidate_lists_rejected(self):
         gt = np.arange(20).reshape(1, 20)
         with pytest.raises(m.MetricError, match="too short"):
-            m.recall_at_k(gt, np.arange(50).reshape(1, 50))
+            m.recall_at_k(gt, np.arange(50).reshape(1, 50), (20, 50, 100))
 
     def test_paper_reference_rows_are_monotone(self):
         # reported recall tables are valid instances of the report type

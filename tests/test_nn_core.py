@@ -263,7 +263,7 @@ class TestAdam:
         g = rng.normal(size=(3, 3)).astype(np.float32)
         p = {"a": np.ones((3, 3), dtype=np.float32),
              "b": np.ones((3, 3), dtype=np.float32)}
-        state = nn.AdamState()
+        state = nn.AdamState(lr=1e-3)
         for _ in range(5):
             nn.adam_step(state, p, {"a": g, "b": g})
         np.testing.assert_array_equal(p["a"], p["b"])
@@ -272,7 +272,7 @@ class TestAdam:
         p = {"w": np.zeros((1, 1), dtype=np.float32)}
         bad = np.array([[np.nan]], dtype=np.float32)
         with pytest.raises(nn.NonFiniteError, match="'w'"):
-            nn.adam_step(nn.AdamState(), p, {"w": bad})
+            nn.adam_step(nn.AdamState(lr=1e-3), p, {"w": bad})
 
     def test_nonfinite_gradient_updates_nothing(self):
         p = {"a": np.ones((1, 1), dtype=np.float32),

@@ -59,7 +59,8 @@ class TestKMeans:
 
     def test_k_exceeds_rows(self):
         with pytest.raises(q.QuantizerError, match="exceeds"):
-            q.kmeans_fit(np.ones((3, 2), dtype=np.float32), 5)
+            q.kmeans_fit(np.ones((3, 2), dtype=np.float32), 5, iters=25,
+                         seed=0)
 
     @pytest.mark.parametrize("rows, k, iters, seed",
                              [(300, 12, 6, 0), (500, 1, 3, 1), (64, 64, 2, 2)])

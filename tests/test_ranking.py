@@ -72,7 +72,7 @@ def test_generate_engagement_peak_memory_is_bounded():
     again 34 MB. Taste, draws, history and the other per-user arrays add
     under 4 MB. 48 MB leaves slack and is under a fifth of the boolean
     array alone."""
-    cfg = rk.EngagementConfig(users=4_096, items=2_000, seed=1)
+    cfg = rk.EngagementConfig(users=4_096, items=2_000, seq_len=32, seed=1)
     tracemalloc.start()
     try:
         rk.generate_engagement(cfg)
@@ -87,7 +87,8 @@ def test_generate_engagement_memory_growth_per_user_is_small():
     mean history latent), under 1 KB. Averaging latents[history] over all
     users at once adds seq_len x 16 float64 values, 4 KB, per user."""
     def peak(users):
-        cfg = rk.EngagementConfig(users=users, items=2_000, seed=1)
+        cfg = rk.EngagementConfig(users=users, items=2_000, seq_len=32,
+                                  seed=1)
         tracemalloc.start()
         try:
             rk.generate_engagement(cfg)
@@ -101,7 +102,7 @@ def test_generate_engagement_memory_growth_per_user_is_small():
 @pytest.mark.parametrize("variant", ["sid", "side"])
 def test_predict_matches_the_recorded_graph(variant):
     ds = small_dataset()
-    model = rk.ToyRankingModel(ds, variant, 100, rk.RankTrainConfig(seed=5))
+    model = rk.ToyRankingModel(ds, variant, 100, feature_dim=16, seed=5)
     rows = np.arange(50)
     z = model.logits(rows, model.params.bind()).value[:, 0]
     np.testing.assert_array_equal(
@@ -115,9 +116,9 @@ def small_dataset():
 
 def test_divergence_rolls_back(monkeypatch):
     ds = small_dataset()
-    cfg = rk.RankTrainConfig(batch_size=160, epochs=3, seed=4)
-    stopped, _, clean = rk.train_ranker(ds, "side", 100, rk.RankTrainConfig(
-        batch_size=160, epochs=1, seed=4))
+    cfg = nn.FitConfig(epochs=3, batch_size=160, lr=3e-3, seed=4)
+    stopped, _, clean = rk.train_ranker(ds, "side", 100, 16, nn.FitConfig(
+        epochs=1, batch_size=160, lr=3e-3, seed=4))
     assert clean is None
     logits = rk.ToyRankingModel.logits
     calls = []
@@ -130,7 +131,7 @@ def test_divergence_rolls_back(monkeypatch):
         return logits(self, rows, p)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
-    model, report, diverged_at = rk.train_ranker(ds, "side", 100, cfg)
+    model, report, diverged_at = rk.train_ranker(ds, "side", 100, 16, cfg)
     assert diverged_at == 1
     assert np.isfinite(report.ne)
     for name, arr in stopped.params.items():
@@ -147,12 +148,14 @@ def test_divergence_in_first_epoch_raises(monkeypatch):
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
     with pytest.raises(nn.TrainingDiverged):
-        rk.train_ranker(ds, "sid", 100, rk.RankTrainConfig(epochs=2, seed=4))
+        rk.train_ranker(ds, "sid", 100, 16, nn.FitConfig(
+            epochs=2, batch_size=256, lr=3e-3, seed=4))
 
 
 def test_ab_report_counts_trained_feature_params():
     ds = small_dataset()
-    report = rk.run_ab(ds, 50, rk.RankTrainConfig(epochs=1, seed=5))
+    report = rk.run_ab(ds, 50, 16, nn.FitConfig(epochs=1, batch_size=256,
+                                                lr=3e-3, seed=5))
     assert list(report.results) == ["none", "sid", "side"]
     grams = ds.scheme.grams
     assert report.results["sid"].feature_params == grams * 50 * 16

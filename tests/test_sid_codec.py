@@ -282,3 +282,17 @@ class TestSidFile:
     def test_malformed_header_field_is_named(self, header, message):
         with pytest.raises(sc.SidError, match=message):
             sc.SidScheme.from_header(header)
+
+    def test_non_ascii_record_names_its_line(self, tmp_path):
+        path = tmp_path / "u.sids"
+        path.write_bytes(b"#SIDv1 base=3 ngram=2 grams=1\n3\n3 \xd9\xa1\n")
+        with pytest.raises(sc.SidError) as exc:
+            sc.read_sid_file(path)
+        assert str(exc.value) == "line 3: non-ASCII byte 0xd9 at column 3"
+
+    def test_non_ascii_header_is_named(self, tmp_path):
+        path = tmp_path / "h.sids"
+        path.write_bytes(b"#SIDv1 base=\xd9\xa3 ngram=2 grams=1\n3\n")
+        with pytest.raises(sc.SidError) as exc:
+            sc.read_sid_file(path)
+        assert str(exc.value) == "SID header: non-ASCII byte 0xd9 at column 13"

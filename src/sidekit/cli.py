@@ -40,6 +40,8 @@ ENGAGEMENT_ARRAYS = ("item_latents", "item_digits", "item_sids", "history",
 ENGAGEMENT_SIZES = ("users", "items", "seq_len", "seed")
 LEAST = dict(levels=2, depth=1, groups=1, latent=1, hidden=1, ngram=1,
              batch_size=1, epochs=1, kmeans_iters=1)
+SIZE_FLAGS = ("users", "items", "seq_len", "epochs", "feature_dim",
+              "hash_size", "queries", "ks", "dim", "clusters")
 
 
 @dataclass
@@ -225,8 +227,13 @@ def cmd_decode(args):
     except ValueError:
         raise PipelineError(f"{cfg.quantizer} decoding needs --dims, the "
                             f"signal dims as ints, got '{args.dims}'") from None
-    model = _build_fusion(cfg, dims).load(args.ckpt)
-    recon = fv.decode_from_digits(model, digits)
+    model = _build_fusion(cfg, dims)
+    if scheme.base != cfg.levels or scheme.digits < model.spec.code_digits:
+        raise PipelineError(
+            f"{args.sids} holds base-{scheme.base} SIDs of {scheme.digits} "
+            f"digits, the {cfg.quantizer} model of {args.config} needs "
+            f"base {cfg.levels} and {model.spec.code_digits} digits")
+    recon = fv.decode_from_digits(model.load(args.ckpt), digits)
     for name, arr in recon.items():
         corpus_write(f"{args.out}.{name}.emb", arr)
         print(f"decoded {arr.shape[0]} rows -> {args.out}.{name}.emb")
@@ -249,11 +256,11 @@ def cmd_eval_recall(args):
     rng = np.random.default_rng(args.seed)
     n_queries = min(args.queries, corpus.shape[0])
     queries = rng.choice(corpus.shape[0], size=n_queries, replace=False)
-    ks = tuple(int(k) for k in args.ks.split(","))
     gt = metrics.knn_ground_truth(corpus, queries, depth=args.depth)
     cands = metrics.cosine_topk(cand_vectors, cand_vectors[queries],
-                                max(ks), exclude_self=queries)
-    report = metrics.recall_at_k(gt, cands, ks, corpus_size=corpus.shape[0])
+                                max(args.ks), exclude_self=queries)
+    report = metrics.recall_at_k(gt, cands, args.ks,
+                                 corpus_size=corpus.shape[0])
     metrics.emit_report(report.as_dict() if args.json else report, args.json)
     return 0
 
@@ -267,8 +274,6 @@ def cmd_eval_ne(args):
 
 
 def cmd_rank_ab(args):
-    if args.hash_size is not None and args.hash_size < 1:
-        raise PipelineError(f"--hash-size must be >= 1, got {args.hash_size}")
     if args.data:
         with np.load(args.data) as loaded:
             missing = [k for k in ENGAGEMENT_ARRAYS + ENGAGEMENT_SIZES
@@ -324,10 +329,11 @@ def cmd_sweep(args):
             result = model.forward(data)
         losses = {f"loss.{name}": round(metrics.cosine_recon_loss(
             data[name], result.recon[name].value), 4) for name in data}
+        none = cfg.quantizer == "none"  # writes no codes: no code size
         bits = round(float(model.spec.code_digits * np.log2(L)), 1)
         rows += [{"quantizer": cfg.quantizer, "L": L, "D": D, "P": P,
-                  "n": c.ngram, "bits": bits,
-                  "sids_per_item": model.spec.sid_scheme(c.ngram).grams,
+                  "n": c.ngram, "bits": "" if none else bits, "sids_per_item":
+                  "" if none else model.spec.sid_scheme(c.ngram).grams,
                   **losses} for c in combos]
     cols = list(rows[0])
     print(",".join(cols))
@@ -337,6 +343,17 @@ def cmd_sweep(args):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _check_flags(args):
+    """Reject a SIZE_FLAGS value below 1 and an --lr not > 0, naming it."""
+    for dest in SIZE_FLAGS:
+        value = getattr(args, dest, None)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is not None and v < 1:
+                raise PipelineError(f"--{dest.replace('_', '-')} must be >= 1, got {v}")
+    if not getattr(args, "lr", 1.0) > 0:
+        raise PipelineError(f"--lr must be > 0, got {args.lr}")
 
 
 def _add_engagement_sizes(p):
@@ -403,7 +420,8 @@ def build_parser():
     p.add_argument("--candidates", required=True)
     p.add_argument("--queries", type=int, default=1000)
     p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--ks", default="20,50,100")
+    p.add_argument("--ks", default="20,50,100",
+                   type=lambda text: tuple(int(k) for k in text.split(",")))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval_recall)
@@ -440,6 +458,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -118,7 +118,6 @@ class ForwardResult:
     s: nn.Node
     recon: dict
     codes: np.ndarray | None
-    params: nn.Binding
 
 
 class FusionModel:
@@ -138,8 +137,7 @@ class FusionModel:
             self.params.weight(f"head.{sig.name}.w2", h, sig.dim)
             self.params.zeros(f"head.{sig.name}.b2", 1, sig.dim)
         self.params.weight("fuse.w", h * len(spec.signals), spec.latent)
-        if spec.fuse_gain != 1.0:
-            self.params.set("fuse.w", self.params.get("fuse.w") * spec.fuse_gain)
+        self.params.get("fuse.w")[...] *= spec.fuse_gain
         self.params.zeros("fuse.b", 1, spec.latent)
         self.params.weight("trunk.w", spec.latent, h)
         self.params.zeros("trunk.b", 1, h)
@@ -167,7 +165,7 @@ class FusionModel:
         return DpcaStack([[get(u)[0] for u, _ in row] for row in names],
                          [[get(b)[0] for _, b in row] for row in names])
 
-    # -- graph building: `p` is the graph's parameter Binding ---------------
+    # -- graph building: `p` maps names to the store's parameter leaves -----
 
     @staticmethod
     def _mlp(p, prefix, x):
@@ -234,7 +232,7 @@ class FusionModel:
 
     def forward(self, batch, dither_rng=None):
         """Run the mixing model on a dict of per-signal input matrices."""
-        p = self.params.bind()
+        p = self.params.leaves
         h = self.encode(batch, p)
         h_hat, codes = self._quantize_node(h, p, dither_rng=dither_rng)
         if h_hat is h:
@@ -242,7 +240,7 @@ class FusionModel:
         else:
             s = nn.sub(h, nn.stop_gradient(nn.sub(h, h_hat)), name="s")
         return ForwardResult(h=h, h_hat=h_hat, s=s, recon=self.decode(s, p),
-                             codes=codes, params=p)
+                             codes=codes)
 
     def decode(self, s, p):
         """Trunk and heads: one reconstruction node per signal from s."""
@@ -394,8 +392,7 @@ def train(model, bundle, cfg):
         batch = {k: v[idx] for k, v in data.items()}
         dither = rng if q.kind == "fsq" else None
         result = model.forward(batch, dither_rng=dither)
-        loss, breakdown = fusion_loss(model, batch, result)
-        return loss, result.params, breakdown
+        return fusion_loss(model, batch, result)
 
     rows, diverged_at = nn.fit(model.params, _sample_count(data), step, rng,
                                cfg, weight_decay=0.0)
@@ -433,7 +430,7 @@ def encode_codes(model, bundle):
     data = normalize_bundle(model, bundle)
     rows = _sample_count(data)
     codes = np.empty((rows, model.spec.code_digits), dtype=np.int64)
-    p = model.params.bind()
+    p = model.params.leaves
 
     def run(lo, hi):
         h = model.encode({k: v[lo:hi] for k, v in data.items()}, p)
@@ -469,7 +466,7 @@ def decode_from_digits(model, digits):
     rows = digits.shape[0]
     out = {s.name: np.empty((rows, s.dim), dtype=DTYPE)
            for s in model.spec.signals}
-    p = model.params.bind()
+    p = model.params.leaves
 
     def run(lo, hi):
         recon = model.decode(nn.constant(model.latent(digits[lo:hi])), p)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -244,18 +243,10 @@ def normalized_entropy(labels, predictions):
 
 
 def emit_report(payload, as_json):
-    stream = sys.stdout
     if as_json:
-        def default(o):
-            if hasattr(o, "as_dict"):
-                return o.as_dict()
-            if isinstance(o, np.generic):
-                return o.item()
-            raise TypeError(f"not serializable: {type(o)}")
-        stream.write(json.dumps(payload, default=default, indent=2) + "\n")
+        print(json.dumps(payload, indent=2))
+    elif isinstance(payload, dict):
+        for k, v in payload.items():
+            print(f"{k}: {v}")
     else:
-        if isinstance(payload, dict):
-            for k, v in payload.items():
-                stream.write(f"{k}: {v}\n")
-        else:
-            stream.write(str(payload) + "\n")
+        print(payload)

@@ -18,7 +18,9 @@ module state, not a graph op; training never sets it.
 Also provides the Adam optimizer and the one minibatch training loop
 (`fit`), a named parameter store with the initialization rules used
 across the package, and the binary checkpoint format (magic "SIDK")
-shared by models and codebooks.
+shared by models and codebooks. A model's state is whole float32 buffers
+(parameters, gradients, Adam moments), each parameter one persistent graph
+leaf that views them; a `fit` step returns (loss node, per-term floats).
 """
 
 from __future__ import annotations
@@ -374,9 +376,11 @@ def backward(loss):
             if inp.requires_grad:
                 stack.append((inp, False))
 
-    for node in order:
-        node.grad = np.zeros(node.shape, dtype=DTYPE)
-    loss.grad = np.ones((1, 1), dtype=DTYPE)
+    for node in order:  # in place: a parameter's gradient stays its view
+        if node.grad is None:
+            node.grad = np.empty(node.shape, dtype=DTYPE)
+        node.grad.fill(0.0)
+    loss.grad.fill(1.0)
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node)
@@ -387,11 +391,15 @@ def backward(loss):
 
 
 class ParamStore:
-    """Named float32 parameter arrays shared across per-batch graphs."""
+    """Named float32 parameters in one buffer, `flat`, and their gradients
+    in `grad`, laid out in registration order. Each name's one graph leaf
+    in `leaves` views both; only this class knows the offsets."""
 
     def __init__(self, seed=0):
         self.rng = np.random.default_rng(seed)
-        self._arrays: dict[str, np.ndarray] = {}
+        self.flat = np.zeros(0, dtype=DTYPE)
+        self.grad = np.zeros(0, dtype=DTYPE)
+        self.leaves: dict[str, Node] = {}
 
     def weight(self, name, fan_in, fan_out):
         """Glorot-uniform weight matrix: U(+-sqrt(6/(fan_in+fan_out)))."""
@@ -406,47 +414,41 @@ class ParamStore:
         return self.add(name, self.rng.normal(0.0, scale, size=(rows, cols)))
 
     def add(self, name, array):
-        if name in self._arrays:
+        """Append a parameter; every leaf is re-pointed at the grown buffers."""
+        if name in self.leaves:
             raise KeyError(f"parameter '{name}' already registered")
-        self._arrays[name] = _as_matrix(array, name)
-        return self._arrays[name]
-
-    def bind(self):
-        """Fresh graph leaves for every parameter, for one per-batch graph."""
-        return Binding((n, Node(a, n, (), None, requires_grad=True))
-                       for n, a in self._arrays.items())
+        arr = _as_matrix(array, name)
+        self.flat = np.concatenate([self.flat, arr.ravel()])
+        self.grad = np.zeros_like(self.flat)
+        self.leaves[name] = Node(arr, name, (), None, requires_grad=True)
+        lo = 0
+        for node in self.leaves.values():
+            hi = lo + node.value.size
+            node.value = self.flat[lo:hi].reshape(node.shape)
+            node.grad = self.grad[lo:hi].reshape(node.shape)
+            lo = hi
+        return node.value
 
     def get(self, name):
-        return self._arrays[name]
+        return self.leaves[name].value
 
     def set(self, name, array):
-        self._arrays[name] = np.asarray(array, dtype=DTYPE)
+        """Overwrite a parameter in place; the shape must be its own."""
+        value = self.get(name)
+        if np.shape(array) != value.shape:
+            raise GraphError(f"shape {np.shape(array)} != {value.shape}", name)
+        value[...] = array
 
     def names(self):
-        return list(self._arrays)
+        return list(self.leaves)
 
     def items(self):
-        return self._arrays.items()
+        return [(n, node.value) for n, node in self.leaves.items()]
 
-    def count(self, prefix=""):
-        return sum(a.size for n, a in self._arrays.items() if n.startswith(prefix))
-
-    def snapshot(self):
-        return {n: a.copy() for n, a in self._arrays.items()}
-
-    def restore(self, snap):
-        for n, a in snap.items():
-            self._arrays[n][...] = a
-
-
-class Binding(dict):
-    """Parameter name -> graph leaf. Every use of a name in the graph shares
-    its one leaf, so the gradient of each parameter accumulates there."""
-
-    def grads(self):
-        """Gradients by parameter name after backward (zeros if unused)."""
-        return {n: node.grad if node.grad is not None
-                else np.zeros_like(node.value) for n, node in self.items()}
+    def _nonfinite_grad(self):
+        """Name of the first parameter whose gradient holds a NaN or Inf."""
+        return next(n for n, leaf in self.leaves.items()
+                    if not np.isfinite(leaf.grad).all())
 
 
 ADAM_BETA1 = 0.9
@@ -456,48 +458,39 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam optimizer state; moment shapes mirror the parameter shapes.
-    The decay rates and epsilon are the ADAM_* constants."""
+    """Adam optimizer state; `m` and `v` mirror `ParamStore.flat` once the
+    first step has run. The decay rates and epsilon are the ADAM_* constants."""
 
     lr: float
     step: int = field(default=0, init=False)
-    m: dict = field(default_factory=dict, init=False)
-    v: dict = field(default_factory=dict, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
 
 
-def adam_step(state, params, grads):
-    """Apply one bias-corrected Adam update in place.
-
-    `params` maps names to float32 arrays (mutated), `grads` maps the same
-    names to gradient arrays. Every gradient is checked before any
-    parameter or moment changes. Returns the state for chaining.
-    """
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError("non-finite gradient", name)
-        if g.shape != p.shape:
-            raise GraphError(f"gradient shape {g.shape} != param {p.shape}", name)
+def adam_step(state, params):
+    """Apply one bias-corrected Adam update to the ParamStore `params` in
+    place, from its `grad`. The gradient is checked whole before any
+    parameter or moment changes: a NaN or Inf raises NonFiniteError naming
+    its parameter. Returns the state for chaining."""
+    g, p = params.grad, params.flat
+    if not np.isfinite(g).all():
+        raise NonFiniteError("non-finite gradient", params._nonfinite_grad())
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        with np.errstate(over="ignore", invalid="ignore"):
-            m += (1.0 - b1) * (g - m)
-            v += (1.0 - b2) * (g * g - v)
-            p -= DTYPE(state.lr) * (m / c1) / (np.sqrt(v / c2) + DTYPE(ADAM_EPS))
+    m, v = state.m, state.v
+    with np.errstate(over="ignore", invalid="ignore"):
+        m += (1.0 - b1) * (g - m)
+        v += (1.0 - b2) * (g * g - v)
+        p -= DTYPE(state.lr) * (m / c1) / (np.sqrt(v / c2) + DTYPE(ADAM_EPS))
     return state
 
 
@@ -512,13 +505,15 @@ class FitConfig:
 
 
 def fit(params, n, step, rng, cfg, weight_decay):
-    """Minibatch Adam training over `n` samples with rollback on divergence.
+    """Minibatch Adam training of the ParamStore `params` over `n` samples
+    with rollback on divergence.
 
     Each epoch visits the samples in the order of one `rng.permutation(n)`,
     `cfg.batch_size` at a time. `step(idx)` builds the graph for the sample
-    indices `idx` and returns (scalar loss node, the `Binding` it used,
-    per-term floats). A positive `weight_decay` then shrinks every
-    parameter by (1 - lr * weight_decay): decoupled weight decay.
+    indices `idx` on `params.leaves` and returns (scalar loss node, per-term
+    floats); a parameter the loss does not reach gets a zero gradient. Each
+    step then shrinks `params.flat` by (1 - lr * weight_decay): decoupled
+    weight decay.
 
     Returns (rows, diverged_at): one row per finished epoch holding the
     epoch and the batch mean of each term. A non-finite value anywhere in
@@ -526,11 +521,10 @@ def fit(params, n, step, rng, cfg, weight_decay):
     of the last finished epoch, training stops and diverged_at records the
     epoch; if epoch 0 diverges a TrainingDiverged error is raised instead.
     """
-    arrays = dict(params.items())
     opt = AdamState(lr=cfg.lr)
     shrink = DTYPE(1.0 - cfg.lr * weight_decay)
     rows = []
-    last_good = params.snapshot()
+    last_good = params.flat.copy()
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         sums = {}
@@ -539,24 +533,22 @@ def fit(params, n, step, rng, cfg, weight_decay):
             # overflow shows up as the NonFiniteError naming node and row
             with np.errstate(all="ignore"):
                 for lo in range(0, n, cfg.batch_size):
-                    loss, bound, terms = step(order[lo:lo + cfg.batch_size])
+                    loss, terms = step(order[lo:lo + cfg.batch_size])
+                    params.grad.fill(0.0)
                     backward(loss)
-                    adam_step(opt, arrays, bound.grads())
-                    if weight_decay > 0.0:
-                        for arr in arrays.values():
-                            arr *= shrink
+                    adam_step(opt, params)
+                    params.flat *= shrink  # exact no-op without decay
                     for k, v in terms.items():
                         sums[k] = sums.get(k, 0.0) + v
                     batches += 1
         except NonFiniteError as exc:
             if epoch == 0:
                 raise TrainingDiverged(f"diverged in epoch 0: {exc}") from None
-            params.restore(last_good)
+            params.flat[...] = last_good
             return rows, epoch
-        row = {"epoch": epoch}
-        row.update({k: v / batches for k, v in sums.items()})
-        rows.append(row)
-        last_good = params.snapshot()
+        rows.append({"epoch": epoch,
+                     **{k: v / batches for k, v in sums.items()}})
+        last_good = params.flat.copy()
     return rows, None
 
 

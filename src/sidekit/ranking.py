@@ -239,7 +239,7 @@ class ToyRankingModel:
 
     def logits(self, rows, p):
         """Logit node for a batch of user row indices, built on the
-        parameter Binding p."""
+        parameter leaves p (`params.leaves`)."""
         ds = self.dataset
         seg = nn.gather_rows(p["sparse.segments"], ds.segments[rows])
         dense = nn.add(nn.matmul(nn.constant(ds.dense[rows]), p["dense.w"]),
@@ -254,15 +254,15 @@ class ToyRankingModel:
 
     def predict(self, rows):
         with nn._no_record():
-            z = self.logits(rows, self.params.bind())
+            z = self.logits(rows, self.params.leaves)
         return 1.0 / (1.0 + np.exp(-z.value[:, 0].astype(np.float64)))
 
     def feature_path_params(self):
         """Parameter count of the item feature path only."""
         if self.variant == "sid":
-            return self.params.count("feature.table")
+            return self.params.get("feature.table").size
         if self.variant == "side":
-            return self.params.count("feature.omega")
+            return self.params.get("feature.omega").size
         return 0
 
 
@@ -291,8 +291,8 @@ def train_ranker(dataset, variant, hash_size, feature_dim, cfg):
 
     def step(idx):
         rows = train_rows[idx]
-        p = model.params.bind()
-        return _bce_loss(model.logits(rows, p), dataset.labels[rows]), p, {}
+        logits = model.logits(rows, model.params.leaves)
+        return _bce_loss(logits, dataset.labels[rows]), {}
 
     _, diverged_at = nn.fit(model.params, train_rows.size, step, rng, cfg,
                             weight_decay=WEIGHT_DECAY)

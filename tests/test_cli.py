@@ -214,6 +214,41 @@ def test_decode_rejects_a_sid_base_other_than_k(tmp_path, corpus, capsys,
     assert not (tmp_path / "rec.sig0.emb").exists()
 
 
+FUSION = "hidden=8\nepochs=1\nbatch_size=32"
+
+
+@pytest.mark.parametrize("sid_body, body, message", [
+    ("quantizer=fsq\nlevels=5\nlatent=4", "quantizer=fsq\nlevels=3\nlatent=4",
+     "x.sid holds base-5 SIDs of 6 digits, the fsq model of {cfg} needs "
+     "base 3 and 4 digits"),
+    ("quantizer=fsq\nlevels=5\nlatent=4",
+     "quantizer=dpca\nlatent=4\ndepth=2\ngroups=2",
+     "x.sid holds base-5 SIDs of 6 digits, the dpca model of {cfg} needs "
+     "base 3 and 4 digits"),
+    ("quantizer=fsq\nlatent=3", "quantizer=fsq\nlatent=6",
+     "x.sid holds base-3 SIDs of 3 digits, the fsq model of {cfg} needs "
+     "base 3 and 6 digits")],
+    ids=["fsq-levels", "dpca", "fewer-digits"])
+def test_fusion_decode_checks_the_sid_file_against_the_config(
+        tmp_path, corpus, capsys, sid_body, body, message):
+    written, cfg = tmp_path / "written.cfg", tmp_path / "decode.cfg"
+    written.write_text(f"{sid_body}\n{FUSION}\n")
+    cfg.write_text(f"{body}\n{FUSION}\n")
+    sids, ckpt = tmp_path / "x.sid", tmp_path / "decode.ckpt"
+    assert run("train", "--corpus", corpus, "--config", written,
+               "--out", tmp_path / "written.ckpt") == 0
+    assert run("encode", "--corpus", corpus, "--config", written,
+               "--ckpt", tmp_path / "written.ckpt", "--out", sids) == 0
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    capsys.readouterr()
+    assert run("decode", "--sids", sids, "--config", cfg, "--ckpt", ckpt,
+               "--dims", 8, "--out", tmp_path / "rec") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path}/{message.format(cfg=cfg)}\n"
+    assert not (tmp_path / "rec.sig0.emb").exists()
+
+
 @pytest.mark.parametrize("levels", [16, 2])
 def test_encode_rejects_levels_other_than_k(tmp_path, corpus, capsys, levels):
     trained = tmp_path / "rq4.cfg"
@@ -251,6 +286,17 @@ def test_sweep_trains_once_per_grid_point_for_all_ngrams(
     assert [row[4] for row in rows] == ["2", "3", "2", "3"]
     for n2, n3 in (rows[0], rows[1]), (rows[2], rows[3]):
         assert n2[:4] == n3[:4] and n2[-1] == n3[-1]
+
+
+def test_sweep_reports_no_code_size_for_the_identity_quantizer(
+        tmp_path, corpus, capsys):
+    assert run("sweep", "--corpus", corpus, "--config",
+               config(tmp_path, "none"), "--ngrams", "2,3") == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "quantizer,L,D,P,n,bits,sids_per_item,loss.sig0"
+    rows = [line.split(",") for line in lines]
+    assert [row[:7] for row in rows] == [["none", "3", "1", "1", n, "", ""]
+                                         for n in ("2", "3")]
 
 
 def test_sweep_rejects_classical_quantizers(tmp_path, corpus, capsys):
@@ -316,6 +362,33 @@ def test_rank_ab_rejects_hash_size_below_one(capsys, size):
     captured = capsys.readouterr()
     assert captured.err == f"error: --hash-size must be >= 1, got {size}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag, value, least", [
+    ("rank-ab", "--epochs", "0", ">= 1"),
+    ("rank-ab", "--feature-dim", "0", ">= 1"),
+    ("rank-ab", "--users", "-3", ">= 1"),
+    ("rank-ab", "--lr", "nan", "> 0"),
+    ("rank-ab", "--lr", "0.0", "> 0"),
+    ("gen-engagement", "--users", "0", ">= 1"),
+    ("gen-engagement", "--items", "0", ">= 1"),
+    ("gen-engagement", "--seq-len", "0", ">= 1"),
+    ("eval-recall", "--queries", "0", ">= 1"),
+    ("eval-recall", "--ks", "0", ">= 1"),
+    ("eval-recall", "--ks", "5,0,20", ">= 1"),
+    ("gen-corpus", "--dim", "0", ">= 1"),
+    ("gen-corpus", "--clusters", "0", ">= 1")])
+def test_flags_reject_values_below_their_least(tmp_path, corpus, capsys,
+                                               command, flag, value, least):
+    out = tmp_path / "out.npz"
+    args = {"rank-ab": ("--json",), "gen-engagement": ("--out", out),
+            "eval-recall": ("--corpus", corpus, "--candidates", corpus),
+            "gen-corpus": ("--rows", 10, "--dim", 8, "--out", out)}
+    assert run(command, *args[command], flag, value) == 1
+    captured = capsys.readouterr()
+    bad = "0" if flag == "--ks" else value
+    assert captured.err == f"error: {flag} must be {least}, got {bad}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_rank_ab_uses_the_hash_size_given(capsys):

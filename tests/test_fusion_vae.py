@@ -138,7 +138,7 @@ class TestLoss:
         codes = np.array([[1, -1, 0], [0, 1, 1]], dtype=np.int8)
         h_val = q.dpca_decode(stack, codes)
         h = nn.leaf(h_val, requires_grad=True)
-        h_hat, out_codes = model._quantize_node(h, model.params.bind())
+        h_hat, out_codes = model._quantize_node(h, model.params.leaves)
         np.testing.assert_array_equal(out_codes, codes)
         commit = float(np.square(h.value - h_hat.value).mean())
         assert commit == 0.0
@@ -168,7 +168,7 @@ class TestStraightThrough:
         st_grad = result.h.grad.copy()
 
         direct = nn.leaf(result.h_hat.value, requires_grad=True)
-        recon = model.decode(direct, model.params.bind())["sig0"]
+        recon = model.decode(direct, model.params.leaves)["sig0"]
         loss2 = fv._cosine_loss_node(x, recon)
         nn.backward(loss2)
         np.testing.assert_allclose(st_grad, direct.grad, atol=1e-6)
@@ -193,7 +193,7 @@ class TestStraightThrough:
         def loss_value(arrs):
             h = nn.leaf(arrs["h"], requires_grad=True)
             s = nn.sub(h, nn.constant(c))
-            recon = model.decode(s, model.params.bind())["sig0"]
+            recon = model.decode(s, model.params.leaves)["sig0"]
             return float(fv._cosine_loss_node(x, recon).value[0, 0])
 
         numeric = numeric_grad(loss_value, arrays, "h")
@@ -205,13 +205,12 @@ class TestTrain:
         # AdamState rejects lr=0; spec's null-update case is covered by a
         # vanishingly small step leaving parameters numerically unchanged
         model = fv.FusionModel(spec_for(8, latent=4), seed=12)
-        before = model.params.snapshot()
+        before = model.params.flat.copy()
         x = unit(32, 8, 12)
         model, _ = fv.train(model, {"sig0": x},
                             nn.FitConfig(epochs=2, batch_size=16,
                                          lr=1e-12, seed=12))
-        for name, arr in model.params.items():
-            np.testing.assert_allclose(arr, before[name], atol=1e-5)
+        np.testing.assert_allclose(model.params.flat, before, atol=1e-5)
 
     def test_line_dataset_reaches_low_loss(self):
         rng = np.random.default_rng(13)
@@ -334,11 +333,10 @@ class TestLoad:
 
     def _rejects(self, spec, path, match):
         model = fv.FusionModel(spec, seed=31)
-        before = model.params.snapshot()
+        before = model.params.flat.copy()
         with pytest.raises(fv.FusionError, match=match):
             model.load(path)
-        for name, arr in model.params.items():
-            np.testing.assert_array_equal(arr, before[name])
+        np.testing.assert_array_equal(model.params.flat, before)
 
     def test_extra_parameter_rejected(self, tmp_path):
         # a DPCA checkpoint under an FSQ spec, and a deeper stack than the
@@ -453,7 +451,7 @@ class TestBlockedInference:
             latent = q.fsq_values(model.fsq, digits + model.fsq.offset)
         else:
             latent = q.dpca_decode(model.dpca_stack(), digits.astype(np.int8))
-        whole = model.decode(nn.constant(latent), model.params.bind())
+        whole = model.decode(nn.constant(latent), model.params.leaves)
         self._blocks_of(monkeypatch, model, 30)
         recon = fv.decode_from_digits(model, digits)
         for name, node in whole.items():

@@ -282,7 +282,7 @@ class TestNormalizedEntropy:
 class TestRendering:
     def test_json_emission(self, capsys):
         report = m.normalized_entropy([1, 0], [0.8, 0.2])
-        m.emit_report({"ne": report}, as_json=True)
+        m.emit_report({"ne": report.as_dict()}, as_json=True)
         out = capsys.readouterr().out
         import json
         payload = json.loads(out)

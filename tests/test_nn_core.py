@@ -243,47 +243,146 @@ class TestStopGradient:
         assert x.grad is None or np.all(x.grad == 0)
 
 
+def _store(**arrays):
+    params = nn.ParamStore()
+    for name, arr in arrays.items():
+        params.add(name, arr)
+    return params
+
+
+class TestParamStore:
+    SHAPES = {"a": (2, 3), "b": (1, 4), "c": (3, 1), "d": (2, 2)}
+
+    def test_views_alias_flat_and_grad_after_every_add(self):
+        rng = np.random.default_rng(0)
+        params = nn.ParamStore()
+        arrays = {}
+        for name, shape in self.SHAPES.items():
+            arrays[name] = _rand(rng, *shape)
+            params.add(name, arrays[name])
+            assert params.flat.size == params.grad.size == \
+                sum(a.size for a in arrays.values())
+            for n, want in arrays.items():
+                leaf = params.leaves[n]
+                assert params.get(n) is leaf.value
+                assert np.shares_memory(leaf.value, params.flat)
+                assert np.shares_memory(leaf.grad, params.grad)
+                np.testing.assert_array_equal(leaf.value, want)
+            # registration order, each parameter row-major
+            params.flat[:] = np.arange(params.flat.size)
+            params.grad[:] = -np.arange(params.grad.size)
+            np.testing.assert_array_equal(
+                np.concatenate([params.get(n).ravel() for n in arrays]),
+                params.flat)
+            np.testing.assert_array_equal(
+                np.concatenate([params.leaves[n].grad.ravel()
+                                for n in arrays]), params.grad)
+            for n in arrays:
+                params.set(n, arrays[n])
+
+    def test_set_rejects_another_shape_and_changes_nothing(self):
+        params = _store(a=np.ones((2, 3)), b=np.ones((1, 4)))
+        before = params.flat.copy()
+        # a (1, 3) row would broadcast into the (2, 3) parameter
+        for bad in (np.zeros((1, 3)), np.zeros((3, 2)), np.zeros(6)):
+            with pytest.raises(nn.GraphError, match="'a'.*shape"):
+                params.set("a", bad)
+        np.testing.assert_array_equal(params.flat, before)
+        params.set("b", np.full((1, 4), 2.0))
+        np.testing.assert_array_equal(params.flat, [1.0] * 6 + [2.0] * 4)
+
+
+class TestFit:
+    def test_unreached_parameter_gets_a_zero_gradient(self, monkeypatch):
+        # batch 0 reaches a and b, batch 1 reaches only a: Adam must see a
+        # zero gradient for b in step 1, not the one left from step 0
+        params = _store(a=np.ones((1, 2)), b=np.ones((1, 2)))
+        seen = []
+        adam_step = nn.adam_step
+
+        def spy(state, store):
+            seen.append(store.leaves["b"].grad.copy())
+            return adam_step(state, store)
+
+        monkeypatch.setattr(nn, "adam_step", spy)
+
+        def step(idx):
+            p = params.leaves
+            used = [p["a"], p["b"]] if len(seen) == 0 else [p["a"]]
+            total = nn.sum_all(nn.square(used[0]))
+            for node in used[1:]:
+                total = nn.add(total, nn.sum_all(nn.square(node)))
+            return total, {}
+
+        nn.fit(params, 2, step, np.random.default_rng(0),
+               nn.FitConfig(epochs=1, batch_size=1, lr=0.1, seed=0),
+               weight_decay=0.0)
+        assert len(seen) == 2
+        np.testing.assert_array_equal(seen[0], [[2.0, 2.0]])
+        np.testing.assert_array_equal(seen[1], [[0.0, 0.0]])
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        p = {"w": np.full((2, 2), 5.0, dtype=np.float32)}
+        p = _store(w=np.full((2, 2), 5.0, dtype=np.float32))
         state = nn.AdamState(lr=0.1)
-        nn.adam_step(state, p, {"w": np.zeros((2, 2), dtype=np.float32)})
-        np.testing.assert_array_equal(p["w"], np.full((2, 2), 5.0))
+        nn.adam_step(state, p)
+        np.testing.assert_array_equal(p.get("w"), np.full((2, 2), 5.0))
         assert state.step == 1
 
     def test_first_step_bias_corrected(self):
         # g=1, lr=0.1: mhat=1, vhat=1, step = lr/(1+eps) ~ 0.1
-        p = {"w": np.zeros((1, 1), dtype=np.float32)}
+        p = _store(w=np.zeros((1, 1), dtype=np.float32))
+        p.grad[...] = 1.0
         state = nn.AdamState(lr=0.1)
-        nn.adam_step(state, p, {"w": np.ones((1, 1), dtype=np.float32)})
-        np.testing.assert_allclose(p["w"], [[-0.1]], atol=1e-7)
+        nn.adam_step(state, p)
+        np.testing.assert_allclose(p.get("w"), [[-0.1]], atol=1e-7)
 
     def test_identical_params_stay_identical(self):
         rng = np.random.default_rng(0)
         g = rng.normal(size=(3, 3)).astype(np.float32)
-        p = {"a": np.ones((3, 3), dtype=np.float32),
-             "b": np.ones((3, 3), dtype=np.float32)}
+        p = _store(a=np.ones((3, 3), dtype=np.float32),
+                   b=np.ones((3, 3), dtype=np.float32))
         state = nn.AdamState(lr=1e-3)
         for _ in range(5):
-            nn.adam_step(state, p, {"a": g, "b": g})
-        np.testing.assert_array_equal(p["a"], p["b"])
+            p.leaves["a"].grad[...] = g
+            p.leaves["b"].grad[...] = g
+            nn.adam_step(state, p)
+        np.testing.assert_array_equal(p.get("a"), p.get("b"))
 
     def test_nonfinite_gradient_names_param(self):
-        p = {"w": np.zeros((1, 1), dtype=np.float32)}
-        bad = np.array([[np.nan]], dtype=np.float32)
+        p = _store(w=np.zeros((1, 1), dtype=np.float32))
+        p.grad[...] = np.nan
         with pytest.raises(nn.NonFiniteError, match="'w'"):
-            nn.adam_step(nn.AdamState(lr=1e-3), p, {"w": bad})
+            nn.adam_step(nn.AdamState(lr=1e-3), p)
 
     def test_nonfinite_gradient_updates_nothing(self):
-        p = {"a": np.ones((1, 1), dtype=np.float32),
-             "b": np.ones((1, 1), dtype=np.float32)}
+        p = _store(a=np.ones((1, 1), dtype=np.float32),
+                   b=np.ones((1, 1), dtype=np.float32))
         state = nn.AdamState(lr=0.1)
-        grads = {"a": np.ones((1, 1), dtype=np.float32),
-                 "b": np.array([[np.nan]], dtype=np.float32)}
+        p.leaves["a"].grad[...] = 1.0
+        p.leaves["b"].grad[...] = np.nan
         with pytest.raises(nn.NonFiniteError, match="'b'"):
-            nn.adam_step(state, p, grads)
-        np.testing.assert_array_equal(p["a"], [[1.0]])
-        assert state.step == 0 and not state.m
+            nn.adam_step(state, p)
+        np.testing.assert_array_equal(p.get("a"), [[1.0]])
+        assert state.step == 0 and state.m is None
+
+    def test_nonfinite_entry_in_a_middle_parameter(self):
+        # after a good step the moments are non-zero; a bad entry inside
+        # the middle parameter names it and changes no parameter or moment
+        rng = np.random.default_rng(3)
+        p = _store(a=_rand(rng, 2, 3), mid=_rand(rng, 3, 4), c=_rand(rng, 1, 2))
+        state = nn.AdamState(lr=0.1)
+        p.grad[...] = _rand(rng, p.grad.size)
+        nn.adam_step(state, p)
+        before = (p.flat.copy(), state.m.copy(), state.v.copy())
+        p.grad[...] = _rand(rng, p.grad.size)
+        p.leaves["mid"].grad[1, 2] = np.inf
+        with pytest.raises(nn.NonFiniteError, match="'mid'"):
+            nn.adam_step(state, p)
+        for got, want in zip((p.flat, state.m, state.v), before):
+            np.testing.assert_array_equal(got, want)
+        assert state.step == 1
 
     def test_lr_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -104,7 +104,7 @@ def test_predict_matches_the_recorded_graph(variant):
     ds = small_dataset()
     model = rk.ToyRankingModel(ds, variant, 100, feature_dim=16, seed=5)
     rows = np.arange(50)
-    z = model.logits(rows, model.params.bind()).value[:, 0]
+    z = model.logits(rows, model.params.leaves).value[:, 0]
     np.testing.assert_array_equal(
         model.predict(rows), 1.0 / (1.0 + np.exp(-z.astype(np.float64))))
 

@@ -41,7 +41,8 @@ ENGAGEMENT_SIZES = ("users", "items", "seq_len", "seed")
 LEAST = dict(levels=2, depth=1, groups=1, latent=1, hidden=1, ngram=1,
              batch_size=1, epochs=1, kmeans_iters=1)
 SIZE_FLAGS = ("users", "items", "seq_len", "epochs", "feature_dim",
-              "hash_size", "queries", "ks", "dim", "clusters")
+              "hash_size", "queries", "ks", "dim", "clusters",
+              "levels", "depths", "groups", "ngrams")
 
 
 @dataclass
@@ -313,15 +314,13 @@ def cmd_sweep(args):
         raise PipelineError(f"sweep trains fusion models only (fsq, dpca, "
                             f"none), not '{cfg.quantizer}'")
     bundle, dims = _load_bundle(args.corpus)
-    levels = [int(v) for v in (args.levels or str(cfg.levels)).split(",")]
-    depths = [int(v) for v in (args.depths or str(cfg.depth)).split(",")]
-    groups = [int(v) for v in (args.groups or str(cfg.groups)).split(",")]
-    ngrams = [int(v) for v in (args.ngrams or str(cfg.ngram)).split(",")]
     rows = []
     # the n-gram size changes only the SID scheme: one model per (L, D, P)
-    for L, D, P in product(levels, depths, groups):
+    for L, D, P in product(args.levels or (cfg.levels,),
+                           args.depths or (cfg.depth,),
+                           args.groups or (cfg.groups,)):
         combos = [replace(cfg, levels=L, depth=D, groups=P, ngram=n).validate()
-                  for n in ngrams]
+                  for n in args.ngrams or (cfg.ngram,)]
         model = _build_fusion(combos[0], dims)
         model, _ = fv.train(model, bundle, combos[0].fit_config())
         data = fv.normalize_bundle(model, bundle)
@@ -345,13 +344,21 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
+def _int_list(text):
+    """Comma-separated integers: the argparse type of every list flag."""
+    return tuple(int(v) for v in text.split(","))
+
+
 def _check_flags(args):
-    """Reject a SIZE_FLAGS value below 1 and an --lr not > 0, naming it."""
+    """Reject a SIZE_FLAGS value below its least (LEAST's, else 1) and an
+    --lr not > 0, naming the flag."""
     for dest in SIZE_FLAGS:
         value = getattr(args, dest, None)
+        least = LEAST.get(dest, 1)
         for v in value if isinstance(value, tuple) else (value,):
-            if v is not None and v < 1:
-                raise PipelineError(f"--{dest.replace('_', '-')} must be >= 1, got {v}")
+            if v is not None and v < least:
+                raise PipelineError(
+                    f"--{dest.replace('_', '-')} must be >= {least}, got {v}")
     if not getattr(args, "lr", 1.0) > 0:
         raise PipelineError(f"--lr must be > 0, got {args.lr}")
 
@@ -420,8 +427,7 @@ def build_parser():
     p.add_argument("--candidates", required=True)
     p.add_argument("--queries", type=int, default=1000)
     p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--ks", default="20,50,100",
-                   type=lambda text: tuple(int(k) for k in text.split(",")))
+    p.add_argument("--ks", default="20,50,100", type=_int_list)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval_recall)
@@ -446,10 +452,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="grid over quantizer hyperparameters")
     p.add_argument("--corpus", action="append", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--levels")
-    p.add_argument("--depths")
-    p.add_argument("--groups")
-    p.add_argument("--ngrams")
+    for flag in ("--levels", "--depths", "--groups", "--ngrams"):
+        p.add_argument(flag, type=_int_list)
     p.set_defaults(func=cmd_sweep)
     return parser
 

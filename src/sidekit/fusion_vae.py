@@ -11,6 +11,12 @@ reconstruction losses plus, for parameterized quantizers, the commitment
 and codebook terms that bind the encoder and the component vectors
 together. FSQ has no trainable codebook and needs neither term.
 
+The per-batch graph uses the fused ops of `nn_core`: DPCA's h_hat is one
+`nn.dpca_recon` node per product group over its component and offset
+parameters (the digits held fixed), and each cosine task loss is one
+`nn.cosine_loss` node. Both are bit-identical to the primitive-op chains
+they replace, so checkpoints and SIDs do not depend on which is used.
+
 Inference records no graph. Encoding a corpus runs only the encoder half
 (`FusionModel.encode`, the same wiring `forward` uses) to the latent h and
 quantizes it to digits; no h_hat graph, trunk or head is built. Decoding
@@ -190,16 +196,10 @@ class FusionModel:
             return (nn.constant(fsq_values(self.fsq, levels), "h_hat"),
                     levels - self.fsq.offset)
         codes = self.digits(h.value)
-        batch = h.shape[0]
-        group_nodes = []
-        for g, row in enumerate(self._dpca_names()):
-            acc = None
-            for t, (u, b) in enumerate(row):
-                s_col = nn.constant(
-                    codes[:, g * q.depth + t].reshape(batch, 1).astype(DTYPE))
-                term = nn.add(nn.mul(s_col, p[u]), p[b])
-                acc = term if acc is None else nn.add(acc, term)
-            group_nodes.append(acc)
+        group_nodes = [
+            nn.dpca_recon(codes[:, g * q.depth:(g + 1) * q.depth],
+                          [p[u] for u, _ in row], [p[b] for _, b in row])
+            for g, row in enumerate(self._dpca_names())]
         h_hat = group_nodes[0] if len(group_nodes) == 1 \
             else nn.concat_cols(group_nodes)
         return h_hat, codes
@@ -259,7 +259,9 @@ class FusionModel:
         """Read save's output. The checkpoint must hold exactly the spec's
         parameters, each in its shape; nothing is set unless all match."""
         arrays = nn.load_checkpoint(path)
-        latent = int(arrays.pop("meta.latent", [[self.spec.latent]])[0][0])
+        if "meta.latent" not in arrays:
+            raise FusionError("checkpoint missing 'meta.latent'")
+        latent = int(arrays.pop("meta.latent")[0][0])
         if latent != self.spec.latent:
             raise FusionError(
                 f"checkpoint latent width {latent} != spec {self.spec.latent}")
@@ -288,13 +290,7 @@ def _cosine_loss_node(target, recon_node):
     bad = np.where(norms == 0.0)[0]
     if bad.size:
         raise FusionError(f"zero-norm target vector at sample {int(bad[0])}")
-    tgt = nn.constant(t)
-    dot = nn.sum_axis1(nn.mul(tgt, recon_node))
-    sq = nn.add(nn.sum_axis1(nn.square(recon_node)),
-                nn.constant(np.full((t.shape[0], 1), 1e-12)))
-    nrm = nn.mul(nn.constant(norms.reshape(-1, 1)), nn.sqrt(sq))
-    return nn.mean_all(nn.sub(nn.constant(np.ones((t.shape[0], 1))),
-                              nn.div(dot, nrm)))
+    return nn.cosine_loss(t, norms, recon_node)
 
 
 def _task_loss_node(sig, target, recon_node):

@@ -7,6 +7,15 @@ the graph is rebuilt from scratch for every batch. `backward` walks the
 recorded graph from a scalar (1x1) loss node and accumulates gradients
 into every reachable node that requires them.
 
+Two fused ops cover the subgraphs that VQ-fusion training rebuilds every
+batch: `dpca_recon`, one DPCA product group's sum_t (s_t u_t + b_t), and
+`cosine_loss`, one signal's mean cosine loss. Each is one node where the
+primitive ops made 3 per DPCA layer or 14 per signal. They evaluate the
+same float32 expressions in the same order as those chains, forward and
+backward, so values and gradients are bit for bit the chains' own, and a
+NaN/Inf in any intermediate still raises NonFiniteError with the node and
+the first bad row.
+
 Inference needs no graph. Inside `with _no_record():` every op still
 computes its value and checks it for NaN/Inf, but the node it returns
 keeps no inputs and no backward closure, so each intermediate array is
@@ -106,7 +115,7 @@ def _as_matrix(x, name):
 
 
 def _check_finite(value, name):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         row = int(np.where(~np.isfinite(value).all(axis=1))[0][0])
         raise NonFiniteError(f"non-finite output at batch row {row}", name, row)
 
@@ -345,7 +354,11 @@ def gather_rows(table, indices):
     value = table.value[idx]
 
     def backward(out):
-        np.add.at(table.grad, idx, out.grad)
+        # one 1-D scatter over element indices: the same adds in the same
+        # order as a row scatter, without its per-row overhead
+        cols = table.shape[1]
+        flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+        np.add.at(table.grad.reshape(-1), flat, out.grad.reshape(-1))
     return _make("gather", value, (table,), backward)
 
 
@@ -353,6 +366,83 @@ def stop_gradient(a):
     """Forward-identity node that blocks all gradient flow through it."""
     return Node(a.value, f"stop_gradient#{next(_node_ids)}", (a,), None,
                 requires_grad=False)
+
+
+# ---------------------------------------------------------------------------
+# Fused ops: one node for a subgraph that training builds every batch. Each
+# evaluates the float32 expressions of the op chain it replaces, in the
+# same order, so its value and gradients are bit-identical to the chain's.
+
+
+def dpca_recon(signs, comps, offs):
+    """sum_t (s_t * u_t + b_t) for one DPCA product group, added in t order.
+
+    `signs` is the (batch, depth) digit matrix, held fixed; `comps` and
+    `offs` are the depth (1, width) component and offset nodes. The chain
+    it replaces is mul, add, then a running add per depth.
+    """
+    s = np.asarray(signs, dtype=DTYPE)
+    if s.ndim != 2 or s.shape[1] != len(comps) or len(offs) != len(comps):
+        raise GraphError(f"{np.shape(signs)} digits for {len(comps)} "
+                         f"components and {len(offs)} offsets", "dpca_recon")
+    value = None
+    with np.errstate(all="ignore"):
+        for t, (u, b) in enumerate(zip(comps, offs)):
+            term = s[:, t:t + 1] * u.value
+            term += b.value
+            if value is None:
+                value = term
+            else:
+                value += term
+
+    def backward(out):
+        g = out.grad
+        g_off = None
+        for t, (u, b) in enumerate(zip(comps, offs)):
+            if u.requires_grad:
+                u.grad += (g * s[:, t:t + 1]).sum(axis=0, keepdims=True,
+                                                  dtype=DTYPE)
+            if b.requires_grad:
+                if g_off is None:
+                    g_off = g.sum(axis=0, keepdims=True, dtype=DTYPE)
+                b.grad += g_off
+    return _make("dpca_recon", value, (*comps, *offs), backward)
+
+
+def cosine_loss(target, norms, recon):
+    """mean over rows of 1 - <t, r> / (|t| * sqrt(|r|^2 + 1e-12)).
+
+    `target` is the (batch, dim) array t, `norms` its row norms |t|, and
+    `recon` the node r. Replaces mul, sum_axis1, square, sum_axis1, add,
+    sqrt, mul, div, sub and mean. Every row-level intermediate that can
+    overflow is checked, so a finite r whose squared norm overflows still
+    raises NonFiniteError, naming this node and the first bad row.
+    """
+    name = f"cosine_loss#{next(_node_ids)}"
+    t = _as_matrix(target, name)
+    n = t.shape[0]
+    nc = np.asarray(norms, dtype=DTYPE).reshape(-1, 1)
+    r = recon.value
+    if r.shape != t.shape or nc.shape[0] != n:
+        raise GraphError(f"target {t.shape}, norms {nc.shape[0]} and "
+                         f"reconstruction {r.shape} disagree", name)
+    with np.errstate(all="ignore"):
+        dot = (t * r).sum(axis=1, keepdims=True, dtype=DTYPE)
+        sq_norm = np.square(r).sum(axis=1, keepdims=True, dtype=DTYPE)
+        root = np.sqrt(sq_norm + DTYPE(1e-12))
+        nrm = nc * root
+        cos = dot / nrm
+    for part in (t, nc, dot, sq_norm, nrm, cos):
+        _check_finite(part, name)
+    value = np.array([[(1 - cos).sum(dtype=DTYPE) / n]], dtype=DTYPE)
+
+    def backward(out):
+        g_cos = -np.full((n, 1), out.grad[0, 0] / n, dtype=DTYPE)
+        g_nrm = -g_cos * dot / (nrm * nrm)
+        g_sq = g_nrm * nc / (2.0 * root)
+        recon.grad += g_cos / nrm * t
+        recon.grad += g_sq * 2.0 * r
+    return _make("cosine_loss", value, (recon,), backward, name)
 
 
 def backward(loss):
@@ -590,6 +680,9 @@ def save_checkpoint(path, arrays):
             arr = np.ascontiguousarray(arr, dtype=DTYPE)
             if arr.ndim != 2:
                 raise CheckpointError(f"tensor '{name}' is not 2-D")
+            if not _valid_name(name):
+                raise CheckpointError(f"tensor name {name!r} is empty or "
+                                      f"not printable")
             encoded = name.encode("utf-8")
             yield (struct.pack("<I", len(encoded)) + encoded
                    + struct.pack("<II", arr.shape[0], arr.shape[1]))
@@ -597,11 +690,22 @@ def save_checkpoint(path, arrays):
     _atomic_write(path, records())
 
 
+def _valid_name(name):
+    return name.isprintable() and name != ""
+
+
 def load_checkpoint(path):
-    """Read a checkpoint back into an ordered name -> array dict."""
+    """Read a checkpoint back into an ordered name -> array dict.
+
+    Anything save_checkpoint cannot have written raises CheckpointError
+    with its byte offset: a short header or record, a name that is not
+    printable UTF-8 or repeats an earlier one. Records run to the end of
+    the file, so a file cut exactly at a record boundary reads as the
+    records before the cut; callers check for the names they need.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
+    if data[:4] != CHECKPOINT_MAGIC[:len(data)]:
         raise CheckpointError(f"bad magic {data[:4]!r}", offset=0)
     if len(data) < 8:
         raise CheckpointError("truncated header", offset=len(data))
@@ -617,7 +721,16 @@ def load_checkpoint(path):
         pos += 4
         if pos + name_len + 8 > len(data):
             raise CheckpointError("truncated record", offset=pos)
-        name = data[pos:pos + name_len].decode("utf-8")
+        raw_name = data[pos:pos + name_len]
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            name = ""
+        if not _valid_name(name):
+            raise CheckpointError(f"bad tensor name {raw_name[:64]!r}",
+                                  offset=pos)
+        if name in arrays:
+            raise CheckpointError(f"duplicate tensor '{name}'", offset=pos)
         pos += name_len
         rows, cols = struct.unpack_from("<II", data, pos)
         pos += 8

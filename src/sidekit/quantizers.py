@@ -326,9 +326,6 @@ class DpcaStack:
         return cls(comps, offs)
 
 
-_TERNARY = FsqConfig(levels=3)
-
-
 def dpca_encode(stack, x):
     """Greedy residual encoding to ternary digits, group-major then depth.
 
@@ -340,23 +337,38 @@ def dpca_encode(stack, x):
     if rows.shape[1] != stack.dim:
         raise QuantizerError(
             f"dimension mismatch: input has {rows.shape[1]}, stack {stack.dim}")
-    n = rows.shape[0]
+    n, depth = rows.shape[0], stack.depth
     codes = np.empty((n, stack.digits), dtype=np.int8)
+    coeffs = np.empty((stack.digits, n), dtype=DTYPE)  # checked once, at the end
     for g, r in enumerate(product_split(rows, stack.groups)):
         r = r.copy()
-        for t in range(stack.depth):
+        for t in range(depth):
             u = stack.components[g, t]
             b = stack.offsets[g, t]
-            norm = float(np.linalg.norm(u))
+            norm = float(np.sqrt(u.dot(u)))  # np.linalg.norm's own formula
             if norm == 0.0:
                 raise QuantizerError(
                     f"zero-norm component vector at group {g}, depth {t}")
-            coeff = (r - b) @ (u / norm) / norm
-            level, _ = fsq_quantize(_TERNARY, coeff.reshape(-1, 1))
-            s = (level[:, 0] - 1).astype(np.int8)
-            r -= s[:, None] * u + b
-            codes[:, g * stack.depth + t] = s
+            k = g * depth + t
+            coeffs[k] = coeff = (r - b) @ (u / norm) / norm
+            s = codes[:, k] = _ternary_digit(coeff)
+            if t + 1 < depth:  # the last residual is never read
+                r -= s[:, None] * u + b
+    if not np.isfinite(coeffs).all():
+        raise QuantizerError("non-finite latent input")
     return codes
+
+
+def _ternary_digit(coeff):
+    """The centered ternary FSQ digit of finite float32 coefficients as
+    int8: _fsq_snap(FsqConfig(3), coeff) - 1, with the same float32 rounding.
+    (tanh + 1) * 0.5 * 2 is tanh + 1 exactly, and the snap position
+    p = tanh + 1 + 0.5 lies in [0.5, 2.5], where floor(p) - 1 is
+    [p >= 2] - [p < 1] and the clip never binds."""
+    p = np.tanh(coeff)
+    p += 1.0
+    p += 0.5
+    return (p >= 2).view(np.int8) - (p < 1).view(np.int8)
 
 
 def dpca_decode(stack, codes):

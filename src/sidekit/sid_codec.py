@@ -15,6 +15,7 @@ of one row; zero rows are a valid batch. Any other ndim raises SidError.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,14 @@ class SidScheme:
                 raise SidError(f"SID header field {part!r} is not key=value")
             kv[key] = value
         try:
-            return cls(**{k: _u64s([kv[k]], f"SID header field {k}")[0]
-                          for k in ("base", "ngram", "grams")})
+            fields = {k: _u64s([kv[k]], f"SID header field {k}")[0]
+                      for k in ("base", "ngram", "grams")}
         except KeyError as exc:
             raise SidError(f"SID header missing field {exc}") from None
+        try:
+            return cls(**fields)
+        except SidError as exc:
+            raise SidError(f"SID header: {exc}") from None
 
     @classmethod
     def for_digits(cls, total_digits, base=3, ngram=3):
@@ -200,9 +205,9 @@ def sid_hash(sids, table_size):
 
 def write_sid_file(path, scheme, sids):
     arr = _records(scheme, sids)
-    lines = [scheme.header()]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in arr)
-    _atomic_write(path, [("\n".join(lines) + "\n").encode("ascii")])
+    record = " ".join(["%d"] * scheme.grams) + "\n"
+    body = (record * arr.shape[0]) % tuple(arr.ravel().tolist())
+    _atomic_write(path, [f"{scheme.header()}\n{body}".encode("ascii")])
 
 
 def _ascii(raw, lineno):
@@ -215,19 +220,77 @@ def _ascii(raw, lineno):
                        f"at column {exc.start + 1}") from None
 
 
+_SPACES = bytes.maketrans(b"\t\r", b"  ")
+_U64_MAX_TEXT = str(_U64_MAX).encode("ascii")
+
+
+def _parse_body(body, grams):
+    """The (m, grams) SIDs of a SID file body in one pass, or None when a
+    byte, a field or a line would make `_parse_lines` raise, or when the
+    body holds whitespace other than spaces, tabs and line breaks."""
+    if body.translate(None, b"0123456789 \t\r\n"):
+        return None
+    text = body.translate(_SPACES)
+    chars = np.frombuffer(text, dtype=np.uint8)
+    # only digits, spaces and newlines remain: a field is a run of bytes > 32
+    edges = np.diff((chars > 32).view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if not starts.size:
+        return np.empty((0, grams), dtype=np.uint64)
+    widths = ends - starts
+    if widths.max() > len(_U64_MAX_TEXT) or any(
+            text[lo:lo + len(_U64_MAX_TEXT)] > _U64_MAX_TEXT
+            for lo in starts[widths == len(_U64_MAX_TEXT)]):
+        return None
+    fields_per_line = np.bincount(np.cumsum(chars == 10)[starts])
+    if not np.isin(fields_per_line, (0, grams)).all():
+        return None
+    sids = np.fromstring(text, dtype=np.uint64, sep=" ")
+    return sids.reshape(-1, grams) if sids.size == starts.size else None
+
+
+def _parse_lines(body, grams):
+    """The SIDs of a SID file body line by line; a bad line raises a
+    SidError naming it."""
+    rows = []
+    for lineno, raw in enumerate(body.split(b"\n"), start=2):
+        line = _ascii(raw, lineno).strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != grams:
+            raise SidError(
+                f"line {lineno}: expected {grams} SIDs, got {len(fields)}")
+        rows.append(_u64s(fields, f"line {lineno}"))
+    return np.asarray(rows, dtype=np.uint64).reshape(len(rows), grams)
+
+
 def read_sid_file(path):
     with open(path, "rb") as fh:
-        scheme = SidScheme.from_header(_ascii(fh.readline(), 1))
-        rows = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = _ascii(raw, lineno).strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != scheme.grams:
-                raise SidError(
-                    f"line {lineno}: expected {scheme.grams} SIDs, got {len(fields)}")
-            rows.append(_u64s(fields, f"line {lineno}"))
-    sids = np.asarray(rows, dtype=np.uint64).reshape(len(rows), scheme.grams)
-    unpack_all(scheme, sids)  # validates range and divisibility
+        data = fh.read()
+    body_at = data.find(b"\n") + 1 or len(data)
+    scheme = SidScheme.from_header(_ascii(data[:body_at], 1))
+    body = data[body_at:]
+    sids = _parse_body(body, scheme.grams)
+    if sids is None:
+        sids = _parse_lines(body, scheme.grams)
+    try:
+        unpack_all(scheme, sids)  # validates range and divisibility
+    except SidError:
+        # name the line of the first bad record, with that record's error
+        bad = ((sids > np.uint64(scheme.max_sid))
+               | (sids % np.uint64(scheme.base) != 0)).any(axis=1)
+        row = int(np.flatnonzero(bad)[0])
+        try:
+            unpack_all(scheme, sids[row:row + 1])
+        except SidError as exc:
+            raise SidError(f"line {_record_line(body, row)}: {exc}") from None
     return scheme, sids
+
+
+def _record_line(body, row):
+    """File line number of record `row` (0-based) of a SID file body that
+    parsed: the row-th line that is not blank."""
+    lines = (n for n, raw in enumerate(body.split(b"\n"), start=2)
+             if raw.decode("ascii").strip())
+    return next(itertools.islice(lines, row, None))

@@ -6,6 +6,9 @@ formulas, separate from the library code paths it checks.
 
 import numpy as np
 
+from sidekit import nn_core as nn
+from sidekit.quantizers import FsqConfig, fsq_quantize, product_split
+
 
 def numeric_grad(fn, arrays, key, h=1e-3):
     """Central finite differences of scalar fn w.r.t. arrays[key].
@@ -85,6 +88,56 @@ def naive_dpca_sum(components, offsets, codes):
             s = codes[g * depth + t]
             for w in range(width):
                 out[g * width + w] += s * components[g, t, w] + offsets[g, t, w]
+    return out
+
+
+def chain_dpca_recon(signs, comps, offs):
+    """One DPCA product group's reconstruction as the chain of primitive
+    nodes: per depth t a constant digit column, mul by u_t, add b_t, then
+    a running add over t."""
+    acc = None
+    for t, (u, b) in enumerate(zip(comps, offs)):
+        s_col = nn.constant(np.asarray(signs)[:, t:t + 1].astype(np.float32))
+        term = nn.add(nn.mul(s_col, u), b)
+        acc = term if acc is None else nn.add(acc, term)
+    return acc
+
+
+def chain_cosine_loss(target, norms, recon):
+    """Mean cosine loss 1 - <t, r> / (|t| sqrt(|r|^2 + 1e-12)) as the chain
+    of primitive nodes, one node per arithmetic step."""
+    t = np.asarray(target, dtype=np.float32)
+    n = t.shape[0]
+    dot = nn.sum_axis1(nn.mul(nn.constant(t), recon))
+    sq = nn.add(nn.sum_axis1(nn.square(recon)),
+                nn.constant(np.full((n, 1), 1e-12)))
+    nrm = nn.mul(nn.constant(np.reshape(norms, (-1, 1))), nn.sqrt(sq))
+    return nn.mean_all(nn.sub(nn.constant(np.ones((n, 1))), nn.div(dot, nrm)))
+
+
+def fsq_dpca_encode(stack, x):
+    """Greedy residual DPCA digits, each one the level fsq_quantize gives
+    the least-squares coefficient on the 3-level grid, minus 1."""
+    rows = np.asarray(x, dtype=np.float32)
+    codes = np.empty((rows.shape[0], stack.digits), dtype=np.int8)
+    for g, r in enumerate(product_split(rows, stack.groups)):
+        r = r.copy()
+        for t in range(stack.depth):
+            u = stack.components[g, t]
+            b = stack.offsets[g, t]
+            norm = float(np.linalg.norm(u))
+            coeff = (r - b) @ (u / norm) / norm
+            level, _ = fsq_quantize(FsqConfig(3), coeff.reshape(-1, 1))
+            s = (level[:, 0] - 1).astype(np.int8)
+            r -= s[:, None] * u + b
+            codes[:, g * stack.depth + t] = s
+    return codes
+
+
+def row_scatter_add(table_grad, idx, grad):
+    """Gather backward as one row-wise unbuffered scatter-add."""
+    out = table_grad.copy()
+    np.add.at(out, idx, grad)
     return out
 
 

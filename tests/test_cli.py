@@ -299,6 +299,32 @@ def test_sweep_reports_no_code_size_for_the_identity_quantizer(
                                          for n in ("2", "3")]
 
 
+@pytest.mark.parametrize("flag", ["--levels", "--depths", "--groups",
+                                  "--ngrams"])
+def test_sweep_malformed_list_names_its_flag(tmp_path, corpus, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        run("sweep", "--corpus", corpus, "--config", config(tmp_path, "fsq"),
+            flag, "3,a")
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: invalid" in captured.err and "'3,a'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value, least", [
+    ("--ngrams", "0", 1), ("--ngrams", "2,0", 1), ("--depths", "0", 1),
+    ("--groups", "1,-1", 1), ("--levels", "1", 2)])
+def test_sweep_value_below_its_least_names_its_flag(
+        tmp_path, corpus, capsys, monkeypatch, flag, value, least):
+    monkeypatch.setattr(fv, "train", None)  # rejected before any training
+    assert run("sweep", "--corpus", corpus, "--config",
+               config(tmp_path, "fsq"), flag, value) == 1
+    captured = capsys.readouterr()
+    bad = value.split(",")[-1]
+    assert captured.err == f"error: {flag} must be >= {least}, got {bad}\n"
+    assert captured.out == ""
+
+
 def test_sweep_rejects_classical_quantizers(tmp_path, corpus, capsys):
     assert run("sweep", "--corpus", corpus, "--config",
                config(tmp_path, "rq"), "--depths", "1,2") == 1

@@ -1,0 +1,217 @@
+"""Fused graph ops against the primitive-op chains they replace: values
+and gradients bit for bit, the NonFiniteError they raise, the DPCA digit
+step against fsq_quantize, and the gather backward against a row-wise
+scatter. A whole fusion training run with the chains swapped back in
+ends on the same parameter bytes."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sidekit import fusion_vae as fv
+from sidekit import nn_core as nn
+from sidekit import quantizers as q
+from oracles import (chain_cosine_loss, chain_dpca_recon, fsq_dpca_encode,
+                     row_scatter_add)
+
+
+def bits(a):
+    """The float32 bit patterns of `a`, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(bits(a), bits(b))
+
+
+def upstream(rng, shape):
+    """A weight matrix with exact zeros and negative zeros in it."""
+    w = rng.normal(size=shape).astype(np.float32)
+    w[rng.random(shape) < 0.2] = 0.0
+    w[rng.random(shape) < 0.1] = -0.0
+    return w
+
+
+class TestDpcaRecon:
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 9), depth=st.integers(1, 4),
+           width=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_value_and_gradients_match_the_chain(self, batch, depth, width,
+                                                 seed):
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(-1, 2, size=(batch, depth)).astype(np.int8)
+        signs[:, rng.integers(depth)] = 0  # one all-zero digit column
+        comps = [rng.normal(size=(1, width)).astype(np.float32)
+                 for _ in range(depth)]
+        offs = [rng.normal(size=(1, width)).astype(np.float32)
+                for _ in range(depth)]
+        offs[0][0, 0] = 0.0
+        w = upstream(rng, (batch, width))
+
+        def run(op):
+            us = [nn.leaf(u, requires_grad=True) for u in comps]
+            bs = [nn.leaf(b, requires_grad=True) for b in offs]
+            out = op(signs, us, bs)
+            nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
+            return out.value, [x.grad for x in us + bs]
+
+        value, grads = run(nn.dpca_recon)
+        chain_value, chain_grads = run(chain_dpca_recon)
+        assert_same_bits(value, chain_value)
+        for g, chain_g in zip(grads, chain_grads):
+            assert_same_bits(g, chain_g)
+
+    def test_is_one_node_over_its_parameters(self):
+        us = [nn.leaf(np.ones((1, 3)), f"u{t}", requires_grad=True)
+              for t in range(5)]
+        bs = [nn.leaf(np.zeros((1, 3)), f"b{t}", requires_grad=True)
+              for t in range(5)]
+        out = nn.dpca_recon(np.zeros((4, 5)), us, bs)
+        assert out.name.startswith("dpca_recon#")
+        assert out.inputs == (*us, *bs)
+
+    def test_digit_count_must_match_the_depth(self):
+        u = [nn.leaf(np.ones((1, 3)))] * 2
+        with pytest.raises(nn.GraphError, match="dpca_recon"):
+            nn.dpca_recon(np.zeros((4, 3)), u, u)
+
+    def test_overflow_names_the_node_and_first_bad_row(self):
+        big = np.full((1, 2), 3e38, dtype=np.float32)
+        u, b = nn.leaf(big, requires_grad=True), nn.leaf(big, requires_grad=True)
+        signs = np.array([[0], [-1], [1], [1]])  # s*u + b overflows at s = 1
+        with pytest.raises(nn.NonFiniteError) as exc:
+            nn.dpca_recon(signs, [u], [b])
+        assert exc.value.node.startswith("dpca_recon#") and exc.value.row == 2
+
+
+class TestCosineLoss:
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 9), dim=st.integers(1, 8),
+           weight=st.sampled_from([1.0, 0.37, 0.0, -2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_value_and_gradient_match_the_chain(self, batch, dim, weight,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        target = rng.normal(size=(batch, dim)).astype(np.float32)
+        target[:, 0] = np.where(target[:, 0] == 0, 1.0, target[:, 0])
+        norms = np.linalg.norm(target, axis=1)
+        recon = rng.normal(size=(batch, dim)).astype(np.float32)
+        recon[rng.random(batch) < 0.3] = 0.0  # cold-start all-zero rows
+
+        def run(op):
+            r = nn.leaf(recon, requires_grad=True)
+            loss = op(target, norms, r)
+            nn.backward(nn.scale(loss, weight))
+            return loss.value, r.grad
+
+        value, grad = run(nn.cosine_loss)
+        chain_value, chain_grad = run(chain_cosine_loss)
+        assert_same_bits(value, chain_value)
+        assert_same_bits(grad, chain_grad)
+
+    def test_is_one_node(self):
+        r = nn.leaf(np.ones((3, 4)), requires_grad=True)
+        loss = nn.cosine_loss(np.ones((3, 4)), np.full(3, 2.0), r)
+        assert loss.name.startswith("cosine_loss#") and loss.inputs == (r,)
+
+    def test_squared_norm_overflow_names_the_node_and_row(self):
+        # every entry is finite, but |r|^2 overflows float32 on row 2
+        recon = np.ones((4, 3), dtype=np.float32)
+        recon[2] = 2e19
+        target = np.ones((4, 3), dtype=np.float32)
+        norms = np.linalg.norm(target, axis=1)
+        with pytest.raises(nn.NonFiniteError) as chain:
+            chain_cosine_loss(target, norms, nn.leaf(recon))
+        assert chain.value.node.startswith("square#") and chain.value.row == 2
+        with pytest.raises(nn.NonFiniteError) as fused:
+            nn.cosine_loss(target, norms, nn.leaf(recon))
+        assert fused.value.node.startswith("cosine_loss#")
+        assert fused.value.row == 2
+        assert "row 2" in str(fused.value)
+
+    def test_nonfinite_target_names_its_row(self):
+        target = np.ones((3, 2), dtype=np.float32)
+        target[1, 1] = np.inf
+        with pytest.raises(nn.NonFiniteError) as exc:
+            nn.cosine_loss(target, np.ones(3), nn.leaf(np.ones((3, 2))))
+        assert exc.value.row == 1
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(nn.GraphError, match="disagree"):
+            nn.cosine_loss(np.ones((3, 2)), np.ones(3),
+                           nn.leaf(np.ones((3, 4))))
+
+
+@pytest.mark.parametrize("kind", ["fsq", "dpca"])
+def test_training_with_the_chains_ends_on_the_same_bytes(monkeypatch, kind):
+    rng = np.random.default_rng(5)
+    bundle = {"a": rng.normal(size=(96, 8)), "b": rng.normal(size=(96, 5))}
+    spec = fv.FusionSpec(
+        signals=(fv.SignalSpec("a", 8), fv.SignalSpec("b", 5)), latent=6,
+        hidden=12, quantizer=fv.QuantizerSpec(kind, 3, 2, 2))
+    cfg = nn.FitConfig(epochs=2, batch_size=32, lr=1e-2, seed=3)
+
+    def trained():
+        model, history = fv.train(fv.FusionModel(spec, seed=4), bundle, cfg)
+        return model.params.flat.tobytes(), history.rows
+
+    fused = trained()
+    monkeypatch.setattr(nn, "dpca_recon", chain_dpca_recon)
+    monkeypatch.setattr(nn, "cosine_loss", chain_cosine_loss)
+    assert trained() == fused
+
+
+class TestDpcaDigits:
+    @staticmethod
+    def unit_stack():
+        # one group, depth 1, width 1, u = [1], b = [0]: the coefficient
+        # of each row is its input value exactly
+        return q.DpcaStack(np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
+
+    @pytest.mark.parametrize("edge", [-0.5, 0.5])
+    def test_digits_at_the_snap_boundary(self, edge):
+        # the 801 float32 coefficients nearest to where tanh reaches
+        # +-0.5, the half-level boundaries of the 3-level grid
+        center = np.array(np.arctanh(edge), dtype=np.float32).view(np.int32)
+        x = (center + np.arange(-400, 401, dtype=np.int32)).view(np.float32)
+        codes = q.dpca_encode(self.unit_stack(), x.reshape(-1, 1))
+        levels, _ = q.fsq_quantize(q.FsqConfig(3), x.reshape(-1, 1))
+        np.testing.assert_array_equal(codes, levels - 1)
+        assert len(np.unique(codes)) == 2  # the range straddles the edge
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups=st.integers(1, 3), depth=st.integers(1, 4),
+           width=st.integers(1, 5), rows=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_stacks_match_fsq_digits(self, groups, depth, width, rows,
+                                            seed):
+        rng = np.random.default_rng(seed)
+        stack = q.DpcaStack(rng.normal(size=(groups, depth, width)),
+                            rng.normal(0, 0.3, size=(groups, depth, width)))
+        x = rng.normal(size=(rows, groups * width)).astype(np.float32)
+        np.testing.assert_array_equal(q.dpca_encode(stack, x),
+                                      fsq_dpca_encode(stack, x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_is_rejected(self, bad):
+        x = np.zeros((3, 2), dtype=np.float32)
+        x[1, 0] = bad
+        stack = q.DpcaStack.random(2, depth=2, seed=0)
+        with pytest.raises(q.QuantizerError, match="non-finite latent input"):
+            with np.errstate(invalid="ignore"):
+                q.dpca_encode(stack, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 5),
+       picks=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_gather_backward_matches_a_row_scatter(rows, cols, picks, seed):
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, rows, size=picks)  # many repeats of each row
+    table = nn.leaf(rng.normal(size=(rows, cols)), requires_grad=True)
+    w = upstream(rng, (picks, cols))
+    nn.backward(nn.sum_all(nn.mul(nn.gather_rows(table, idx), nn.constant(w))))
+    expected = row_scatter_add(np.zeros((rows, cols), np.float32), idx,
+                               w.astype(np.float32))
+    assert_same_bits(table.grad, expected)

@@ -278,7 +278,9 @@ class TestSidFile:
         ("#SIDv1 base=3 ngram=1_2 grams=1", "field ngram: expected"),
         ("#SIDv1 base=3 ngram=2 grams=-1", "field grams: expected"),
         ("#SIDv1 base=\u0663 ngram=2 grams=1", "field base: expected"),
-        ("#SIDv1 base=3 grams=1", "missing field 'ngram'")])
+        ("#SIDv1 base=3 grams=1", "missing field 'ngram'"),
+        ("#SIDv1 base=1 ngram=2 grams=1", "SID header: base must be >= 2"),
+        ("#SIDv1 base=3 ngram=0 grams=1", "SID header: ngram must be >= 1")])
     def test_malformed_header_field_is_named(self, header, message):
         with pytest.raises(sc.SidError, match=message):
             sc.SidScheme.from_header(header)
@@ -296,3 +298,78 @@ class TestSidFile:
         with pytest.raises(sc.SidError) as exc:
             sc.read_sid_file(path)
         assert str(exc.value) == "SID header: non-ASCII byte 0xd9 at column 13"
+
+
+# ---------------------------------------------------------------------------
+# Bulk SID text I/O: one-pass parse against the per-line reader
+
+
+BODY_BYTES = st.sampled_from(
+    [b"0", b"3", b"9", b"27", b" ", b"  ", b"\t", b"\r", b"\n", b"\r\n",
+     b"\x0b", b"\x1c", b"a", b"-", b"+", b"\xd9", b"18446744073709551615",
+     b"18446744073709551616", b"000000000000000000003"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(grams=st.integers(1, 3),
+       body=st.lists(BODY_BYTES, max_size=24).map(b"".join))
+def test_bulk_parse_equals_the_line_reader_or_defers_to_it(grams, body):
+    try:
+        expected = sc._parse_lines(body, grams)
+    except sc.SidError:
+        expected = None
+    got = sc._parse_body(body, grams)
+    if expected is None:
+        assert got is None  # the line reader then raises, naming the line
+    elif got is not None:
+        assert got.dtype == np.uint64 and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), grams=st.integers(1, 4), rows=st.integers(0, 12))
+def test_decorated_files_read_back_exactly(tmp_path_factory, data, grams,
+                                           rows):
+    """Blank lines, CRLF endings, tabs and padding around the fields of a
+    written file change nothing, and the one-pass parse accepts them."""
+    scheme = sc.SidScheme(base=3, ngram=3, grams=grams)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sids = sc.pack_all(scheme, rng.integers(-1, 2, size=(rows, 3 * grams)))
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    end = st.sampled_from(["\n", "\r\n", " \n", "\n\n", "\t\r\n"])
+    lines = [data.draw(st.sampled_from(["", " "])) + data.draw(gap).join(
+        map(str, row)) + data.draw(end) for row in sids.tolist()]
+    body = "".join(lines).encode("ascii")
+    got = sc._parse_body(body, grams)
+    assert got is not None
+    np.testing.assert_array_equal(got, sc._parse_lines(body, grams))
+    path = tmp_path_factory.mktemp("sid") / "d.sid"
+    path.write_bytes(scheme.header().encode("ascii") + b"\n" + body)
+    read_scheme, read = sc.read_sid_file(path)
+    assert read_scheme == scheme
+    np.testing.assert_array_equal(read, sids)
+
+
+def test_write_matches_per_value_formatting(tmp_path):
+    scheme = sc.SidScheme(base=2, ngram=63, grams=2)
+    sids = np.array([[0, 2**64 - 2], [2, 12]], dtype=np.uint64)
+    path = tmp_path / "w.sid"
+    sc.write_sid_file(path, scheme, sids)
+    expected = [scheme.header()] + [" ".join(str(int(v)) for v in row)
+                                   for row in sids]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"3\n\n7\n", "line 4: SID not divisible by the base"),
+    (b"3\r\n84\n", "line 3: SID 84 exceeds scheme maximum 78"),
+    (b"3 3\n", "line 2: expected 1 SIDs, got 2"),
+    (b"3\n\x0b5a\n", "line 3: expected a decimal u64, got '5a'"),
+    (b"3\n\x0b16\n", "line 3: SID not divisible by the base"),
+])
+def test_a_bad_record_names_its_line(tmp_path, body, message):
+    path = tmp_path / "bad.sid"
+    path.write_bytes(b"#SIDv1 base=3 ngram=3 grams=1\n" + body)
+    with pytest.raises(sc.SidError) as exc:
+        sc.read_sid_file(path)
+    assert str(exc.value).startswith(message)

@@ -155,6 +155,8 @@ def _warn_diverged(what, epoch):
 
 def cmd_train(args):
     cfg = load_config(args.config)
+    if args.history and cfg.quantizer in CLASSICAL_KINDS:
+        raise PipelineError(f"--history needs fusion training, not {cfg.quantizer}")
     bundle, dims = _load_bundle(args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
         if len(args.corpus) != 1:
@@ -395,7 +397,7 @@ def build_parser():
     p.add_argument("--corpus", action="append", required=True,
                    help="embedding corpus; repeat for multiple signals")
     p.add_argument("--config", required=True, help="key=value config file")
-    p.add_argument("--history", help="write per-epoch loss CSV here")
+    p.add_argument("--history", help="write per-epoch loss CSV (fusion only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -5,7 +5,9 @@ computes the forward value eagerly and records a closure for the backward
 pass, so "running forward" and "building the graph" are the same step and
 the graph is rebuilt from scratch for every batch. `backward` walks the
 recorded graph from a scalar (1x1) loss node and accumulates gradients
-into every reachable node that requires them.
+into every reachable node that requires them. It never clears a `grad`:
+a fresh node starts from zeros, and a parameter leaf sums every pass
+until `fit` zeroes all parameter gradients, once per step.
 
 Two fused ops cover the subgraphs that VQ-fusion training rebuilds every
 batch: `dpca_recon`, one DPCA product group's sum_t (s_t u_t + b_t), and
@@ -446,7 +448,8 @@ def cosine_loss(target, norms, recon):
 
 
 def backward(loss):
-    """Populate `grad` on every node that the scalar loss depends on."""
+    """Add d(loss)/d(node) into `grad` of every node that the scalar loss
+    depends on; a node with no gradient array first gets a zeroed one."""
     if loss.shape != (1, 1):
         raise GraphError(f"loss must be 1x1, got {loss.shape}", loss.name)
 
@@ -461,16 +464,14 @@ def backward(loss):
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node.grad is None:  # a fresh node; an existing array adds
+            node.grad = np.zeros(node.shape, dtype=DTYPE)
         stack.append((node, True))
         for inp in node.inputs:
             if inp.requires_grad:
                 stack.append((inp, False))
 
-    for node in order:  # in place: a parameter's gradient stays its view
-        if node.grad is None:
-            node.grad = np.empty(node.shape, dtype=DTYPE)
-        node.grad.fill(0.0)
-    loss.grad.fill(1.0)
+    loss.grad += 1.0
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node)

@@ -11,11 +11,19 @@ learned parameters.
 Every function takes batches: digits and SID records are 2-D arrays with
 one sample per row, packed and unpacked whole. A single sample is a batch
 of one row; zero rows are a valid batch. Any other ndim raises SidError.
+
+A SID file is ASCII text. Its first line is the header
+`#SIDv1 base=L ngram=n grams=g`; each later line is one record of g SIDs,
+or blank. Within a line, runs of ASCII whitespace other than the line
+feed (space, \t, \x0b, \x0c, \r, \x1c-\x1f) separate fields and may lead
+or trail, and a line of only such whitespace is blank. A SID is 1 to 20
+decimal digits, at most the scheme's max_sid and divisible by L. Every
+line, the header's too, ends with "\n". `write_sid_file` writes single
+spaces and no blank lines.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,18 +116,14 @@ class SidScheme:
 
 
 def _u64s(texts, where):
-    """`texts` as ints if each is plain ASCII decimal digits no larger than
-    the u64 maximum; otherwise a SidError naming `where` and the first bad
-    text. One check covers the whole list when all are valid."""
-    joined = "".join(texts)
-    if joined.isascii() and joined.isdigit() and max(map(len, texts)) <= 20:
-        values = [int(t) for t in texts]
-        if max(values) <= _U64_MAX:
-            return values
-    bad = next(t for t in texts
-               if not (t.isascii() and t.isdigit() and len(t) <= 20)
-               or int(t) > _U64_MAX)
-    raise SidError(f"{where}: expected a decimal u64, got {bad!r}")
+    """`texts` as ints if each is ASCII decimal digits no larger than the
+    u64 maximum; otherwise a SidError naming `where` and the first bad
+    text."""
+    for text in texts:
+        if not (text.isascii() and text.isdigit() and len(text) <= 20
+                and int(text) <= _U64_MAX):
+            raise SidError(f"{where}: expected a decimal u64, got {text!r}")
+    return [int(text) for text in texts]
 
 
 def _array(x, dtype):
@@ -199,8 +203,7 @@ def sid_hash(sids, table_size):
 
 
 # ---------------------------------------------------------------------------
-# SID file format: one header line, then one whitespace-separated record of
-# decimal u64 SIDs per sample.
+# SID file format; the grammar is in the module docstring.
 
 
 def write_sid_file(path, scheme, sids):
@@ -220,77 +223,70 @@ def _ascii(raw, lineno):
                        f"at column {exc.start + 1}") from None
 
 
-_SPACES = bytes.maketrans(b"\t\r", b"  ")
+# a body as read_sid_file reads it: line feeds and digits kept, any other
+# ASCII byte that str.split() splits on a space, and every other byte "_"
+_TEXT = bytes(ord("_") if c > 127 else c if chr(c) in "\n0123456789"
+              else ord(" ") if chr(c).isspace() else ord("_")
+              for c in range(256))
 _U64_MAX_TEXT = str(_U64_MAX).encode("ascii")
 
 
-def _parse_body(body, grams):
-    """The (m, grams) SIDs of a SID file body in one pass, or None when a
-    byte, a field or a line would make `_parse_lines` raise, or when the
-    body holds whitespace other than spaces, tabs and line breaks."""
-    if body.translate(None, b"0123456789 \t\r\n"):
-        return None
-    text = body.translate(_SPACES)
-    chars = np.frombuffer(text, dtype=np.uint8)
-    # only digits, spaces and newlines remain: a field is a run of bytes > 32
-    edges = np.diff((chars > 32).view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    if not starts.size:
-        return np.empty((0, grams), dtype=np.uint64)
-    widths = ends - starts
-    if widths.max() > len(_U64_MAX_TEXT) or any(
-            text[lo:lo + len(_U64_MAX_TEXT)] > _U64_MAX_TEXT
-            for lo in starts[widths == len(_U64_MAX_TEXT)]):
-        return None
-    fields_per_line = np.bincount(np.cumsum(chars == 10)[starts])
-    if not np.isin(fields_per_line, (0, grams)).all():
-        return None
-    sids = np.fromstring(text, dtype=np.uint64, sep=" ")
-    return sids.reshape(-1, grams) if sids.size == starts.size else None
-
-
-def _parse_lines(body, grams):
-    """The SIDs of a SID file body line by line; a bad line raises a
-    SidError naming it."""
-    rows = []
-    for lineno, raw in enumerate(body.split(b"\n"), start=2):
-        line = _ascii(raw, lineno).strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != grams:
-            raise SidError(
-                f"line {lineno}: expected {grams} SIDs, got {len(fields)}")
-        rows.append(_u64s(fields, f"line {lineno}"))
-    return np.asarray(rows, dtype=np.uint64).reshape(len(rows), grams)
+def _raise_for_line(body, line_ends, index, grams):
+    """Raise the SidError of body line `index` (0-based): its bytes must be
+    ASCII, then its fields `grams` decimal u64s, then it must end."""
+    lineno = index + 2
+    lo = line_ends[index - 1] + 1 if index else 0
+    hi = line_ends[index] if index < line_ends.size else len(body)
+    fields = _ascii(body[lo:hi], lineno).split()
+    if fields and len(fields) != grams:
+        raise SidError(
+            f"line {lineno}: expected {grams} SIDs, got {len(fields)}")
+    _u64s(fields, f"line {lineno}")
+    raise SidError(f"line {lineno}: no line end")
 
 
 def read_sid_file(path):
+    """(scheme, (m, grams) u64 SIDs) of the SID file at `path`, its body
+    read in one pass over its bytes.
+
+    A file that breaks the grammar raises a SidError naming the header or
+    a line: the first line that is neither blank nor a record, else a last
+    line with no line end, else the first record holding a SID the scheme
+    cannot have packed. The file holds no record count: a file cut exactly
+    at a line end reads as a valid shorter file, and any other cut leaves
+    a last line with no line end, which is rejected."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    body_at = data.find(b"\n") + 1 or len(data)
-    scheme = SidScheme.from_header(_ascii(data[:body_at], 1))
-    body = data[body_at:]
-    sids = _parse_body(body, scheme.grams)
-    if sids is None:
-        sids = _parse_lines(body, scheme.grams)
-    try:
-        unpack_all(scheme, sids)  # validates range and divisibility
-    except SidError:
-        # name the line of the first bad record, with that record's error
-        bad = ((sids > np.uint64(scheme.max_sid))
-               | (sids % np.uint64(scheme.base) != 0)).any(axis=1)
-        row = int(np.flatnonzero(bad)[0])
+        head, line_end, body = fh.read().partition(b"\n")
+    scheme = SidScheme.from_header(_ascii(head, 1))
+    if not line_end:
+        raise SidError("SID header: no line end")
+    text = body.translate(_TEXT)
+    chars = np.frombuffer(text, dtype=np.uint8)
+    line_ends = np.flatnonzero(chars == ord("\n"))
+    edges = np.diff((chars > ord(" ")).view(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    per_line = np.bincount(np.searchsorted(line_ends, starts),
+                           minlength=line_ends.size + 1)
+    bad = (per_line != 0) & (per_line != scheme.grams)
+    widths = stops - starts
+    wide = starts[widths == 20]
+    top = chars[wide[:, None] + np.arange(20)].view("S20").ravel()
+    for at in (np.flatnonzero(chars == ord("_")), starts[widths > 20],
+               wide[top > _U64_MAX_TEXT]):
+        bad[np.searchsorted(line_ends, at)] = True
+    bad[-1] |= body[-1:] not in (b"", b"\n")  # a last line with no end
+    if bad.any():
+        _raise_for_line(body, line_ends, int(bad.argmax()), scheme.grams)
+    # one value per field: np.fromstring reads a text of spaces as [0]
+    sids = np.fromstring(text, dtype=np.uint64, sep=" ")[:starts.size]
+    sids = sids.reshape(-1, scheme.grams)
+    bad = ((sids > np.uint64(scheme.max_sid))
+           | (sids % np.uint64(scheme.base) != 0)).any(axis=1)
+    if bad.any():  # the first bad record's own message, with its line
+        row = int(bad.argmax())
         try:
             unpack_all(scheme, sids[row:row + 1])
         except SidError as exc:
-            raise SidError(f"line {_record_line(body, row)}: {exc}") from None
+            line = np.flatnonzero(per_line)[row] + 2
+            raise SidError(f"line {line}: {exc}") from None
     return scheme, sids
-
-
-def _record_line(body, row):
-    """File line number of record `row` (0-based) of a SID file body that
-    parsed: the row-th line that is not blank."""
-    lines = (n for n, raw in enumerate(body.split(b"\n"), start=2)
-             if raw.decode("ascii").strip())
-    return next(itertools.islice(lines, row, None))

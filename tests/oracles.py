@@ -8,6 +8,7 @@ import numpy as np
 
 from sidekit import nn_core as nn
 from sidekit.quantizers import FsqConfig, fsq_quantize, product_split
+from sidekit.sid_codec import SidError, SidScheme
 
 
 def numeric_grad(fn, arrays, key, h=1e-3):
@@ -229,3 +230,48 @@ def broadcast_history(users, items, seq_len, seed, latent_dim, sharpness):
                 if draws[u, s] > cum[u, i]:
                     history[u, s] += 1
     return history
+
+
+def line_read_sid(data):
+    """(scheme, (m, grams) u64 SIDs) of SID file bytes `data`, read one
+    line at a time with str methods, raising the SidError that
+    read_sid_file raises: the first line with a non-ASCII byte, a wrong
+    field count or a field that is not a decimal u64, else a last line
+    with no line end, else the first record holding an unpackable SID."""
+    lines = data.split(b"\n")
+
+    def text(raw, where):
+        for column, byte in enumerate(raw, start=1):
+            if byte > 127:
+                raise SidError(f"{where}: non-ASCII byte 0x{byte:02x} "
+                               f"at column {column}")
+        return raw.decode("ascii")
+
+    scheme = SidScheme.from_header(text(lines[0], "SID header"))
+    if len(lines) == 1:
+        raise SidError("SID header: no line end")
+    records = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        fields = text(raw, f"line {lineno}").split()
+        if not fields:
+            continue
+        if len(fields) != scheme.grams:
+            raise SidError(f"line {lineno}: expected {scheme.grams} SIDs, "
+                           f"got {len(fields)}")
+        for field in fields:
+            if not (field.isdigit() and len(field) <= 20
+                    and int(field) < 2**64):
+                raise SidError(f"line {lineno}: expected a decimal u64, "
+                               f"got {field!r}")
+        records.append((lineno, [int(field) for field in fields]))
+    if lines[-1]:
+        raise SidError(f"line {len(lines)}: no line end")
+    for lineno, row in records:
+        if max(row) > scheme.max_sid:
+            raise SidError(f"line {lineno}: SID {max(row)} exceeds scheme "
+                           f"maximum {scheme.max_sid}")
+        if any(value % scheme.base for value in row):
+            raise SidError(f"line {lineno}: SID not divisible by the base; "
+                           "not a packed value")
+    rows = [row for _, row in records]
+    return scheme, np.array(rows, dtype=np.uint64).reshape(-1, scheme.grams)

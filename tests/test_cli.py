@@ -3,6 +3,7 @@ eval-recon for every quantizer kind, a zero-row corpus, rejected configs,
 checkpoints and engagement files, training divergence, rank-ab from a
 gen-engagement file, eval-recall and eval-ne."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,13 +12,14 @@ import sys
 import numpy as np
 import pytest
 
-from sidekit import cli, metrics
+from sidekit import cli, metrics, sid_codec
 from sidekit import fusion_vae as fv
 from sidekit import ranking as rk
 from sidekit.corpus_io import corpus_read, corpus_write
 from sidekit.quantizers import load_codebooks
 from sidekit.sid_codec import read_sid_file
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = {
     "kmeans": "levels=4",
     "rq": "levels=4\ndepth=2",
@@ -68,6 +70,66 @@ def test_round_trip(tmp_path, corpus, kind, capsys):
     if kind in ("kmeans", "rq", "pq"):
         books = load_codebooks(ckpt)
         assert len(books) == {"kmeans": 1, "rq": 2, "pq": 2}[kind]
+
+
+@pytest.mark.parametrize("kind", ["kmeans", "fsq"])
+def test_decode_unpacks_each_sid_once(tmp_path, corpus, kind, monkeypatch):
+    cfg = config(tmp_path, kind)
+    ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    assert run("encode", "--corpus", corpus, "--config", cfg, "--ckpt", ckpt,
+               "--out", sids) == 0
+    unpacked, unpack_all = [], sid_codec.unpack_all
+
+    def counting_unpack_all(scheme, records):
+        unpacked.append(len(records))
+        return unpack_all(scheme, records)
+
+    monkeypatch.setattr(cli, "unpack_all", counting_unpack_all)
+    monkeypatch.setattr(sid_codec, "unpack_all", counting_unpack_all)
+    assert run("decode", "--sids", sids, "--config", cfg, "--ckpt", ckpt,
+               "--dims", 8, "--out", tmp_path / "rec") == 0
+    assert unpacked == [64]
+
+
+def test_sid_file_reads_back_through_the_bench_reader(tmp_path, corpus,
+                                                      monkeypatch):
+    """The benchmark parses SID files with its own reader
+    (bench/checks.py), loaded here without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_checks", os.path.join(ROOT, "bench", "checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(checks)
+    cfg = config(tmp_path, "rq")
+    ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    assert run("encode", "--corpus", corpus, "--config", cfg, "--ckpt", ckpt,
+               "--out", sids) == 0
+    scheme, records = read_sid_file(sids)
+    base, ngram, grams, bench_records = checks.read_sid_file(sids)
+    assert (base, ngram, grams) == (scheme.base, scheme.ngram, scheme.grams)
+    assert bench_records.dtype == records.dtype
+    np.testing.assert_array_equal(bench_records, records)
+
+
+@pytest.mark.parametrize("kind", ["kmeans", "rq", "pq", "fsq"])
+def test_history_is_refused_for_classical_kinds(tmp_path, corpus, kind,
+                                                capsys):
+    ckpt, history = tmp_path / "q.ckpt", tmp_path / "h.csv"
+    code = run("train", "--corpus", corpus, "--config", config(tmp_path, kind),
+               "--history", history, "--out", ckpt)
+    if kind == "fsq":  # one CSV row per epoch
+        assert code == 0 and ckpt.exists()
+        lines = history.read_text().splitlines()
+        assert lines[0].startswith("epoch,") and len(lines) == 1 + 2
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --history ") and kind in err
+    assert not ckpt.exists() and not history.exists()
 
 
 @pytest.mark.parametrize("kind", ["rq", "fsq"])

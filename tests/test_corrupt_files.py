@@ -4,9 +4,11 @@ a flipped bit in a header, name-length or shape field.
 Every rejection names the byte offset (binary files) or the line (SID
 files). What a format cannot tell from a valid file is pinned exactly:
 checkpoint records and SID lines run to the end of the file with no
-count, so a cut at a record boundary reads as the records before it
-(`FusionModel.load` still rejects it: it needs every parameter), and an
-empty array's other dimension is not checked against anything.
+count, so a cut at a record boundary or at a line end reads as the
+records before it (`FusionModel.load` still rejects it: it needs every
+parameter), and an empty array's other dimension is not checked against
+anything. Every SID line ends with a line feed, so a SID file cut
+anywhere else is rejected.
 """
 
 import re
@@ -236,24 +238,19 @@ def test_truncated_sid_file_names_its_line(tmp_path_factory, sid_file, data):
     path, raw = sid_raw(tmp_path_factory, scheme, sids)
     cut = data.draw(st.integers(0, len(raw) - 1))
     path.write_bytes(raw[:cut])
-    try:
-        read_scheme, read = sc.read_sid_file(path)
-    except sc.SidError as exc:
-        assert names_header_or_line(exc)
+    whole = raw[:cut].count(b"\n")  # whole lines, the header's included
+    if not raw[:cut].endswith(b"\n"):
+        with pytest.raises(sc.SidError) as exc:
+            sc.read_sid_file(path)  # naming the cut line
+        if whole:
+            assert str(exc.value).startswith(f"line {whole + 1}: ")
+        else:
+            assert names_header_or_line(exc.value)
         return
-    if b"\n" not in raw[:cut]:
-        # the cut fell at the end of the header or inside its last
-        # number, which leaves a smaller grams
-        assert read.shape[0] == 0 and read_scheme.grams <= scheme.grams
-        return
+    # a cut at a line end leaves whole lines, which read back as they were
+    read_scheme, read = sc.read_sid_file(path)
     assert read_scheme == scheme
-    # whole lines read back as they were; a cut inside the last line's
-    # final SID can leave a shorter SID that is still valid
-    whole = raw[:cut].count(b"\n") - 1
-    np.testing.assert_array_equal(read[:whole], sids[:whole])
-    assert read.shape[0] in (whole, whole + 1)
-    if raw[:cut].endswith(b"\n"):
-        assert read.shape[0] == whole
+    np.testing.assert_array_equal(read, sids[:whole - 1])
 
 
 @SETTINGS

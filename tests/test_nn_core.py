@@ -206,6 +206,16 @@ class TestBackward:
         failures = run_fd_sweep(RNG_SEEDS)
         assert not failures, f"fd mismatches: {failures}"
 
+    def test_adds_into_existing_gradients_and_fresh_nodes_start_at_zero(self):
+        params = _store(w=np.ones((2, 2)))
+        w = params.leaves["w"]
+        params.grad.fill(5.0)
+        hidden = nn.scale(w, 3.0)
+        nn.backward(nn.sum_all(hidden))
+        np.testing.assert_array_equal(params.grad, np.full(4, 8.0))
+        assert np.shares_memory(w.grad, params.grad)
+        np.testing.assert_array_equal(hidden.grad, np.ones((2, 2)))
+
     def test_reused_node_accumulates(self):
         x = nn.leaf([[2.0]], requires_grad=True)
         loss = nn.sum_all(nn.add(nn.square(x), nn.scale(x, 3.0)))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sidekit import sid_codec as sc
 from sidekit.quantizers import DpcaStack, dpca_encode
+from oracles import line_read_sid
 
 
 class TestPack:
@@ -301,53 +302,45 @@ class TestSidFile:
 
 
 # ---------------------------------------------------------------------------
-# Bulk SID text I/O: one-pass parse against the per-line reader
+# The one-pass reader against the line-by-line reference
 
 
 BODY_BYTES = st.sampled_from(
     [b"0", b"3", b"9", b"27", b" ", b"  ", b"\t", b"\r", b"\n", b"\r\n",
      b"\x0b", b"\x1c", b"a", b"-", b"+", b"\xd9", b"18446744073709551615",
-     b"18446744073709551616", b"000000000000000000003"])
+     b"18446744073709551616", b"000000000000000000003",
+     b"\x00", b"\x0c", b"\x1f", b"\x7f", b"\x85", b"\xa0",
+     b"18446744073709551614", b"99999999999999999999"])
+RECORDS = st.lists(st.sampled_from([b"0", b"3", b"9", b"27", b"78"]),
+                   min_size=1, max_size=3).map(lambda f: b" ".join(f) + b"\n")
 
 
-@settings(max_examples=400, deadline=None)
-@given(grams=st.integers(1, 3),
-       body=st.lists(BODY_BYTES, max_size=24).map(b"".join))
-def test_bulk_parse_equals_the_line_reader_or_defers_to_it(grams, body):
+@settings(max_examples=1000, deadline=None)
+@given(scheme=st.sampled_from([sc.SidScheme(3, 3, 1), sc.SidScheme(3, 3, 2),
+                               sc.SidScheme(3, 3, 3), sc.SidScheme(2, 63, 1)]),
+       header_end=st.sampled_from([b"\n", b"\n", b"\r\n", b""]),
+       body=st.lists(st.one_of(BODY_BYTES, RECORDS), max_size=24)
+       .map(b"".join),
+       end=st.sampled_from([b"", b"\n", b"\r\n"]))
+def test_read_equals_the_line_reader(tmp_path_factory, scheme, header_end,
+                                     body, end):
+    """Same SIDs or the same message as `oracles.line_read_sid`, for
+    bodies of decimal fields, ASCII whitespace, stray bytes and
+    terminated or unterminated last lines."""
+    data = scheme.header().encode("ascii") + header_end + body + end
+    path = tmp_path_factory.getbasetemp() / "read.sid"
+    path.write_bytes(data)
     try:
-        expected = sc._parse_lines(body, grams)
-    except sc.SidError:
-        expected = None
-    got = sc._parse_body(body, grams)
-    if expected is None:
-        assert got is None  # the line reader then raises, naming the line
-    elif got is not None:
-        assert got.dtype == np.uint64 and got.shape == expected.shape
-        np.testing.assert_array_equal(got, expected)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), grams=st.integers(1, 4), rows=st.integers(0, 12))
-def test_decorated_files_read_back_exactly(tmp_path_factory, data, grams,
-                                           rows):
-    """Blank lines, CRLF endings, tabs and padding around the fields of a
-    written file change nothing, and the one-pass parse accepts them."""
-    scheme = sc.SidScheme(base=3, ngram=3, grams=grams)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    sids = sc.pack_all(scheme, rng.integers(-1, 2, size=(rows, 3 * grams)))
-    gap = st.sampled_from([" ", "\t", "  ", " \t "])
-    end = st.sampled_from(["\n", "\r\n", " \n", "\n\n", "\t\r\n"])
-    lines = [data.draw(st.sampled_from(["", " "])) + data.draw(gap).join(
-        map(str, row)) + data.draw(end) for row in sids.tolist()]
-    body = "".join(lines).encode("ascii")
-    got = sc._parse_body(body, grams)
-    assert got is not None
-    np.testing.assert_array_equal(got, sc._parse_lines(body, grams))
-    path = tmp_path_factory.mktemp("sid") / "d.sid"
-    path.write_bytes(scheme.header().encode("ascii") + b"\n" + body)
+        expected_scheme, expected = line_read_sid(data)
+    except sc.SidError as exc:
+        with pytest.raises(sc.SidError) as got:
+            sc.read_sid_file(path)
+        assert str(got.value) == str(exc)
+        return
     read_scheme, read = sc.read_sid_file(path)
-    assert read_scheme == scheme
-    np.testing.assert_array_equal(read, sids)
+    assert read_scheme == expected_scheme
+    assert read.dtype == np.uint64 and read.shape == expected.shape
+    np.testing.assert_array_equal(read, expected)
 
 
 def test_write_matches_per_value_formatting(tmp_path):

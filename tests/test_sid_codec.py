@@ -328,6 +328,12 @@ def test_read_equals_the_line_reader(tmp_path_factory, scheme, header_end,
     bodies of decimal fields, ASCII whitespace, stray bytes and
     terminated or unterminated last lines."""
     data = scheme.header().encode("ascii") + header_end + body + end
+    assert_reads_like_the_line_reader(tmp_path_factory, data)
+
+
+def assert_reads_like_the_line_reader(tmp_path_factory, data):
+    """read_sid_file of `data` gives the SIDs of `oracles.line_read_sid`,
+    or raises its message."""
     path = tmp_path_factory.getbasetemp() / "read.sid"
     path.write_bytes(data)
     try:
@@ -341,6 +347,42 @@ def test_read_equals_the_line_reader(tmp_path_factory, scheme, header_end,
     assert read_scheme == expected_scheme
     assert read.dtype == np.uint64 and read.shape == expected.shape
     np.testing.assert_array_equal(read, expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grams=st.integers(1, 3),
+       body=st.lists(BODY_BYTES, max_size=24).map(b"".join))
+def test_bulk_parse_equals_the_line_reader_or_defers_to_it(tmp_path_factory,
+                                                           grams, body):
+    """A body of loose bytes under a valid header reads as the line
+    reader reads it: the same SIDs, or the same message naming the line."""
+    header = sc.SidScheme(base=3, ngram=3, grams=grams).header()
+    assert_reads_like_the_line_reader(
+        tmp_path_factory, header.encode("ascii") + b"\n" + body)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), grams=st.integers(1, 4), rows=st.integers(0, 12))
+def test_decorated_files_read_back_exactly(tmp_path_factory, data, grams,
+                                           rows):
+    """Blank lines, CRLF endings, tabs and padding around the fields of a
+    written file change nothing, and the one-pass read accepts them."""
+    scheme = sc.SidScheme(base=3, ngram=3, grams=grams)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sids = sc.pack_all(scheme, rng.integers(-1, 2, size=(rows, 3 * grams)))
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    end = st.sampled_from(["\n", "\r\n", " \n", "\n\n", "\t\r\n"])
+    lines = [data.draw(st.sampled_from(["", " "])) + data.draw(gap).join(
+        map(str, row)) + data.draw(end) for row in sids.tolist()]
+    file_bytes = (scheme.header() + "\n" + "".join(lines)).encode("ascii")
+    _, expected = line_read_sid(file_bytes)
+    np.testing.assert_array_equal(expected, sids)
+    path = tmp_path_factory.mktemp("sid") / "d.sid"
+    path.write_bytes(file_bytes)
+    read_scheme, read = sc.read_sid_file(path)
+    assert read_scheme == scheme
+    assert read.dtype == np.uint64 and read.shape == sids.shape
+    np.testing.assert_array_equal(read, sids)
 
 
 def test_write_matches_per_value_formatting(tmp_path):

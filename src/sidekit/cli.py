@@ -300,6 +300,7 @@ def cmd_rank_ab(args):
             _warn_diverged(f"{name} ranker training", r.diverged_at)
     if args.json:
         payload = {name: {"ne": r.ne.as_dict(), "feature_params": r.feature_params,
+                          "feature_rows_trained": r.feature_rows_trained,
                           "ne_gain_pct": r.ne_gain_pct}
                    for name, r in report.results.items()}
         payload["hash_size"] = hash_size

@@ -265,6 +265,13 @@ class ToyRankingModel:
             return self.params.get("feature.omega").size
         return 0
 
+    def feature_rows_trained(self):
+        """Rows of the SID feature table that training's gathers reached;
+        None for a variant without the table."""
+        if self.variant != "sid":
+            return None
+        return int(self.params.touched_rows("feature.table").size)
+
 
 def _bce_loss(logit_node, labels):
     # mean(softplus(z) - y*z), the stable form of binary cross-entropy
@@ -308,6 +315,7 @@ class AbResult:
     feature_params: int
     diverged_at: int | None    # epoch training was rolled back at, if any
     ne_gain_pct: float | None  # vs the no-history ablation; None for it
+    feature_rows_trained: int | None  # SID table rows trained, else None
 
 
 @dataclass
@@ -334,12 +342,13 @@ def run_ab(dataset, hash_size, feature_dim, cfg):
     """
     _, base_report, diverged_at = train_ranker(dataset, "none", hash_size,
                                                feature_dim, cfg)
-    results = {"none": AbResult("none", base_report, 0, diverged_at, None)}
+    results = {"none": AbResult("none", base_report, 0, diverged_at, None,
+                                None)}
     for variant in ("sid", "side"):
         model, report, diverged_at = train_ranker(dataset, variant, hash_size,
                                                   feature_dim, cfg)
         gain = 100.0 * (base_report.ne - report.ne) / base_report.ne
         results[variant] = AbResult(variant, report,
                                     model.feature_path_params(), diverged_at,
-                                    gain)
+                                    gain, model.feature_rows_trained())
     return AbReport(results)

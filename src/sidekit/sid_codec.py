@@ -13,13 +13,13 @@ one sample per row, packed and unpacked whole. A single sample is a batch
 of one row; zero rows are a valid batch. Any other ndim raises SidError.
 
 A SID file is ASCII text. Its first line is the header
-`#SIDv1 base=L ngram=n grams=g`; each later line is one record of g SIDs,
-or blank. Within a line, runs of ASCII whitespace other than the line
-feed (space, \t, \x0b, \x0c, \r, \x1c-\x1f) separate fields and may lead
-or trail, and a line of only such whitespace is blank. A SID is 1 to 20
-decimal digits, at most the scheme's max_sid and divisible by L. Every
-line, the header's too, ends with "\n". `write_sid_file` writes single
-spaces and no blank lines.
+`#SIDv1 base=L ngram=n grams=g`, each key once and no other key; each
+later line is one record of g SIDs, or blank. Within a line, runs of
+ASCII whitespace other than the line feed (space, \t, \x0b, \x0c, \r,
+\x1c-\x1f) separate fields and may lead or trail, and a line of only
+such whitespace is blank. A SID is 1 to 20 decimal digits, at most the
+scheme's max_sid and divisible by L. Every line, the header's too, ends
+with "\n". `write_sid_file` writes single spaces and no blank lines.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 from .nn_core import DTYPE, _atomic_write
 
 _U64_MAX = 2**64 - 1
+_HEADER_KEYS = ("base", "ngram", "grams")  # each exactly once, nothing else
 
 
 class SidError(ValueError):
@@ -97,10 +98,14 @@ class SidScheme:
             key, sep, value = part.partition("=")
             if not sep:
                 raise SidError(f"SID header field {part!r} is not key=value")
+            if key in kv:
+                raise SidError(f"SID header repeats {key!r}")
+            if key not in _HEADER_KEYS:
+                raise SidError(f"SID header has unknown field {key!r}")
             kv[key] = value
         try:
             fields = {k: _u64s([kv[k]], f"SID header field {k}")[0]
-                      for k in ("base", "ngram", "grams")}
+                      for k in _HEADER_KEYS}
         except KeyError as exc:
             raise SidError(f"SID header missing field {exc}") from None
         try:

@@ -135,6 +135,28 @@ def fsq_dpca_encode(stack, x):
     return codes
 
 
+def dense_adam_step(state, params):
+    """Adam as one whole-buffer update of `params.flat`: every element of
+    every parameter, the table rows no gather reached included."""
+    g, p = params.grad, params.flat
+    if not np.isfinite(g).all():
+        raise nn.NonFiniteError("non-finite gradient", params._nonfinite_grad())
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+    state.step += 1
+    t = state.step
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    m, v = state.m, state.v
+    with np.errstate(over="ignore", invalid="ignore"):
+        m += (1.0 - b1) * (g - m)
+        v += (1.0 - b2) * (g * g - v)
+        p -= nn.DTYPE(state.lr) * (m / c1) / (np.sqrt(v / c2)
+                                              + nn.DTYPE(nn.ADAM_EPS))
+    return state
+
+
 def row_scatter_add(table_grad, idx, grad):
     """Gather backward as one row-wise unbuffered scatter-add."""
     out = table_grad.copy()

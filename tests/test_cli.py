@@ -443,6 +443,16 @@ def test_rank_ab_from_file_equals_inline(tmp_path, capsys):
     assert set(inline) == {"none", "sid", "side", "hash_size"}
 
 
+def test_rank_ab_reports_the_feature_rows_trained(capsys):
+    assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--hash-size", 61,
+               "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["none"]["feature_rows_trained"] is None
+    assert report["side"]["feature_rows_trained"] is None
+    # at most 2 grams x 61 rows, and at most one row per item and gram
+    assert 0 < report["sid"]["feature_rows_trained"] <= 2 * 60
+
+
 @pytest.mark.parametrize("size", [0, -4])
 def test_rank_ab_rejects_hash_size_below_one(capsys, size):
     assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--hash-size", size,

@@ -167,3 +167,21 @@ def test_ab_report_counts_trained_feature_params():
     for name in ("sid", "side"):
         r = report.results[name]
         assert r.ne_gain_pct == pytest.approx(100.0 * (base - r.ne.ne) / base)
+
+
+def test_feature_rows_trained_are_the_hashed_rows_of_the_training_users():
+    ds = small_dataset()
+    cfg = nn.FitConfig(epochs=1, batch_size=100, lr=3e-3, seed=5)
+    hash_size = 61
+    model, _, _ = rk.train_ranker(ds, "sid", hash_size, 16, cfg)
+    # train_ranker's split: the users after the first 20% of one permutation
+    order = np.random.default_rng(cfg.seed).permutation(ds.config.users)
+    train = order[int(ds.config.users * rk.EVAL_FRACTION):]
+    items = np.union1d(ds.history[train].ravel(), ds.candidates[train])
+    rows = {int(sid) % hash_size + g * hash_size
+            for g in range(ds.scheme.grams) for sid in ds.item_sids[items, g]}
+    assert model.params.touched_rows("feature.table").tolist() == sorted(rows)
+    assert model.feature_rows_trained() == len(rows)
+    for variant in ("none", "side"):
+        other, _, _ = rk.train_ranker(ds, variant, hash_size, 16, cfg)
+        assert other.feature_rows_trained() is None

@@ -281,7 +281,11 @@ class TestSidFile:
         ("#SIDv1 base=\u0663 ngram=2 grams=1", "field base: expected"),
         ("#SIDv1 base=3 grams=1", "missing field 'ngram'"),
         ("#SIDv1 base=1 ngram=2 grams=1", "SID header: base must be >= 2"),
-        ("#SIDv1 base=3 ngram=0 grams=1", "SID header: ngram must be >= 1")])
+        ("#SIDv1 base=3 ngram=0 grams=1", "SID header: ngram must be >= 1"),
+        ("#SIDv1 base=3 ngram=3 grams=1 base=5 colour=red",
+         "SID header repeats 'base'"),
+        ("#SIDv1 base=3 ngram=3 grams=1 colour=red",
+         "SID header has unknown field 'colour'")])
     def test_malformed_header_field_is_named(self, header, message):
         with pytest.raises(sc.SidError, match=message):
             sc.SidScheme.from_header(header)

@@ -24,6 +24,8 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 
@@ -83,9 +85,8 @@ def _checkout(path):
 
 
 def _environment():
-    import numpy
     return {"nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(), "numpy": numpy.__version__,
+            "python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "system": platform.system(),
             "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 

@@ -30,6 +30,10 @@ class MetricError(ValueError):
 
 
 def worker_count():
+    """The parallelism cap: SIDEKIT_THREADS if set, else min(8, cores).
+    It bounds the query-block threads here and the worker processes that
+    `ranking.run_ab` trains its arms in. Results equal those of a serial
+    run; run_ab computes NE in the calling process, in report order."""
     env = os.environ.get("SIDEKIT_THREADS")
     if env:
         return max(1, int(env))

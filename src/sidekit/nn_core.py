@@ -527,7 +527,8 @@ class ParamStore:
         self.grad = np.zeros(0, dtype=DTYPE)
         self.leaves: dict[str, Node] = {}
         self._dense = 0      # flat[:_dense] holds every non-table parameter
-        self._tables = []    # (leaf, offset in flat) per table, in order
+        # (leaf, offset in flat, cached marked row indices) per table, in order
+        self._tables = []
 
     def weight(self, name, fan_in, fan_out):
         """Glorot-uniform weight matrix: U(+-sqrt(6/(fan_in+fan_out)))."""
@@ -571,7 +572,7 @@ class ParamStore:
             if node.rows is None:
                 self._dense = hi
             else:
-                self._tables.append((node, lo))
+                self._tables.append((node, lo, np.flatnonzero(node.rows)))
             lo = hi
         return new.value
 
@@ -599,13 +600,24 @@ class ParamStore:
             raise KeyError(f"parameter '{name}' is not a table")
         return np.flatnonzero(rows)
 
+    def _marked(self):
+        """(leaf, offset in flat, sorted indices of its marked rows) per
+        table. Marks are never cleared, so an unchanged mark count is an
+        unchanged set: the indices are found again only after a gather's
+        backward has marked a new row (counting takes ~3 us on a 39k-row
+        mask, finding the indices ~40 us)."""
+        for i, (leaf, lo, rows) in enumerate(self._tables):
+            if np.count_nonzero(leaf.rows) != rows.size:
+                self._tables[i] = (leaf, lo, np.flatnonzero(leaf.rows))
+        return self._tables
+
     def _zero_grad(self):
         """Zero every gradient entry a backward pass can write: the dense
         region and each table's marked rows. The rest is already +0.0."""
         self.grad[:self._dense] = 0.0
-        for leaf, _ in self._tables:
-            # row indices, not the mask: a boolean assignment is ~3x slower
-            leaf.grad[np.flatnonzero(leaf.rows)] = 0.0
+        for leaf, _, rows in self._marked():
+            grad = _row_items(leaf.grad)
+            grad[rows] = np.zeros((), grad.dtype)
 
     def _nonfinite_grad(self):
         """Name of the first parameter whose gradient holds a NaN or Inf."""
@@ -659,8 +671,7 @@ def adam_step(state, params):
     NaN or Inf raises NonFiniteError naming its parameter."""
     nd = params._dense
     g = params.grad[:nd]
-    marked = [(leaf, lo, np.flatnonzero(leaf.rows))
-              for leaf, lo in params._tables]
+    marked = params._marked()
     grads = [np.take(_row_items(leaf.grad), rows).view(DTYPE)
              for leaf, _, rows in marked]
     if not (np.isfinite(g).all() and all(np.isfinite(gt).all() for gt in grads)):

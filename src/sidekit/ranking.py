@@ -18,18 +18,25 @@ Synthetic engagement data plants a real signal in the history: items
 carry ternary-grid latents, each user's history is sampled around a
 hidden taste vector, and the click probability of the shown candidate is
 sigmoid(a * <mean of history latents, candidate latent> + b).
+
+`run_ab` trains its three arms at once in up to `metrics.worker_count()`
+processes, the calling one and forked workers (SIDEKIT_THREADS caps it).
+The report equals the serial run's: the workers return only predictions
+and counts, and NE is computed in the calling process, in report order.
 """
 
 from __future__ import annotations
 
+import contextlib
+from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from . import nn_core as nn
 from .nn_core import DTYPE, ParamStore
-from .metrics import NEReport, _row_blocks, normalized_entropy
+from .metrics import NEReport, _row_blocks, normalized_entropy, worker_count
 from .sid_codec import SidError, SidScheme, pack_all, side_embed, sid_hash
 
 
@@ -279,21 +286,30 @@ def _bce_loss(logit_node, labels):
     return nn.mean_all(nn.sub(nn.softplus(logit_node), nn.mul(y, logit_node)))
 
 
-def train_ranker(dataset, variant, hash_size, feature_dim, cfg):
-    """Train one variant of width `feature_dim` as the `nn_core.FitConfig`
-    `cfg` sets; returns (model, NEReport on the eval split, diverged_at).
-    diverged_at is None unless a non-finite loss stopped training, in
-    which case it is the epoch whose start the parameters were rolled
-    back to (see nn_core.fit)."""
-    rng = np.random.default_rng(cfg.seed)
+def _split(dataset, seed):
+    """(rng, eval_rows, train_rows): one permutation of the users drawn
+    from a generator seeded with `seed`, the first EVAL_FRACTION of it
+    held out for the NE report. The generator goes on to drive `fit`."""
+    rng = np.random.default_rng(seed)
     n = dataset.config.users
     order = rng.permutation(n)
     n_eval = int(n * EVAL_FRACTION)
-    eval_rows = order[:n_eval]
-    train_rows = order[n_eval:]
+    return rng, order[:n_eval], order[n_eval:]
+
+
+def _eval_labels(dataset, seed):
+    """Labels of the eval split of a run seeded with `seed`; raises
+    RankingError if the training split is single-class."""
+    _, eval_rows, train_rows = _split(dataset, seed)
     if dataset.labels[train_rows].min() == dataset.labels[train_rows].max():
         raise RankingError("training split is single-class")
+    return dataset.labels[eval_rows]
 
+
+def _fit_ranker(dataset, variant, hash_size, feature_dim, cfg):
+    """Train one variant on the split of `cfg.seed`, unchecked; returns
+    (model, click probabilities on the eval split, diverged_at)."""
+    rng, eval_rows, train_rows = _split(dataset, cfg.seed)
     model = ToyRankingModel(dataset, variant, hash_size, feature_dim, cfg.seed)
 
     def step(idx):
@@ -303,9 +319,29 @@ def train_ranker(dataset, variant, hash_size, feature_dim, cfg):
 
     _, diverged_at = nn.fit(model.params, train_rows.size, step, rng, cfg,
                             weight_decay=WEIGHT_DECAY)
-    preds = model.predict(eval_rows)
-    report = normalized_entropy(dataset.labels[eval_rows], preds)
-    return model, report, diverged_at
+    return model, model.predict(eval_rows), diverged_at
+
+
+def train_ranker(dataset, variant, hash_size, feature_dim, cfg):
+    """Train one variant of width `feature_dim` as the `nn_core.FitConfig`
+    `cfg` sets; returns (model, NEReport on the eval split, diverged_at).
+    diverged_at is None unless a non-finite loss stopped training, in
+    which case it is the epoch whose start the parameters were rolled
+    back to (see nn_core.fit)."""
+    labels = _eval_labels(dataset, cfg.seed)
+    model, preds, diverged_at = _fit_ranker(dataset, variant, hash_size,
+                                            feature_dim, cfg)
+    return model, normalized_entropy(labels, preds), diverged_at
+
+
+def _train_arm(dataset, variant, hash_size, feature_dim, cfg):
+    """One A/B arm as `run_ab` needs it, small enough to return from a
+    worker process: (eval predictions, diverged_at, feature-path params,
+    SID table rows trained)."""
+    model, preds, diverged_at = _fit_ranker(dataset, variant, hash_size,
+                                            feature_dim, cfg)
+    return (preds, diverged_at, model.feature_path_params(),
+            model.feature_rows_trained())
 
 
 @dataclass
@@ -320,7 +356,7 @@ class AbResult:
 
 @dataclass
 class AbReport:
-    results: dict  # variant -> AbResult, in training order
+    results: dict  # variant -> AbResult, in AB_VARIANTS order
 
     def markdown(self):
         lines = ["| Variant | Click NE | NE gain | Feature-path params |",
@@ -332,6 +368,20 @@ class AbReport:
         return "\n".join(lines)
 
 
+AB_VARIANTS = ("none", "sid", "side")  # the order run_ab reports them in
+
+
+def _resolved(fn, *args):
+    """A finished Future holding fn(*args), or the exception it raised, so
+    that it is raised where `run_ab` reaches the arm in report order."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 def run_ab(dataset, hash_size, feature_dim, cfg):
     """Train the no-history ablation, SID and SIDE on identical splits and
     report paired NE.
@@ -339,16 +389,50 @@ def run_ab(dataset, hash_size, feature_dim, cfg):
     The no-history ablation anchors the NE-gain column; a positive gain
     means the feature path reduced NE relative to ranking without item
     identity features.
+
+    The arms share no state, so they train at once in up to
+    `metrics.worker_count()` processes: arm i trains in process
+    i % workers, process 0 being this one and the others forked workers.
+    With one worker nothing is forked. Either way the report equals the
+    serial run's: NE is computed in this process, in report order, and
+    the first arm's error in report order is raised, with its type and
+    message. Every worker has exited when this returns or raises.
     """
-    _, base_report, diverged_at = train_ranker(dataset, "none", hash_size,
-                                               feature_dim, cfg)
-    results = {"none": AbResult("none", base_report, 0, diverged_at, None,
-                                None)}
-    for variant in ("sid", "side"):
-        model, report, diverged_at = train_ranker(dataset, variant, hash_size,
-                                                  feature_dim, cfg)
-        gain = 100.0 * (base_report.ne - report.ne) / base_report.ne
-        results[variant] = AbResult(variant, report,
-                                    model.feature_path_params(), diverged_at,
-                                    gain, model.feature_rows_trained())
+    labels = _eval_labels(dataset, cfg.seed)  # checked once, before forking
+    train = partial(_train_arm, dataset, hash_size=hash_size,
+                    feature_dim=feature_dim, cfg=cfg)
+    workers = min(worker_count(), len(AB_VARIANTS))
+    # at 2 workers this process trains "none" then "side" while the
+    # worker trains "sid", the longest arm
+    mine = AB_VARIANTS[::workers]
+    pending = {}
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imported here, off the path of every other command (~20 ms)
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            # forked, not spawned: a worker starts from this process's
+            # imports instead of importing sidekit again
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers - 1, mp_context=multiprocessing.get_context("fork")))
+            pending = {v: pool.submit(train, v) for v in AB_VARIANTS
+                       if v not in mine}
+        # the first arm is reported as soon as it has trained; a later
+        # arm's NE waits for every arm before it
+        first = AB_VARIANTS[0]
+        model, base, diverged_at = train_ranker(dataset, first, hash_size,
+                                                feature_dim, cfg)
+        results = {first: AbResult(first, base, model.feature_path_params(),
+                                   diverged_at, None,
+                                   model.feature_rows_trained())}
+        for variant in mine[1:]:
+            pending[variant] = _resolved(train, variant)
+            if pending[variant].exception():
+                break  # report order meets this error before a later arm
+        for variant in AB_VARIANTS[1:]:
+            preds, diverged_at, params, rows = pending[variant].result()
+            report = normalized_entropy(labels, preds)
+            gain = 100.0 * (base.ne - report.ne) / base.ne
+            results[variant] = AbResult(variant, report, params, diverged_at,
+                                        gain, rows)
     return AbReport(results)

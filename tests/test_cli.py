@@ -495,6 +495,16 @@ def test_rank_ab_uses_the_hash_size_given(capsys):
     assert json.loads(capsys.readouterr().out)["hash_size"] == 1
 
 
+def test_rank_ab_json_is_byte_identical_in_worker_processes(monkeypatch,
+                                                           capsys):
+    outputs = []
+    for threads in (1, 2):
+        monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
+        assert run("rank-ab", *ENGAGEMENT, "--epochs", 2, "--json") == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out and outputs[0] == outputs[1]
+
+
 def _flip_first_digit(digits):
     out = digits.copy()
     out[0, 0] = 1 if out[0, 0] != 1 else -1
@@ -538,10 +548,11 @@ def test_rank_ab_warns_when_a_ranker_rolls_back(monkeypatch, capsys):
     calls = []
 
     def poisoned(self, rows, p):
-        # 240 training rows make one batch per epoch: epoch 1 of the
-        # first variant goes NaN
-        calls.append(1)
-        if len(calls) == 2:
+        # 240 training rows make one batch per epoch: epoch 1 of "none"
+        # goes NaN. Counted per variant, as arms may train in separate
+        # worker processes, each with its own copy of `calls`.
+        calls.append(self.variant)
+        if self.variant == "none" and calls.count("none") == 2:
             self.params.get("head.w")[0, 0] = np.nan
         return logits(self, rows, p)
 

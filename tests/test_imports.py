@@ -1,10 +1,14 @@
-"""Every name a `sidekit` module imports is used in that module.
+"""Every name a `sidekit` module imports is used in that module, and
+importing the CLI loads no process-pool machinery.
 
 `__init__.py` is exempt: its imports are the package's public surface.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +42,16 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only `rank-ab` starts worker processes; every other command would
+    # pay ~20 ms at start-up for these imports
+    code = ("import sys, sidekit.cli; print(sorted({'multiprocessing', "
+            "'concurrent.futures.process'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out == "[]\n"

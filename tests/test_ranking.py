@@ -1,7 +1,12 @@
 """Ranking harness tests: the pooled attention against a scalar oracle,
 its gradient, the history sampler against a broadcast comparison and its
-peak memory, training rollback, and the A/B report."""
+peak memory, training rollback, the A/B report, and the A/B arms trained
+in worker processes against the serial run."""
 
+import dataclasses
+import itertools
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -185,3 +190,77 @@ def test_feature_rows_trained_are_the_hashed_rows_of_the_training_users():
     for variant in ("none", "side"):
         other, _, _ = rk.train_ranker(ds, variant, hash_size, 16, cfg)
         assert other.feature_rows_trained() is None
+
+
+AB_FIT = nn.FitConfig(epochs=2, batch_size=128, lr=3e-3, seed=5)
+
+
+def run_ab_with_threads(monkeypatch, threads, ds):
+    """run_ab at SIDEKIT_THREADS=`threads`; returns the report and, per
+    normalized_entropy call it made, (pid, predictions, returned report)."""
+    calls = []
+
+    def recorder(labels, preds):
+        report = metrics.normalized_entropy(labels, preds)
+        calls.append((os.getpid(), preds, report))
+        return report
+
+    monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
+    monkeypatch.setattr(rk, "normalized_entropy", recorder)
+    report = rk.run_ab(ds, 50, 16, AB_FIT)
+    assert multiprocessing.active_children() == []
+    return report, calls
+
+
+def test_run_ab_in_worker_processes_equals_the_serial_run(monkeypatch):
+    ds = small_dataset()
+    serial, serial_calls = run_ab_with_threads(monkeypatch, 1, ds)
+    parallel, calls = run_ab_with_threads(monkeypatch, 2, ds)
+    assert list(serial.results) == list(parallel.results) == ["none", "sid",
+                                                              "side"]
+    for name, want in serial.results.items():
+        assert parallel.results[name] == want  # every field, floats exactly
+    # NE is computed in this process, once per arm, in report order
+    assert [pid for pid, _, _ in calls] == [os.getpid()] * 3
+    assert [r for _, _, r in calls] == [r.ne for r in parallel.results.values()]
+    assert len(serial_calls) == 3
+    for (_, got, _), (_, want, _) in zip(calls, serial_calls):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_ab_rejects_a_single_class_split_before_training(monkeypatch,
+                                                             threads):
+    ds = small_dataset()
+    one_class = dataclasses.replace(ds, labels=np.ones_like(ds.labels))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("trained or forked before checking the split")
+
+    monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
+    monkeypatch.setattr(rk, "_fit_ranker", forbidden)
+    monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+    with pytest.raises(rk.RankingError, match="training split is single-class"):
+        rk.run_ab(one_class, 50, 16, AB_FIT)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_arm_diverging_in_a_worker_raises_the_serial_error(monkeypatch):
+    logits = rk.ToyRankingModel.logits
+
+    def poisoned(self, rows, p):
+        self.params.get("head.w")[0, 0] = np.inf
+        return logits(self, rows, p)
+
+    monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
+    errors = []
+    for threads in (1, 2):
+        monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
+        # node names number nodes per process: start both runs at 0
+        monkeypatch.setattr(nn, "_node_ids", itertools.count())
+        with pytest.raises(nn.TrainingDiverged) as info:
+            rk.run_ab(small_dataset(), 50, 16, AB_FIT)
+        errors.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1]
+    assert "diverged in epoch 0" in errors[0][1]

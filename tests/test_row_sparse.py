@@ -164,6 +164,61 @@ def test_marks_are_the_rows_gathered_and_only_they_move_without_decay():
         params.touched_rows("w")
 
 
+def stepwise(params, adam, schedule):
+    """`fit` with one step per entry of `schedule`, each gathering those
+    rows of "emb"; returns per step each name's gradient as `adam` read it
+    and its value after `adam` ran."""
+    seen = []
+
+    def spy(state, store):
+        grads = {n: bits(leaf.grad) for n, leaf in store.leaves.items()}
+        adam(state, store)
+        seen.append((grads, {n: bits(v) for n, v in store.items()}))
+        return state
+
+    gathers = iter(schedule)
+
+    def step(idx):
+        p = params.leaves
+        rows = nn.gather_rows(p["emb"], next(gathers))
+        return nn.sum_all(nn.square(nn.add(rows, p["b"]))), {}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "adam_step", spy)
+        nn.fit(params, 1, step, np.random.default_rng(0),
+               nn.FitConfig(epochs=len(schedule), batch_size=1, lr=0.1,
+                            seed=0), weight_decay=0.1)
+    return seen
+
+
+def test_a_row_first_gathered_at_step_k_is_zeroed_and_updated_from_k_on():
+    # row 2 is first gathered at step 1, row 1 at step 3, row 3 never;
+    # step 3 leaves rows 0 and 2 out, so their gradients must be zeroed
+    schedule = [[0], [2, 0], [2, 2], [1], [0, 1, 2]]
+    emb = np.random.default_rng(3).normal(size=(4, 2)).astype(np.float32)
+    sparse, dense = nn.ParamStore(), nn.ParamStore()
+    sparse.table("emb", 4, 2)
+    sparse.set("emb", emb)
+    dense.add("emb", emb)
+    for params in (sparse, dense):
+        params.add("b", [[0.5, -1.0]])
+    got = stepwise(sparse, nn.adam_step, schedule)
+    want = stepwise(dense, dense_adam_step, schedule)
+    assert len(got) == len(want) == len(schedule)
+    for k, ((grads, values), (oracle_grads, oracle_values)) in enumerate(
+            zip(got, want)):
+        for name in ("emb", "b"):
+            np.testing.assert_array_equal(grads[name], oracle_grads[name],
+                                          err_msg=f"{name} grad, step {k}")
+            np.testing.assert_array_equal(values[name], oracle_values[name],
+                                          err_msg=f"{name} value, step {k}")
+    assert sparse.touched_rows("emb").tolist() == [0, 1, 2]
+    # a backward with no Adam step after it marks row 3; zeroing sees it
+    nn.backward(nn.sum_all(nn.gather_rows(sparse.leaves["emb"], [3])))
+    sparse._zero_grad()
+    assert not sparse.grad.any()
+
+
 def test_a_table_needs_a_column():
     with pytest.raises(nn.GraphError, match="'t'.*at least one column"):
         nn.ParamStore().table("t", 3, 0)

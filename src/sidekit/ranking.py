@@ -398,7 +398,7 @@ def run_ab(dataset, hash_size, feature_dim, cfg):
     the first arm's error in report order is raised, with its type and
     message. Every worker has exited when this returns or raises.
     """
-    labels = _eval_labels(dataset, cfg.seed)  # checked once, before forking
+    labels = _eval_labels(dataset, cfg.seed)  # raises before anything forks
     train = partial(_train_arm, dataset, hash_size=hash_size,
                     feature_dim=feature_dim, cfg=cfg)
     workers = min(worker_count(), len(AB_VARIANTS))

@@ -5,10 +5,10 @@ Commands: gen-corpus, gen-engagement, train, encode, decode, eval-recon,
 eval-recall, eval-ne, rank-ab, sweep. `train` and `sweep` draw their
 randomness from the config file's `seed` key, the rest from --seed flags.
 The CLI owns the default of every setting it exposes (PipelineConfig and
-the flags). SIDEKIT_THREADS caps metric-evaluation parallelism and the
-worker processes `rank-ab` trains its arms in; the results equal those of
-a serial run (SIDEKIT_THREADS=1), and NE is computed in the calling
-process, in report order.
+the flags). SIDEKIT_THREADS caps only the worker processes `rank-ab`
+trains its arms in; every other command runs serially. The results equal
+those of a serial run (SIDEKIT_THREADS=1), and NE is computed in the
+calling process, in report order.
 """
 
 from __future__ import annotations

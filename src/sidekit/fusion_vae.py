@@ -171,14 +171,14 @@ class FusionModel:
         return DpcaStack([[get(u)[0] for u, _ in row] for row in names],
                          [[get(b)[0] for _, b in row] for row in names])
 
-    # -- graph building: `p` maps names to the store's parameter leaves -----
+    # -- graph building on the store's parameter leaves ------------------
 
-    @staticmethod
-    def _mlp(p, prefix, x):
+    def _mlp(self, prefix, x):
+        p = self.params.leaves
         y = nn.relu(nn.add(nn.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
         return nn.add(nn.matmul(y, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
-    def _quantize_node(self, h, p, dither_rng=None):
+    def _quantize_node(self, h, dither_rng=None):
         """Build (h_hat, codes) for the current quantizer.
 
         For DPCA, h_hat is an expression of the component parameters with
@@ -196,6 +196,7 @@ class FusionModel:
             return (nn.constant(fsq_values(self.fsq, levels), "h_hat"),
                     levels - self.fsq.offset)
         codes = self.digits(h.value)
+        p = self.params.leaves
         group_nodes = [
             nn.dpca_recon(codes[:, g * q.depth:(g + 1) * q.depth],
                           [p[u] for u, _ in row], [p[b] for _, b in row])
@@ -218,13 +219,14 @@ class FusionModel:
             return fsq_values(self.fsq, digits + self.fsq.offset)
         return dpca_decode(self.dpca_stack(), digits.astype(np.int8))
 
-    def encode(self, batch, p):
+    def encode(self, batch):
         """Encoder MLPs and fusion layer: the latent node h from a dict of
         per-signal input matrices."""
+        p = self.params.leaves
         for sig in self.spec.signals:
             if sig.name not in batch:
                 raise FusionError(f"missing signal '{sig.name}'")
-        encoded = [self._mlp(p, f"enc.{s.name}",
+        encoded = [self._mlp(f"enc.{s.name}",
                              nn.constant(batch[s.name], s.name))
                    for s in self.spec.signals]
         stacked = encoded[0] if len(encoded) == 1 else nn.concat_cols(encoded)
@@ -232,20 +234,20 @@ class FusionModel:
 
     def forward(self, batch, dither_rng=None):
         """Run the mixing model on a dict of per-signal input matrices."""
-        p = self.params.leaves
-        h = self.encode(batch, p)
-        h_hat, codes = self._quantize_node(h, p, dither_rng=dither_rng)
+        h = self.encode(batch)
+        h_hat, codes = self._quantize_node(h, dither_rng=dither_rng)
         if h_hat is h:
             s = h
         else:
             s = nn.sub(h, nn.stop_gradient(nn.sub(h, h_hat)), name="s")
-        return ForwardResult(h=h, h_hat=h_hat, s=s, recon=self.decode(s, p),
+        return ForwardResult(h=h, h_hat=h_hat, s=s, recon=self.decode(s),
                              codes=codes)
 
-    def decode(self, s, p):
+    def decode(self, s):
         """Trunk and heads: one reconstruction node per signal from s."""
+        p = self.params.leaves
         trunk = nn.relu(nn.add(nn.matmul(s, p["trunk.w"]), p["trunk.b"]))
-        return {sig.name: self._mlp(p, f"head.{sig.name}", trunk)
+        return {sig.name: self._mlp(f"head.{sig.name}", trunk)
                 for sig in self.spec.signals}
 
     # -- persistence ----------------------------------------------------
@@ -426,10 +428,9 @@ def encode_codes(model, bundle):
     data = normalize_bundle(model, bundle)
     rows = _sample_count(data)
     codes = np.empty((rows, model.spec.code_digits), dtype=np.int64)
-    p = model.params.leaves
 
     def run(lo, hi):
-        h = model.encode({k: v[lo:hi] for k, v in data.items()}, p)
+        h = model.encode({k: v[lo:hi] for k, v in data.items()})
         codes[lo:hi] = model.digits(h.value)
 
     _each_block(model, rows, run)
@@ -462,10 +463,9 @@ def decode_from_digits(model, digits):
     rows = digits.shape[0]
     out = {s.name: np.empty((rows, s.dim), dtype=DTYPE)
            for s in model.spec.signals}
-    p = model.params.leaves
 
     def run(lo, hi):
-        recon = model.decode(nn.constant(model.latent(digits[lo:hi])), p)
+        recon = model.decode(nn.constant(model.latent(digits[lo:hi])))
         for name, node in recon.items():
             out[name][lo:hi] = node.value
 

@@ -7,15 +7,15 @@ k-selection, not a sort of every candidate: per query row a partition
 finds the k-th best similarity, and only the candidates at or above it
 are stably sorted. Queries run in row blocks of at most BLOCK_CELLS
 similarity cells, so memory does not grow with the query count; blocks
-run in parallel, capped by the SIDEKIT_THREADS env var. Inputs must be
-finite with non-zero rows; a bad row is rejected by index.
+run one after another (the per-row selection loop holds the GIL, so
+threads gain nothing). Inputs must be finite with non-zero rows; a bad
+row is rejected by index.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +31,10 @@ class MetricError(ValueError):
 
 def worker_count():
     """The parallelism cap: SIDEKIT_THREADS if set, else min(8, cores).
-    It bounds the query-block threads here and the worker processes that
-    `ranking.run_ab` trains its arms in. Results equal those of a serial
-    run; run_ab computes NE in the calling process, in report order."""
+    It bounds only the worker processes that `ranking.run_ab` trains its
+    arms in; every metric here runs serially. Results equal those of a
+    serial run; run_ab computes NE in the calling process, in report
+    order."""
     env = os.environ.get("SIDEKIT_THREADS")
     if env:
         return max(1, int(env))
@@ -94,9 +95,8 @@ def cosine_topk(base, queries, k, exclude_self=None):
     a stable sort of every candidate by descending similarity. Per row,
     np.partition finds the k-th best similarity, and only the candidates
     at or above it, in index order, are stably sorted. Rows are handled
-    in blocks of at most BLOCK_CELLS similarities, mapped over a small
-    thread pool (matrix products release the GIL). Every row of `base`
-    and `queries` must be finite and non-zero.
+    in blocks of at most BLOCK_CELLS similarities, one block at a time.
+    Every row of `base` and `queries` must be finite and non-zero.
     """
     base_n = _unit_rows(base, "base corpus")
     q = _unit_rows(queries, "queries")
@@ -105,9 +105,7 @@ def cosine_topk(base, queries, k, exclude_self=None):
     if k > limit:
         raise MetricError(f"k={k} exceeds candidate pool of {limit}")
     out = np.empty((q.shape[0], k), dtype=np.int64)
-
-    def run(block):
-        lo, hi = block
+    for lo, hi in _row_blocks(q.shape[0], n):
         neg = q[lo:hi] @ base_n.T
         np.negative(neg, out=neg)  # ascending order of -sims is best first
         if exclude_self is not None:
@@ -116,15 +114,6 @@ def cosine_topk(base, queries, k, exclude_self=None):
         for i in range(hi - lo):
             cand = np.flatnonzero(neg[i] <= kth[i])
             out[lo + i] = cand[np.argsort(neg[i, cand], kind="stable")[:k]]
-
-    blocks = _row_blocks(q.shape[0], n)
-    workers = min(worker_count(), len(blocks))
-    if workers <= 1:
-        for block in blocks:
-            run(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
     return out
 
 

@@ -230,8 +230,9 @@ class ToyRankingModel:
             offsets = (np.arange(grams) * hash_size)[None, :]
             self.item_hash = sid_hash(dataset.item_sids, hash_size) + offsets
 
-    def _item_features(self, p, item_ids):
+    def _item_features(self, item_ids):
         """Feature node for a flat vector of item ids."""
+        p = self.params.leaves
         ids = np.asarray(item_ids).ravel()
         if self.variant == "sid":
             grams = self.item_hash.shape[1]
@@ -244,15 +245,16 @@ class ToyRankingModel:
             return nn.matmul(digits, p["feature.omega"])
         return nn.constant(np.zeros((ids.size, self.feature_dim)))
 
-    def logits(self, rows, p):
+    def logits(self, rows):
         """Logit node for a batch of user row indices, built on the
-        parameter leaves p (`params.leaves`)."""
+        model's parameter leaves."""
+        p = self.params.leaves
         ds = self.dataset
         seg = nn.gather_rows(p["sparse.segments"], ds.segments[rows])
         dense = nn.add(nn.matmul(nn.constant(ds.dense[rows]), p["dense.w"]),
                        p["dense.b"])
-        cand = self._item_features(p, ds.candidates[rows])
-        hist = self._item_features(p, ds.history[rows])      # (b*l, d)
+        cand = self._item_features(ds.candidates[rows])
+        hist = self._item_features(ds.history[rows])      # (b*l, d)
         pooled = pooled_attention(cand, hist, p["pma.theta"],
                                   ds.config.seq_len)
         inter = nn.mul(pooled, cand)
@@ -261,7 +263,7 @@ class ToyRankingModel:
 
     def predict(self, rows):
         with nn._no_record():
-            z = self.logits(rows, self.params.leaves)
+            z = self.logits(rows)
         return 1.0 / (1.0 + np.exp(-z.value[:, 0].astype(np.float64)))
 
     def feature_path_params(self):
@@ -314,7 +316,7 @@ def _fit_ranker(dataset, variant, hash_size, feature_dim, cfg):
 
     def step(idx):
         rows = train_rows[idx]
-        logits = model.logits(rows, model.params.leaves)
+        logits = model.logits(rows)
         return _bce_loss(logits, dataset.labels[rows]), {}
 
     _, diverged_at = nn.fit(model.params, train_rows.size, step, rng, cfg,

@@ -12,18 +12,18 @@ Every function takes batches: digits and SID records are 2-D arrays with
 one sample per row, packed and unpacked whole. A single sample is a batch
 of one row; zero rows are a valid batch. Any other ndim raises SidError.
 
-A SID file is ASCII text. Its first line is the header
-`#SIDv1 base=L ngram=n grams=g`, each key once and no other key; each
-later line is one record of g SIDs, or blank. Within a line, runs of
-ASCII whitespace other than the line feed (space, \t, \x0b, \x0c, \r,
-\x1c-\x1f) separate fields and may lead or trail, and a line of only
-such whitespace is blank. A SID is 1 to 20 decimal digits, at most the
-scheme's max_sid and divisible by L. Every line, the header's too, ends
-with "\n". `write_sid_file` writes single spaces and no blank lines.
+A SID file holds exactly the bytes `write_sid_file` writes, save that
+a decimal field may carry leading zeros. Its first line is the header
+`#SIDv1 base=L ngram=n grams=g`; each later line is one record of g SIDs
+separated by single spaces. Every line, the header's too, ends with one
+"\n". A field, in the header or a record, is 1 to 20 ASCII digits; a
+SID is at most 2**64 - 1, the scheme's max_sid and divisible by L. No
+other byte may appear: no blank line, tab, CR or padding.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +31,8 @@ import numpy as np
 from .nn_core import DTYPE, _atomic_write
 
 _U64_MAX = 2**64 - 1
-_HEADER_KEYS = ("base", "ngram", "grams")  # each exactly once, nothing else
+_HEADER = re.compile(
+    r"#SIDv1 base=([0-9]{1,20}) ngram=([0-9]{1,20}) grams=([0-9]{1,20})")
 
 
 class SidError(ValueError):
@@ -59,10 +60,15 @@ class SidScheme:
             raise SidError(f"ngram must be >= 1, got {self.ngram}")
         if self.grams < 1:
             raise SidError(f"grams must be >= 1, got {self.grams}")
-        if self.max_sid > _U64_MAX:
+        # L >= 2 makes any ngram >= 64 overflow; checking it first spares
+        # computing L^(n+1), which for a huge n does not finish
+        if self.ngram >= 64 or self.max_sid > _U64_MAX:
             raise SidError(
                 f"scheme overflows u64: base={self.base} ngram={self.ngram} "
-                f"needs {self.max_sid.bit_length()} bits")
+                "has a largest SID above 2**64 - 1")
+        if self.digits > np.iinfo(np.intp).max // 8:  # an int64 digit row
+            raise SidError(f"grams={self.grams} x ngram={self.ngram} digits "
+                           "do not fit in an array")
 
     @property
     def offset(self):
@@ -90,26 +96,13 @@ class SidScheme:
 
     @classmethod
     def from_header(cls, line):
-        parts = line.strip().split()
-        if not parts or parts[0] != "#SIDv1":
-            raise SidError(f"bad SID file header: {line!r}")
-        kv = {}
-        for part in parts[1:]:
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise SidError(f"SID header field {part!r} is not key=value")
-            if key in kv:
-                raise SidError(f"SID header repeats {key!r}")
-            if key not in _HEADER_KEYS:
-                raise SidError(f"SID header has unknown field {key!r}")
-            kv[key] = value
+        """The scheme of header `line`, its line end excluded."""
+        match = _HEADER.fullmatch(line)
+        if not match:
+            raise SidError("SID header: expected '#SIDv1 base=L ngram=n "
+                           f"grams=g', got {ascii(line[:80])}")
         try:
-            fields = {k: _u64s([kv[k]], f"SID header field {k}")[0]
-                      for k in _HEADER_KEYS}
-        except KeyError as exc:
-            raise SidError(f"SID header missing field {exc}") from None
-        try:
-            return cls(**fields)
+            return cls(*map(int, match.groups()))
         except SidError as exc:
             raise SidError(f"SID header: {exc}") from None
 
@@ -118,17 +111,6 @@ class SidScheme:
         """Scheme covering `total_digits` codeword digits (last gram padded)."""
         grams = -(-total_digits // ngram)
         return cls(base=base, ngram=ngram, grams=grams)
-
-
-def _u64s(texts, where):
-    """`texts` as ints if each is ASCII decimal digits no larger than the
-    u64 maximum; otherwise a SidError naming `where` and the first bad
-    text."""
-    for text in texts:
-        if not (text.isascii() and text.isdigit() and len(text) <= 20
-                and int(text) <= _U64_MAX):
-            raise SidError(f"{where}: expected a decimal u64, got {text!r}")
-    return [int(text) for text in texts]
 
 
 def _array(x, dtype):
@@ -218,72 +200,78 @@ def write_sid_file(path, scheme, sids):
     _atomic_write(path, [f"{scheme.header()}\n{body}".encode("ascii")])
 
 
-def _ascii(raw, lineno):
-    """SID file line `lineno`, bytes `raw`, as text; else a SidError."""
-    try:
-        return raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        where = "SID header" if lineno == 1 else f"line {lineno}"
-        raise SidError(f"{where}: non-ASCII byte 0x{raw[exc.start]:02x} "
-                       f"at column {exc.start + 1}") from None
+def _first_bad_byte(body, grams):
+    """(offset, tie rank, check) of the first byte of SID file body
+    `body` that breaks the record grammar, or None: a byte other than a
+    digit, space or line end; a separator after an empty field, or a
+    space where a record of `grams` SIDs ends (a line end where it does
+    not); the 20th byte of a field wider than 20 bytes or above
+    2**64 - 1; else len(body) for a last line with no line end. Found in
+    one pass over the separators; a tie goes to the earlier check."""
+    chars = np.frombuffer(body, dtype=np.uint8)
+    is_sep = (chars == ord(" ")) | (chars == ord("\n"))
+    seps = np.flatnonzero(is_sep)
+    ends = np.zeros(seps.size, dtype=bool)  # separators that end a record
+    ends[grams - 1::grams] = True
+    unended = body[-1:] not in (b"", b"\n")
+    stops = np.append(seps, chars.size) if unended else seps
+    widths = np.diff(stops, prepend=-1)
+    widths -= 1  # of the field before each stop
+    wide = widths >= 20
+    starts = stops[wide] - widths[wide]  # of the fields of 20 bytes or more
+    top = chars[starts[:, None] + np.arange(20)].view("S20").ravel()
+    checks = {  # u8 arithmetic: a byte below "0" wraps above 9
+        "byte": np.flatnonzero(~is_sep & (chars - ord("0") > 9)),
+        "empty": seps[widths[:seps.size] == 0],
+        "count": seps[(chars[seps] == ord("\n")) != ends],
+        "u64": starts[(widths[wide] > 20) | (top > b"%d" % _U64_MAX)] + 19,
+        "end": [chars.size] if unended else []}
+    return min(((int(at[0]), rank, kind)
+                for rank, (kind, at) in enumerate(checks.items()) if len(at)),
+               default=None)
 
 
-# a body as read_sid_file reads it: line feeds and digits kept, any other
-# ASCII byte that str.split() splits on a space, and every other byte "_"
-_TEXT = bytes(ord("_") if c > 127 else c if chr(c) in "\n0123456789"
-              else ord(" ") if chr(c).isspace() else ord("_")
-              for c in range(256))
-_U64_MAX_TEXT = str(_U64_MAX).encode("ascii")
-
-
-def _raise_for_line(body, line_ends, index, grams):
-    """Raise the SidError of body line `index` (0-based): its bytes must be
-    ASCII, then its fields `grams` decimal u64s, then it must end."""
-    lineno = index + 2
-    lo = line_ends[index - 1] + 1 if index else 0
-    hi = line_ends[index] if index < line_ends.size else len(body)
-    fields = _ascii(body[lo:hi], lineno).split()
-    if fields and len(fields) != grams:
-        raise SidError(
-            f"line {lineno}: expected {grams} SIDs, got {len(fields)}")
-    _u64s(fields, f"line {lineno}")
-    raise SidError(f"line {lineno}: no line end")
+def _body_error(body, at, kind, grams):
+    """The SidError of SID file body `body` whose first bad byte, at
+    offset `at`, fails the check `kind`; its message names the file
+    line."""
+    start = body.rfind(b"\n", 0, at) + 1
+    column = at - start + 1
+    if kind == "byte":
+        what = f"unexpected byte 0x{body[at]:02x} at column {column}"
+    elif kind == "empty":
+        sep = "line end" if body[at] == ord("\n") else "space"
+        what = f"no SID before the {sep} at column {column}"
+    elif kind == "count":
+        stop = body.find(b"\n", start)
+        fields = body.count(b" ", start, stop if stop >= 0 else len(body)) + 1
+        what = f"expected {grams} SIDs, got {fields}"
+    elif kind == "u64":
+        what = f"expected a decimal u64 at column {column - 19}"
+    else:
+        what = "no line end"
+    line = body.count(b"\n", 0, at) + 2
+    return SidError(f"line {line}: {what}")
 
 
 def read_sid_file(path):
-    """(scheme, (m, grams) u64 SIDs) of the SID file at `path`, its body
-    read in one pass over its bytes.
+    """(scheme, (m, grams) u64 SIDs) of the SID file at `path`.
 
     A file that breaks the grammar raises a SidError naming the header or
-    a line: the first line that is neither blank nor a record, else a last
-    line with no line end, else the first record holding a SID the scheme
-    cannot have packed. The file holds no record count: a file cut exactly
-    at a line end reads as a valid shorter file, and any other cut leaves
-    a last line with no line end, which is rejected."""
+    the line of its first bad byte, else the first record holding a SID
+    the scheme cannot have packed. The file holds no record count: a file
+    cut exactly at a line end reads as a valid shorter file, and any other
+    cut leaves a last line with no line end, which is rejected."""
     with open(path, "rb") as fh:
         head, line_end, body = fh.read().partition(b"\n")
-    scheme = SidScheme.from_header(_ascii(head, 1))
+    scheme = SidScheme.from_header(head.decode("latin-1"))
     if not line_end:
         raise SidError("SID header: no line end")
-    text = body.translate(_TEXT)
-    chars = np.frombuffer(text, dtype=np.uint8)
-    line_ends = np.flatnonzero(chars == ord("\n"))
-    edges = np.diff((chars > ord(" ")).view(np.int8), prepend=0, append=0)
-    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    per_line = np.bincount(np.searchsorted(line_ends, starts),
-                           minlength=line_ends.size + 1)
-    bad = (per_line != 0) & (per_line != scheme.grams)
-    widths = stops - starts
-    wide = starts[widths == 20]
-    top = chars[wide[:, None] + np.arange(20)].view("S20").ravel()
-    for at in (np.flatnonzero(chars == ord("_")), starts[widths > 20],
-               wide[top > _U64_MAX_TEXT]):
-        bad[np.searchsorted(line_ends, at)] = True
-    bad[-1] |= body[-1:] not in (b"", b"\n")  # a last line with no end
-    if bad.any():
-        _raise_for_line(body, line_ends, int(bad.argmax()), scheme.grams)
-    # one value per field: np.fromstring reads a text of spaces as [0]
-    sids = np.fromstring(text, dtype=np.uint64, sep=" ")[:starts.size]
+    bad = _first_bad_byte(body, scheme.grams)
+    if bad:
+        at, _, kind = bad
+        raise _body_error(body, at, kind, scheme.grams)
+    sids = np.fromstring(body, dtype=np.uint64, sep=" ")
     sids = sids.reshape(-1, scheme.grams)
     bad = ((sids > np.uint64(scheme.max_sid))
            | (sids % np.uint64(scheme.base) != 0)).any(axis=1)
@@ -292,6 +280,5 @@ def read_sid_file(path):
         try:
             unpack_all(scheme, sids[row:row + 1])
         except SidError as exc:
-            line = np.flatnonzero(per_line)[row] + 2
-            raise SidError(f"line {line}: {exc}") from None
+            raise SidError(f"line {row + 2}: {exc}") from None
     return scheme, sids

@@ -256,38 +256,46 @@ def broadcast_history(users, items, seq_len, seed, latent_dim, sharpness):
 
 def line_read_sid(data):
     """(scheme, (m, grams) u64 SIDs) of SID file bytes `data`, read one
-    line at a time with str methods, raising the SidError that
-    read_sid_file raises: the first line with a non-ASCII byte, a wrong
-    field count or a field that is not a decimal u64, else a last line
-    with no line end, else the first record holding an unpackable SID."""
-    lines = data.split(b"\n")
-
-    def text(raw, where):
-        for column, byte in enumerate(raw, start=1):
-            if byte > 127:
-                raise SidError(f"{where}: non-ASCII byte 0x{byte:02x} "
-                               f"at column {column}")
-        return raw.decode("ascii")
-
-    scheme = SidScheme.from_header(text(lines[0], "SID header"))
-    if len(lines) == 1:
+    line at a time and each line field by field, raising the SidError
+    that read_sid_file raises for the first bad byte: one that is not a
+    digit, space or line end; the 20th of a field wider than 20 bytes or
+    above 2**64 - 1; or a space or line end after an empty field, or
+    where a record of g SIDs needs the other one. Then a last line with
+    no line end, then the first record holding an unpackable SID."""
+    head, line_end, body = data.partition(b"\n")
+    scheme = SidScheme.from_header(head.decode("latin-1"))
+    if not line_end:
         raise SidError("SID header: no line end")
+    lines = body.split(b"\n")  # the last one follows the last line end
     records = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        fields = text(raw, f"line {lineno}").split()
-        if not fields:
-            continue
-        if len(fields) != scheme.grams:
-            raise SidError(f"line {lineno}: expected {scheme.grams} SIDs, "
-                           f"got {len(fields)}")
-        for field in fields:
-            if not (field.isdigit() and len(field) <= 20
-                    and int(field) < 2**64):
-                raise SidError(f"line {lineno}: expected a decimal u64, "
-                               f"got {field!r}")
-        records.append((lineno, [int(field) for field in fields]))
+    for lineno, line in enumerate(lines, start=2):
+        ended = lineno <= len(lines)
+
+        def fail(what):
+            raise SidError(f"line {lineno}: {what}")
+
+        fields = line.split(b" ")
+        column = 1
+        for k, field in enumerate(fields):
+            for i, byte in enumerate(field[:20]):
+                if byte not in b"0123456789":
+                    fail(f"unexpected byte 0x{byte:02x} at column {column + i}")
+            if len(field) > 20 or len(field) == 20 and int(field) >= 2**64:
+                fail(f"expected a decimal u64 at column {column}")
+            column += len(field)
+            last = k == len(fields) - 1
+            if last and not ended:
+                break
+            if not field:
+                sep = "line end" if last else "space"
+                fail(f"no SID before the {sep} at column {column}")
+            if last != (k == scheme.grams - 1):
+                fail(f"expected {scheme.grams} SIDs, got {len(fields)}")
+            column += 1
+        if ended:
+            records.append((lineno, [int(field) for field in fields]))
     if lines[-1]:
-        raise SidError(f"line {len(lines)}: no line end")
+        raise SidError(f"line {len(lines) + 1}: no line end")
     for lineno, row in records:
         if max(row) > scheme.max_sid:
             raise SidError(f"line {lineno}: SID {max(row)} exceeds scheme "

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -328,6 +329,23 @@ def test_encode_rejects_levels_other_than_k(tmp_path, corpus, capsys, levels):
     assert not sids.exists()
 
 
+def test_encode_refuses_a_huge_ngram_at_once(tmp_path, corpus, capsys):
+    cfg = config(tmp_path, "kmeans")
+    ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(f"quantizer=kmeans\nlevels=4\nngram={10**12}\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run("encode", "--corpus", corpus, "--config", huge,
+               "--ckpt", ckpt, "--out", sids) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(
+        f"error: scheme overflows u64: base=4 ngram={10**12} ")
+    assert not sids.exists()
+
+
 @pytest.mark.parametrize("kind, grid", [("fsq", ("--levels", "3,5")),
                                         ("dpca", ("--depths", "1,2"))])
 def test_sweep_trains_once_per_grid_point_for_all_ngrams(
@@ -547,14 +565,14 @@ def test_rank_ab_warns_when_a_ranker_rolls_back(monkeypatch, capsys):
     logits = rk.ToyRankingModel.logits
     calls = []
 
-    def poisoned(self, rows, p):
+    def poisoned(self, rows):
         # 240 training rows make one batch per epoch: epoch 1 of "none"
         # goes NaN. Counted per variant, as arms may train in separate
         # worker processes, each with its own copy of `calls`.
         calls.append(self.variant)
         if self.variant == "none" and calls.count("none") == 2:
             self.params.get("head.w")[0, 0] = np.nan
-        return logits(self, rows, p)
+        return logits(self, rows)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
     assert run("rank-ab", *ENGAGEMENT, "--epochs", 2, "--json") == 0

@@ -228,7 +228,7 @@ def sid_raw(tmp_path_factory, scheme, sids):
 
 
 def names_header_or_line(exc):
-    return str(exc).startswith(("line ", "SID header", "bad SID file header"))
+    return str(exc).startswith(("line ", "SID header: "))
 
 
 @SETTINGS

@@ -138,7 +138,7 @@ class TestLoss:
         codes = np.array([[1, -1, 0], [0, 1, 1]], dtype=np.int8)
         h_val = q.dpca_decode(stack, codes)
         h = nn.leaf(h_val, requires_grad=True)
-        h_hat, out_codes = model._quantize_node(h, model.params.leaves)
+        h_hat, out_codes = model._quantize_node(h)
         np.testing.assert_array_equal(out_codes, codes)
         commit = float(np.square(h.value - h_hat.value).mean())
         assert commit == 0.0
@@ -168,7 +168,7 @@ class TestStraightThrough:
         st_grad = result.h.grad.copy()
 
         direct = nn.leaf(result.h_hat.value, requires_grad=True)
-        recon = model.decode(direct, model.params.leaves)["sig0"]
+        recon = model.decode(direct)["sig0"]
         loss2 = fv._cosine_loss_node(x, recon)
         nn.backward(loss2)
         np.testing.assert_allclose(st_grad, direct.grad, atol=1e-6)
@@ -193,7 +193,7 @@ class TestStraightThrough:
         def loss_value(arrs):
             h = nn.leaf(arrs["h"], requires_grad=True)
             s = nn.sub(h, nn.constant(c))
-            recon = model.decode(s, model.params.leaves)["sig0"]
+            recon = model.decode(s)["sig0"]
             return float(fv._cosine_loss_node(x, recon).value[0, 0])
 
         numeric = numeric_grad(loss_value, arrays, "h")
@@ -451,7 +451,7 @@ class TestBlockedInference:
             latent = q.fsq_values(model.fsq, digits + model.fsq.offset)
         else:
             latent = q.dpca_decode(model.dpca_stack(), digits.astype(np.int8))
-        whole = model.decode(nn.constant(latent), model.params.leaves)
+        whole = model.decode(nn.constant(latent))
         self._blocks_of(monkeypatch, model, 30)
         recon = fv.decode_from_digits(model, digits)
         for name, node in whole.items():

@@ -132,49 +132,35 @@ def half_rows(rows, dim, seed):
 class TestCosineTopk:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        # 3-row blocks over a 2-worker pool; the recorded pool sizes show
-        # that both workers ran
+        # 3-row blocks, so most cases span several blocks
         monkeypatch.setattr(m, "BLOCK_CELLS", 3 * 200)
-        monkeypatch.setenv("SIDEKIT_THREADS", "2")
-        pools = []
-
-        class Pool(m.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(m, "ThreadPoolExecutor", Pool)
-        return pools
 
     @pytest.mark.parametrize("k", [1, 7, 40, 199, 200])
-    def test_ties_across_the_kth_value_match_a_full_sort(self, small_blocks, k):
+    def test_ties_across_the_kth_value_match_a_full_sort(self, k):
         base, queries = half_rows(200, 8, 0), half_rows(31, 8, 1)
         got = m.cosine_topk(base, queries, k)
         np.testing.assert_array_equal(got, full_sort_topk(base, queries, k))
-        assert small_blocks == [2]  # 31 queries: 11 blocks, not a multiple
 
     @pytest.mark.parametrize("k", [5, 199])  # 199 == limit
-    def test_exclude_self_matches_a_full_sort(self, small_blocks, k):
+    def test_exclude_self_matches_a_full_sort(self, k):
         base = half_rows(200, 8, 2)
         idx = np.arange(0, 200, 6)
         got = m.cosine_topk(base, base[idx], k, exclude_self=idx)
         np.testing.assert_array_equal(
             got, full_sort_topk(base, base[idx], k, exclude_self=idx))
         assert all(i not in row for i, row in zip(idx, got))
-        assert small_blocks == [2]
 
-    def test_random_rows_match_a_full_sort(self, small_blocks):
+    def test_random_rows_match_a_full_sort(self):
         base, queries = unit(200, 16, 3), unit(20, 16, 4)
         np.testing.assert_array_equal(m.cosine_topk(base, queries, 25),
                                       full_sort_topk(base, queries, 25))
 
-    def test_one_block_and_no_queries(self, small_blocks, monkeypatch):
+    def test_one_block_and_no_queries(self, monkeypatch):
         base, queries = half_rows(200, 8, 5), half_rows(9, 8, 6)
         monkeypatch.setattr(m, "BLOCK_CELLS", 1 << 21)
         np.testing.assert_array_equal(m.cosine_topk(base, queries, 12),
                                       full_sort_topk(base, queries, 12))
         assert m.cosine_topk(base, queries[:0], 12).shape == (0, 12)
-        assert small_blocks == []
 
     @pytest.mark.parametrize("where", ["base", "queries"])
     def test_non_finite_row_names_index(self, where):
@@ -186,13 +172,11 @@ class TestCosineTopk:
             m.cosine_topk(*args, 3)
 
 
-def test_topk_peak_memory_is_flat_in_queries(monkeypatch):
+def test_topk_peak_memory_is_flat_in_queries():
     """Queries run in row blocks of at most BLOCK_CELLS similarities, so
-    the peak does not follow the query count. Split into one chunk per
-    worker instead, 2,000 queries over 20,000 rows hold 320 MB of float64
-    similarities, ten times what 200 queries hold. One worker, so the peak
-    does not depend on whether two workers' blocks overlap in time."""
-    monkeypatch.setenv("SIDEKIT_THREADS", "1")
+    the peak does not follow the query count. Held whole instead, 2,000
+    queries over 20,000 rows hold 320 MB of float64 similarities, ten
+    times what 200 queries hold."""
     rng = np.random.default_rng(10)
     base = rng.normal(size=(20_000, 16)).astype(np.float32)
     queries = rng.normal(size=(2_000, 16)).astype(np.float32)

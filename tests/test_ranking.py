@@ -109,7 +109,7 @@ def test_predict_matches_the_recorded_graph(variant):
     ds = small_dataset()
     model = rk.ToyRankingModel(ds, variant, 100, feature_dim=16, seed=5)
     rows = np.arange(50)
-    z = model.logits(rows, model.params.leaves).value[:, 0]
+    z = model.logits(rows).value[:, 0]
     np.testing.assert_array_equal(
         model.predict(rows), 1.0 / (1.0 + np.exp(-z.astype(np.float64))))
 
@@ -128,12 +128,12 @@ def test_divergence_rolls_back(monkeypatch):
     logits = rk.ToyRankingModel.logits
     calls = []
 
-    def poisoned(self, rows, p):
+    def poisoned(self, rows):
         # 320 training rows: the first batch of epoch 1 goes NaN
         calls.append(1)
         if len(calls) == 3:
             self.params.get("head.w")[0, 0] = np.nan
-        return logits(self, rows, p)
+        return logits(self, rows)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
     model, report, diverged_at = rk.train_ranker(ds, "side", 100, 16, cfg)
@@ -147,9 +147,9 @@ def test_divergence_in_first_epoch_raises(monkeypatch):
     ds = small_dataset()
     logits = rk.ToyRankingModel.logits
 
-    def poisoned(self, rows, p):
+    def poisoned(self, rows):
         self.params.get("head.w")[0, 0] = np.inf
-        return logits(self, rows, p)
+        return logits(self, rows)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
     with pytest.raises(nn.TrainingDiverged):
@@ -248,11 +248,11 @@ def test_run_ab_rejects_a_single_class_split_before_training(monkeypatch,
 def test_an_arm_diverging_in_a_worker_raises_the_serial_error(monkeypatch):
     logits = rk.ToyRankingModel.logits
 
-    def poisoned(self, rows, p):
+    def poisoned(self, rows):
         # at 2 workers "sid" trains in the worker
         if self.variant == "sid":
             self.params.get("head.w")[0, 0] = np.inf
-        return logits(self, rows, p)
+        return logits(self, rows)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
     errors = []
@@ -272,12 +272,12 @@ def test_run_ab_raises_the_first_failing_arm_in_report_order(monkeypatch):
     logits = rk.ToyRankingModel.logits
     trained = []
 
-    def failing(self, rows, p):
+    def failing(self, rows):
         # at 2 workers "sid" fails in the worker, "side" in this process
         trained.append(self.variant)
         if self.variant != "none":
             raise rk.RankingError(f"{self.variant} failed")
-        return logits(self, rows, p)
+        return logits(self, rows)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", failing)
     for threads in (1, 2):

@@ -3,6 +3,8 @@ roundtrips, SIDE recovery, hashing, and the SID file format."""
 
 import os
 import tempfile
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +112,13 @@ class TestWholeRecords:
             assert record.tolist() == want
         np.testing.assert_array_equal(sc.unpack_all(scheme, sids), padded)
 
+    def test_zero_rows_of_the_widest_scheme(self, tmp_path):
+        scheme = sc.SidScheme(base=3, ngram=1, grams=2**60 - 1)
+        path = tmp_path / "wide.sid"
+        path.write_text(scheme.header() + "\n")
+        _, sids = sc.read_sid_file(path)
+        assert sids.shape == sc.unpack_all(scheme, sids).shape == (0, 2**60 - 1)
+
     def test_zero_rows(self, tmp_path):
         scheme = sc.SidScheme(base=3, ngram=2, grams=2)
         sids = sc.pack_all(scheme, np.zeros((0, 3), dtype=np.int64))
@@ -136,6 +145,21 @@ class TestScheme:
         with pytest.raises(sc.SidError, match="overflow"):
             sc.SidScheme(base=64, ngram=11)  # 64**12 > 2**64
         sc.SidScheme(base=64, ngram=9)       # 64**10 < 2**64
+        with pytest.raises(sc.SidError, match="overflow"):
+            sc.SidScheme(base=2, ngram=64)
+        assert sc.SidScheme(base=2, ngram=63).max_sid == 2**64 - 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: sc.SidScheme(3, 10**12),
+        lambda: sc.SidScheme.from_header(
+            "#SIDv1 base=3 ngram=99999999999999999999 grams=1")],
+        ids=["constructor", "header"])
+    def test_a_huge_ngram_is_refused_at_once(self, make):
+        # 2**(n+1) overflows u64 from n = 64; L^(n+1) is never computed
+        start = time.perf_counter()
+        with pytest.raises(sc.SidError, match="overflows u64"):
+            make()
+        assert time.perf_counter() - start < 1.0
 
     def test_default_offset_centers(self):
         assert sc.SidScheme(base=3, ngram=1).offset == 1
@@ -213,6 +237,9 @@ class TestSidHash:
         assert sc.unpack_all(scheme, top).shape == (1, 3)
 
 
+NOT_CANONICAL = "SID header: expected '#SIDv1 base=L ngram=n grams=g', got "
+
+
 class TestSidFile:
     def test_roundtrip(self, tmp_path):
         scheme = sc.SidScheme(base=3, ngram=3, grams=2)
@@ -250,18 +277,24 @@ class TestSidFile:
         with pytest.raises(sc.SidError, match="divisible"):
             sc.read_sid_file(path)
 
-    @pytest.mark.parametrize(
-        "field", ["-3", str(2**64), str(2**70), "1_2", "+12", "12.0", "0x1b",
-                  "9" * 5000],
+    @pytest.mark.parametrize("field, message", [
+        ("-3", "unexpected byte 0x2d at column 3"),
+        (str(2**64), "expected a decimal u64 at column 3"),
+        (str(2**70), "expected a decimal u64 at column 3"),
+        ("1_2", "unexpected byte 0x5f at column 4"),
+        ("+12", "unexpected byte 0x2b at column 3"),
+        ("12.0", "unexpected byte 0x2e at column 5"),
+        ("0x1b", "unexpected byte 0x78 at column 4"),
+        ("9" * 5000, "expected a decimal u64 at column 3")],
         ids=["negative", "2**64", "2**70", "underscore", "plus", "point",
              "hex", "5000-digits"])
-    def test_malformed_sid_field_names_its_line(self, tmp_path, field):
+    def test_malformed_sid_field_names_its_line(self, tmp_path, field,
+                                                message):
         path = tmp_path / "f.sids"
         path.write_text(f"#SIDv1 base=3 ngram=2 grams=2\n3 3\n3 {field}\n")
         with pytest.raises(sc.SidError) as exc:
             sc.read_sid_file(path)
-        assert str(exc.value) == \
-            f"line 3: expected a decimal u64, got {field!r}"
+        assert str(exc.value) == f"line 3: {message}"
 
     def test_u64_bounds_are_parsed(self, tmp_path):
         # base 2, ngram 63: the largest SID is 2**64 - 2; 2**64 - 1 parses
@@ -274,35 +307,46 @@ class TestSidFile:
             sc.read_sid_file(path)
 
     @pytest.mark.parametrize("header, message", [
-        ("#SIDv1 base=3 ngram2 grams=1", "'ngram2' is not key=value"),
-        ("#SIDv1 base=+3 ngram=2 grams=1", "field base: expected a decimal"),
-        ("#SIDv1 base=3 ngram=1_2 grams=1", "field ngram: expected"),
-        ("#SIDv1 base=3 ngram=2 grams=-1", "field grams: expected"),
-        ("#SIDv1 base=\u0663 ngram=2 grams=1", "field base: expected"),
-        ("#SIDv1 base=3 grams=1", "missing field 'ngram'"),
+        ("#SIDv1 base=3 ngram2 grams=1", NOT_CANONICAL),
+        ("#SIDv1 base=+3 ngram=2 grams=1", NOT_CANONICAL),
+        ("#SIDv1 base=3 ngram=1_2 grams=1", NOT_CANONICAL),
+        ("#SIDv1 base=3 ngram=2 grams=-1", NOT_CANONICAL),
+        ("#SIDv1 base=\u0663 ngram=2 grams=1", NOT_CANONICAL),
+        ("#SIDv1 base=3 grams=1", NOT_CANONICAL),
+        ("#SIDv1 base=3 grams=1 ngram=2", NOT_CANONICAL),
         ("#SIDv1 base=1 ngram=2 grams=1", "SID header: base must be >= 2"),
         ("#SIDv1 base=3 ngram=0 grams=1", "SID header: ngram must be >= 1"),
-        ("#SIDv1 base=3 ngram=3 grams=1 base=5 colour=red",
-         "SID header repeats 'base'"),
-        ("#SIDv1 base=3 ngram=3 grams=1 colour=red",
-         "SID header has unknown field 'colour'")])
+        ("#SIDv1 base=3 ngram=3 grams=1 base=5 colour=red", NOT_CANONICAL),
+        ("#SIDv1 base=3 ngram=3 grams=1 colour=red", NOT_CANONICAL),
+        ("#SIDv1 base=3 ngram=3 grams=\u0661", NOT_CANONICAL),
+        ("#SIDv1 base=3 ngram=3 grams=1 ", NOT_CANONICAL),
+        ("#SIDv1  base=3 ngram=3 grams=1", NOT_CANONICAL),
+        ("#SIDv1 base=3\tngram=3 grams=1", NOT_CANONICAL),
+        ("#SIDv1 base=3 ngram=3 grams=1\r", NOT_CANONICAL),
+        ("#SIDv1 base=3 ngram=3 grams=100000000000000000000", NOT_CANONICAL),
+        ("#SIDv1 base=3 ngram=3 grams=99999999999999999999",
+         "SID header: grams=99999999999999999999 x ngram=3 digits do not fit"),
+        ("#SIDv1 base=3 ngram=1 grams=1152921504606846976",
+         "SID header: grams=1152921504606846976 x ngram=1 digits do not fit")])
     def test_malformed_header_field_is_named(self, header, message):
-        with pytest.raises(sc.SidError, match=message):
+        with pytest.raises(sc.SidError) as exc:
             sc.SidScheme.from_header(header)
+        assert str(exc.value).startswith(message)
 
     def test_non_ascii_record_names_its_line(self, tmp_path):
         path = tmp_path / "u.sids"
-        path.write_bytes(b"#SIDv1 base=3 ngram=2 grams=1\n3\n3 \xd9\xa1\n")
+        path.write_bytes(b"#SIDv1 base=3 ngram=2 grams=2\n3 3\n3 \xd9\xa1\n")
         with pytest.raises(sc.SidError) as exc:
             sc.read_sid_file(path)
-        assert str(exc.value) == "line 3: non-ASCII byte 0xd9 at column 3"
+        assert str(exc.value) == "line 3: unexpected byte 0xd9 at column 3"
 
     def test_non_ascii_header_is_named(self, tmp_path):
         path = tmp_path / "h.sids"
         path.write_bytes(b"#SIDv1 base=\xd9\xa3 ngram=2 grams=1\n3\n")
         with pytest.raises(sc.SidError) as exc:
             sc.read_sid_file(path)
-        assert str(exc.value) == "SID header: non-ASCII byte 0xd9 at column 13"
+        assert str(exc.value) == (
+            f"{NOT_CANONICAL}'#SIDv1 base=\\xd9\\xa3 ngram=2 grams=1'")
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +409,84 @@ def test_bulk_parse_equals_the_line_reader_or_defers_to_it(tmp_path_factory,
         tmp_path_factory, header.encode("ascii") + b"\n" + body)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), grams=st.integers(1, 4), rows=st.integers(0, 12))
-def test_decorated_files_read_back_exactly(tmp_path_factory, data, grams,
-                                           rows):
-    """Blank lines, CRLF endings, tabs and padding around the fields of a
-    written file change nothing, and the one-pass read accepts them."""
+# (prefix, field separator, suffix) of a decorated record line
+DECORATIONS = {"tab": ("", "\t", "\t"), "crlf": ("", " ", "\r"),
+               "blank line": ("\n", " ", ""), "leading pad": (" ", " ", ""),
+               "trailing pad": ("", " ", " "),
+               "double space": ("", "  ", "  ")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), grams=st.integers(1, 4), rows=st.integers(1, 12),
+       decoration=st.sampled_from(sorted(DECORATIONS)))
+def test_decorated_files_are_rejected_naming_their_line(
+        tmp_path_factory, data, grams, rows, decoration):
+    """A tab, CR, blank line or padding in one record of a written file
+    is rejected with the message of the line reader, naming that line."""
     scheme = sc.SidScheme(base=3, ngram=3, grams=grams)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     sids = sc.pack_all(scheme, rng.integers(-1, 2, size=(rows, 3 * grams)))
-    gap = st.sampled_from([" ", "\t", "  ", " \t "])
-    end = st.sampled_from(["\n", "\r\n", " \n", "\n\n", "\t\r\n"])
-    lines = [data.draw(st.sampled_from(["", " "])) + data.draw(gap).join(
-        map(str, row)) + data.draw(end) for row in sids.tolist()]
+    row = data.draw(st.integers(0, rows - 1))
+    lines = [" ".join(map(str, record)) + "\n" for record in sids.tolist()]
+    prefix, sep, suffix = DECORATIONS[decoration]
+    lines[row] = prefix + lines[row][:-1].replace(" ", sep) + suffix + "\n"
     file_bytes = (scheme.header() + "\n" + "".join(lines)).encode("ascii")
-    _, expected = line_read_sid(file_bytes)
-    np.testing.assert_array_equal(expected, sids)
+    with pytest.raises(sc.SidError) as expected:
+        line_read_sid(file_bytes)
     path = tmp_path_factory.mktemp("sid") / "d.sid"
     path.write_bytes(file_bytes)
-    read_scheme, read = sc.read_sid_file(path)
-    assert read_scheme == scheme
-    assert read.dtype == np.uint64 and read.shape == sids.shape
+    with pytest.raises(sc.SidError) as got:
+        sc.read_sid_file(path)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"line {row + 2}: ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(scheme=st.sampled_from([sc.SidScheme(3, 3, 1), sc.SidScheme(3, 3, 3),
+                               sc.SidScheme(5, 2, 2), sc.SidScheme(2, 63, 2)]),
+       rows=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.tuples(
+           st.sampled_from(["replace", "insert", "delete"]),
+           st.integers(0, 2**16), st.sampled_from(b"0123456789 \n\t\r+x\xd9")),
+           min_size=0, max_size=3))
+def test_edited_files_read_like_the_line_reader(tmp_path_factory, scheme,
+                                                rows, seed, edits):
+    """A written file with up to three bytes replaced, inserted or deleted
+    in its body reads as the line reader reads it: the same SIDs, or the
+    same message naming the line of the first bad byte."""
+    rng = np.random.default_rng(seed)
+    sids = sc.pack_all(scheme, rng.integers(
+        scheme.digit_lo, scheme.digit_hi + 1, size=(rows, scheme.digits)))
+    path = tmp_path_factory.mktemp("sid") / "e.sid"
+    sc.write_sid_file(path, scheme, sids)
+    data = bytearray(path.read_bytes())
+    body_at = data.index(b"\n") + 1
+    for op, at, byte in edits:
+        at = body_at + at % (len(data) - body_at + 1)
+        if op == "insert":
+            data[at:at] = bytes([byte])
+        elif at < len(data):
+            data[at:at + 1] = b"" if op == "delete" else bytes([byte])
+    assert_reads_like_the_line_reader(tmp_path_factory, bytes(data))
+
+
+def test_read_peak_memory_is_a_few_times_the_sids(tmp_path):
+    """Reading a 200k-row, 5-gram file of 2.85 MB holds the file, a few
+    8-byte offsets per separator and the parsed SIDs: under five times the
+    bytes of the SIDs it returns."""
+    scheme = sc.SidScheme(base=3, ngram=3, grams=5)
+    rng = np.random.default_rng(12)
+    sids = sc.pack_all(scheme, rng.integers(-1, 2, size=(200_000, 15)))
+    path = tmp_path / "big.sid"
+    sc.write_sid_file(path, scheme, sids)
+    tracemalloc.start()
+    try:
+        _, read = sc.read_sid_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     np.testing.assert_array_equal(read, sids)
+    assert peak < 5 * sids.nbytes
 
 
 def test_write_matches_per_value_formatting(tmp_path):
@@ -400,11 +500,21 @@ def test_write_matches_per_value_formatting(tmp_path):
 
 
 @pytest.mark.parametrize("body, message", [
-    (b"3\n\n7\n", "line 4: SID not divisible by the base"),
-    (b"3\r\n84\n", "line 3: SID 84 exceeds scheme maximum 78"),
+    (b"3\n16\n", "line 3: SID not divisible by the base"),
+    (b"3\n84\n", "line 3: SID 84 exceeds scheme maximum 78"),
     (b"3 3\n", "line 2: expected 1 SIDs, got 2"),
-    (b"3\n\x0b5a\n", "line 3: expected a decimal u64, got '5a'"),
-    (b"3\n\x0b16\n", "line 3: SID not divisible by the base"),
+    (b"3\n3 3 \n", "line 3: expected 1 SIDs, got 3"),
+    (b"3\n\n7\n", "line 3: no SID before the line end at column 1"),
+    (b"3\n 3\n", "line 3: no SID before the space at column 1"),
+    (b"3\r\n84\n", "line 2: unexpected byte 0x0d at column 2"),
+    (b"3\n\x0b5a\n", "line 3: unexpected byte 0x0b at column 1"),
+    (b"3\n000000000000000000003\n",
+     "line 3: expected a decimal u64 at column 1"),
+    (b"3\n18446744073709551616\n",
+     "line 3: expected a decimal u64 at column 1"),
+    (b"3\n1844674407370955161x\n",
+     "line 3: unexpected byte 0x78 at column 20"),
+    (b"3\n3", "line 3: no line end"),
 ])
 def test_a_bad_record_names_its_line(tmp_path, body, message):
     path = tmp_path / "bad.sid"

@@ -4,11 +4,13 @@ into file-based pipelines.
 Commands: gen-corpus, gen-engagement, train, encode, decode, eval-recon,
 eval-recall, eval-ne, rank-ab, sweep. `train` and `sweep` draw their
 randomness from the config file's `seed` key, the rest from --seed flags.
-The CLI owns the default of every setting it exposes (PipelineConfig and
-the flags). SIDEKIT_THREADS caps only the worker processes `rank-ab`
-trains its arms in; every other command runs serially. The results equal
-those of a serial run (SIDEKIT_THREADS=1), and NE is computed in the
-calling process, in report order.
+`rank-ab` reads its data only from the `gen-engagement` file named by
+--data; its --seed seeds the split of the users and the training, not the
+data. The CLI owns the default of every setting it exposes
+(PipelineConfig and the flags). SIDEKIT_THREADS caps only the worker
+processes `rank-ab` trains its arms in; every other command runs
+serially. The results equal those of a serial run (SIDEKIT_THREADS=1),
+and NE is computed in the calling process, in report order.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ class PipelineError(ValueError):
 
 CLASSICAL_KINDS = ("kmeans", "rq", "pq")
 QUANTIZER_KINDS = CLASSICAL_KINDS + ("fsq", "dpca", "none")
-ENGAGEMENT_ARRAYS = ("item_latents", "item_digits", "item_sids", "history",
-                     "candidates", "labels", "segments", "dense")
-ENGAGEMENT_SIZES = ("users", "items", "seq_len", "seed")
 LEAST = dict(levels=2, depth=1, groups=1, latent=1, hidden=1, ngram=1,
              batch_size=1, epochs=1, kmeans_iters=1)
 SIZE_FLAGS = ("users", "items", "seq_len", "epochs", "feature_dim",
@@ -143,10 +142,9 @@ def cmd_gen_corpus(args):
 
 
 def cmd_gen_engagement(args):
-    cfg = rk.EngagementConfig(**{k: getattr(args, k) for k in ENGAGEMENT_SIZES})
-    ds = rk.generate_engagement(cfg)
-    np.savez(args.out, **{k: getattr(ds, k) for k in ENGAGEMENT_ARRAYS},
-             **{k: getattr(cfg, k) for k in ENGAGEMENT_SIZES})
+    cfg = rk.EngagementConfig(users=args.users, items=args.items,
+                              seq_len=args.seq_len, seed=args.seed)
+    rk.generate_engagement(cfg).save(args.out)
     print(f"wrote engagement set ({cfg.users} users, {cfg.items} items) to {args.out}")
     return 0
 
@@ -182,10 +180,9 @@ def cmd_train(args):
     return 0
 
 
-def _load_kmeans(cfg, path, base, source):
-    """The checkpoint's k-means codebooks, `groups * depth` of them, whose
-    centroid count must equal the SID `base`; `source` says where that
-    base came from."""
+def _load_kmeans(cfg, path):
+    """The checkpoint's k-means codebooks: `groups * depth` of them, each
+    of `levels` centroids, as the config `cfg` sets."""
     books = load_codebooks(path)
     if not books:
         raise PipelineError(f"{path} holds no k-means codebooks")
@@ -193,8 +190,9 @@ def _load_kmeans(cfg, path, base, source):
     if len(books) != need:
         raise PipelineError(f"{path} holds {len(books)} k-means codebooks, "
                             f"the {cfg.quantizer} config needs {need}")
-    if base != books[0].k:
-        raise PipelineError(f"{source}, the codebooks in {path} have "
+    if cfg.levels != books[0].k:
+        raise PipelineError(f"the {cfg.quantizer} config sets levels="
+                            f"{cfg.levels}, the codebooks in {path} have "
                             f"k={books[0].k} centroids")
     return books
 
@@ -203,8 +201,7 @@ def cmd_encode(args):
     cfg = load_config(args.config)
     bundle, dims = _load_bundle(args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
-        books = _load_kmeans(cfg, args.ckpt, cfg.levels,
-                             f"{args.config} sets levels={cfg.levels}")
+        books = _load_kmeans(cfg, args.ckpt)
         codes = kmeans_grid_encode(books, cfg.groups, bundle["sig0"])
         scheme = SidScheme.for_digits(codes.shape[1], base=cfg.levels,
                                       ngram=cfg.ngram)
@@ -220,26 +217,29 @@ def cmd_encode(args):
 def cmd_decode(args):
     cfg = load_config(args.config)
     scheme, sids = read_sid_file(args.sids)
-    digits = unpack_all(scheme, sids)
     if cfg.quantizer in CLASSICAL_KINDS:
-        books = _load_kmeans(cfg, args.ckpt, scheme.base,
-                             f"{args.sids} has SID base {scheme.base}")
-        recon = kmeans_grid_decode(books, cfg.groups, digits + scheme.offset)
-        corpus_write(f"{args.out}.sig0.emb", recon)
-        print(f"decoded {recon.shape[0]} rows -> {args.out}.sig0.emb")
-        return 0
-    try:
-        dims = [int(d) for d in args.dims.split(",")]
-    except ValueError:
-        raise PipelineError(f"{cfg.quantizer} decoding needs --dims, the "
-                            f"signal dims as ints, got '{args.dims}'") from None
-    model = _build_fusion(cfg, dims)
-    if scheme.base != cfg.levels or scheme.digits < model.spec.code_digits:
+        books = _load_kmeans(cfg, args.ckpt)
+        need = len(books)
+    else:
+        try:
+            dims = [int(d) for d in args.dims.split(",")]
+        except ValueError:
+            raise PipelineError(
+                f"{cfg.quantizer} decoding needs --dims, the signal dims as "
+                f"ints, got '{args.dims}'") from None
+        model = _build_fusion(cfg, dims)
+        need = model.spec.code_digits
+    if scheme.base != cfg.levels or scheme.digits < need:
         raise PipelineError(
             f"{args.sids} holds base-{scheme.base} SIDs of {scheme.digits} "
             f"digits, the {cfg.quantizer} model of {args.config} needs "
-            f"base {cfg.levels} and {model.spec.code_digits} digits")
-    recon = fv.decode_from_digits(model.load(args.ckpt), digits)
+            f"base {cfg.levels} and {need} digits")
+    digits = unpack_all(scheme, sids)
+    if cfg.quantizer in CLASSICAL_KINDS:
+        recon = {"sig0": kmeans_grid_decode(books, cfg.groups,
+                                            digits + scheme.offset)}
+    else:
+        recon = fv.decode_from_digits(model.load(args.ckpt), digits)
     for name, arr in recon.items():
         corpus_write(f"{args.out}.{name}.emb", arr)
         print(f"decoded {arr.shape[0]} rows -> {args.out}.{name}.emb")
@@ -280,19 +280,7 @@ def cmd_eval_ne(args):
 
 
 def cmd_rank_ab(args):
-    if args.data:
-        with np.load(args.data) as loaded:
-            missing = [k for k in ENGAGEMENT_ARRAYS + ENGAGEMENT_SIZES
-                       if k not in loaded]
-            if missing:
-                raise PipelineError(f"{args.data} lacks {', '.join(missing)}")
-            cfg = rk.EngagementConfig(
-                **{k: int(loaded[k]) for k in ENGAGEMENT_SIZES})
-            ds = rk.SyntheticEngagementSet(
-                config=cfg, **{k: loaded[k] for k in ENGAGEMENT_ARRAYS})
-    else:
-        ds = rk.generate_engagement(rk.EngagementConfig(
-            **{k: getattr(args, k) for k in ENGAGEMENT_SIZES}))
+    ds = rk.SyntheticEngagementSet.load(args.data)
     hash_size = (ds.collision_free_size() if args.hash_size is None
                  else args.hash_size)
     fit = FitConfig(epochs=args.epochs, batch_size=rk.BATCH_SIZE, lr=args.lr,
@@ -301,16 +289,7 @@ def cmd_rank_ab(args):
     for name, r in report.results.items():
         if r.diverged_at is not None:
             _warn_diverged(f"{name} ranker training", r.diverged_at)
-    if args.json:
-        payload = {name: {"ne": r.ne.as_dict(), "feature_params": r.feature_params,
-                          "feature_rows_trained": r.feature_rows_trained,
-                          "ne_gain_pct": r.ne_gain_pct}
-                   for name, r in report.results.items()}
-        payload["hash_size"] = hash_size
-        metrics.emit_report(payload, as_json=True)
-    else:
-        print(f"hash_size={hash_size}")
-        print(report.markdown())
+    metrics.emit_report(report.as_dict() if args.json else report, args.json)
     return 0
 
 
@@ -369,14 +348,6 @@ def _check_flags(args):
         raise PipelineError(f"--lr must be > 0, got {args.lr}")
 
 
-def _add_engagement_sizes(p):
-    """The ENGAGEMENT_SIZES flags of gen-engagement and rank-ab."""
-    p.add_argument("--users", type=int, default=10_000)
-    p.add_argument("--items", type=int, default=2_000)
-    p.add_argument("--seq-len", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sidekit",
@@ -393,7 +364,10 @@ def build_parser():
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("gen-engagement", help="write synthetic engagement data")
-    _add_engagement_sizes(p)
+    p.add_argument("--users", type=int, default=10_000)
+    p.add_argument("--items", type=int, default=2_000)
+    p.add_argument("--seq-len", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_engagement)
 
@@ -445,8 +419,10 @@ def build_parser():
     p.set_defaults(func=cmd_eval_ne)
 
     p = sub.add_parser("rank-ab", help="SID vs SIDE ranking A/B on synthetic data")
-    p.add_argument("--data", help="engagement .npz from gen-engagement")
-    _add_engagement_sizes(p)
+    p.add_argument("--data", required=True,
+                   help="engagement .npz from gen-engagement")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the user split and the training")
     p.add_argument("--hash-size", type=int, default=None,
                    help="sparse table rows per gram; default collision-free")
     p.add_argument("--epochs", type=int, default=12)

@@ -15,7 +15,6 @@ row is rejected by index.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,18 +26,6 @@ BLOCK_CELLS = 1 << 21
 
 class MetricError(ValueError):
     pass
-
-
-def worker_count():
-    """The parallelism cap: SIDEKIT_THREADS if set, else min(8, cores).
-    It bounds only the worker processes that `ranking.run_ab` trains its
-    arms in; every metric here runs serially. Results equal those of a
-    serial run; run_ab computes NE in the calling process, in report
-    order."""
-    env = os.environ.get("SIDEKIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def _row_blocks(rows, width):

@@ -724,7 +724,10 @@ def fit(params, n, step, rng, cfg, weight_decay):
     a batch counts as divergence: the parameters are restored to the end
     of the last finished epoch, training stops and diverged_at records the
     epoch; if epoch 0 diverges a TrainingDiverged error is raised instead.
+    Node numbers restart with each run, so errors name nodes alike anywhere.
     """
+    global _node_ids
+    _node_ids = itertools.count()
     opt = AdamState(lr=cfg.lr)
     shrink = DTYPE(1.0 - cfg.lr * weight_decay)
     rows = []

@@ -19,24 +19,26 @@ carry ternary-grid latents, each user's history is sampled around a
 hidden taste vector, and the click probability of the shown candidate is
 sigmoid(a * <mean of history latents, candidate latent> + b).
 
-`run_ab` trains its three arms at once in up to `metrics.worker_count()`
-processes, the calling one and forked workers (SIDEKIT_THREADS caps it).
-The report equals the serial run's: the workers return only predictions
-and counts, and NE is computed in the calling process, in report order.
+`SyntheticEngagementSet.save`/`load` own the engagement file, the only data
+`rank-ab` reads. `run_ab` trains each arm through `train_ranker`, the three
+at once in up to `worker_count()` processes, the calling one and forked
+workers. The report equals the serial run's: the arms return only
+predictions and counts, and NE is computed in the calling process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial, reduce
 
 import numpy as np
 
 from . import nn_core as nn
 from .nn_core import DTYPE, ParamStore
-from .metrics import NEReport, _row_blocks, normalized_entropy, worker_count
+from .metrics import NEReport, _row_blocks, normalized_entropy
 from .sid_codec import SidError, SidScheme, pack_all, side_embed, sid_hash
 
 
@@ -121,6 +123,25 @@ class SyntheticEngagementSet:
 
     def collision_free_size(self):
         return self.scheme.max_sid + 1
+
+    def save(self, path):
+        """Write the set as an `.npz`: the arrays in field order, then the
+        config's sizes."""
+        np.savez(path, **{f.name: getattr(self, f.name)
+                          for f in fields(self)[1:]}, **asdict(self.config))
+
+    @classmethod
+    def load(cls, path):
+        """The set `save` wrote to `path`. A missing entry is named; an
+        array that disagrees with the sizes is rejected as on construction."""
+        arrays = [f.name for f in fields(cls)[1:]]
+        sizes = [f.name for f in fields(EngagementConfig)]
+        with np.load(path) as loaded:
+            missing = [k for k in arrays + sizes if k not in loaded]
+            if missing:
+                raise RankingError(f"{path} lacks {', '.join(missing)}")
+            cfg = EngagementConfig(**{k: int(loaded[k]) for k in sizes})
+            return cls(config=cfg, **{k: loaded[k] for k in arrays})
 
 
 def generate_engagement(cfg):
@@ -325,21 +346,13 @@ def _fit_ranker(dataset, variant, hash_size, feature_dim, cfg):
 
 
 def train_ranker(dataset, variant, hash_size, feature_dim, cfg):
-    """Train one variant of width `feature_dim` as the `nn_core.FitConfig`
-    `cfg` sets; returns (model, NEReport on the eval split, diverged_at).
-    diverged_at is None unless a non-finite loss stopped training, in
-    which case it is the epoch whose start the parameters were rolled
-    back to (see nn_core.fit)."""
-    labels = _eval_labels(dataset, cfg.seed)
-    model, preds, diverged_at = _fit_ranker(dataset, variant, hash_size,
-                                            feature_dim, cfg)
-    return model, normalized_entropy(labels, preds), diverged_at
-
-
-def _train_arm(dataset, variant, hash_size, feature_dim, cfg):
-    """One A/B arm as `run_ab` needs it, small enough to return from a
-    worker process: (eval predictions, diverged_at, feature-path params,
-    SID table rows trained)."""
+    """Train one A/B arm: `variant` of width `feature_dim`, on the split of
+    `cfg.seed`, as the `nn_core.FitConfig` `cfg` sets. Returns what
+    `run_ab` needs of it, small enough to return from a worker process:
+    (click probabilities on the eval split, diverged_at, feature-path
+    params, SID table rows trained). diverged_at is None unless a
+    non-finite loss stopped training, in which case it is the epoch whose
+    start the parameters were rolled back to (see nn_core.fit)."""
     model, preds, diverged_at = _fit_ranker(dataset, variant, hash_size,
                                             feature_dim, cfg)
     return (preds, diverged_at, model.feature_path_params(),
@@ -358,10 +371,20 @@ class AbResult:
 
 @dataclass
 class AbReport:
-    results: dict  # variant -> AbResult, in AB_VARIANTS order
+    hash_size: int  # SID table rows per gram
+    results: dict   # variant -> AbResult, in AB_VARIANTS order
 
-    def markdown(self):
-        lines = ["| Variant | Click NE | NE gain | Feature-path params |",
+    def as_dict(self):
+        out = {name: {"ne": r.ne.as_dict(), "feature_params": r.feature_params,
+                      "feature_rows_trained": r.feature_rows_trained,
+                      "ne_gain_pct": r.ne_gain_pct}
+               for name, r in self.results.items()}
+        out["hash_size"] = self.hash_size
+        return out
+
+    def __str__(self):
+        lines = [f"hash_size={self.hash_size}",
+                 "| Variant | Click NE | NE gain | Feature-path params |",
                  "|---|---|---|---|"]
         for name, r in self.results.items():
             gain = "-" if r.ne_gain_pct is None else f"{r.ne_gain_pct:+.4f}%"
@@ -371,6 +394,15 @@ class AbReport:
 
 
 AB_VARIANTS = ("none", "sid", "side")  # the order run_ab reports them in
+
+
+def worker_count():
+    """The processes `run_ab` may train its arms in: SIDEKIT_THREADS if
+    set, else min(8, cores). Every other computation runs serially."""
+    env = os.environ.get("SIDEKIT_THREADS")
+    if env:
+        return max(1, int(env))
+    return min(8, os.cpu_count() or 1)
 
 
 def _resolved(fn, *args):
@@ -388,20 +420,21 @@ def run_ab(dataset, hash_size, feature_dim, cfg):
     """Train the no-history ablation, SID and SIDE on identical splits and
     report paired NE.
 
-    The no-history ablation anchors the NE-gain column; a positive gain
-    means the feature path reduced NE relative to ranking without item
-    identity features.
+    `cfg.seed` seeds the split of the users and the fit of every arm; the
+    data is `dataset` as given. The no-history ablation anchors the
+    NE-gain column; a positive gain means the feature path reduced NE
+    relative to ranking without item identity features.
 
     The arms share no state, so they train at once in up to
-    `metrics.worker_count()` processes: arm i trains in process
-    i % workers, process 0 being this one and the others forked workers.
-    With one worker nothing is forked. Either way the report equals the
-    serial run's: NE is computed in this process, in report order, and
-    the first arm's error in report order is raised, with its type and
-    message. Every worker has exited when this returns or raises.
+    `worker_count()` processes: arm i trains through `train_ranker` in
+    process i % workers, process 0 being this one and the others forked
+    workers. With one worker nothing is forked. Either way the report
+    equals the serial run's: NE is computed in this process, in report
+    order, and the first arm's error in report order is raised, with its
+    type and message. Every worker has exited when this returns or raises.
     """
     labels = _eval_labels(dataset, cfg.seed)  # raises before anything forks
-    train = partial(_train_arm, dataset, hash_size=hash_size,
+    train = partial(train_ranker, dataset, hash_size=hash_size,
                     feature_dim=feature_dim, cfg=cfg)
     workers = min(worker_count(), len(AB_VARIANTS))
     # at 2 workers this process trains "none" then "side" while the
@@ -419,22 +452,16 @@ def run_ab(dataset, hash_size, feature_dim, cfg):
                 workers - 1, mp_context=multiprocessing.get_context("fork")))
             pending = {v: pool.submit(train, v) for v in AB_VARIANTS
                        if v not in mine}
-        # the first arm is reported as soon as it has trained; a later
-        # arm's NE waits for every arm before it
-        first = AB_VARIANTS[0]
-        model, base, diverged_at = train_ranker(dataset, first, hash_size,
-                                                feature_dim, cfg)
-        results = {first: AbResult(first, base, model.feature_path_params(),
-                                   diverged_at, None,
-                                   model.feature_rows_trained())}
-        for variant in mine[1:]:
+        for variant in mine:
             pending[variant] = _resolved(train, variant)
             if pending[variant].exception():
                 break  # report order meets this error before a later arm
-        for variant in AB_VARIANTS[1:]:
+        results = {}
+        for variant in AB_VARIANTS:
             preds, diverged_at, params, rows = pending[variant].result()
             report = normalized_entropy(labels, preds)
-            gain = 100.0 * (base.ne - report.ne) / base.ne
+            base = results[AB_VARIANTS[0]].ne.ne if results else None
+            gain = None if base is None else 100.0 * (base - report.ne) / base
             results[variant] = AbResult(variant, report, params, diverged_at,
                                         gain, rows)
-    return AbReport(results)
+    return AbReport(hash_size, results)

@@ -273,7 +273,8 @@ def test_decode_rejects_a_sid_base_other_than_k(tmp_path, corpus, capsys,
     assert run("decode", "--sids", paths[sid_levels][2], "--config", cfg,
                "--ckpt", ckpt, "--out", tmp_path / "rec") == 1
     err = capsys.readouterr().err
-    assert f"SID base {sid_levels}" in err and f"k={ckpt_levels}" in err
+    assert f"holds base-{sid_levels} SIDs" in err
+    assert f"needs base {ckpt_levels} and 2 digits" in err
     assert not (tmp_path / "rec.sig0.emb").exists()
 
 
@@ -327,6 +328,25 @@ def test_encode_rejects_levels_other_than_k(tmp_path, corpus, capsys, levels):
     err = capsys.readouterr().err
     assert f"levels={levels}" in err and "k=4" in err
     assert not sids.exists()
+
+
+def test_decode_rejects_levels_other_than_k(tmp_path, corpus, capsys):
+    trained = tmp_path / "rq4.cfg"
+    trained.write_text("quantizer=rq\nlevels=4\ndepth=2\n")
+    ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config", trained,
+               "--out", ckpt) == 0
+    assert run("encode", "--corpus", corpus, "--config", trained,
+               "--ckpt", ckpt, "--out", sids) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text("quantizer=rq\nlevels=16\ndepth=2\n")
+    capsys.readouterr()
+    assert run("decode", "--sids", sids, "--config", other, "--ckpt", ckpt,
+               "--out", tmp_path / "rec") == 1
+    assert capsys.readouterr().err == (
+        f"error: the rq config sets levels=16, the codebooks in {ckpt} have "
+        f"k=4 centroids\n")
+    assert not (tmp_path / "rec.sig0.emb").exists()
 
 
 def test_encode_refuses_a_huge_ngram_at_once(tmp_path, corpus, capsys):
@@ -448,23 +468,28 @@ def test_config_rejects_sizes_below_one(tmp_path, corpus, capsys, kind, line,
 ENGAGEMENT = ("--users", 300, "--items", 60, "--seq-len", 6, "--seed", 2)
 
 
-def test_rank_ab_from_file_equals_inline(tmp_path, capsys):
-    data = tmp_path / "eng.npz"
-    assert run("gen-engagement", *ENGAGEMENT, "--out", data) == 0
+@pytest.fixture
+def engagement(tmp_path):
+    """rank-ab's --data and --seed arguments: the gen-engagement file of
+    ENGAGEMENT and its seed."""
+    path = tmp_path / "eng.npz"
+    assert run("gen-engagement", *ENGAGEMENT, "--out", path) == 0
+    return "--data", path, "--seed", 2
+
+
+def test_rank_ab_needs_a_data_file(capsys):
+    with pytest.raises(SystemExit) as info:
+        run("rank-ab", "--epochs", 1, "--json")
+    assert info.value.code == 2
+    assert "--data" in capsys.readouterr().err
+
+
+def test_rank_ab_reports_the_feature_rows_trained(capsys, engagement):
     capsys.readouterr()
-    assert run("rank-ab", "--data", data, "--epochs", 1, "--seed", 2,
-               "--json") == 0
-    from_file = json.loads(capsys.readouterr().out)
-    assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--json") == 0
-    inline = json.loads(capsys.readouterr().out)
-    assert from_file == inline
-    assert set(inline) == {"none", "sid", "side", "hash_size"}
-
-
-def test_rank_ab_reports_the_feature_rows_trained(capsys):
-    assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--hash-size", 61,
+    assert run("rank-ab", *engagement, "--epochs", 1, "--hash-size", 61,
                "--json") == 0
     report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"none", "sid", "side", "hash_size"}
     assert report["none"]["feature_rows_trained"] is None
     assert report["side"]["feature_rows_trained"] is None
     # at most 2 grams x 61 rows, and at most one row per item and gram
@@ -472,8 +497,9 @@ def test_rank_ab_reports_the_feature_rows_trained(capsys):
 
 
 @pytest.mark.parametrize("size", [0, -4])
-def test_rank_ab_rejects_hash_size_below_one(capsys, size):
-    assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--hash-size", size,
+def test_rank_ab_rejects_hash_size_below_one(capsys, engagement, size):
+    capsys.readouterr()
+    assert run("rank-ab", *engagement, "--epochs", 1, "--hash-size", size,
                "--json") == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: --hash-size must be >= 1, got {size}\n"
@@ -483,7 +509,6 @@ def test_rank_ab_rejects_hash_size_below_one(capsys, size):
 @pytest.mark.parametrize("command, flag, value, least", [
     ("rank-ab", "--epochs", "0", ">= 1"),
     ("rank-ab", "--feature-dim", "0", ">= 1"),
-    ("rank-ab", "--users", "-3", ">= 1"),
     ("rank-ab", "--lr", "nan", "> 0"),
     ("rank-ab", "--lr", "0.0", "> 0"),
     ("gen-engagement", "--users", "0", ">= 1"),
@@ -497,7 +522,8 @@ def test_rank_ab_rejects_hash_size_below_one(capsys, size):
 def test_flags_reject_values_below_their_least(tmp_path, corpus, capsys,
                                                command, flag, value, least):
     out = tmp_path / "out.npz"
-    args = {"rank-ab": ("--json",), "gen-engagement": ("--out", out),
+    args = {"rank-ab": ("--data", out, "--json"),
+            "gen-engagement": ("--out", out),
             "eval-recall": ("--corpus", corpus, "--candidates", corpus),
             "gen-corpus": ("--rows", 10, "--dim", 8, "--out", out)}
     assert run(command, *args[command], flag, value) == 1
@@ -507,20 +533,22 @@ def test_flags_reject_values_below_their_least(tmp_path, corpus, capsys,
     assert captured.out == "" and not out.exists()
 
 
-def test_rank_ab_uses_the_hash_size_given(capsys):
-    assert run("rank-ab", *ENGAGEMENT, "--epochs", 1, "--hash-size", 1,
+def test_rank_ab_uses_the_hash_size_given(capsys, engagement):
+    capsys.readouterr()
+    assert run("rank-ab", *engagement, "--epochs", 1, "--hash-size", 1,
                "--json") == 0
     assert json.loads(capsys.readouterr().out)["hash_size"] == 1
 
 
 def test_rank_ab_json_is_byte_identical_in_worker_processes(monkeypatch,
-                                                           capsys):
+                                                           capsys, engagement):
+    capsys.readouterr()
     outputs = []
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
-        assert run("rank-ab", *ENGAGEMENT, "--epochs", 2, "--json") == 0
+        assert run("rank-ab", *engagement, "--epochs", 2, "--json") == 0
         outputs.append(capsys.readouterr())
-    assert outputs[0].out and outputs[0] == outputs[1]
+    assert outputs[0].out and outputs[0] == outputs[1] == outputs[2]
 
 
 def _flip_first_digit(digits):
@@ -561,7 +589,8 @@ def test_rank_ab_rejects_an_inconsistent_data_file(tmp_path, capsys, key,
     assert captured.out == ""
 
 
-def test_rank_ab_warns_when_a_ranker_rolls_back(monkeypatch, capsys):
+def test_rank_ab_warns_when_a_ranker_rolls_back(monkeypatch, capsys,
+                                                engagement):
     logits = rk.ToyRankingModel.logits
     calls = []
 
@@ -575,7 +604,8 @@ def test_rank_ab_warns_when_a_ranker_rolls_back(monkeypatch, capsys):
         return logits(self, rows)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
-    assert run("rank-ab", *ENGAGEMENT, "--epochs", 2, "--json") == 0
+    capsys.readouterr()
+    assert run("rank-ab", *engagement, "--epochs", 2, "--json") == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["none"]["ne"]["n"] == 60
     assert captured.err == ("warning: none ranker training diverged at "

@@ -108,15 +108,6 @@ class TestKnnGroundTruth:
         gt_perm = m.knn_ground_truth(x[perm], np.array([inv[5]]), depth=8)
         np.testing.assert_array_equal(perm[gt_perm[0]], gt[0])
 
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("SIDEKIT_THREADS", "2")
-        assert m.worker_count() == 2
-        x = unit(60, 8, 10)
-        gt = m.knn_ground_truth(x, np.arange(60), depth=5)
-        monkeypatch.setenv("SIDEKIT_THREADS", "1")
-        gt_serial = m.knn_ground_truth(x, np.arange(60), depth=5)
-        np.testing.assert_array_equal(gt, gt_serial)
-
 
 def half_rows(rows, dim, seed):
     """Rows with four entries of +-0.5 and the rest 0: exactly unit norm,

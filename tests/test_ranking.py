@@ -1,12 +1,11 @@
 """Ranking harness tests: the pooled attention against a scalar oracle,
 its gradient, the history sampler against a broadcast comparison and its
-peak memory, training rollback, the A/B report, and the A/B arms trained
-in worker processes against the serial run."""
+peak memory, the engagement file, training rollback, the A/B report, and
+the A/B arms trained in worker processes against the serial run."""
 
 import dataclasses
 import multiprocessing
 import os
-import re
 import tracemalloc
 
 import numpy as np
@@ -119,10 +118,36 @@ def small_dataset():
         users=400, items=80, seq_len=6, seed=3))
 
 
+def test_engagement_set_round_trips_through_its_file(tmp_path):
+    ds = small_dataset()
+    ds.save(tmp_path / "eng.npz")
+    back = rk.SyntheticEngagementSet.load(tmp_path / "eng.npz")
+    assert back.config == ds.config
+    arrays = [f.name for f in dataclasses.fields(ds)][1:]
+    for name in arrays:
+        got, want = getattr(back, name), getattr(ds, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    with np.load(tmp_path / "eng.npz") as loaded:
+        assert list(loaded) == arrays + ["users", "items", "seq_len", "seed"]
+
+
+def test_engagement_load_names_the_missing_entries(tmp_path):
+    ds = small_dataset()
+    ds.save(tmp_path / "eng.npz")
+    with np.load(tmp_path / "eng.npz") as loaded:
+        arrays = {k: v for k, v in loaded.items()
+                  if k not in ("history", "seq_len")}
+    np.savez(tmp_path / "bad.npz", **arrays)
+    with pytest.raises(rk.RankingError,
+                       match=r"bad\.npz lacks history, seq_len$"):
+        rk.SyntheticEngagementSet.load(tmp_path / "bad.npz")
+
+
 def test_divergence_rolls_back(monkeypatch):
     ds = small_dataset()
     cfg = nn.FitConfig(epochs=3, batch_size=160, lr=3e-3, seed=4)
-    stopped, _, clean = rk.train_ranker(ds, "side", 100, 16, nn.FitConfig(
+    stopped, _, clean = rk._fit_ranker(ds, "side", 100, 16, nn.FitConfig(
         epochs=1, batch_size=160, lr=3e-3, seed=4))
     assert clean is None
     logits = rk.ToyRankingModel.logits
@@ -136,9 +161,9 @@ def test_divergence_rolls_back(monkeypatch):
         return logits(self, rows)
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
-    model, report, diverged_at = rk.train_ranker(ds, "side", 100, 16, cfg)
+    model, preds, diverged_at = rk._fit_ranker(ds, "side", 100, 16, cfg)
     assert diverged_at == 1
-    assert np.isfinite(report.ne)
+    assert np.isfinite(preds).all()
     for name, arr in stopped.params.items():
         np.testing.assert_array_equal(model.params.get(name), arr)
 
@@ -161,6 +186,7 @@ def test_ab_report_counts_trained_feature_params():
     ds = small_dataset()
     report = rk.run_ab(ds, 50, 16, nn.FitConfig(epochs=1, batch_size=256,
                                                 lr=3e-3, seed=5))
+    assert report.hash_size == 50
     assert list(report.results) == ["none", "sid", "side"]
     grams = ds.scheme.grams
     assert report.results["sid"].feature_params == grams * 50 * 16
@@ -174,11 +200,34 @@ def test_ab_report_counts_trained_feature_params():
         assert r.ne_gain_pct == pytest.approx(100.0 * (base - r.ne.ne) / base)
 
 
+def test_ab_report_renders_one_row_per_arm_in_report_order():
+    def result(variant, ne, params, gain):
+        return rk.AbResult(variant, metrics.NEReport(ne, 10, 0.3, 0.5),
+                           params, None, gain, None)
+
+    report = rk.AbReport(61, {"none": result("none", 1.0008, 0, None),
+                              "sid": result("sid", 1.4956, 1952, -49.44),
+                              "side": result("side", 0.86421, 256, 13.6)})
+    assert str(report) == (
+        "hash_size=61\n"
+        "| Variant | Click NE | NE gain | Feature-path params |\n"
+        "|---|---|---|---|\n"
+        "| none | 1.000800 | - | 0 |\n"
+        "| sid | 1.495600 | -49.4400% | 1952 |\n"
+        "| side | 0.864210 | +13.6000% | 256 |")
+    assert report.as_dict()["hash_size"] == 61
+    assert list(report.as_dict()) == ["none", "sid", "side", "hash_size"]
+    assert report.as_dict()["sid"] == {
+        "ne": {"ne": 1.4956, "n": 10, "prior": 0.3, "mean_log_loss": 0.5},
+        "feature_params": 1952, "feature_rows_trained": None,
+        "ne_gain_pct": -49.44}
+
+
 def test_feature_rows_trained_are_the_hashed_rows_of_the_training_users():
     ds = small_dataset()
     cfg = nn.FitConfig(epochs=1, batch_size=100, lr=3e-3, seed=5)
     hash_size = 61
-    model, _, _ = rk.train_ranker(ds, "sid", hash_size, 16, cfg)
+    model, _, _ = rk._fit_ranker(ds, "sid", hash_size, 16, cfg)
     # train_ranker's split: the users after the first 20% of one permutation
     order = np.random.default_rng(cfg.seed).permutation(ds.config.users)
     train = order[int(ds.config.users * rk.EVAL_FRACTION):]
@@ -186,10 +235,9 @@ def test_feature_rows_trained_are_the_hashed_rows_of_the_training_users():
     rows = {int(sid) % hash_size + g * hash_size
             for g in range(ds.scheme.grams) for sid in ds.item_sids[items, g]}
     assert model.params.touched_rows("feature.table").tolist() == sorted(rows)
-    assert model.feature_rows_trained() == len(rows)
+    assert rk.train_ranker(ds, "sid", hash_size, 16, cfg)[3] == len(rows)
     for variant in ("none", "side"):
-        other, _, _ = rk.train_ranker(ds, variant, hash_size, 16, cfg)
-        assert other.feature_rows_trained() is None
+        assert rk.train_ranker(ds, variant, hash_size, 16, cfg)[3] is None
 
 
 AB_FIT = nn.FitConfig(epochs=2, batch_size=128, lr=3e-3, seed=5)
@@ -228,6 +276,56 @@ def test_run_ab_in_worker_processes_equals_the_serial_run(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
+def test_run_ab_trains_in_at_most_sidekit_threads_processes(monkeypatch,
+                                                             tmp_path):
+    ds = small_dataset()
+    # the serial reference: each arm trained here, NE in report order
+    labels = ds.labels[rk._split(ds, AB_FIT.seed)[1]]
+    serial = {}
+    for variant in rk.AB_VARIANTS:
+        preds, diverged_at, params, rows = rk.train_ranker(ds, variant, 50,
+                                                           16, AB_FIT)
+        ne = metrics.normalized_entropy(labels, preds)
+        base = serial["none"].ne.ne if serial else None
+        gain = None if base is None else 100.0 * (base - ne.ne) / base
+        serial[variant] = rk.AbResult(variant, ne, params, diverged_at, gain,
+                                      rows)
+
+    pids = tmp_path / "pids"
+    logits = rk.ToyRankingModel.logits
+
+    def recording(self, rows):
+        with open(pids, "a") as fh:
+            fh.write(f"{self.variant} {os.getpid()}\n")
+        return logits(self, rows)
+
+    def trained_in():
+        lines = {tuple(line.split()) for line in pids.read_text().splitlines()}
+        pids.unlink()
+        return {v: {int(pid) for name, pid in lines if name == v}
+                for v in rk.AB_VARIANTS}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("forked at SIDEKIT_THREADS=1")
+
+    monkeypatch.setattr(rk.ToyRankingModel, "logits", recording)
+    with monkeypatch.context() as one:
+        one.setenv("SIDEKIT_THREADS", "1")
+        one.setattr(multiprocessing, "get_context", forbidden)
+        report = rk.run_ab(ds, 50, 16, AB_FIT)
+    assert report.results == serial
+    assert trained_in() == {v: {os.getpid()} for v in rk.AB_VARIANTS}
+
+    monkeypatch.setenv("SIDEKIT_THREADS", "3")
+    report = rk.run_ab(ds, 50, 16, AB_FIT)
+    assert multiprocessing.active_children() == []
+    assert report.results == serial
+    where = trained_in()
+    assert all(len(p) == 1 for p in where.values())
+    assert where["none"] == {os.getpid()}
+    assert len(set.union(*where.values())) == 3
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_ab_rejects_a_single_class_split_before_training(monkeypatch,
                                                              threads):
@@ -256,16 +354,16 @@ def test_an_arm_diverging_in_a_worker_raises_the_serial_error(monkeypatch):
 
     monkeypatch.setattr(rk.ToyRankingModel, "logits", poisoned)
     errors = []
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
         with pytest.raises(nn.TrainingDiverged) as info:
             rk.run_ab(small_dataset(), 50, 16, AB_FIT)
-        # node names carry a per-process counter, which differs by schedule
-        errors.append((type(info.value), re.sub(r"#\d+", "#", str(info.value))))
+        errors.append((type(info.value), str(info.value)))
         assert multiprocessing.active_children() == []
-    assert errors[0] == errors[1]
-    assert errors[0][1] == ("diverged in epoch 0: node 'matmul#': non-finite "
-                            "output at batch row 0")
+    # node numbers restart with each fit, whatever the process ran before
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0][1] == ("diverged in epoch 0: node 'matmul#24': "
+                            "non-finite output at batch row 0")
 
 
 def test_run_ab_raises_the_first_failing_arm_in_report_order(monkeypatch):

@@ -2,8 +2,9 @@
 into file-based pipelines.
 
 Commands: gen-corpus, gen-engagement, train, encode, decode, eval-recon,
-eval-recall, eval-ne, rank-ab, sweep. `train` and `sweep` draw their
-randomness from the config file's `seed` key, the rest from --seed flags.
+eval-recall, eval-ne, rank-ab, sweep. `train` and `sweep` train a fusion
+model on one path, which warns when training rolled back, and draw their
+randomness from the config file's `seed` key; the rest use --seed flags.
 `rank-ab` reads its data only from the `gen-engagement` file named by
 --data; its --seed seeds the split of the users and the training, not the
 data. The CLI owns the default of every setting it exposes
@@ -16,6 +17,7 @@ and NE is computed in the calling process, in report order.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import dataclass, replace
 from itertools import product
@@ -42,7 +44,7 @@ CLASSICAL_KINDS = ("kmeans", "rq", "pq")
 QUANTIZER_KINDS = CLASSICAL_KINDS + ("fsq", "dpca", "none")
 LEAST = dict(levels=2, depth=1, groups=1, latent=1, hidden=1, ngram=1,
              batch_size=1, epochs=1, kmeans_iters=1)
-SIZE_FLAGS = ("users", "items", "seq_len", "epochs", "feature_dim",
+SIZE_FLAGS = ("rows", "users", "items", "seq_len", "epochs", "feature_dim",
               "hash_size", "queries", "ks", "dim", "clusters",
               "levels", "depths", "groups", "ngrams")
 
@@ -154,6 +156,16 @@ def _warn_diverged(what, epoch):
           "kept last good checkpoint", file=sys.stderr)
 
 
+def _train_fusion(cfg, bundle, dims, what):
+    """A fusion model built from `cfg` and trained on `bundle`, and its
+    per-epoch rows; a rollback is warned about as `what` diverging."""
+    model = _build_fusion(cfg, dims)
+    rows, diverged_at = fv.train(model, bundle, cfg.fit_config())
+    if diverged_at is not None:
+        _warn_diverged(what, diverged_at)
+    return model, rows
+
+
 def cmd_train(args):
     cfg = load_config(args.config)
     if args.history and cfg.quantizer in CLASSICAL_KINDS:
@@ -167,16 +179,15 @@ def cmd_train(args):
         save_codebooks(args.out, books)
         print(f"fitted {cfg.quantizer} ({len(books)} codebooks) -> {args.out}")
         return 0
-    model = _build_fusion(cfg, dims)
-    model, history = fv.train(model, bundle, cfg.fit_config())
+    model, rows = _train_fusion(cfg, bundle, dims,
+                                f"{cfg.quantizer} training")
     model.save(args.out)
     if args.history:
-        history.to_csv(args.history)
-    last = history.rows[-1] if history.rows else {}
+        with open(args.history, "w", newline="") as fh:
+            csv.writer(fh).writerows([list(rows[0])] +
+                                     [list(row.values()) for row in rows])
     print(f"trained {cfg.quantizer} fusion model -> {args.out} "
-          f"(final loss {last.get('total', float('nan')):.4f})")
-    if history.diverged_at is not None:
-        _warn_diverged(f"{cfg.quantizer} training", history.diverged_at)
+          f"(final loss {rows[-1]['total']:.4f})")
     return 0
 
 
@@ -306,8 +317,9 @@ def cmd_sweep(args):
                            args.groups or (cfg.groups,)):
         combos = [replace(cfg, levels=L, depth=D, groups=P, ngram=n).validate()
                   for n in args.ngrams or (cfg.ngram,)]
-        model = _build_fusion(combos[0], dims)
-        model, _ = fv.train(model, bundle, combos[0].fit_config())
+        model, _ = _train_fusion(combos[0], bundle, dims,
+                                 f"{cfg.quantizer} training at L={L} D={D} "
+                                 f"P={P}")
         data = fv.normalize_bundle(model, bundle)
         with _no_record():
             result = model.forward(data)
@@ -335,8 +347,8 @@ def _int_list(text):
 
 
 def _check_flags(args):
-    """Reject a SIZE_FLAGS value below its least (LEAST's, else 1) and an
-    --lr not > 0, naming the flag."""
+    """Reject a SIZE_FLAGS value below its least (LEAST's, else 1), an
+    --lr not > 0 and a non-finite --noise, naming the flag."""
     for dest in SIZE_FLAGS:
         value = getattr(args, dest, None)
         least = LEAST.get(dest, 1)
@@ -346,6 +358,8 @@ def _check_flags(args):
                     f"--{dest.replace('_', '-')} must be >= {least}, got {v}")
     if not getattr(args, "lr", 1.0) > 0:
         raise PipelineError(f"--lr must be > 0, got {args.lr}")
+    if not np.isfinite(getattr(args, "noise", 0.0)):
+        raise PipelineError(f"--noise must be finite, got {args.noise}")
 
 
 def build_parser():

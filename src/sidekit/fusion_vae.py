@@ -29,7 +29,6 @@ graph.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,16 +336,18 @@ def fusion_loss(model, batch, result):
 
 def normalize_bundle(model, bundle):
     """L2-normalize embedding signals on ingestion; leaves xent targets alone.
-    Every signal must have the same sample count."""
+    Every signal must have the same sample count. A row whose norm is not
+    finite (a NaN or infinite entry) or is zero is rejected, naming it."""
     out = {}
     for sig in model.spec.signals:
         x = np.asarray(bundle[sig.name], dtype=DTYPE)
         if sig.loss == "cosine":
             norms = np.linalg.norm(x, axis=1, keepdims=True)
-            bad = np.where(norms[:, 0] == 0.0)[0]
-            if bad.size:
-                raise FusionError(
-                    f"zero-norm input for '{sig.name}' at row {int(bad[0])}")
+            for bad, what in ((~np.isfinite(norms[:, 0]), "non-finite norm"),
+                              (norms[:, 0] == 0.0, "zero-norm input")):
+                if bad.any():
+                    raise FusionError(f"{what} for '{sig.name}' at row "
+                                      f"{int(np.argmax(bad))}")
             x = x / norms
         out[sig.name] = x
     sizes = {len(v) for v in out.values()}
@@ -359,30 +360,15 @@ def _sample_count(data):
     return len(next(iter(data.values())))
 
 
-@dataclass
-class TrainHistory:
-    rows: list              # one dict per finished epoch, see nn_core.fit
-    diverged_at: int | None
-
-    def to_csv(self, path):
-        if not self.rows:
-            return
-        cols = ["epoch"] + [k for k in self.rows[0] if k != "epoch"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            writer.writerows(self.rows)
-
-
 def train(model, bundle, cfg):
-    """End-to-end training with straight-through gradients.
-
-    Returns (model, TrainHistory). On a non-finite loss the parameters are
-    rolled back to the end of the last finished epoch and training stops
-    (diverged_at records the epoch); if the very first epoch diverges a
-    TrainingDiverged error is raised instead.
-    """
+    """End-to-end training of `model`, in place, with straight-through
+    gradients, on a bundle of at least one row. Returns `nn_core.fit`'s
+    (rows, diverged_at): per finished epoch, the epoch and then the batch
+    mean of each `fusion_loss` term. A divergence rolls back, stops or
+    raises as `fit` describes."""
     data = normalize_bundle(model, bundle)
+    if not _sample_count(data):
+        raise FusionError("no rows to train on")
     rng = np.random.default_rng(cfg.seed)
     q = model.spec.quantizer
 
@@ -392,9 +378,8 @@ def train(model, bundle, cfg):
         result = model.forward(batch, dither_rng=dither)
         return fusion_loss(model, batch, result)
 
-    rows, diverged_at = nn.fit(model.params, _sample_count(data), step, rng,
-                               cfg, weight_decay=0.0)
-    return model, TrainHistory(rows, diverged_at)
+    return nn.fit(model.params, _sample_count(data), step, rng, cfg,
+                  weight_decay=0.0)
 
 
 def _each_block(model, rows, run):

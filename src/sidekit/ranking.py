@@ -99,7 +99,10 @@ class SyntheticEngagementSet:
     scheme = SID_SCHEME
 
     def __post_init__(self):
-        """Reject arrays that disagree with the config, naming the array."""
+        """Reject arrays that disagree with the config, naming the array:
+        a shape, non-integer ids, labels or segments, an item id outside
+        [0, items), a label outside {0, 1}, a segment outside [0, SEGMENTS),
+        or SIDs that do not unpack to the digits."""
         c = self.config
         shapes = {"item_latents": (c.items, LATENT_DIM),
                   "item_digits": (c.items, LATENT_DIM),
@@ -111,6 +114,16 @@ class SyntheticEngagementSet:
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise RankingError(f"{name} has shape {got}, expected {shape}")
+        for name in ("history", "candidates", "labels", "segments"):
+            dtype = getattr(self, name).dtype
+            if dtype.kind not in "iu":
+                raise RankingError(f"{name} has dtype {dtype}, expected "
+                                   "integers")
+        if not np.isin(self.labels, (0, 1)).all():
+            raise RankingError("labels: label outside {0, 1}")
+        if self.segments.size and not (
+                0 <= self.segments.min() <= self.segments.max() < SEGMENTS):
+            raise RankingError(f"segments: id outside [0, {SEGMENTS})")
         ids = np.concatenate([self.history.ravel(), self.candidates])
         if ids.size and not 0 <= ids.min() <= ids.max() < c.items:
             raise RankingError(f"history/candidates: id outside [0, {c.items})")
@@ -132,15 +145,21 @@ class SyntheticEngagementSet:
 
     @classmethod
     def load(cls, path):
-        """The set `save` wrote to `path`. A missing entry is named; an
-        array that disagrees with the sizes is rejected as on construction."""
+        """The set `save` wrote to `path`. A missing entry and a size that
+        is not one integer are named; an array that disagrees with the
+        sizes is rejected as on construction."""
         arrays = [f.name for f in fields(cls)[1:]]
         sizes = [f.name for f in fields(EngagementConfig)]
         with np.load(path) as loaded:
             missing = [k for k in arrays + sizes if k not in loaded]
             if missing:
                 raise RankingError(f"{path} lacks {', '.join(missing)}")
-            cfg = EngagementConfig(**{k: int(loaded[k]) for k in sizes})
+            given = {k: loaded[k] for k in sizes}
+            for k, v in given.items():
+                if v.shape or v.dtype.kind not in "iu":
+                    raise RankingError(f"{path}: {k} has shape {v.shape} and "
+                                       f"dtype {v.dtype}, expected one integer")
+            cfg = EngagementConfig(**{k: int(v) for k, v in given.items()})
             return cls(config=cfg, **{k: loaded[k] for k in arrays})
 
 

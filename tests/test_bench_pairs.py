@@ -81,3 +81,25 @@ def test_one_pair_gives_its_value_as_every_quartile(bp):
                            {"wall_s": "lower"})["wall_s"]
     assert summary["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0,
                                  "wins": 1}
+
+
+@pytest.mark.parametrize("better, parent, change, expect", [
+    # parent 10..14: median 12, spread (13 - 11) / 12 = 16.7%
+    ("lower", [10.0, 11.0, 12.0, 13.0, 14.0], [12.0, 12.6, 12.6, 12.6, 13.0],
+     "worse by 5.0% (bound 25%)"),
+    ("lower", [10.0, 11.0, 12.0, 13.0, 14.0], [9.0, 9.0, 9.0, 9.0, 9.0],
+     "better by 25.0% (bound 25%)"),
+    ("lower", [10.0, 11.0, 12.0, 13.0, 14.0], [15.6, 15.6, 15.6, 15.6, 15.6],
+     "worse by 30.0% (bound 25%), over the bound"),
+    ("higher", [10.0, 11.0, 12.0, 13.0, 14.0], [9.0, 9.0, 9.0, 9.0, 9.0],
+     "worse by 25.0% (bound 25%)"),
+    ("higher", [10.0, 11.0, 12.0, 13.0, 14.0], [8.4, 8.4, 8.4, 8.4, 8.4],
+     "worse by 30.0% (bound 25%), over the bound"),
+    # parent 6..14 by 2: median 10, spread (12 - 8) / 10 = 40%
+    ("lower", [6.0, 8.0, 10.0, 12.0, 14.0], [10.0] * 5,
+     "unresolved: parent spread 40.0% > bound 25%"),
+])
+def test_verdict_reads_the_change_against_the_bound(bp, better, parent,
+                                                    change, expect):
+    summary = bp.summarize(pairs_of(parent, change, "m"), {"m": better})["m"]
+    assert bp.verdict(summary, 0.25) == expect

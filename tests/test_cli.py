@@ -15,6 +15,7 @@ import pytest
 
 from sidekit import cli, metrics, sid_codec
 from sidekit import fusion_vae as fv
+from sidekit import nn_core as nn
 from sidekit import ranking as rk
 from sidekit.corpus_io import corpus_read, corpus_write
 from sidekit.quantizers import load_codebooks
@@ -133,6 +134,29 @@ def test_history_is_refused_for_classical_kinds(tmp_path, corpus, kind,
     assert not ckpt.exists() and not history.exists()
 
 
+@pytest.mark.parametrize("kind, header", [
+    ("fsq", "epoch,recon.sig0,recon.sig1,total"),
+    ("dpca", "epoch,recon.sig0,recon.sig1,commitment,codebook,total")])
+def test_history_csv_holds_the_rows_training_returns(tmp_path, corpus, kind,
+                                                     header):
+    """One CSV line per epoch, `\r\n`-ended: the epoch, then fit's terms in
+    fit's order, each value as str gives it."""
+    other = tmp_path / "y.emb"
+    assert run("gen-corpus", "--rows", 64, "--dim", 5, "--clusters", 3,
+               "--seed", 2, "--out", other) == 0
+    cfg, history = config(tmp_path, kind), tmp_path / "h.csv"
+    assert run("train", "--corpus", corpus, "--corpus", other, "--config",
+               cfg, "--history", history, "--out", tmp_path / "q.ckpt") == 0
+    pipeline = cli.load_config(cfg)
+    bundle, dims = cli._load_bundle([corpus, other])
+    rows, _ = fv.train(cli._build_fusion(pipeline, dims), bundle,
+                       pipeline.fit_config())
+    assert [list(row) for row in rows] == [header.split(",")] * 2
+    lines = [header] + [",".join(str(v) for v in row.values()) for row in rows]
+    assert history.read_bytes() == "".join(
+        f"{line}\r\n" for line in lines).encode()
+
+
 @pytest.mark.parametrize("kind", ["rq", "fsq"])
 def test_zero_row_corpus_round_trips(tmp_path, corpus, kind):
     cfg = config(tmp_path, kind)
@@ -149,6 +173,19 @@ def test_zero_row_corpus_round_trips(tmp_path, corpus, kind):
     assert run("decode", "--sids", sids, "--config", cfg, "--ckpt", ckpt,
                "--dims", 8, "--out", out) == 0
     assert corpus_read(f"{out}.sig0.emb").shape == (0, 8)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_fusion_training_on_zero_rows_is_an_error(tmp_path, capsys, command):
+    empty = tmp_path / "empty.emb"
+    corpus_write(empty, np.zeros((0, 8), dtype=np.float32))
+    outputs = {"train": ("--history", tmp_path / "h.csv",
+                         "--out", tmp_path / "q.ckpt"), "sweep": ()}
+    assert run(command, "--corpus", empty, "--config",
+               config(tmp_path, "fsq"), *outputs[command]) == 1
+    assert capsys.readouterr() == ("", "error: no rows to train on\n")
+    assert not (tmp_path / "q.ckpt").exists()
+    assert not (tmp_path / "h.csv").exists()
 
 
 def test_divergence_in_the_first_epoch_is_an_error(tmp_path, corpus, capsys):
@@ -388,6 +425,29 @@ def test_sweep_trains_once_per_grid_point_for_all_ngrams(
         assert n2[:4] == n3[:4] and n2[-1] == n3[-1]
 
 
+def test_sweep_warns_when_a_grid_point_rolls_back(tmp_path, corpus, capsys,
+                                                  monkeypatch):
+    loss, steps = fv.fusion_loss, []
+
+    def poisoned(model, batch, result):
+        total, terms = loss(model, batch, result)
+        steps.append(model.spec.quantizer.levels)
+        # 64 rows in batches of 32: the third L=5 step opens epoch 1
+        if steps.count(5) == 3:
+            total = nn.scale(total, float("nan"))
+        return total, terms
+
+    monkeypatch.setattr(fv, "fusion_loss", poisoned)
+    assert run("sweep", "--corpus", corpus, "--config",
+               config(tmp_path, "fsq"), "--levels", "3,5") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: fsq training at L=5 D=1 P=1 diverged "
+                            "at epoch 1; kept last good checkpoint\n")
+    header, *lines = captured.out.splitlines()
+    assert header == "quantizer,L,D,P,n,bits,sids_per_item,loss.sig0"
+    assert [line.split(",")[1] for line in lines] == ["3", "5"]
+
+
 def test_sweep_reports_no_code_size_for_the_identity_quantizer(
         tmp_path, corpus, capsys):
     assert run("sweep", "--corpus", corpus, "--config",
@@ -517,8 +577,12 @@ def test_rank_ab_rejects_hash_size_below_one(capsys, engagement, size):
     ("eval-recall", "--queries", "0", ">= 1"),
     ("eval-recall", "--ks", "0", ">= 1"),
     ("eval-recall", "--ks", "5,0,20", ">= 1"),
+    ("gen-corpus", "--rows", "0", ">= 1"),
+    ("gen-corpus", "--rows", "-5", ">= 1"),
     ("gen-corpus", "--dim", "0", ">= 1"),
-    ("gen-corpus", "--clusters", "0", ">= 1")])
+    ("gen-corpus", "--clusters", "0", ">= 1"),
+    ("gen-corpus", "--noise", "nan", "finite"),
+    ("gen-corpus", "--noise", "inf", "finite")])
 def test_flags_reject_values_below_their_least(tmp_path, corpus, capsys,
                                                command, flag, value, least):
     out = tmp_path / "out.npz"
@@ -569,8 +633,15 @@ def _flip_first_digit(digits):
      "item_sids: SID not divisible by the base"),
     ("item_digits", _flip_first_digit, "item_sids do not unpack to item_digits"),
     ("segments", None, "lacks segments"),
+    ("users", lambda a: np.array([300, 1]),
+     "users has shape (2,) and dtype int64, expected one integer"),
+    ("history", lambda a: a.astype(np.float64),
+     "history has dtype float64, expected integers"),
+    ("labels", lambda a: a * 2, "labels: label outside {0, 1}"),
+    ("segments", lambda a: a + 100, "segments: id outside [0, 16)"),
 ], ids=["digits-cut", "history-cut", "labels-short", "candidate-id",
-        "sids-unpacked", "digits-flipped", "segments-missing"])
+        "sids-unpacked", "digits-flipped", "segments-missing", "users-array",
+        "history-float", "labels-doubled", "segments-shifted"])
 def test_rank_ab_rejects_an_inconsistent_data_file(tmp_path, capsys, key,
                                                    corrupt, message):
     data, bad = tmp_path / "eng.npz", tmp_path / "bad.npz"

@@ -153,8 +153,9 @@ def test_training_with_the_chains_ends_on_the_same_bytes(monkeypatch, kind):
     cfg = nn.FitConfig(epochs=2, batch_size=32, lr=1e-2, seed=3)
 
     def trained():
-        model, history = fv.train(fv.FusionModel(spec, seed=4), bundle, cfg)
-        return model.params.flat.tobytes(), history.rows
+        model = fv.FusionModel(spec, seed=4)
+        rows, _ = fv.train(model, bundle, cfg)
+        return model.params.flat.tobytes(), rows
 
     fused = trained()
     monkeypatch.setattr(nn, "dpca_recon", chain_dpca_recon)

@@ -150,10 +150,10 @@ class TestLoss:
         model = fv.FusionModel(spec, seed=9)
         rng = np.random.default_rng(9)
         onehot = np.eye(5, dtype=np.float32)[rng.integers(0, 5, size=32)]
-        model, hist = fv.train(model, {"cat": onehot},
-                               nn.FitConfig(epochs=30, batch_size=16,
-                                            lr=1e-3, seed=9))
-        assert hist.rows[-1]["total"] < hist.rows[0]["total"]
+        rows, _ = fv.train(model, {"cat": onehot},
+                           nn.FitConfig(epochs=30, batch_size=16, lr=1e-3,
+                                        seed=9))
+        assert rows[-1]["total"] < rows[0]["total"]
 
 
 class TestStraightThrough:
@@ -180,9 +180,8 @@ class TestStraightThrough:
         # where the reconstruction norm is degenerate
         model = fv.FusionModel(spec_for(8, kind="fsq", latent=4), seed=11)
         x = unit(4, 8, 11)
-        model, _ = fv.train(model, {"sig0": x},
-                            nn.FitConfig(epochs=30, batch_size=4, lr=1e-3,
-                                         seed=11))
+        fv.train(model, {"sig0": x},
+                 nn.FitConfig(epochs=30, batch_size=4, lr=1e-3, seed=11))
         result = model.forward({"sig0": x})
         c = (result.h.value - result.h_hat.value).copy()
         nn.backward(fv.fusion_loss(model, {"sig0": x}, result)[0])
@@ -207,9 +206,8 @@ class TestTrain:
         model = fv.FusionModel(spec_for(8, latent=4), seed=12)
         before = model.params.flat.copy()
         x = unit(32, 8, 12)
-        model, _ = fv.train(model, {"sig0": x},
-                            nn.FitConfig(epochs=2, batch_size=16,
-                                         lr=1e-12, seed=12))
+        fv.train(model, {"sig0": x},
+                 nn.FitConfig(epochs=2, batch_size=16, lr=1e-12, seed=12))
         np.testing.assert_allclose(model.params.flat, before, atol=1e-5)
 
     def test_line_dataset_reaches_low_loss(self):
@@ -221,9 +219,8 @@ class TestTrain:
         spec = fv.FusionSpec(signals=(fv.SignalSpec("sig0", 16),), latent=1,
                              hidden=32, quantizer=quantizer("fsq"))
         model = fv.FusionModel(spec, seed=0)
-        model, _ = fv.train(model, {"sig0": pts},
-                            nn.FitConfig(epochs=500, batch_size=16,
-                                         lr=1e-3, seed=0))
+        fv.train(model, {"sig0": pts},
+                 nn.FitConfig(epochs=500, batch_size=16, lr=1e-3, seed=0))
         data = fv.normalize_bundle(model, {"sig0": pts})
         result = model.forward(data)
         loss = cosine_recon_loss(data["sig0"], result.recon["sig0"].value)
@@ -233,10 +230,10 @@ class TestTrain:
     def test_loss_decreases_on_structured_data(self, seed):
         x = structured_corpus(256, 24, seed)
         model = fv.FusionModel(spec_for(24, kind="fsq", latent=8), seed=seed)
-        model, hist = fv.train(
+        rows, _ = fv.train(
             model, {"sig0": x},
             nn.FitConfig(epochs=11, batch_size=64, lr=1e-3, seed=seed))
-        assert hist.rows[10]["total"] < hist.rows[0]["total"]
+        assert rows[10]["total"] < rows[0]["total"]
 
     def test_symmetric_duplicate_signals_converge_together(self):
         x = structured_corpus(192, 16, 14)
@@ -244,9 +241,8 @@ class TestTrain:
         spec = fv.FusionSpec(signals=sigs, latent=6, hidden=48,
                              quantizer=quantizer("fsq"))
         model = fv.FusionModel(spec, seed=14)
-        model, _ = fv.train(model, {"a": x, "b": x},
-                            nn.FitConfig(epochs=150, batch_size=64,
-                                         lr=1e-3, seed=14))
+        fv.train(model, {"a": x, "b": x},
+                 nn.FitConfig(epochs=150, batch_size=64, lr=1e-3, seed=14))
         data = fv.normalize_bundle(model, {"a": x, "b": x})
         result = model.forward(data)
         la = cosine_recon_loss(data["a"], result.recon["a"].value)
@@ -263,10 +259,10 @@ class TestTrain:
             model = fv.FusionModel(spec_for(8, kind=kind, latent=4), seed=15)
             # 2 batches per epoch: the first batch of epoch 1 goes NaN
             nan_weight_on_forward(monkeypatch, model, 3)
-            model, hist = fv.train(model, {"sig0": x}, nn.FitConfig(
+            rows, diverged_at = fv.train(model, {"sig0": x}, nn.FitConfig(
                 epochs=3, batch_size=32, lr=1e-3, seed=15))
-            assert hist.diverged_at == 1
-            assert len(hist.rows) == 1
+            assert diverged_at == 1
+            assert [row["epoch"] for row in rows] == [0]
             for name, arr in stopped.params.items():
                 np.testing.assert_array_equal(model.params.get(name), arr)
 
@@ -285,6 +281,22 @@ class TestTrain:
         model = fv.FusionModel(spec, seed=16)
         with pytest.raises(fv.FusionError, match="sample count"):
             fv.train(model, {"a": unit(10, 8, 16), "b": unit(12, 8, 17)},
+                     nn.FitConfig(epochs=1, batch_size=256, lr=1e-3,
+                                  seed=0))
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-finite norm for 'b' at row 7"),
+        (np.inf, "non-finite norm for 'b' at row 7"),
+        (0.0, "zero-norm input for 'b' at row 7")])
+    def test_a_bad_row_is_named_before_training(self, value, message):
+        sigs = (fv.SignalSpec("a", 8), fv.SignalSpec("b", 8))
+        spec = fv.FusionSpec(signals=sigs, latent=4, hidden=16,
+                             quantizer=quantizer("fsq"))
+        b = unit(10, 8, 17)
+        b[[7, 9]] = value  # the first bad row is named
+        model = fv.FusionModel(spec, seed=16)
+        with pytest.raises(fv.FusionError, match=f"^{message}$"):
+            fv.train(model, {"a": unit(10, 8, 16), "b": b},
                      nn.FitConfig(epochs=1, batch_size=256, lr=1e-3,
                                   seed=0))
 
@@ -371,9 +383,8 @@ class TestEncodeCorpus:
         x = structured_corpus(128, 12, seed)
         model = fv.FusionModel(
             spec_for(12, kind="dpca", latent=8, depth=6), seed=seed)
-        model, _ = fv.train(model, {"sig0": x},
-                            nn.FitConfig(epochs=10, batch_size=64, lr=1e-3,
-                                         seed=seed))
+        fv.train(model, {"sig0": x},
+                 nn.FitConfig(epochs=10, batch_size=64, lr=1e-3, seed=seed))
         return model, x
 
     def test_determinism(self):
@@ -458,8 +469,17 @@ class TestBlockedInference:
             np.testing.assert_array_equal(recon[name], node.value)
 
     def test_encode_error_names_the_corpus_row(self, monkeypatch):
+        # normalize_bundle rejects a NaN input row, so the NaN is put into
+        # its output, as a NaN the encoder made would be
         model, bundle = self._model("fsq")
-        bundle["sig1"][97, 3] = np.nan
+        normalize = fv.normalize_bundle
+
+        def with_nan(model, bundle):
+            data = normalize(model, bundle)
+            data["sig1"][97, 3] = np.nan
+            return data
+
+        monkeypatch.setattr(fv, "normalize_bundle", with_nan)
         self._blocks_of(monkeypatch, model, 30)
         with pytest.raises(nn.NonFiniteError, match="'sig1'.*row 97") as exc:
             fv.encode_codes(model, bundle)

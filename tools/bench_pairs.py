@@ -10,7 +10,10 @@ object on each run's last line of output is kept. The result is written
 to BENCH_<workload>_seed<N>.json at the root of this repository: every
 pair's values, then per end-to-end metric of BENCHMARK.json and per side
 the median, the quartiles and the number of pairs that side won (a tie
-counts for neither), and the environment the pairs ran in.
+counts for neither), and the environment the pairs ran in. Per metric it
+also prints how much worse or better the change's median is than the
+parent's, against the metric's `bound`, or "unresolved" where the
+parent's own quartile spread is wider than the bound.
 """
 
 from __future__ import annotations
@@ -71,6 +74,24 @@ def summarize(pairs, metrics):
     return out
 
 
+def verdict(summary, bound):
+    """One metric's summary read against its relative `bound`: "worse by
+    X% (bound Y%)" or "better by X% (bound Y%)" for the change's median
+    against the parent's, with "over the bound" when worse by more than
+    it, or "unresolved" when the parent's q3 - q1 is wider than `bound`
+    times its median, so its runs cannot tell a change of that size."""
+    parent, change = summary["parent"], summary["change"]
+    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    if spread > bound:
+        return (f"unresolved: parent spread {spread:.1%} > "
+                f"bound {bound:.0%}")
+    sign = 1 if summary["better"] == "lower" else -1
+    worse = sign * (change["median"] - parent["median"]) / parent["median"]
+    text = (f"{'worse' if worse > 0 else 'better'} by {abs(worse):.1%} "
+            f"(bound {bound:.0%})")
+    return text + ", over the bound" if worse > bound else text
+
+
 def _checkout(path):
     """The commit a checkout is at, and whether its src/ or bench/ differ
     from that commit (both None outside a git checkout)."""
@@ -122,6 +143,7 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     environment = _environment()
 
     pairs = []
@@ -148,7 +170,8 @@ def main(argv=None):
     for name, s in report["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.4g} -> change "
               f"{s['change']['median']:.4g} ({s['better']} is better; change "
-              f"won {s['change']['wins']}/{s['pairs']}, ties {s['ties']})")
+              f"won {s['change']['wins']}/{s['pairs']}, ties {s['ties']}): "
+              f"{verdict(s, bounds[name])}")
     print(f"wrote {os.path.relpath(path, ROOT)}")
     return 0 if all(p[s]["correct"] for p in pairs for s in SIDES) else 1
 

@@ -10,10 +10,9 @@ from .nn_core import (
     TrainingDiverged,
     adam_step,
     backward,
-    load_checkpoint,
-    save_checkpoint,
     stop_gradient,
 )
+from .corpus_io import FormatError, load_checkpoint, save_checkpoint
 from .quantizers import (
     DpcaStack,
     FsqConfig,

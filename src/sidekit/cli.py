@@ -17,7 +17,6 @@ and NE is computed in the calling process, in report order.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, replace
 from itertools import product
@@ -28,7 +27,8 @@ import numpy as np
 from . import fusion_vae as fv
 from . import metrics
 from . import ranking as rk
-from .corpus_io import corpus_read, corpus_write, generate_clustered_corpus
+from .corpus_io import (corpus_read, corpus_write, generate_clustered_corpus,
+                        history_write)
 from .nn_core import FitConfig, TrainingDiverged, _no_record
 from .quantizers import (kmeans_grid_decode, kmeans_grid_encode,
                          kmeans_grid_fit, load_codebooks, save_codebooks)
@@ -183,9 +183,7 @@ def cmd_train(args):
                                 f"{cfg.quantizer} training")
     model.save(args.out)
     if args.history:
-        with open(args.history, "w", newline="") as fh:
-            csv.writer(fh).writerows([list(rows[0])] +
-                                     [list(row.values()) for row in rows])
+        history_write(args.history, rows)
     print(f"trained {cfg.quantizer} fusion model -> {args.out} "
           f"(final loss {rows[-1]['total']:.4f})")
     return 0
@@ -246,6 +244,11 @@ def cmd_decode(args):
             f"digits, the {cfg.quantizer} model of {args.config} needs "
             f"base {cfg.levels} and {need} digits")
     digits = unpack_all(scheme, sids)
+    extra = np.flatnonzero(digits[:, need:].any(axis=1))
+    if extra.size:  # pack_all pads with zero digits; these were not padding
+        raise PipelineError(
+            f"{args.sids} line {extra[0] + 2}: a nonzero digit after the "
+            f"{need} that the {cfg.quantizer} model of {args.config} decodes")
     if cfg.quantizer in CLASSICAL_KINDS:
         recon = {"sig0": kmeans_grid_decode(books, cfg.groups,
                                             digits + scheme.offset)}

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core as nn
+from .corpus_io import load_checkpoint, save_checkpoint
 from .metrics import _row_blocks
 from .nn_core import DTYPE, ParamStore
 from .quantizers import (DpcaStack, FsqConfig, _fsq_snap, dpca_decode,
@@ -254,12 +255,12 @@ class FusionModel:
     def save(self, path):
         arrays = dict(self.params.items())
         arrays["meta.latent"] = np.array([[self.spec.latent]], dtype=DTYPE)
-        nn.save_checkpoint(path, arrays)
+        save_checkpoint(path, arrays)
 
     def load(self, path):
         """Read save's output. The checkpoint must hold exactly the spec's
         parameters, each in its shape; nothing is set unless all match."""
-        arrays = nn.load_checkpoint(path)
+        arrays = load_checkpoint(path)
         if "meta.latent" not in arrays:
             raise FusionError("checkpoint missing 'meta.latent'")
         latent = int(arrays.pop("meta.latent")[0][0])

@@ -195,10 +195,11 @@ class NEReport:
 def normalized_entropy(labels, predictions):
     """NE = mean log-loss of the predictions / entropy of the label prior.
 
-    Equals 1 for the constant-prior predictor; lower is better. Predictions
-    are clipped to [1e-7, 1 - 1e-7] to keep the log-loss finite. Requires
-    at least one positive and one negative label, otherwise the prior
-    entropy is zero.
+    Equals 1 for the constant-prior predictor; lower is better. A
+    prediction outside [0, 1], NaN included, is rejected, naming the first
+    one's index; the rest are clipped to [1e-7, 1 - 1e-7] to keep the
+    log-loss finite. Requires at least one positive and one negative label,
+    otherwise the prior entropy is zero.
     """
     y = np.asarray(labels, dtype=np.float64).ravel()
     p = np.asarray(predictions, dtype=np.float64).ravel()
@@ -208,6 +209,10 @@ def normalized_entropy(labels, predictions):
         raise MetricError("need at least one sample")
     if not np.isin(y, (0.0, 1.0)).all():
         raise MetricError("labels must be binary")
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if bad.size:
+        raise MetricError(f"prediction {p[bad[0]]} at index {bad[0]} is not "
+                          "a probability in [0, 1]")
     prior = float(y.mean())
     if prior in (0.0, 1.0):
         raise MetricError("labels are single-class; prior entropy is zero")

@@ -26,12 +26,12 @@ corpus through a model also split it into row blocks, which bounds their
 memory by the block size instead of the corpus size. The switch is
 module state, not a graph op; training never sets it.
 
-Also provides the Adam optimizer and the one minibatch training loop
-(`fit`), a named parameter store with the initialization rules used
-across the package, and the binary checkpoint format (magic "SIDK")
-shared by models and codebooks. A model's state is whole float32 buffers
+Also provides the Adam optimizer, the one minibatch training loop
+(`fit`) and a named parameter store with the initialization rules used
+across the package. A model's state is whole float32 buffers
 (parameters, gradients, Adam moments), each parameter one persistent graph
 leaf that views them; a `fit` step returns (loss node, per-term floats).
+The engine holds no file code: checkpoints are `corpus_io`'s.
 
 Embedding tables are row-sparse. A parameter registered with
 `ParamStore.table` may feed only `gather_rows`; any other op, or using it
@@ -49,16 +49,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DTYPE = np.float32
-
-CHECKPOINT_MAGIC = b"SIDK"
-CHECKPOINT_VERSION = 1
 
 
 class GraphError(ValueError):
@@ -757,106 +752,3 @@ def fit(params, n, step, rng, cfg, weight_decay):
                      **{k: v / batches for k, v in sums.items()}})
         last_good = params.flat.copy()
     return rows, None
-
-
-def _atomic_write(path, chunks):
-    """Write byte chunks to `path` through a per-process temp file and an
-    atomic rename. If writing raises, the temp file is removed and an
-    existing `path` is left untouched."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint format: magic "SIDK", version u32 LE, then one record per
-# tensor: name length u32, UTF-8 name, rows u32, cols u32, row-major f32
-# little-endian payload. Records run to end of file.
-
-
-class CheckpointError(ValueError):
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (at byte {offset})"
-        super().__init__(message)
-        self.offset = offset
-
-
-def save_checkpoint(path, arrays):
-    """Write named 2-D float32 arrays; the write is atomic via rename."""
-    def records():
-        yield CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr, dtype=DTYPE)
-            if arr.ndim != 2:
-                raise CheckpointError(f"tensor '{name}' is not 2-D")
-            if not _valid_name(name):
-                raise CheckpointError(f"tensor name {name!r} is empty or "
-                                      f"not printable")
-            encoded = name.encode("utf-8")
-            yield (struct.pack("<I", len(encoded)) + encoded
-                   + struct.pack("<II", arr.shape[0], arr.shape[1]))
-            yield arr.astype("<f4").tobytes()
-    _atomic_write(path, records())
-
-
-def _valid_name(name):
-    return name.isprintable() and name != ""
-
-
-def load_checkpoint(path):
-    """Read a checkpoint back into an ordered name -> array dict.
-
-    Anything save_checkpoint cannot have written raises CheckpointError
-    with its byte offset: a short header or record, a name that is not
-    printable UTF-8 or repeats an earlier one. Records run to the end of
-    the file, so a file cut exactly at a record boundary reads as the
-    records before the cut; callers check for the names they need.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC[:len(data)]:
-        raise CheckpointError(f"bad magic {data[:4]!r}", offset=0)
-    if len(data) < 8:
-        raise CheckpointError("truncated header", offset=len(data))
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported version {version}", offset=4)
-    arrays = {}
-    pos = 8
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise CheckpointError("truncated record header", offset=pos)
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + name_len + 8 > len(data):
-            raise CheckpointError("truncated record", offset=pos)
-        raw_name = data[pos:pos + name_len]
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError:
-            name = ""
-        if not _valid_name(name):
-            raise CheckpointError(f"bad tensor name {raw_name[:64]!r}",
-                                  offset=pos)
-        if name in arrays:
-            raise CheckpointError(f"duplicate tensor '{name}'", offset=pos)
-        pos += name_len
-        rows, cols = struct.unpack_from("<II", data, pos)
-        pos += 8
-        nbytes = rows * cols * 4
-        if pos + nbytes > len(data):
-            raise CheckpointError(
-                f"truncated payload for '{name}': expected {nbytes} bytes, "
-                f"have {len(data) - pos}", offset=pos)
-        arr = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=pos)
-        arrays[name] = arr.reshape(rows, cols).astype(DTYPE)
-        pos += nbytes
-    return arrays

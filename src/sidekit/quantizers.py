@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn_core import DTYPE, load_checkpoint, save_checkpoint
+from .corpus_io import load_checkpoint, save_checkpoint
+from .nn_core import DTYPE
 
 
 class QuantizerError(ValueError):

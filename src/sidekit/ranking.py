@@ -19,11 +19,12 @@ carry ternary-grid latents, each user's history is sampled around a
 hidden taste vector, and the click probability of the shown candidate is
 sigmoid(a * <mean of history latents, candidate latent> + b).
 
-`SyntheticEngagementSet.save`/`load` own the engagement file, the only data
-`rank-ab` reads. `run_ab` trains each arm through `train_ranker`, the three
-at once in up to `worker_count()` processes, the calling one and forked
-workers. The report equals the serial run's: the arms return only
-predictions and counts, and NE is computed in the calling process.
+`SyntheticEngagementSet` owns the engagement file, the only data `rank-ab`
+reads: `corpus_io` writes and reads its bytes, `load` checks its arrays.
+`run_ab` trains each arm through `train_ranker`, the three at once in up
+to `worker_count()` processes, the calling one and forked workers. The
+report equals the serial run's: the arms return only predictions and
+counts, and NE is computed in the calling process.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from functools import partial, reduce
 import numpy as np
 
 from . import nn_core as nn
+from .corpus_io import npz_read, npz_write
 from .nn_core import DTYPE, ParamStore
 from .metrics import NEReport, _row_blocks, normalized_entropy
 from .sid_codec import SidError, SidScheme, pack_all, side_embed, sid_hash
@@ -138,29 +140,30 @@ class SyntheticEngagementSet:
         return self.scheme.max_sid + 1
 
     def save(self, path):
-        """Write the set as an `.npz`: the arrays in field order, then the
-        config's sizes."""
-        np.savez(path, **{f.name: getattr(self, f.name)
-                          for f in fields(self)[1:]}, **asdict(self.config))
+        """Write the set to exactly `path` as an `.npz`: the arrays in
+        field order, then the config's sizes."""
+        npz_write(path, {**{f.name: getattr(self, f.name)
+                            for f in fields(self)[1:]}, **asdict(self.config)})
 
     @classmethod
     def load(cls, path):
-        """The set `save` wrote to `path`. A missing entry and a size that
-        is not one integer are named; an array that disagrees with the
-        sizes is rejected as on construction."""
+        """The set `save` wrote to `path`. A file that is no `.npz` or is
+        corrupt raises `corpus_io.FormatError`; a missing entry and a size
+        that is not one integer are named; an array that disagrees with
+        the sizes is rejected as on construction."""
         arrays = [f.name for f in fields(cls)[1:]]
         sizes = [f.name for f in fields(EngagementConfig)]
-        with np.load(path) as loaded:
-            missing = [k for k in arrays + sizes if k not in loaded]
-            if missing:
-                raise RankingError(f"{path} lacks {', '.join(missing)}")
-            given = {k: loaded[k] for k in sizes}
-            for k, v in given.items():
-                if v.shape or v.dtype.kind not in "iu":
-                    raise RankingError(f"{path}: {k} has shape {v.shape} and "
-                                       f"dtype {v.dtype}, expected one integer")
-            cfg = EngagementConfig(**{k: int(v) for k, v in given.items()})
-            return cls(config=cfg, **{k: loaded[k] for k in arrays})
+        loaded = npz_read(path)
+        missing = [k for k in arrays + sizes if k not in loaded]
+        if missing:
+            raise RankingError(f"{path} lacks {', '.join(missing)}")
+        given = {k: loaded[k] for k in sizes}
+        for k, v in given.items():
+            if v.shape or v.dtype.kind not in "iu":
+                raise RankingError(f"{path}: {k} has shape {v.shape} and "
+                                   f"dtype {v.dtype}, expected one integer")
+        cfg = EngagementConfig(**{k: int(v) for k, v in given.items()})
+        return cls(config=cfg, **{k: loaded[k] for k in arrays})
 
 
 def generate_engagement(cfg):

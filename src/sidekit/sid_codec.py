@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import DTYPE, _atomic_write
+from .corpus_io import _atomic_write
+from .nn_core import DTYPE
 
 _U64_MAX = 2**64 - 1
 _HEADER = re.compile(
@@ -197,7 +198,8 @@ def write_sid_file(path, scheme, sids):
     arr = _records(scheme, sids)
     record = " ".join(["%d"] * scheme.grams) + "\n"
     body = (record * arr.shape[0]) % tuple(arr.ravel().tolist())
-    _atomic_write(path, [f"{scheme.header()}\n{body}".encode("ascii")])
+    _atomic_write(path, lambda fh: fh.write(
+        f"{scheme.header()}\n{body}".encode("ascii")))
 
 
 def _first_bad_byte(body, grams):

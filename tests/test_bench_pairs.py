@@ -1,9 +1,11 @@
-"""The summary arithmetic of tools/bench_pairs.py on canned results; no
-benchmark runs."""
+"""The summary arithmetic and output checks of tools/bench_pairs.py on
+canned results; no benchmark runs."""
 
 import importlib.util
+import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -103,3 +105,50 @@ def test_verdict_reads_the_change_against_the_bound(bp, better, parent,
                                                     change, expect):
     summary = bp.summarize(pairs_of(parent, change, "m"), {"m": better})["m"]
     assert bp.verdict(summary, 0.25) == expect
+
+
+def write_result(checkout, workload, seed, digests):
+    results = checkout / ".bench_work" / "results"
+    results.mkdir(parents=True)
+    (results / f"{workload}-seed{seed}-full.json").write_text(
+        json.dumps({"workload": workload, "seed": seed, "digests": digests}))
+
+
+def test_outputs_are_compared_between_sides_and_with_the_reference(
+        bp, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_result(parent, "fusion", 7, {"a.sid": "1", "a.ckpt": "2"})
+    write_result(change, "fusion", 7, {"a.sid": "1", "a.ckpt": "3"})
+    digests = [bp.result_digests(d, "fusion", 7, since=0.0)
+               for d in (parent, change)]
+    assert digests[0] == {"a.sid": "1", "a.ckpt": "2"}
+    # a result file older than the run it should come from is not read
+    assert bp.result_digests(parent, "fusion", 7, since=time.time() + 60) == {}
+    assert bp.result_digests(parent, "fusion", 8, since=0.0) == {}
+
+    # the reference need not record every output (here not a.ckpt)
+    differ = bp.compare_outputs(*digests, {"a.sid": "1", "b.sid": "4"})
+    assert differ == {"identical": False, "differ": ["a.ckpt"],
+                      "reference": {"parent": ["b.sid"], "change": ["b.sid"]}}
+    reference = {"a.sid": "1", "a.ckpt": "2"}
+    assert bp.compare_outputs(*digests, reference)["reference"] == {
+        "parent": [], "change": ["a.ckpt"]}
+    same = bp.compare_outputs(digests[0], dict(digests[0]))
+    assert same == {"identical": True, "differ": []}
+    assert not bp.compare_outputs({}, {})["identical"]
+
+    pairs = [{"outputs": bp.compare_outputs(*digests, reference)},
+             {"outputs": bp.compare_outputs(digests[0], dict(digests[0]),
+                                            reference)}]
+    assert bp.outputs_line(pairs) == (
+        "outputs: parent and change byte-identical in 1/2 pairs (differ: "
+        "a.ckpt); parent matches bench/reference_digests.json in 2/2; "
+        "change matches bench/reference_digests.json in 1/2")
+    assert bp.outputs_line(pairs[1:2] + [{"outputs": same}]) == (
+        "outputs: parent and change byte-identical in 2/2 pairs")
+
+
+def test_reference_digests_are_read_per_workload_and_seed(bp):
+    assert set(bp.reference_digests("fusion", 107)) == {
+        "dpca.ckpt", "dpca.sid", "fsq.ckpt", "fsq.sid"}
+    assert bp.reference_digests("fusion", 1) is None

@@ -350,6 +350,37 @@ def test_fusion_decode_checks_the_sid_file_against_the_config(
     assert not (tmp_path / "rec.sig0.emb").exists()
 
 
+@pytest.mark.parametrize("kind, written, body, need", [
+    ("rq", "levels=8\ndepth=3", "levels=8\ndepth=2", 2),
+    ("fsq", f"latent=6\n{FUSION}", f"latent=4\n{FUSION}", 4)],
+    ids=["rq", "fsq"])
+def test_decode_rejects_digits_the_model_does_not_decode(
+        tmp_path, corpus, capsys, kind, written, body, need):
+    """Every SID holds enough digits, but some hold a nonzero digit past
+    the model's last; decoding them would drop it without a word."""
+    paths = {}
+    for name, text in (("written", written), ("decode", body)):
+        cfg, ckpt = tmp_path / f"{name}.cfg", tmp_path / f"{name}.ckpt"
+        cfg.write_text(f"quantizer={kind}\n{text}\n")
+        assert run("train", "--corpus", corpus, "--config", cfg,
+                   "--out", ckpt) == 0
+        paths[name] = cfg, ckpt
+    sids = tmp_path / "x.sid"
+    assert run("encode", "--corpus", corpus, "--config", paths["written"][0],
+               "--ckpt", paths["written"][1], "--out", sids) == 0
+    scheme, records = read_sid_file(sids)
+    row = int(np.flatnonzero(
+        sid_codec.unpack_all(scheme, records)[:, need:].any(axis=1))[0])
+    cfg, ckpt = paths["decode"]
+    capsys.readouterr()
+    assert run("decode", "--sids", sids, "--config", cfg, "--ckpt", ckpt,
+               "--dims", 8, "--out", tmp_path / "rec") == 1
+    assert capsys.readouterr().err == (
+        f"error: {sids} line {row + 2}: a nonzero digit after the {need} "
+        f"that the {kind} model of {cfg} decodes\n")
+    assert not (tmp_path / "rec.sig0.emb").exists()
+
+
 @pytest.mark.parametrize("levels", [16, 2])
 def test_encode_rejects_levels_other_than_k(tmp_path, corpus, capsys, levels):
     trained = tmp_path / "rq4.cfg"
@@ -537,6 +568,15 @@ def engagement(tmp_path):
     return "--data", path, "--seed", 2
 
 
+def test_engagement_file_is_written_to_the_path_given(tmp_path, capsys):
+    path = tmp_path / "eng"  # no .npz is added
+    assert run("gen-engagement", *ENGAGEMENT, "--out", path) == 0
+    assert capsys.readouterr().out.endswith(f"to {path}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eng"]
+    assert run("rank-ab", "--data", path, "--epochs", 1, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["none"]["ne"]["n"] == 60
+
+
 def test_rank_ab_needs_a_data_file(capsys):
     with pytest.raises(SystemExit) as info:
         run("rank-ab", "--epochs", 1, "--json")
@@ -615,6 +655,12 @@ def test_rank_ab_json_is_byte_identical_in_worker_processes(monkeypatch,
     assert outputs[0].out and outputs[0] == outputs[1] == outputs[2]
 
 
+def _flip_a_byte_at_a_third(raw):
+    out = bytearray(raw)
+    out[len(raw) // 3] ^= 0xFF
+    return bytes(out)
+
+
 def _flip_first_digit(digits):
     out = digits.copy()
     out[0, 0] = 1 if out[0, 0] != 1 else -1
@@ -639,20 +685,30 @@ def _flip_first_digit(digits):
      "history has dtype float64, expected integers"),
     ("labels", lambda a: a * 2, "labels: label outside {0, 1}"),
     ("segments", lambda a: a + 100, "segments: id outside [0, 16)"),
+    # no key: the edit is of the file's bytes
+    (None, lambda raw: raw[:len(raw) // 12],
+     "bad.npz: File is not a zip file"),
+    (None, _flip_a_byte_at_a_third,
+     "bad.npz: Bad CRC-32 for file 'history.npy'"),
+    (None, lambda raw: b"garbage", "bad.npz: File is not a zip file"),
 ], ids=["digits-cut", "history-cut", "labels-short", "candidate-id",
         "sids-unpacked", "digits-flipped", "segments-missing", "users-array",
-        "history-float", "labels-doubled", "segments-shifted"])
+        "history-float", "labels-doubled", "segments-shifted", "file-cut",
+        "byte-flipped", "not-a-zip"])
 def test_rank_ab_rejects_an_inconsistent_data_file(tmp_path, capsys, key,
                                                    corrupt, message):
     data, bad = tmp_path / "eng.npz", tmp_path / "bad.npz"
     assert run("gen-engagement", *ENGAGEMENT, "--out", data) == 0
-    with np.load(data) as loaded:
-        arrays = dict(loaded)
-    if corrupt is None:
-        del arrays[key]
+    if key is None:
+        bad.write_bytes(corrupt(data.read_bytes()))
     else:
-        arrays[key] = corrupt(arrays[key])
-    np.savez(bad, **arrays)
+        with np.load(data) as loaded:
+            arrays = dict(loaded)
+        if corrupt is None:
+            del arrays[key]
+        else:
+            arrays[key] = corrupt(arrays[key])
+        np.savez(bad, **arrays)
     capsys.readouterr()
     assert run("rank-ab", "--data", bad, "--epochs", 1, "--json") == 1
     captured = capsys.readouterr()
@@ -696,6 +752,22 @@ def test_eval_recall_is_a_monotone_fraction(tmp_path, corpus, capsys):
     assert all(0.0 <= r <= 1.0 for r in recalls)
     assert recalls == sorted(recalls)
     assert (report["queries"], report["corpus"]) == (16, 64)
+
+
+@pytest.mark.parametrize("preds, message", [
+    ("0.2 nan 0.6 0.4", "prediction nan at index 1"),
+    ("0.2 1.7 0.6 -0.4", "prediction 1.7 at index 1"),
+    ("0.2 0.5 0.6 -0.4", "prediction -0.4 at index 3"),
+], ids=["nan", "above-one", "below-zero"])
+def test_eval_ne_rejects_predictions_that_are_not_probabilities(
+        tmp_path, capsys, preds, message):
+    labels, predictions = tmp_path / "y.txt", tmp_path / "p.txt"
+    labels.write_text("0 1 1 0\n")
+    predictions.write_text(f"{preds}\n")
+    assert run("eval-ne", "--labels", labels, "--predictions",
+               predictions) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {message} is not a probability in [0, 1]\n")
 
 
 def test_eval_ne_matches_the_metric(tmp_path, capsys):

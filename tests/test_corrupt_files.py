@@ -1,5 +1,6 @@
-"""Corrupt corpus, checkpoint and SID files: a truncation at any offset and
-a flipped bit in a header, name-length or shape field.
+"""Corrupt corpus, checkpoint, SID and engagement files: a truncation at
+any offset and a flipped bit in a header, name-length or shape field, or
+any flipped byte of an engagement file.
 
 Every rejection names the byte offset (binary files) or the line (SID
 files). What a format cannot tell from a valid file is pinned exactly:
@@ -8,7 +9,8 @@ count, so a cut at a record boundary or at a line end reads as the
 records before it (`FusionModel.load` still rejects it: it needs every
 parameter), and an empty array's other dimension is not checked against
 anything. Every SID line ends with a line feed, so a SID file cut
-anywhere else is rejected.
+anywhere else is rejected. An engagement file is a zip whose members carry
+CRCs, so it reads back as saved or not at all.
 """
 
 import re
@@ -19,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidekit import fusion_vae as fv
-from sidekit import nn_core as nn
 from sidekit import sid_codec as sc
-from sidekit.corpus_io import CorpusFormatError, corpus_read, corpus_write
+from sidekit import ranking as rk
+from sidekit.corpus_io import (FormatError, corpus_read, corpus_write,
+                               load_checkpoint, save_checkpoint)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -54,7 +57,7 @@ def test_truncated_corpus_names_its_byte(tmp_path_factory, rows, dim, seed,
                                          data):
     path, raw = corpus_bytes(tmp_path_factory, rows, dim, seed)
     path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
-    with pytest.raises(CorpusFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         corpus_read(path)
     assert names_its_byte(exc.value)
 
@@ -69,7 +72,7 @@ def test_corpus_header_bit_flip_names_its_byte(tmp_path_factory, rows, dim,
     path.write_bytes(flip(raw, byte, bit))
     try:
         arr = corpus_read(path)
-    except CorpusFormatError as exc:
+    except FormatError as exc:
         assert names_its_byte(exc)
         return
     # only an empty payload's other dimension can change unnoticed
@@ -107,7 +110,7 @@ def layout(arrays):
 
 def saved(tmp_path_factory, arrays):
     path = tmp_path_factory.mktemp("ckpt") / "c.ckpt"
-    nn.save_checkpoint(path, arrays)
+    save_checkpoint(path, arrays)
     return path, path.read_bytes()
 
 
@@ -119,8 +122,8 @@ def test_truncated_checkpoint_names_its_byte(tmp_path_factory, arrays, data):
     path.write_bytes(raw[:cut])
     ends, _ = layout(arrays)
     try:
-        loaded = nn.load_checkpoint(path)
-    except nn.CheckpointError as exc:
+        loaded = load_checkpoint(path)
+    except FormatError as exc:
         assert names_its_byte(exc)
         return
     kept = ends.index(cut)  # accepted only at a record boundary
@@ -140,8 +143,8 @@ def test_checkpoint_field_bit_flip_names_its_byte(tmp_path_factory, arrays,
          *range(shape_at, shape_at + 8)]))
     path.write_bytes(flip(raw, byte, data.draw(st.integers(0, 7))))
     try:
-        loaded = nn.load_checkpoint(path)
-    except nn.CheckpointError as exc:
+        loaded = load_checkpoint(path)
+    except FormatError as exc:
         assert names_its_byte(exc)
         return
     # only the other dimension of an empty array can change unnoticed
@@ -166,9 +169,9 @@ def test_model_load_rejects_every_truncation(tmp_path_factory,
     spec, raw = model_checkpoint
     path = tmp_path_factory.mktemp("cut") / "m.ckpt"
     path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
-    with pytest.raises((nn.CheckpointError, fv.FusionError)) as exc:
+    with pytest.raises((FormatError, fv.FusionError)) as exc:
         fv.FusionModel(spec, seed=1).load(path)
-    if isinstance(exc.value, nn.CheckpointError):
+    if isinstance(exc.value, FormatError):
         assert names_its_byte(exc.value)
     else:
         assert re.search(r"missing (parameter )?'[\w.]+'", str(exc.value))
@@ -179,7 +182,7 @@ def test_model_load_rejects_a_cut_at_every_record_boundary(tmp_path,
     spec, raw = model_checkpoint
     path = tmp_path / "m.ckpt"
     path.write_bytes(raw)
-    ends, _ = layout(nn.load_checkpoint(path))
+    ends, _ = layout(load_checkpoint(path))
     assert ends[-1] == len(raw)
     for cut in ends[:-1]:  # the last record, meta.latent, included
         path.write_bytes(raw[:cut])
@@ -190,22 +193,64 @@ def test_model_load_rejects_a_cut_at_every_record_boundary(tmp_path,
 @pytest.mark.parametrize("name", ["", "tab\there", "nul\0"])
 def test_names_a_load_would_refuse_are_not_saved(tmp_path, name):
     path = tmp_path / "n.ckpt"
-    with pytest.raises(nn.CheckpointError, match="not printable"):
-        nn.save_checkpoint(path, {name: np.ones((1, 1))})
+    with pytest.raises(FormatError, match="not printable"):
+        save_checkpoint(path, {name: np.ones((1, 1))})
     assert not path.exists()
 
 
 def test_undecodable_or_repeated_names_name_their_byte(tmp_path):
     path = tmp_path / "c.ckpt"
-    nn.save_checkpoint(path, {"ab": np.ones((1, 1)), "cd": np.ones((1, 1))})
+    save_checkpoint(path, {"ab": np.ones((1, 1)), "cd": np.ones((1, 1))})
     raw = path.read_bytes()
     path.write_bytes(raw.replace(b"ab", b"\xff\xfe"))
-    with pytest.raises(nn.CheckpointError, match=r"bad tensor name .*at byte 12"):
-        nn.load_checkpoint(path)
+    with pytest.raises(FormatError, match=r"bad tensor name .*at byte 12"):
+        load_checkpoint(path)
     path.write_bytes(raw.replace(b"cd", b"ab"))
-    with pytest.raises(nn.CheckpointError,
+    with pytest.raises(FormatError,
                        match=r"duplicate tensor 'ab' \(at byte 30\)"):
-        nn.load_checkpoint(path)
+        load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# Engagement sets: an np.savez zip, one .npy member per array, then the zip
+# directory
+
+
+@pytest.fixture(scope="module")
+def engagement_file(tmp_path_factory):
+    ds = rk.generate_engagement(rk.EngagementConfig(users=20, items=6,
+                                                    seq_len=3, seed=1))
+    path = tmp_path_factory.mktemp("eng") / "e.npz"
+    ds.save(path)
+    return ds, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_engagement_load_returns_the_set_or_a_format_error(
+        tmp_path_factory, engagement_file, data):
+    ds, raw = engagement_file
+    # most bytes are array payload: draw half the edits in the directory
+    lo = data.draw(st.sampled_from([0, raw.index(b"PK\x01\x02")]))
+    at = data.draw(st.integers(lo, len(raw) - 1))
+    if data.draw(st.booleans()):
+        edited = raw[:at]
+    else:
+        edited = bytearray(raw)
+        edited[at] ^= data.draw(st.integers(1, 255))
+    path = tmp_path_factory.mktemp("bad") / "e.npz"
+    path.write_bytes(edited)
+    try:
+        back = rk.SyntheticEngagementSet.load(path)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert back.config == ds.config
+    for name in ("item_latents", "item_digits", "item_sids", "history",
+                 "candidates", "labels", "segments", "dense"):
+        got, want = getattr(back, name), getattr(ds, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from sidekit import fusion_vae as fv
 from sidekit import metrics
 from sidekit import nn_core as nn
 from sidekit import quantizers as q
+from sidekit.corpus_io import load_checkpoint, save_checkpoint
 from sidekit.metrics import cosine_recon_loss
 from oracles import grad_close, numeric_grad
 
@@ -320,7 +321,7 @@ class TestCheckpointLayout:
         assert model.params.names() == expected
         path = tmp_path / "m.ckpt"
         model.save(path)
-        assert list(nn.load_checkpoint(path)) == expected + ["meta.latent"]
+        assert list(load_checkpoint(path)) == expected + ["meta.latent"]
 
     def test_dpca_rows_hold_the_seeded_stack(self):
         model = fv.FusionModel(self.SPEC, seed=5)
@@ -361,9 +362,9 @@ class TestLoad:
 
     def test_missing_parameter_rejected(self, tmp_path):
         path = self._saved(tmp_path, depth=2)
-        arrays = nn.load_checkpoint(path)
+        arrays = load_checkpoint(path)
         del arrays["dpca.g0.d1.b"]
-        nn.save_checkpoint(path, arrays)
+        save_checkpoint(path, arrays)
         self._rejects(spec_for(10, kind="dpca", latent=6, depth=2), path,
                       "missing parameter 'dpca.g0.d1.b'")
 

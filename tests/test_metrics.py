@@ -253,6 +253,17 @@ class TestNormalizedEntropy:
         report = m.normalized_entropy([1, 0], [1.0, 0.0])
         assert np.isfinite(report.ne)
 
+    @pytest.mark.parametrize("preds, message", [
+        ([0.2, np.nan, 0.6, 0.4], "prediction nan at index 1"),
+        ([0.2, 0.5, np.inf, 0.4], "prediction inf at index 2"),
+        ([0.2, 1.7, 0.6, -0.4], "prediction 1.7 at index 1"),
+        ([0.2, 0.5, 0.6, -0.4], "prediction -0.4 at index 3"),
+    ], ids=["nan", "inf", "above-one", "below-zero"])
+    def test_predictions_outside_zero_one_rejected(self, preds, message):
+        with pytest.raises(m.MetricError) as exc:
+            m.normalized_entropy([0, 1, 1, 0], preds)
+        assert str(exc.value) == f"{message} is not a probability in [0, 1]"
+
 
 class TestRendering:
     def test_json_emission(self, capsys):

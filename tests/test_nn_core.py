@@ -1,12 +1,10 @@
 """Engine tests: forward semantics, gradients against finite differences,
-Adam, stop-gradient, and the checkpoint format."""
+Adam and stop-gradient."""
 
 import numpy as np
 import pytest
 
 from sidekit import nn_core as nn
-from sidekit.corpus_io import corpus_write
-from sidekit.sid_codec import SidScheme, write_sid_file
 from oracles import grad_close, numeric_grad
 
 RNG_SEEDS = range(10)  # the acceptance suite re-runs the fd sweep at 100 seeds
@@ -423,77 +421,3 @@ class TestAdam:
     def test_lr_must_be_positive(self):
         with pytest.raises(ValueError):
             nn.AdamState(lr=0.0)
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        arrays = {"enc.w": rng.normal(size=(3, 5)).astype(np.float32),
-                  "dpca.g0.d0.u": rng.normal(size=(1, 7)).astype(np.float32)}
-        path = tmp_path / "model.ckpt"
-        nn.save_checkpoint(path, arrays)
-        loaded = nn.load_checkpoint(path)
-        assert list(loaded) == list(arrays)
-        for k in arrays:
-            np.testing.assert_array_equal(loaded[k], arrays[k])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(nn.CheckpointError, match="magic"):
-            nn.load_checkpoint(path)
-
-    def test_truncated_payload_reports_offset(self, tmp_path):
-        path = tmp_path / "trunc.ckpt"
-        nn.save_checkpoint(path, {"w": np.ones((4, 4), dtype=np.float32)})
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(nn.CheckpointError, match="truncated"):
-            nn.load_checkpoint(path)
-
-    def test_format_is_little_endian(self, tmp_path):
-        path = tmp_path / "le.ckpt"
-        nn.save_checkpoint(path, {"x": np.array([[1.0]], dtype=np.float32)})
-        raw = path.read_bytes()
-        assert raw[:4] == b"SIDK"
-        assert raw[4:8] == (1).to_bytes(4, "little")
-        # name record: len=1, "x", rows=1, cols=1, payload 1.0f LE
-        assert raw[8:12] == (1).to_bytes(4, "little")
-        assert raw[12:13] == b"x"
-        assert raw[-4:] == np.float32(1.0).tobytes()
-
-
-REJECTED_WRITES = {
-    "checkpoint": lambda path: nn.save_checkpoint(
-        path, {"w": np.zeros((2, 2)), "t": np.zeros((2, 2, 2))}),
-    "corpus": lambda path: corpus_write(path, np.zeros((2, 2, 2))),
-    "sid_file": lambda path: write_sid_file(path, SidScheme(grams=1),
-                                            [[0, 3]]),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(REJECTED_WRITES))
-def test_rejected_write_leaves_target_and_no_temp(tmp_path, kind):
-    path = tmp_path / "target"
-    path.write_bytes(b"old")
-    with pytest.raises(ValueError):
-        REJECTED_WRITES[kind](path)
-    assert path.read_bytes() == b"old"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
-
-
-def test_atomic_write_failure_removes_temp(tmp_path):
-    path = tmp_path / "out.bin"
-    path.write_bytes(b"old")
-
-    def chunks():
-        yield b"new"
-        raise OSError("disk full")
-
-    with pytest.raises(OSError, match="disk full"):
-        nn._atomic_write(path, chunks())
-    assert path.read_bytes() == b"old"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
-    nn._atomic_write(path, [b"n", b"ew"])
-    assert path.read_bytes() == b"new"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]

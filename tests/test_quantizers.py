@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidekit import quantizers as q
-from sidekit.nn_core import save_checkpoint
+from sidekit.corpus_io import save_checkpoint
 from oracles import mask_loop_kmeans, naive_dpca_sum
 
 

@@ -14,6 +14,14 @@ counts for neither), and the environment the pairs ran in. Per metric it
 also prints how much worse or better the change's median is than the
 parent's, against the metric's `bound`, or "unresolved" where the
 parent's own quartile spread is wider than the bound.
+
+After each run the output digests are read from the result file that
+`bench/run.py` wrote in that checkout's `.bench_work/results/`. Per pair
+the result records whether both sides wrote byte-identical outputs and
+the names that differ, and, when `bench/reference_digests.json` holds
+the workload at the seed, the names it records that each side wrote
+otherwise (it records the SID files and checkpoints, not every output).
+One line sums this up; the exit code does not depend on it.
 """
 
 from __future__ import annotations
@@ -92,6 +100,62 @@ def verdict(summary, bound):
     return text + ", over the bound" if worse > bound else text
 
 
+def differing(a, b):
+    """Sorted output names whose digests differ between the name -> digest
+    maps `a` and `b`, a name that only one of them holds included."""
+    return sorted(n for n in set(a) | set(b) if a.get(n) != b.get(n))
+
+
+def compare_outputs(parent, change, reference=None):
+    """One pair's output check from each side's digests: whether they are
+    identical (and not empty), the names that differ, and per side the
+    names of `reference`, when it is given, whose digest differs."""
+    out = {"identical": bool(parent) and parent == change,
+           "differ": differing(parent, change)}
+    if reference is not None:
+        out["reference"] = {side: sorted(n for n in reference
+                                         if digests.get(n) != reference[n])
+                            for side, digests in zip(SIDES, (parent, change))}
+    return out
+
+
+def outputs_line(pairs):
+    """The one-line summary of every pair's "outputs" check."""
+    checks = [p["outputs"] for p in pairs]
+    text = (f"outputs: parent and change byte-identical in "
+            f"{sum(c['identical'] for c in checks)}/{len(checks)} pairs")
+    differ = sorted({name for c in checks for name in c["differ"]})
+    if differ:
+        text += f" (differ: {', '.join(differ)})"
+    if all("reference" in c for c in checks):
+        for side in SIDES:
+            same = sum(not c["reference"][side] for c in checks)
+            text += (f"; {side} matches bench/reference_digests.json in "
+                     f"{same}/{len(checks)}")
+    return text
+
+
+def result_digests(checkout, workload, seed, since):
+    """The output digests of the result file that bench/run.py wrote for
+    `workload` at `seed` in `checkout` at or after time `since`, else {}."""
+    path = os.path.join(checkout, ".bench_work", "results",
+                        f"{workload}-seed{seed}-full.json")
+    try:
+        if os.path.getmtime(path) < since:
+            return {}
+        with open(path) as fh:
+            return json.load(fh).get("digests", {})
+    except (OSError, ValueError):
+        return {}
+
+
+def reference_digests(workload, seed):
+    """bench/reference_digests.json's digests of `workload` at `seed`, or
+    None when it does not hold them."""
+    with open(os.path.join(ROOT, "bench", "reference_digests.json")) as fh:
+        return json.load(fh)["digests"].get(f"{workload}/{seed}")
+
+
 def _checkout(path):
     """The commit a checkout is at, and whether its src/ or bench/ differ
     from that commit (both None outside a git checkout)."""
@@ -117,13 +181,16 @@ def _run(checkout, workload, seed, seconds):
            "--seed", str(seed)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
+    started = time.time()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        return {"correct": False, "failed": None, "metrics": {},
-                "error": proc.stderr.strip()[-2000:]}
+        result = {"correct": False, "failed": None, "metrics": {},
+                  "error": proc.stderr.strip()[-2000:]}
+    result["digests"] = result_digests(checkout, workload, seed, started)
+    return result
 
 
 def main(argv=None):
@@ -145,6 +212,7 @@ def main(argv=None):
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     environment = _environment()
+    reference = reference_digests(args.workload, args.seed)
 
     pairs = []
     for pair in range(args.pairs):
@@ -156,6 +224,9 @@ def main(argv=None):
                       results[side]["metrics"].items()}
             print(f"pair {pair} {side}: correct={results[side]['correct']} "
                   f"{values}", flush=True)
+        results["outputs"] = compare_outputs(results["parent"]["digests"],
+                                             results["change"]["digests"],
+                                             reference)
         pairs.append(results)
 
     report = {"workload": args.workload, "seed": args.seed,
@@ -172,6 +243,7 @@ def main(argv=None):
               f"{s['change']['median']:.4g} ({s['better']} is better; change "
               f"won {s['change']['wins']}/{s['pairs']}, ties {s['ties']}): "
               f"{verdict(s, bounds[name])}")
+    print(outputs_line(pairs))
     print(f"wrote {os.path.relpath(path, ROOT)}")
     return 0 if all(p[s]["correct"] for p in pairs for s in SIDES) else 1
 

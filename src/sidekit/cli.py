@@ -43,10 +43,10 @@ class PipelineError(ValueError):
 CLASSICAL_KINDS = ("kmeans", "rq", "pq")
 QUANTIZER_KINDS = CLASSICAL_KINDS + ("fsq", "dpca", "none")
 LEAST = dict(levels=2, depth=1, groups=1, latent=1, hidden=1, ngram=1,
-             batch_size=1, epochs=1, kmeans_iters=1)
+             batch_size=1, epochs=1, kmeans_iters=1, seed=0)
 SIZE_FLAGS = ("rows", "users", "items", "seq_len", "epochs", "feature_dim",
               "hash_size", "queries", "ks", "dim", "clusters",
-              "levels", "depths", "groups", "ngrams")
+              "levels", "depths", "groups", "ngrams", "seed")
 
 
 @dataclass
@@ -75,6 +75,8 @@ class PipelineConfig:
                     f"{key} must be >= {least}, got {getattr(self, key)}")
         if not self.lr > 0:
             raise PipelineError(f"lr must be > 0, got {self.lr}")
+        if not np.isfinite(self.lr):
+            raise PipelineError(f"lr must be finite, got {self.lr}")
         if self.quantizer in ("kmeans", "pq", "fsq") and self.depth != 1:
             raise PipelineError(f"depth only applies to rq/dpca, got {self.depth}")
         if self.quantizer in ("kmeans", "rq", "fsq") and self.groups != 1:
@@ -351,7 +353,7 @@ def _int_list(text):
 
 def _check_flags(args):
     """Reject a SIZE_FLAGS value below its least (LEAST's, else 1), an
-    --lr not > 0 and a non-finite --noise, naming the flag."""
+    --lr not > 0 and a non-finite --lr or --noise, naming the flag."""
     for dest in SIZE_FLAGS:
         value = getattr(args, dest, None)
         least = LEAST.get(dest, 1)
@@ -361,8 +363,10 @@ def _check_flags(args):
                     f"--{dest.replace('_', '-')} must be >= {least}, got {v}")
     if not getattr(args, "lr", 1.0) > 0:
         raise PipelineError(f"--lr must be > 0, got {args.lr}")
-    if not np.isfinite(getattr(args, "noise", 0.0)):
-        raise PipelineError(f"--noise must be finite, got {args.noise}")
+    for dest in ("lr", "noise"):
+        if not np.isfinite(getattr(args, dest, 0.0)):
+            raise PipelineError(
+                f"--{dest} must be finite, got {getattr(args, dest)}")
 
 
 def build_parser():

@@ -6,10 +6,10 @@ latent is quantized (FSQ grid or a discrete-PCA stack) to h_hat, and the
 decoder consumes the straight-through surrogate s = h - stop_grad(h -
 h_hat): numerically equal to h_hat, but with an identity Jacobian toward
 h, so reconstruction gradients reach the encoders. A shared trunk feeds
-one head per signal, and training minimizes the weighted per-task
-reconstruction losses plus, for parameterized quantizers, the commitment
-and codebook terms that bind the encoder and the component vectors
-together. FSQ has no trainable codebook and needs neither term.
+one head per signal, and training minimizes the mean of the per-signal
+cosine reconstruction losses plus, for parameterized quantizers, the
+commitment and codebook terms that bind the encoder and the component
+vectors together. FSQ has no trainable codebook and needs neither term.
 
 The per-batch graph uses the fused ops of `nn_core`: DPCA's h_hat is one
 `nn.dpca_recon` node per product group over its component and offset
@@ -48,18 +48,10 @@ class FusionError(ValueError):
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """One input signal: its width, task loss, and task weight."""
+    """One input signal: its name and width."""
 
     name: str
     dim: int
-    loss: str = "cosine"  # cosine | xent
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.loss not in ("cosine", "xent"):
-            raise FusionError(f"unknown loss '{self.loss}'")
-        if self.weight < 0:
-            raise FusionError(f"negative task weight for '{self.name}'")
 
 
 @dataclass(frozen=True)
@@ -84,8 +76,6 @@ class FusionSpec:
     def __post_init__(self):
         if not self.signals:
             raise FusionError("need at least one signal")
-        if sum(s.weight for s in self.signals) <= 0:
-            raise FusionError("task weights must sum to a positive value")
         if self.quantizer.kind == "dpca" and self.latent % self.quantizer.groups:
             raise FusionError(
                 f"{self.quantizer.groups} product groups do not divide "
@@ -295,28 +285,19 @@ def _cosine_loss_node(target, recon_node):
     return nn.cosine_loss(t, norms, recon_node)
 
 
-def _task_loss_node(sig, target, recon_node):
-    if sig.loss == "cosine":
-        return _cosine_loss_node(target, recon_node)
-    # cross-entropy against a one-hot (or distribution) target
-    logp = nn.log_softmax_rows(recon_node)
-    per_row = nn.sum_axis1(nn.mul(nn.constant(target), logp))
-    return nn.scale(nn.mean_all(per_row), -1.0)
-
-
 def fusion_loss(model, batch, result):
     """Total training loss node plus a per-term float breakdown.
 
-    Total = sum_k w_k * task_k  +  COMMITMENT_WEIGHT * ||h - sg(h_hat)||^2
+    Total = (1/K) sum_k cos_k  +  COMMITMENT_WEIGHT * ||h - sg(h_hat)||^2
           + CODEBOOK_WEIGHT * ||sg(h) - h_hat||^2,
-    with the two quantizer terms only when the quantizer has parameters.
+    over the K signals' cosine losses cos_k, with the two quantizer terms
+    only when the quantizer has parameters.
     """
-    weights = np.array([s.weight for s in model.spec.signals], dtype=np.float64)
-    weights = weights / weights.sum()
+    w = 1.0 / len(model.spec.signals)
     terms = []
     breakdown = {}
-    for sig, w in zip(model.spec.signals, weights):
-        node = _task_loss_node(sig, batch[sig.name], result.recon[sig.name])
+    for sig in model.spec.signals:
+        node = _cosine_loss_node(batch[sig.name], result.recon[sig.name])
         breakdown[f"recon.{sig.name}"] = float(node.value[0, 0])
         terms.append(nn.scale(node, w))
     total = terms[0]
@@ -336,21 +317,19 @@ def fusion_loss(model, batch, result):
 
 
 def normalize_bundle(model, bundle):
-    """L2-normalize embedding signals on ingestion; leaves xent targets alone.
-    Every signal must have the same sample count. A row whose norm is not
-    finite (a NaN or infinite entry) or is zero is rejected, naming it."""
+    """L2-normalize every signal on ingestion. Every signal must have the
+    same sample count. A row whose norm is not finite (a NaN or infinite
+    entry) or is zero is rejected, naming it."""
     out = {}
     for sig in model.spec.signals:
         x = np.asarray(bundle[sig.name], dtype=DTYPE)
-        if sig.loss == "cosine":
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-            for bad, what in ((~np.isfinite(norms[:, 0]), "non-finite norm"),
-                              (norms[:, 0] == 0.0, "zero-norm input")):
-                if bad.any():
-                    raise FusionError(f"{what} for '{sig.name}' at row "
-                                      f"{int(np.argmax(bad))}")
-            x = x / norms
-        out[sig.name] = x
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        for bad, what in ((~np.isfinite(norms[:, 0]), "non-finite norm"),
+                          (norms[:, 0] == 0.0, "zero-norm input")):
+            if bad.any():
+                raise FusionError(f"{what} for '{sig.name}' at row "
+                                  f"{int(np.argmax(bad))}")
+        out[sig.name] = x / norms
     sizes = {len(v) for v in out.values()}
     if len(sizes) != 1:
         raise FusionError(f"signals disagree on sample count: {sorted(sizes)}")

@@ -54,7 +54,7 @@ def _unit_rows(x, what, first=0):
 
 
 def cosine_recon_loss(x, x_hat):
-    """Mean over rows of 1 - cos(x_i, x_hat_i).
+    """Mean over rows of 1 - cos(x_i, x_hat_i), of at least one row.
 
     The per-row cosines are computed one row block at a time into a single
     float64 vector, and the mean is taken once over all of it.
@@ -63,6 +63,8 @@ def cosine_recon_loss(x, x_hat):
     x_hat = np.asarray(x_hat)
     if x.shape != x_hat.shape:
         raise MetricError(f"shape mismatch {x.shape} vs {x_hat.shape}")
+    if not x.shape[0]:
+        raise MetricError("need at least one row")
     cos = np.empty(x.shape[0])
     # a block holds three float64 (rows x dim) arrays at once: both unit
     # copies and the squares np.linalg.norm sums

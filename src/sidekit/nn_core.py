@@ -281,19 +281,6 @@ def softmax_rows(a):
     return _make("softmax_rows", value.astype(DTYPE), (a,), backward)
 
 
-def log_softmax_rows(a):
-    x = a.value
-    shifted = x - x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    value = shifted - lse
-
-    def backward(out):
-        g = out.grad
-        s = np.exp(out.value)
-        a.grad += g - s * g.sum(axis=1, keepdims=True)
-    return _make("log_softmax_rows", value.astype(DTYPE), (a,), backward)
-
-
 def concat_cols(nodes):
     value = np.concatenate([n.value for n in nodes], axis=1)
     offsets = np.cumsum([0] + [n.shape[1] for n in nodes])
@@ -614,10 +601,11 @@ class ParamStore:
             grad = _row_items(leaf.grad)
             grad[rows] = np.zeros((), grad.dtype)
 
-    def _nonfinite_grad(self):
-        """Name of the first parameter whose gradient holds a NaN or Inf."""
+    def _nonfinite(self, what):
+        """Name of the first parameter whose `what`, "value" or "grad",
+        holds a NaN or Inf."""
         return next(n for n, leaf in self.leaves.items()
-                    if not np.isfinite(leaf.grad).all())
+                    if not np.isfinite(getattr(leaf, what)).all())
 
 
 ADAM_BETA1 = 0.9
@@ -636,8 +624,9 @@ class AdamState:
     v: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(
+                f"learning rate must be positive and finite, got {self.lr}")
 
 
 def _adam_update(p, g, m, v, lr, c1, c2):
@@ -670,7 +659,7 @@ def adam_step(state, params):
     grads = [np.take(_row_items(leaf.grad), rows).view(DTYPE)
              for leaf, _, rows in marked]
     if not (np.isfinite(g).all() and all(np.isfinite(gt).all() for gt in grads)):
-        raise NonFiniteError("non-finite gradient", params._nonfinite_grad())
+        raise NonFiniteError("non-finite gradient", params._nonfinite("grad"))
     if state.m is None:
         state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     state.step += 1
@@ -716,9 +705,12 @@ def fit(params, n, step, rng, cfg, weight_decay):
 
     Returns (rows, diverged_at): one row per finished epoch holding the
     epoch and the batch mean of each term. A non-finite value anywhere in
-    a batch counts as divergence: the parameters are restored to the end
-    of the last finished epoch, training stops and diverged_at records the
-    epoch; if epoch 0 diverges a TrainingDiverged error is raised instead.
+    a batch counts as divergence, and so does a non-finite parameter at an
+    epoch's end, which the epoch's last step can leave with no forward
+    pass to see it: the parameters are restored to the end of the last
+    finished epoch, training stops and diverged_at records the epoch; if
+    epoch 0 diverges a TrainingDiverged error is raised instead. So the
+    parameters `fit` keeps are always finite.
     Node numbers restart with each run, so errors name nodes alike anywhere.
     """
     global _node_ids
@@ -743,6 +735,9 @@ def fit(params, n, step, rng, cfg, weight_decay):
                     for k, v in terms.items():
                         sums[k] = sums.get(k, 0.0) + v
                     batches += 1
+                if not np.isfinite(params.flat).all():
+                    raise NonFiniteError("non-finite parameter at epoch end",
+                                         params._nonfinite("value"))
         except NonFiniteError as exc:
             if epoch == 0:
                 raise TrainingDiverged(f"diverged in epoch 0: {exc}") from None

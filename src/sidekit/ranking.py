@@ -344,11 +344,17 @@ def _split(dataset, seed):
 
 def _eval_labels(dataset, seed):
     """Labels of the eval split of a run seeded with `seed`; raises
-    RankingError if the training split is single-class."""
+    RankingError if the training split is single-class, or the eval split
+    is empty or single-class, since its NE would be undefined."""
     _, eval_rows, train_rows = _split(dataset, seed)
     if dataset.labels[train_rows].min() == dataset.labels[train_rows].max():
         raise RankingError("training split is single-class")
-    return dataset.labels[eval_rows]
+    labels = dataset.labels[eval_rows]
+    if not labels.size or labels.min() == labels.max():
+        raise RankingError(
+            f"eval split ({labels.size} of {dataset.config.users} users) is "
+            f"{'single-class' if labels.size else 'empty'}")
+    return labels
 
 
 def _fit_ranker(dataset, variant, hash_size, feature_dim, cfg):
@@ -420,10 +426,15 @@ AB_VARIANTS = ("none", "sid", "side")  # the order run_ab reports them in
 
 def worker_count():
     """The processes `run_ab` may train its arms in: SIDEKIT_THREADS if
-    set, else min(8, cores). Every other computation runs serially."""
+    set (an integer; below 1 means 1), else min(8, cores). Every other
+    computation runs serially."""
     env = os.environ.get("SIDEKIT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise RankingError(
+                f"SIDEKIT_THREADS must be an integer, got '{env}'") from None
     return min(8, os.cpu_count() or 1)
 
 

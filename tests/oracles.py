@@ -140,7 +140,8 @@ def dense_adam_step(state, params):
     every parameter, the table rows no gather reached included."""
     g, p = params.grad, params.flat
     if not np.isfinite(g).all():
-        raise nn.NonFiniteError("non-finite gradient", params._nonfinite_grad())
+        raise nn.NonFiniteError("non-finite gradient",
+                                params._nonfinite("grad"))
     if state.m is None:
         state.m, state.v = np.zeros_like(p), np.zeros_like(p)
     state.step += 1

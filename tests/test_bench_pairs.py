@@ -107,6 +107,43 @@ def test_verdict_reads_the_change_against_the_bound(bp, better, parent,
     assert bp.verdict(summary, 0.25) == expect
 
 
+@pytest.mark.parametrize("better, parent, change, expect", [
+    # parent 6..14 by 2: spread 40%, every change run below the parent's
+    ("lower", [6.0, 8.0, 10.0, 12.0, 14.0], [5.0, 4.0, 5.5, 3.0, 5.0],
+     "better in every run, by 50.0% (parent spread 40.0% > bound 25%)"),
+    ("higher", [6.0, 8.0, 10.0, 12.0, 14.0], [15.0, 16.0, 15.0, 14.5, 20.0],
+     "better in every run, by 50.0% (parent spread 40.0% > bound 25%)"),
+    # one change run (6.0) is not better than the parent's best (6.0)
+    ("lower", [6.0, 8.0, 10.0, 12.0, 14.0], [5.0, 4.0, 6.0, 3.0, 5.0],
+     "unresolved: parent spread 40.0% > bound 25%")])
+def test_a_wide_parent_spread_is_resolved_only_by_every_run(bp, better, parent,
+                                                           change, expect):
+    summary = bp.summarize(pairs_of(parent, change, "m"), {"m": better})["m"]
+    assert bp.verdict(summary, 0.25) == expect
+
+
+# parent 10..19: median 14.5, q3 - q1 = 16.75 - 12.25 = 4.5
+PARENT = [float(v) for v in range(10, 20)]
+
+
+@pytest.mark.parametrize("better, change, shown", [
+    # wins 10/10, median 9.5 is 5.0 better than 14.5
+    ("lower", [v - 5.0 for v in PARENT], True),
+    # a tie counts for neither side: wins 9/10 still shows the gain
+    ("lower", [v - 5.0 for v in PARENT[:9]] + [PARENT[9]], True),
+    # wins 8/10
+    ("lower", [v - 5.0 for v in PARENT[:8]] + [v + 1 for v in PARENT[8:]],
+     False),
+    # wins 10/10, but medians only 4.5 apart: not more than q3 - q1
+    ("lower", [v - 4.5 for v in PARENT], False),
+    ("higher", [v + 5.0 for v in PARENT], True),
+    ("higher", [v - 5.0 for v in PARENT], False)])
+def test_gain_needs_nine_in_ten_pairs_and_medians_apart_by_the_spread(
+        bp, better, change, shown):
+    summary = bp.summarize(pairs_of(PARENT, change, "m"), {"m": better})["m"]
+    assert bp.gain_shown(summary) is shown
+
+
 def write_result(checkout, workload, seed, digests):
     results = checkout / ".bench_work" / "results"
     results.mkdir(parents=True)

@@ -158,7 +158,7 @@ def test_history_csv_holds_the_rows_training_returns(tmp_path, corpus, kind,
 
 
 @pytest.mark.parametrize("kind", ["rq", "fsq"])
-def test_zero_row_corpus_round_trips(tmp_path, corpus, kind):
+def test_zero_row_corpus_round_trips(tmp_path, corpus, kind, capsys):
     cfg = config(tmp_path, kind)
     empty, ckpt = tmp_path / "empty.emb", tmp_path / "q.ckpt"
     sids, out = tmp_path / "e.sid", tmp_path / "rec"
@@ -173,6 +173,10 @@ def test_zero_row_corpus_round_trips(tmp_path, corpus, kind):
     assert run("decode", "--sids", sids, "--config", cfg, "--ckpt", ckpt,
                "--dims", 8, "--out", out) == 0
     assert corpus_read(f"{out}.sig0.emb").shape == (0, 8)
+    capsys.readouterr()
+    assert run("eval-recon", "--original", empty, "--reconstruction",
+               f"{out}.sig0.emb", "--json") == 1
+    assert capsys.readouterr() == ("", "error: need at least one row\n")
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -196,6 +200,24 @@ def test_divergence_in_the_first_epoch_is_an_error(tmp_path, corpus, capsys):
                    "--out", tmp_path / "q.ckpt") == 1
     assert capsys.readouterr().err.startswith(
         "error: diverged in epoch 0: node ")
+    assert not (tmp_path / "q.ckpt").exists()
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_an_epoch_ending_in_non_finite_parameters_is_an_error(
+        tmp_path, corpus, capsys, epochs):
+    # one batch per epoch, and an lr that is finite but overflows float32:
+    # the epoch's one step makes every parameter non-finite, and no
+    # forward pass follows it to see that
+    cfg = tmp_path / "wild.cfg"
+    cfg.write_text(f"quantizer=fsq\nlatent=4\nhidden=8\nepochs={epochs}\n"
+                   "batch_size=64\nlr=1e39\n")
+    with np.errstate(over="ignore"):
+        assert run("train", "--corpus", corpus, "--config", cfg,
+                   "--out", tmp_path / "q.ckpt") == 1
+    assert capsys.readouterr() == ("", (
+        "error: diverged in epoch 0: node 'enc.sig0.w1': non-finite "
+        "parameter at epoch end\n"))
     assert not (tmp_path / "q.ckpt").exists()
 
 
@@ -545,7 +567,10 @@ def test_bad_config_value_names_its_line(tmp_path):
     ("fsq", "epochs=0", "epochs must be >= 1, got 0"),
     ("rq", "kmeans_iters=0", "kmeans_iters must be >= 1, got 0"),
     ("fsq", "lr=0", "lr must be > 0, got 0.0"),
-    ("fsq", "lr=nan", "lr must be > 0, got nan")])
+    ("fsq", "lr=nan", "lr must be > 0, got nan"),
+    ("fsq", "epochs=1\nlr=inf", "lr must be finite, got inf"),
+    ("fsq", "epochs=3\nlr=inf", "lr must be finite, got inf"),
+    ("fsq", "seed=-3", "seed must be >= 0, got -3")])
 def test_config_rejects_sizes_below_one(tmp_path, corpus, capsys, kind, line,
                                         message):
     cfg = tmp_path / "bad.cfg"
@@ -611,6 +636,11 @@ def test_rank_ab_rejects_hash_size_below_one(capsys, engagement, size):
     ("rank-ab", "--feature-dim", "0", ">= 1"),
     ("rank-ab", "--lr", "nan", "> 0"),
     ("rank-ab", "--lr", "0.0", "> 0"),
+    ("rank-ab", "--lr", "inf", "finite"),
+    ("rank-ab", "--seed", "-1", ">= 0"),
+    ("gen-engagement", "--seed", "-2", ">= 0"),
+    ("eval-recall", "--seed", "-1", ">= 0"),
+    ("gen-corpus", "--seed", "-1", ">= 0"),
     ("gen-engagement", "--users", "0", ">= 1"),
     ("gen-engagement", "--items", "0", ">= 1"),
     ("gen-engagement", "--seq-len", "0", ">= 1"),
@@ -653,6 +683,16 @@ def test_rank_ab_json_is_byte_identical_in_worker_processes(monkeypatch,
         assert run("rank-ab", *engagement, "--epochs", 2, "--json") == 0
         outputs.append(capsys.readouterr())
     assert outputs[0].out and outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("threads", ["abc", "1.5"])
+def test_rank_ab_names_a_sidekit_threads_that_is_no_integer(
+        monkeypatch, capsys, engagement, threads):
+    capsys.readouterr()
+    monkeypatch.setenv("SIDEKIT_THREADS", threads)
+    assert run("rank-ab", *engagement, "--epochs", 1, "--json") == 1
+    assert capsys.readouterr() == ("", (
+        f"error: SIDEKIT_THREADS must be an integer, got '{threads}'\n"))
 
 
 def _flip_a_byte_at_a_third(raw):

@@ -40,6 +40,10 @@ class TestCosineReconLoss:
         with pytest.raises(m.MetricError, match="non-finite row 6"):
             m.cosine_recon_loss(x, bad)
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(m.MetricError, match="need at least one row"):
+            m.cosine_recon_loss(np.zeros((0, 8)), np.zeros((0, 8)))
+
     def test_scale_invariance(self):
         x = unit(10, 6, 3)
         assert m.cosine_recon_loss(x, 7.0 * x) == pytest.approx(0.0, abs=1e-6)

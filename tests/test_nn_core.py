@@ -71,8 +71,6 @@ def op_scenarios(seed):
                    lambda d: weighted(nn.square(d["a"]), r44)),
         "softmax_rows": ({"a": _rand(rng, 4, 4)},
                          lambda d: weighted(nn.softmax_rows(d["a"]), r44)),
-        "log_softmax_rows": ({"a": _rand(rng, 4, 4)},
-                             lambda d: weighted(nn.log_softmax_rows(d["a"]), r44)),
         "concat": ({"a": _rand(rng, 4, 4), "b": _rand(rng, 4, 4)},
                    lambda d: weighted(nn.concat_cols([d["a"], d["b"]]), r48)),
         "sum_all": ({"a": _rand(rng, 4, 4)},
@@ -355,6 +353,34 @@ class TestFit:
         np.testing.assert_array_equal(seen[0], [[2.0, 2.0]])
         np.testing.assert_array_equal(seen[1], [[0.0, 0.0]])
 
+    @pytest.mark.parametrize("epoch", [0, 1])
+    def test_an_epoch_ending_in_a_non_finite_parameter_diverges(self, epoch):
+        # the loss never reaches "unused": its gradient stays zero, so only
+        # the epoch-end check can see the NaN the epoch's last step leaves
+        params = _store(w=np.ones((1, 2)), unused=np.ones((1, 2)))
+        calls = []
+        kept = {}
+
+        def step(idx):
+            calls.append(1)
+            if len(calls) == 2 * epoch + 1:  # the epoch's first step
+                kept["flat"] = params.flat.copy()
+            if len(calls) == 2 * epoch + 2:  # and its last
+                params.get("unused")[0, 1] = np.nan
+            return nn.sum_all(nn.square(params.leaves["w"])), {"t": 1.0}
+
+        args = (params, 4, step, np.random.default_rng(0),
+                nn.FitConfig(epochs=3, batch_size=2, lr=0.1, seed=0))
+        if epoch == 0:
+            with pytest.raises(nn.TrainingDiverged,
+                               match="epoch 0: node 'unused': non-finite"):
+                nn.fit(*args, weight_decay=0.0)
+        else:
+            rows, diverged_at = nn.fit(*args, weight_decay=0.0)
+            assert diverged_at == 1 and rows == [{"epoch": 0, "t": 1.0}]
+            np.testing.assert_array_equal(params.flat, kept["flat"])
+            assert np.isfinite(params.flat).all()
+
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
@@ -421,3 +447,8 @@ class TestAdam:
     def test_lr_must_be_positive(self):
         with pytest.raises(ValueError):
             nn.AdamState(lr=0.0)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_lr_must_be_finite(self, lr):
+        with pytest.raises(ValueError, match="positive and finite"):
+            nn.AdamState(lr=lr)

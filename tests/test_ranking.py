@@ -326,6 +326,12 @@ def test_run_ab_trains_in_at_most_sidekit_threads_processes(monkeypatch,
     assert len(set.union(*where.values())) == 3
 
 
+def users(n):
+    """A dataset of `n` users: the eval split holds int(n * 0.2) of them."""
+    return rk.generate_engagement(rk.EngagementConfig(
+        users=n, items=20, seq_len=4, seed=1))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_ab_rejects_a_single_class_split_before_training(monkeypatch,
                                                              threads):
@@ -338,8 +344,12 @@ def test_run_ab_rejects_a_single_class_split_before_training(monkeypatch,
     monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
     monkeypatch.setattr(rk, "_fit_ranker", forbidden)
     monkeypatch.setattr(multiprocessing, "get_context", forbidden)
-    with pytest.raises(rk.RankingError, match="training split is single-class"):
-        rk.run_ab(one_class, 50, 16, AB_FIT)
+    for data, message in [
+            (one_class, "^training split is single-class$"),
+            (users(9), r"^eval split \(1 of 9 users\) is single-class$"),
+            (users(4), r"^eval split \(0 of 4 users\) is empty$")]:
+        with pytest.raises(rk.RankingError, match=message):
+            rk.run_ab(data, 50, 16, AB_FIT)
     assert multiprocessing.active_children() == []
 
 

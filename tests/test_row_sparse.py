@@ -240,7 +240,6 @@ def table_uses():
         "sqrt": lambda t: nn.sqrt(t),
         "square": lambda t: nn.square(t),
         "softmax_rows": lambda t: nn.softmax_rows(t),
-        "log_softmax_rows": lambda t: nn.log_softmax_rows(t),
         "concat": lambda t: nn.concat_cols([other, t]),
         "sum_all": lambda t: nn.sum_all(t),
         "mean_all": lambda t: nn.mean_all(t),

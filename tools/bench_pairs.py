@@ -12,8 +12,11 @@ pair's values, then per end-to-end metric of BENCHMARK.json and per side
 the median, the quartiles and the number of pairs that side won (a tie
 counts for neither), and the environment the pairs ran in. Per metric it
 also prints how much worse or better the change's median is than the
-parent's, against the metric's `bound`, or "unresolved" where the
-parent's own quartile spread is wider than the bound.
+parent's, against the metric's `bound`. Where the parent's own quartile
+spread is wider than the bound that reads "unresolved", unless every run
+of the change is better than every run of the parent. It adds "gain
+shown" where the change won at least 9 in 10 pairs and its median is
+better than the parent's by more than the parent's q3 - q1.
 
 After each run the output digests are read from the result file that
 `bench/run.py` wrote in that checkout's `.bench_work/results/`. Per pair
@@ -60,7 +63,9 @@ def summarize(pairs, metrics):
     `pairs` holds one {"parent": result, "change": result} per pair, each
     result a bench/run.py object whose "metrics" map a name to {"value"};
     `metrics` maps a name to "lower" or "higher", the better direction. A
-    pair counts for a metric only if both sides report it.
+    pair counts for a metric only if both sides report it. "every_run"
+    says whether each of the change's values is better than each of the
+    parent's.
     """
     out = {}
     for name, better in metrics.items():
@@ -78,6 +83,8 @@ def summarize(pairs, metrics):
             summary[side] = {"median": median, "q1": q1, "q3": q3,
                              "wins": wins}
         summary["ties"] = sum(a == b for a, b in both)
+        summary["every_run"] = all(sign * (c - p) > 0 for _, c in both
+                                   for p, _ in both)
         out[name] = summary
     return out
 
@@ -87,17 +94,32 @@ def verdict(summary, bound):
     X% (bound Y%)" or "better by X% (bound Y%)" for the change's median
     against the parent's, with "over the bound" when worse by more than
     it, or "unresolved" when the parent's q3 - q1 is wider than `bound`
-    times its median, so its runs cannot tell a change of that size."""
+    times its median, so its runs cannot tell a change of that size,
+    unless every run of the change is better than every run of the
+    parent: that reads "better in every run, by X%"."""
     parent, change = summary["parent"], summary["change"]
     spread = (parent["q3"] - parent["q1"]) / parent["median"]
-    if spread > bound:
-        return (f"unresolved: parent spread {spread:.1%} > "
-                f"bound {bound:.0%}")
     sign = 1 if summary["better"] == "lower" else -1
     worse = sign * (change["median"] - parent["median"]) / parent["median"]
+    if spread > bound:
+        why = f"parent spread {spread:.1%} > bound {bound:.0%}"
+        if not summary["every_run"]:
+            return f"unresolved: {why}"
+        return f"better in every run, by {-worse:.1%} ({why})"
     text = (f"{'worse' if worse > 0 else 'better'} by {abs(worse):.1%} "
             f"(bound {bound:.0%})")
     return text + ", over the bound" if worse > bound else text
+
+
+def gain_shown(summary):
+    """Whether the summary shows a gain: the change won at least 9 in 10
+    of the pairs (a tie counts for neither), and its median is better
+    than the parent's by more than the parent's q3 - q1."""
+    parent, change = summary["parent"], summary["change"]
+    sign = 1 if summary["better"] == "lower" else -1
+    return (10 * change["wins"] >= 9 * summary["pairs"]
+            and sign * (parent["median"] - change["median"])
+            > parent["q3"] - parent["q1"])
 
 
 def differing(a, b):
@@ -242,7 +264,8 @@ def main(argv=None):
         print(f"{name}: parent {s['parent']['median']:.4g} -> change "
               f"{s['change']['median']:.4g} ({s['better']} is better; change "
               f"won {s['change']['wins']}/{s['pairs']}, ties {s['ties']}): "
-              f"{verdict(s, bounds[name])}")
+              f"{verdict(s, bounds[name])}"
+              f"{', gain shown' if gain_shown(s) else ''}")
     print(outputs_line(pairs))
     print(f"wrote {os.path.relpath(path, ROOT)}")
     return 0 if all(p[s]["correct"] for p in pairs for s in SIDES) else 1

@@ -287,9 +287,37 @@ def cmd_eval_recall(args):
     return 0
 
 
+def _read_values(path):
+    """The float64 values of a text file holding one per line. As in
+    np.loadtxt, a '#' starts a comment and blank lines are skipped, and a
+    value parses as it does there. A line holding more than one value, or
+    one that is no number, raises ValueError naming the file and line, and
+    so does a file with no value."""
+    values = []
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line_no, line in enumerate(fh, 1):
+            tokens = line.split("#", 1)[0].split()
+            if len(tokens) > 1:
+                raise ValueError(f"{path}: line {line_no} holds "
+                                 f"{len(tokens)} values, expected one")
+            if tokens:
+                token = tokens[0]
+                try:
+                    # float() alone would also take '1_0' and non-ASCII digits
+                    if not token.isascii() or "_" in token:
+                        raise ValueError
+                    values.append(float(token))
+                except ValueError:
+                    raise ValueError(f"{path}: line {line_no}: '{token}' is "
+                                     "not a number") from None
+    if not values:
+        raise ValueError(f"{path} holds no values")
+    return np.array(values, dtype=np.float64)
+
+
 def cmd_eval_ne(args):
-    labels = np.loadtxt(args.labels)
-    preds = np.loadtxt(args.predictions)
+    labels = _read_values(args.labels)
+    preds = _read_values(args.predictions)
     report = metrics.normalized_entropy(labels, preds)
     metrics.emit_report(report.as_dict() if args.json else report, args.json)
     return 0

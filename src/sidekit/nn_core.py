@@ -32,17 +32,6 @@ across the package. A model's state is whole float32 buffers
 (parameters, gradients, Adam moments), each parameter one persistent graph
 leaf that views them; a `fit` step returns (loss node, per-term floats).
 The engine holds no file code: checkpoints are `corpus_io`'s.
-
-Embedding tables are row-sparse. A parameter registered with
-`ParamStore.table` may feed only `gather_rows`; any other op, or using it
-as the loss, raises GraphError naming the table. `gather_rows`' backward
-marks every row it scatters into, and a mark is never cleared. The
-buffers hold the dense parameters first and the tables after them, so
-`fit` zeroes, checks and updates the dense region whole and each table
-only in its marked rows. That is exact, not an approximation: a row no
-gather has reached has a +0.0 gradient and zero Adam moments, and the
-Adam update leaves such an element unchanged bit for bit. Weight decay
-still shrinks every row on every step.
 """
 
 from __future__ import annotations
@@ -98,7 +87,7 @@ class Node:
     """
 
     __slots__ = ("value", "name", "inputs", "grad", "requires_grad",
-                 "_backward", "rows")
+                 "_backward")
 
     def __init__(self, value, name, inputs=(), backward=None, requires_grad=False):
         self.value = value
@@ -107,7 +96,6 @@ class Node:
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = backward
-        self.rows = None  # a table's per-row gather marks (ParamStore.table)
 
     @property
     def shape(self):
@@ -132,19 +120,11 @@ def _check_finite(value, name):
 
 def _make(opname, value, inputs, backward, name=None):
     name = name or f"{opname}#{next(_node_ids)}"
-    req = False
-    for i in inputs:
-        if i.rows is not None and opname != "gather":
-            _table_misuse(i, name)
-        req = req or i.requires_grad
     _check_finite(value, name)
     if not _recording:
         return Node(value, name)
+    req = any(i.requires_grad for i in inputs)
     return Node(value, name, inputs, backward if req else None, req)
-
-
-def _table_misuse(table, name):
-    raise GraphError(f"table '{table.name}' can feed only gather_rows", name)
 
 
 def leaf(x, name=None, requires_grad=False):
@@ -350,8 +330,7 @@ def segment_sum_rows(a, k):
 
 
 def gather_rows(table, indices):
-    """Row lookup into a parameter table; backward scatter-adds and marks
-    the rows it reached in a `ParamStore.table` leaf."""
+    """Row lookup into a parameter table; backward scatter-adds."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise GraphError(
@@ -365,15 +344,11 @@ def gather_rows(table, indices):
         cols = table.shape[1]
         flat = (idx[:, None] * cols + np.arange(cols)).ravel()
         np.add.at(table.grad.reshape(-1), flat, out.grad.reshape(-1))
-        if table.rows is not None:
-            table.rows[idx] = True
     return _make("gather", value, (table,), backward)
 
 
 def stop_gradient(a):
     """Forward-identity node that blocks all gradient flow through it."""
-    if a.rows is not None:
-        _table_misuse(a, "stop_gradient")
     return Node(a.value, f"stop_gradient#{next(_node_ids)}", (a,), None,
                 requires_grad=False)
 
@@ -460,8 +435,6 @@ def backward(loss):
     depends on; a node with no gradient array first gets a zeroed one."""
     if loss.shape != (1, 1):
         raise GraphError(f"loss must be 1x1, got {loss.shape}", loss.name)
-    if loss.rows is not None:
-        _table_misuse(loss, "backward")
 
     order = []
     seen = set()
@@ -493,24 +466,14 @@ def backward(loss):
 
 class ParamStore:
     """Named float32 parameters in one buffer, `flat`, and their gradients
-    in `grad`. Each name's one graph leaf in `leaves` views both; only this
-    class knows the offsets.
-
-    The buffers hold the dense parameters first, then the tables
-    registered through `table`, each group in registration order. Names,
-    `items()` and checkpoints keep registration order. A table may feed
-    only `gather_rows`, which marks the rows it reaches; `fit` and
-    `adam_step` read, zero and update a table only in its marked rows.
-    """
+    in `grad`, both in registration order. Each name's one graph leaf in
+    `leaves` views both; only this class knows the offsets."""
 
     def __init__(self, seed=0):
         self.rng = np.random.default_rng(seed)
         self.flat = np.zeros(0, dtype=DTYPE)
         self.grad = np.zeros(0, dtype=DTYPE)
         self.leaves: dict[str, Node] = {}
-        self._dense = 0      # flat[:_dense] holds every non-table parameter
-        # (leaf, offset in flat, cached marked row indices) per table, in order
-        self._tables = []
 
     def weight(self, name, fan_in, fan_out):
         """Glorot-uniform weight matrix: U(+-sqrt(6/(fan_in+fan_out)))."""
@@ -521,42 +484,23 @@ class ParamStore:
     def zeros(self, name, rows, cols):
         return self.add(name, np.zeros((rows, cols)))
 
-    def table(self, name, rows, cols, scale=0.01):
-        """N(0, scale) embedding table; row-sparse, it feeds only gather_rows."""
-        arr = self.rng.normal(0.0, scale, size=(rows, cols))
-        return self._register(name, arr, table=True)
-
     def add(self, name, array):
-        """Append a dense parameter."""
-        return self._register(name, array, table=False)
-
-    def _register(self, name, array, table):
-        """Add a leaf; every leaf is re-pointed at the grown buffers."""
+        """Append a parameter; every leaf is re-pointed at the grown
+        buffers."""
         if name in self.leaves:
             raise KeyError(f"parameter '{name}' already registered")
         arr = _as_matrix(array, name)
-        new = Node(arr, name, (), None, requires_grad=True)
-        if table:
-            if arr.shape[1] == 0:
-                raise GraphError("a table needs at least one column", name)
-            new.rows = np.zeros(arr.shape[0], dtype=bool)
-        self.leaves[name] = new
-        # a stable sort: dense leaves, then tables, in registration order
-        order = sorted(self.leaves.values(), key=lambda n: n.rows is not None)
-        self.flat = np.concatenate([n.value.ravel() for n in order])
+        self.leaves[name] = Node(arr, name, (), None, requires_grad=True)
+        self.flat = np.concatenate([n.value.ravel()
+                                    for n in self.leaves.values()])
         self.grad = np.zeros_like(self.flat)
-        self._dense, self._tables = 0, []
         lo = 0
-        for node in order:
+        for node in self.leaves.values():
             hi = lo + node.value.size
-            node.value = self.flat[lo:hi].reshape(node.shape)
             node.grad = self.grad[lo:hi].reshape(node.shape)
-            if node.rows is None:
-                self._dense = hi
-            else:
-                self._tables.append((node, lo, np.flatnonzero(node.rows)))
+            node.value = self.flat[lo:hi].reshape(node.shape)
             lo = hi
-        return new.value
+        return self.leaves[name].value
 
     def get(self, name):
         return self.leaves[name].value
@@ -573,33 +517,6 @@ class ParamStore:
 
     def items(self):
         return [(n, node.value) for n, node in self.leaves.items()]
-
-    def touched_rows(self, name):
-        """Sorted indices of the rows of table `name` that a gather's
-        backward has reached since the table was registered."""
-        rows = self.leaves[name].rows
-        if rows is None:
-            raise KeyError(f"parameter '{name}' is not a table")
-        return np.flatnonzero(rows)
-
-    def _marked(self):
-        """(leaf, offset in flat, sorted indices of its marked rows) per
-        table. Marks are never cleared, so an unchanged mark count is an
-        unchanged set: the indices are found again only after a gather's
-        backward has marked a new row (counting takes ~3 us on a 39k-row
-        mask, finding the indices ~40 us)."""
-        for i, (leaf, lo, rows) in enumerate(self._tables):
-            if np.count_nonzero(leaf.rows) != rows.size:
-                self._tables[i] = (leaf, lo, np.flatnonzero(leaf.rows))
-        return self._tables
-
-    def _zero_grad(self):
-        """Zero every gradient entry a backward pass can write: the dense
-        region and each table's marked rows. The rest is already +0.0."""
-        self.grad[:self._dense] = 0.0
-        for leaf, _, rows in self._marked():
-            grad = _row_items(leaf.grad)
-            grad[rows] = np.zeros((), grad.dtype)
 
     def _nonfinite(self, what):
         """Name of the first parameter whose `what`, "value" or "grad",
@@ -629,54 +546,26 @@ class AdamState:
                 f"learning rate must be positive and finite, got {self.lr}")
 
 
-def _adam_update(p, g, m, v, lr, c1, c2):
-    # the three Adam expressions, in place on p, m and v
-    m += (1.0 - ADAM_BETA1) * (g - m)
-    v += (1.0 - ADAM_BETA2) * (g * g - v)
-    p -= DTYPE(lr) * (m / c1) / (np.sqrt(v / c2) + DTYPE(ADAM_EPS))
-
-
-def _row_items(a):
-    # the C-contiguous 2-D `a` as one opaque item per row, so that fancy
-    # indexing moves whole rows (about 3x faster than on `a` itself)
-    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize)))[:, 0]
-
-
 def adam_step(state, params):
     """Apply one bias-corrected Adam update to the ParamStore `params` in
-    place, from its `grad`. Returns the state for chaining.
-
-    The dense region is updated whole. Each table is updated in its marked
-    rows only: the same expressions run on copies of those rows, which are
-    then written back. The rows skipped have +0.0 gradients and zero
-    moments, where the update would give m = v = +0.0 and p - (+0.0) = p,
-    so the result equals the whole-buffer update bit for bit. Everything
-    the update reads is checked before any parameter or moment changes: a
-    NaN or Inf raises NonFiniteError naming its parameter."""
-    nd = params._dense
-    g = params.grad[:nd]
-    marked = params._marked()
-    grads = [np.take(_row_items(leaf.grad), rows).view(DTYPE)
-             for leaf, _, rows in marked]
-    if not (np.isfinite(g).all() and all(np.isfinite(gt).all() for gt in grads)):
+    place, from its `grad`. Returns the state for chaining. The gradient
+    is checked before any parameter or moment changes: a NaN or Inf raises
+    NonFiniteError naming its parameter. An element whose gradient and
+    moments are +0.0 keeps its value bit for bit."""
+    g, p = params.grad, params.flat
+    if not np.isfinite(g).all():
         raise NonFiniteError("non-finite gradient", params._nonfinite("grad"))
     if state.m is None:
-        state.m, state.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
+    m, v = state.m, state.v
     with np.errstate(over="ignore", invalid="ignore"):
-        _adam_update(params.flat[:nd], g, state.m[:nd], state.v[:nd],
-                     state.lr, c1, c2)
-        for (leaf, lo, rows), gt in zip(marked, grads):
-            m, v = (a[lo:lo + leaf.value.size].reshape(leaf.shape)
-                    for a in (state.m, state.v))
-            whole = [_row_items(a) for a in (leaf.value, m, v)]
-            part = [np.take(a, rows).view(DTYPE) for a in whole]
-            _adam_update(part[0], gt, part[1], part[2], state.lr, c1, c2)
-            for a, b in zip(whole, part):
-                a[rows] = b.view(a.dtype)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        p -= DTYPE(state.lr) * (m / c1) / (np.sqrt(v / c2) + DTYPE(ADAM_EPS))
     return state
 
 
@@ -698,10 +587,8 @@ def fit(params, n, step, rng, cfg, weight_decay):
     `cfg.batch_size` at a time. `step(idx)` builds the graph for the sample
     indices `idx` on `params.leaves` and returns (scalar loss node, per-term
     floats); a parameter the loss does not reach gets a zero gradient. Each
-    step zeroes the gradient entries a backward pass can write (the dense
-    region and the tables' marked rows), runs `adam_step`, then shrinks all
-    of `params.flat`, every table row included, by (1 - lr * weight_decay):
-    decoupled weight decay.
+    step zeroes `params.grad`, runs `adam_step`, then shrinks all of
+    `params.flat` by (1 - lr * weight_decay): decoupled weight decay.
 
     Returns (rows, diverged_at): one row per finished epoch holding the
     epoch and the batch mean of each term. A non-finite value anywhere in
@@ -728,7 +615,7 @@ def fit(params, n, step, rng, cfg, weight_decay):
             with np.errstate(all="ignore"):
                 for lo in range(0, n, cfg.batch_size):
                     loss, terms = step(order[lo:lo + cfg.batch_size])
-                    params._zero_grad()
+                    params.grad[...] = 0.0
                     backward(loss)
                     adam_step(opt, params)
                     params.flat *= shrink  # exact no-op without decay

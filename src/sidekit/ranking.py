@@ -14,6 +14,10 @@ that interaction a linear head cannot express the user-item affinity the
 labels are generated from, and neither feature path would beat the
 no-history ablation.
 
+Each arm builds only what its output reads: the SID table keeps only the
+rows some item hashes to, and the no-history ablation builds no history
+block, whose output would be exactly zero (see `ToyRankingModel`).
+
 Synthetic engagement data plants a real signal in the history: items
 carry ternary-grid latents, each user's history is sampled around a
 hidden taste vector, and the click probability of the shown candidate is
@@ -240,19 +244,33 @@ class ToyRankingModel:
     variant selects the item feature path: "sid" (hashed embedding table),
     "side" (digit projection), or "none" (history and candidate identity
     features ablated to zero).
+
+    The "sid" table a hashed-SID system allocates has grams * hash_size
+    rows; only the rows some item hashes to are kept, and `item_rows` maps
+    each item's grams to them. The whole table is still drawn, so every
+    later draw is unchanged. A row no gather reaches keeps +0.0 gradients
+    and moments, under which Adam leaves it bit for bit unchanged, so the
+    kept rows train exactly as in the full table.
+
+    "none" builds no history block: with zero item features the keys are
+    0, the attention weights 1/L and the pooled value a sum of 0 * 1/L, so
+    the candidate, pooled and interaction blocks are +0.0 for any
+    `pma.theta`. That parameter stays registered, since its draw fixes
+    the head's init, and gets a zero gradient.
     """
 
     def __init__(self, dataset, variant, hash_size, feature_dim, seed):
         if variant not in ("sid", "side", "none"):
             raise RankingError(f"unknown variant '{variant}'")
         self.variant = variant
+        self.hash_size = hash_size
         self.feature_dim = feature_dim
         self.dataset = dataset
         d = feature_dim
-        # the SIDE path's digits come from the SIDs alone, with no table
-        self.item_digits = side_embed(dataset.scheme, dataset.item_sids)
         self.params = ParamStore(seed)
-        self.params.table("sparse.segments", SEGMENTS, d)
+        rng = self.params.rng
+        self.params.add("sparse.segments",
+                        rng.normal(0.0, 0.01, size=(SEGMENTS, d)))
         self.params.weight("dense.w", DENSE_DIM, d)
         self.params.zeros("dense.b", 1, d)
         grams = dataset.scheme.grams
@@ -262,31 +280,32 @@ class ToyRankingModel:
             # with each other, only with same-position SIDs. Rows start at
             # O(1) scale; near-zero rows would leave the multiplicative
             # interaction path with no usable gradient.
-            self.params.table("feature.table", grams * hash_size, d, scale=0.3)
+            hashed = (sid_hash(dataset.item_sids, hash_size)
+                      + np.arange(grams) * hash_size)
+            kept, index = np.unique(hashed, return_inverse=True)
+            self.item_rows = index.reshape(hashed.shape)
+            table = rng.normal(0.0, 0.3, size=(grams * hash_size, d))
+            self.params.add("feature.table", table[kept])
         elif variant == "side":
+            # the SIDE path's digits come from the SIDs alone, with no table
+            self.item_digits = side_embed(dataset.scheme, dataset.item_sids)
             self.params.weight("feature.omega", self.item_digits.shape[1], d)
         self.params.weight("pma.theta", d, d)
         self.params.weight("head.w", 5 * d, 1)
         self.params.zeros("head.b", 1, 1)
-        # precomputed per-item inputs for the feature path
-        if variant == "sid":
-            offsets = (np.arange(grams) * hash_size)[None, :]
-            self.item_hash = sid_hash(dataset.item_sids, hash_size) + offsets
 
     def _item_features(self, item_ids):
         """Feature node for a flat vector of item ids."""
         p = self.params.leaves
         ids = np.asarray(item_ids).ravel()
         if self.variant == "sid":
-            grams = self.item_hash.shape[1]
+            grams = self.item_rows.shape[1]
             looked = [nn.gather_rows(p["feature.table"],
-                                     self.item_hash[ids, g])
+                                     self.item_rows[ids, g])
                       for g in range(grams)]
             return nn.scale(reduce(nn.add, looked), 1.0 / grams)
-        if self.variant == "side":
-            digits = nn.constant(self.item_digits[ids])
-            return nn.matmul(digits, p["feature.omega"])
-        return nn.constant(np.zeros((ids.size, self.feature_dim)))
+        digits = nn.constant(self.item_digits[ids])
+        return nn.matmul(digits, p["feature.omega"])
 
     def logits(self, rows):
         """Logit node for a batch of user row indices, built on the
@@ -296,12 +315,17 @@ class ToyRankingModel:
         seg = nn.gather_rows(p["sparse.segments"], ds.segments[rows])
         dense = nn.add(nn.matmul(nn.constant(ds.dense[rows]), p["dense.w"]),
                        p["dense.b"])
-        cand = self._item_features(ds.candidates[rows])
-        hist = self._item_features(ds.history[rows])      # (b*l, d)
-        pooled = pooled_attention(cand, hist, p["pma.theta"],
-                                  ds.config.seq_len)
-        inter = nn.mul(pooled, cand)
-        feats = nn.concat_cols([seg, dense, cand, pooled, inter])
+        if self.variant == "none":
+            # candidate, pooled history and interaction, all +0.0
+            zero = nn.constant(np.zeros((seg.shape[0], 3 * self.feature_dim)))
+            feats = nn.concat_cols([seg, dense, zero])
+        else:
+            cand = self._item_features(ds.candidates[rows])
+            hist = self._item_features(ds.history[rows])      # (b*l, d)
+            pooled = pooled_attention(cand, hist, p["pma.theta"],
+                                      ds.config.seq_len)
+            inter = nn.mul(pooled, cand)
+            feats = nn.concat_cols([seg, dense, cand, pooled, inter])
         return nn.add(nn.matmul(feats, p["head.w"]), p["head.b"])
 
     def predict(self, rows):
@@ -310,19 +334,23 @@ class ToyRankingModel:
         return 1.0 / (1.0 + np.exp(-z.value[:, 0].astype(np.float64)))
 
     def feature_path_params(self):
-        """Parameter count of the item feature path only."""
+        """Parameter count of the item feature path only; for "sid" the
+        whole grams * hash_size table a hashed-SID system allocates."""
         if self.variant == "sid":
-            return self.params.get("feature.table").size
+            return (self.dataset.scheme.grams * self.hash_size
+                    * self.feature_dim)
         if self.variant == "side":
             return self.params.get("feature.omega").size
         return 0
 
-    def feature_rows_trained(self):
-        """Rows of the SID feature table that training's gathers reached;
-        None for a variant without the table."""
+    def feature_rows(self, users):
+        """Distinct SID table rows that the history and candidate items of
+        `users` hash to; None for a variant without the table."""
         if self.variant != "sid":
             return None
-        return int(self.params.touched_rows("feature.table").size)
+        ds = self.dataset
+        items = np.union1d(ds.history[users], ds.candidates[users])
+        return int(np.unique(self.item_rows[items]).size)
 
 
 def _bce_loss(logit_node, labels):
@@ -380,11 +408,14 @@ def train_ranker(dataset, variant, hash_size, feature_dim, cfg):
     (click probabilities on the eval split, diverged_at, feature-path
     params, SID table rows trained). diverged_at is None unless a
     non-finite loss stopped training, in which case it is the epoch whose
-    start the parameters were rolled back to (see nn_core.fit)."""
+    start the parameters were rolled back to (see nn_core.fit). The rows
+    trained are those the training users' items hash to: epoch 0 visits
+    every training user, and a divergence in epoch 0 raises."""
     model, preds, diverged_at = _fit_ranker(dataset, variant, hash_size,
                                             feature_dim, cfg)
+    train_rows = _split(dataset, cfg.seed)[2]
     return (preds, diverged_at, model.feature_path_params(),
-            model.feature_rows_trained())
+            model.feature_rows(train_rows))
 
 
 @dataclass
@@ -426,8 +457,9 @@ AB_VARIANTS = ("none", "sid", "side")  # the order run_ab reports them in
 
 def worker_count():
     """The processes `run_ab` may train its arms in: SIDEKIT_THREADS if
-    set (an integer; below 1 means 1), else min(8, cores). Every other
-    computation runs serially."""
+    set (an integer; below 1 means 1), else min(8, usable cores), the
+    cores this process's affinity mask allows where the platform reports
+    it. Every other computation runs serially."""
     env = os.environ.get("SIDEKIT_THREADS")
     if env:
         try:
@@ -435,6 +467,8 @@ def worker_count():
         except ValueError:
             raise RankingError(
                 f"SIDEKIT_THREADS must be an integer, got '{env}'") from None
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 

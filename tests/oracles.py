@@ -7,6 +7,7 @@ formulas, separate from the library code paths it checks.
 import numpy as np
 
 from sidekit import nn_core as nn
+from sidekit import ranking as rk
 from sidekit.quantizers import FsqConfig, fsq_quantize, product_split
 from sidekit.sid_codec import SidError, SidScheme
 
@@ -156,6 +157,46 @@ def dense_adam_step(state, params):
         p -= nn.DTYPE(state.lr) * (m / c1) / (np.sqrt(v / c2)
                                               + nn.DTYPE(nn.ADAM_EPS))
     return state
+
+
+class FullTableSidRanker(rk.ToyRankingModel):
+    """The SID arm with the whole grams * hash_size table as one dense
+    parameter, gathered by the raw hash s mod hash_size + g * hash_size of
+    gram g: no row is dropped. Its parameters are drawn in the ranker's
+    order, with the ranker's initialization rules."""
+
+    def __init__(self, dataset, variant, hash_size, feature_dim, seed):
+        assert variant == "sid"
+        self.variant, self.hash_size = variant, hash_size
+        self.feature_dim, self.dataset = feature_dim, dataset
+        d, grams = feature_dim, dataset.scheme.grams
+        p = self.params = nn.ParamStore(seed)
+        p.add("sparse.segments", p.rng.normal(0.0, 0.01, size=(rk.SEGMENTS, d)))
+        p.weight("dense.w", rk.DENSE_DIM, d)
+        p.zeros("dense.b", 1, d)
+        p.add("feature.table",
+              p.rng.normal(0.0, 0.3, size=(grams * hash_size, d)))
+        p.weight("pma.theta", d, d)
+        p.weight("head.w", 5 * d, 1)
+        p.zeros("head.b", 1, 1)
+        self.item_rows = np.array([[int(s) % hash_size + g * hash_size
+                                    for g, s in enumerate(sids)]
+                                   for sids in dataset.item_sids])
+
+
+def zero_history_logits(model, rows):
+    """The ranker's logits with the whole history block run over zero item
+    features: the no-history arm as the attention graph computes it."""
+    p, ds, d = model.params.leaves, model.dataset, model.feature_dim
+    seq_len = ds.config.seq_len
+    seg = nn.gather_rows(p["sparse.segments"], ds.segments[rows])
+    dense = nn.add(nn.matmul(nn.constant(ds.dense[rows]), p["dense.w"]),
+                   p["dense.b"])
+    cand = nn.constant(np.zeros((len(rows), d)))
+    hist = nn.constant(np.zeros((len(rows) * seq_len, d)))
+    pooled = rk.pooled_attention(cand, hist, p["pma.theta"], seq_len)
+    feats = nn.concat_cols([seg, dense, cand, pooled, nn.mul(pooled, cand)])
+    return nn.add(nn.matmul(feats, p["head.w"]), p["head.b"])
 
 
 def row_scatter_add(table_grad, idx, grad):

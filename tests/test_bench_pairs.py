@@ -185,6 +185,39 @@ def test_outputs_are_compared_between_sides_and_with_the_reference(
         "outputs: parent and change byte-identical in 2/2 pairs")
 
 
+def test_quality_values_are_read_and_compared_between_sides(bp, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, ne_sid in ((parent, 1.5), (change, 1.25)):
+        results = side / ".bench_work" / "results"
+        results.mkdir(parents=True)
+        (results / "rank-ab-seed7-full.json").write_text(json.dumps({
+            "digests": {"engagement.npz": "1"},
+            "metrics": {"wall_s": 2.0 if side == parent else 1.0,
+                        "ne_none": 1.0, "ne_sid": ne_sid, "ne_side": 0.875}}))
+    values = [bp.result_values(d, "rank-ab", 7, since=0.0)
+              for d in (parent, change)]
+    # timings are no quality value
+    assert values[0] == {"ne_none": 1.0, "ne_sid": 1.5, "ne_side": 0.875}
+    assert bp.result_values(parent, "rank-ab", 8, since=0.0) == {}
+    assert bp.result_values(parent, "rank-ab", 7,
+                            since=time.time() + 60) == {}
+
+    digests = [bp.result_digests(d, "rank-ab", 7, since=0.0)
+               for d in (parent, change)]
+    differ = bp.compare_outputs(*digests)
+    differ["values_differ"] = bp.differing(*values)
+    same = bp.compare_outputs(*digests)
+    same["values_differ"] = bp.differing(values[0], dict(values[0]))
+    assert differ == {"identical": True, "differ": [],
+                      "values_differ": ["ne_sid"]}
+    assert bp.outputs_line([{"outputs": differ}, {"outputs": same}]) == (
+        "outputs: parent and change byte-identical in 2/2 pairs; result "
+        "values equal in 1/2 pairs (differ: ne_sid)")
+    assert bp.outputs_line([{"outputs": same}]) == (
+        "outputs: parent and change byte-identical in 1/1 pairs; result "
+        "values equal in 1/1 pairs")
+
+
 def test_reference_digests_are_read_per_workload_and_seed(bp):
     assert set(bp.reference_digests("fusion", 107)) == {
         "dpca.ckpt", "dpca.sid", "fsq.ckpt", "fsq.sid"}

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -802,12 +803,53 @@ def test_eval_recall_is_a_monotone_fraction(tmp_path, corpus, capsys):
 def test_eval_ne_rejects_predictions_that_are_not_probabilities(
         tmp_path, capsys, preds, message):
     labels, predictions = tmp_path / "y.txt", tmp_path / "p.txt"
-    labels.write_text("0 1 1 0\n")
-    predictions.write_text(f"{preds}\n")
+    labels.write_text("0\n1\n1\n0\n")
+    predictions.write_text("".join(f"{p}\n" for p in preds.split()))
     assert run("eval-ne", "--labels", labels, "--predictions",
                predictions) == 1
     assert capsys.readouterr() == (
         "", f"error: {message} is not a probability in [0, 1]\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0.2\nx\n0.6\n", "line 2: 'x' is not a number"),
+    ("# scores\n\n0.2\n0.5 0.6\n", "line 4 holds 2 values, expected one"),
+    ("0.2 # one\n1_0\n", "line 2: '1_0' is not a number"),
+    ("0.2\n\u0661\n", "line 2: '\u0661' is not a number"),
+], ids=["not-a-number", "two-values", "underscore", "non-ascii-digit"])
+def test_eval_ne_names_the_file_and_line_of_a_bad_value(
+        tmp_path, capsys, text, message):
+    labels, predictions = tmp_path / "y.txt", tmp_path / "p.txt"
+    labels.write_text("0\n1\n1\n")
+    predictions.write_text(text, encoding="utf-8")
+    assert run("eval-ne", "--labels", labels, "--predictions",
+               predictions) == 1
+    assert capsys.readouterr() == ("", f"error: {predictions}: {message}\n")
+
+
+def test_eval_ne_rejects_an_empty_file_without_warnings(tmp_path, capfd):
+    labels, predictions = tmp_path / "y.txt", tmp_path / "p.txt"
+    labels.write_text("0\n1\n")
+    predictions.write_text("# nothing here\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("eval-ne", "--labels", labels, "--predictions",
+                   predictions) == 1
+    assert capfd.readouterr() == ("", f"error: {predictions} holds no values\n")
+
+
+def test_eval_ne_reads_values_as_loadtxt_does(tmp_path):
+    rng = np.random.default_rng(5)
+    lines = [f"{v:.17g}" for v in rng.normal(size=50) * 10.0 ** rng.integers(
+        -300, 300, size=50)]
+    lines += ["1e-3", "  +2.5\t", "-0", "0.", ".5", "nan", "-inf",
+              "Infinity", "1E+308", "5e-324", "0.1 # a comment", "",
+              "# a comment line", "7\r"]
+    path = tmp_path / "v.txt"
+    path.write_text("\n".join(lines) + "\n")
+    got = cli._read_values(path)
+    want = np.loadtxt(path)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_eval_ne_matches_the_metric(tmp_path, capsys):

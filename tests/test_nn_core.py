@@ -286,32 +286,6 @@ class TestParamStore:
             for n in arrays:
                 params.set(n, arrays[n])
 
-    def test_dense_parameters_come_first_then_tables(self):
-        # registration order: t1 (table), a, t2 (table), b, c
-        tables = {"t1": (3, 2), "t2": (4, 1)}
-        order = ["t1", "a", "t2", "b", "c"]
-        params = nn.ParamStore(seed=2)
-        for i, name in enumerate(order):
-            if name in tables:
-                params.table(name, *tables[name])
-            else:
-                params.add(name, np.full(self.SHAPES[name], float(i)))
-            done = order[:i + 1]
-            layout = ([n for n in done if n not in tables]
-                      + [n for n in done if n in tables])
-            assert params.names() == done
-            assert [n for n, _ in params.items()] == done
-            params.flat[:] = np.arange(params.flat.size)
-            params.grad[:] = -np.arange(params.grad.size)
-            np.testing.assert_array_equal(
-                np.concatenate([params.get(n).ravel() for n in layout]),
-                params.flat)
-            np.testing.assert_array_equal(
-                np.concatenate([params.leaves[n].grad.ravel()
-                                for n in layout]), params.grad)
-        assert params.leaves["a"].rows is None
-        assert params.leaves["t2"].rows.shape == (4,)
-
     def test_set_rejects_another_shape_and_changes_nothing(self):
         params = _store(a=np.ones((2, 3)), b=np.ones((1, 4)))
         before = params.flat.copy()

@@ -14,7 +14,8 @@ import pytest
 from sidekit import metrics
 from sidekit import nn_core as nn
 from sidekit import ranking as rk
-from oracles import broadcast_history, grad_close, naive_pma, numeric_grad
+from oracles import (broadcast_history, grad_close, naive_pma, numeric_grad,
+                     zero_history_logits)
 
 
 def attention_inputs(seed, users=3, seq_len=5, d=4):
@@ -223,21 +224,70 @@ def test_ab_report_renders_one_row_per_arm_in_report_order():
         "ne_gain_pct": -49.44}
 
 
-def test_feature_rows_trained_are_the_hashed_rows_of_the_training_users():
+def test_feature_rows_trained_are_the_hashed_rows_of_the_training_users(
+        monkeypatch):
     ds = small_dataset()
     cfg = nn.FitConfig(epochs=1, batch_size=100, lr=3e-3, seed=5)
     hash_size = 61
-    model, _, _ = rk._fit_ranker(ds, "sid", hash_size, 16, cfg)
     # train_ranker's split: the users after the first 20% of one permutation
     order = np.random.default_rng(cfg.seed).permutation(ds.config.users)
     train = order[int(ds.config.users * rk.EVAL_FRACTION):]
     items = np.union1d(ds.history[train].ravel(), ds.candidates[train])
     rows = {int(sid) % hash_size + g * hash_size
             for g in range(ds.scheme.grams) for sid in ds.item_sids[items, g]}
-    assert model.params.touched_rows("feature.table").tolist() == sorted(rows)
+    # the table rows that training's gathers reach, seen by a spy
+    gathered = set()
+    gather_rows = nn.gather_rows
+
+    def spy(table, indices):
+        if table.name == "feature.table" and nn._recording:
+            gathered.update(np.asarray(indices).ravel().tolist())
+        return gather_rows(table, indices)
+
+    monkeypatch.setattr(nn, "gather_rows", spy)
     assert rk.train_ranker(ds, "sid", hash_size, 16, cfg)[3] == len(rows)
+    assert len(gathered) == len(rows)
     for variant in ("none", "side"):
         assert rk.train_ranker(ds, variant, hash_size, 16, cfg)[3] is None
+
+
+def test_the_none_arm_builds_no_history_block(monkeypatch):
+    ds = small_dataset()
+    cfg = nn.FitConfig(epochs=2, batch_size=128, lr=3e-2, seed=5)
+    built = []
+    with monkeypatch.context() as spying:
+        for op in ("gather_rows", "repeat_rows", "softmax_rows"):
+            def spy(a, *args, _op=op, _real=getattr(nn, op)):
+                built.append((_op, a.name))
+                return _real(a, *args)
+            spying.setattr(nn, op, spy)
+        model, preds, diverged_at = rk._fit_ranker(ds, "none", 100, 16, cfg)
+    assert diverged_at is None
+    # the segment lookup is the one gather; no attention node is built
+    assert set(built) == {("gather_rows", "sparse.segments")}
+    monkeypatch.setattr(rk.ToyRankingModel, "logits", zero_history_logits)
+    oracle, oracle_preds, _ = rk._fit_ranker(ds, "none", 100, 16, cfg)
+    np.testing.assert_array_equal(preds, oracle_preds)
+    for name, value in oracle.params.items():
+        np.testing.assert_array_equal(
+            model.params.get(name).view(np.uint32), value.view(np.uint32),
+            err_msg=name)
+
+
+def test_worker_count_counts_the_cores_of_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("SIDEKIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert rk.worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)))
+    assert rk.worker_count() == 8
+    monkeypatch.setenv("SIDEKIT_THREADS", "3")
+    assert rk.worker_count() == 3
+    # where the platform has no affinity mask, the cores it reports
+    monkeypatch.delenv("SIDEKIT_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert rk.worker_count() == 2
 
 
 AB_FIT = nn.FitConfig(epochs=2, batch_size=128, lr=3e-3, seed=5)

@@ -1,12 +1,13 @@
-"""Row-sparse embedding tables against the whole-buffer Adam oracle.
+"""Row-sparse gradients against the whole-buffer Adam oracle.
 
-`fit` with the row-sparse `adam_step` must end on the same parameter and
-Adam moment bytes as `fit` with `oracles.dense_adam_step` on a store that
-registers every array as a dense parameter; the finiteness check still
-sees every row a gather reached; and a table feeds only `gather_rows`.
+A parameter that feeds `gather_rows` gets gradients only in the rows a
+gather reached. `fit` with `adam_step` must end on the same parameter and
+Adam moment bytes as `fit` with `oracles.dense_adam_step`; a row no gather
+has reached keeps its value bit for bit without decay, which is what lets
+the SID ranker keep only the rows some item hashes to; the finiteness
+check sees every row a gather reached; and the compact SID ranker equals
+the full-table oracle bit for bit.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from sidekit import nn_core as nn
 from sidekit import ranking as rk
-from oracles import dense_adam_step
+from oracles import FullTableSidRanker, dense_adam_step
 
 
 def bits(a):
@@ -61,7 +62,7 @@ def run_fit(params, losses, adam, weight_decay=0.1, epochs=2):
     return states[-1]
 
 
-# (is a table, rows, cols) per parameter, in registration order
+# (is gathered, rows, cols) per parameter, in registration order
 SPECS = st.lists(st.tuples(st.booleans(), st.integers(1, 50),
                            st.integers(1, 4)), min_size=1, max_size=5)
 
@@ -75,13 +76,9 @@ def test_fit_equals_the_dense_oracle_bit_for_bit(specs, steps, seed):
     arrays = [rng.normal(size=(rows if table else min(rows, 4), cols))
               .astype(np.float32) for table, rows, cols in specs]
     arrays[0][0, 0] = -0.0
-    sparse, dense = nn.ParamStore(), nn.ParamStore()
-    for name, (table, _, _), arr in zip(names, specs, arrays):
-        if table:
-            sparse.table(name, *arr.shape)
-            sparse.set(name, arr)
-        else:
-            sparse.add(name, arr)
+    store, dense = nn.ParamStore(), nn.ParamStore()
+    for name, arr in zip(names, arrays):
+        store.add(name, arr)
         dense.add(name, arr)
 
     def loss_builder():
@@ -106,13 +103,13 @@ def test_fit_equals_the_dense_oracle_bit_for_bit(specs, steps, seed):
         return build
 
     losses = [loss_builder() for _ in range(steps)]
-    got = run_fit(sparse, losses, nn.adam_step)
+    got = run_fit(store, losses, nn.adam_step)
     want = run_fit(dense, losses, dense_adam_step)
     assert got.step == want.step
-    for buf_got, buf_want in ((sparse.flat, dense.flat), (got.m, want.m),
+    for buf_got, buf_want in ((store.flat, dense.flat), (got.m, want.m),
                               (got.v, want.v)):
-        views_got, views_want = per_name(sparse, buf_got), per_name(dense,
-                                                                    buf_want)
+        views_got, views_want = per_name(store, buf_got), per_name(dense,
+                                                                   buf_want)
         for name in names:
             np.testing.assert_array_equal(bits(views_got[name]),
                                           bits(views_want[name]), err_msg=name)
@@ -121,7 +118,7 @@ def test_fit_equals_the_dense_oracle_bit_for_bit(specs, steps, seed):
 def gathered_store():
     params = nn.ParamStore(seed=1)
     params.weight("w", 2, 3)
-    params.table("emb", 6, 3)
+    params.add("emb", params.rng.normal(0.0, 0.01, size=(6, 3)))
     params.zeros("b", 1, 3)
     return params
 
@@ -149,7 +146,7 @@ def test_nan_in_a_gathered_row_names_the_table_and_changes_nothing():
     assert state.step == 1
 
 
-def test_marks_are_the_rows_gathered_and_only_they_move_without_decay():
+def test_only_the_rows_gathered_move_without_decay():
     params = gathered_store()
     table = params.get("emb").copy()
     nn.fit(params, 2, lambda idx: (gather_loss(params, [[0, 3], [3]][idx[0]]),
@@ -157,11 +154,8 @@ def test_marks_are_the_rows_gathered_and_only_they_move_without_decay():
            np.random.default_rng(0),
            nn.FitConfig(epochs=3, batch_size=1, lr=0.1, seed=0),
            weight_decay=0.0)
-    assert params.touched_rows("emb").tolist() == [0, 3]
     moved = (params.get("emb") != table).any(axis=1)
     assert moved.tolist() == [True, False, False, True, False, False]
-    with pytest.raises(KeyError, match="'w' is not a table"):
-        params.touched_rows("w")
 
 
 def stepwise(params, adam, schedule):
@@ -196,13 +190,11 @@ def test_a_row_first_gathered_at_step_k_is_zeroed_and_updated_from_k_on():
     # step 3 leaves rows 0 and 2 out, so their gradients must be zeroed
     schedule = [[0], [2, 0], [2, 2], [1], [0, 1, 2]]
     emb = np.random.default_rng(3).normal(size=(4, 2)).astype(np.float32)
-    sparse, dense = nn.ParamStore(), nn.ParamStore()
-    sparse.table("emb", 4, 2)
-    sparse.set("emb", emb)
-    dense.add("emb", emb)
-    for params in (sparse, dense):
+    store, dense = nn.ParamStore(), nn.ParamStore()
+    for params in (store, dense):
+        params.add("emb", emb)
         params.add("b", [[0.5, -1.0]])
-    got = stepwise(sparse, nn.adam_step, schedule)
+    got = stepwise(store, nn.adam_step, schedule)
     want = stepwise(dense, dense_adam_step, schedule)
     assert len(got) == len(want) == len(schedule)
     for k, ((grads, values), (oracle_grads, oracle_values)) in enumerate(
@@ -212,80 +204,39 @@ def test_a_row_first_gathered_at_step_k_is_zeroed_and_updated_from_k_on():
                                           err_msg=f"{name} grad, step {k}")
             np.testing.assert_array_equal(values[name], oracle_values[name],
                                           err_msg=f"{name} value, step {k}")
-    assert sparse.touched_rows("emb").tolist() == [0, 1, 2]
-    # a backward with no Adam step after it marks row 3; zeroing sees it
-    nn.backward(nn.sum_all(nn.gather_rows(sparse.leaves["emb"], [3])))
-    sparse._zero_grad()
-    assert not sparse.grad.any()
-
-
-def test_a_table_needs_a_column():
-    with pytest.raises(nn.GraphError, match="'t'.*at least one column"):
-        nn.ParamStore().table("t", 3, 0)
-
-
-def table_uses():
-    """Every way to pass the table leaf `t` to something but gather_rows."""
-    other = nn.constant(np.ones((2, 1)))
-    ones = np.ones((2, 1), dtype=np.float32)
-    return {
-        "add": lambda t: nn.add(t, other),
-        "sub": lambda t: nn.sub(other, t),
-        "mul": lambda t: nn.mul(t, other),
-        "div": lambda t: nn.div(t, other),
-        "matmul": lambda t: nn.matmul(nn.constant(np.ones((1, 2))), t),
-        "scale": lambda t: nn.scale(t, 2.0),
-        "relu": lambda t: nn.relu(t),
-        "softplus": lambda t: nn.softplus(t),
-        "sqrt": lambda t: nn.sqrt(t),
-        "square": lambda t: nn.square(t),
-        "softmax_rows": lambda t: nn.softmax_rows(t),
-        "concat": lambda t: nn.concat_cols([other, t]),
-        "sum_all": lambda t: nn.sum_all(t),
-        "mean_all": lambda t: nn.mean_all(t),
-        "sum_axis1": lambda t: nn.sum_axis1(t),
-        "reshape": lambda t: nn.reshape(t, 1, 2),
-        "repeat_rows": lambda t: nn.repeat_rows(t, 2),
-        "segment_sum": lambda t: nn.segment_sum_rows(t, 2),
-        "stop_gradient": lambda t: nn.stop_gradient(t),
-        "dpca_recon": lambda t: nn.dpca_recon(ones, [t], [other]),
-        "cosine_loss": lambda t: nn.cosine_loss(ones, [1.0, 1.0], t),
-    }
-
-
-@pytest.mark.parametrize("use", sorted(table_uses()))
-@pytest.mark.parametrize("recording", [True, False])
-def test_a_table_feeds_only_gather_rows(use, recording):
-    params = nn.ParamStore()
-    params.table("t", 2, 1)
-    params.set("t", [[1.0], [2.0]])  # inside every op's domain
-    t = params.leaves["t"]
-    with contextlib.nullcontext() if recording else nn._no_record():
-        with pytest.raises(nn.GraphError, match="table 't'.*gather_rows"):
-            table_uses()[use](t)
-        # a gathered copy is an ordinary node
-        table_uses()[use](nn.gather_rows(t, [0, 1]))
-    assert not t.rows.any()
-
-
-def test_a_table_is_no_loss():
-    params = nn.ParamStore()
-    params.table("t", 1, 1)
-    with pytest.raises(nn.GraphError, match="table 't'.*gather_rows"):
-        nn.backward(params.leaves["t"])
 
 
 def test_sid_ranker_equals_a_run_with_the_dense_oracle(monkeypatch):
+    """The compact SID table against the whole grams * hash_size table as
+    a dense parameter, gathered by raw hash: same predictions, same bytes
+    in every shared parameter and in the table's reachable rows, at one
+    row per gram, at 61 and at the collision-free size."""
     ds = rk.generate_engagement(rk.EngagementConfig(
         users=400, items=80, seq_len=6, seed=3))
     cfg = nn.FitConfig(epochs=3, batch_size=64, lr=3e-2, seed=4)
-    model, preds, diverged_at = rk._fit_ranker(ds, "sid", 61, 16, cfg)
-    assert diverged_at is None
-    # the run leaves some rows of the 2 x 61-row table ungathered
-    assert 0 < model.feature_rows_trained() < 122
-    monkeypatch.setattr(nn, "adam_step", dense_adam_step)
-    oracle, oracle_preds, _ = rk._fit_ranker(ds, "sid", 61, 16, cfg)
-    np.testing.assert_array_equal(preds, oracle_preds)
-    for name, value in oracle.params.items():
-        np.testing.assert_array_equal(bits(model.params.get(name)),
-                                      bits(value), err_msg=name)
+    grams = ds.scheme.grams
+    for hash_size in (1, 61, ds.collision_free_size()):
+        model, preds, diverged_at = rk._fit_ranker(ds, "sid", hash_size, 16,
+                                                   cfg)
+        assert diverged_at is None
+        with monkeypatch.context() as full:
+            full.setattr(rk, "ToyRankingModel", FullTableSidRanker)
+            oracle, oracle_preds, _ = rk._fit_ranker(ds, "sid", hash_size, 16,
+                                                     cfg)
+        table = oracle.params.get("feature.table")
+        assert table.shape == (grams * hash_size, 16)
+        np.testing.assert_array_equal(preds, oracle_preds)
+        assert model.params.names() == oracle.params.names()
+        for name, value in oracle.params.items():
+            if name != "feature.table":
+                np.testing.assert_array_equal(bits(model.params.get(name)),
+                                              bits(value), err_msg=name)
+        # the compact rows are the raw rows some item hashes to, in order
+        reachable = np.unique(oracle.item_rows)
+        if hash_size > 1:
+            assert reachable.size < grams * hash_size
+        np.testing.assert_array_equal(model.item_rows,
+                                      np.searchsorted(reachable,
+                                                      oracle.item_rows))
+        np.testing.assert_array_equal(bits(model.params.get("feature.table")),
+                                      bits(table[reachable]))

@@ -18,13 +18,17 @@ of the change is better than every run of the parent. It adds "gain
 shown" where the change won at least 9 in 10 pairs and its median is
 better than the parent's by more than the parent's q3 - q1.
 
-After each run the output digests are read from the result file that
-`bench/run.py` wrote in that checkout's `.bench_work/results/`. Per pair
-the result records whether both sides wrote byte-identical outputs and
-the names that differ, and, when `bench/reference_digests.json` holds
-the workload at the seed, the names it records that each side wrote
+After each run the output digests and the quality values (QUALITY: the
+NE of each rank-ab arm, `recon_loss`, `recall_at_100`) are read from the
+result file that `bench/run.py` wrote in that checkout's
+`.bench_work/results/`. Per pair the result records whether both sides
+wrote byte-identical outputs and the names that differ, the quality
+values that differ, and, when `bench/reference_digests.json` holds the
+workload at the seed, the names it records that each side wrote
 otherwise (it records the SID files and checkpoints, not every output).
-One line sums this up; the exit code does not depend on it.
+A report that goes to stdout, such as rank-ab's, leaves no file, so its
+values are the only check on it. One line sums this up; the exit code
+does not depend on it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# result values that depend only on the outputs, not on the timing
+QUALITY = ("ne_none", "ne_sid", "ne_side", "recon_loss", "recall_at_100")
 
 
 def run_order(pair):
@@ -149,6 +155,12 @@ def outputs_line(pairs):
     differ = sorted({name for c in checks for name in c["differ"]})
     if differ:
         text += f" (differ: {', '.join(differ)})"
+    if all("values_differ" in c for c in checks):
+        same = sum(not c["values_differ"] for c in checks)
+        text += f"; result values equal in {same}/{len(checks)} pairs"
+        differ = sorted({n for c in checks for n in c["values_differ"]})
+        if differ:
+            text += f" (differ: {', '.join(differ)})"
     if all("reference" in c for c in checks):
         for side in SIDES:
             same = sum(not c["reference"][side] for c in checks)
@@ -157,18 +169,30 @@ def outputs_line(pairs):
     return text
 
 
-def result_digests(checkout, workload, seed, since):
-    """The output digests of the result file that bench/run.py wrote for
-    `workload` at `seed` in `checkout` at or after time `since`, else {}."""
+def _saved_result(checkout, workload, seed, since):
+    """The result file that bench/run.py wrote for `workload` at `seed` in
+    `checkout` at or after time `since`, else {}."""
     path = os.path.join(checkout, ".bench_work", "results",
                         f"{workload}-seed{seed}-full.json")
     try:
         if os.path.getmtime(path) < since:
             return {}
         with open(path) as fh:
-            return json.load(fh).get("digests", {})
+            return json.load(fh)
     except (OSError, ValueError):
         return {}
+
+
+def result_digests(checkout, workload, seed, since):
+    """The output digests of that result file, else {}."""
+    return _saved_result(checkout, workload, seed, since).get("digests", {})
+
+
+def result_values(checkout, workload, seed, since):
+    """The QUALITY values among that result file's metrics, else {}."""
+    metrics = _saved_result(checkout, workload, seed, since).get("metrics",
+                                                                 {})
+    return {name: metrics[name] for name in QUALITY if name in metrics}
 
 
 def reference_digests(workload, seed):
@@ -212,6 +236,7 @@ def _run(checkout, workload, seed, seconds):
         result = {"correct": False, "failed": None, "metrics": {},
                   "error": proc.stderr.strip()[-2000:]}
     result["digests"] = result_digests(checkout, workload, seed, started)
+    result["values"] = result_values(checkout, workload, seed, started)
     return result
 
 
@@ -249,6 +274,8 @@ def main(argv=None):
         results["outputs"] = compare_outputs(results["parent"]["digests"],
                                              results["change"]["digests"],
                                              reference)
+        results["outputs"]["values_differ"] = differing(
+            results["parent"]["values"], results["change"]["values"])
         pairs.append(results)
 
     report = {"workload": args.workload, "seed": args.seed,

@@ -349,8 +349,8 @@ def gather_rows(table, indices):
 
 def stop_gradient(a):
     """Forward-identity node that blocks all gradient flow through it."""
-    return Node(a.value, f"stop_gradient#{next(_node_ids)}", (a,), None,
-                requires_grad=False)
+    return Node(a.value, f"stop_gradient#{next(_node_ids)}",
+                (a,) if _recording else (), None, requires_grad=False)
 
 
 # ---------------------------------------------------------------------------

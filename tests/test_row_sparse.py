@@ -9,6 +9,8 @@ check sees every row a gather reached; and the compact SID ranker equals
 the full-table oracle bit for bit.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,65 @@ def test_a_row_first_gathered_at_step_k_is_zeroed_and_updated_from_k_on():
                                           err_msg=f"{name} grad, step {k}")
             np.testing.assert_array_equal(values[name], oracle_values[name],
                                           err_msg=f"{name} value, step {k}")
+
+
+def table_uses():
+    """Every op that can read the (2, 1) rows gathered from a table."""
+    other = nn.constant(np.ones((2, 1)))
+    ones = np.ones((2, 1), dtype=np.float32)
+    return {
+        "add": lambda t: nn.add(t, other),
+        "sub": lambda t: nn.sub(other, t),
+        "mul": lambda t: nn.mul(t, other),
+        "div": lambda t: nn.div(t, other),
+        "matmul": lambda t: nn.matmul(nn.constant(np.ones((1, 2))), t),
+        "scale": lambda t: nn.scale(t, 2.0),
+        "relu": lambda t: nn.relu(t),
+        "softplus": lambda t: nn.softplus(t),
+        "sqrt": lambda t: nn.sqrt(t),
+        "square": lambda t: nn.square(t),
+        "softmax_rows": lambda t: nn.softmax_rows(t),
+        "concat": lambda t: nn.concat_cols([other, t]),
+        "sum_all": lambda t: nn.sum_all(t),
+        "mean_all": lambda t: nn.mean_all(t),
+        "sum_axis1": lambda t: nn.sum_axis1(t),
+        "reshape": lambda t: nn.reshape(t, 1, 2),
+        "repeat_rows": lambda t: nn.repeat_rows(t, 2),
+        "segment_sum": lambda t: nn.segment_sum_rows(t, 2),
+        "stop_gradient": lambda t: nn.stop_gradient(t),
+        "dpca_recon": lambda t: nn.dpca_recon(ones, [t], [other]),
+        "cosine_loss": lambda t: nn.cosine_loss(ones, [1.0, 1.0], t),
+    }
+
+
+@pytest.mark.parametrize("use", sorted(table_uses()))
+@pytest.mark.parametrize("recording", [True, False])
+def test_a_table_feeds_only_gather_rows(use, recording):
+    """A table read through `gather_rows` by any op gets, in the rows
+    gathered, the gradient the op gives a plain copy of them, and exact
+    +0.0 in every other row, so Adam leaves those rows as they are. With
+    recording off, the op's value is the copy's and no node keeps the
+    table."""
+    idx = [2, 0]
+    params = nn.ParamStore()
+    params.add("t", [[1.0], [5.0], [2.0], [7.0]])  # inside every op's domain
+    t = params.leaves["t"]
+    copy = nn.leaf(t.value[idx], requires_grad=True)
+    with contextlib.nullcontext() if recording else nn._no_record():
+        out = table_uses()[use](nn.gather_rows(t, idx))
+        want = table_uses()[use](copy)
+    np.testing.assert_array_equal(bits(out.value), bits(want.value))
+    if not recording:
+        assert out.inputs == () and not out.requires_grad
+        assert not params.grad.any()
+        return
+    nn.backward(nn.sum_all(out))
+    nn.backward(nn.sum_all(want))
+    scattered = np.zeros_like(t.value)
+    if copy.grad is not None:  # stop_gradient leaves the copy unvisited
+        scattered[idx] = copy.grad
+    np.testing.assert_array_equal(bits(t.grad), bits(scattered))
+    assert bits(t.grad[[1, 3]]).tolist() == [[0], [0]]
 
 
 def test_sid_ranker_equals_a_run_with_the_dense_oracle(monkeypatch):

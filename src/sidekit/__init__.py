@@ -16,7 +16,6 @@ from .corpus_io import FormatError, load_checkpoint, save_checkpoint
 from .quantizers import (
     DpcaStack,
     FsqConfig,
-    KMeansCodebook,
     QuantizerError,
     dpca_decode,
     dpca_encode,

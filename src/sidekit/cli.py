@@ -201,10 +201,10 @@ def _load_kmeans(cfg, path):
     if len(books) != need:
         raise PipelineError(f"{path} holds {len(books)} k-means codebooks, "
                             f"the {cfg.quantizer} config needs {need}")
-    if cfg.levels != books[0].k:
+    if cfg.levels != books[0].shape[0]:
         raise PipelineError(f"the {cfg.quantizer} config sets levels="
                             f"{cfg.levels}, the codebooks in {path} have "
-                            f"k={books[0].k} centroids")
+                            f"k={books[0].shape[0]} centroids")
     return books
 
 

@@ -37,8 +37,8 @@ from . import nn_core as nn
 from .corpus_io import load_checkpoint, save_checkpoint
 from .metrics import _row_blocks
 from .nn_core import DTYPE, ParamStore
-from .quantizers import (DpcaStack, FsqConfig, _fsq_snap, dpca_decode,
-                         dpca_encode, fsq_quantize, fsq_values)
+from .quantizers import (DpcaStack, FsqConfig, dpca_decode, dpca_encode,
+                         fsq_quantize, fsq_values)
 from .sid_codec import SidScheme, pack_all
 
 
@@ -182,9 +182,8 @@ class FusionModel:
         if q.kind == "none":
             return h, None
         if q.kind == "fsq":
-            levels = _fsq_snap(self.fsq, h.value, dither_rng)
-            return (nn.constant(fsq_values(self.fsq, levels), "h_hat"),
-                    levels - self.fsq.offset)
+            levels, values = fsq_quantize(self.fsq, h.value, dither_rng)
+            return nn.constant(values, "h_hat"), levels - self.fsq.offset
         codes = self.digits(h.value)
         p = self.params.leaves
         group_nodes = [

@@ -5,12 +5,13 @@ quantization (FSQ), and discrete-PCA stacks (residual layers of learned
 component vectors with a ternary {-1, 0, +1} scalar codebook, optionally
 in parallel product groups).
 
-The k-means kinds are one (groups, depth) grid: each contiguous product
-slice holds a residual stack of `depth` k-means codebooks, so kmeans is
-1 x 1, rq 1 x depth and pq groups x 1. Books, code columns and the
-"kmeans.l{i}" checkpoint layers are group-major: i = g*depth + t.
+A k-means codebook is its (k, d) float32 centroid array. The k-means
+kinds are one (groups, depth) grid: each contiguous product slice holds a
+residual stack of `depth` codebooks, so kmeans is 1 x 1, rq 1 x depth and
+pq groups x 1. Books, code columns and the "kmeans.l{i}" checkpoint
+layers are group-major: i = g*depth + t.
 
-All assign/encode/decode functions are pure over immutable codebooks and
+All assign/encode/decode functions leave their codebooks unchanged and
 take a 2-D row-major batch, one vector (or one code) per row; a single
 vector is a batch of one row. Any other ndim raises QuantizerError. Ties
 are broken toward the lower index everywhere.
@@ -18,7 +19,7 @@ are broken toward the lower index everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,27 +44,6 @@ def _rows(x, dtype=DTYPE):
 # k-means
 
 
-@dataclass
-class KMeansCodebook:
-    """Centroid table from Lloyd's algorithm.
-
-    `degenerate` flags a corpus whose rows were all identical, in which
-    case the centroids are k copies of that row.
-    """
-
-    centroids: np.ndarray
-    degenerate: bool = False
-    objective_history: list = field(default_factory=list)
-
-    @property
-    def k(self):
-        return self.centroids.shape[0]
-
-    @property
-    def d(self):
-        return self.centroids.shape[1]
-
-
 def _sq_dists(x, centroids):
     # ||x||^2 - 2 x.C^T + ||c||^2, clipped at 0 against rounding, built in
     # one (n, k) buffer; -2xc + ||x||^2 equals ||x||^2 - 2xc bit for bit.
@@ -75,16 +55,17 @@ def _sq_dists(x, centroids):
 
 
 def kmeans_fit(corpus, k, iters, seed):
-    """Lloyd's algorithm with farthest-point reseeding of empty clusters.
+    """The (k, d) float32 centroids of Lloyd's algorithm, with
+    farthest-point reseeding of empty clusters.
 
-    The within-cluster sum of squares is recorded once per iteration and
-    is non-increasing: reseeding relocates an unused centroid onto the
-    point currently farthest from its assigned centroid, which can only
-    shrink nearest-centroid distances.
+    The within-cluster sum of squares never rises from one iteration to
+    the next: reseeding relocates an unused centroid onto the point
+    currently farthest from its assigned centroid, which can only shrink
+    nearest-centroid distances. A corpus of identical rows gives k
+    centroids equal to that row.
 
-    One distance pass per iteration: the distances that give the recorded
-    objective also give the next iteration's assignment. Rows are grouped
-    by cluster with one stable argsort, so each centroid is the mean of a
+    One distance pass per iteration, at its top. Rows are grouped by
+    cluster with one stable argsort, so each centroid is the mean of a
     contiguous slice holding its rows in corpus order.
     """
     x = _rows(corpus)
@@ -96,15 +77,10 @@ def kmeans_fit(corpus, k, iters, seed):
     if iters < 1:
         raise QuantizerError(f"iters must be >= 1, got {iters}")
 
-    if np.all(x == x[0]):
-        return KMeansCodebook(np.repeat(x[:1], k, axis=0).copy(),
-                              degenerate=True, objective_history=[0.0])
-
     rng = np.random.default_rng(seed)
     centroids = x[rng.choice(n, size=k, replace=False)].copy()
-    history = []
-    d2 = _sq_dists(x, centroids)
     for _ in range(iters):
+        d2 = _sq_dists(x, centroids)
         assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), assign]
         grouped = x[np.argsort(assign, kind="stable")]
@@ -117,18 +93,16 @@ def kmeans_fit(corpus, k, iters, seed):
                 far = int(point_d2.argmax())
                 centroids[c] = x[far]
                 point_d2[far] = 0.0  # claimed; next empty cluster picks elsewhere
-        d2 = _sq_dists(x, centroids)
-        history.append(float(d2.min(axis=1).sum()))
-    return KMeansCodebook(centroids.astype(DTYPE), objective_history=history)
+    return centroids.astype(DTYPE)
 
 
-def kmeans_assign(codebook, x):
+def kmeans_assign(centroids, x):
     """Index of the nearest centroid by Euclidean distance (lowest wins ties)."""
     rows = _rows(x)
-    if rows.shape[1] != codebook.d:
-        raise QuantizerError(
-            f"dimension mismatch: input has {rows.shape[1]}, codebook {codebook.d}")
-    return _sq_dists(rows, codebook.centroids).argmin(axis=1)
+    if rows.shape[1] != centroids.shape[1]:
+        raise QuantizerError(f"dimension mismatch: input has {rows.shape[1]}, "
+                             f"codebook {centroids.shape[1]}")
+    return _sq_dists(rows, centroids).argmin(axis=1)
 
 
 def residual_fit(corpus, k, depth, iters, seed):
@@ -137,8 +111,7 @@ def residual_fit(corpus, k, depth, iters, seed):
     stack = []
     for layer in range(depth):
         if stack:
-            prev = stack[-1]
-            residual = residual - prev.centroids[kmeans_assign(prev, residual)]
+            residual = residual - stack[-1][kmeans_assign(stack[-1], residual)]
         stack.append(kmeans_fit(residual, k, iters=iters, seed=seed + layer))
     return stack
 
@@ -148,9 +121,9 @@ def residual_quantize(stack, x):
     the (n, depth) indices of the codeword chosen at each layer."""
     residual = _rows(x).copy()
     indices = np.empty((residual.shape[0], len(stack)), dtype=np.int64)
-    for layer, cb in enumerate(stack):
-        indices[:, layer] = kmeans_assign(cb, residual)
-        residual -= cb.centroids[indices[:, layer]]
+    for layer, book in enumerate(stack):
+        indices[:, layer] = kmeans_assign(book, residual)
+        residual -= book[indices[:, layer]]
     return indices
 
 
@@ -201,7 +174,7 @@ def kmeans_grid_decode(books, groups, codes):
     idx = _rows(codes, dtype=np.int64)
     if idx.shape[1] < len(books):
         raise QuantizerError(f"{idx.shape[1]} code columns, {len(books)} books")
-    return product_join([sum(books[i].centroids[idx[:, i]]
+    return product_join([sum(books[i][idx[:, i]]
                              for i in range(g * depth, (g + 1) * depth))
                          for g in range(groups)])
 
@@ -232,33 +205,25 @@ class FsqConfig:
         return (self.levels - 1) // 2
 
 
-def fsq_quantize(cfg, z):
+def fsq_quantize(cfg, z, dither_rng=None):
     """Per-dimension scalar quantization of an unbounded latent.
 
     Each entry is squashed with tanh to [-1, 1], snapped to the uniform
     L-level grid (ties round half away from zero), and returned both as a
-    level index in [0, L) and as the grid value.
+    level index in [0, L) and as the grid value. `dither_rng` adds uniform
+    half-step noise to the grid position before rounding (the
+    training-time dither).
     """
     rows = _rows(z)
     if not np.all(np.isfinite(rows)):
         raise QuantizerError("non-finite latent input")
-    levels = _fsq_snap(cfg, rows)
-    return levels, fsq_values(cfg, levels)
-
-
-def _fsq_snap(cfg, z, dither_rng=None):
-    """Level indices of the tanh-bounded grid snap of finite `z`.
-
-    `dither_rng` adds uniform half-step noise to the grid position before
-    rounding (the training-time dither).
-    """
-    u = np.tanh(z)
+    u = np.tanh(rows)
     # (u+1)/2*(L-1) is nonnegative, so half-away-from-zero == floor(x+0.5).
     pos = (u + 1.0) * 0.5 * (cfg.levels - 1)
     if dither_rng is not None:
         pos = pos + dither_rng.uniform(-0.5, 0.5, size=pos.shape)
-    levels = np.floor(pos + 0.5).astype(np.int64)
-    return np.clip(levels, 0, cfg.levels - 1)
+    levels = np.clip(np.floor(pos + 0.5).astype(np.int64), 0, cfg.levels - 1)
+    return levels, fsq_values(cfg, levels)
 
 
 def fsq_values(cfg, levels):
@@ -362,10 +327,10 @@ def dpca_encode(stack, x):
 
 def _ternary_digit(coeff):
     """The centered ternary FSQ digit of finite float32 coefficients as
-    int8: _fsq_snap(FsqConfig(3), coeff) - 1, with the same float32 rounding.
-    (tanh + 1) * 0.5 * 2 is tanh + 1 exactly, and the snap position
-    p = tanh + 1 + 0.5 lies in [0.5, 2.5], where floor(p) - 1 is
-    [p >= 2] - [p < 1] and the clip never binds."""
+    int8: the level fsq_quantize gives each at FsqConfig(3), minus 1, with
+    the same float32 rounding. (tanh + 1) * 0.5 * 2 is tanh + 1 exactly,
+    and the snap position p = tanh + 1 + 0.5 lies in [0.5, 2.5], where
+    floor(p) - 1 is [p >= 2] - [p < 1] and the clip never binds."""
     p = np.tanh(coeff)
     p += 1.0
     p += 0.5
@@ -393,7 +358,7 @@ def dpca_decode(stack, codes):
 
 def save_codebooks(path, books):
     """Write a list of k-means codebooks, group-major, to one checkpoint."""
-    save_checkpoint(path, {f"kmeans.l{layer}.centroids": book.centroids
+    save_checkpoint(path, {f"kmeans.l{layer}.centroids": book
                            for layer, book in enumerate(books)})
 
 
@@ -407,4 +372,4 @@ def load_codebooks(path):
         raise QuantizerError(
             f"k-means layers must be {names[0]} .. {names[-1]}, "
             f"got {sorted(found)}")
-    return [KMeansCodebook(arrays[k]) for k in names]
+    return [arrays[k] for k in names]

@@ -499,8 +499,17 @@ def run_ab(dataset, hash_size, feature_dim, cfg):
     equals the serial run's: NE is computed in this process, in report
     order, and the first arm's error in report order is raised, with its
     type and message. Every worker has exited when this returns or raises.
+
+    A `hash_size` above `dataset.collision_free_size()` raises
+    RankingError: no SID hashes to a row past that size.
     """
-    labels = _eval_labels(dataset, cfg.seed)  # raises before anything forks
+    # both checks raise before anything trains or forks
+    free = dataset.collision_free_size()
+    if hash_size > free:
+        raise RankingError(
+            f"hash_size {hash_size} exceeds the data's collision-free size "
+            f"{free}; no SID hashes to a row past it")
+    labels = _eval_labels(dataset, cfg.seed)
     train = partial(train_ranker, dataset, hash_size=hash_size,
                     feature_dim=feature_dim, cfg=cfg)
     workers = min(worker_count(), len(AB_VARIANTS))

@@ -240,24 +240,21 @@ def full_sort_topk(base, queries, k, exclude_self=None):
 
 
 def mask_loop_kmeans(corpus, k, iters, seed):
-    """Lloyd's algorithm with one boolean mask per cluster and two distance
-    passes per iteration; an empty cluster takes the unclaimed point
-    farthest from its centroid. Returns (centroids, objective history,
-    number of reseeds). Distances use the same float expression as
-    quantizers._sq_dists, so results can be compared bit for bit."""
+    """Lloyd's algorithm with one boolean mask per cluster; an empty
+    cluster takes the unclaimed point farthest from its centroid. Returns
+    (centroids, number of reseeds). Distances use the same float
+    expression as quantizers._sq_dists, so results can be compared bit for
+    bit."""
     x = np.asarray(corpus, dtype=np.float32)
     n = x.shape[0]
-
-    def sq_dists(c):
-        d2 = (np.einsum("ij,ij->i", x, x)[:, None] - 2.0 * (x @ c.T)
-              + np.einsum("ij,ij->i", c, c)[None, :])
-        return np.maximum(d2, 0.0)
-
     rng = np.random.default_rng(seed)
     centroids = x[rng.choice(n, size=k, replace=False)].copy()
-    history, reseeds = [], 0
+    reseeds = 0
     for _ in range(iters):
-        d2 = sq_dists(centroids)
+        d2 = np.maximum(np.einsum("ij,ij->i", x, x)[:, None]
+                        - 2.0 * (x @ centroids.T)
+                        + np.einsum("ij,ij->i", centroids, centroids)[None, :],
+                        0.0)
         assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), assign]
         for c in range(k):
@@ -269,8 +266,35 @@ def mask_loop_kmeans(corpus, k, iters, seed):
                 centroids[c] = x[far]
                 point_d2[far] = 0.0
                 reseeds += 1
-        history.append(float(sq_dists(centroids).min(axis=1).sum()))
-    return centroids, history, reseeds
+    return centroids, reseeds
+
+
+def within_cluster_sum_of_squares(corpus, centroids):
+    """Sum over rows of the squared float64 distance to the nearest
+    centroid, by broadcasting every row against every centroid."""
+    x = np.asarray(corpus, dtype=np.float64)
+    c = np.asarray(centroids, dtype=np.float64)
+    return float(((x[:, None, :] - c[None]) ** 2).sum(axis=2).min(axis=1).sum())
+
+
+def threshold_residual_encode(books, x, threshold):
+    """Residual encoding of `x` over a stack of 3-centroid books
+    [b - u, b, b + u]: at each layer the float64 least-squares coefficient
+    c of the residual minus b on u = (book[2] - book[0]) / 2 picks index 2
+    if tanh(c) >= threshold, index 0 if tanh(c) < -threshold, else 1, and
+    the chosen centroid is subtracted. Returns (indices, coefficients),
+    both (n, len(books))."""
+    r = np.asarray(x, dtype=np.float32).copy()
+    n = r.shape[0]
+    idx = np.empty((n, len(books)), dtype=np.int64)
+    coeffs = np.empty((n, len(books)))
+    for t, book in enumerate(books):
+        b = book[1].astype(np.float64)
+        u = (book[2].astype(np.float64) - book[0]) / 2.0
+        c = coeffs[:, t] = (r - b) @ u / (u @ u)
+        idx[:, t] = 1 + (np.tanh(c) >= threshold) - (np.tanh(c) < -threshold)
+        r -= book[idx[:, t]]
+    return idx, coeffs
 
 
 def broadcast_history(users, items, seq_len, seed, latent_dim, sharpness):

@@ -11,7 +11,7 @@ from sidekit import quantizers as q
 from sidekit import sid_codec as sc
 
 VEC = np.zeros(4, dtype=np.float32)
-KMEANS = q.KMeansCodebook(np.eye(4, dtype=np.float32))
+KMEANS = np.eye(4, dtype=np.float32)
 DPCA = q.DpcaStack.random(4, 2, seed=0)
 SCHEME = sc.SidScheme(base=3, ngram=2, grams=2)
 

@@ -632,6 +632,26 @@ def test_rank_ab_rejects_hash_size_below_one(capsys, engagement, size):
     assert captured.out == ""
 
 
+def test_rank_ab_rejects_hash_size_above_the_collision_free_size(
+        monkeypatch, capsys, engagement):
+    # the engagement file's SIDs reach 19,681 rows per gram
+    import multiprocessing
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("trained or forked before checking hash_size")
+
+    monkeypatch.setenv("SIDEKIT_THREADS", "2")
+    monkeypatch.setattr(rk, "_fit_ranker", forbidden)
+    monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+    capsys.readouterr()
+    assert run("rank-ab", *engagement, "--hash-size", 19682, "--json") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: hash_size 19682 exceeds the data's "
+                            "collision-free size 19681; no SID hashes to a "
+                            "row past it\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, flag, value, least", [
     ("rank-ab", "--epochs", "0", ">= 1"),
     ("rank-ab", "--feature-dim", "0", ">= 1"),

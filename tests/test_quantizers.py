@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from sidekit import quantizers as q
 from sidekit.corpus_io import save_checkpoint
-from oracles import mask_loop_kmeans, naive_dpca_sum
+from oracles import (mask_loop_kmeans, naive_dpca_sum,
+                     threshold_residual_encode, within_cluster_sum_of_squares)
 
 
 class TestKMeans:
@@ -19,15 +20,14 @@ class TestKMeans:
         # centroids are the points themselves, in some order
         order = q.kmeans_assign(cb, pts)
         assert sorted(order.tolist()) == [0, 1, 2, 3]
-        np.testing.assert_allclose(cb.centroids[order], pts, atol=1e-6)
-        # f32 cancellation in ||x||^2 - 2x.c + ||c||^2 leaves ~1e-6 dust
-        assert cb.objective_history[-1] == pytest.approx(0.0, abs=1e-4)
+        np.testing.assert_allclose(cb[order], pts, atol=1e-6)
+        assert within_cluster_sum_of_squares(pts, cb) == 0.0
 
     def test_k1_is_corpus_mean(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(40, 5)).astype(np.float32)
         cb = q.kmeans_fit(pts, 1, iters=3, seed=0)
-        np.testing.assert_allclose(cb.centroids[0], pts.mean(axis=0), atol=1e-5)
+        np.testing.assert_allclose(cb[0], pts.mean(axis=0), atol=1e-5)
 
     def test_two_planted_modes(self):
         rng = np.random.default_rng(2)
@@ -39,23 +39,27 @@ class TestKMeans:
         ]).astype(np.float32)
         cb = q.kmeans_fit(pts, 2, iters=20, seed=3)
         dists = np.linalg.norm(
-            cb.centroids[:, None, :] - np.stack([mode, -mode])[None], axis=2)
+            cb[:, None, :] - np.stack([mode, -mode])[None], axis=2)
         # each mode claimed by one centroid, within 0.01 * sqrt(d)
         assert dists.min(axis=0).max() < 0.01 * np.sqrt(d)
 
     def test_objective_monotone(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(200, 8)).astype(np.float32)
-        cb = q.kmeans_fit(pts, 12, iters=30, seed=4)
-        hist = cb.objective_history
-        assert all(a >= b - 1e-4 for a, b in zip(hist, hist[1:]))
+        # the within-cluster sum of squares after i = 1..iters iterations,
+        # also on the corpus that reseeds in the mask-loop test below
+        spread = np.random.default_rng(3).normal(size=(200, 8))
+        repeated = np.repeat(np.random.default_rng(5).normal(size=(20, 6)),
+                             4, axis=0)
+        for pts, k, iters, seed in [(spread, 12, 30, 4), (repeated, 30, 6, 6)]:
+            pts = pts.astype(np.float32)
+            wcss = [within_cluster_sum_of_squares(pts, q.kmeans_fit(
+                pts, k, i, seed)) for i in range(1, iters + 1)]
+            assert all(a >= b for a, b in zip(wcss, wcss[1:]))
 
-    def test_degenerate_corpus_flagged(self):
-        pts = np.ones((10, 3), dtype=np.float32)
-        cb = q.kmeans_fit(pts, 4, iters=2, seed=0)
-        assert cb.degenerate
-        assert cb.k == 4
-        np.testing.assert_array_equal(cb.centroids, np.ones((4, 3)))
+    def test_degenerate_corpus_gives_k_copies_of_its_row(self):
+        row = np.random.default_rng(4).normal(size=(1, 5)).astype(np.float32)
+        cb = q.kmeans_fit(np.repeat(row, 10, axis=0), 4, iters=2, seed=0)
+        assert cb.dtype == np.float32
+        assert cb.tobytes() == np.repeat(row, 4, axis=0).tobytes()
 
     def test_k_exceeds_rows(self):
         with pytest.raises(q.QuantizerError, match="exceeds"):
@@ -68,9 +72,8 @@ class TestKMeans:
         pts = np.random.default_rng(seed).normal(size=(rows, 8)).astype(
             np.float32)
         cb = q.kmeans_fit(pts, k, iters=iters, seed=seed)
-        centroids, history, _ = mask_loop_kmeans(pts, k, iters, seed)
-        np.testing.assert_array_equal(cb.centroids, centroids)
-        assert cb.objective_history == history
+        centroids, _ = mask_loop_kmeans(pts, k, iters, seed)
+        np.testing.assert_array_equal(cb, centroids)
 
     def test_empty_cluster_reseed_matches_the_mask_loop(self):
         # 20 distinct points, each 4 times, and 30 centroids: some start on
@@ -78,25 +81,23 @@ class TestKMeans:
         rng = np.random.default_rng(5)
         pts = np.repeat(rng.normal(size=(20, 6)), 4, axis=0).astype(np.float32)
         cb = q.kmeans_fit(pts, 30, iters=4, seed=6)
-        centroids, history, reseeds = mask_loop_kmeans(pts, 30, 4, 6)
+        centroids, reseeds = mask_loop_kmeans(pts, 30, 4, 6)
         assert reseeds > 0
-        np.testing.assert_array_equal(cb.centroids, centroids)
-        assert cb.objective_history == history
-        assert all(a >= b for a, b in zip(history, history[1:]))
+        np.testing.assert_array_equal(cb, centroids)
 
 
 class TestAssign:
     def setup_method(self):
         rng = np.random.default_rng(5)
-        self.cb = q.KMeansCodebook(rng.normal(size=(8, 6)).astype(np.float32))
+        self.cb = rng.normal(size=(8, 6)).astype(np.float32)
 
     def test_exact_centroid(self):
-        assert q.kmeans_assign(self.cb, self.cb.centroids[3:4]).tolist() == [3]
+        assert q.kmeans_assign(self.cb, self.cb[3:4]).tolist() == [3]
 
     def test_tie_breaks_low_index(self):
-        cb = q.KMeansCodebook(np.array(
+        cb = np.array(
             [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [2.0, 0.0], [-1.0, 0.0]],
-            dtype=np.float32))
+            dtype=np.float32)
         # origin is equidistant from centroids 1 and 4 (and 0 and 2)
         origin = np.zeros((1, 2), dtype=np.float32)
         assert q.kmeans_assign(cb, origin).tolist() == [0]
@@ -109,28 +110,26 @@ class TestAssign:
 class TestResidual:
     def test_depth_one_reduces_to_assign(self):
         rng = np.random.default_rng(7)
-        cb = q.KMeansCodebook(rng.normal(size=(5, 4)).astype(np.float32))
+        cb = rng.normal(size=(5, 4)).astype(np.float32)
         x = rng.normal(size=(1, 4)).astype(np.float32)
         idx = q.residual_quantize([cb], x)
         recon = q.kmeans_grid_decode([cb], 1, idx)
         assert idx[0, 0] == q.kmeans_assign(cb, x)[0]
-        np.testing.assert_array_equal(recon[0], cb.centroids[idx[0, 0]])
+        np.testing.assert_array_equal(recon[0], cb[idx[0, 0]])
 
     def test_exact_cover_zero_residual(self):
         rng = np.random.default_rng(8)
-        cb1 = q.KMeansCodebook(rng.normal(size=(4, 4)).astype(np.float32))
-        cb2 = q.KMeansCodebook(
-            0.01 * rng.normal(size=(4, 4)).astype(np.float32))
-        x = cb1.centroids[2:3] + cb2.centroids[1:2]
+        cb1 = rng.normal(size=(4, 4)).astype(np.float32)
+        cb2 = 0.01 * rng.normal(size=(4, 4)).astype(np.float32)
+        x = cb1[2:3] + cb2[1:2]
         idx = q.residual_quantize([cb1, cb2], x)
         recon = q.kmeans_grid_decode([cb1, cb2], 1, idx)
         np.testing.assert_allclose(recon, x, atol=1e-6)
 
     def test_greedy_against_pair_enumeration(self):
         rng = np.random.default_rng(9)
-        cb1 = q.KMeansCodebook(rng.normal(size=(4, 6)).astype(np.float32))
-        cb2 = q.KMeansCodebook(
-            0.3 * rng.normal(size=(4, 6)).astype(np.float32))
+        cb1 = rng.normal(size=(4, 6)).astype(np.float32)
+        cb2 = 0.3 * rng.normal(size=(4, 6)).astype(np.float32)
         for _ in range(50):
             x = rng.normal(size=6).astype(np.float32)
             idx = q.residual_quantize([cb1, cb2], x[None, :])
@@ -139,13 +138,13 @@ class TestResidual:
             greedy_res = float(((x - recon) ** 2).sum())
             # exhaustive over the 16 pairs
             best = min(
-                float(((x - cb1.centroids[i] - cb2.centroids[j]) ** 2).sum())
+                float(((x - cb1[i] - cb2[j]) ** 2).sum())
                 for i in range(4) for j in range(4))
             # greedy is optimal whenever its layer-1 pick matches the
             # exhaustive optimum's layer-1; always at least as good as the
             # best completion of its own layer-1 choice
             best_given_l1 = min(
-                float(((x - cb1.centroids[idx[0]] - cb2.centroids[j]) ** 2).sum())
+                float(((x - cb1[idx[0]] - cb2[j]) ** 2).sum())
                 for j in range(4))
             assert greedy_res <= best_given_l1 + 1e-5
             assert greedy_res >= best - 1e-5
@@ -170,15 +169,15 @@ class TestGrid:
     def test_fit_layouts_match_direct_fits(self):
         one = q.kmeans_grid_fit(self.pts, 5, 1, 1, 4, 3)
         direct = q.kmeans_fit(self.pts, 5, iters=4, seed=3)
-        np.testing.assert_array_equal(one[0].centroids, direct.centroids)
+        np.testing.assert_array_equal(one[0], direct)
         rq = q.kmeans_grid_fit(self.pts, 5, 1, 2, 4, 3)
         for got, want in zip(rq, q.residual_fit(self.pts, 5, 2, iters=4,
                                                 seed=3)):
-            np.testing.assert_array_equal(got.centroids, want.centroids)
+            np.testing.assert_array_equal(got, want)
         pq = q.kmeans_grid_fit(self.pts, 5, 3, 1, 4, 3)
         for g, part in enumerate(q.product_split(self.pts, 3)):
             want = q.kmeans_fit(part, 5, iters=4, seed=3 + g)
-            np.testing.assert_array_equal(pq[g].centroids, want.centroids)
+            np.testing.assert_array_equal(pq[g], want)
 
     @pytest.mark.parametrize("groups, depth", [(1, 1), (1, 3), (3, 1),
                                                (2, 2)])
@@ -197,7 +196,7 @@ class TestGrid:
         w = 6 // groups
         for i, book in enumerate(books):
             g = i // depth
-            want[:, g * w:(g + 1) * w] += book.centroids[codes[:, i]]
+            want[:, g * w:(g + 1) * w] += book[codes[:, i]]
         np.testing.assert_allclose(recon, want, atol=1e-6)
 
     def test_decode_ignores_padding_and_rejects_short_codes(self):
@@ -266,14 +265,17 @@ class TestFsq:
                 return np.broadcast_to([-0.5, 0.5], size)
 
         z = np.array([[0.0, 0.0], [20.0, 20.0]], dtype=np.float32)
-        levels = q._fsq_snap(q.FsqConfig(3), z, Dither())
+        levels, _ = q.fsq_quantize(q.FsqConfig(3), z, Dither())
         assert levels.tolist() == [[1, 2], [2, 2]]
 
     def test_undithered_snap_is_fsq_quantize(self):
+        # the grid position (tanh(z) + 1) / 2 * (L - 1), in float64,
+        # rounded half up; no entry of this z lies near a tie
         cfg = q.FsqConfig(5)
         z = np.random.default_rng(24).normal(size=(30, 6)).astype(np.float32)
-        np.testing.assert_array_equal(q._fsq_snap(cfg, z),
-                                      q.fsq_quantize(cfg, z)[0])
+        pos = (np.tanh(z.astype(np.float64)) + 1.0) / 2.0 * 4
+        np.testing.assert_array_equal(q.fsq_quantize(cfg, z)[0],
+                                      np.floor(pos + 0.5))
 
     @given(st.integers(min_value=2, max_value=5),
            st.integers(min_value=0, max_value=4))
@@ -364,6 +366,55 @@ class TestDpca:
             q.dpca_decode(stack, np.array([[1, 0, 1]]))
 
 
+class TestDpcaAsResidualQuantization:
+    """A DPCA stack is a residual quantizer whose depth-t book is the three
+    centroids {b - u, b, b + u}, with digit s picking b + s*u, but whose
+    digit switches where tanh of the least-squares coefficient crosses
+    +-0.5, at atanh(0.5) ~ 0.549, not at the nearest-centroid midpoint 0.5."""
+
+    rng = np.random.default_rng(25)
+    stack = q.DpcaStack(rng.normal(size=(3, 4, 4)).astype(np.float32),
+                        0.2 * rng.normal(size=(3, 4, 4)).astype(np.float32))
+    x = rng.normal(size=(5000, 12)).astype(np.float32)
+    # group-major books of index s + 1 for digit s, as kmeans_grid_* read them
+    books = [np.stack([b - u, b, b + u])
+             for us, bs in zip(stack.components, stack.offsets)
+             for u, b in zip(us, bs)]
+
+    def residual_codes(self, encode):
+        """`encode(books, part)` per product group, joined group-major."""
+        return np.concatenate(
+            [encode(self.books[g * 4:(g + 1) * 4], part)
+             for g, part in enumerate(q.product_split(self.x, 3))], axis=1)
+
+    def test_encode_is_the_residual_encoder_switching_at_tanh_half(self):
+        codes = self.residual_codes(
+            lambda books, part: threshold_residual_encode(books, part, 0.5)[0])
+        np.testing.assert_array_equal(q.dpca_encode(self.stack, self.x),
+                                      codes - 1)
+
+    def test_nearest_centroid_encoding_differs_in_the_dead_zone_only(self):
+        dpca = q.dpca_encode(self.stack, self.x) + 1
+        coeffs = self.residual_codes(
+            lambda books, part: threshold_residual_encode(books, part, 0.5)[1])
+        nearest = self.residual_codes(q.residual_quantize)
+        differs = dpca != nearest
+        rows = np.flatnonzero(differs.any(axis=1))
+        assert 0 < rows.size < self.x.shape[0]
+        # each row's first differing digit has the same residual in both
+        # encoders; its coefficient lies between the two switch points
+        first = differs[rows].argmax(axis=1)
+        c = np.abs(coeffs[rows, first])
+        assert c.min() >= 0.5 - 1e-6 and c.max() < np.arctanh(0.5) + 1e-6
+
+    def test_decode_is_the_residual_sum_of_the_centroids(self):
+        codes = q.dpca_encode(self.stack, self.x)
+        np.testing.assert_allclose(
+            q.dpca_decode(self.stack, codes),
+            q.kmeans_grid_decode(self.books, 3, codes.astype(np.int64) + 1),
+            rtol=0, atol=1e-6)
+
+
 class TestCodebookSerialization:
     def test_roundtrip_all_kinds(self, tmp_path):
         # kmeans (1 x 1), rq (1 x 3) and pq (2 x 1) grids, group-major
@@ -375,7 +426,7 @@ class TestCodebookSerialization:
             loaded = q.load_codebooks(path)
             assert len(loaded) == groups * depth
             for got, book in zip(loaded, books):
-                np.testing.assert_array_equal(got.centroids, book.centroids)
+                np.testing.assert_array_equal(got, book)
 
     def test_no_kmeans_layers_loads_empty(self, tmp_path):
         path = tmp_path / "fusion.ckpt"

@@ -14,8 +14,6 @@ from .nn_core import (
 )
 from .corpus_io import FormatError, load_checkpoint, save_checkpoint
 from .quantizers import (
-    DpcaStack,
-    FsqConfig,
     QuantizerError,
     dpca_decode,
     dpca_encode,
@@ -25,7 +23,6 @@ from .quantizers import (
     kmeans_grid_decode,
     kmeans_grid_encode,
     kmeans_grid_fit,
-    product_join,
     product_split,
     residual_fit,
     residual_quantize,

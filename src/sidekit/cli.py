@@ -124,8 +124,19 @@ def _build_fusion(cfg, dims):
     return fv.FusionModel(spec, seed=cfg.seed)
 
 
-def _load_bundle(paths):
+def _load_bundle(cfg, paths):
+    """The corpora as signals sig0, sig1, ... and their dims. The k-means
+    kinds take one corpus, counted before any is read, of finite rows."""
+    classical = cfg.quantizer in CLASSICAL_KINDS
+    if classical and len(paths) != 1:
+        raise PipelineError(
+            f"{cfg.quantizer} takes one corpus, got {len(paths)}")
     corpora = [corpus_read(p) for p in paths]
+    if classical:
+        bad = ~np.isfinite(corpora[0]).all(axis=1)
+        if bad.any():
+            raise PipelineError(
+                f"non-finite row {int(np.argmax(bad))} in {paths[0]}")
     rows = {c.shape[0] for c in corpora}
     if len(rows) != 1:
         raise PipelineError(f"corpora disagree on row count: {sorted(rows)}")
@@ -172,10 +183,8 @@ def cmd_train(args):
     cfg = load_config(args.config)
     if args.history and cfg.quantizer in CLASSICAL_KINDS:
         raise PipelineError(f"--history needs fusion training, not {cfg.quantizer}")
-    bundle, dims = _load_bundle(args.corpus)
+    bundle, dims = _load_bundle(cfg, args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
-        if len(args.corpus) != 1:
-            raise PipelineError("classical quantizers train on one corpus")
         books = kmeans_grid_fit(bundle["sig0"], cfg.levels, cfg.groups,
                                 cfg.depth, cfg.kmeans_iters, cfg.seed)
         save_codebooks(args.out, books)
@@ -210,7 +219,7 @@ def _load_kmeans(cfg, path):
 
 def cmd_encode(args):
     cfg = load_config(args.config)
-    bundle, dims = _load_bundle(args.corpus)
+    bundle, dims = _load_bundle(cfg, args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
         books = _load_kmeans(cfg, args.ckpt)
         codes = kmeans_grid_encode(books, cfg.groups, bundle["sig0"])
@@ -342,7 +351,7 @@ def cmd_sweep(args):
     if cfg.quantizer in CLASSICAL_KINDS:
         raise PipelineError(f"sweep trains fusion models only (fsq, dpca, "
                             f"none), not '{cfg.quantizer}'")
-    bundle, dims = _load_bundle(args.corpus)
+    bundle, dims = _load_bundle(cfg, args.corpus)
     rows = []
     # the n-gram size changes only the SID scheme: one model per (L, D, P)
     for L, D, P in product(args.levels or (cfg.levels,),

@@ -9,7 +9,9 @@ h, so reconstruction gradients reach the encoders. A shared trunk feeds
 one head per signal, and training minimizes the mean of the per-signal
 cosine reconstruction losses plus, for parameterized quantizers, the
 commitment and codebook terms that bind the encoder and the component
-vectors together. FSQ has no trainable codebook and needs neither term.
+vectors together. FSQ has no trainable codebook and needs neither term;
+its grid is the spec's level count. The DPCA stack is one component and
+one offset parameter row per (group, depth), which `dpca_stack` gathers.
 
 The per-batch graph uses the fused ops of `nn_core`: DPCA's h_hat is one
 `nn.dpca_recon` node per product group over its component and offset
@@ -37,7 +39,7 @@ from . import nn_core as nn
 from .corpus_io import load_checkpoint, save_checkpoint
 from .metrics import _row_blocks
 from .nn_core import DTYPE, ParamStore
-from .quantizers import (DpcaStack, FsqConfig, dpca_decode, dpca_encode,
+from .quantizers import (QuantizerError, dpca_decode, dpca_encode,
                          fsq_quantize, fsq_values)
 from .sid_codec import SidScheme, pack_all
 
@@ -64,6 +66,13 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.kind not in ("fsq", "dpca", "none"):
             raise FusionError(f"unknown quantizer kind '{self.kind}'")
+        if self.kind == "fsq" and self.levels < 2:
+            raise QuantizerError(f"levels must be >= 2, got {self.levels}")
+
+    @property
+    def offset(self):
+        """Centering shift so FSQ digits straddle zero (1 for ternary)."""
+        return (self.levels - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,7 @@ class FusionSpec:
 # Weights of the DPCA commitment and codebook loss terms.
 COMMITMENT_WEIGHT = 0.25
 CODEBOOK_WEIGHT = 1.0
+DPCA_INIT_STD = 0.5  # std of the initial DPCA component entries
 
 
 @dataclass
@@ -139,13 +149,13 @@ class FusionModel:
         self.params.zeros("trunk.b", 1, h)
         q = spec.quantizer
         if q.kind == "dpca":
-            stack = DpcaStack.random(spec.latent, q.depth, q.groups,
-                                     seed=seed + 1)
+            width = spec.latent // q.groups
+            comps = np.random.default_rng(seed + 1).normal(
+                0.0, DPCA_INIT_STD, (q.groups, q.depth, width))
             for g, row in enumerate(self._dpca_names()):
                 for t, (u, b) in enumerate(row):
-                    self.params.add(u, stack.components[g, t].reshape(1, -1))
-                    self.params.add(b, stack.offsets[g, t].reshape(1, -1))
-        self.fsq = FsqConfig(levels=q.levels) if q.kind == "fsq" else None
+                    self.params.add(u, comps[g, t].reshape(1, -1))
+                    self.params.zeros(b, 1, width)
 
     def _dpca_names(self):
         """Parameter names of the DPCA rows: per group, per depth t, the
@@ -155,11 +165,11 @@ class FusionModel:
                  for t in range(q.depth)] for g in range(q.groups)]
 
     def dpca_stack(self):
-        """Current component vectors as an immutable encode/decode stack."""
+        """Copies of the DPCA parameters: (components, offsets) arrays."""
         get = self.params.get
         names = self._dpca_names()
-        return DpcaStack([[get(u)[0] for u, _ in row] for row in names],
-                         [[get(b)[0] for _, b in row] for row in names])
+        return (np.array([[get(u)[0] for u, _ in row] for row in names]),
+                np.array([[get(b)[0] for _, b in row] for row in names]))
 
     # -- graph building on the store's parameter leaves ------------------
 
@@ -182,8 +192,8 @@ class FusionModel:
         if q.kind == "none":
             return h, None
         if q.kind == "fsq":
-            levels, values = fsq_quantize(self.fsq, h.value, dither_rng)
-            return nn.constant(values, "h_hat"), levels - self.fsq.offset
+            levels, values = fsq_quantize(q.levels, h.value, dither_rng)
+            return nn.constant(values, "h_hat"), levels - q.offset
         codes = self.digits(h.value)
         p = self.params.leaves
         group_nodes = [
@@ -197,16 +207,18 @@ class FusionModel:
     def digits(self, h):
         """Centered digits of latent values `h` (an array, not a node): the
         FSQ grid snap, or the greedy residual codes of the DPCA stack."""
-        if self.fsq is not None:
-            return fsq_quantize(self.fsq, h)[0] - self.fsq.offset
-        return dpca_encode(self.dpca_stack(), h)
+        q = self.spec.quantizer
+        if q.kind == "fsq":
+            return fsq_quantize(q.levels, h)[0] - q.offset
+        return dpca_encode(*self.dpca_stack(), h)
 
     def latent(self, digits):
         """Latent values of centered digits, the inverse map of `digits`:
         FSQ grid values, or the DPCA stack's component sums."""
-        if self.fsq is not None:
-            return fsq_values(self.fsq, digits + self.fsq.offset)
-        return dpca_decode(self.dpca_stack(), digits.astype(np.int8))
+        q = self.spec.quantizer
+        if q.kind == "fsq":
+            return fsq_values(q.levels, digits + q.offset)
+        return dpca_decode(*self.dpca_stack(), digits.astype(np.int8))
 
     def encode(self, batch):
         """Encoder MLPs and fusion layer: the latent node h from a dict of

@@ -9,7 +9,9 @@ A k-means codebook is its (k, d) float32 centroid array. The k-means
 kinds are one (groups, depth) grid: each contiguous product slice holds a
 residual stack of `depth` codebooks, so kmeans is 1 x 1, rq 1 x depth and
 pq groups x 1. Books, code columns and the "kmeans.l{i}" checkpoint
-layers are group-major: i = g*depth + t.
+layers are group-major: i = g*depth + t. An FSQ grid is its level
+count, and a DPCA stack is its float32 components and offsets, both of
+shape (groups, depth, width).
 
 All assign/encode/decode functions leave their codebooks unchanged and
 take a 2-D row-major batch, one vector (or one code) per row; a single
@@ -18,8 +20,6 @@ are broken toward the lower index everywhere.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,11 +141,6 @@ def product_split(x, groups):
     return [arr[..., g * w:(g + 1) * w] for g in range(groups)]
 
 
-def product_join(parts):
-    """Exact inverse of product_split."""
-    return np.concatenate(parts, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # The k-means grid: kmeans, rq and pq as (groups, depth) layouts
 
@@ -169,148 +164,89 @@ def kmeans_grid_encode(books, groups, x):
 
 def kmeans_grid_decode(books, groups, codes):
     """Per group the sum of its layers' selected centroids, the groups
-    joined with product_join; extra code columns (SID padding) are ignored."""
+    concatenated in order; extra code columns (SID padding) are ignored."""
     depth = len(books) // groups
     idx = _rows(codes, dtype=np.int64)
     if idx.shape[1] < len(books):
         raise QuantizerError(f"{idx.shape[1]} code columns, {len(books)} books")
-    return product_join([sum(books[i][idx[:, i]]
-                             for i in range(g * depth, (g + 1) * depth))
-                         for g in range(groups)])
+    return np.concatenate([sum(books[i][idx[:, i]]
+                               for i in range(g * depth, (g + 1) * depth))
+                           for g in range(groups)], axis=1)
 
 
 # ---------------------------------------------------------------------------
-# Finite scalar quantization
+# Finite scalar quantization: a grid of `levels` >= 2 values on [-1, 1],
+# symmetric about 0 when `levels` is odd. A grid value quantizes to its
+# own level for levels <= 5; beyond that the gap between tanh(1) and 1
+# exceeds half a grid step, so the edge levels are not fixed points.
 
 
-@dataclass(frozen=True)
-class FsqConfig:
-    """Uniform L-level grid on [-1, 1] reached through a tanh bound.
-
-    The grid is symmetric about 0 whenever `levels` is odd. Quantizing a
-    grid value returns its own level for levels <= 5; beyond that the gap
-    between tanh(1) and 1 exceeds half a grid step, so the two edge levels
-    are not fixed points of the tanh bounding.
-    """
-
-    levels: int
-
-    def __post_init__(self):
-        if self.levels < 2:
-            raise QuantizerError(f"levels must be >= 2, got {self.levels}")
-
-    @property
-    def offset(self):
-        """Integer centering shift so digits straddle zero (1 for ternary)."""
-        return (self.levels - 1) // 2
-
-
-def fsq_quantize(cfg, z, dither_rng=None):
+def fsq_quantize(levels, z, dither_rng=None):
     """Per-dimension scalar quantization of an unbounded latent.
 
     Each entry is squashed with tanh to [-1, 1], snapped to the uniform
-    L-level grid (ties round half away from zero), and returned both as a
-    level index in [0, L) and as the grid value. `dither_rng` adds uniform
-    half-step noise to the grid position before rounding (the
-    training-time dither).
+    `levels`-level grid (ties round half away from zero), and returned
+    both as a level index in [0, levels) and as the grid value.
+    `dither_rng` adds uniform half-step noise to the grid position before
+    rounding (the training-time dither).
     """
     rows = _rows(z)
     if not np.all(np.isfinite(rows)):
         raise QuantizerError("non-finite latent input")
     u = np.tanh(rows)
     # (u+1)/2*(L-1) is nonnegative, so half-away-from-zero == floor(x+0.5).
-    pos = (u + 1.0) * 0.5 * (cfg.levels - 1)
+    pos = (u + 1.0) * 0.5 * (levels - 1)
     if dither_rng is not None:
         pos = pos + dither_rng.uniform(-0.5, 0.5, size=pos.shape)
-    levels = np.clip(np.floor(pos + 0.5).astype(np.int64), 0, cfg.levels - 1)
-    return levels, fsq_values(cfg, levels)
+    idx = np.clip(np.floor(pos + 0.5).astype(np.int64), 0, levels - 1)
+    return idx, fsq_values(levels, idx)
 
 
-def fsq_values(cfg, levels):
-    """Grid value for each level index: 2*level/(L-1) - 1."""
-    return (2.0 * np.asarray(levels) / (cfg.levels - 1) - 1.0).astype(DTYPE)
+def fsq_values(levels, idx):
+    """Grid value for each level index: 2*idx/(levels-1) - 1."""
+    return (2.0 * np.asarray(idx) / (levels - 1) - 1.0).astype(DTYPE)
 
 
 # ---------------------------------------------------------------------------
-# Discrete-PCA stacks
+# Discrete-PCA stacks: entry [g, t] of `components` (or `offsets`) is the
+# depth-t component (or offset) of product group g. The scalar codebook
+# is {-1, 0, +1}; components carry free magnitude, and encoding normalizes
+# the projection so the ternary digit approximates the least-squares
+# coefficient of the residual on u.
 
 
-DPCA_INIT_STD = 0.5  # std of the entries of DpcaStack.random's components
+def _dpca_arrays(components, offsets):
+    """The stack as float32 arrays, its shapes and components checked."""
+    comps = np.asarray(components, dtype=DTYPE)
+    offs = np.asarray(offsets, dtype=DTYPE)
+    if comps.ndim != 3 or comps.shape != offs.shape:
+        raise QuantizerError(
+            "components and offsets must both be (groups, depth, width)")
+    if not np.all(np.isfinite(comps)):
+        raise QuantizerError("non-finite component vector")
+    return comps, offs
 
 
-@dataclass
-class DpcaStack:
-    """Residual stack of learned component vectors with a ternary codebook.
-
-    `components` and `offsets` have shape (groups, depth, d/groups): entry
-    [g, t] is the depth-t component (or offset) for product group g. The
-    scalar codebook is fixed to {-1, 0, +1}; component vectors carry free
-    magnitude, and encoding normalizes the projection so the ternary digit
-    approximates the least-squares coefficient of the residual on u.
-    """
-
-    components: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=DTYPE)
-        self.offsets = np.asarray(self.offsets, dtype=DTYPE)
-        if self.components.ndim != 3 or self.components.shape != self.offsets.shape:
-            raise QuantizerError(
-                "components and offsets must both be (groups, depth, width)")
-        if not np.all(np.isfinite(self.components)):
-            raise QuantizerError("non-finite component vector")
-
-    @property
-    def groups(self):
-        return self.components.shape[0]
-
-    @property
-    def depth(self):
-        return self.components.shape[1]
-
-    @property
-    def width(self):
-        return self.components.shape[2]
-
-    @property
-    def dim(self):
-        return self.groups * self.width
-
-    @property
-    def digits(self):
-        return self.groups * self.depth
-
-    @classmethod
-    def random(cls, dim, depth, groups=1, seed=0):
-        if dim % groups != 0:
-            raise QuantizerError(f"{groups} groups do not divide dimension {dim}")
-        rng = np.random.default_rng(seed)
-        w = dim // groups
-        comps = rng.normal(0.0, DPCA_INIT_STD, size=(groups, depth, w))
-        offs = np.zeros((groups, depth, w))
-        return cls(comps, offs)
-
-
-def dpca_encode(stack, x):
+def dpca_encode(components, offsets, x):
     """Greedy residual encoding to ternary digits, group-major then depth.
 
     Per product group: r_0 = x_g, and for each depth t the digit is the
     ternary quantization of <r_t - b_t, u_t>/||u_t||^2 (the least-squares
     coefficient), after which r_{t+1} = r_t - (s_t u_t + b_t).
     """
+    comps, offs = _dpca_arrays(components, offsets)
+    groups, depth, width = comps.shape
     rows = _rows(x)
-    if rows.shape[1] != stack.dim:
-        raise QuantizerError(
-            f"dimension mismatch: input has {rows.shape[1]}, stack {stack.dim}")
-    n, depth = rows.shape[0], stack.depth
-    codes = np.empty((n, stack.digits), dtype=np.int8)
-    coeffs = np.empty((stack.digits, n), dtype=DTYPE)  # checked once, at the end
-    for g, r in enumerate(product_split(rows, stack.groups)):
+    if rows.shape[1] != groups * width:
+        raise QuantizerError(f"dimension mismatch: input has {rows.shape[1]}, "
+                             f"stack {groups * width}")
+    codes = np.empty((len(rows), groups * depth), dtype=np.int8)
+    coeffs = np.empty(codes.shape[::-1], dtype=DTYPE)  # checked once, at the end
+    for g, r in enumerate(product_split(rows, groups)):
         r = r.copy()
         for t in range(depth):
-            u = stack.components[g, t]
-            b = stack.offsets[g, t]
+            u = comps[g, t]
+            b = offs[g, t]
             norm = float(np.sqrt(u.dot(u)))  # np.linalg.norm's own formula
             if norm == 0.0:
                 raise QuantizerError(
@@ -327,7 +263,7 @@ def dpca_encode(stack, x):
 
 def _ternary_digit(coeff):
     """The centered ternary FSQ digit of finite float32 coefficients as
-    int8: the level fsq_quantize gives each at FsqConfig(3), minus 1, with
+    int8: the level fsq_quantize gives each at 3 levels, minus 1, with
     the same float32 rounding. (tanh + 1) * 0.5 * 2 is tanh + 1 exactly,
     and the snap position p = tanh + 1 + 0.5 lies in [0.5, 2.5], where
     floor(p) - 1 is [p >= 2] - [p < 1] and the clip never binds."""
@@ -337,19 +273,19 @@ def _ternary_digit(coeff):
     return (p >= 2).view(np.int8) - (p < 1).view(np.int8)
 
 
-def dpca_decode(stack, codes):
+def dpca_decode(components, offsets, codes):
     """Evaluate the codebook sum sum_t (s_t u_t + b_t) per product group."""
+    comps, offs = _dpca_arrays(components, offsets)
+    groups, depth, _ = comps.shape
     arr = _rows(codes, dtype=None)
-    if arr.shape[1] != stack.digits:
+    if arr.shape[1] != groups * depth:
         raise QuantizerError(
-            f"code length {arr.shape[1]} != groups*depth = {stack.digits}")
+            f"code length {arr.shape[1]} != groups*depth = {groups * depth}")
     if not np.isin(arr, (-1, 0, 1)).all():
         raise QuantizerError("codes must be ternary in {-1, 0, +1}")
-    parts = []
-    for g in range(stack.groups):
-        s = arr[:, g * stack.depth:(g + 1) * stack.depth].astype(DTYPE)
-        parts.append(s @ stack.components[g] + stack.offsets[g].sum(axis=0))
-    return product_join(parts).astype(DTYPE)
+    return np.concatenate(
+        [arr[:, g * depth:(g + 1) * depth].astype(DTYPE) @ comps[g]
+         + offs[g].sum(axis=0) for g in range(groups)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 
 from sidekit import nn_core as nn
 from sidekit import ranking as rk
-from sidekit.quantizers import FsqConfig, fsq_quantize, product_split
+from sidekit.quantizers import fsq_quantize, product_split
 from sidekit.sid_codec import SidError, SidScheme
 
 
@@ -117,22 +117,24 @@ def chain_cosine_loss(target, norms, recon):
     return nn.mean_all(nn.sub(nn.constant(np.ones((n, 1))), nn.div(dot, nrm)))
 
 
-def fsq_dpca_encode(stack, x):
+def fsq_dpca_encode(components, offsets, x):
     """Greedy residual DPCA digits, each one the level fsq_quantize gives
-    the least-squares coefficient on the 3-level grid, minus 1."""
+    the least-squares coefficient on the 3-level grid, minus 1; the stack
+    is float32 (groups, depth, width) components and offsets."""
+    groups, depth, _ = components.shape
     rows = np.asarray(x, dtype=np.float32)
-    codes = np.empty((rows.shape[0], stack.digits), dtype=np.int8)
-    for g, r in enumerate(product_split(rows, stack.groups)):
+    codes = np.empty((rows.shape[0], groups * depth), dtype=np.int8)
+    for g, r in enumerate(product_split(rows, groups)):
         r = r.copy()
-        for t in range(stack.depth):
-            u = stack.components[g, t]
-            b = stack.offsets[g, t]
+        for t in range(depth):
+            u = components[g, t]
+            b = offsets[g, t]
             norm = float(np.linalg.norm(u))
             coeff = (r - b) @ (u / norm) / norm
-            level, _ = fsq_quantize(FsqConfig(3), coeff.reshape(-1, 1))
+            level, _ = fsq_quantize(3, coeff.reshape(-1, 1))
             s = (level[:, 0] - 1).astype(np.int8)
             r -= s[:, None] * u + b
-            codes[:, g * stack.depth + t] = s
+            codes[:, g * depth + t] = s
     return codes
 
 

@@ -12,7 +12,8 @@ from sidekit import sid_codec as sc
 
 VEC = np.zeros(4, dtype=np.float32)
 KMEANS = np.eye(4, dtype=np.float32)
-DPCA = q.DpcaStack.random(4, 2, seed=0)
+DPCA = (np.ones((1, 2, 4), dtype=np.float32),
+        np.zeros((1, 2, 4), dtype=np.float32))
 SCHEME = sc.SidScheme(base=3, ngram=2, grams=2)
 
 
@@ -30,11 +31,10 @@ CASES = {
     "kmeans_assign": (q.QuantizerError, lambda: q.kmeans_assign(KMEANS, VEC)),
     "residual_quantize": (q.QuantizerError,
                           lambda: q.residual_quantize([KMEANS], VEC)),
-    "fsq_quantize": (q.QuantizerError,
-                     lambda: q.fsq_quantize(q.FsqConfig(3), VEC)),
-    "dpca_encode": (q.QuantizerError, lambda: q.dpca_encode(DPCA, VEC)),
+    "fsq_quantize": (q.QuantizerError, lambda: q.fsq_quantize(3, VEC)),
+    "dpca_encode": (q.QuantizerError, lambda: q.dpca_encode(*DPCA, VEC)),
     "dpca_decode": (q.QuantizerError,
-                    lambda: q.dpca_decode(DPCA, np.zeros(2, dtype=np.int8))),
+                    lambda: q.dpca_decode(*DPCA, np.zeros(2, dtype=np.int8))),
     "pack_all": (sc.SidError, lambda: sc.pack_all(SCHEME, [0, 0, 0, 0])),
     "unpack_all": (sc.SidError, lambda: sc.unpack_all(SCHEME, [3, 3])),
     "side_embed": (sc.SidError, lambda: sc.side_embed(SCHEME, [3, 3])),

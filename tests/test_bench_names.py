@@ -37,7 +37,8 @@ def test_resolver_rejects_what_does_not_exist():
     assert resolve("sid_codec.pack_all") is not None
     assert resolve("ranking.ToyRankingModel.logits") is not None
     for gone in ("sid_codec.pack", "quantizers.NoSuch.method",
-                 "quantizers.KMeansCodebook"):
+                 "quantizers.KMeansCodebook", "quantizers.DpcaStack",
+                 "quantizers.FsqConfig"):
         assert resolve(gone) is None
 
 

@@ -18,7 +18,8 @@ from sidekit import cli, metrics, sid_codec
 from sidekit import fusion_vae as fv
 from sidekit import nn_core as nn
 from sidekit import ranking as rk
-from sidekit.corpus_io import corpus_read, corpus_write
+from sidekit.corpus_io import (corpus_read, corpus_write, load_checkpoint,
+                               save_checkpoint)
 from sidekit.quantizers import load_codebooks
 from sidekit.sid_codec import read_sid_file
 
@@ -149,7 +150,7 @@ def test_history_csv_holds_the_rows_training_returns(tmp_path, corpus, kind,
     assert run("train", "--corpus", corpus, "--corpus", other, "--config",
                cfg, "--history", history, "--out", tmp_path / "q.ckpt") == 0
     pipeline = cli.load_config(cfg)
-    bundle, dims = cli._load_bundle([corpus, other])
+    bundle, dims = cli._load_bundle(pipeline, [corpus, other])
     rows, _ = fv.train(cli._build_fusion(pipeline, dims), bundle,
                        pipeline.fit_config())
     assert [list(row) for row in rows] == [header.split(",")] * 2
@@ -261,6 +262,70 @@ def test_identity_quantizer_fails_at_encode(tmp_path, corpus, capsys):
     assert run("encode", "--corpus", corpus, "--config", cfg, "--ckpt", ckpt,
                "--out", tmp_path / "x.sid") == 1
     assert "no codes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["kmeans", "rq", "pq"])
+@pytest.mark.parametrize("command", ["train", "encode"])
+def test_kmeans_kinds_take_one_corpus(tmp_path, corpus, capsys, kind,
+                                      command):
+    # the second corpus has another row count and is never read
+    cfg, ckpt, out = config(tmp_path, kind), tmp_path / "q.ckpt", tmp_path / "o"
+    other = tmp_path / "y.emb"
+    assert run("gen-corpus", "--rows", 32, "--dim", 8, "--out", other) == 0
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    capsys.readouterr()
+    extra = ("--ckpt", ckpt) if command == "encode" else ()
+    reads = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "corpus_read", lambda path: reads.append(path))
+        assert run(command, "--corpus", corpus, "--corpus", other,
+                   "--config", cfg, *extra, "--out", out) == 1
+    assert reads == []
+    assert capsys.readouterr().err == f"error: {kind} takes one corpus, got 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["kmeans", "rq", "pq"])
+@pytest.mark.parametrize("command", ["train", "encode"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_kinds_name_a_non_finite_row(tmp_path, corpus, capsys, kind,
+                                            command, bad):
+    cfg, ckpt, out = config(tmp_path, kind), tmp_path / "q.ckpt", tmp_path / "o"
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    x = corpus_read(corpus)
+    x[[9, 40], 3] = bad
+    poisoned = tmp_path / "bad.emb"
+    corpus_write(poisoned, x)
+    capsys.readouterr()
+    extra = ("--ckpt", ckpt) if command == "encode" else ()
+    assert run(command, "--corpus", poisoned, "--config", cfg, *extra,
+               "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: non-finite row 9 in {poisoned}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_a_non_finite_dpca_component_is_an_error(tmp_path, corpus, capsys,
+                                                 command):
+    cfg, ckpt, sids = config(tmp_path, "dpca"), tmp_path / "q.ckpt", \
+        tmp_path / "x.sid"
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    assert run("encode", "--corpus", corpus, "--config", cfg, "--ckpt", ckpt,
+               "--out", sids) == 0
+    arrays = load_checkpoint(ckpt)
+    arrays["dpca.g1.d0.u"][0, 1] = np.nan
+    save_checkpoint(ckpt, arrays)
+    capsys.readouterr()
+    if command == "encode":
+        argv = ("--corpus", corpus, "--out", tmp_path / "y.sid")
+    else:
+        argv = ("--sids", sids, "--dims", 8, "--out", tmp_path / "rec")
+    assert run(command, "--config", cfg, "--ckpt", ckpt, *argv) == 1
+    assert capsys.readouterr().err == "error: non-finite component vector\n"
 
 
 def test_kmeans_config_rejects_a_fusion_checkpoint(tmp_path, corpus, capsys):

@@ -168,7 +168,7 @@ class TestDpcaDigits:
     def unit_stack():
         # one group, depth 1, width 1, u = [1], b = [0]: the coefficient
         # of each row is its input value exactly
-        return q.DpcaStack(np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
+        return np.ones((1, 1, 1)), np.zeros((1, 1, 1))
 
     @pytest.mark.parametrize("edge", [-0.5, 0.5])
     def test_digits_at_the_snap_boundary(self, edge):
@@ -176,8 +176,8 @@ class TestDpcaDigits:
         # +-0.5, the half-level boundaries of the 3-level grid
         center = np.array(np.arctanh(edge), dtype=np.float32).view(np.int32)
         x = (center + np.arange(-400, 401, dtype=np.int32)).view(np.float32)
-        codes = q.dpca_encode(self.unit_stack(), x.reshape(-1, 1))
-        levels, _ = q.fsq_quantize(q.FsqConfig(3), x.reshape(-1, 1))
+        codes = q.dpca_encode(*self.unit_stack(), x.reshape(-1, 1))
+        levels, _ = q.fsq_quantize(3, x.reshape(-1, 1))
         np.testing.assert_array_equal(codes, levels - 1)
         assert len(np.unique(codes)) == 2  # the range straddles the edge
 
@@ -188,20 +188,20 @@ class TestDpcaDigits:
     def test_random_stacks_match_fsq_digits(self, groups, depth, width, rows,
                                             seed):
         rng = np.random.default_rng(seed)
-        stack = q.DpcaStack(rng.normal(size=(groups, depth, width)),
-                            rng.normal(0, 0.3, size=(groups, depth, width)))
+        comps = rng.normal(size=(groups, depth, width)).astype(np.float32)
+        offs = rng.normal(0, 0.3, size=(groups, depth, width)).astype(np.float32)
         x = rng.normal(size=(rows, groups * width)).astype(np.float32)
-        np.testing.assert_array_equal(q.dpca_encode(stack, x),
-                                      fsq_dpca_encode(stack, x))
+        np.testing.assert_array_equal(q.dpca_encode(comps, offs, x),
+                                      fsq_dpca_encode(comps, offs, x))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_is_rejected(self, bad):
         x = np.zeros((3, 2), dtype=np.float32)
         x[1, 0] = bad
-        stack = q.DpcaStack.random(2, depth=2, seed=0)
+        comps = np.random.default_rng(0).normal(0.0, 0.5, size=(1, 2, 2))
         with pytest.raises(q.QuantizerError, match="non-finite latent input"):
             with np.errstate(invalid="ignore"):
-                q.dpca_encode(stack, x)
+                q.dpca_encode(comps, np.zeros_like(comps), x)
 
 
 @settings(max_examples=40, deadline=None)

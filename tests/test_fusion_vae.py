@@ -88,6 +88,14 @@ class TestForward:
         result = model.forward({"sig0": unit(16, 10, 4)})
         assert np.isin(result.codes, (-1, 0, 1)).all()
 
+    def test_fsq_needs_two_levels(self):
+        with pytest.raises(q.QuantizerError,
+                           match=r"^levels must be >= 2, got 1$"):
+            fv.FusionModel(fv.FusionSpec(
+                signals=(fv.SignalSpec("sig0", 4),), latent=4, hidden=8,
+                quantizer=fv.QuantizerSpec(kind="fsq", levels=1, depth=1,
+                                           groups=1)))
+
 
 class TestLoss:
     def test_perfect_reconstruction_zero_loss(self):
@@ -132,9 +140,8 @@ class TestLoss:
         for t in range(3):
             model.params.set(f"dpca.g0.d{t}.u", basis[0, t].reshape(1, -1))
             model.params.set(f"dpca.g0.d{t}.b", np.zeros((1, 6)))
-        stack = model.dpca_stack()
         codes = np.array([[1, -1, 0], [0, 1, 1]], dtype=np.int8)
-        h_val = q.dpca_decode(stack, codes)
+        h_val = q.dpca_decode(*model.dpca_stack(), codes)
         h = nn.leaf(h_val, requires_grad=True)
         h_hat, out_codes = model._quantize_node(h)
         np.testing.assert_array_equal(out_codes, codes)
@@ -310,12 +317,13 @@ class TestCheckpointLayout:
 
     def test_dpca_rows_hold_the_seeded_stack(self):
         model = fv.FusionModel(self.SPEC, seed=5)
-        expect = q.DpcaStack.random(4, 2, groups=2, seed=6)
-        stack = model.dpca_stack()
-        np.testing.assert_array_equal(stack.components, expect.components)
-        np.testing.assert_array_equal(stack.offsets, expect.offsets)
+        expect = np.random.default_rng(6).normal(
+            0.0, fv.DPCA_INIT_STD, (2, 2, 2)).astype(np.float32)
+        comps, offs = model.dpca_stack()
+        np.testing.assert_array_equal(comps, expect)
+        np.testing.assert_array_equal(offs, np.zeros_like(expect))
         assert model.params.get("dpca.g1.d0.u").tolist() == \
-            [expect.components[1, 0].tolist()]
+            [expect[1, 0].tolist()]
 
 
 class TestLoad:
@@ -445,9 +453,10 @@ class TestBlockedInference:
         model, bundle = self._model(kind)
         digits = fv.encode_codes(model, bundle)
         if kind == "fsq":
-            latent = q.fsq_values(model.fsq, digits + model.fsq.offset)
+            fsq = model.spec.quantizer
+            latent = q.fsq_values(fsq.levels, digits + fsq.offset)
         else:
-            latent = q.dpca_decode(model.dpca_stack(), digits.astype(np.int8))
+            latent = q.dpca_decode(*model.dpca_stack(), digits.astype(np.int8))
         whole = model.decode(nn.constant(latent))
         self._blocks_of(monkeypatch, model, 30)
         recon = fv.decode_from_digits(model, digits)

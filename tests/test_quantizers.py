@@ -220,7 +220,7 @@ class TestProduct:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(5, 12)).astype(np.float32)
         np.testing.assert_array_equal(
-            q.product_join(q.product_split(x, 4)), x)
+            np.concatenate(q.product_split(x, 4), axis=-1), x)
 
     def test_slices_in_order(self):
         x = np.arange(8, dtype=np.float32)
@@ -234,24 +234,23 @@ class TestProduct:
 
 class TestFsq:
     def test_center_level(self):
-        lv, v = q.fsq_quantize(q.FsqConfig(3), np.array([[0.0]]))
+        lv, v = q.fsq_quantize(3, np.array([[0.0]]))
         assert lv[0, 0] == 1 and v[0, 0] == 0.0
 
     def test_saturation(self):
-        lv, v = q.fsq_quantize(q.FsqConfig(3), np.array([[10.0]]))
+        lv, v = q.fsq_quantize(3, np.array([[10.0]]))
         assert lv[0, 0] == 2 and v[0, 0] == 1.0
 
     def test_hand_case_l5(self):
         # tanh(0.3)=0.29131; (1.29131/2)*4 = 2.5826 -> level 3 -> value 0.5
-        lv, v = q.fsq_quantize(q.FsqConfig(5), np.array([[0.3]]))
+        lv, v = q.fsq_quantize(5, np.array([[0.3]]))
         assert lv[0, 0] == 3
         assert v[0, 0] == pytest.approx(0.5)
 
     def test_values_on_grid(self):
         rng = np.random.default_rng(12)
         for levels in (2, 3, 4, 5, 7):
-            cfg = q.FsqConfig(levels)
-            _, vals = q.fsq_quantize(cfg, rng.normal(size=(50, 4)) * 3)
+            _, vals = q.fsq_quantize(levels, rng.normal(size=(50, 4)) * 3)
             grid = 2.0 * np.arange(levels) / (levels - 1) - 1.0
             assert np.isin(vals, grid.astype(np.float32)).all()
             assert vals.min() >= -1.0 and vals.max() <= 1.0
@@ -265,16 +264,15 @@ class TestFsq:
                 return np.broadcast_to([-0.5, 0.5], size)
 
         z = np.array([[0.0, 0.0], [20.0, 20.0]], dtype=np.float32)
-        levels, _ = q.fsq_quantize(q.FsqConfig(3), z, Dither())
+        levels, _ = q.fsq_quantize(3, z, Dither())
         assert levels.tolist() == [[1, 2], [2, 2]]
 
     def test_undithered_snap_is_fsq_quantize(self):
         # the grid position (tanh(z) + 1) / 2 * (L - 1), in float64,
         # rounded half up; no entry of this z lies near a tie
-        cfg = q.FsqConfig(5)
         z = np.random.default_rng(24).normal(size=(30, 6)).astype(np.float32)
         pos = (np.tanh(z.astype(np.float64)) + 1.0) / 2.0 * 4
-        np.testing.assert_array_equal(q.fsq_quantize(cfg, z)[0],
+        np.testing.assert_array_equal(q.fsq_quantize(5, z)[0],
                                       np.floor(pos + 0.5))
 
     @given(st.integers(min_value=2, max_value=5),
@@ -285,28 +283,34 @@ class TestFsq:
         # so grid values re-quantize to their own level exactly there
         if level >= levels:
             level = levels - 1
-        cfg = q.FsqConfig(levels)
-        value = q.fsq_values(cfg, np.array([[level]]))
-        lv, again = q.fsq_quantize(cfg, value.astype(np.float64))
+        value = q.fsq_values(levels, np.array([[level]]))
+        lv, again = q.fsq_quantize(levels, value.astype(np.float64))
         assert lv[0, 0] == level
         np.testing.assert_array_equal(again, value)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(q.QuantizerError, match="non-finite"):
-            q.fsq_quantize(q.FsqConfig(3), np.array([[np.nan]]))
+            q.fsq_quantize(3, np.array([[np.nan]]))
+
+
+def random_stack(dim, depth, groups=1, seed=0):
+    """Components of std 0.5 and zero offsets, (groups, depth, dim/groups)."""
+    shape = (groups, depth, dim // groups)
+    return (np.random.default_rng(seed).normal(0.0, 0.5, shape),
+            np.zeros(shape))
 
 
 class TestDpca:
     def test_exact_component(self):
         u = np.array([[[0.6, 0.8, 0.0, 0.0]]], dtype=np.float32)
-        stack = q.DpcaStack(u, np.zeros_like(u))
-        codes = q.dpca_encode(stack, u[0])
+        codes = q.dpca_encode(u, np.zeros_like(u), u[0])
         assert codes.tolist() == [[1]]
-        np.testing.assert_allclose(q.dpca_decode(stack, codes), u[0])
+        np.testing.assert_allclose(q.dpca_decode(u, np.zeros_like(u), codes),
+                                   u[0])
 
     def test_zero_input_zero_codes(self):
-        stack = q.DpcaStack.random(8, 4, groups=2, seed=17)
-        codes = q.dpca_encode(stack, np.zeros((1, 8), dtype=np.float32))
+        comps, offs = random_stack(8, 4, groups=2, seed=17)
+        codes = q.dpca_encode(comps, offs, np.zeros((1, 8), dtype=np.float32))
         assert np.all(codes == 0)
 
     def test_encode_decode_matches_direct_sum(self):
@@ -314,56 +318,62 @@ class TestDpca:
         u1 = rng.normal(size=4)
         u2 = rng.normal(size=4)
         b = rng.normal(size=(1, 2, 4)) * 0.1
-        stack = q.DpcaStack(np.stack([u1, u2])[None].astype(np.float32),
-                            b.astype(np.float32))
+        stack = (np.stack([u1, u2])[None].astype(np.float32),
+                 b.astype(np.float32))
         x = (u1 - u2 + b.sum(axis=1)).astype(np.float32)
-        codes = q.dpca_encode(stack, x)
-        recon = q.dpca_decode(stack, codes)
-        expect = naive_dpca_sum(stack.components, stack.offsets, codes[0])
+        codes = q.dpca_encode(*stack, x)
+        recon = q.dpca_decode(*stack, codes)
+        expect = naive_dpca_sum(*stack, codes[0])
         np.testing.assert_allclose(recon[0], expect, atol=1e-6)
 
     def test_decode_matches_naive_sum_random(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
-            stack = q.DpcaStack(
-                rng.normal(size=(2, 3, 4)).astype(np.float32),
-                rng.normal(size=(2, 3, 4)).astype(np.float32) * 0.2)
+            stack = (rng.normal(size=(2, 3, 4)).astype(np.float32),
+                     rng.normal(size=(2, 3, 4)).astype(np.float32) * 0.2)
             codes = rng.integers(-1, 2, size=(1, 6)).astype(np.int8)
-            recon = q.dpca_decode(stack, codes)
-            expect = naive_dpca_sum(stack.components, stack.offsets, codes[0])
+            recon = q.dpca_decode(*stack, codes)
+            expect = naive_dpca_sum(*stack, codes[0])
             np.testing.assert_allclose(recon[0], expect, atol=1e-5,
                                        rtol=1e-5)
 
     def test_offsets_only_when_codes_zero(self):
         rng = np.random.default_rng(20)
-        stack = q.DpcaStack(
-            rng.normal(size=(2, 3, 4)).astype(np.float32),
-            rng.normal(size=(2, 3, 4)).astype(np.float32))
-        recon = q.dpca_decode(stack, np.zeros((1, 6), dtype=np.int8))
-        expect = np.concatenate([stack.offsets[g].sum(axis=0)
-                                 for g in range(2)])
+        comps = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        offs = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        recon = q.dpca_decode(comps, offs, np.zeros((1, 6), dtype=np.int8))
+        expect = np.concatenate([offs[g].sum(axis=0) for g in range(2)])
         np.testing.assert_allclose(recon[0], expect, atol=1e-6)
 
     def test_orthonormal_stack_roundtrips_exactly(self):
         basis = np.eye(6, dtype=np.float32)[None, :4, :]  # orthonormal rows
-        stack = q.DpcaStack(basis, np.zeros_like(basis))
+        stack = (basis, np.zeros_like(basis))
         rng = np.random.default_rng(21)
         codes = rng.integers(-1, 2, size=(10, 4)).astype(np.int8)
-        x = q.dpca_decode(stack, codes)
-        np.testing.assert_array_equal(q.dpca_encode(stack, x), codes)
+        x = q.dpca_decode(*stack, codes)
+        np.testing.assert_array_equal(q.dpca_encode(*stack, x), codes)
 
     def test_zero_norm_component_rejected(self):
         u = np.zeros((1, 1, 4), dtype=np.float32)
-        stack = q.DpcaStack(u, np.zeros_like(u))
         with pytest.raises(q.QuantizerError, match="zero-norm"):
-            q.dpca_encode(stack, np.ones((1, 4), dtype=np.float32))
+            q.dpca_encode(u, u, np.ones((1, 4), dtype=np.float32))
 
     def test_code_validation(self):
-        stack = q.DpcaStack.random(4, 2, seed=0)
+        stack = random_stack(4, 2, seed=0)
         with pytest.raises(q.QuantizerError, match="ternary"):
-            q.dpca_decode(stack, np.array([[2, 0]]))
+            q.dpca_decode(*stack, np.array([[2, 0]]))
         with pytest.raises(q.QuantizerError, match="length"):
-            q.dpca_decode(stack, np.array([[1, 0, 1]]))
+            q.dpca_decode(*stack, np.array([[1, 0, 1]]))
+
+    @pytest.mark.parametrize("offsets_shape", [(1, 2, 3), (2, 4)])
+    def test_offsets_of_another_shape_rejected(self, offsets_shape):
+        comps = np.ones((1, 2, 4), dtype=np.float32)
+        offs = np.zeros(offsets_shape, dtype=np.float32)
+        msg = r"components and offsets must both be \(groups, depth, width\)"
+        with pytest.raises(q.QuantizerError, match=msg):
+            q.dpca_encode(comps, offs, np.ones((1, 4), dtype=np.float32))
+        with pytest.raises(q.QuantizerError, match=msg):
+            q.dpca_decode(comps, offs, np.zeros((1, 2), dtype=np.int8))
 
 
 class TestDpcaAsResidualQuantization:
@@ -373,12 +383,12 @@ class TestDpcaAsResidualQuantization:
     +-0.5, at atanh(0.5) ~ 0.549, not at the nearest-centroid midpoint 0.5."""
 
     rng = np.random.default_rng(25)
-    stack = q.DpcaStack(rng.normal(size=(3, 4, 4)).astype(np.float32),
-                        0.2 * rng.normal(size=(3, 4, 4)).astype(np.float32))
+    stack = (rng.normal(size=(3, 4, 4)).astype(np.float32),
+             0.2 * rng.normal(size=(3, 4, 4)).astype(np.float32))
     x = rng.normal(size=(5000, 12)).astype(np.float32)
     # group-major books of index s + 1 for digit s, as kmeans_grid_* read them
     books = [np.stack([b - u, b, b + u])
-             for us, bs in zip(stack.components, stack.offsets)
+             for us, bs in zip(*stack)
              for u, b in zip(us, bs)]
 
     def residual_codes(self, encode):
@@ -390,11 +400,11 @@ class TestDpcaAsResidualQuantization:
     def test_encode_is_the_residual_encoder_switching_at_tanh_half(self):
         codes = self.residual_codes(
             lambda books, part: threshold_residual_encode(books, part, 0.5)[0])
-        np.testing.assert_array_equal(q.dpca_encode(self.stack, self.x),
+        np.testing.assert_array_equal(q.dpca_encode(*self.stack, self.x),
                                       codes - 1)
 
     def test_nearest_centroid_encoding_differs_in_the_dead_zone_only(self):
-        dpca = q.dpca_encode(self.stack, self.x) + 1
+        dpca = q.dpca_encode(*self.stack, self.x) + 1
         coeffs = self.residual_codes(
             lambda books, part: threshold_residual_encode(books, part, 0.5)[1])
         nearest = self.residual_codes(q.residual_quantize)
@@ -408,9 +418,9 @@ class TestDpcaAsResidualQuantization:
         assert c.min() >= 0.5 - 1e-6 and c.max() < np.arctanh(0.5) + 1e-6
 
     def test_decode_is_the_residual_sum_of_the_centroids(self):
-        codes = q.dpca_encode(self.stack, self.x)
+        codes = q.dpca_encode(*self.stack, self.x)
         np.testing.assert_allclose(
-            q.dpca_decode(self.stack, codes),
+            q.dpca_decode(*self.stack, codes),
             q.kmeans_grid_decode(self.books, 3, codes.astype(np.int64) + 1),
             rtol=0, atol=1e-6)
 

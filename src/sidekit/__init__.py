@@ -41,8 +41,6 @@ from .fusion_vae import (
     FusionError,
     FusionModel,
     FusionSpec,
-    QuantizerSpec,
-    SignalSpec,
     encode_corpus,
     fusion_loss,
     train,

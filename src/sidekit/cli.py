@@ -5,12 +5,15 @@ Commands: gen-corpus, gen-engagement, train, encode, decode, eval-recon,
 eval-recall, eval-ne, rank-ab, sweep. `train` and `sweep` train a fusion
 model on one path, which warns when training rolled back, and draw their
 randomness from the config file's `seed` key; the rest use --seed flags.
-`rank-ab` reads its data only from the `gen-engagement` file named by
---data; its --seed seeds the split of the users and the training, not the
-data. The CLI owns the default of every setting it exposes
-(PipelineConfig and the flags). SIDEKIT_THREADS caps only the worker
-processes `rank-ab` trains its arms in; every other command runs
-serially. The results equal those of a serial run (SIDEKIT_THREADS=1),
+Signals are positional: `train`, `encode` and `sweep` take one --corpus
+per signal, in order, signal i is sig{i} in loss columns, and `decode`
+writes it to PREFIX.sig{i}.emb. `sweep` checks every grid point of its
+config before it trains any. `rank-ab` reads its data only from the
+`gen-engagement` file named by --data; its --seed seeds the split of the
+users and the training, not the data. The CLI owns the default of every
+setting it exposes (PipelineConfig and the flags). SIDEKIT_THREADS caps
+only the worker processes `rank-ab` trains its arms in; every other
+command runs serially. The results equal those of a serial run (SIDEKIT_THREADS=1),
 and NE is computed in the calling process, in report order.
 """
 
@@ -77,12 +80,14 @@ class PipelineConfig:
             raise PipelineError(f"lr must be > 0, got {self.lr}")
         if not np.isfinite(self.lr):
             raise PipelineError(f"lr must be finite, got {self.lr}")
-        if self.quantizer in ("kmeans", "pq", "fsq") and self.depth != 1:
+        if self.depth != 1 and self.quantizer not in ("rq", "dpca"):
             raise PipelineError(f"depth only applies to rq/dpca, got {self.depth}")
-        if self.quantizer in ("kmeans", "rq", "fsq") and self.groups != 1:
+        if self.groups != 1 and self.quantizer not in ("pq", "dpca"):
             raise PipelineError(f"groups only applies to pq/dpca, got {self.groups}")
         if self.quantizer == "dpca" and self.levels != 3:
             raise PipelineError("dpca uses the ternary codebook; levels must be 3")
+        if self.quantizer == "none" and self.levels != 3:
+            raise PipelineError("none quantizes nothing; levels must be 3")
         return self
 
     def fit_config(self):
@@ -115,17 +120,13 @@ def load_config(path):
 
 
 def _build_fusion(cfg, dims):
-    spec = fv.FusionSpec(
-        signals=tuple(fv.SignalSpec(name=f"sig{i}", dim=d)
-                      for i, d in enumerate(dims)),
-        latent=cfg.latent, hidden=cfg.hidden,
-        quantizer=fv.QuantizerSpec(kind=cfg.quantizer, levels=cfg.levels,
-                                   depth=cfg.depth, groups=cfg.groups))
+    spec = fv.FusionSpec(tuple(dims), cfg.latent, cfg.hidden, cfg.quantizer,
+                         cfg.levels, cfg.depth, cfg.groups)
     return fv.FusionModel(spec, seed=cfg.seed)
 
 
 def _load_bundle(cfg, paths):
-    """The corpora as signals sig0, sig1, ... and their dims. The k-means
+    """The corpora, a list in signal order, and their dims. The k-means
     kinds take one corpus, counted before any is read, of finite rows."""
     classical = cfg.quantizer in CLASSICAL_KINDS
     if classical and len(paths) != 1:
@@ -140,8 +141,7 @@ def _load_bundle(cfg, paths):
     rows = {c.shape[0] for c in corpora}
     if len(rows) != 1:
         raise PipelineError(f"corpora disagree on row count: {sorted(rows)}")
-    return {f"sig{i}": c for i, c in enumerate(corpora)}, \
-        [c.shape[1] for c in corpora]
+    return corpora, [c.shape[1] for c in corpora]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def cmd_train(args):
         raise PipelineError(f"--history needs fusion training, not {cfg.quantizer}")
     bundle, dims = _load_bundle(cfg, args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
-        books = kmeans_grid_fit(bundle["sig0"], cfg.levels, cfg.groups,
+        books = kmeans_grid_fit(bundle[0], cfg.levels, cfg.groups,
                                 cfg.depth, cfg.kmeans_iters, cfg.seed)
         save_codebooks(args.out, books)
         print(f"fitted {cfg.quantizer} ({len(books)} codebooks) -> {args.out}")
@@ -222,7 +222,7 @@ def cmd_encode(args):
     bundle, dims = _load_bundle(cfg, args.corpus)
     if cfg.quantizer in CLASSICAL_KINDS:
         books = _load_kmeans(cfg, args.ckpt)
-        codes = kmeans_grid_encode(books, cfg.groups, bundle["sig0"])
+        codes = kmeans_grid_encode(books, cfg.groups, bundle[0])
         scheme = SidScheme.for_digits(codes.shape[1], base=cfg.levels,
                                       ngram=cfg.ngram)
         sids = pack_all(scheme, codes - scheme.offset)
@@ -261,13 +261,12 @@ def cmd_decode(args):
             f"{args.sids} line {extra[0] + 2}: a nonzero digit after the "
             f"{need} that the {cfg.quantizer} model of {args.config} decodes")
     if cfg.quantizer in CLASSICAL_KINDS:
-        recon = {"sig0": kmeans_grid_decode(books, cfg.groups,
-                                            digits + scheme.offset)}
+        recon = [kmeans_grid_decode(books, cfg.groups, digits + scheme.offset)]
     else:
         recon = fv.decode_from_digits(model.load(args.ckpt), digits)
-    for name, arr in recon.items():
-        corpus_write(f"{args.out}.{name}.emb", arr)
-        print(f"decoded {arr.shape[0]} rows -> {args.out}.{name}.emb")
+    for i, arr in enumerate(recon):
+        corpus_write(f"{args.out}.sig{i}.emb", arr)
+        print(f"decoded {arr.shape[0]} rows -> {args.out}.sig{i}.emb")
     return 0
 
 
@@ -352,21 +351,23 @@ def cmd_sweep(args):
         raise PipelineError(f"sweep trains fusion models only (fsq, dpca, "
                             f"none), not '{cfg.quantizer}'")
     bundle, dims = _load_bundle(cfg, args.corpus)
+    # the n-gram size changes only the SID scheme: one model per (L, D, P);
+    # every grid point is checked before any model trains
+    points = list(product(args.levels or (cfg.levels,),
+                          args.depths or (cfg.depth,),
+                          args.groups or (cfg.groups,)))
+    grid = [[replace(cfg, levels=L, depth=D, groups=P, ngram=n).validate()
+             for n in args.ngrams or (cfg.ngram,)] for L, D, P in points]
     rows = []
-    # the n-gram size changes only the SID scheme: one model per (L, D, P)
-    for L, D, P in product(args.levels or (cfg.levels,),
-                           args.depths or (cfg.depth,),
-                           args.groups or (cfg.groups,)):
-        combos = [replace(cfg, levels=L, depth=D, groups=P, ngram=n).validate()
-                  for n in args.ngrams or (cfg.ngram,)]
+    for (L, D, P), combos in zip(points, grid):
         model, _ = _train_fusion(combos[0], bundle, dims,
                                  f"{cfg.quantizer} training at L={L} D={D} "
                                  f"P={P}")
         data = fv.normalize_bundle(model, bundle)
         with _no_record():
             result = model.forward(data)
-        losses = {f"loss.{name}": round(metrics.cosine_recon_loss(
-            data[name], result.recon[name].value), 4) for name in data}
+        losses = {f"loss.sig{i}": round(metrics.cosine_recon_loss(x, r.value), 4)
+                  for i, (x, r) in enumerate(zip(data, result.recon))}
         none = cfg.quantizer == "none"  # writes no codes: no code size
         bits = round(float(model.spec.code_digits * np.log2(L)), 1)
         rows += [{"quantizer": cfg.quantizer, "L": L, "D": D, "P": P,

@@ -13,6 +13,11 @@ vectors together. FSQ has no trainable codebook and needs neither term;
 its grid is the spec's level count. The DPCA stack is one component and
 one offset parameter row per (group, depth), which `dpca_stack` gathers.
 
+Signals are positional: a `FusionSpec` holds each signal's width in
+order, every bundle, batch and reconstruction is a list in that order,
+and signal i is "sig{i}" in parameter names, loss terms and errors. A
+`ForwardResult` holds h, h_hat and the list of reconstruction nodes.
+
 The per-batch graph uses the fused ops of `nn_core`: DPCA's h_hat is one
 `nn.dpca_recon` node per product group over its component and offset
 parameters (the digits held fixed), and each cosine task loss is one
@@ -49,64 +54,53 @@ class FusionError(ValueError):
 
 
 @dataclass(frozen=True)
-class SignalSpec:
-    """One input signal: its name and width."""
+class FusionSpec:
+    """The numbers of a fusion model. Signal i, named "sig{i}", is
+    dims[i] wide; `kind` is fsq, dpca or none, `levels` the FSQ grid's
+    level count, and `depth` and `groups` the DPCA stack's residual
+    layers and product groups."""
 
-    name: str
-    dim: int
-
-
-@dataclass(frozen=True)
-class QuantizerSpec:
-    kind: str      # fsq | dpca | none
-    levels: int
-    depth: int     # dpca residual layers
-    groups: int    # dpca product groups
+    dims: tuple
+    latent: int
+    hidden: int
+    kind: str
+    levels: int = 3
+    depth: int = 1
+    groups: int = 1
 
     def __post_init__(self):
         if self.kind not in ("fsq", "dpca", "none"):
             raise FusionError(f"unknown quantizer kind '{self.kind}'")
         if self.kind == "fsq" and self.levels < 2:
             raise QuantizerError(f"levels must be >= 2, got {self.levels}")
+        if not self.dims:
+            raise FusionError("need at least one signal")
+        if self.kind == "dpca" and self.latent % self.groups:
+            raise FusionError(
+                f"{self.groups} product groups do not divide "
+                f"latent width {self.latent}")
 
     @property
     def offset(self):
         """Centering shift so FSQ digits straddle zero (1 for ternary)."""
         return (self.levels - 1) // 2
 
-
-@dataclass(frozen=True)
-class FusionSpec:
-    signals: tuple
-    latent: int
-    hidden: int
-    quantizer: QuantizerSpec
-
-    def __post_init__(self):
-        if not self.signals:
-            raise FusionError("need at least one signal")
-        if self.quantizer.kind == "dpca" and self.latent % self.quantizer.groups:
-            raise FusionError(
-                f"{self.quantizer.groups} product groups do not divide "
-                f"latent width {self.latent}")
-
     @property
     def fuse_gain(self):
         # A tanh-bounded grid dead-zones a small-variance latent: every
         # digit starts at 0 and no gradient signal ever activates the
         # grid. Widening the fusion layer's init spreads h across levels.
-        return 2.0 if self.quantizer.kind == "fsq" else 1.0
+        return 2.0 if self.kind == "fsq" else 1.0
 
     @property
     def code_digits(self):
-        q = self.quantizer
-        if q.kind == "dpca":
-            return q.depth * q.groups
+        if self.kind == "dpca":
+            return self.depth * self.groups
         return self.latent
 
     def sid_scheme(self, ngram):
-        return SidScheme.for_digits(self.code_digits,
-                                    base=self.quantizer.levels, ngram=ngram)
+        return SidScheme.for_digits(self.code_digits, base=self.levels,
+                                    ngram=ngram)
 
 
 # Weights of the DPCA commitment and codebook loss terms.
@@ -117,13 +111,12 @@ DPCA_INIT_STD = 0.5  # std of the initial DPCA component entries
 
 @dataclass
 class ForwardResult:
-    """Graph handles from one forward pass."""
+    """Graph handles from one forward pass: the latent, its quantized
+    value and one reconstruction node per signal, in signal order."""
 
     h: nn.Node
     h_hat: nn.Node
-    s: nn.Node
-    recon: dict
-    codes: np.ndarray | None
+    recon: list
 
 
 class FusionModel:
@@ -133,25 +126,24 @@ class FusionModel:
         self.spec = spec
         self.params = ParamStore(seed)
         h = spec.hidden
-        for sig in spec.signals:
-            self.params.weight(f"enc.{sig.name}.w1", sig.dim, h)
-            self.params.zeros(f"enc.{sig.name}.b1", 1, h)
-            self.params.weight(f"enc.{sig.name}.w2", h, h)
-            self.params.zeros(f"enc.{sig.name}.b2", 1, h)
-            self.params.weight(f"head.{sig.name}.w1", h, h)
-            self.params.zeros(f"head.{sig.name}.b1", 1, h)
-            self.params.weight(f"head.{sig.name}.w2", h, sig.dim)
-            self.params.zeros(f"head.{sig.name}.b2", 1, sig.dim)
-        self.params.weight("fuse.w", h * len(spec.signals), spec.latent)
+        for i, dim in enumerate(spec.dims):
+            self.params.weight(f"enc.sig{i}.w1", dim, h)
+            self.params.zeros(f"enc.sig{i}.b1", 1, h)
+            self.params.weight(f"enc.sig{i}.w2", h, h)
+            self.params.zeros(f"enc.sig{i}.b2", 1, h)
+            self.params.weight(f"head.sig{i}.w1", h, h)
+            self.params.zeros(f"head.sig{i}.b1", 1, h)
+            self.params.weight(f"head.sig{i}.w2", h, dim)
+            self.params.zeros(f"head.sig{i}.b2", 1, dim)
+        self.params.weight("fuse.w", h * len(spec.dims), spec.latent)
         self.params.get("fuse.w")[...] *= spec.fuse_gain
         self.params.zeros("fuse.b", 1, spec.latent)
         self.params.weight("trunk.w", spec.latent, h)
         self.params.zeros("trunk.b", 1, h)
-        q = spec.quantizer
-        if q.kind == "dpca":
-            width = spec.latent // q.groups
+        if spec.kind == "dpca":
+            width = spec.latent // spec.groups
             comps = np.random.default_rng(seed + 1).normal(
-                0.0, DPCA_INIT_STD, (q.groups, q.depth, width))
+                0.0, DPCA_INIT_STD, (spec.groups, spec.depth, width))
             for g, row in enumerate(self._dpca_names()):
                 for t, (u, b) in enumerate(row):
                     self.params.add(u, comps[g, t].reshape(1, -1))
@@ -160,9 +152,9 @@ class FusionModel:
     def _dpca_names(self):
         """Parameter names of the DPCA rows: per group, per depth t, the
         (component, offset) pair "dpca.g{g}.d{t}.u" and "dpca.g{g}.d{t}.b"."""
-        q = self.spec.quantizer
         return [[(f"dpca.g{g}.d{t}.u", f"dpca.g{g}.d{t}.b")
-                 for t in range(q.depth)] for g in range(q.groups)]
+                 for t in range(self.spec.depth)]
+                for g in range(self.spec.groups)]
 
     def dpca_stack(self):
         """Copies of the DPCA parameters: (components, offsets) arrays."""
@@ -179,7 +171,7 @@ class FusionModel:
         return nn.add(nn.matmul(y, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
     def _quantize_node(self, h, dither_rng=None):
-        """Build (h_hat, codes) for the current quantizer.
+        """The h_hat node of the current quantizer.
 
         For DPCA, h_hat is an expression of the component parameters with
         the ternary digits held fixed, so codebook-loss gradients reach
@@ -188,68 +180,59 @@ class FusionModel:
         on the grid position before rounding) so assignments near bin
         boundaries keep exploring instead of freezing into a bad partition.
         """
-        q = self.spec.quantizer
-        if q.kind == "none":
-            return h, None
-        if q.kind == "fsq":
-            levels, values = fsq_quantize(q.levels, h.value, dither_rng)
-            return nn.constant(values, "h_hat"), levels - q.offset
+        spec = self.spec
+        if spec.kind == "none":
+            return h
+        if spec.kind == "fsq":
+            return nn.constant(fsq_quantize(spec.levels, h.value,
+                                            dither_rng)[1], "h_hat")
         codes = self.digits(h.value)
         p = self.params.leaves
         group_nodes = [
-            nn.dpca_recon(codes[:, g * q.depth:(g + 1) * q.depth],
+            nn.dpca_recon(codes[:, g * spec.depth:(g + 1) * spec.depth],
                           [p[u] for u, _ in row], [p[b] for _, b in row])
             for g, row in enumerate(self._dpca_names())]
-        h_hat = group_nodes[0] if len(group_nodes) == 1 \
+        return group_nodes[0] if len(group_nodes) == 1 \
             else nn.concat_cols(group_nodes)
-        return h_hat, codes
 
     def digits(self, h):
         """Centered digits of latent values `h` (an array, not a node): the
         FSQ grid snap, or the greedy residual codes of the DPCA stack."""
-        q = self.spec.quantizer
-        if q.kind == "fsq":
-            return fsq_quantize(q.levels, h)[0] - q.offset
+        if self.spec.kind == "fsq":
+            return fsq_quantize(self.spec.levels, h)[0] - self.spec.offset
         return dpca_encode(*self.dpca_stack(), h)
 
     def latent(self, digits):
         """Latent values of centered digits, the inverse map of `digits`:
         FSQ grid values, or the DPCA stack's component sums."""
-        q = self.spec.quantizer
-        if q.kind == "fsq":
-            return fsq_values(q.levels, digits + q.offset)
+        if self.spec.kind == "fsq":
+            return fsq_values(self.spec.levels, digits + self.spec.offset)
         return dpca_decode(*self.dpca_stack(), digits.astype(np.int8))
 
     def encode(self, batch):
-        """Encoder MLPs and fusion layer: the latent node h from a dict of
-        per-signal input matrices."""
+        """Encoder MLPs and fusion layer: the latent node h from a list of
+        per-signal input matrices, one per signal of the spec."""
+        _check_count(self.spec, batch)
         p = self.params.leaves
-        for sig in self.spec.signals:
-            if sig.name not in batch:
-                raise FusionError(f"missing signal '{sig.name}'")
-        encoded = [self._mlp(f"enc.{s.name}",
-                             nn.constant(batch[s.name], s.name))
-                   for s in self.spec.signals]
+        encoded = [self._mlp(f"enc.sig{i}", nn.constant(x, f"sig{i}"))
+                   for i, x in enumerate(batch)]
         stacked = encoded[0] if len(encoded) == 1 else nn.concat_cols(encoded)
         return nn.add(nn.matmul(stacked, p["fuse.w"]), p["fuse.b"], name="h")
 
     def forward(self, batch, dither_rng=None):
-        """Run the mixing model on a dict of per-signal input matrices."""
+        """Run the mixing model on a list of per-signal input matrices."""
         h = self.encode(batch)
-        h_hat, codes = self._quantize_node(h, dither_rng=dither_rng)
-        if h_hat is h:
-            s = h
-        else:
-            s = nn.sub(h, nn.stop_gradient(nn.sub(h, h_hat)), name="s")
-        return ForwardResult(h=h, h_hat=h_hat, s=s, recon=self.decode(s),
-                             codes=codes)
+        h_hat = self._quantize_node(h, dither_rng=dither_rng)
+        s = h if h_hat is h else \
+            nn.sub(h, nn.stop_gradient(nn.sub(h, h_hat)), name="s")
+        return ForwardResult(h=h, h_hat=h_hat, recon=self.decode(s))
 
     def decode(self, s):
         """Trunk and heads: one reconstruction node per signal from s."""
         p = self.params.leaves
         trunk = nn.relu(nn.add(nn.matmul(s, p["trunk.w"]), p["trunk.b"]))
-        return {sig.name: self._mlp(f"head.{sig.name}", trunk)
-                for sig in self.spec.signals}
+        return [self._mlp(f"head.sig{i}", trunk)
+                for i in range(len(self.spec.dims))]
 
     # -- persistence ----------------------------------------------------
 
@@ -283,6 +266,12 @@ class FusionModel:
         return self
 
 
+def _check_count(spec, bundle):
+    if len(bundle) != len(spec.dims):
+        raise FusionError(f"the spec has {len(spec.dims)} signals, "
+                          f"the bundle {len(bundle)}")
+
+
 def _cosine_loss_node(target, recon_node):
     # Zero-norm targets are a data error. The reconstruction norm is
     # epsilon-stabilized instead: a ternary grid quantizes a freshly
@@ -304,17 +293,17 @@ def fusion_loss(model, batch, result):
     over the K signals' cosine losses cos_k, with the two quantizer terms
     only when the quantizer has parameters.
     """
-    w = 1.0 / len(model.spec.signals)
+    w = 1.0 / len(model.spec.dims)
     terms = []
     breakdown = {}
-    for sig in model.spec.signals:
-        node = _cosine_loss_node(batch[sig.name], result.recon[sig.name])
-        breakdown[f"recon.{sig.name}"] = float(node.value[0, 0])
+    for i, (x, recon) in enumerate(zip(batch, result.recon)):
+        node = _cosine_loss_node(x, recon)
+        breakdown[f"recon.sig{i}"] = float(node.value[0, 0])
         terms.append(nn.scale(node, w))
     total = terms[0]
     for t in terms[1:]:
         total = nn.add(total, t)
-    if model.spec.quantizer.kind == "dpca":
+    if model.spec.kind == "dpca":
         commit = nn.mean_all(nn.square(
             nn.sub(result.h, nn.stop_gradient(result.h_hat))))
         codebook = nn.mean_all(nn.square(
@@ -328,27 +317,25 @@ def fusion_loss(model, batch, result):
 
 
 def normalize_bundle(model, bundle):
-    """L2-normalize every signal on ingestion. Every signal must have the
-    same sample count. A row whose norm is not finite (a NaN or infinite
-    entry) or is zero is rejected, naming it."""
-    out = {}
-    for sig in model.spec.signals:
-        x = np.asarray(bundle[sig.name], dtype=DTYPE)
+    """L2-normalize every signal of a list of corpora, in signal order, on
+    ingestion. Every signal must have the same sample count. A row whose
+    norm is not finite (a NaN or infinite entry) or is zero is rejected,
+    naming it."""
+    _check_count(model.spec, bundle)
+    out = []
+    for i, corpus in enumerate(bundle):
+        x = np.asarray(corpus, dtype=DTYPE)
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         for bad, what in ((~np.isfinite(norms[:, 0]), "non-finite norm"),
                           (norms[:, 0] == 0.0, "zero-norm input")):
             if bad.any():
-                raise FusionError(f"{what} for '{sig.name}' at row "
+                raise FusionError(f"{what} for 'sig{i}' at row "
                                   f"{int(np.argmax(bad))}")
-        out[sig.name] = x / norms
-    sizes = {len(v) for v in out.values()}
+        out.append(x / norms)
+    sizes = {len(x) for x in out}
     if len(sizes) != 1:
         raise FusionError(f"signals disagree on sample count: {sorted(sizes)}")
     return out
-
-
-def _sample_count(data):
-    return len(next(iter(data.values())))
 
 
 def train(model, bundle, cfg):
@@ -358,19 +345,18 @@ def train(model, bundle, cfg):
     mean of each `fusion_loss` term. A divergence rolls back, stops or
     raises as `fit` describes."""
     data = normalize_bundle(model, bundle)
-    if not _sample_count(data):
+    rows = len(data[0])
+    if not rows:
         raise FusionError("no rows to train on")
     rng = np.random.default_rng(cfg.seed)
-    q = model.spec.quantizer
+    dither = rng if model.spec.kind == "fsq" else None
 
     def step(idx):
-        batch = {k: v[idx] for k, v in data.items()}
-        dither = rng if q.kind == "fsq" else None
+        batch = [x[idx] for x in data]
         result = model.forward(batch, dither_rng=dither)
         return fusion_loss(model, batch, result)
 
-    return nn.fit(model.params, _sample_count(data), step, rng, cfg,
-                  weight_decay=0.0)
+    return nn.fit(model.params, rows, step, rng, cfg, weight_decay=0.0)
 
 
 def _each_block(model, rows, run):
@@ -381,8 +367,8 @@ def _each_block(model, rows, run):
     corpus. A NonFiniteError names the corpus row, not the row within its
     block.
     """
-    signals = model.spec.signals
-    width = max(model.spec.hidden * len(signals), *(s.dim for s in signals))
+    dims = model.spec.dims
+    width = max(model.spec.hidden * len(dims), *dims)
     with nn._no_record():
         for lo, hi in _row_blocks(rows, width):
             try:
@@ -399,14 +385,14 @@ def encode_codes(model, bundle):
     Each row block runs the encoders to the latent h and quantizes it;
     the decoder half of the model is never built.
     """
-    if model.spec.quantizer.kind == "none":
+    if model.spec.kind == "none":
         raise FusionError("identity quantizer produces no codes")
     data = normalize_bundle(model, bundle)
-    rows = _sample_count(data)
+    rows = len(data[0])
     codes = np.empty((rows, model.spec.code_digits), dtype=np.int64)
 
     def run(lo, hi):
-        h = model.encode({k: v[lo:hi] for k, v in data.items()})
+        h = model.encode([x[lo:hi] for x in data])
         codes[lo:hi] = model.digits(h.value)
 
     _each_block(model, rows, run)
@@ -421,15 +407,15 @@ def encode_corpus(model, bundle, ngram):
 
 
 def decode_from_digits(model, digits):
-    """Reconstruct every signal from an (m, digits) matrix of centered
-    digits (the SIDE path).
+    """Reconstruct every signal, as a list in signal order, from an
+    (m, digits) matrix of centered digits (the SIDE path).
 
     For FSQ the digits are mapped onto the quantizer grid; for DPCA the
     digits drive the component-vector sum. The decoder then maps the
     recovered latent through the trunk and heads, one row block at a
     time, into preallocated outputs.
     """
-    if model.spec.quantizer.kind == "none":
+    if model.spec.kind == "none":
         raise FusionError("identity quantizer has no digit decoding")
     digits = np.asarray(digits, dtype=np.int64)
     if digits.ndim != 2:
@@ -437,13 +423,12 @@ def decode_from_digits(model, digits):
             f"expected a 2-D digit matrix, got ndim={digits.ndim}")
     digits = digits[:, :model.spec.code_digits]
     rows = digits.shape[0]
-    out = {s.name: np.empty((rows, s.dim), dtype=DTYPE)
-           for s in model.spec.signals}
+    out = [np.empty((rows, dim), dtype=DTYPE) for dim in model.spec.dims]
 
     def run(lo, hi):
         recon = model.decode(nn.constant(model.latent(digits[lo:hi])))
-        for name, node in recon.items():
-            out[name][lo:hi] = node.value
+        for x, node in zip(out, recon):
+            x[lo:hi] = node.value
 
     _each_block(model, rows, run)
     return out

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from concurrent.futures import Future
 from dataclasses import asdict, dataclass, fields
 from functools import partial, reduce
 
@@ -475,6 +474,9 @@ def worker_count():
 def _resolved(fn, *args):
     """A finished Future holding fn(*args), or the exception it raised, so
     that it is raised where `run_ab` reaches the arm in report order."""
+    # imported here: `concurrent.futures` loads `logging`, which no other
+    # command needs
+    from concurrent.futures import Future
     future = Future()
     try:
         future.set_result(fn(*args))

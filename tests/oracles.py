@@ -208,16 +208,6 @@ def row_scatter_add(table_grad, idx, grad):
     return out
 
 
-def eval_cosine_loss(model_forward, data, name):
-    """Clean-pass cosine reconstruction loss for a trained fusion model."""
-    result = model_forward(data)
-    x = data[name]
-    x_hat = result.recon[name].value
-    xn = x / np.linalg.norm(x, axis=1, keepdims=True)
-    rn = x_hat / np.linalg.norm(x_hat, axis=1, keepdims=True)
-    return float(np.mean(1.0 - np.einsum("ij,ij->i", xn, rn)))
-
-
 def full_sort_topk(base, queries, k, exclude_self=None):
     """Top-k by cosine from one full sort of every candidate per query.
 

@@ -18,10 +18,7 @@ SCHEME = sc.SidScheme(base=3, ngram=2, grams=2)
 
 
 def fusion_model():
-    spec = fv.FusionSpec(signals=(fv.SignalSpec("sig0", 4),), latent=4,
-                         hidden=8, quantizer=fv.QuantizerSpec(
-                             kind="fsq", levels=3, depth=1, groups=1))
-    return fv.FusionModel(spec, seed=0)
+    return fv.FusionModel(fv.FusionSpec((4,), 4, 8, "fsq"), seed=0)
 
 
 CASES = {

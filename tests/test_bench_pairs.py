@@ -137,7 +137,10 @@ PARENT = [float(v) for v in range(10, 20)]
     # wins 10/10, but medians only 4.5 apart: not more than q3 - q1
     ("lower", [v - 4.5 for v in PARENT], False),
     ("higher", [v + 5.0 for v in PARENT], True),
-    ("higher", [v - 5.0 for v in PARENT], False)])
+    ("higher", [v - 5.0 for v in PARENT], False),
+    # pairs zip to five, parent 10..14: wins 5/5, medians 5.0 apart and
+    # q3 - q1 only 2.0, but five pairs are too few
+    ("lower", [v - 5.0 for v in PARENT[:5]], False)])
 def test_gain_needs_nine_in_ten_pairs_and_medians_apart_by_the_spread(
         bp, better, change, shown):
     summary = bp.summarize(pairs_of(PARENT, change, "m"), {"m": better})["m"]

@@ -550,7 +550,7 @@ def test_sweep_warns_when_a_grid_point_rolls_back(tmp_path, corpus, capsys,
 
     def poisoned(model, batch, result):
         total, terms = loss(model, batch, result)
-        steps.append(model.spec.quantizer.levels)
+        steps.append(model.spec.levels)
         # 64 rows in batches of 32: the third L=5 step opens epoch 1
         if steps.count(5) == 3:
             total = nn.scale(total, float("nan"))
@@ -610,6 +610,20 @@ def test_sweep_rejects_classical_quantizers(tmp_path, corpus, capsys):
     assert "fusion models only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, message", [
+    (("--depths", "1,2"), "depth only applies to rq/dpca, got 2"),
+    (("--groups", "1,2"), "groups only applies to pq/dpca, got 2"),
+    (("--levels", "3,5"), "none quantizes nothing; levels must be 3")])
+def test_sweep_rejects_a_grid_the_identity_quantizer_ignores(
+        tmp_path, corpus, capsys, monkeypatch, grid, message):
+    monkeypatch.setattr(fv, "train", None)  # rejected before any training
+    assert run("sweep", "--corpus", corpus, "--config",
+               config(tmp_path, "none"), *grid) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_bad_config_value_names_its_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("quantizer=fsq\n# levels next\nlevels=abc\nlr=0.5\n")
@@ -639,6 +653,23 @@ def test_bad_config_value_names_its_line(tmp_path):
     ("fsq", "seed=-3", "seed must be >= 0, got -3")])
 def test_config_rejects_sizes_below_one(tmp_path, corpus, capsys, kind, line,
                                         message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"quantizer={kind}\n{line}\n")
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", tmp_path / "q.ckpt") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "q.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind, line, message", [
+    ("fsq", "depth=2", "depth only applies to rq/dpca, got 2"),
+    ("fsq", "groups=2", "groups only applies to pq/dpca, got 2"),
+    ("dpca", "levels=5", "dpca uses the ternary codebook; levels must be 3"),
+    ("none", "depth=4", "depth only applies to rq/dpca, got 4"),
+    ("none", "groups=2", "groups only applies to pq/dpca, got 2"),
+    ("none", "levels=7", "none quantizes nothing; levels must be 3")])
+def test_config_rejects_settings_its_quantizer_ignores(
+        tmp_path, corpus, capsys, kind, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"quantizer={kind}\n{line}\n")
     assert run("train", "--corpus", corpus, "--config", cfg,

@@ -155,8 +155,7 @@ def test_checkpoint_field_bit_flip_names_its_byte(tmp_path_factory, arrays,
 
 @pytest.fixture(scope="module")
 def model_checkpoint(tmp_path_factory):
-    spec = fv.FusionSpec(signals=(fv.SignalSpec("a", 3),), latent=2, hidden=2,
-                         quantizer=fv.QuantizerSpec("dpca", 3, 2, 1))
+    spec = fv.FusionSpec((3,), 2, 2, "dpca", 3, 2, 1)
     path = tmp_path_factory.mktemp("model") / "m.ckpt"
     fv.FusionModel(spec, seed=0).save(path)
     return spec, path.read_bytes()

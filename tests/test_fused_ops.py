@@ -146,10 +146,8 @@ class TestCosineLoss:
 @pytest.mark.parametrize("kind", ["fsq", "dpca"])
 def test_training_with_the_chains_ends_on_the_same_bytes(monkeypatch, kind):
     rng = np.random.default_rng(5)
-    bundle = {"a": rng.normal(size=(96, 8)), "b": rng.normal(size=(96, 5))}
-    spec = fv.FusionSpec(
-        signals=(fv.SignalSpec("a", 8), fv.SignalSpec("b", 5)), latent=6,
-        hidden=12, quantizer=fv.QuantizerSpec(kind, 3, 2, 2))
+    bundle = [rng.normal(size=(96, 8)), rng.normal(size=(96, 5))]
+    spec = fv.FusionSpec((8, 5), 6, 12, kind, 3, 2, 2)
     cfg = nn.FitConfig(epochs=2, batch_size=32, lr=1e-2, seed=3)
 
     def trained():

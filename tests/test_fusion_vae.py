@@ -29,15 +29,8 @@ def structured_corpus(rows, dim, seed, rank=4):
 
 
 def spec_for(dim, kind="fsq", latent=8, depth=4, groups=1, n=1, hidden=32):
-    sigs = tuple(fv.SignalSpec(f"sig{i}", dim) for i in range(n))
-    return fv.FusionSpec(signals=sigs, latent=latent, hidden=hidden,
-                         quantizer=fv.QuantizerSpec(
-                             kind=kind, levels=3, depth=depth, groups=groups))
-
-
-def quantizer(kind):
-    """A one-layer, one-group 3-level quantizer spec of this kind."""
-    return fv.QuantizerSpec(kind=kind, levels=3, depth=1, groups=1)
+    return fv.FusionSpec((dim,) * n, latent, hidden, kind, depth=depth,
+                         groups=groups)
 
 
 def nan_weight_on_forward(monkeypatch, model, call):
@@ -58,43 +51,73 @@ class TestForward:
     def test_identity_quantizer_is_pure_autoencoder(self):
         model = fv.FusionModel(spec_for(10, kind="none"), seed=0)
         x = unit(6, 10, 0)
-        result = model.forward({"sig0": x})
-        assert result.s is result.h
-        assert result.codes is None
+        result = model.forward([x])
+        assert result.h_hat is result.h
+        recon = model.decode(result.h)[0]
+        np.testing.assert_array_equal(result.recon[0].value, recon.value)
 
     def test_surrogate_forward_equals_quantized(self):
+        # the decoder consumes s = h - sg(h - h_hat), numerically h_hat
         model = fv.FusionModel(spec_for(10, kind="fsq"), seed=1)
         x = unit(6, 10, 1)
-        result = model.forward({"sig0": x})
-        np.testing.assert_allclose(result.s.value, result.h_hat.value,
-                                   atol=1e-7)
+        result = model.forward([x])
+        recon = model.decode(nn.constant(result.h_hat.value))[0]
+        np.testing.assert_allclose(result.recon[0].value, recon.value,
+                                   atol=1e-6)
 
     def test_single_signal_shapes(self):
         model = fv.FusionModel(spec_for(12, kind="dpca", latent=8), seed=2)
         x = unit(5, 12, 2)
-        result = model.forward({"sig0": x})
+        result = model.forward([x])
         assert result.h.shape == (5, 8)
-        assert result.recon["sig0"].shape == (5, 12)
-        assert result.codes.shape == (5, 4)
+        assert [r.shape for r in result.recon] == [(5, 12)]
+        assert model.digits(result.h.value).shape == (5, 4)
 
     def test_missing_signal_rejected(self):
         model = fv.FusionModel(spec_for(10, n=2), seed=3)
-        with pytest.raises(fv.FusionError, match="missing signal"):
-            model.forward({"sig0": unit(4, 10, 3)})
+        for call in model.encode, model.forward:
+            with pytest.raises(fv.FusionError, match=(
+                    "^the spec has 2 signals, the bundle 1$")):
+                call([unit(4, 10, 3)])
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_empty_or_surplus_bundle_rejected(self, count):
+        model = fv.FusionModel(spec_for(10, n=2), seed=3)
+        bundle = [unit(4, 10, 3)] * count
+        cfg = nn.FitConfig(epochs=1, batch_size=4, lr=1e-3, seed=0)
+        for call in (model.encode, lambda b: fv.train(model, b, cfg),
+                     lambda b: fv.encode_codes(model, b)):
+            with pytest.raises(fv.FusionError, match=(
+                    f"^the spec has 2 signals, the bundle {count}$")):
+                call(bundle)
 
     def test_dpca_codes_are_ternary(self):
         model = fv.FusionModel(spec_for(10, kind="dpca", latent=8, depth=5),
                                seed=4)
-        result = model.forward({"sig0": unit(16, 10, 4)})
-        assert np.isin(result.codes, (-1, 0, 1)).all()
+        h = model.encode([unit(16, 10, 4)])
+        assert np.isin(model.digits(h.value), (-1, 0, 1)).all()
 
     def test_fsq_needs_two_levels(self):
         with pytest.raises(q.QuantizerError,
                            match=r"^levels must be >= 2, got 1$"):
-            fv.FusionModel(fv.FusionSpec(
-                signals=(fv.SignalSpec("sig0", 4),), latent=4, hidden=8,
-                quantizer=fv.QuantizerSpec(kind="fsq", levels=1, depth=1,
-                                           groups=1)))
+            fv.FusionModel(fv.FusionSpec((4,), 4, 8, "fsq", levels=1))
+
+
+class TestSpec:
+    # TestForward.test_fsq_needs_two_levels covers the fourth rejection
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (((4,), 4, 8, "vq"), {}, "unknown quantizer kind 'vq'"),
+        (((), 4, 8, "fsq"), {}, "need at least one signal"),
+        (((4,), 6, 8, "dpca"), dict(groups=4),
+         "4 product groups do not divide latent width 6")])
+    def test_each_rejection_keeps_its_message(self, args, kwargs, message):
+        with pytest.raises(fv.FusionError, match=f"^{message}$"):
+            fv.FusionSpec(*args, **kwargs)
+
+    def test_each_check_binds_only_its_quantizer(self):
+        # the levels check applies to fsq only, the groups check to dpca
+        assert fv.FusionSpec((4,), 6, 8, "none", levels=1, groups=4)
+        assert fv.FusionSpec((4,), 6, 8, "dpca", levels=1, groups=3)
 
 
 class TestLoss:
@@ -111,22 +134,20 @@ class TestLoss:
         assert loss.value[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_total_is_the_mean_of_the_signal_losses(self):
-        sigs = tuple(fv.SignalSpec(name, 8) for name in "abc")
-        spec = fv.FusionSpec(signals=sigs, latent=4, hidden=16,
-                             quantizer=quantizer("none"))
-        model = fv.FusionModel(spec, seed=6)
-        batch = {name: unit(6, 8, seed) for seed, name in enumerate("abc")}
+        model = fv.FusionModel(fv.FusionSpec((8, 8, 8), 4, 16, "none"),
+                               seed=6)
+        batch = [unit(6, 8, seed) for seed in range(3)]
         total, breakdown = fv.fusion_loss(model, batch, model.forward(batch))
         w = np.float32(1.0 / 3)
-        a, b, c = (np.float32(breakdown[f"recon.{n}"]) for n in "abc")
+        a, b, c = (np.float32(breakdown[f"recon.sig{i}"]) for i in range(3))
         assert total.value[0, 0] == (a * w + b * w) + c * w
         assert breakdown["total"] == float(total.value[0, 0])
 
     def test_commitment_and_codebook_nonnegative(self):
         model = fv.FusionModel(spec_for(10, kind="dpca", latent=8), seed=7)
         x = unit(12, 10, 8)
-        result = model.forward({"sig0": x})
-        _, breakdown = fv.fusion_loss(model, {"sig0": x}, result)
+        result = model.forward([x])
+        _, breakdown = fv.fusion_loss(model, [x], result)
         assert breakdown["commitment"] >= 0.0
         assert breakdown["codebook"] >= 0.0
 
@@ -143,8 +164,8 @@ class TestLoss:
         codes = np.array([[1, -1, 0], [0, 1, 1]], dtype=np.int8)
         h_val = q.dpca_decode(*model.dpca_stack(), codes)
         h = nn.leaf(h_val, requires_grad=True)
-        h_hat, out_codes = model._quantize_node(h)
-        np.testing.assert_array_equal(out_codes, codes)
+        h_hat = model._quantize_node(h)
+        np.testing.assert_array_equal(model.digits(h.value), codes)
         commit = float(np.square(h.value - h_hat.value).mean())
         assert commit == 0.0
 
@@ -155,13 +176,13 @@ class TestStraightThrough:
         # the quantized point: the quantizer contributes exactly identity
         model = fv.FusionModel(spec_for(10, kind="fsq"), seed=10)
         x = unit(6, 10, 10)
-        result = model.forward({"sig0": x})
-        loss, _ = fv.fusion_loss(model, {"sig0": x}, result)
+        result = model.forward([x])
+        loss, _ = fv.fusion_loss(model, [x], result)
         nn.backward(loss)
         st_grad = result.h.grad.copy()
 
         direct = nn.leaf(result.h_hat.value, requires_grad=True)
-        recon = model.decode(direct)["sig0"]
+        recon = model.decode(direct)[0]
         loss2 = fv._cosine_loss_node(x, recon)
         nn.backward(loss2)
         np.testing.assert_allclose(st_grad, direct.grad, atol=1e-6)
@@ -173,11 +194,11 @@ class TestStraightThrough:
         # where the reconstruction norm is degenerate
         model = fv.FusionModel(spec_for(8, kind="fsq", latent=4), seed=11)
         x = unit(4, 8, 11)
-        fv.train(model, {"sig0": x},
+        fv.train(model, [x],
                  nn.FitConfig(epochs=30, batch_size=4, lr=1e-3, seed=11))
-        result = model.forward({"sig0": x})
+        result = model.forward([x])
         c = (result.h.value - result.h_hat.value).copy()
-        nn.backward(fv.fusion_loss(model, {"sig0": x}, result)[0])
+        nn.backward(fv.fusion_loss(model, [x], result)[0])
         st_grad = result.h.grad.copy()
 
         arrays = {"h": result.h.value.copy()}
@@ -185,7 +206,7 @@ class TestStraightThrough:
         def loss_value(arrs):
             h = nn.leaf(arrs["h"], requires_grad=True)
             s = nn.sub(h, nn.constant(c))
-            recon = model.decode(s)["sig0"]
+            recon = model.decode(s)[0]
             return float(fv._cosine_loss_node(x, recon).value[0, 0])
 
         numeric = numeric_grad(loss_value, arrays, "h")
@@ -199,7 +220,7 @@ class TestTrain:
         model = fv.FusionModel(spec_for(8, latent=4), seed=12)
         before = model.params.flat.copy()
         x = unit(32, 8, 12)
-        fv.train(model, {"sig0": x},
+        fv.train(model, [x],
                  nn.FitConfig(epochs=2, batch_size=16, lr=1e-12, seed=12))
         np.testing.assert_allclose(model.params.flat, before, atol=1e-5)
 
@@ -209,14 +230,12 @@ class TestTrain:
         pts = rng.normal(size=(1, 16)) + t * rng.normal(size=(1, 16))
         pts = (pts / np.linalg.norm(pts, axis=1, keepdims=True)).astype(
             np.float32)
-        spec = fv.FusionSpec(signals=(fv.SignalSpec("sig0", 16),), latent=1,
-                             hidden=32, quantizer=quantizer("fsq"))
-        model = fv.FusionModel(spec, seed=0)
-        fv.train(model, {"sig0": pts},
+        model = fv.FusionModel(fv.FusionSpec((16,), 1, 32, "fsq"), seed=0)
+        fv.train(model, [pts],
                  nn.FitConfig(epochs=500, batch_size=16, lr=1e-3, seed=0))
-        data = fv.normalize_bundle(model, {"sig0": pts})
+        data = fv.normalize_bundle(model, [pts])
         result = model.forward(data)
-        loss = cosine_recon_loss(data["sig0"], result.recon["sig0"].value)
+        loss = cosine_recon_loss(data[0], result.recon[0].value)
         assert loss < 0.05
 
     @pytest.mark.parametrize("seed", range(5))
@@ -224,35 +243,33 @@ class TestTrain:
         x = structured_corpus(256, 24, seed)
         model = fv.FusionModel(spec_for(24, kind="fsq", latent=8), seed=seed)
         rows, _ = fv.train(
-            model, {"sig0": x},
+            model, [x],
             nn.FitConfig(epochs=11, batch_size=64, lr=1e-3, seed=seed))
         assert rows[10]["total"] < rows[0]["total"]
 
     def test_symmetric_duplicate_signals_converge_together(self):
         x = structured_corpus(192, 16, 14)
-        sigs = (fv.SignalSpec("a", 16), fv.SignalSpec("b", 16))
-        spec = fv.FusionSpec(signals=sigs, latent=6, hidden=48,
-                             quantizer=quantizer("fsq"))
-        model = fv.FusionModel(spec, seed=14)
-        fv.train(model, {"a": x, "b": x},
+        model = fv.FusionModel(fv.FusionSpec((16, 16), 6, 48, "fsq"),
+                               seed=14)
+        fv.train(model, [x, x],
                  nn.FitConfig(epochs=150, batch_size=64, lr=1e-3, seed=14))
-        data = fv.normalize_bundle(model, {"a": x, "b": x})
+        data = fv.normalize_bundle(model, [x, x])
         result = model.forward(data)
-        la = cosine_recon_loss(data["a"], result.recon["a"].value)
-        lb = cosine_recon_loss(data["b"], result.recon["b"].value)
+        la, lb = (cosine_recon_loss(x, r.value)
+                  for x, r in zip(data, result.recon))
         assert abs(la - lb) / max(la, lb) < 0.05
 
     def test_divergence_rolls_back(self, monkeypatch):
         x = structured_corpus(64, 8, 15)
         for kind in ("fsq", "dpca"):
             stopped = fv.FusionModel(spec_for(8, kind=kind, latent=4), seed=15)
-            fv.train(stopped, {"sig0": x},
+            fv.train(stopped, [x],
                      nn.FitConfig(epochs=1, batch_size=32, lr=1e-3,
                                   seed=15))
             model = fv.FusionModel(spec_for(8, kind=kind, latent=4), seed=15)
             # 2 batches per epoch: the first batch of epoch 1 goes NaN
             nan_weight_on_forward(monkeypatch, model, 3)
-            rows, diverged_at = fv.train(model, {"sig0": x}, nn.FitConfig(
+            rows, diverged_at = fv.train(model, [x], nn.FitConfig(
                 epochs=3, batch_size=32, lr=1e-3, seed=15))
             assert diverged_at == 1
             assert [row["epoch"] for row in rows] == [0]
@@ -263,50 +280,41 @@ class TestTrain:
         model = fv.FusionModel(spec_for(8, latent=4), seed=15)
         model.params.get("fuse.w")[0, 0] = np.nan
         with pytest.raises(nn.TrainingDiverged):
-            fv.train(model, {"sig0": structured_corpus(64, 8, 15)},
+            fv.train(model, [structured_corpus(64, 8, 15)],
                      nn.FitConfig(epochs=3, batch_size=32, lr=1e-3,
                                   seed=15))
 
-    def test_mismatched_sample_counts_rejected(self):
-        sigs = (fv.SignalSpec("a", 8), fv.SignalSpec("b", 8))
-        spec = fv.FusionSpec(signals=sigs, latent=4, hidden=16,
-                             quantizer=quantizer("fsq"))
-        model = fv.FusionModel(spec, seed=16)
+    def test_mismatched_row_counts_rejected(self):
+        model = fv.FusionModel(fv.FusionSpec((8, 8), 4, 16, "fsq"), seed=16)
         with pytest.raises(fv.FusionError, match="sample count"):
-            fv.train(model, {"a": unit(10, 8, 16), "b": unit(12, 8, 17)},
+            fv.train(model, [unit(10, 8, 16), unit(12, 8, 17)],
                      nn.FitConfig(epochs=1, batch_size=256, lr=1e-3,
                                   seed=0))
 
     @pytest.mark.parametrize("value, message", [
-        (np.nan, "non-finite norm for 'b' at row 7"),
-        (np.inf, "non-finite norm for 'b' at row 7"),
-        (0.0, "zero-norm input for 'b' at row 7")])
+        (np.nan, "non-finite norm for 'sig1' at row 7"),
+        (np.inf, "non-finite norm for 'sig1' at row 7"),
+        (0.0, "zero-norm input for 'sig1' at row 7")])
     def test_a_bad_row_is_named_before_training(self, value, message):
-        sigs = (fv.SignalSpec("a", 8), fv.SignalSpec("b", 8))
-        spec = fv.FusionSpec(signals=sigs, latent=4, hidden=16,
-                             quantizer=quantizer("fsq"))
         b = unit(10, 8, 17)
         b[[7, 9]] = value  # the first bad row is named
-        model = fv.FusionModel(spec, seed=16)
+        model = fv.FusionModel(fv.FusionSpec((8, 8), 4, 16, "fsq"), seed=16)
         with pytest.raises(fv.FusionError, match=f"^{message}$"):
-            fv.train(model, {"a": unit(10, 8, 16), "b": b},
+            fv.train(model, [unit(10, 8, 16), b],
                      nn.FitConfig(epochs=1, batch_size=256, lr=1e-3,
                                   seed=0))
 
 
 class TestCheckpointLayout:
-    SPEC = fv.FusionSpec(
-        signals=(fv.SignalSpec("a", 6), fv.SignalSpec("b", 4)), latent=4,
-        hidden=8, quantizer=fv.QuantizerSpec(kind="dpca", levels=3, depth=2,
-                                             groups=2))
+    SPEC = fv.FusionSpec((6, 4), 4, 8, "dpca", depth=2, groups=2)
 
     def test_parameter_names_in_record_order(self, tmp_path):
         model = fv.FusionModel(self.SPEC, seed=0)
         expected = [
-            "enc.a.w1", "enc.a.b1", "enc.a.w2", "enc.a.b2",
-            "head.a.w1", "head.a.b1", "head.a.w2", "head.a.b2",
-            "enc.b.w1", "enc.b.b1", "enc.b.w2", "enc.b.b2",
-            "head.b.w1", "head.b.b1", "head.b.w2", "head.b.b2",
+            "enc.sig0.w1", "enc.sig0.b1", "enc.sig0.w2", "enc.sig0.b2",
+            "head.sig0.w1", "head.sig0.b1", "head.sig0.w2", "head.sig0.b2",
+            "enc.sig1.w1", "enc.sig1.b1", "enc.sig1.w2", "enc.sig1.b2",
+            "head.sig1.w1", "head.sig1.b1", "head.sig1.w2", "head.sig1.b2",
             "fuse.w", "fuse.b", "trunk.w", "trunk.b",
             "dpca.g0.d0.u", "dpca.g0.d0.b", "dpca.g0.d1.u", "dpca.g0.d1.b",
             "dpca.g1.d0.u", "dpca.g1.d0.b", "dpca.g1.d1.u", "dpca.g1.d1.b"]
@@ -377,29 +385,29 @@ class TestEncodeCorpus:
         x = structured_corpus(128, 12, seed)
         model = fv.FusionModel(
             spec_for(12, kind="dpca", latent=8, depth=6), seed=seed)
-        fv.train(model, {"sig0": x},
+        fv.train(model, [x],
                  nn.FitConfig(epochs=10, batch_size=64, lr=1e-3, seed=seed))
         return model, x
 
     def test_determinism(self):
         model, x = self._trained()
-        _, sids1 = fv.encode_corpus(model, {"sig0": x}, ngram=3)
-        _, sids2 = fv.encode_corpus(model, {"sig0": x}, ngram=3)
+        _, sids1 = fv.encode_corpus(model, [x], ngram=3)
+        _, sids2 = fv.encode_corpus(model, [x], ngram=3)
         np.testing.assert_array_equal(sids1, sids2)
 
     def test_one_record_per_sample_in_order(self):
         model, x = self._trained()
-        scheme, sids = fv.encode_corpus(model, {"sig0": x}, ngram=3)
+        scheme, sids = fv.encode_corpus(model, [x], ngram=3)
         assert sids.shape == (128, scheme.grams)
         # first row encodes the first sample: re-encode it alone
-        _, single = fv.encode_corpus(model, {"sig0": x[:1]}, ngram=3)
+        _, single = fv.encode_corpus(model, [x[:1]], ngram=3)
         np.testing.assert_array_equal(sids[:1], single)
 
     def test_sids_match_direct_pipeline(self):
         from sidekit.sid_codec import pack_all
         model, x = self._trained()
-        scheme, sids = fv.encode_corpus(model, {"sig0": x}, ngram=3)
-        codes = fv.encode_codes(model, {"sig0": x})
+        scheme, sids = fv.encode_corpus(model, [x], ngram=3)
+        codes = fv.encode_codes(model, [x])
         np.testing.assert_array_equal(sids, pack_all(scheme, codes))
 
     def test_checkpoint_roundtrip_preserves_encoding(self, tmp_path):
@@ -408,17 +416,17 @@ class TestEncodeCorpus:
         model.save(path)
         again = fv.FusionModel(
             spec_for(12, kind="dpca", latent=8, depth=6), seed=99).load(path)
-        _, sids1 = fv.encode_corpus(model, {"sig0": x}, ngram=3)
-        _, sids2 = fv.encode_corpus(again, {"sig0": x}, ngram=3)
+        _, sids1 = fv.encode_corpus(model, [x], ngram=3)
+        _, sids2 = fv.encode_corpus(again, [x], ngram=3)
         np.testing.assert_array_equal(sids1, sids2)
 
     def test_decode_from_digits_shapes(self):
         from sidekit.sid_codec import side_embed
         model, x = self._trained()
-        scheme, sids = fv.encode_corpus(model, {"sig0": x}, ngram=3)
+        scheme, sids = fv.encode_corpus(model, [x], ngram=3)
         digits = side_embed(scheme, sids).astype(np.int64)
         recon = fv.decode_from_digits(model, digits)
-        assert recon["sig0"].shape == x.shape
+        assert [r.shape for r in recon] == [x.shape]
 
 
 class TestBlockedInference:
@@ -430,21 +438,21 @@ class TestBlockedInference:
     def _model(self, kind, seed=21):
         spec = spec_for(12, kind=kind, latent=6, depth=3,
                         groups=2 if kind == "dpca" else 1, n=2)
-        bundle = {"sig0": unit(self.ROWS, 12, seed),
-                  "sig1": unit(self.ROWS, 12, seed + 1)}
+        bundle = [unit(self.ROWS, 12, seed), unit(self.ROWS, 12, seed + 1)]
         return fv.FusionModel(spec, seed=seed), bundle
 
     @staticmethod
     def _blocks_of(monkeypatch, model, rows):
         # the block width of _each_block: hidden x signals exceeds each dim
-        width = model.spec.hidden * len(model.spec.signals)
+        width = model.spec.hidden * len(model.spec.dims)
         monkeypatch.setattr(metrics, "BLOCK_CELLS", rows * width)
         assert len(metrics._row_blocks(TestBlockedInference.ROWS, width)) >= 3
 
     @pytest.mark.parametrize("kind", ["fsq", "dpca"])
     def test_encode_equals_whole_batch_forward(self, monkeypatch, kind):
         model, bundle = self._model(kind)
-        whole = model.forward(fv.normalize_bundle(model, bundle)).codes
+        whole = model.digits(model.encode(
+            fv.normalize_bundle(model, bundle)).value)
         self._blocks_of(monkeypatch, model, 30)
         np.testing.assert_array_equal(fv.encode_codes(model, bundle), whole)
 
@@ -453,15 +461,16 @@ class TestBlockedInference:
         model, bundle = self._model(kind)
         digits = fv.encode_codes(model, bundle)
         if kind == "fsq":
-            fsq = model.spec.quantizer
-            latent = q.fsq_values(fsq.levels, digits + fsq.offset)
+            spec = model.spec
+            latent = q.fsq_values(spec.levels, digits + spec.offset)
         else:
             latent = q.dpca_decode(*model.dpca_stack(), digits.astype(np.int8))
         whole = model.decode(nn.constant(latent))
         self._blocks_of(monkeypatch, model, 30)
         recon = fv.decode_from_digits(model, digits)
-        for name, node in whole.items():
-            np.testing.assert_array_equal(recon[name], node.value)
+        assert len(recon) == len(whole) == 2
+        for x, node in zip(recon, whole):
+            np.testing.assert_array_equal(x, node.value)
 
     def test_encode_error_names_the_corpus_row(self, monkeypatch):
         # normalize_bundle rejects a NaN input row, so the NaN is put into
@@ -471,7 +480,7 @@ class TestBlockedInference:
 
         def with_nan(model, bundle):
             data = normalize(model, bundle)
-            data["sig1"][97, 3] = np.nan
+            data[1][97, 3] = np.nan
             return data
 
         monkeypatch.setattr(fv, "normalize_bundle", with_nan)
@@ -509,15 +518,12 @@ def test_inference_memory_growth_per_row_is_small(kind):
     """Between 8k and 32k rows, encode and decode each grow by what they
     keep per row (normalized inputs, digits, reconstructions), under 1 KB.
     A whole-corpus graph holds every intermediate: several KB per row."""
-    spec = fv.FusionSpec(
-        signals=(fv.SignalSpec("sig0", 64), fv.SignalSpec("sig1", 32)),
-        latent=15, hidden=128,
-        quantizer=fv.QuantizerSpec(kind=kind, levels=3,
-                                   depth=5 if kind == "dpca" else 1,
-                                   groups=3 if kind == "dpca" else 1))
+    spec = fv.FusionSpec((64, 32), 15, 128, kind,
+                         depth=5 if kind == "dpca" else 1,
+                         groups=3 if kind == "dpca" else 1)
     model = fv.FusionModel(spec, seed=3)
-    big = {"sig0": unit(32_768, 64, 4), "sig1": unit(32_768, 32, 5)}
-    small = {k: v[:8_192].copy() for k, v in big.items()}
+    big = [unit(32_768, 64, 4), unit(32_768, 32, 5)]
+    small = [x[:8_192].copy() for x in big]
     digits = fv.encode_codes(model, big)
     few = digits[:8_192].copy()
     span = 32_768 - 8_192

@@ -45,10 +45,11 @@ def test_no_unused_imports(path):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # only `rank-ab` starts worker processes; every other command would
-    # pay ~20 ms at start-up for these imports
+    # only `rank-ab` starts worker processes or resolves futures; every
+    # other command would pay ~5-20 ms at start-up for these imports
     code = ("import sys, sidekit.cli; print(sorted({'multiprocessing', "
-            "'concurrent.futures.process'} & set(sys.modules)))")
+            "'concurrent.futures', 'concurrent.futures.process', "
+            "'logging'} & set(sys.modules)))")
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], check=True,

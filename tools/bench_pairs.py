@@ -15,8 +15,9 @@ also prints how much worse or better the change's median is than the
 parent's, against the metric's `bound`. Where the parent's own quartile
 spread is wider than the bound that reads "unresolved", unless every run
 of the change is better than every run of the parent. It adds "gain
-shown" where the change won at least 9 in 10 pairs and its median is
-better than the parent's by more than the parent's q3 - q1.
+shown" where, over at least ten pairs, the change won at least 9 in 10
+of them and its median is better than the parent's by more than the
+parent's q3 - q1.
 
 After each run the output digests and the quality values (QUALITY: the
 NE of each rank-ab arm, `recon_loss`, `recall_at_100`) are read from the
@@ -118,12 +119,14 @@ def verdict(summary, bound):
 
 
 def gain_shown(summary):
-    """Whether the summary shows a gain: the change won at least 9 in 10
-    of the pairs (a tie counts for neither), and its median is better
-    than the parent's by more than the parent's q3 - q1."""
+    """Whether the summary shows a gain: over at least ten pairs, the
+    change won at least 9 in 10 of them (a tie counts for neither), and
+    its median is better than the parent's by more than the parent's
+    q3 - q1."""
     parent, change = summary["parent"], summary["change"]
     sign = 1 if summary["better"] == "lower" else -1
-    return (10 * change["wins"] >= 9 * summary["pairs"]
+    return (summary["pairs"] >= 10
+            and 10 * change["wins"] >= 9 * summary["pairs"]
             and sign * (parent["median"] - change["median"])
             > parent["q3"] - parent["q1"])
 

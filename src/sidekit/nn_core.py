@@ -9,14 +9,25 @@ into every reachable node that requires them. It never clears a `grad`:
 a fresh node starts from zeros, and a parameter leaf sums every pass
 until `fit` zeroes all parameter gradients, once per step.
 
-Two fused ops cover the subgraphs that VQ-fusion training rebuilds every
-batch: `dpca_recon`, one DPCA product group's sum_t (s_t u_t + b_t), and
-`cosine_loss`, one signal's mean cosine loss. Each is one node where the
-primitive ops made 3 per DPCA layer or 14 per signal. They evaluate the
-same float32 expressions in the same order as those chains, forward and
-backward, so values and gradients are bit for bit the chains' own, and a
-NaN/Inf in any intermediate still raises NonFiniteError with the node and
-the first bad row.
+Four fused ops cover the subgraphs that training rebuilds every batch.
+For VQ fusion: `dpca_recon`, one DPCA product group's sum_t (s_t u_t +
+b_t), and `cosine_loss`, one signal's mean cosine loss, where the
+primitive ops made 3 nodes per DPCA layer or 14 per signal. For the
+ranker: `pooled_attention`, softmax(q K^T / sqrt(d)) V with K = V Theta
+in place of 10 nodes, and `gather_mean`, the mean of an item's SID gram
+rows in place of G gathers, G - 1 adds and a scale. Each evaluates the
+same float32 expressions in the same order as its chain, forward and
+backward, so values and gradients are bit for bit the chain's own. Where
+the chain's numpy call runs a short inner loop per row (a row sum over
+d, a sum over a user's L events), the fused op makes numpy's own adds in
+numpy's own order as a few wide column-slice adds instead.
+
+Finiteness is checked once per `fit` step and per op everywhere else.
+While `fit` builds a step's graph, ops do not check their values; `fit`
+checks the loss, and `adam_step` the gradient. A step that fails either
+check, or raises, is built again with per-op checks on, so it raises the
+NonFiniteError per-op checks raise, naming the first bad node and row.
+Outside `fit` every op checks its value as it computes it.
 
 Inference needs no graph. Inside `with _no_record():` every op still
 computes its value and checks it for NaN/Inf, but the node it returns
@@ -67,17 +78,20 @@ class TrainingDiverged(RuntimeError):
 
 _node_ids = itertools.count()
 _recording = True
+_checking = True  # off only while `fit` runs a step (see `_fit_step`)
 
 
 @contextlib.contextmanager
 def _no_record():
-    """Ops inside the block build nodes with no inputs and no backward."""
-    global _recording
-    previous, _recording = _recording, False
+    """Ops inside the block build nodes with no inputs and no backward,
+    and check their values as they run."""
+    global _recording, _checking
+    previous = _recording, _checking
+    _recording, _checking = False, True
     try:
         yield
     finally:
-        _recording = previous
+        _recording, _checking = previous
 
 
 class Node:
@@ -113,7 +127,7 @@ def _as_matrix(x, name):
 
 
 def _check_finite(value, name):
-    if not np.isfinite(value).all():
+    if _checking and not np.isfinite(value).all():
         row = int(np.where(~np.isfinite(value).all(axis=1))[0][0])
         raise NonFiniteError(f"non-finite output at batch row {row}", name, row)
 
@@ -339,12 +353,22 @@ def gather_rows(table, indices):
     value = np.take(table.value, idx, axis=0)  # ~3x faster than value[idx]
 
     def backward(out):
-        # one 1-D scatter over element indices: the same adds in the same
-        # order as a row scatter, without its per-row overhead
-        cols = table.shape[1]
-        flat = (idx[:, None] * cols + np.arange(cols)).ravel()
-        np.add.at(table.grad.reshape(-1), flat, out.grad.reshape(-1))
+        _scatter_add_rows(table.grad, idx, out.grad)
     return _make("gather", value, (table,), backward)
+
+
+def _scatter_add_rows(grad, idx, rows):
+    """grad[idx[i]] += rows[i] for each i in turn, as an unbuffered row
+    scatter does, but as one 1-D scatter over element indices: the same
+    adds in the same order, without its per-row overhead. An even number
+    of float32 columns goes as half as many complex64 columns, whose add
+    is the two float32 adds."""
+    rows = np.ascontiguousarray(rows)
+    if grad.shape[1] % 2 == 0:
+        grad, rows = grad.view(np.complex64), rows.view(np.complex64)
+    cols = grad.shape[1]
+    flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+    np.add.at(grad.reshape(-1), flat, rows.reshape(-1))
 
 
 def stop_gradient(a):
@@ -428,6 +452,136 @@ def cosine_loss(target, norms, recon):
         recon.grad += g_cos / nrm * t
         recon.grad += g_sq * 2.0 * r
     return _make("cosine_loss", value, (recon,), backward, name)
+
+
+def _pairwise_sums(a):
+    # numpy's pairwise float32 order for one reduced row of w values:
+    # below 8 a running sum from 0.0; up to 128, 8 running sums over
+    # blocks of 8 columns, a fixed tree over them, then the leftover
+    # columns in turn; past 128, the two halves (cut at a multiple of 8)
+    # summed apart and added
+    n, w = a.shape
+    if w < 8:
+        res = np.zeros(n, dtype=DTYPE)
+        for j in range(w):
+            res += a[:, j]
+        return res
+    if w <= 128:
+        end = w - w % 8
+        r = a[:, 0:8] + a[:, 8:16] if end >= 16 else a[:, 0:8].copy()
+        for i in range(16, end, 8):
+            r += a[:, i:i + 8]
+        res = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
+               + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
+        for j in range(end, w):
+            res += a[:, j]
+        return res
+    half = w // 2 - (w // 2) % 8
+    return _pairwise_sums(a[:, :half]) + _pairwise_sums(a[:, half:])
+
+
+def _row_sums(a):
+    """The (n,) row sums of the (n, w) float32 array `a`, bit for bit
+    `a.sum(axis=1, dtype=float32)`, but with one wide column-slice add per
+    step of numpy's order instead of one short inner loop per row."""
+    return DTYPE(0) + _pairwise_sums(a)  # numpy adds the sum to its 0.0
+
+
+def _event_sums(a3):
+    """(b, d) sums over the L events of the (b, L, d) float32 array `a3`,
+    bit for bit `a3.sum(axis=1, dtype=float32)`: for d > 1 numpy adds the
+    L slices to 0.0 in order, at d = 1 the L axis is contiguous and numpy
+    sums it pairwise."""
+    b, seq_len, d = a3.shape
+    if d == 1:
+        return _row_sums(a3[:, :, 0]).reshape(b, 1)
+    out = a3[:, 0] + DTYPE(0)
+    for t in range(1, seq_len):
+        out += a3[:, t]
+    return out
+
+
+def pooled_attention(queries, values, theta, seq_len):
+    """One-layer pooled attention per user: softmax(q K^T / sqrt(d)) V with
+    K = V Theta.
+
+    `queries` is the (b, d) node of one query per user, `values` the
+    (b * seq_len, d) node of each user's seq_len events in consecutive
+    rows, `theta` the (d, d) node. Returns the (b, d) pooled values. It
+    replaces matmul, repeat_rows, mul, sum_axis1, scale, reshape,
+    softmax_rows, reshape, mul and segment_sum_rows, and works on the
+    (b, seq_len, d) view, so it builds no repeated query matrix. A
+    non-finite key, product or logit shows in the (b, seq_len) logits,
+    which are checked: a NonFiniteError names this node and the user's
+    batch row.
+    """
+    name = f"pooled_attention#{next(_node_ids)}"
+    b, d = queries.shape
+    if values.shape != (b * seq_len, d) or theta.shape != (d, d):
+        raise GraphError(f"queries {queries.shape}, values {values.shape} "
+                         f"and theta {theta.shape} disagree at seq_len "
+                         f"{seq_len}", name)
+    c = DTYPE(1.0 / np.sqrt(d))
+    q3 = queries.value[:, None, :]
+    v3 = values.value.reshape(b, seq_len, d)
+    with np.errstate(all="ignore"):
+        keys = values.value @ theta.value
+        k3 = keys.reshape(b, seq_len, d)
+        logits = _row_sums((k3 * q3).reshape(-1, d)).reshape(b, seq_len)
+        logits *= c
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        attn = e / e.sum(axis=1, keepdims=True)
+        value = _event_sums(v3 * attn[:, :, None])
+    _check_finite(logits, name)
+
+    def backward(out):
+        g3 = out.grad[:, None, :]  # the output gradient, once per event
+        if values.requires_grad:
+            values.grad += (g3 * attn[:, :, None]).reshape(-1, d)
+        g_attn = _row_sums((g3 * v3).reshape(-1, d)).reshape(b, seq_len)
+        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=1,
+                                                        keepdims=True))
+        g_logits *= c
+        g_s3 = g_logits[:, :, None]
+        if queries.requires_grad:
+            queries.grad += _event_sums(g_s3 * k3)
+        g_keys = (g_s3 * q3).reshape(-1, d)
+        if values.requires_grad:
+            values.grad += g_keys @ theta.value.T
+        if theta.requires_grad:
+            theta.grad += values.value.T @ g_keys
+    return _make("pooled_attention", value, (queries, values, theta),
+                 backward, name)
+
+
+def gather_mean(table, rows):
+    """Mean of G table rows per output row: `rows` is (n, G), and output
+    row i is (table[rows[i, 0]] + ... + table[rows[i, G-1]]) * (1/G), the
+    sum taken left to right. It replaces G gather_rows, G - 1 adds and a
+    scale; backward makes one scatter-add per column of `rows`, in column
+    order, as the chain's gathers do.
+    """
+    idx = np.asarray(rows, dtype=np.int64)
+    if idx.ndim != 2 or not idx.shape[1]:
+        raise GraphError(f"expected (n, G >= 1) row indices, got shape "
+                         f"{idx.shape}", "gather_mean")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise GraphError(
+            f"index out of range for table with {table.shape[0]} rows",
+            "gather_mean")
+    grams = idx.shape[1]
+    c = DTYPE(1.0 / grams)
+    value = np.take(table.value, idx[:, 0], axis=0)
+    with np.errstate(all="ignore"):
+        for g in range(1, grams):
+            value += np.take(table.value, idx[:, g], axis=0)
+    value *= c
+
+    def backward(out):
+        g_rows = out.grad * c
+        for g in range(grams):
+            _scatter_add_rows(table.grad, idx[:, g], g_rows)
+    return _make("gather_mean", value, (table,), backward)
 
 
 def backward(loss):
@@ -579,6 +733,40 @@ class FitConfig:
     seed: int
 
 
+def _fit_step(params, opt, step, idx, rng):
+    """One `fit` step on the sample indices `idx`; returns its term floats.
+
+    The graph is built with per-op finiteness checks off, and the loss is
+    checked once. If building it raised, the loss is not finite, or
+    `adam_step` finds a non-finite gradient, the step is built again with
+    checks on, from the same first node number and `rng` state, so it
+    raises the error per-op checks would have raised first; if it raises
+    none, the first failure is raised. Only a non-finite value that
+    vanishes before the loss and leaves every gradient finite goes unseen.
+    """
+    global _checking, _node_ids
+    first = next(_node_ids)
+    _node_ids = itertools.count(first)
+    drawn = rng.bit_generator.state
+    try:
+        _checking = False
+        try:
+            loss, terms = step(idx)
+        finally:
+            _checking = True
+        _check_finite(loss.value, loss.name)
+        params.grad[...] = 0.0
+        backward(loss)
+        adam_step(opt, params)
+        return terms
+    except Exception as exc:  # raised below, after the checked re-run
+        failure = exc
+    _node_ids = itertools.count(first)
+    rng.bit_generator.state = drawn
+    step(idx)
+    raise failure
+
+
 def fit(params, n, step, rng, cfg, weight_decay):
     """Minibatch Adam training of the ParamStore `params` over `n` samples
     with rollback on divergence.
@@ -591,9 +779,10 @@ def fit(params, n, step, rng, cfg, weight_decay):
     `params.flat` by (1 - lr * weight_decay): decoupled weight decay.
 
     Returns (rows, diverged_at): one row per finished epoch holding the
-    epoch and the batch mean of each term. A non-finite value anywhere in
-    a batch counts as divergence, and so does a non-finite parameter at an
-    epoch's end, which the epoch's last step can leave with no forward
+    epoch and the batch mean of each term. A non-finite loss or gradient
+    counts as divergence (see `_fit_step`: the error names the first
+    non-finite node of the batch), and so does a non-finite parameter at
+    an epoch's end, which the epoch's last step can leave with no forward
     pass to see it: the parameters are restored to the end of the last
     finished epoch, training stops and diverged_at records the epoch; if
     epoch 0 diverges a TrainingDiverged error is raised instead. So the
@@ -614,15 +803,17 @@ def fit(params, n, step, rng, cfg, weight_decay):
             # overflow shows up as the NonFiniteError naming node and row
             with np.errstate(all="ignore"):
                 for lo in range(0, n, cfg.batch_size):
-                    loss, terms = step(order[lo:lo + cfg.batch_size])
-                    params.grad[...] = 0.0
-                    backward(loss)
-                    adam_step(opt, params)
+                    terms = _fit_step(params, opt, step,
+                                      order[lo:lo + cfg.batch_size], rng)
                     params.flat *= shrink  # exact no-op without decay
                     for k, v in terms.items():
                         sums[k] = sums.get(k, 0.0) + v
                     batches += 1
-                if not np.isfinite(params.flat).all():
+                # min and max are NaN or infinite exactly when some entry
+                # is, with no buffer-sized temporary
+                flat = params.flat
+                if flat.size and not (np.isfinite(flat.min())
+                                      and np.isfinite(flat.max())):
                     raise NonFiniteError("non-finite parameter at epoch end",
                                          params._nonfinite("value"))
         except NonFiniteError as exc:

@@ -16,7 +16,9 @@ no-history ablation.
 
 Each arm builds only what its output reads: the SID table keeps only the
 rows some item hashes to, and the no-history ablation builds no history
-block, whose output would be exactly zero (see `ToyRankingModel`).
+block, whose output would be exactly zero (see `ToyRankingModel`). The
+history block's attention is one `nn_core.pooled_attention` node, and a
+SID item's feature, the mean of its gram rows, one `nn_core.gather_mean`.
 
 Synthetic engagement data plants a real signal in the history: items
 carry ternary-grid latents, each user's history is sampled around a
@@ -36,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import asdict, dataclass, fields
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -49,23 +51,6 @@ from .sid_codec import SidError, SidScheme, pack_all, side_embed, sid_hash
 
 class RankingError(ValueError):
     pass
-
-
-def pooled_attention(queries, values, theta, seq_len):
-    """One-layer pooled attention per user: softmax(q K^T / sqrt(d)) V with
-    K = V Theta, as graph ops.
-
-    queries is (b, d), one query per user; values is (b * seq_len, d),
-    each user's seq_len events in consecutive rows; theta is (d, d).
-    Returns the (b, d) pooled values.
-    """
-    b, d = queries.shape
-    keys = nn.matmul(values, theta)
-    qrep = nn.repeat_rows(queries, seq_len)
-    logits = nn.scale(nn.sum_axis1(nn.mul(keys, qrep)), 1.0 / np.sqrt(d))
-    attn = nn.softmax_rows(nn.reshape(logits, b, seq_len))
-    return nn.segment_sum_rows(
-        nn.mul(values, nn.reshape(attn, b * seq_len, 1)), seq_len)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +283,8 @@ class ToyRankingModel:
         p = self.params.leaves
         ids = np.asarray(item_ids).ravel()
         if self.variant == "sid":
-            grams = self.item_rows.shape[1]
-            looked = [nn.gather_rows(p["feature.table"],
-                                     self.item_rows[ids, g])
-                      for g in range(grams)]
-            return nn.scale(reduce(nn.add, looked), 1.0 / grams)
+            return nn.gather_mean(p["feature.table"],
+                                  np.take(self.item_rows, ids, axis=0))
         digits = nn.constant(self.item_digits[ids])
         return nn.matmul(digits, p["feature.omega"])
 
@@ -321,8 +303,8 @@ class ToyRankingModel:
         else:
             cand = self._item_features(ds.candidates[rows])
             hist = self._item_features(ds.history[rows])      # (b*l, d)
-            pooled = pooled_attention(cand, hist, p["pma.theta"],
-                                      ds.config.seq_len)
+            pooled = nn.pooled_attention(cand, hist, p["pma.theta"],
+                                         ds.config.seq_len)
             inter = nn.mul(pooled, cand)
             feats = nn.concat_cols([seg, dense, cand, pooled, inter])
         return nn.add(nn.matmul(feats, p["head.w"]), p["head.b"])

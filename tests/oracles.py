@@ -117,6 +117,29 @@ def chain_cosine_loss(target, norms, recon):
     return nn.mean_all(nn.sub(nn.constant(np.ones((n, 1))), nn.div(dot, nrm)))
 
 
+def chain_pooled_attention(queries, values, theta, seq_len):
+    """Pooled attention softmax(q K^T / sqrt(d)) V with K = V Theta as the
+    chain of primitive nodes, over a repeated query matrix."""
+    b, d = queries.shape
+    keys = nn.matmul(values, theta)
+    qrep = nn.repeat_rows(queries, seq_len)
+    logits = nn.scale(nn.sum_axis1(nn.mul(keys, qrep)), 1.0 / np.sqrt(d))
+    attn = nn.softmax_rows(nn.reshape(logits, b, seq_len))
+    return nn.segment_sum_rows(
+        nn.mul(values, nn.reshape(attn, b * seq_len, 1)), seq_len)
+
+
+def chain_gather_mean(table, rows):
+    """The mean of the table rows in each row of `rows` as the chain of
+    primitive nodes: one gather per column, a running add, then a scale."""
+    rows = np.asarray(rows)
+    acc = None
+    for g in range(rows.shape[1]):
+        looked = nn.gather_rows(table, rows[:, g])
+        acc = looked if acc is None else nn.add(acc, looked)
+    return nn.scale(acc, 1.0 / rows.shape[1])
+
+
 def fsq_dpca_encode(components, offsets, x):
     """Greedy residual DPCA digits, each one the level fsq_quantize gives
     the least-squares coefficient on the 3-level grid, minus 1; the stack
@@ -196,7 +219,7 @@ def zero_history_logits(model, rows):
                    p["dense.b"])
     cand = nn.constant(np.zeros((len(rows), d)))
     hist = nn.constant(np.zeros((len(rows) * seq_len, d)))
-    pooled = rk.pooled_attention(cand, hist, p["pma.theta"], seq_len)
+    pooled = chain_pooled_attention(cand, hist, p["pma.theta"], seq_len)
     feats = nn.concat_cols([seg, dense, cand, pooled, nn.mul(pooled, cand)])
     return nn.add(nn.matmul(feats, p["head.w"]), p["head.b"])
 

@@ -1,8 +1,9 @@
 """Fused graph ops against the primitive-op chains they replace: values
 and gradients bit for bit, the NonFiniteError they raise, the DPCA digit
-step against fsq_quantize, and the gather backward against a row-wise
-scatter. A whole fusion training run with the chains swapped back in
-ends on the same parameter bytes."""
+step against fsq_quantize, the row and event sums against numpy, and the
+gather backward against a row-wise scatter. Whole fusion and ranker
+training runs with the chains swapped back in end on the same parameter
+bytes."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from sidekit import fusion_vae as fv
 from sidekit import nn_core as nn
 from sidekit import quantizers as q
-from oracles import (chain_cosine_loss, chain_dpca_recon, fsq_dpca_encode,
-                     row_scatter_add)
+from sidekit import ranking as rk
+from oracles import (chain_cosine_loss, chain_dpca_recon, chain_gather_mean,
+                     chain_pooled_attention, fsq_dpca_encode, row_scatter_add)
 
 
 def bits(a):
@@ -158,6 +160,158 @@ def test_training_with_the_chains_ends_on_the_same_bytes(monkeypatch, kind):
     fused = trained()
     monkeypatch.setattr(nn, "dpca_recon", chain_dpca_recon)
     monkeypatch.setattr(nn, "cosine_loss", chain_cosine_loss)
+    assert trained() == fused
+
+
+def signed_rows(rng, shape):
+    """float32 values over many magnitudes, with +0.0 and -0.0 in them."""
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
+    a = a.astype(np.float32)
+    a[rng.random(shape) < 0.1] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    return a
+
+
+class TestRowAndEventSums:
+    @pytest.mark.parametrize("rows", [1, 3, 8192])
+    def test_row_sums_match_numpy_for_every_width(self, rows):
+        rng = np.random.default_rng(rows)
+        for width in [*range(1, 301), 513]:
+            a = signed_rows(rng, (rows, width))
+            if width % 7 == 0:
+                a[0] = -0.0  # a row of negative zeros sums to +0.0
+            assert_same_bits(nn._row_sums(a), a.sum(axis=1, dtype=np.float32))
+
+    @settings(max_examples=80, deadline=None)
+    @given(b=st.integers(1, 6), seq_len=st.integers(1, 40),
+           d=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 130]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_event_sums_match_numpy(self, b, seq_len, d, seed):
+        a = signed_rows(np.random.default_rng(seed), (b, seq_len, d))
+        assert_same_bits(nn._event_sums(a), a.sum(axis=1, dtype=np.float32))
+
+
+def attention_run(op, arrays, seq_len, w):
+    """(value, [grad of queries, values, theta]) of op's output, backward
+    from sum(output * w) into gradients that already hold a pass's, so
+    the order of the two adds into the values' gradient shows."""
+    leaves = [nn.leaf(a, requires_grad=True) for a in arrays]
+    for x in leaves:
+        x.grad = np.random.default_rng(1).normal(size=x.shape).astype(
+            np.float32)
+    out = op(*leaves, seq_len)
+    nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
+    return out.value, [x.grad for x in leaves]
+
+
+class TestPooledAttention:
+    @settings(max_examples=80, deadline=None)
+    @given(b=st.integers(1, 5), seq_len=st.integers(1, 9),
+           d=st.sampled_from([1, 2, 5, 8, 13, 16, 130]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_value_and_gradients_match_the_chain(self, b, seq_len, d, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(b, d)).astype(np.float32),
+                  rng.normal(size=(b * seq_len, d)).astype(np.float32),
+                  rng.normal(0, 0.5, size=(d, d)).astype(np.float32)]
+        arrays[1][rng.random(b * seq_len) < 0.2] = 0.0  # zero event rows
+        w = upstream(rng, (b, d))
+        value, grads = attention_run(nn.pooled_attention, arrays, seq_len, w)
+        chain_value, chain_grads = attention_run(chain_pooled_attention,
+                                                 arrays, seq_len, w)
+        assert_same_bits(value, chain_value)
+        for g, chain_g in zip(grads, chain_grads):
+            assert_same_bits(g, chain_g)
+        with nn._no_record():
+            out = nn.pooled_attention(*map(nn.leaf, arrays), seq_len)
+        assert out.inputs == () and out._backward is None
+        assert_same_bits(out.value, chain_value)
+
+    def test_is_one_node_over_its_inputs(self):
+        q_, v, th = (nn.leaf(np.ones(s), requires_grad=True)
+                     for s in [(2, 3), (8, 3), (3, 3)])
+        out = nn.pooled_attention(q_, v, th, 4)
+        assert out.name.startswith("pooled_attention#")
+        assert out.inputs == (q_, v, th) and out.shape == (2, 3)
+
+    @pytest.mark.parametrize("shapes", [[(2, 3), (6, 3), (3, 3)],
+                                        [(2, 3), (8, 2), (3, 3)],
+                                        [(2, 3), (8, 3), (2, 3)]])
+    def test_shapes_must_agree(self, shapes):
+        with pytest.raises(nn.GraphError, match="disagree at seq_len 4"):
+            nn.pooled_attention(*(nn.leaf(np.ones(s)) for s in shapes), 4)
+
+    def test_overflow_names_the_node_and_the_users_row(self):
+        # every input is finite, but user 2's key for its event 1 overflows
+        values = np.ones((12, 2), dtype=np.float32)
+        values[2 * 4 + 1] = 3e38
+        theta = np.full((2, 2), 4.0, dtype=np.float32)
+        with pytest.raises(nn.NonFiniteError) as exc:
+            nn.pooled_attention(nn.leaf(np.ones((3, 2))), nn.leaf(values),
+                                nn.leaf(theta), 4)
+        assert exc.value.node.startswith("pooled_attention#")
+        assert exc.value.row == 2 and "row 2" in str(exc.value)
+
+
+class TestGatherMean:
+    @settings(max_examples=80, deadline=None)
+    @given(table_rows=st.integers(1, 6), cols=st.integers(1, 6),
+           n=st.integers(0, 40), grams=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_value_and_gradient_match_the_chain(self, table_rows, cols, n,
+                                                grams, seed):
+        rng = np.random.default_rng(seed)
+        # rows repeat within and across columns
+        rows = rng.integers(0, table_rows, size=(n, grams))
+        table = signed_rows(rng, (table_rows, cols))
+        w = upstream(rng, (n, cols))
+
+        def run(op):
+            t = nn.leaf(table, requires_grad=True)
+            out = op(t, rows)
+            nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
+            return out.value, t.grad
+
+        value, grad = run(nn.gather_mean)
+        chain_value, chain_grad = run(chain_gather_mean)
+        assert_same_bits(value, chain_value)
+        assert_same_bits(grad, chain_grad)
+        with nn._no_record():
+            out = nn.gather_mean(nn.leaf(table), rows)
+        assert out.inputs == () and out._backward is None
+        assert_same_bits(out.value, chain_value)
+
+    def test_is_one_node_over_its_table(self):
+        t = nn.leaf(np.ones((4, 3)), "t", requires_grad=True)
+        out = nn.gather_mean(t, [[0, 1], [3, 3]])
+        assert out.name.startswith("gather_mean#") and out.inputs == (t,)
+        np.testing.assert_array_equal(out.value, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 4]], "index out of range for table with 4 rows"),
+        ([[-1, 0]], "index out of range for table with 4 rows"),
+        ([0, 1], r"expected \(n, G >= 1\) row indices, got shape \(2,\)"),
+        (np.zeros((3, 0), dtype=int), r"got shape \(3, 0\)")])
+    def test_rejects_bad_rows(self, rows, message):
+        with pytest.raises(nn.GraphError, match=message):
+            nn.gather_mean(nn.leaf(np.ones((4, 3))), rows)
+
+
+@pytest.mark.parametrize("variant, feature_dim", [("sid", 16), ("sid", 1),
+                                                  ("side", 9)])
+def test_ranker_training_with_the_chains_ends_on_the_same_bytes(
+        monkeypatch, variant, feature_dim):
+    ds = rk.generate_engagement(rk.EngagementConfig(
+        users=300, items=60, seq_len=5, seed=2))
+    cfg = nn.FitConfig(epochs=2, batch_size=64, lr=1e-2, seed=3)
+
+    def trained():
+        model, preds, _ = rk._fit_ranker(ds, variant, 40, feature_dim, cfg)
+        return model.params.flat.tobytes(), preds.tobytes()
+
+    fused = trained()
+    monkeypatch.setattr(nn, "pooled_attention", chain_pooled_attention)
+    monkeypatch.setattr(nn, "gather_mean", chain_gather_mean)
     assert trained() == fused
 
 

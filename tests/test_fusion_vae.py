@@ -284,6 +284,49 @@ class TestTrain:
                      nn.FitConfig(epochs=3, batch_size=32, lr=1e-3,
                                   seed=15))
 
+    @pytest.mark.parametrize("kind, param, from_call, error, message", [
+        ("fsq", "enc.sig0.w1", 2, nn.TrainingDiverged,
+         "diverged in epoch 0: node 'matmul#32': non-finite output at "
+         "batch row 0"),
+        ("fsq", "enc.sig0.w2", 2, nn.TrainingDiverged,
+         "diverged in epoch 0: node 'matmul#35': non-finite output at "
+         "batch row 0"),
+        ("fsq", "trunk.b", 3, nn.TrainingDiverged,
+         "diverged in epoch 0: node 'add#79': non-finite output at "
+         "batch row 0"),
+        ("dpca", "enc.sig0.w1", 2, nn.TrainingDiverged,
+         "diverged in epoch 0: node 'matmul#47': non-finite output at "
+         "batch row 0"),
+        ("dpca", "enc.sig0.w2", 2, nn.TrainingDiverged,
+         "diverged in epoch 0: node 'matmul#50': non-finite output at "
+         "batch row 0"),
+        ("dpca", "dpca.g1.d1.b", 3, q.QuantizerError,
+         "non-finite latent input")])
+    def test_a_parameter_poisoned_in_training_raises_the_per_op_error(
+            self, monkeypatch, kind, param, from_call, error, message):
+        """The errors recorded with a check after every op: the first
+        node per-op checks find non-finite, numbered as those runs
+        numbered it, or the quantizer's own error where it came first.
+        With FSQ the checked re-run draws the same dither."""
+        rng = np.random.default_rng(5)
+        bundle = [rng.normal(size=(96, 8)), rng.normal(size=(96, 5))]
+        model = fv.FusionModel(fv.FusionSpec((8, 5), 6, 12, kind, 3, 2, 2),
+                               seed=4)
+        forward = model.forward
+        calls = []
+
+        def poisoned(batch, **kwargs):
+            calls.append(1)
+            if len(calls) >= from_call:
+                model.params.get(param)[0, 0] = np.inf
+            return forward(batch, **kwargs)
+
+        monkeypatch.setattr(model, "forward", poisoned)
+        with pytest.raises(error) as info:
+            fv.train(model, bundle,
+                     nn.FitConfig(epochs=2, batch_size=32, lr=1e-2, seed=3))
+        assert str(info.value) == message
+
     def test_mismatched_row_counts_rejected(self):
         model = fv.FusionModel(fv.FusionSpec((8, 8), 4, 16, "fsq"), seed=16)
         with pytest.raises(fv.FusionError, match="sample count"):

@@ -356,6 +356,141 @@ class TestFit:
             assert np.isfinite(params.flat).all()
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("epoch", [0, 1])
+    def test_each_non_finite_kind_at_an_epoch_end_is_caught(self, bad, epoch):
+        # the epoch-end check reads min and max; NaN, +inf and -inf in a
+        # middle parameter that no loss reaches must each roll back
+        params = _store(w=np.ones((1, 2)), unused=np.ones((2, 3)),
+                        last=np.ones((1, 1)))
+        calls = []
+
+        def step(idx):
+            calls.append(1)
+            if len(calls) == epoch + 1:
+                params.get("unused")[1, 2] = bad
+            return nn.sum_all(nn.square(params.leaves["w"])), {}
+
+        args = (params, 2, step, np.random.default_rng(0),
+                nn.FitConfig(epochs=3, batch_size=2, lr=0.1, seed=0))
+        if epoch == 0:
+            with pytest.raises(nn.TrainingDiverged,
+                               match="node 'unused': non-finite parameter"):
+                nn.fit(*args, weight_decay=0.0)
+        else:
+            rows, diverged_at = nn.fit(*args, weight_decay=0.0)
+            assert diverged_at == 1 and len(rows) == 1
+            assert np.isfinite(params.flat).all()
+
+
+class TestDeferredCheck:
+    """`fit` builds each step's graph with per-op checks off, checks the
+    loss, and builds a failing step again with checks on."""
+
+    @staticmethod
+    def poisoned_step(params, poison_at, draws=None, rng=None):
+        calls = []
+
+        def step(idx):
+            calls.append(1)
+            if rng is not None:
+                draws.append(rng.random())
+            if len(calls) == poison_at:
+                params.get("w")[0, 1] = np.nan
+            p = params.leaves
+            h = nn.relu(nn.matmul(nn.constant(np.ones((2, 2))), p["w"]))
+            return nn.mean_all(nn.square(nn.add(h, p["b"]))), {}
+        return step, calls
+
+    def test_checks_are_off_only_while_a_step_builds_its_graph(self):
+        params = _store(w=np.ones((1, 2)))
+        seen = []
+
+        def step(idx):
+            seen.append(nn._checking)
+            with nn._no_record():
+                seen.append(nn._checking)
+            seen.append(nn._checking)
+            return nn.sum_all(nn.square(params.leaves["w"])), {}
+
+        nn.fit(params, 2, step, np.random.default_rng(0),
+               nn.FitConfig(epochs=1, batch_size=1, lr=0.1, seed=0),
+               weight_decay=0.0)
+        assert seen == [False, True, False] * 2 and nn._checking
+        with pytest.raises(nn.NonFiniteError):
+            nn.sqrt(nn.leaf([[-1.0]]))
+
+    def test_a_failing_step_raises_the_per_op_error_once_rebuilt(self):
+        # the NaN in w shows first in the matmul: the error names that
+        # node, numbered as in the unchecked build, after one re-run that
+        # drew the same random numbers
+        params = _store(w=np.ones((2, 2)), b=np.zeros((1, 2)))
+        rng = np.random.default_rng(0)
+        draws = []
+        step, calls = self.poisoned_step(params, 2, draws, rng)
+        with pytest.raises(nn.TrainingDiverged) as exc:
+            nn.fit(params, 4, step, rng,
+                   nn.FitConfig(epochs=1, batch_size=2, lr=0.1, seed=0),
+                   weight_decay=0.0)
+        assert len(calls) == 3 and draws[1] == draws[2] != draws[0]
+        # one step builds leaf, matmul, relu, add, square and mean
+        assert str(exc.value) == ("diverged in epoch 0: node 'matmul#7': "
+                                  "non-finite output at batch row 0")
+
+    def test_a_non_finite_gradient_names_the_node_per_op_checks_name(self):
+        # relu(-inf) is 0, so the loss is finite, but the mul's backward
+        # gives w the gradient 0 * -inf = NaN: Adam finds it, and the
+        # checked re-run names the -inf constant, as per-op checks did
+        params = _store(w=np.ones((1, 1)))
+        calls = []
+
+        def step(idx):
+            calls.append(1)
+            x = nn.constant([[-np.inf]])
+            return nn.sum_all(nn.relu(nn.mul(x, params.leaves["w"]))), {}
+
+        with pytest.raises(nn.TrainingDiverged,
+                           match="node 'leaf#0': non-finite output"):
+            nn.fit(params, 1, step, np.random.default_rng(0),
+                   nn.FitConfig(epochs=1, batch_size=1, lr=0.1, seed=0),
+                   weight_decay=0.0)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(params.get("w"), [[1.0]])
+
+    def test_an_error_of_the_step_itself_is_raised_after_the_rerun(self):
+        params = _store(w=np.ones((1, 1)))
+        calls = []
+
+        def step(idx):
+            calls.append(1)
+            raise KeyError("no such feature")
+
+        with pytest.raises(KeyError, match="no such feature"):
+            nn.fit(params, 1, step, np.random.default_rng(0),
+                   nn.FitConfig(epochs=1, batch_size=1, lr=0.1, seed=0),
+                   weight_decay=0.0)
+        assert len(calls) == 2 and nn._checking
+
+    def test_a_value_that_vanishes_before_the_loss_no_longer_stops_training(
+            self):
+        # the one behaviour per-op checks had and the deferred check has
+        # not: relu(-inf) is 0, the loss and every gradient stay finite
+        params = _store(w=np.ones((1, 2)))
+
+        def step(idx):
+            gone = nn.sum_all(nn.relu(nn.constant([[-np.inf]])))
+            return nn.add(nn.sum_all(nn.square(params.leaves["w"])), gone), {}
+
+        with pytest.raises(nn.NonFiniteError, match="leaf"):
+            step(None)  # outside fit, the -inf leaf raises as it is made
+        rows, diverged_at = nn.fit(
+            params, 2, step, np.random.default_rng(0),
+            nn.FitConfig(epochs=2, batch_size=1, lr=0.1, seed=0),
+            weight_decay=0.0)
+        assert diverged_at is None and len(rows) == 2
+        assert np.isfinite(params.flat).all()
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = _store(w=np.full((2, 2), 5.0, dtype=np.float32))

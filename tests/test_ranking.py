@@ -27,7 +27,7 @@ def attention_inputs(seed, users=3, seq_len=5, d=4):
 
 def attention(arrays, seq_len=5):
     leaves = {k: nn.leaf(v, k, requires_grad=True) for k, v in arrays.items()}
-    out = rk.pooled_attention(leaves["q"], leaves["v"], leaves["theta"],
+    out = nn.pooled_attention(leaves["q"], leaves["v"], leaves["theta"],
                               seq_len)
     return leaves, out
 
@@ -237,14 +237,14 @@ def test_feature_rows_trained_are_the_hashed_rows_of_the_training_users(
             for g in range(ds.scheme.grams) for sid in ds.item_sids[items, g]}
     # the table rows that training's gathers reach, seen by a spy
     gathered = set()
-    gather_rows = nn.gather_rows
+    gather_mean = nn.gather_mean
 
     def spy(table, indices):
         if table.name == "feature.table" and nn._recording:
             gathered.update(np.asarray(indices).ravel().tolist())
-        return gather_rows(table, indices)
+        return gather_mean(table, indices)
 
-    monkeypatch.setattr(nn, "gather_rows", spy)
+    monkeypatch.setattr(nn, "gather_mean", spy)
     assert rk.train_ranker(ds, "sid", hash_size, 16, cfg)[3] == len(rows)
     assert len(gathered) == len(rows)
     for variant in ("none", "side"):
@@ -256,14 +256,16 @@ def test_the_none_arm_builds_no_history_block(monkeypatch):
     cfg = nn.FitConfig(epochs=2, batch_size=128, lr=3e-2, seed=5)
     built = []
     with monkeypatch.context() as spying:
-        for op in ("gather_rows", "repeat_rows", "softmax_rows"):
+        for op in ("gather_rows", "gather_mean", "pooled_attention",
+                   "repeat_rows", "softmax_rows"):
             def spy(a, *args, _op=op, _real=getattr(nn, op)):
                 built.append((_op, a.name))
                 return _real(a, *args)
             spying.setattr(nn, op, spy)
         model, preds, diverged_at = rk._fit_ranker(ds, "none", 100, 16, cfg)
     assert diverged_at is None
-    # the segment lookup is the one gather; no attention node is built
+    # the segment lookup is the one gather; no attention or SID gram node
+    # is built
     assert set(built) == {("gather_rows", "sparse.segments")}
     monkeypatch.setattr(rk.ToyRankingModel, "logits", zero_history_logits)
     oracle, oracle_preds, _ = rk._fit_ranker(ds, "none", 100, 16, cfg)
@@ -422,8 +424,65 @@ def test_an_arm_diverging_in_a_worker_raises_the_serial_error(monkeypatch):
         assert multiprocessing.active_children() == []
     # node numbers restart with each fit, whatever the process ran before
     assert errors[0] == errors[1] == errors[2]
-    assert errors[0][1] == ("diverged in epoch 0: node 'matmul#24': "
+    assert errors[0][1] == ("diverged in epoch 0: node 'matmul#9': "
                             "non-finite output at batch row 0")
+
+
+# run_ab's NE per arm on small_dataset() with AB_FIT and hash_size 50,
+# recorded with per-op finiteness checks and the attention and gram
+# lookup built from primitive ops; at feature_dim 9 the row sums have a
+# leftover column, at 1 numpy sums the events pairwise
+PINNED_NE = {
+    16: (1.0923096170107862, 1.1462941329491492, 1.014440190578347),
+    9: (1.0629917370765904, 1.0988398307452614, 1.1526105950033572),
+    1: (1.1732337423286534, 1.1359183047236305, 1.275560827572415)}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_ab_reports_the_pinned_ne_of_every_arm(monkeypatch, threads):
+    monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
+    ds = small_dataset()
+    for feature_dim, want in PINNED_NE.items():
+        report = rk.run_ab(ds, 50, feature_dim, AB_FIT)
+        got = tuple(r.ne.ne for r in report.results.values())
+        assert got == want, feature_dim
+    assert multiprocessing.active_children() == []
+
+
+def poisoned_logits(variant, param, from_call):
+    """ToyRankingModel.logits that sets `param`[0, 0] of `variant` to NaN
+    from its `from_call`-th call on."""
+    logits = rk.ToyRankingModel.logits
+    calls = []
+
+    def poisoned(self, rows):
+        if self.variant == variant:
+            calls.append(1)
+            if len(calls) >= from_call:
+                self.params.get(param)[0, 0] = np.nan
+        return logits(self, rows)
+    return poisoned
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("variant, param, from_call, node", [
+    ("none", "head.w", 2, "matmul#19"),
+    ("none", "dense.w", 3, "matmul#28"),
+    ("sid", "dense.w", 1, "matmul#2"),
+    ("side", "dense.w", 1, "matmul#2")])
+def test_a_parameter_poisoned_in_training_raises_the_per_op_error(
+        monkeypatch, threads, variant, param, from_call, node):
+    """The errors recorded with a check after every op: the node is the
+    first whose output per-op checks find non-finite, numbered as those
+    runs numbered it, whether the arm trains here or in a worker."""
+    monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
+    monkeypatch.setattr(rk.ToyRankingModel, "logits",
+                        poisoned_logits(variant, param, from_call))
+    with pytest.raises(nn.TrainingDiverged) as info:
+        rk.run_ab(small_dataset(), 50, 16, AB_FIT)
+    assert str(info.value) == (f"diverged in epoch 0: node '{node}': "
+                               "non-finite output at batch row 0")
+    assert multiprocessing.active_children() == []
 
 
 def test_run_ab_raises_the_first_failing_arm_in_report_order(monkeypatch):

@@ -802,6 +802,29 @@ def test_rank_ab_json_is_byte_identical_in_worker_processes(monkeypatch,
     assert outputs[0].out and outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("seq_len, feature_dim", [(32, 16), (1, 1)])
+def test_rank_ab_json_is_byte_identical_at_every_blas_thread_count(
+        tmp_path, seq_len, feature_dim):
+    # fresh processes, since OpenBLAS reads its thread count at start-up
+    data = tmp_path / "eng.npz"
+    assert run("gen-engagement", "--users", 600, "--items", 80, "--seq-len",
+               seq_len, "--seed", 2, "--out", data) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    reports = {}
+    for blas, workers in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(blas),
+                   SIDEKIT_THREADS=str(workers))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sidekit.cli", "rank-ab", "--data",
+             str(data), "--seed", "2", "--epochs", "2", "--feature-dim",
+             str(feature_dim), "--json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports[blas, workers] = proc.stdout
+    assert json.loads(reports[1, 1])["side"]["ne"]["n"] == 120
+    assert len(set(reports.values())) == 1, reports
+
+
 @pytest.mark.parametrize("threads", ["abc", "1.5"])
 def test_rank_ab_names_a_sidekit_threads_that_is_no_integer(
         monkeypatch, capsys, engagement, threads):

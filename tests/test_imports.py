@@ -1,7 +1,5 @@
 """Every name a `sidekit` module imports is used in that module, and
 importing the CLI loads no process-pool machinery.
-
-`__init__.py` is exempt: its imports are the package's public surface.
 """
 
 import ast
@@ -13,7 +11,7 @@ import sys
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sidekit"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):

@@ -13,14 +13,14 @@ Four fused ops cover the subgraphs that training rebuilds every batch.
 For VQ fusion: `dpca_recon`, one DPCA product group's sum_t (s_t u_t +
 b_t), and `cosine_loss`, one signal's mean cosine loss, where the
 primitive ops made 3 nodes per DPCA layer or 14 per signal. For the
-ranker: `pooled_attention`, softmax(q K^T / sqrt(d)) V with K = V Theta
-in place of 10 nodes, and `gather_mean`, the mean of an item's SID gram
-rows in place of G gathers, G - 1 adds and a scale. Each evaluates the
-same float32 expressions in the same order as its chain, forward and
-backward, so values and gradients are bit for bit the chain's own. Where
-the chain's numpy call runs a short inner loop per row (a row sum over
-d, a sum over a user's L events), the fused op makes numpy's own adds in
-numpy's own order as a few wide column-slice adds instead.
+ranker: `gather_mean`, the mean of an item's SID gram rows in place of
+G gathers, G - 1 adds and a scale, and `pooled_attention`,
+softmax(q K^T / sqrt(d)) V with K = V Theta. The first three evaluate
+the same float32 expressions in the same order as their chains of
+primitive ops, forward and backward, so their values and gradients are
+bit for bit the chains' own. `pooled_attention` has no such chain: it
+takes its sums as batched matmuls, and it is held to a float64 oracle
+within a bound derived from float32 rounding.
 
 Finiteness is checked once per `fit` step and per op everywhere else.
 While `fit` builds a step's graph, ops do not check their values; `fit`
@@ -262,19 +262,6 @@ def square(a):
     return _unary("square", a, np.square, lambda g, x, y: g * 2.0 * x)
 
 
-def softmax_rows(a):
-    x = a.value
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=1, keepdims=True)
-
-    def backward(out):
-        g = out.grad
-        s = out.value
-        a.grad += s * (g - (g * s).sum(axis=1, keepdims=True))
-    return _make("softmax_rows", value.astype(DTYPE), (a,), backward)
-
-
 def concat_cols(nodes):
     value = np.concatenate([n.value for n in nodes], axis=1)
     offsets = np.cumsum([0] + [n.shape[1] for n in nodes])
@@ -309,38 +296,6 @@ def sum_axis1(a):
     def backward(out):
         a.grad += np.broadcast_to(out.grad, a.shape)
     return _make("sum_axis1", value, (a,), backward)
-
-
-def reshape(a, rows, cols):
-    if rows * cols != a.value.size:
-        raise GraphError(
-            f"cannot reshape {a.shape} to ({rows}, {cols})", "reshape")
-    value = a.value.reshape(rows, cols)
-
-    def backward(out):
-        a.grad += out.grad.reshape(a.shape)
-    return _make("reshape", value, (a,), backward)
-
-
-def repeat_rows(a, k):
-    value = np.repeat(a.value, k, axis=0)
-
-    def backward(out):
-        n, m = a.shape
-        a.grad += out.grad.reshape(n, k, m).sum(axis=1, dtype=DTYPE)
-    return _make("repeat_rows", value, (a,), backward)
-
-
-def segment_sum_rows(a, k):
-    """Sum consecutive blocks of k rows; adjoint of repeat_rows."""
-    n, m = a.shape
-    if n % k != 0:
-        raise GraphError(f"row count {n} not divisible by {k}", "segment_sum")
-    value = a.value.reshape(n // k, k, m).sum(axis=1, dtype=DTYPE)
-
-    def backward(out):
-        a.grad += np.repeat(out.grad, k, axis=0)
-    return _make("segment_sum", value, (a,), backward)
 
 
 def gather_rows(table, indices):
@@ -378,9 +333,7 @@ def stop_gradient(a):
 
 
 # ---------------------------------------------------------------------------
-# Fused ops: one node for a subgraph that training builds every batch. Each
-# evaluates the float32 expressions of the op chain it replaces, in the
-# same order, so its value and gradients are bit-identical to the chain's.
+# Fused ops: one node for a subgraph that training builds every batch.
 
 
 def dpca_recon(signs, comps, offs):
@@ -454,53 +407,6 @@ def cosine_loss(target, norms, recon):
     return _make("cosine_loss", value, (recon,), backward, name)
 
 
-def _pairwise_sums(a):
-    # numpy's pairwise float32 order for one reduced row of w values:
-    # below 8 a running sum from 0.0; up to 128, 8 running sums over
-    # blocks of 8 columns, a fixed tree over them, then the leftover
-    # columns in turn; past 128, the two halves (cut at a multiple of 8)
-    # summed apart and added
-    n, w = a.shape
-    if w < 8:
-        res = np.zeros(n, dtype=DTYPE)
-        for j in range(w):
-            res += a[:, j]
-        return res
-    if w <= 128:
-        end = w - w % 8
-        r = a[:, 0:8] + a[:, 8:16] if end >= 16 else a[:, 0:8].copy()
-        for i in range(16, end, 8):
-            r += a[:, i:i + 8]
-        res = (((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3]))
-               + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])))
-        for j in range(end, w):
-            res += a[:, j]
-        return res
-    half = w // 2 - (w // 2) % 8
-    return _pairwise_sums(a[:, :half]) + _pairwise_sums(a[:, half:])
-
-
-def _row_sums(a):
-    """The (n,) row sums of the (n, w) float32 array `a`, bit for bit
-    `a.sum(axis=1, dtype=float32)`, but with one wide column-slice add per
-    step of numpy's order instead of one short inner loop per row."""
-    return DTYPE(0) + _pairwise_sums(a)  # numpy adds the sum to its 0.0
-
-
-def _event_sums(a3):
-    """(b, d) sums over the L events of the (b, L, d) float32 array `a3`,
-    bit for bit `a3.sum(axis=1, dtype=float32)`: for d > 1 numpy adds the
-    L slices to 0.0 in order, at d = 1 the L axis is contiguous and numpy
-    sums it pairwise."""
-    b, seq_len, d = a3.shape
-    if d == 1:
-        return _row_sums(a3[:, :, 0]).reshape(b, 1)
-    out = a3[:, 0] + DTYPE(0)
-    for t in range(1, seq_len):
-        out += a3[:, t]
-    return out
-
-
 def pooled_attention(queries, values, theta, seq_len):
     """One-layer pooled attention per user: softmax(q K^T / sqrt(d)) V with
     K = V Theta.
@@ -508,9 +414,10 @@ def pooled_attention(queries, values, theta, seq_len):
     `queries` is the (b, d) node of one query per user, `values` the
     (b * seq_len, d) node of each user's seq_len events in consecutive
     rows, `theta` the (d, d) node. Returns the (b, d) pooled values. It
-    replaces matmul, repeat_rows, mul, sum_axis1, scale, reshape,
-    softmax_rows, reshape, mul and segment_sum_rows, and works on the
-    (b, seq_len, d) view, so it builds no repeated query matrix. A
+    works on the (b, seq_len, d) view: the logits, the pooled values and
+    the gradients of the attention weights and the queries are each one
+    batched matmul, so no repeated query matrix is built. Its float32
+    sums are taken in whatever order numpy and the BLAS take them. A
     non-finite key, product or logit shows in the (b, seq_len) logits,
     which are checked: a NonFiniteError names this node and the user's
     batch row.
@@ -527,25 +434,24 @@ def pooled_attention(queries, values, theta, seq_len):
     with np.errstate(all="ignore"):
         keys = values.value @ theta.value
         k3 = keys.reshape(b, seq_len, d)
-        logits = _row_sums((k3 * q3).reshape(-1, d)).reshape(b, seq_len)
+        logits = np.matmul(k3, queries.value[:, :, None])[:, :, 0]
         logits *= c
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
-        value = _event_sums(v3 * attn[:, :, None])
+        value = np.matmul(attn[:, None, :], v3)[:, 0, :]
     _check_finite(logits, name)
 
     def backward(out):
         g3 = out.grad[:, None, :]  # the output gradient, once per event
         if values.requires_grad:
             values.grad += (g3 * attn[:, :, None]).reshape(-1, d)
-        g_attn = _row_sums((g3 * v3).reshape(-1, d)).reshape(b, seq_len)
+        g_attn = np.matmul(v3, out.grad[:, :, None])[:, :, 0]
         g_logits = attn * (g_attn - (g_attn * attn).sum(axis=1,
                                                         keepdims=True))
         g_logits *= c
-        g_s3 = g_logits[:, :, None]
         if queries.requires_grad:
-            queries.grad += _event_sums(g_s3 * k3)
-        g_keys = (g_s3 * q3).reshape(-1, d)
+            queries.grad += np.matmul(g_logits[:, None, :], k3)[:, 0, :]
+        g_keys = (g_logits[:, :, None] * q3).reshape(-1, d)
         if values.requires_grad:
             values.grad += g_keys @ theta.value.T
         if theta.requires_grad:

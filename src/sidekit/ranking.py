@@ -17,8 +17,9 @@ no-history ablation.
 Each arm builds only what its output reads: the SID table keeps only the
 rows some item hashes to, and the no-history ablation builds no history
 block, whose output would be exactly zero (see `ToyRankingModel`). The
-history block's attention is one `nn_core.pooled_attention` node, and a
-SID item's feature, the mean of its gram rows, one `nn_core.gather_mean`.
+history block's attention is one `nn_core.pooled_attention` node, batched
+matmuls whose float32 sums numpy and the BLAS order, and a SID item's
+feature, the mean of its gram rows, one `nn_core.gather_mean`.
 
 Synthetic engagement data plants a real signal in the history: items
 carry ternary-grid latents, each user's history is sampled around a
@@ -236,9 +237,10 @@ class ToyRankingModel:
     and moments, under which Adam leaves it bit for bit unchanged, so the
     kept rows train exactly as in the full table.
 
-    "none" builds no history block: with zero item features the keys are
-    0, the attention weights 1/L and the pooled value a sum of 0 * 1/L, so
-    the candidate, pooled and interaction blocks are +0.0 for any
+    "none" builds no history block: with zero item features the keys and
+    logits are 0, the attention weights 1/L and the pooled value a sum of
+    products 0 * 1/L, which is +0.0 in any order of adds, so the
+    candidate, pooled and interaction blocks are +0.0 for any
     `pma.theta`. That parameter stays registered, since its draw fixes
     the head's init, and gets a zero gradient.
     """

@@ -65,6 +65,33 @@ def naive_pma(queries, values, theta):
     return out
 
 
+def float64_pooled_attention(queries, values, theta, seq_len, upstream):
+    """Pooled attention softmax(q K^T / sqrt(d)) V with K = V Theta per
+    user, in float64, with the gradients of sum(output * upstream) by the
+    chain rule written out: the softmax's Jacobian is diag(a) - a a^T.
+    Returns (output, [gradient of queries, values, theta], attention)."""
+    q = np.asarray(queries, dtype=np.float64)
+    b, d = q.shape
+    v3 = np.asarray(values, dtype=np.float64).reshape(b, seq_len, d)
+    th = np.asarray(theta, dtype=np.float64)
+    g = np.asarray(upstream, dtype=np.float64)
+    c = 1.0 / np.sqrt(d)
+    k3 = v3 @ th
+    logits = c * np.einsum("bld,bd->bl", k3, q)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)
+    out = np.einsum("bl,bld->bd", a, v3)
+    jacobian = (a[:, :, None] * np.eye(seq_len)
+                - a[:, :, None] * a[:, None, :])
+    g_logits = c * np.einsum("blm,bm->bl", jacobian,
+                             np.einsum("bmd,bd->bm", v3, g))
+    g_keys = g_logits[:, :, None] * q[:, None, :]
+    g_values = a[:, :, None] * g[:, None, :] + g_keys @ th.T
+    return out, [np.einsum("bl,bld->bd", g_logits, k3),
+                 g_values.reshape(b * seq_len, d),
+                 np.einsum("bld,ble->de", v3, g_keys)], a
+
+
 def naive_knn(corpus, query_indices, depth):
     """Double-loop exhaustive cosine kNN with self exclusion."""
     x = np.asarray(corpus, dtype=np.float64)
@@ -115,18 +142,6 @@ def chain_cosine_loss(target, norms, recon):
                 nn.constant(np.full((n, 1), 1e-12)))
     nrm = nn.mul(nn.constant(np.reshape(norms, (-1, 1))), nn.sqrt(sq))
     return nn.mean_all(nn.sub(nn.constant(np.ones((n, 1))), nn.div(dot, nrm)))
-
-
-def chain_pooled_attention(queries, values, theta, seq_len):
-    """Pooled attention softmax(q K^T / sqrt(d)) V with K = V Theta as the
-    chain of primitive nodes, over a repeated query matrix."""
-    b, d = queries.shape
-    keys = nn.matmul(values, theta)
-    qrep = nn.repeat_rows(queries, seq_len)
-    logits = nn.scale(nn.sum_axis1(nn.mul(keys, qrep)), 1.0 / np.sqrt(d))
-    attn = nn.softmax_rows(nn.reshape(logits, b, seq_len))
-    return nn.segment_sum_rows(
-        nn.mul(values, nn.reshape(attn, b * seq_len, 1)), seq_len)
 
 
 def chain_gather_mean(table, rows):
@@ -219,7 +234,7 @@ def zero_history_logits(model, rows):
                    p["dense.b"])
     cand = nn.constant(np.zeros((len(rows), d)))
     hist = nn.constant(np.zeros((len(rows) * seq_len, d)))
-    pooled = chain_pooled_attention(cand, hist, p["pma.theta"], seq_len)
+    pooled = nn.pooled_attention(cand, hist, p["pma.theta"], seq_len)
     feats = nn.concat_cols([seg, dense, cand, pooled, nn.mul(pooled, cand)])
     return nn.add(nn.matmul(feats, p["head.w"]), p["head.b"])
 

@@ -1,9 +1,12 @@
-"""Fused graph ops against the primitive-op chains they replace: values
-and gradients bit for bit, the NonFiniteError they raise, the DPCA digit
-step against fsq_quantize, the row and event sums against numpy, and the
-gather backward against a row-wise scatter. Whole fusion and ranker
-training runs with the chains swapped back in end on the same parameter
-bytes."""
+"""Fused graph ops against independent references. `dpca_recon`,
+`cosine_loss` and `gather_mean` match the primitive-op chains they
+replace, values and gradients bit for bit, and whole fusion and ranker
+training runs with those chains swapped back in end on the same
+parameter bytes. `pooled_attention` matches a float64 oracle within a
+bound derived from float32 rounding, and the oracle matches the scalar
+`naive_pma` and central differences. Also: the NonFiniteError each op
+raises, the DPCA digit step against fsq_quantize, and the gather
+backward against a row-wise scatter."""
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from sidekit import nn_core as nn
 from sidekit import quantizers as q
 from sidekit import ranking as rk
 from oracles import (chain_cosine_loss, chain_dpca_recon, chain_gather_mean,
-                     chain_pooled_attention, fsq_dpca_encode, row_scatter_add)
+                     float64_pooled_attention, fsq_dpca_encode, naive_pma,
+                     numeric_grad, row_scatter_add)
 
 
 def bits(a):
@@ -172,34 +176,106 @@ def signed_rows(rng, shape):
     return a
 
 
-class TestRowAndEventSums:
-    @pytest.mark.parametrize("rows", [1, 3, 8192])
-    def test_row_sums_match_numpy_for_every_width(self, rows):
-        rng = np.random.default_rng(rows)
-        for width in [*range(1, 301), 513]:
-            a = signed_rows(rng, (rows, width))
-            if width % 7 == 0:
-                a[0] = -0.0  # a row of negative zeros sums to +0.0
-            assert_same_bits(nn._row_sums(a), a.sum(axis=1, dtype=np.float32))
-
-    @settings(max_examples=80, deadline=None)
-    @given(b=st.integers(1, 6), seq_len=st.integers(1, 40),
-           d=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 17, 130]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_event_sums_match_numpy(self, b, seq_len, d, seed):
-        a = signed_rows(np.random.default_rng(seed), (b, seq_len, d))
-        assert_same_bits(nn._event_sums(a), a.sum(axis=1, dtype=np.float32))
+U = 2.0 ** -24  # the unit roundoff of float32
 
 
-def attention_run(op, arrays, seq_len, w):
-    """(value, [grad of queries, values, theta]) of op's output, backward
-    from sum(output * w) into gradients that already hold a pass's, so
-    the order of the two adds into the values' gradient shows."""
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * U / (1 - n * U)
+
+
+def attention_error_bounds(arrays, seq_len, w, attn, prior):
+    """Bounds on |float32 - exact| of pooled_attention's value and of the
+    gradients of sum(value * w) that it adds into `prior`, the queries',
+    the values' and theta's, elementwise.
+
+    Rules (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., section 3.1): u = 2**-24, gamma_n = n u / (1 - n u), and
+    (1 + gamma_j)(1 + gamma_k) <= 1 + gamma_(j+k). A float32 sum or dot
+    product of n terms is within gamma_n times the sum of the terms'
+    absolute values, in any order of adds and with or without fused
+    multiply-adds, so for any BLAS. numpy's float32 exp is held to 3 ulp
+    by its own accuracy test: a relative error of at most 6u <= gamma_6.
+    The inputs are float32 values, exact in float64. A quantity computed
+    from operands each within (1 + e_i) of its magnitude, the same formula
+    over absolute values, is within prod(1 + e_i)(1 + gamma_n) - 1 of its
+    own magnitude, n counting its own roundings.
+
+    Per user, with c = 1/sqrt(d), q its query, V its (L, d) events,
+    Kbar = |V| |Theta|, a the exact attention and w the upstream gradient:
+
+    - Keys: gamma_d Kbar. Logit l: gamma_(2d+2) S_l, S_l = c (Kbar |q|)_l:
+      the keys, the dot product over d, c rounded to float32, the product.
+    - Softmax: the shift by the float32 max rounds once, within 2u S,
+      S = max_l S_l, so each logit moves by at most delta = gamma_(2d+4) S
+      and each weight by a factor of at most exp(2 delta). exp's error
+      (twice, in the weight and in the sum), the sum over L and the
+      division add gamma_(2L+18):
+      |a_hat - a| <= rho a, rho = exp(2 delta)(1 + gamma_(2L+18)) - 1,
+      while no weight underflows: the user's exact logits span < 80.
+    - Value, the pooled sum over L: ((1 + rho)(1 + gamma_L) - 1) a |V|.
+    - Backward, with G_l = (|V| |w|)_l, M = sum_l a_l G_l and
+      H_l = c a_l (G_l + M): g_attn_l = (V w)_l is within gamma_d G_l, the
+      mean sum_l a_l g_attn_l within ((1 + rho)(1 + gamma_(d+L)) - 1) M,
+      and the logit gradient c a_l (g_attn_l - mean), one subtraction,
+      one product and the scale by c later, within eps H_l,
+      eps = (1 + rho)^2 (1 + gamma_(d+L+4)) - 1.
+    - Queries: ((1 + eps)(1 + gamma_(d+L)) - 1) sum_l H_l Kbar_l.
+      Values: ((1 + rho)(1 + gamma_1) - 1) a_l |w| from the pooled sum,
+      and ((1 + eps)(1 + gamma_(d+1)) - 1) H_l |Theta| |q| through the
+      keys. Theta, a sum over the b L events of all users:
+      ((1 + eps)(1 + gamma_(bL+1)) - 1) sum_events |v| H_l |q|.
+    - Each of the k adds into a gradient rounds once more: gamma_k times
+      |prior| plus the bounds on the terms' magnitudes (k = 2 for the
+      values, 1 for the queries and theta).
+
+    The float64 oracle's own error is about 2**-29 of these bounds.
+    """
+    q, v, th = (np.abs(np.asarray(x, dtype=np.float64)) for x in arrays)
+    b, d = q.shape
+    v3 = v.reshape(b, seq_len, d)
+    w = np.abs(np.asarray(w, dtype=np.float64))
+    c = 1.0 / np.sqrt(d)
+    kbar = v3 @ th
+    delta = gamma(2 * d + 4) * c * np.einsum("bld,bd->bl", kbar, q).max(
+        axis=1, keepdims=True)
+    rho = np.exp(2 * delta) * (1 + gamma(2 * seq_len + 18)) - 1
+    value = (((1 + rho) * (1 + gamma(seq_len)) - 1)
+             * np.einsum("bl,bld->bd", attn, v3))
+    big_g = np.einsum("bld,bd->bl", v3, w)
+    h = c * attn * (big_g + (attn * big_g).sum(axis=1, keepdims=True))
+    eps = (1 + rho) ** 2 * (1 + gamma(d + seq_len + 4)) - 1
+
+    def part(rel, magnitude):
+        return rel * magnitude, magnitude
+
+    def accumulated(prior, parts):
+        return (sum(err for err, _ in parts) + gamma(len(parts))
+                * (np.abs(prior) + sum(err + mag for err, mag in parts)))
+
+    queries = part((1 + eps) * (1 + gamma(d + seq_len)) - 1,
+                   np.einsum("bl,bld->bd", h, kbar))
+    pooled = part((1 + rho[:, :, None]) * (1 + gamma(1)) - 1,
+                  attn[:, :, None] * w[:, None, :])
+    keyed = part((1 + eps[:, :, None]) * (1 + gamma(d + 1)) - 1,
+                 h[:, :, None] * (q @ th.T)[:, None, :])
+    theta_rel = (1 + eps) * (1 + gamma(b * seq_len + 1)) - 1
+    theta = (np.einsum("blm,bl,bj->mj", v3, theta_rel * h, q),
+             np.einsum("blm,bl,bj->mj", v3, h, q))
+    return [value, accumulated(prior[0], [queries]),
+            accumulated(prior[1], [(e.reshape(-1, d), m.reshape(-1, d))
+                                   for e, m in (pooled, keyed)]),
+            accumulated(prior[2], [theta])]
+
+
+def attention_run(arrays, prior, seq_len, w):
+    """(value, [grad of queries, values, theta]) of pooled_attention's
+    output, backward from sum(output * w) into gradients that already
+    hold `prior`."""
     leaves = [nn.leaf(a, requires_grad=True) for a in arrays]
-    for x in leaves:
-        x.grad = np.random.default_rng(1).normal(size=x.shape).astype(
-            np.float32)
-    out = op(*leaves, seq_len)
+    for x, p in zip(leaves, prior):
+        x.grad = p.copy()
+    out = nn.pooled_attention(*leaves, seq_len)
     nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
     return out.value, [x.grad for x in leaves]
 
@@ -209,23 +285,31 @@ class TestPooledAttention:
     @given(b=st.integers(1, 5), seq_len=st.integers(1, 9),
            d=st.sampled_from([1, 2, 5, 8, 13, 16, 130]),
            seed=st.integers(0, 2**32 - 1))
-    def test_value_and_gradients_match_the_chain(self, b, seq_len, d, seed):
+    def test_value_and_gradients_match_the_float64_oracle(self, b, seq_len,
+                                                          d, seed):
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(size=(b, d)).astype(np.float32),
                   rng.normal(size=(b * seq_len, d)).astype(np.float32),
                   rng.normal(0, 0.5, size=(d, d)).astype(np.float32)]
         arrays[1][rng.random(b * seq_len) < 0.2] = 0.0  # zero event rows
         w = upstream(rng, (b, d))
-        value, grads = attention_run(nn.pooled_attention, arrays, seq_len, w)
-        chain_value, chain_grads = attention_run(chain_pooled_attention,
-                                                 arrays, seq_len, w)
-        assert_same_bits(value, chain_value)
-        for g, chain_g in zip(grads, chain_grads):
-            assert_same_bits(g, chain_g)
+        prior = [rng.normal(size=a.shape).astype(np.float32) for a in arrays]
+        value, grads = attention_run(arrays, prior, seq_len, w)
+        exact, exact_grads, attn = float64_pooled_attention(*arrays, seq_len,
+                                                            w)
+        logits = np.log(attn)  # up to a shift per user
+        assert (logits.max(axis=1) - logits.min(axis=1) < 80).all()
+        bounds = attention_error_bounds(arrays, seq_len, w, attn, prior)
+        wants = [exact, *(p + g for p, g in zip(prior, exact_grads))]
+        for name, got, want, bound in zip(
+                ["value", "queries", "values", "theta"], [value, *grads],
+                wants, bounds):
+            err = np.abs(got - want)
+            assert (err <= bound).all(), (name, float((err / bound).max()))
         with nn._no_record():
             out = nn.pooled_attention(*map(nn.leaf, arrays), seq_len)
         assert out.inputs == () and out._backward is None
-        assert_same_bits(out.value, chain_value)
+        assert_same_bits(out.value, value)
 
     def test_is_one_node_over_its_inputs(self):
         q_, v, th = (nn.leaf(np.ones(s), requires_grad=True)
@@ -251,6 +335,41 @@ class TestPooledAttention:
                                 nn.leaf(theta), 4)
         assert exc.value.node.startswith("pooled_attention#")
         assert exc.value.row == 2 and "row 2" in str(exc.value)
+
+
+class TestFloat64AttentionOracle:
+    @staticmethod
+    def inputs(seed, b=3, seq_len=4, d=5):
+        rng = np.random.default_rng(seed)
+        return ({"q": rng.normal(size=(b, d)),
+                 "v": rng.normal(size=(b * seq_len, d)),
+                 "theta": rng.normal(0, 0.5, size=(d, d))},
+                rng.normal(size=(b, d)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_value_matches_the_scalar_oracle(self, seed):
+        arrays, w = self.inputs(seed)
+        out, _, _ = float64_pooled_attention(*arrays.values(), 4, w)
+        for u in range(3):
+            np.testing.assert_allclose(
+                out[u:u + 1],
+                naive_pma(arrays["q"][u:u + 1],
+                          arrays["v"][4 * u:4 * u + 4], arrays["theta"]),
+                rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_central_differences(self, seed):
+        arrays, w = self.inputs(seed)
+
+        def loss(arrs):
+            out, _, _ = float64_pooled_attention(*arrs.values(), 4, w)
+            return float((out * w).sum())
+
+        _, grads, _ = float64_pooled_attention(*arrays.values(), 4, w)
+        for key, grad in zip(arrays, grads):
+            np.testing.assert_allclose(
+                grad, numeric_grad(loss, arrays, key, h=1e-5),
+                rtol=1e-6, atol=1e-9, err_msg=key)
 
 
 class TestGatherMean:
@@ -297,8 +416,7 @@ class TestGatherMean:
             nn.gather_mean(nn.leaf(np.ones((4, 3))), rows)
 
 
-@pytest.mark.parametrize("variant, feature_dim", [("sid", 16), ("sid", 1),
-                                                  ("side", 9)])
+@pytest.mark.parametrize("variant, feature_dim", [("sid", 16), ("sid", 1)])
 def test_ranker_training_with_the_chains_ends_on_the_same_bytes(
         monkeypatch, variant, feature_dim):
     ds = rk.generate_engagement(rk.EngagementConfig(
@@ -310,7 +428,6 @@ def test_ranker_training_with_the_chains_ends_on_the_same_bytes(
         return model.params.flat.tobytes(), preds.tobytes()
 
     fused = trained()
-    monkeypatch.setattr(nn, "pooled_attention", chain_pooled_attention)
     monkeypatch.setattr(nn, "gather_mean", chain_gather_mean)
     assert trained() == fused
 

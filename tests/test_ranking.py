@@ -1,7 +1,8 @@
 """Ranking harness tests: the pooled attention against a scalar oracle,
 its gradient, the history sampler against a broadcast comparison and its
-peak memory, the engagement file, training rollback, the A/B report, and
-the A/B arms trained in worker processes against the serial run."""
+peak memory, the engagement file, training rollback, the A/B report, the
+compact SID table against the full-table oracle bit for bit, and the A/B
+arms trained in worker processes against the serial run."""
 
 import dataclasses
 import multiprocessing
@@ -14,8 +15,8 @@ import pytest
 from sidekit import metrics
 from sidekit import nn_core as nn
 from sidekit import ranking as rk
-from oracles import (broadcast_history, grad_close, naive_pma, numeric_grad,
-                     zero_history_logits)
+from oracles import (FullTableSidRanker, broadcast_history, grad_close,
+                     naive_pma, numeric_grad, zero_history_logits)
 
 
 def attention_inputs(seed, users=3, seq_len=5, d=4):
@@ -256,8 +257,7 @@ def test_the_none_arm_builds_no_history_block(monkeypatch):
     cfg = nn.FitConfig(epochs=2, batch_size=128, lr=3e-2, seed=5)
     built = []
     with monkeypatch.context() as spying:
-        for op in ("gather_rows", "gather_mean", "pooled_attention",
-                   "repeat_rows", "softmax_rows"):
+        for op in ("gather_rows", "gather_mean", "pooled_attention"):
             def spy(a, *args, _op=op, _real=getattr(nn, op)):
                 built.append((_op, a.name))
                 return _real(a, *args)
@@ -274,6 +274,47 @@ def test_the_none_arm_builds_no_history_block(monkeypatch):
         np.testing.assert_array_equal(
             model.params.get(name).view(np.uint32), value.view(np.uint32),
             err_msg=name)
+
+
+def bits(a):
+    """The float32 bit patterns of `a`, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def test_sid_ranker_equals_a_run_with_the_dense_oracle(monkeypatch):
+    """The compact SID table against the whole grams * hash_size table as
+    a dense parameter, gathered by raw hash: same predictions, same bytes
+    in every shared parameter and in the table's reachable rows, at one
+    row per gram, at 61 and at the collision-free size."""
+    ds = rk.generate_engagement(rk.EngagementConfig(
+        users=400, items=80, seq_len=6, seed=3))
+    cfg = nn.FitConfig(epochs=3, batch_size=64, lr=3e-2, seed=4)
+    grams = ds.scheme.grams
+    for hash_size in (1, 61, ds.collision_free_size()):
+        model, preds, diverged_at = rk._fit_ranker(ds, "sid", hash_size, 16,
+                                                   cfg)
+        assert diverged_at is None
+        with monkeypatch.context() as full:
+            full.setattr(rk, "ToyRankingModel", FullTableSidRanker)
+            oracle, oracle_preds, _ = rk._fit_ranker(ds, "sid", hash_size, 16,
+                                                     cfg)
+        table = oracle.params.get("feature.table")
+        assert table.shape == (grams * hash_size, 16)
+        np.testing.assert_array_equal(preds, oracle_preds)
+        assert model.params.names() == oracle.params.names()
+        for name, value in oracle.params.items():
+            if name != "feature.table":
+                np.testing.assert_array_equal(bits(model.params.get(name)),
+                                              bits(value), err_msg=name)
+        # the compact rows are the raw rows some item hashes to, in order
+        reachable = np.unique(oracle.item_rows)
+        if hash_size > 1:
+            assert reachable.size < grams * hash_size
+        np.testing.assert_array_equal(model.item_rows,
+                                      np.searchsorted(reachable,
+                                                      oracle.item_rows))
+        np.testing.assert_array_equal(bits(model.params.get("feature.table")),
+                                      bits(table[reachable]))
 
 
 def test_worker_count_counts_the_cores_of_the_affinity_mask(monkeypatch):
@@ -429,13 +470,12 @@ def test_an_arm_diverging_in_a_worker_raises_the_serial_error(monkeypatch):
 
 
 # run_ab's NE per arm on small_dataset() with AB_FIT and hash_size 50,
-# recorded with per-op finiteness checks and the attention and gram
-# lookup built from primitive ops; at feature_dim 9 the row sums have a
-# leftover column, at 1 numpy sums the events pairwise
+# recorded with per-op finiteness checks; the "none" arm builds no
+# attention, so its NE has not moved since it was first pinned
 PINNED_NE = {
-    16: (1.0923096170107862, 1.1462941329491492, 1.014440190578347),
-    9: (1.0629917370765904, 1.0988398307452614, 1.1526105950033572),
-    1: (1.1732337423286534, 1.1359183047236305, 1.275560827572415)}
+    16: (1.0923096170107862, 1.1462941332361882, 1.014440207820008),
+    9: (1.0629917370765904, 1.0988398299045432, 1.152610596980016),
+    1: (1.1732337423286534, 1.1359183048964778, 1.2755608138184624)}
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -17,9 +17,9 @@ no-history ablation.
 Each arm builds only what its output reads: the SID table keeps only the
 rows some item hashes to, and the no-history ablation builds no history
 block, whose output would be exactly zero (see `ToyRankingModel`). The
-history block's attention is one `nn_core.pooled_attention` node, batched
-matmuls whose float32 sums numpy and the BLAS order, and a SID item's
-feature, the mean of its gram rows, one `nn_core.gather_mean`.
+history block's attention is one `nn_core.pooled_attention` node, which
+takes its sums as batched matmuls, and a SID item's feature, the mean of
+its gram rows, one `nn_core.gather_mean`.
 
 Synthetic engagement data plants a real signal in the history: items
 carry ternary-grid latents, each user's history is sampled around a

@@ -8,10 +8,10 @@ which the benchmark's per-layer spans use.
 
 All binary fields are little-endian. A corpus is magic "SIDE", version
 u32, rows u32, dim u32, then rows*dim float32. A checkpoint (models and
-codebooks) is magic "SIDK", version u32, then records to the end of the
-file: name length u32, UTF-8 name, rows u32, cols u32, float32 payload.
-An engagement set is `np.savez`'s zip, `train --history` a CSV, and a SID
-file text in `sid_codec`'s grammar.
+codebooks) and an engagement set are `.npz` files, `np.savez`'s zip of
+one `.npy` member per named array, each member's CRC checked on read;
+every checkpoint member is a 2-D `<f4` array. `train --history` is a
+CSV, and a SID file text in `sid_codec`'s grammar.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from .nn_core import DTYPE
 CORPUS_MAGIC = b"SIDE"
 CORPUS_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
-
-CHECKPOINT_MAGIC = b"SIDK"
-CHECKPOINT_VERSION = 1
 
 
 class FormatError(ValueError):
@@ -103,84 +100,53 @@ def generate_clustered_corpus(rows, dim, clusters, noise, seed):
     return x.astype(DTYPE)
 
 
+def _check_tensor(name, arr, where=""):
+    if not name or not name.isprintable():
+        raise FormatError(f"{where}tensor name {name!r} is empty or not "
+                          f"printable")
+    if arr.ndim != 2 or arr.dtype.str != "<f4":
+        raise FormatError(f"{where}tensor '{name}' is {arr.dtype.str} of "
+                          f"shape {arr.shape}, not 2-D <f4")
+
+
 def save_checkpoint(path, arrays):
-    """Write named 2-D float32 arrays; the write is atomic via rename."""
-    def write(fh):
-        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr, dtype=DTYPE)
-            if arr.ndim != 2:
-                raise FormatError(f"tensor '{name}' is not 2-D")
-            if not name or not name.isprintable():
-                raise FormatError(f"tensor name {name!r} is empty or "
-                                  f"not printable")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)) + encoded
-                     + struct.pack("<II", arr.shape[0], arr.shape[1]))
-            fh.write(arr.astype("<f4", copy=False))
-    _atomic_write(path, write)
+    """Write named 2-D arrays to `path` as an `.npz` of `<f4` members, in
+    order. A name that is empty or not printable, or an array that is not
+    2-D, raises FormatError before anything is written."""
+    members = {name: np.ascontiguousarray(arr, dtype="<f4")
+               for name, arr in arrays.items()}
+    for name, arr in members.items():
+        _check_tensor(name, arr)
+    npz_write(path, members)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into an ordered name -> array dict.
-
-    Anything save_checkpoint cannot have written raises FormatError with
-    its byte offset: a short header or record, a name that is not
-    printable UTF-8 or repeats an earlier one. Records run to the end of
-    the file, so a file cut exactly at a record boundary reads as the
-    records before the cut; callers check for the names they need.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC[:len(data)]:
-        raise FormatError(f"bad magic {data[:4]!r}", offset=0)
-    if len(data) < 8:
-        raise FormatError("truncated header", offset=len(data))
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    arrays = {}
-    pos = 8
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise FormatError("truncated record header", offset=pos)
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + name_len + 8 > len(data):
-            raise FormatError("truncated record", offset=pos)
-        raw_name = data[pos:pos + name_len]
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError:
-            name = ""
-        if not name or not name.isprintable():
-            raise FormatError(f"bad tensor name {raw_name[:64]!r}",
-                              offset=pos)
-        if name in arrays:
-            raise FormatError(f"duplicate tensor '{name}'", offset=pos)
-        pos += name_len
-        rows, cols = struct.unpack_from("<II", data, pos)
-        pos += 8
-        nbytes = rows * cols * 4
-        if pos + nbytes > len(data):
-            raise FormatError(
-                f"truncated payload for '{name}': expected {nbytes} bytes, "
-                f"have {len(data) - pos}", offset=pos)
-        arr = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=pos)
-        arrays[name] = arr.reshape(rows, cols).astype(DTYPE)
-        pos += nbytes
+    """Read a checkpoint back into an ordered name -> array dict. A file
+    that is not such an `.npz`, or a member that save_checkpoint would
+    refuse or cannot have written, raises FormatError naming `path`."""
+    arrays = npz_read(path)
+    for name, arr in arrays.items():
+        _check_tensor(name, arr, f"{path}: ")
     return arrays
 
 
 def npz_write(path, arrays):
-    """Write the named arrays to exactly `path`; np.savez streams them."""
-    _atomic_write(path, lambda fh: np.savez(fh, **arrays))
+    """Write the named arrays to exactly `path` as `np.savez` lays them
+    out, one `<name>.npy` member each, in order; pickles are refused."""
+    def write(fh):
+        with zipfile.ZipFile(fh, "w") as zf:
+            for name, arr in arrays.items():
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as out:
+                    np.lib.format.write_array(out, np.asanyarray(arr),
+                                              allow_pickle=False)
+    _atomic_write(path, write)
 
 
 def npz_read(path):
-    """The arrays of the `.npz` at `path` by name. Each member is read
-    whole, which checks its CRC, before it is parsed; pickles are refused.
-    A file that is not such a zip raises FormatError naming `path`."""
+    """The arrays of the `.npz` at `path` by name, in member order. Each
+    member is read whole, which checks its CRC, before it is parsed;
+    pickles are refused. A file that is not such a zip, or that repeats a
+    member, raises FormatError naming `path`."""
     with open(path, "rb") as fh:
         try:
             with zipfile.ZipFile(fh) as zf:
@@ -191,9 +157,12 @@ def npz_read(path):
                     if info.comment:
                         raise zipfile.BadZipFile(
                             f"comment on member {info.filename!r}")
-                    arrays[info.filename.removesuffix(".npy")] = \
-                        np.lib.format.read_array(io.BytesIO(zf.read(info)),
-                                                 allow_pickle=False)
+                    name = info.filename.removesuffix(".npy")
+                    if name in arrays:
+                        raise zipfile.BadZipFile(
+                            f"repeated member {info.filename!r}")
+                    arrays[name] = np.lib.format.read_array(
+                        io.BytesIO(zf.read(info)), allow_pickle=False)
         except (zipfile.BadZipFile, EOFError, NotImplementedError, OSError,
                 RuntimeError, ValueError) as exc:
             raise FormatError(

@@ -1,8 +1,9 @@
 """File layer tests: corpus round trip, every rejected corpus header or
 payload with its byte offset, a corpus read whose peak memory is one
-payload, the checkpoint format, and the one atomic writer that every file
-kind goes through."""
+payload, the checkpoint `.npz` and the members it rejects, and the one
+atomic writer that every file kind goes through."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from sidekit import ranking as rk
 from sidekit.corpus_io import (FormatError, _atomic_write, corpus_read,
                                corpus_write, history_write, load_checkpoint,
-                               save_checkpoint)
+                               npz_write, save_checkpoint)
 from sidekit.sid_codec import SidScheme, write_sid_file
 
 
@@ -70,38 +71,73 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         arrays = {"enc.w": rng.normal(size=(3, 5)).astype(np.float32),
-                  "dpca.g0.d0.u": rng.normal(size=(1, 7)).astype(np.float32)}
+                  "dpca.g0.d0.u": rng.normal(size=(1, 7)).astype(np.float32),
+                  "empty": np.zeros((0, 2), dtype=np.float32)}
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, arrays)
         loaded = load_checkpoint(path)
         assert list(loaded) == list(arrays)
         for k in arrays:
+            assert loaded[k].shape == arrays[k].shape
             np.testing.assert_array_equal(loaded[k], arrays[k])
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
+    def test_an_old_sidk_file_is_rejected(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        # magic, version 1, then one record: name length, "x", 1 x 1, 1.0
+        path.write_bytes(b"SIDK" + struct.pack("<II", 1, 1) + b"x"
+                         + struct.pack("<IIf", 1, 1, 1.0))
+        with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
+        assert without_path(exc.value, path) == "File is not a zip file"
 
-    def test_truncated_payload_reports_offset(self, tmp_path):
+    def test_truncated_file_is_rejected_naming_its_path(self, tmp_path):
         path = tmp_path / "trunc.ckpt"
         save_checkpoint(path, {"w": np.ones((4, 4), dtype=np.float32)})
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
+        assert without_path(exc.value, path) == "File is not a zip file"
 
     def test_format_is_little_endian(self, tmp_path):
         path = tmp_path / "le.ckpt"
-        save_checkpoint(path, {"x": np.array([[1.0]], dtype=np.float32)})
-        raw = path.read_bytes()
-        assert raw[:4] == b"SIDK"
-        assert raw[4:8] == (1).to_bytes(4, "little")
-        # name record: len=1, "x", rows=1, cols=1, payload 1.0f LE
-        assert raw[8:12] == (1).to_bytes(4, "little")
-        assert raw[12:13] == b"x"
-        assert raw[-4:] == np.float32(1.0).tobytes()
+        save_checkpoint(path, {"x": np.array([[1.0]], dtype=">f8"),
+                               "y": np.ones((2, 3), dtype=np.float32)})
+        with np.load(path) as members:
+            assert members.files == ["x", "y"]
+            for name in members.files:
+                assert members[name].dtype.str == "<f4"
+                assert members[name].ndim == 2
+            assert members["x"].tobytes() == np.float32(1.0).tobytes()
+
+    @pytest.mark.parametrize("name, array, message", [
+        ("w", np.ones(3, dtype="<f4"), "tensor 'w' is <f4 of shape (3,), "
+         "not 2-D <f4"),
+        ("w", np.ones((1, 1), dtype="<f8"), "tensor 'w' is <f8 of shape "
+         "(1, 1), not 2-D <f4"),
+        ("w", np.ones((1, 1), dtype=">f4"), "tensor 'w' is >f4 of shape "
+         "(1, 1), not 2-D <f4"),
+        ("w", np.ones((1, 1), dtype="<i4"), "tensor 'w' is <i4 of shape "
+         "(1, 1), not 2-D <f4"),
+        ("", np.ones((1, 1), dtype="<f4"), "tensor name '' is empty or not "
+         "printable"),
+        ("tab\there", np.ones((1, 1), dtype="<f4"), "tensor name "
+         "'tab\\there' is empty or not printable"),
+    ], ids=["1-D", "f8", "big-endian", "int", "empty-name", "tab-name"])
+    def test_members_a_save_cannot_write_are_rejected(self, tmp_path, name,
+                                                      array, message):
+        path = tmp_path / "odd.ckpt"
+        npz_write(path, {"ok": np.ones((1, 1), dtype="<f4"), name: array})
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert without_path(exc.value, path) == message
+
+
+def without_path(exc, path):
+    """A FormatError's message with its leading "<path>: " removed."""
+    message = str(exc)
+    assert message.startswith(f"{path}: ")
+    return message.removeprefix(f"{path}: ")
 
 
 def ragged_engagement_set():

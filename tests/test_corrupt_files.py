@@ -1,19 +1,24 @@
-"""Corrupt corpus, checkpoint, SID and engagement files: a truncation at
-any offset and a flipped bit in a header, name-length or shape field, or
-any flipped byte of an engagement file.
+"""Corrupt corpus, SID, checkpoint and engagement files.
 
-Every rejection names the byte offset (binary files) or the line (SID
-files). What a format cannot tell from a valid file is pinned exactly:
-checkpoint records and SID lines run to the end of the file with no
-count, so a cut at a record boundary or at a line end reads as the
-records before it (`FusionModel.load` still rejects it: it needs every
-parameter), and an empty array's other dimension is not checked against
-anything. Every SID line ends with a line feed, so a SID file cut
-anywhere else is rejected. An engagement file is a zip whose members carry
-CRCs, so it reads back as saved or not at all.
+A corpus truncated at any offset, or with a flipped header bit, is
+rejected naming the byte offset; a SID file, naming the line. What those
+two formats cannot tell from a valid file is pinned exactly: an empty
+corpus's other dimension is checked against nothing, and SID lines run
+to the end of the file with no count, so a cut at a line end reads as the
+lines before it. A cut anywhere else in a SID file is rejected, since
+every line ends with a line feed.
+
+Checkpoints and engagement sets are `.npz` zips whose members carry
+CRCs. Any cut or flipped byte reads back exactly the saved arrays or
+raises a FormatError naming the file, and so does every cut and every
+single-bit flip of one small checkpoint, tried exhaustively. A repeated
+member is rejected by name.
 """
 
-import re
+import io
+import warnings
+import zipfile
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -80,155 +85,54 @@ def test_corpus_header_bit_flip_names_its_byte(tmp_path_factory, rows, dim,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint: magic, version, then per record name length u32, name,
-# rows u32, cols u32, payload
+# Checkpoints and engagement sets: an np.savez zip, one .npy member per
+# array, then the zip directory
 
 
-NAMES = ["enc.sig0.w1", "b", "dpca.g0.d1.u", "meta.latent", "kmeans.l0.centroids"]
+def same_arrays(got, want):
+    """The same names in the same order, each of the same dtype, shape
+    and bits."""
+    return list(got) == list(want) and all(
+        got[k].dtype == want[k].dtype and got[k].shape == want[k].shape
+        and got[k].tobytes() == want[k].tobytes() for k in want)
 
 
-@st.composite
-def checkpoints(draw):
-    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
-                          unique=True))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return {name: rng.normal(size=(draw(st.integers(0, 3)),
-                                   draw(st.integers(0, 3))))
-            .astype(np.float32) for name in names}
-
-
-def layout(arrays):
-    """(record end offsets, [(name-length offset, shape offset, rows*cols)])."""
-    pos, ends, fields = 8, [8], []
-    for name, arr in arrays.items():
-        shape_at = pos + 4 + len(name.encode())
-        fields.append((pos, shape_at, arr.size))
-        pos = shape_at + 8 + 4 * arr.size
-        ends.append(pos)
-    return ends, fields
-
-
-def saved(tmp_path_factory, arrays):
-    path = tmp_path_factory.mktemp("ckpt") / "c.ckpt"
-    save_checkpoint(path, arrays)
-    return path, path.read_bytes()
-
-
-@SETTINGS
-@given(arrays=checkpoints(), data=st.data())
-def test_truncated_checkpoint_names_its_byte(tmp_path_factory, arrays, data):
-    path, raw = saved(tmp_path_factory, arrays)
-    cut = data.draw(st.integers(0, len(raw) - 1))
-    path.write_bytes(raw[:cut])
-    ends, _ = layout(arrays)
-    try:
-        loaded = load_checkpoint(path)
-    except FormatError as exc:
-        assert names_its_byte(exc)
-        return
-    kept = ends.index(cut)  # accepted only at a record boundary
-    assert list(loaded) == list(arrays)[:kept]
-
-
-@SETTINGS
-@given(arrays=checkpoints(), data=st.data())
-def test_checkpoint_field_bit_flip_names_its_byte(tmp_path_factory, arrays,
-                                                  data):
-    path, raw = saved(tmp_path_factory, arrays)
-    _, fields = layout(arrays)
-    record = data.draw(st.integers(0, len(fields) - 1))
-    name_at, shape_at, size = fields[record]
-    byte = data.draw(st.sampled_from(
-        [*range(8), *range(name_at, name_at + 4),
-         *range(shape_at, shape_at + 8)]))
-    path.write_bytes(flip(raw, byte, data.draw(st.integers(0, 7))))
-    try:
-        loaded = load_checkpoint(path)
-    except FormatError as exc:
-        assert names_its_byte(exc)
-        return
-    # only the other dimension of an empty array can change unnoticed
-    name = list(arrays)[record]
-    assert shape_at <= byte < shape_at + 8 and size == 0
-    assert list(loaded) == list(arrays) and loaded[name].size == 0
+def engagement_arrays(ds):
+    return {**{f.name: getattr(ds, f.name) for f in fields(ds)[1:]},
+            **{k: np.array(v) for k, v in asdict(ds.config).items()}}
 
 
 @pytest.fixture(scope="module")
 def model_checkpoint(tmp_path_factory):
     spec = fv.FusionSpec((3,), 2, 2, "dpca", 3, 2, 1)
     path = tmp_path_factory.mktemp("model") / "m.ckpt"
-    fv.FusionModel(spec, seed=0).save(path)
-    return spec, path.read_bytes()
+    model = fv.FusionModel(spec, seed=0)
+    model.save(path)
+    arrays = {**dict(model.params.items()),
+              "meta.latent": np.array([[spec.latent]], dtype=np.float32)}
+    return spec, arrays, path.read_bytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_model_load_rejects_every_truncation(tmp_path_factory,
-                                             model_checkpoint, data):
-    spec, raw = model_checkpoint
-    path = tmp_path_factory.mktemp("cut") / "m.ckpt"
-    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
-    with pytest.raises((FormatError, fv.FusionError)) as exc:
-        fv.FusionModel(spec, seed=1).load(path)
-    if isinstance(exc.value, FormatError):
-        assert names_its_byte(exc.value)
-    else:
-        assert re.search(r"missing (parameter )?'[\w.]+'", str(exc.value))
-
-
-def test_model_load_rejects_a_cut_at_every_record_boundary(tmp_path,
-                                                           model_checkpoint):
-    spec, raw = model_checkpoint
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(raw)
-    ends, _ = layout(load_checkpoint(path))
-    assert ends[-1] == len(raw)
-    for cut in ends[:-1]:  # the last record, meta.latent, included
-        path.write_bytes(raw[:cut])
-        with pytest.raises(fv.FusionError, match="missing"):
-            fv.FusionModel(spec, seed=1).load(path)
-
-
-@pytest.mark.parametrize("name", ["", "tab\there", "nul\0"])
-def test_names_a_load_would_refuse_are_not_saved(tmp_path, name):
-    path = tmp_path / "n.ckpt"
-    with pytest.raises(FormatError, match="not printable"):
-        save_checkpoint(path, {name: np.ones((1, 1))})
-    assert not path.exists()
-
-
-def test_undecodable_or_repeated_names_name_their_byte(tmp_path):
-    path = tmp_path / "c.ckpt"
-    save_checkpoint(path, {"ab": np.ones((1, 1)), "cd": np.ones((1, 1))})
-    raw = path.read_bytes()
-    path.write_bytes(raw.replace(b"ab", b"\xff\xfe"))
-    with pytest.raises(FormatError, match=r"bad tensor name .*at byte 12"):
-        load_checkpoint(path)
-    path.write_bytes(raw.replace(b"cd", b"ab"))
-    with pytest.raises(FormatError,
-                       match=r"duplicate tensor 'ab' \(at byte 30\)"):
-        load_checkpoint(path)
-
-
-# ---------------------------------------------------------------------------
-# Engagement sets: an np.savez zip, one .npy member per array, then the zip
-# directory
-
-
-@pytest.fixture(scope="module")
-def engagement_file(tmp_path_factory):
+@pytest.fixture(scope="module", params=["engagement", "checkpoint"])
+def zip_file(request, tmp_path_factory, model_checkpoint):
+    """(saved bytes, a loader giving name -> array, what it must give)."""
+    if request.param == "checkpoint":
+        _, arrays, raw = model_checkpoint
+        return raw, load_checkpoint, arrays
     ds = rk.generate_engagement(rk.EngagementConfig(users=20, items=6,
                                                     seq_len=3, seed=1))
     path = tmp_path_factory.mktemp("eng") / "e.npz"
     ds.save(path)
-    return ds, path.read_bytes()
+    return (path.read_bytes(),
+            lambda p: engagement_arrays(rk.SyntheticEngagementSet.load(p)),
+            engagement_arrays(ds))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_engagement_load_returns_the_set_or_a_format_error(
-        tmp_path_factory, engagement_file, data):
-    ds, raw = engagement_file
+def test_load_returns_what_was_saved_or_a_format_error(tmp_path_factory,
+                                                       zip_file, data):
+    raw, load, want = zip_file
     # most bytes are array payload: draw half the edits in the directory
     lo = data.draw(st.sampled_from([0, raw.index(b"PK\x01\x02")]))
     at = data.draw(st.integers(lo, len(raw) - 1))
@@ -237,19 +141,87 @@ def test_engagement_load_returns_the_set_or_a_format_error(
     else:
         edited = bytearray(raw)
         edited[at] ^= data.draw(st.integers(1, 255))
-    path = tmp_path_factory.mktemp("bad") / "e.npz"
+    path = tmp_path_factory.mktemp("bad") / "f"
     path.write_bytes(edited)
     try:
-        back = rk.SyntheticEngagementSet.load(path)
+        back = load(path)
     except FormatError as exc:
         assert str(exc).startswith(f"{path}: ")
         return
-    assert back.config == ds.config
-    for name in ("item_latents", "item_digits", "item_sids", "history",
-                 "candidates", "labels", "segments", "dense"):
-        got, want = getattr(back, name), getattr(ds, name)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    assert same_arrays(back, want)
+
+
+def test_every_cut_or_bit_flip_of_a_checkpoint_reads_as_saved_or_raises(
+        tmp_path):
+    """Every truncation and every single-bit flip of one small checkpoint.
+    Its first array has one row and another array follows it: a format
+    with no array count or checksum reads a flip of that row count, or a
+    cut between arrays, as a valid file of other arrays."""
+    rng = np.random.default_rng(0)
+    arrays = {name: rng.normal(size=shape).astype(np.float32)
+              for name, shape in [("enc.sig0.w1", (1, 3)),
+                                  ("dpca.g0.d1.u", (2, 3)),
+                                  ("meta.latent", (1, 1))]}
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, arrays)
+    raw = path.read_bytes()
+    edits = {f"cut at {cut}": raw[:cut] for cut in range(len(raw))}
+    edits.update({f"bit {bit} of byte {byte}": flip(raw, byte, bit)
+                  for byte in range(len(raw)) for bit in range(8)})
+    wrong = []
+    for edit, edited in edits.items():
+        path.write_bytes(edited)
+        try:
+            back = load_checkpoint(path)
+        except FormatError:
+            continue
+        if not same_arrays(back, arrays):
+            wrong.append(edit)
+    assert wrong == []
+
+
+def with_a_repeated_member(raw):
+    """The zip `raw` with a second copy of its first member appended, and
+    that member's name."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, \
+            zipfile.ZipFile(out, "w") as dst, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zipfile warns of the repeat
+        for info in src.infolist():
+            dst.writestr(info, src.read(info))
+        first = src.infolist()[0]
+        dst.writestr(first, src.read(first))
+    return out.getvalue(), first.filename
+
+
+def test_a_repeated_member_is_rejected_by_name(tmp_path, zip_file):
+    raw, load, _ = zip_file
+    path = tmp_path / "f"
+    edited, member = with_a_repeated_member(raw)
+    path.write_bytes(edited)
+    with pytest.raises(FormatError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: repeated member {member!r}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_model_load_rejects_every_truncation(tmp_path_factory,
+                                             model_checkpoint, data):
+    spec, _, raw = model_checkpoint
+    path = tmp_path_factory.mktemp("cut") / "m.ckpt"
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(FormatError) as exc:
+        fv.FusionModel(spec, seed=1).load(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("name", ["", "tab\there", "nul\0"])
+def test_names_a_load_would_refuse_are_not_saved(tmp_path, name):
+    path = tmp_path / "n.ckpt"
+    with pytest.raises(FormatError, match="not printable"):
+        save_checkpoint(path, {name: np.ones((1, 1))})
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,14 @@ into every reachable node that requires them. It never clears a `grad`:
 a fresh node starts from zeros, and a parameter leaf sums every pass
 until `fit` zeroes all parameter gradients, once per step.
 
-Four fused ops cover the subgraphs that training rebuilds every batch.
-For VQ fusion: `dpca_recon`, one DPCA product group's sum_t (s_t u_t +
-b_t), and `cosine_loss`, one signal's mean cosine loss, where the
-primitive ops made 3 nodes per DPCA layer or 14 per signal. For the
-ranker: `gather_mean`, the mean of an item's SID gram rows in place of
-G gathers, G - 1 adds and a scale, and `pooled_attention`,
-softmax(q K^T / sqrt(d)) V with K = V Theta. The first three evaluate
-the same float32 expressions in the same order as their chains of
-primitive ops, forward and backward, so their values and gradients are
-bit for bit the chains' own. `pooled_attention` has no such chain: it
-takes its sums as batched matmuls, and it is held to a float64 oracle
-within a bound derived from float32 rounding.
+The engine holds only the ops a command runs. Four fused ops cover the
+subgraphs that training rebuilds every batch: `dpca_recon`, one DPCA
+product group's sum_t (s_t u_t + b_t); `cosine_loss`, one signal's mean
+cosine loss; `gather_mean`, the mean of an item's SID gram rows; and
+`pooled_attention`, softmax(q K^T / sqrt(d)) V with K = V Theta. The
+first three match the tests' chains of primitive ops bit for bit;
+`pooled_attention` takes its sums as batched matmuls and is held to a
+float64 oracle within a bound derived from float32 rounding.
 
 Finiteness is checked once per `fit` step and per op everywhere else.
 While `fit` builds a step's graph, ops do not check their values; `fit`
@@ -30,19 +26,17 @@ NonFiniteError per-op checks raise, naming the first bad node and row.
 Outside `fit` every op checks its value as it computes it.
 
 Inference needs no graph. Inside `with _no_record():` every op still
-computes its value and checks it for NaN/Inf, but the node it returns
-keeps no inputs and no backward closure, so each intermediate array is
-freed as soon as the next op has consumed it. Callers that run a whole
-corpus through a model also split it into row blocks, which bounds their
-memory by the block size instead of the corpus size. The switch is
-module state, not a graph op; training never sets it.
+computes its value and checks it for NaN/Inf, but its node keeps no
+inputs and no backward closure, so each intermediate is freed once the
+next op has used it. Callers that run a whole corpus also split it into
+row blocks, which bounds memory by the block size. The switch is module
+state, not a graph op; training never sets it.
 
 Also provides the Adam optimizer, the one minibatch training loop
 (`fit`) and a named parameter store with the initialization rules used
 across the package. A model's state is whole float32 buffers
 (parameters, gradients, Adam moments), each parameter one persistent graph
 leaf that views them; a `fit` step returns (loss node, per-term floats).
-The engine holds no file code: checkpoints are `corpus_io`'s.
 """
 
 from __future__ import annotations
@@ -204,12 +198,6 @@ def mul(a, b):
                    lambda g, av, bv: g * av)
 
 
-def div(a, b):
-    return _binary("div", a, b, np.divide,
-                   lambda g, av, bv: g / bv,
-                   lambda g, av, bv: -g * av / (bv * bv))
-
-
 def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise GraphError(
@@ -254,10 +242,6 @@ def softplus(a):
                   lambda g, x, y: g / (1.0 + np.exp(-x)))
 
 
-def sqrt(a):
-    return _unary("sqrt", a, np.sqrt, lambda g, x, y: g / (2.0 * y))
-
-
 def square(a):
     return _unary("square", a, np.square, lambda g, x, y: g * 2.0 * x)
 
@@ -273,14 +257,6 @@ def concat_cols(nodes):
     return _make("concat", value, tuple(nodes), backward)
 
 
-def sum_all(a):
-    value = np.array([[a.value.sum(dtype=DTYPE)]], dtype=DTYPE)
-
-    def backward(out):
-        a.grad += np.full(a.shape, out.grad[0, 0], dtype=DTYPE)
-    return _make("sum", value, (a,), backward)
-
-
 def mean_all(a):
     n = a.value.size
     value = np.array([[a.value.sum(dtype=DTYPE) / n]], dtype=DTYPE)
@@ -288,14 +264,6 @@ def mean_all(a):
     def backward(out):
         a.grad += np.full(a.shape, out.grad[0, 0] / n, dtype=DTYPE)
     return _make("mean", value, (a,), backward)
-
-
-def sum_axis1(a):
-    value = a.value.sum(axis=1, keepdims=True, dtype=DTYPE)
-
-    def backward(out):
-        a.grad += np.broadcast_to(out.grad, a.shape)
-    return _make("sum_axis1", value, (a,), backward)
 
 
 def gather_rows(table, indices):
@@ -375,8 +343,8 @@ def cosine_loss(target, norms, recon):
     """mean over rows of 1 - <t, r> / (|t| * sqrt(|r|^2 + 1e-12)).
 
     `target` is the (batch, dim) array t, `norms` its row norms |t|, and
-    `recon` the node r. Replaces mul, sum_axis1, square, sum_axis1, add,
-    sqrt, mul, div, sub and mean. Every row-level intermediate that can
+    `recon` the node r. Replaces a chain of ten primitive ops (the tests'
+    `chain_cosine_loss`). Every row-level intermediate that can
     overflow is checked, so a finite r whose squared norm overflows still
     raises NonFiniteError, naming this node and the first bad row.
     """

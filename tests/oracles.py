@@ -12,6 +12,36 @@ from sidekit.quantizers import fsq_quantize, product_split
 from sidekit.sid_codec import SidError, SidScheme
 
 
+# Ops that no command runs: the tests' loss reducers and the steps of
+# `chain_cosine_loss`, built on nn_core's node constructors.
+
+
+def div(a, b):
+    return nn._binary("div", a, b, np.divide,
+                      lambda g, av, bv: g / bv,
+                      lambda g, av, bv: -g * av / (bv * bv))
+
+
+def sqrt(a):
+    return nn._unary("sqrt", a, np.sqrt, lambda g, x, y: g / (2.0 * y))
+
+
+def sum_all(a):
+    value = np.array([[a.value.sum(dtype=nn.DTYPE)]], dtype=nn.DTYPE)
+
+    def backward(out):
+        a.grad += np.full(a.shape, out.grad[0, 0], dtype=nn.DTYPE)
+    return nn._make("sum", value, (a,), backward)
+
+
+def sum_axis1(a):
+    value = a.value.sum(axis=1, keepdims=True, dtype=nn.DTYPE)
+
+    def backward(out):
+        a.grad += np.broadcast_to(out.grad, a.shape)
+    return nn._make("sum_axis1", value, (a,), backward)
+
+
 def numeric_grad(fn, arrays, key, h=1e-3):
     """Central finite differences of scalar fn w.r.t. arrays[key].
 
@@ -137,11 +167,11 @@ def chain_cosine_loss(target, norms, recon):
     of primitive nodes, one node per arithmetic step."""
     t = np.asarray(target, dtype=np.float32)
     n = t.shape[0]
-    dot = nn.sum_axis1(nn.mul(nn.constant(t), recon))
-    sq = nn.add(nn.sum_axis1(nn.square(recon)),
+    dot = sum_axis1(nn.mul(nn.constant(t), recon))
+    sq = nn.add(sum_axis1(nn.square(recon)),
                 nn.constant(np.full((n, 1), 1e-12)))
-    nrm = nn.mul(nn.constant(np.reshape(norms, (-1, 1))), nn.sqrt(sq))
-    return nn.mean_all(nn.sub(nn.constant(np.ones((n, 1))), nn.div(dot, nrm)))
+    nrm = nn.mul(nn.constant(np.reshape(norms, (-1, 1))), sqrt(sq))
+    return nn.mean_all(nn.sub(nn.constant(np.ones((n, 1))), div(dot, nrm)))
 
 
 def chain_gather_mean(table, rows):

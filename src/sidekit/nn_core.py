@@ -14,9 +14,8 @@ subgraphs that training rebuilds every batch: `dpca_recon`, one DPCA
 product group's sum_t (s_t u_t + b_t); `cosine_loss`, one signal's mean
 cosine loss; `gather_mean`, the mean of an item's SID gram rows; and
 `pooled_attention`, softmax(q K^T / sqrt(d)) V with K = V Theta. The
-first three match the tests' chains of primitive ops bit for bit;
-`pooled_attention` takes its sums as batched matmuls and is held to a
-float64 oracle within a bound derived from float32 rounding.
+first three match the tests' chains of primitive ops bit for bit, and
+`pooled_attention` a float64 oracle within a float32 rounding bound.
 
 Finiteness is checked once per `fit` step and per op everywhere else.
 While `fit` builds a step's graph, ops do not check their values; `fit`
@@ -26,17 +25,19 @@ NonFiniteError per-op checks raise, naming the first bad node and row.
 Outside `fit` every op checks its value as it computes it.
 
 Inference needs no graph. Inside `with _no_record():` every op still
-computes its value and checks it for NaN/Inf, but its node keeps no
-inputs and no backward closure, so each intermediate is freed once the
-next op has used it. Callers that run a whole corpus also split it into
-row blocks, which bounds memory by the block size. The switch is module
-state, not a graph op; training never sets it.
+computes its value and checks it for NaN/Inf, but the node it returns
+keeps no inputs and no backward closure, so each intermediate array is
+freed as soon as the next op has consumed it. Callers that run a whole
+corpus through a model also split it into row blocks, which bounds their
+memory by the block size instead of the corpus size. The switch is
+module state, not a graph op; training never sets it.
 
 Also provides the Adam optimizer, the one minibatch training loop
 (`fit`) and a named parameter store with the initialization rules used
 across the package. A model's state is whole float32 buffers
 (parameters, gradients, Adam moments), each parameter one persistent graph
 leaf that views them; a `fit` step returns (loss node, per-term floats).
+The engine holds no file code: checkpoints are `corpus_io`'s.
 """
 
 from __future__ import annotations

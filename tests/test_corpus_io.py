@@ -70,9 +70,12 @@ def test_read_peak_memory_is_one_payload(tmp_path):
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
+        # "file" and "allow_pickle" name np.savez's own parameters
         arrays = {"enc.w": rng.normal(size=(3, 5)).astype(np.float32),
                   "dpca.g0.d0.u": rng.normal(size=(1, 7)).astype(np.float32),
-                  "empty": np.zeros((0, 2), dtype=np.float32)}
+                  "empty": np.zeros((0, 2), dtype=np.float32),
+                  "file": np.ones((1, 1), dtype=np.float32),
+                  "allow_pickle": np.zeros((2, 1), dtype=np.float32)}
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, arrays)
         loaded = load_checkpoint(path)
@@ -119,10 +122,9 @@ class TestCheckpoint:
          "(1, 1), not 2-D <f4"),
         ("w", np.ones((1, 1), dtype="<i4"), "tensor 'w' is <i4 of shape "
          "(1, 1), not 2-D <f4"),
-        ("", np.ones((1, 1), dtype="<f4"), "tensor name '' is empty or not "
-         "printable"),
+        ("", np.ones((1, 1), dtype="<f4"), "tensor name '' is not printable"),
         ("tab\there", np.ones((1, 1), dtype="<f4"), "tensor name "
-         "'tab\\there' is empty or not printable"),
+         "'tab\\there' is not printable"),
     ], ids=["1-D", "f8", "big-endian", "int", "empty-name", "tab-name"])
     def test_members_a_save_cannot_write_are_rejected(self, tmp_path, name,
                                                       array, message):

@@ -67,6 +67,13 @@ def test_read_peak_memory_is_one_payload(tmp_path):
     assert peak < 1.1 * x.nbytes
 
 
+def without_path(exc, path):
+    """A FormatError's message with its leading "<path>: " removed."""
+    message = str(exc)
+    assert message.startswith(f"{path}: ")
+    return message.removeprefix(f"{path}: ")
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -135,15 +142,8 @@ class TestCheckpoint:
         assert without_path(exc.value, path) == message
 
 
-def without_path(exc, path):
-    """A FormatError's message with its leading "<path>: " removed."""
-    message = str(exc)
-    assert message.startswith(f"{path}: ")
-    return message.removeprefix(f"{path}: ")
-
-
 def ragged_engagement_set():
-    """A valid set whose last array was then made ragged: np.savez fails
+    """A valid set whose last array was then made ragged: npz_write fails
     on it after writing every other array."""
     ds = rk.generate_engagement(rk.EngagementConfig(users=4, items=3,
                                                     seq_len=2, seed=0))

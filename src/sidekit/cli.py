@@ -12,9 +12,12 @@ config before it trains any. `rank-ab` reads its data only from the
 `gen-engagement` file named by --data; its --seed seeds the split of the
 users and the training, not the data. The CLI owns the default of every
 setting it exposes (PipelineConfig and the flags). SIDEKIT_THREADS caps
-only the worker processes `rank-ab` trains its arms in; every other
-command runs serially. The results equal those of a serial run (SIDEKIT_THREADS=1),
-and NE is computed in the calling process, in report order.
+the workers of the commands that use more than one core (see `workers`):
+the processes `rank-ab` trains its arms in, and the threads of the
+k-means nearest-centroid pass in `train` and `encode`. Their outputs
+equal those of a serial run (SIDEKIT_THREADS=1); `rank-ab` computes NE
+in the calling process, in report order. Every other command runs
+serially.
 """
 
 from __future__ import annotations

@@ -28,12 +28,13 @@ class MetricError(ValueError):
     pass
 
 
-def _row_blocks(rows, width):
+def _row_blocks(rows, width, cells=None):
     """(lo, hi) bounds of near-equal row blocks, each of at most
-    max(1, BLOCK_CELLS // width) rows; none for zero rows. Near-equal
-    blocks leave no one-row tail: BLAS takes a matrix-vector path for a
-    single row, whose products can differ in the last bit."""
-    per = max(1, BLOCK_CELLS // max(1, width))
+    max(1, cells // width) rows, `cells` defaulting to BLOCK_CELLS; none
+    for zero rows. Near-equal blocks leave no one-row tail: BLAS takes a
+    matrix-vector path for a single row, whose products can differ in the
+    last bit."""
+    per = max(1, (cells or BLOCK_CELLS) // max(1, width))
     count = -(-rows // per)
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 

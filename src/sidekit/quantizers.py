@@ -17,14 +17,22 @@ All assign/encode/decode functions leave their codebooks unchanged and
 take a 2-D row-major batch, one vector (or one code) per row; a single
 vector is a batch of one row. Any other ndim raises QuantizerError. Ties
 are broken toward the lower index everywhere.
+
+Fitting and assignment share one nearest-centroid pass, which runs its
+cache-sized row blocks on `workers.thread_count()` threads; its results
+do not depend on the thread count. Everything else here is serial.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .corpus_io import load_checkpoint, save_checkpoint
+from .metrics import _row_blocks
 from .nn_core import DTYPE
+from .workers import run_blocks
 
 
 class QuantizerError(ValueError):
@@ -44,14 +52,44 @@ def _rows(x, dtype=DTYPE):
 # k-means
 
 
-def _sq_dists(x, centroids):
-    # ||x||^2 - 2 x.C^T + ||c||^2, clipped at 0 against rounding, built in
-    # one (n, k) buffer; -2xc + ||x||^2 equals ||x||^2 - 2xc bit for bit.
-    d2 = x @ centroids.T
+# Distance cells of one row block of the nearest-centroid pass: 2 MB of
+# float32, about 2,048 rows at k = 256.
+PASS_CELLS = 1 << 19
+
+
+def _sq_norms(x):
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _nearest(x, x_sq, centroids):
+    """(assign, point_d2): each row's nearest centroid, the lowest index
+    on ties, and its squared distance, for the rows `x` and their squared
+    norms `x_sq`.
+
+    One pass over near-equal row blocks of at most PASS_CELLS distances,
+    spread over `workers.run_blocks`' threads. Every block computes
+    ||x||^2 - 2 x.C^T + ||c||^2, clipped at 0 against rounding, as the
+    same float expression on its own rows, so the result does not depend
+    on the blocks or the threads.
+    """
+    n, k = x.shape[0], centroids.shape[0]
+    c_sq = _sq_norms(centroids)
+    assign = np.empty(n, dtype=np.intp)
+    point_d2 = np.empty(n, dtype=np.result_type(x, centroids))
+    run_blocks(partial(_nearest_block, x, x_sq, centroids, c_sq, assign,
+                       point_d2), _row_blocks(n, k, PASS_CELLS))
+    return assign, point_d2
+
+
+def _nearest_block(x, x_sq, centroids, c_sq, assign, point_d2, lo, hi):
+    # -2xc + ||x||^2 equals ||x||^2 - 2xc bit for bit
+    d2 = x[lo:hi] @ centroids.T
     d2 *= -2.0
-    d2 += np.einsum("ij,ij->i", x, x)[:, None]
-    d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    return np.maximum(d2, 0.0, out=d2)
+    d2 += x_sq[lo:hi, None]
+    d2 += c_sq[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    best = d2.argmin(axis=1, out=assign[lo:hi])
+    point_d2[lo:hi] = np.take_along_axis(d2, best[:, None], axis=1)[:, 0]
 
 
 def kmeans_fit(corpus, k, iters, seed):
@@ -64,7 +102,9 @@ def kmeans_fit(corpus, k, iters, seed):
     nearest-centroid distances. A corpus of identical rows gives k
     centroids equal to that row.
 
-    One distance pass per iteration, at its top. Rows are grouped by
+    Each iteration starts with one nearest-centroid pass (`_nearest`),
+    on as many threads as SIDEKIT_THREADS allows; the squared row norms
+    it reads are computed once. The update is serial: rows are grouped by
     cluster with one stable argsort, so each centroid is the mean of a
     contiguous slice holding its rows in corpus order.
     """
@@ -79,10 +119,9 @@ def kmeans_fit(corpus, k, iters, seed):
 
     rng = np.random.default_rng(seed)
     centroids = x[rng.choice(n, size=k, replace=False)].copy()
+    x_sq = _sq_norms(x)
     for _ in range(iters):
-        d2 = _sq_dists(x, centroids)
-        assign = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), assign]
+        assign, point_d2 = _nearest(x, x_sq, centroids)
         grouped = x[np.argsort(assign, kind="stable")]
         counts = np.bincount(assign, minlength=k)
         ends = np.cumsum(counts)
@@ -102,7 +141,7 @@ def kmeans_assign(centroids, x):
     if rows.shape[1] != centroids.shape[1]:
         raise QuantizerError(f"dimension mismatch: input has {rows.shape[1]}, "
                              f"codebook {centroids.shape[1]}")
-    return _sq_dists(rows, centroids).argmin(axis=1)
+    return _nearest(rows, _sq_norms(rows), centroids)[0]
 
 
 def residual_fit(corpus, k, depth, iters, seed):

@@ -29,15 +29,14 @@ sigmoid(a * <mean of history latents, candidate latent> + b).
 `SyntheticEngagementSet` owns the engagement file, the only data `rank-ab`
 reads: `corpus_io` writes and reads its bytes, `load` checks its arrays.
 `run_ab` trains each arm through `train_ranker`, the three at once in up
-to `worker_count()` processes, the calling one and forked workers. The
-report equals the serial run's: the arms return only predictions and
-counts, and NE is computed in the calling process.
+to `workers.worker_count()` processes, the calling one and forked
+workers. The report equals the serial run's: the arms return only
+predictions and counts, and NE is computed in the calling process.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
@@ -48,6 +47,7 @@ from .corpus_io import npz_read, npz_write
 from .nn_core import DTYPE, ParamStore
 from .metrics import NEReport, _row_blocks, normalized_entropy
 from .sid_codec import SidError, SidScheme, pack_all, side_embed, sid_hash
+from .workers import worker_count
 
 
 class RankingError(ValueError):
@@ -436,23 +436,6 @@ class AbReport:
 
 
 AB_VARIANTS = ("none", "sid", "side")  # the order run_ab reports them in
-
-
-def worker_count():
-    """The processes `run_ab` may train its arms in: SIDEKIT_THREADS if
-    set (an integer; below 1 means 1), else min(8, usable cores), the
-    cores this process's affinity mask allows where the platform reports
-    it. Every other computation runs serially."""
-    env = os.environ.get("SIDEKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise RankingError(
-                f"SIDEKIT_THREADS must be an integer, got '{env}'") from None
-    if hasattr(os, "sched_getaffinity"):
-        return min(8, len(os.sched_getaffinity(0)))
-    return min(8, os.cpu_count() or 1)
 
 
 def _resolved(fn, *args):

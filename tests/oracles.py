@@ -299,22 +299,39 @@ def full_sort_topk(base, queries, k, exclude_self=None):
     return np.asarray(out, dtype=np.int64).reshape(q.shape[0], k)
 
 
+def whole_matrix_sq_dists(x, centroids):
+    """The (n, k) squared distances in one matrix, by the float expression
+    quantizers._nearest computes per row block, so that results can be
+    compared bit for bit."""
+    return np.maximum(np.einsum("ij,ij->i", x, x)[:, None]
+                      - 2.0 * (x @ centroids.T)
+                      + np.einsum("ij,ij->i", centroids, centroids)[None, :],
+                      0.0)
+
+
+def whole_matrix_residual_quantize(stack, x):
+    """Per layer the argmin of whole_matrix_sq_dists against the residual
+    (the lowest index on ties), then the chosen centroid subtracted."""
+    residual = np.array(x, dtype=np.float32)
+    columns = []
+    for book in stack:
+        columns.append(whole_matrix_sq_dists(residual, book).argmin(axis=1))
+        residual = residual - book[columns[-1]]
+    return np.stack(columns, axis=1)
+
+
 def mask_loop_kmeans(corpus, k, iters, seed):
     """Lloyd's algorithm with one boolean mask per cluster; an empty
     cluster takes the unclaimed point farthest from its centroid. Returns
-    (centroids, number of reseeds). Distances use the same float
-    expression as quantizers._sq_dists, so results can be compared bit for
-    bit."""
+    the centroids and the rows that reseeds claimed, in order. Distances
+    come from whole_matrix_sq_dists."""
     x = np.asarray(corpus, dtype=np.float32)
     n = x.shape[0]
     rng = np.random.default_rng(seed)
     centroids = x[rng.choice(n, size=k, replace=False)].copy()
-    reseeds = 0
+    reseeds = []
     for _ in range(iters):
-        d2 = np.maximum(np.einsum("ij,ij->i", x, x)[:, None]
-                        - 2.0 * (x @ centroids.T)
-                        + np.einsum("ij,ij->i", centroids, centroids)[None, :],
-                        0.0)
+        d2 = whole_matrix_sq_dists(x, centroids)
         assign = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), assign]
         for c in range(k):
@@ -325,7 +342,7 @@ def mask_loop_kmeans(corpus, k, iters, seed):
                 far = int(point_d2.argmax())
                 centroids[c] = x[far]
                 point_d2[far] = 0.0
-                reseeds += 1
+                reseeds.append(far)
     return centroids, reseeds
 
 

@@ -835,6 +835,49 @@ def test_rank_ab_names_a_sidekit_threads_that_is_no_integer(
         f"error: SIDEKIT_THREADS must be an integer, got '{threads}'\n"))
 
 
+@pytest.mark.parametrize("command", ["train", "encode"])
+def test_rq_train_and_encode_name_a_sidekit_threads_that_is_no_integer(
+        monkeypatch, tmp_path, corpus, capsys, command):
+    cfg, ckpt = config(tmp_path, "rq"), tmp_path / "q.ckpt"
+    out = tmp_path / "out"
+    assert run("train", "--corpus", corpus, "--config", cfg,
+               "--out", ckpt) == 0
+    monkeypatch.setenv("SIDEKIT_THREADS", "abc")
+    capsys.readouterr()
+    args = {"train": (), "encode": ("--ckpt", ckpt)}[command]
+    assert run(command, "--corpus", corpus, "--config", cfg, *args,
+               "--out", out) == 1
+    assert capsys.readouterr() == (
+        "", "error: SIDEKIT_THREADS must be an integer, got 'abc'\n")
+    assert not out.exists()
+
+
+def test_rq_files_are_byte_identical_at_every_thread_count(tmp_path):
+    # fresh processes, since OpenBLAS reads its thread count at start-up;
+    # 6,145 rows at k = 256 are 4 blocks of the nearest-centroid pass
+    data, cfg = tmp_path / "x.emb", tmp_path / "rq.cfg"
+    assert run("gen-corpus", "--rows", 6145, "--dim", 8, "--clusters", 20,
+               "--seed", 3, "--out", data) == 0
+    cfg.write_text("quantizer=rq\nlevels=256\ndepth=2\nkmeans_iters=3\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    files = {}
+    for blas, workers in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(blas),
+                   SIDEKIT_THREADS=str(workers))
+        ckpt = tmp_path / f"{blas}{workers}.ckpt"
+        sids = tmp_path / f"{blas}{workers}.sid"
+        for argv in (["train", "--out", ckpt],
+                     ["encode", "--ckpt", ckpt, "--out", sids]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sidekit.cli", argv[0], "--corpus",
+                 str(data), "--config", str(cfg), *map(str, argv[1:])],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        files[blas, workers] = ckpt.read_bytes(), sids.read_bytes()
+    assert len(load_codebooks(tmp_path / "11.ckpt")) == 2
+    assert len(set(files.values())) == 1
+
+
 def _flip_a_byte_at_a_third(raw):
     out = bytearray(raw)
     out[len(raw) // 3] ^= 0xFF
@@ -867,10 +910,12 @@ def _flip_first_digit(digits):
     ("segments", lambda a: a + 100, "segments: id outside [0, 16)"),
     # no key: the edit is of the file's bytes
     (None, lambda raw: raw[:len(raw) // 12],
-     "bad.npz: File is not a zip file"),
+     "bad.npz: not a zip: no end-of-central-directory record in its last "
+     "22 bytes (at byte "),
     (None, _flip_a_byte_at_a_third,
-     "bad.npz: Bad CRC-32 for file 'history.npy'"),
-    (None, lambda raw: b"garbage", "bad.npz: File is not a zip file"),
+     "bad.npz: Bad CRC-32 for file 'history.npy' (at byte "),
+    (None, lambda raw: b"garbage", "bad.npz: not a zip: no "
+     "end-of-central-directory record in its last 22 bytes (at byte 0)"),
 ], ids=["digits-cut", "history-cut", "labels-short", "candidate-id",
         "sids-unpacked", "digits-flipped", "segments-missing", "users-array",
         "history-float", "labels-doubled", "segments-shifted", "file-cut",

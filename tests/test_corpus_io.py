@@ -1,10 +1,13 @@
 """File layer tests: corpus round trip, every rejected corpus header or
 payload with its byte offset, a corpus read whose peak memory is one
-payload, the checkpoint `.npz` and the members it rejects, and the one
-atomic writer that every file kind goes through."""
+payload, the checkpoint `.npz` and the members it rejects, the `.npz`
+files np.savez writes, and the one atomic writer that every file kind
+goes through."""
 
+import io
 import struct
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from sidekit import ranking as rk
 from sidekit.corpus_io import (FormatError, _atomic_write, corpus_read,
                                corpus_write, history_write, load_checkpoint,
-                               npz_write, save_checkpoint)
+                               npz_read, npz_write, save_checkpoint)
 from sidekit.sid_codec import SidScheme, write_sid_file
 
 
@@ -98,16 +101,23 @@ class TestCheckpoint:
                          + struct.pack("<IIf", 1, 1, 1.0))
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
-        assert without_path(exc.value, path) == "File is not a zip file"
+        # 25 bytes: the last 22 begin at byte 3
+        assert without_path(exc.value, path) == (
+            "not a zip: no end-of-central-directory record in its last 22 "
+            "bytes (at byte 3)")
 
-    def test_truncated_file_is_rejected_naming_its_path(self, tmp_path):
+    def test_truncated_file_is_rejected_naming_its_path_and_byte(self,
+                                                                 tmp_path):
         path = tmp_path / "trunc.ckpt"
         save_checkpoint(path, {"w": np.ones((4, 4), dtype=np.float32)})
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
-        assert without_path(exc.value, path) == "File is not a zip file"
+        assert exc.value.offset == len(data) - 8 - 22
+        assert without_path(exc.value, path) == (
+            f"not a zip: no end-of-central-directory record in its last 22 "
+            f"bytes (at byte {exc.value.offset})")
 
     def test_format_is_little_endian(self, tmp_path):
         path = tmp_path / "le.ckpt"
@@ -140,6 +150,33 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
         assert without_path(exc.value, path) == message
+
+
+@pytest.mark.parametrize("method", [zipfile.ZIP_STORED,
+                                    zipfile.ZIP_DEFLATED])
+def test_npz_read_reads_what_np_savez_writes(tmp_path, method):
+    arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([3, 1])}
+    path = tmp_path / "a.npz"
+    (np.savez if method == zipfile.ZIP_STORED else np.savez_compressed)(
+        path, **arrays)
+    back = npz_read(path)
+    assert list(back) == list(arrays)
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype
+        np.testing.assert_array_equal(back[name], arr)
+
+
+def test_npz_read_rejects_another_compression_naming_the_member(tmp_path):
+    path, npy = tmp_path / "bz.npz", io.BytesIO()
+    np.save(npy, np.ones(2))
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("ok.npy", npy.getvalue())
+        zf.writestr("a.npy", npy.getvalue(), compress_type=zipfile.ZIP_BZIP2)
+        second = zf.getinfo("a.npy").header_offset
+    with pytest.raises(FormatError) as exc:
+        npz_read(path)
+    assert without_path(exc.value, path) == (
+        f"'a.npy' is compressed with method 12 (at byte {second})")
 
 
 def ragged_engagement_set():

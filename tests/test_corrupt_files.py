@@ -11,11 +11,12 @@ every line ends with a line feed.
 Checkpoints and engagement sets are `.npz` zips whose members carry
 CRCs. Any cut or flipped byte reads back exactly the saved arrays or
 raises a FormatError naming the file, and so does every cut and every
-single-bit flip of one small checkpoint, tried exhaustively. A repeated
-member is rejected by name.
+single-bit flip of one small checkpoint, tried exhaustively; there each
+rejection also names its byte. A repeated member is rejected by name.
 """
 
 import io
+import struct
 import warnings
 import zipfile
 from dataclasses import asdict, fields
@@ -151,12 +152,10 @@ def test_load_returns_what_was_saved_or_a_format_error(tmp_path_factory,
     assert same_arrays(back, want)
 
 
-def test_every_cut_or_bit_flip_of_a_checkpoint_reads_as_saved_or_raises(
-        tmp_path):
-    """Every truncation and every single-bit flip of one small checkpoint.
-    Its first array has one row and another array follows it: a format
-    with no array count or checksum reads a flip of that row count, or a
-    cut between arrays, as a valid file of other arrays."""
+@pytest.fixture
+def small_checkpoint(tmp_path):
+    """(its path, its arrays, its bytes): three arrays, the first of one
+    row, which another array follows."""
     rng = np.random.default_rng(0)
     arrays = {name: rng.normal(size=shape).astype(np.float32)
               for name, shape in [("enc.sig0.w1", (1, 3)),
@@ -164,25 +163,108 @@ def test_every_cut_or_bit_flip_of_a_checkpoint_reads_as_saved_or_raises(
                                   ("meta.latent", (1, 1))]}
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, arrays)
-    raw = path.read_bytes()
+    return path, arrays, path.read_bytes()
+
+
+def test_every_cut_of_a_checkpoint_names_its_byte(small_checkpoint):
+    path, _, raw = small_checkpoint
+    unnamed = []
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        if not names_its_byte(exc.value):
+            unnamed.append(cut)
+    assert unnamed == []
+
+
+def test_every_cut_or_bit_flip_of_a_checkpoint_reads_as_saved_or_raises(
+        small_checkpoint):
+    """Every truncation and every single-bit flip of one small checkpoint.
+    A format with no array count or checksum reads a flip of the first
+    array's row count, or a cut between arrays, as a valid file of other
+    arrays. Every rejection names its byte."""
+    path, arrays, raw = small_checkpoint
     edits = {f"cut at {cut}": raw[:cut] for cut in range(len(raw))}
     edits.update({f"bit {bit} of byte {byte}": flip(raw, byte, bit)
                   for byte in range(len(raw)) for bit in range(8)})
-    wrong = []
+    wrong, unnamed = [], []
     for edit, edited in edits.items():
         path.write_bytes(edited)
         try:
             back = load_checkpoint(path)
-        except FormatError:
+        except FormatError as exc:
+            if not names_its_byte(exc):
+                unnamed.append(edit)
             continue
         if not same_arrays(back, arrays):
             wrong.append(edit)
-    assert wrong == []
+    assert wrong == [] and unnamed == []
+
+
+def edit_u16(raw, at, add):
+    out = bytearray(raw)
+    struct.pack_into("<H", out, at, struct.unpack_from("<H", raw, at)[0] + add)
+    return bytes(out)
+
+
+def test_layout_edits_name_their_record(tmp_path, small_checkpoint):
+    _, _, raw = small_checkpoint
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        first, second, _ = [i.header_offset for i in zf.infolist()]
+    end = len(raw) - 22
+    edits = [
+        # the first member's local extra field grown past the second's
+        # header (its length is the u16 at byte 28 of the header)
+        (edit_u16(raw, first + 28, 200),
+         f"'enc.sig0.w1.npy' runs past byte {second}", first),
+        (flip(raw, second, 0), "no local header of 'dpca.g0.d1.u.npy'",
+         second),
+        # one entry fewer than the directory holds
+        (edit_u16(raw, end + 10, -1), "end of a commented or multi-disk zip",
+         end),
+        (edit_u16(raw, end + 16, 1), "central directory of 184 bytes at "
+         "byte 621 does not end here", end),
+    ]
+    path = tmp_path / "e.ckpt"
+    for edited, message, offset in edits:
+        path.write_bytes(edited)
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: {message} (at byte {offset})"
+
+
+def with_zip64_end(raw, locate=0, cd_size=0):
+    """The zip `raw` ended as a writer of a large zip ends it: a zip64 end
+    record, its locator, then an end record whose counts, directory size
+    and directory offset are all ones. `locate` and `cd_size` are added
+    to the locator's record offset and to the zip64 directory size."""
+    end = len(raw) - 22
+    sig, _, _, here, count, size, at, _ = struct.unpack("<4s4H2LH", raw[end:])
+    record = struct.pack("<4sQ2H2L4Q", b"PK\x06\x06", 44, 45, 45, 0, 0, here,
+                         count, size + cd_size, at)
+    locator = struct.pack("<4sLQL", b"PK\x06\x07", 0, end + locate, 1)
+    return (raw[:end] + record + locator + struct.pack(
+        "<4s4H2LH", sig, 0, 0, 0xFFFF, 0xFFFF, 0xFFFFFFFF, 0xFFFFFFFF, 0))
+
+
+def test_a_zip64_end_is_read_and_checked(tmp_path, small_checkpoint):
+    _, arrays, raw = small_checkpoint
+    path = tmp_path / "z.ckpt"
+    path.write_bytes(with_zip64_end(raw))
+    assert same_arrays(load_checkpoint(path), arrays)
+    # the zip64 record begins at len(raw) - 22 and its locator 56 bytes on
+    for edit, offset in [(dict(locate=1), len(raw) + 34),
+                         (dict(cd_size=1), len(raw) - 22)]:
+        path.write_bytes(with_zip64_end(raw, **edit))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == offset, edit
 
 
 def with_a_repeated_member(raw):
-    """The zip `raw` with a second copy of its first member appended, and
-    that member's name."""
+    """The zip `raw` with a second copy of its first member appended, that
+    member's name, and the byte at which the copy's local header begins."""
     out = io.BytesIO()
     with zipfile.ZipFile(io.BytesIO(raw)) as src, \
             zipfile.ZipFile(out, "w") as dst, warnings.catch_warnings():
@@ -190,18 +272,22 @@ def with_a_repeated_member(raw):
         for info in src.infolist():
             dst.writestr(info, src.read(info))
         first = src.infolist()[0]
-        dst.writestr(first, src.read(first))
-    return out.getvalue(), first.filename
+        copy = out.tell()
+        # by name: writing `first` itself again would move its first
+        # entry's header offset onto the copy too
+        dst.writestr(first.filename, src.read(first))
+    return out.getvalue(), first.filename, copy
 
 
-def test_a_repeated_member_is_rejected_by_name(tmp_path, zip_file):
+def test_a_repeated_member_is_rejected_by_name_and_byte(tmp_path, zip_file):
     raw, load, _ = zip_file
     path = tmp_path / "f"
-    edited, member = with_a_repeated_member(raw)
+    edited, member, copy = with_a_repeated_member(raw)
     path.write_bytes(edited)
     with pytest.raises(FormatError) as exc:
         load(path)
-    assert str(exc.value) == f"{path}: repeated member {member!r}"
+    assert str(exc.value) == (f"{path}: repeated member {member!r} "
+                              f"(at byte {copy})")
 
 
 @settings(max_examples=100, deadline=None)

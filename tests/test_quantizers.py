@@ -1,15 +1,21 @@
 """Quantizer tests: Lloyd's algorithm, residual and product composition,
 the scalar grid, discrete-PCA encode/decode, and codebook checkpoints."""
 
+import functools
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidekit import quantizers as q
+from sidekit import workers
 from sidekit.corpus_io import save_checkpoint
+from sidekit.metrics import _row_blocks
 from oracles import (mask_loop_kmeans, naive_dpca_sum,
-                     threshold_residual_encode, within_cluster_sum_of_squares)
+                     threshold_residual_encode, whole_matrix_residual_quantize,
+                     whole_matrix_sq_dists, within_cluster_sum_of_squares)
 
 
 class TestKMeans:
@@ -82,8 +88,103 @@ class TestKMeans:
         pts = np.repeat(rng.normal(size=(20, 6)), 4, axis=0).astype(np.float32)
         cb = q.kmeans_fit(pts, 30, iters=4, seed=6)
         centroids, reseeds = mask_loop_kmeans(pts, 30, 4, 6)
-        assert reseeds > 0
+        assert reseeds
         np.testing.assert_array_equal(cb, centroids)
+
+
+# Corpora that span three or more blocks of the nearest-centroid pass:
+# name -> (rows, dim, k, seed, copies), the rows being rows // copies
+# distinct normal draws, each repeated `copies` times in a row.
+SPANNING = {
+    "rows-not-divided": (6145, 8, 256, 0, 1),  # 4 blocks, 6145 % 4 == 1
+    "d1": (6000, 1, 256, 1, 1),
+    "k1-d1": (3 * q.PASS_CELLS + 5, 1, 1, 2, 1),
+    # 2,000 centroids drawn from 1,500 distinct points: empty clusters,
+    # reseeded from rows of several of the 23 blocks
+    "reseeds": (6000, 6, 2000, 3, 4),
+}
+SPANNING_ITERS = 3
+
+
+@functools.cache
+def spanning(case):
+    """The corpus of SPANNING[case] and mask_loop_kmeans' centroids and
+    reseeded rows for it."""
+    rows, dim, k, seed, copies = SPANNING[case]
+    pts = np.repeat(np.random.default_rng(seed).normal(
+        size=(rows // copies, dim)), copies, axis=0).astype(np.float32)
+    return (pts, *mask_loop_kmeans(pts, k, SPANNING_ITERS, seed))
+
+
+@pytest.fixture(params=[1, 2, 3])
+def threads(request, monkeypatch):
+    """SIDEKIT_THREADS, with OPENBLAS_NUM_THREADS at 1 so that the pass
+    runs on that many threads (OpenBLAS itself read its count at
+    start-up)."""
+    monkeypatch.setenv("SIDEKIT_THREADS", str(request.param))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert workers.thread_count() == request.param
+    return request.param
+
+
+class TestBlockedPass:
+    """The nearest-centroid pass over row blocks on 1-3 threads gives the
+    bits of one whole-matrix pass."""
+
+    @pytest.mark.parametrize("case", SPANNING)
+    def test_the_corpus_spans_three_blocks(self, case):
+        rows, _, k, _, _ = SPANNING[case]
+        blocks = _row_blocks(rows, k, q.PASS_CELLS)
+        assert len(blocks) >= 3
+        if case == "rows-not-divided":
+            assert rows % len(blocks) != 0
+        if case == "reseeds":
+            _, _, reseeded = spanning(case)
+            hit = {i for i, (lo, hi) in enumerate(blocks)
+                   for row in reseeded if lo <= row < hi}
+            assert len(hit) >= 3
+
+    @pytest.mark.parametrize("case", SPANNING)
+    def test_fit_matches_the_mask_loop_bitwise(self, case, threads):
+        _, _, k, seed, _ = SPANNING[case]
+        pts, centroids, _ = spanning(case)
+        cb = q.kmeans_fit(pts, k, iters=SPANNING_ITERS, seed=seed)
+        assert cb.tobytes() == centroids.tobytes()
+
+    @pytest.mark.parametrize("case", SPANNING)
+    def test_assign_matches_a_whole_matrix_argmin(self, case, threads):
+        pts, centroids, _ = spanning(case)
+        want = whole_matrix_sq_dists(pts, centroids).argmin(axis=1)
+        np.testing.assert_array_equal(q.kmeans_assign(centroids, pts), want)
+
+    @pytest.mark.parametrize("case", SPANNING)
+    def test_residual_quantize_matches_whole_matrix_argmins(self, case,
+                                                           threads):
+        pts, centroids, _ = spanning(case)
+        rng = np.random.default_rng(9)
+        stack = [centroids, 0.5 * pts[rng.choice(len(pts), len(centroids),
+                                                 replace=False)]]
+        np.testing.assert_array_equal(
+            q.residual_quantize(stack, pts),
+            whole_matrix_residual_quantize(stack, pts))
+
+    def test_an_error_in_a_worker_threads_block_reaches_the_caller(
+            self, monkeypatch, threads):
+        pts, centroids, _ = spanning("rows-not-divided")
+        block = q._nearest_block
+
+        def failing(*args):
+            if args[-2] > 0:  # lo: every block but the first
+                raise FloatingPointError(f"block at row {args[-2]}")
+            return block(*args)
+
+        monkeypatch.setattr(q, "_nearest_block", failing)
+        before = threading.active_count()
+        first = _row_blocks(len(pts), len(centroids), q.PASS_CELLS)[1][0]
+        with pytest.raises(FloatingPointError,
+                           match=f"^block at row {first}$"):
+            q.kmeans_assign(centroids, pts)
+        assert threading.active_count() == before
 
 
 class TestAssign:

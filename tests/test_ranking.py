@@ -317,22 +317,6 @@ def test_sid_ranker_equals_a_run_with_the_dense_oracle(monkeypatch):
                                       bits(table[reachable]))
 
 
-def test_worker_count_counts_the_cores_of_the_affinity_mask(monkeypatch):
-    monkeypatch.delenv("SIDEKIT_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    assert rk.worker_count() == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)))
-    assert rk.worker_count() == 8
-    monkeypatch.setenv("SIDEKIT_THREADS", "3")
-    assert rk.worker_count() == 3
-    # where the platform has no affinity mask, the cores it reports
-    monkeypatch.delenv("SIDEKIT_THREADS")
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert rk.worker_count() == 2
-
-
 AB_FIT = nn.FitConfig(epochs=2, batch_size=128, lr=3e-3, seed=5)
 
 

@@ -60,34 +60,44 @@ def thread_count():
 
 
 def run_blocks(fn, blocks):
-    """Call fn(lo, hi) for each (lo, hi) of `blocks`: block i on thread
-    i % threads, thread 0 being the calling one, for `thread_count()`
-    threads at most. `fn` must write only its own block's outputs.
+    """Call fn(lo, hi) for each (lo, hi) of `blocks` on `thread_count()`
+    threads at most, the calling one among them. Each thread takes the
+    next block in order that no thread has taken yet, so a thread whose
+    core is busy with other work takes fewer blocks instead of holding
+    the pass up. `fn` must write only its own block's outputs.
 
-    If calls raise, the error of the first failing block in order is
-    raised, with its type and message, as a serial run would raise it.
-    Every thread has ended when this returns or raises.
+    After a call raises, no block is taken. Every block before the
+    failing one was taken before it and runs to its end, so the error of
+    the first failing block in order is raised, with its type and
+    message, as a serial run would raise it. Every thread has ended when
+    this returns or raises.
     """
     threads = max(1, min(thread_count(), len(blocks)))
-    failed = [None] * threads  # per thread: (block index, error)
+    lock = threading.Lock()
+    taken = [0]    # blocks handed out so far
+    failed = []    # (block index, error)
 
-    def work(first):
-        for i in range(first, len(blocks), threads):
+    def work():
+        while True:
+            with lock:
+                i = taken[0]
+                if i == len(blocks) or failed:
+                    return
+                taken[0] = i + 1
             try:
                 fn(*blocks[i])
             except BaseException as exc:  # raised by the caller, below
-                failed[first] = i, exc
+                with lock:
+                    failed.append((i, exc))
                 return
 
-    started = [threading.Thread(target=work, args=(t,))
-               for t in range(1, threads)]
+    started = [threading.Thread(target=work) for _ in range(1, threads)]
     for thread in started:
         thread.start()
     try:
-        work(0)
+        work()
     finally:
         for thread in started:
             thread.join()
-    errors = [f for f in failed if f is not None]
-    if errors:
-        raise min(errors, key=lambda f: f[0])[1]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]

@@ -103,7 +103,7 @@ def test_no_blocks_calls_nothing(threads):
 
 def test_the_first_failing_block_in_order_raises(threads):
     """A serial run meets block 1's error first; so does a threaded one,
-    whichever thread ran block 1 or block 3."""
+    whichever threads took block 1 and block 3."""
     def fail(lo, hi):
         if lo in (3, 10):
             raise KeyError(f"rows {lo}-{hi}")
@@ -114,10 +114,39 @@ def test_the_first_failing_block_in_order_raises(threads):
     assert threading.active_count() == before
 
 
-def test_every_thread_has_ended_when_the_calling_threads_block_raises(
-        threads):
+def test_an_earlier_block_that_fails_later_still_wins(threads):
+    """On more than one thread, block 1 fails after block 2 has failed on
+    another thread; a serial run meets block 1's error first."""
     def fail(lo, hi):
-        if lo == 0:  # the calling thread's first block
+        if lo == 3:
+            time.sleep(0.05)
+        if lo > 0:
+            raise KeyError(f"rows {lo}-{hi}")
+
+    with pytest.raises(KeyError, match="rows 3-7"):
+        workers.run_blocks(fail, BLOCKS)
+
+
+def test_no_block_is_taken_after_a_block_fails(threads):
+    """Each thread holds at most one slow block when block 1 fails at
+    once; none of the other blocks start."""
+    calls, lock = [], threading.Lock()
+
+    def fail(lo, hi):
+        with lock:
+            calls.append(lo)
+        if lo == 1:
+            raise KeyError("row 1")
+        time.sleep(0.1)
+
+    with pytest.raises(KeyError, match="row 1"):
+        workers.run_blocks(fail, [(lo, lo + 1) for lo in range(12)])
+    assert len(calls) <= threads + 1
+
+
+def test_every_thread_has_ended_when_the_first_block_raises(threads):
+    def fail(lo, hi):
+        if lo == 0:
             raise KeyError("rows 0-3")
         time.sleep(0.05)
 

@@ -13,11 +13,11 @@ config before it trains any. `rank-ab` reads its data only from the
 users and the training, not the data. The CLI owns the default of every
 setting it exposes (PipelineConfig and the flags). SIDEKIT_THREADS caps
 the workers of the commands that use more than one core (see `workers`):
-the processes `rank-ab` trains its arms in, and the threads of the
-k-means nearest-centroid pass in `train` and `encode`. Their outputs
-equal those of a serial run (SIDEKIT_THREADS=1); `rank-ab` computes NE
-in the calling process, in report order. Every other command runs
-serially.
+the processes `rank-ab` trains its arms in, the threads of the k-means
+nearest-centroid pass in `train` and `encode`, and those of the exact
+top-k in `eval-recall`. Their outputs equal those of a serial run
+(SIDEKIT_THREADS=1); `rank-ab` computes NE in the calling process, in
+report order. Every other command runs serially.
 """
 
 from __future__ import annotations

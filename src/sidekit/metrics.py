@@ -3,21 +3,24 @@ truth with Recall@k, and normalized entropy for binary predictions.
 
 All functions are pure. kNN is exhaustive by design (desk-scale corpora
 make exactness cheap and remove the index as a confound). Top-k is
-k-selection, not a sort of every candidate: per query row a partition
-finds the k-th best similarity, and only the candidates at or above it
-are stably sorted. Queries run in row blocks of at most BLOCK_CELLS
-similarity cells, so memory does not grow with the query count; blocks
-run one after another (the per-row selection loop holds the GIL, so
-threads gain nothing). Inputs must be finite with non-zero rows; a bad
-row is rejected by index.
+k-selection, not a sort of every candidate: a partition finds each query
+row's k-th best similarity, and only the candidates at or above it are
+stably sorted, for a whole row block at once. Queries run in row blocks
+on `workers.run_blocks`' threads; the blocks in flight together hold at
+most BLOCK_CELLS similarity cells, so memory does not grow with the query
+count or the threads, and the result does not depend on either. Inputs
+must be finite with non-zero rows; a bad row is rejected by index.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from .workers import run_blocks, thread_count
 
 NE_CLIP = 1e-7
 # Cells of one row block of a (rows x width) float64 intermediate: 16 MB.
@@ -76,18 +79,26 @@ def cosine_recon_loss(x, x_hat):
     return float(np.mean(1.0 - cos))
 
 
+def _check_k(k):
+    if k < 1:
+        raise MetricError(f"k must be >= 1, got {k}")
+
+
 def cosine_topk(base, queries, k, exclude_self=None):
     """Exhaustive top-k indices of `base` rows by cosine similarity.
 
     `queries` is a (q, d) matrix; `exclude_self` optionally gives, per
     query, a base index to mask out (for queries drawn from the corpus).
     Ties break toward the lower base index: the result is the first k of
-    a stable sort of every candidate by descending similarity. Per row,
-    np.partition finds the k-th best similarity, and only the candidates
-    at or above it, in index order, are stably sorted. Rows are handled
-    in blocks of at most BLOCK_CELLS similarities, one block at a time.
-    Every row of `base` and `queries` must be finite and non-zero.
+    a stable sort of every candidate by descending similarity.
+
+    Query rows run in near-equal blocks on `workers.run_blocks`' threads.
+    Each block holds its similarities and np.partition's copy of them, so
+    a block gets BLOCK_CELLS // (2 * threads) cells: all the blocks in
+    flight hold at most BLOCK_CELLS. Every row of `base` and `queries`
+    must be finite and non-zero.
     """
+    _check_k(k)
     base_n = _unit_rows(base, "base corpus")
     q = _unit_rows(queries, "queries")
     n = base_n.shape[0]
@@ -95,16 +106,40 @@ def cosine_topk(base, queries, k, exclude_self=None):
     if k > limit:
         raise MetricError(f"k={k} exceeds candidate pool of {limit}")
     out = np.empty((q.shape[0], k), dtype=np.int64)
-    for lo, hi in _row_blocks(q.shape[0], n):
-        neg = q[lo:hi] @ base_n.T
-        np.negative(neg, out=neg)  # ascending order of -sims is best first
-        if exclude_self is not None:
-            neg[np.arange(hi - lo), exclude_self[lo:hi]] = np.inf
-        kth = np.partition(neg, k - 1, axis=1)[:, k - 1]
-        for i in range(hi - lo):
-            cand = np.flatnonzero(neg[i] <= kth[i])
-            out[lo + i] = cand[np.argsort(neg[i, cand], kind="stable")[:k]]
+    cells = BLOCK_CELLS // (2 * thread_count())
+    run_blocks(partial(_topk_block, base_n, q, k, exclude_self, out),
+               _row_blocks(q.shape[0], n, cells))
     return out
+
+
+def _topk_block(base_n, q, k, exclude_self, out, lo, hi):
+    """Top-k of query rows lo:hi into out[lo:hi], selected for the whole
+    block at once.
+
+    np.partition gives each row's k-th best value; the cells at or above
+    it, read row-major, are each row's candidates in index order. A row
+    with exactly k of them takes them in a stable argsort of their values;
+    a row tied at its k-th value has more, and sorts them on its own.
+    """
+    n = base_n.shape[0]
+    neg = q[lo:hi] @ base_n.T
+    np.negative(neg, out=neg)  # ascending order of -sims is best first
+    if exclude_self is not None:
+        neg[np.arange(hi - lo), exclude_self[lo:hi]] = np.inf
+    # a copy, so that the partitioned block is freed at once
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1].copy()
+    flat = np.flatnonzero(neg <= kth[:, None])
+    rows = flat // n
+    plain = np.bincount(rows, minlength=hi - lo) == k
+    if not plain.all():
+        flat = flat[plain[rows]]
+    order = np.argsort(neg.ravel()[flat].reshape(-1, k), axis=1,
+                       kind="stable")
+    out[lo:hi][plain] = np.take_along_axis((flat % n).reshape(-1, k),
+                                           order, axis=1)
+    for i in np.flatnonzero(~plain):
+        cand = np.flatnonzero(neg[i] <= kth[i])
+        out[lo + i] = cand[np.argsort(neg[i, cand], kind="stable")[:k]]
 
 
 def knn_ground_truth(corpus, query_indices, depth):
@@ -150,25 +185,37 @@ class RecallReport:
 
 
 def recall_at_k(ground_truth, candidates, ks, corpus_size=None):
-    """Mean over queries of |gt ∩ candidates[:k]| / |gt|.
+    """Mean over queries of |gt ∩ candidates[:k]| / |gt|, for integer ids.
 
-    Candidate lists must be at least max(ks) long. For nested candidate
-    prefixes the recall values are non-decreasing in k, which is asserted
-    on every report.
+    Candidate lists must be at least max(ks) long. The hits of every
+    query are counted by one np.isin per k, over keys that shift row i's
+    ids into a range of its own. For nested candidate prefixes the recall
+    values are non-decreasing in k, which is asserted on every report.
     """
-    gt = np.asarray(ground_truth)
-    cand = np.asarray(candidates)
+    gt = np.asarray(ground_truth, dtype=np.int64)
+    cand = np.asarray(candidates, dtype=np.int64)
+    if not ks:
+        raise MetricError(f"need at least one k, got {ks!r}")
     ks = tuple(sorted(ks))
+    _check_k(ks[0])
     if cand.shape[0] != gt.shape[0]:
         raise MetricError(
             f"query count mismatch: {gt.shape[0]} ground truth vs "
             f"{cand.shape[0]} candidate lists")
-    if cand.shape[1] < max(ks):
+    if cand.shape[1] < ks[-1]:
         raise MetricError(
-            f"candidate lists of length {cand.shape[1]} too short for k={max(ks)}")
+            f"candidate lists of length {cand.shape[1]} too short for k={ks[-1]}")
+    if not gt.size:
+        raise MetricError(f"need at least one query and one ground-truth "
+                          f"id, got shape {gt.shape}")
+    cand = cand[:, :ks[-1]]
+    low = min(gt.min(), cand.min())
+    span = max(gt.max(), cand.max()) - low + 1
+    shift = np.arange(gt.shape[0])[:, None] * span - low
+    gt_keys, cand_keys = gt + shift, cand + shift
     recalls = []
     for k in ks:
-        hits = [np.isin(gt[i], cand[i, :k]).sum() for i in range(gt.shape[0])]
+        hits = np.isin(gt_keys, cand_keys[:, :k]).sum(axis=1)
         recalls.append(float(np.mean(hits) / gt.shape[1]))
     for lo, hi in zip(recalls, recalls[1:]):
         if lo > hi + 1e-12:

@@ -2,10 +2,11 @@
 
 SIDEKIT_THREADS caps the workers of every command that runs work in
 parallel: the processes `rank-ab` trains its arms in, and the threads
-the k-means nearest-centroid pass (`train` and `encode` of the kmeans,
-rq and pq quantizers) runs its row blocks on. A thread's BLAS calls run
-on OpenBLAS's own threads, so the pass takes one thread per
-`blas_threads()` workers. Either way the results equal a serial run's.
+that run the row blocks of the k-means nearest-centroid pass (`train`
+and `encode` of the kmeans, rq and pq quantizers) and of the exact
+top-k (`eval-recall`). A thread's BLAS calls run on OpenBLAS's own
+threads, so a pass takes one thread per `blas_threads()` workers. Either
+way the results equal a serial run's.
 """
 
 from __future__ import annotations

@@ -299,6 +299,17 @@ def full_sort_topk(base, queries, k, exclude_self=None):
     return np.asarray(out, dtype=np.int64).reshape(q.shape[0], k)
 
 
+def per_query_recall(ground_truth, candidates, ks):
+    """Recall@k for each k of sorted `ks`: per query one np.isin of its
+    ground-truth ids in its first k candidates, then the mean count over
+    the ground-truth depth."""
+    gt, cand = np.asarray(ground_truth), np.asarray(candidates)
+    return tuple(
+        float(np.mean([np.isin(gt[i], cand[i, :k]).sum()
+                       for i in range(gt.shape[0])]) / gt.shape[1])
+        for k in sorted(ks))
+
+
 def whole_matrix_sq_dists(x, centroids):
     """The (n, k) squared distances in one matrix, by the float expression
     quantizers._nearest computes per row block, so that results can be

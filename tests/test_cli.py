@@ -835,8 +835,8 @@ def test_rank_ab_names_a_sidekit_threads_that_is_no_integer(
         f"error: SIDEKIT_THREADS must be an integer, got '{threads}'\n"))
 
 
-@pytest.mark.parametrize("command", ["train", "encode"])
-def test_rq_train_and_encode_name_a_sidekit_threads_that_is_no_integer(
+@pytest.mark.parametrize("command", ["train", "encode", "eval-recall"])
+def test_threaded_commands_name_a_sidekit_threads_that_is_no_integer(
         monkeypatch, tmp_path, corpus, capsys, command):
     cfg, ckpt = config(tmp_path, "rq"), tmp_path / "q.ckpt"
     out = tmp_path / "out"
@@ -844,9 +844,11 @@ def test_rq_train_and_encode_name_a_sidekit_threads_that_is_no_integer(
                "--out", ckpt) == 0
     monkeypatch.setenv("SIDEKIT_THREADS", "abc")
     capsys.readouterr()
-    args = {"train": (), "encode": ("--ckpt", ckpt)}[command]
-    assert run(command, "--corpus", corpus, "--config", cfg, *args,
-               "--out", out) == 1
+    args = {"train": ("--config", cfg, "--out", out),
+            "encode": ("--config", cfg, "--ckpt", ckpt, "--out", out),
+            "eval-recall": ("--candidates", corpus, "--queries", 8,
+                            "--depth", 5, "--ks", "5,10")}[command]
+    assert run(command, "--corpus", corpus, *args) == 1
     assert capsys.readouterr() == (
         "", "error: SIDEKIT_THREADS must be an integer, got 'abc'\n")
     assert not out.exists()
@@ -977,6 +979,32 @@ def test_eval_recall_is_a_monotone_fraction(tmp_path, corpus, capsys):
     assert all(0.0 <= r <= 1.0 for r in recalls)
     assert recalls == sorted(recalls)
     assert (report["queries"], report["corpus"]) == (16, 64)
+
+
+def test_eval_recall_json_is_byte_identical_at_every_thread_count(tmp_path):
+    # fresh processes, since OpenBLAS reads its thread count at start-up;
+    # 500 queries over 6,000 rows are 3 top-k blocks on one thread and 6
+    # on two
+    corpus, cands = tmp_path / "x.emb", tmp_path / "c.emb"
+    for path, noise in ((corpus, "0.1"), (cands, "0.3")):
+        assert run("gen-corpus", "--rows", 6000, "--dim", 8, "--clusters",
+                   20, "--noise", noise, "--seed", 3, "--out", path) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    reports = {}
+    for blas, workers in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(blas),
+                   SIDEKIT_THREADS=str(workers))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sidekit.cli", "eval-recall", "--corpus",
+             str(corpus), "--candidates", str(cands), "--queries", "500",
+             "--seed", "4", "--json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports[blas, workers] = proc.stdout
+    report = json.loads(reports[1, 1])
+    assert (report["queries"], report["corpus"]) == (500, 6000)
+    assert 0.0 < report["recall@20"] < report["recall@100"] < 1.0
+    assert len(set(reports.values())) == 1, reports
 
 
 @pytest.mark.parametrize("preds, message", [

@@ -1,6 +1,7 @@
 """Metric tests: cosine reconstruction loss, exhaustive kNN against a
-second implementation, k-selection top-k against a full stable sort,
-recall accounting, and normalized entropy."""
+second implementation, k-selection top-k against a full stable sort on
+1-3 threads, recall accounting against a per-query count, and normalized
+entropy."""
 
 import tracemalloc
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from sidekit import metrics as m
-from oracles import full_sort_topk, naive_knn
+from sidekit import workers
+from oracles import full_sort_topk, naive_knn, per_query_recall
 
 
 def unit(rows, dim, seed):
@@ -124,17 +126,43 @@ def half_rows(rows, dim, seed):
     return x
 
 
+def use_threads(monkeypatch, threads):
+    """SIDEKIT_THREADS=`threads`, with OPENBLAS_NUM_THREADS at 1 so that
+    the blocks run on that many threads (OpenBLAS itself read its count
+    at start-up)."""
+    monkeypatch.setenv("SIDEKIT_THREADS", str(threads))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert workers.thread_count() == threads
+
+
 class TestCosineTopk:
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        # 3-row blocks, so most cases span several blocks
-        monkeypatch.setattr(m, "BLOCK_CELLS", 3 * 200)
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def small_blocks(self, request, monkeypatch):
+        # 3-row blocks of a 200-row base at each thread count (a block
+        # gets BLOCK_CELLS // (2 * threads) cells), so most cases span
+        # several blocks: 31 queries are 11, which no thread count divides
+        use_threads(monkeypatch, request.param)
+        monkeypatch.setattr(m, "BLOCK_CELLS", 2 * request.param * 3 * 200)
+        assert len(m._row_blocks(31, 200, 3 * 200)) == 11
 
     @pytest.mark.parametrize("k", [1, 7, 40, 199, 200])
     def test_ties_across_the_kth_value_match_a_full_sort(self, k):
         base, queries = half_rows(200, 8, 0), half_rows(31, 8, 1)
         got = m.cosine_topk(base, queries, k)
         np.testing.assert_array_equal(got, full_sort_topk(base, queries, k))
+
+    @pytest.mark.parametrize("k", [1, 7, 199])
+    def test_a_block_of_tied_and_plain_rows_matches_a_full_sort(self, k):
+        """Rows tied at their k-th value sort on their own; the rest of
+        their block is selected at once."""
+        base, queries = half_rows(200, 8, 0), half_rows(31, 8, 1)
+        sims = np.sort(queries.astype(np.float64) @ base.T.astype(np.float64),
+                       axis=1)[:, ::-1]
+        tied = sims[:, k - 1] == sims[:, k]
+        assert any(0 < tied[lo:hi].sum() < hi - lo
+                   for lo, hi in m._row_blocks(31, 200, 3 * 200))
+        np.testing.assert_array_equal(m.cosine_topk(base, queries, k),
+                                      full_sort_topk(base, queries, k))
 
     @pytest.mark.parametrize("k", [5, 199])  # 199 == limit
     def test_exclude_self_matches_a_full_sort(self, k):
@@ -166,17 +194,41 @@ class TestCosineTopk:
         with pytest.raises(m.MetricError, match=f"non-finite row 4 in {where}"):
             m.cosine_topk(*args, 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_named(self, k):
+        with pytest.raises(m.MetricError, match=f"^k must be >= 1, got {k}$"):
+            m.cosine_topk(unit(30, 8, 7), unit(5, 8, 8), k)
 
-def test_topk_peak_memory_is_flat_in_queries():
-    """Queries run in row blocks of at most BLOCK_CELLS similarities, so
-    the peak does not follow the query count. Held whole instead, 2,000
+    def test_an_error_in_a_worker_threads_block_reaches_the_caller(
+            self, monkeypatch):
+        block = m._topk_block
+
+        def failing(*args):
+            if args[-2] > 0:  # lo: every block but the first
+                raise FloatingPointError(f"block at row {args[-2]}")
+            return block(*args)
+
+        monkeypatch.setattr(m, "_topk_block", failing)
+        first = m._row_blocks(31, 200, 3 * 200)[1][0]
+        with pytest.raises(FloatingPointError,
+                           match=f"^block at row {first}$"):
+            m.cosine_topk(half_rows(200, 8, 0), half_rows(31, 8, 1), 5)
+
+
+def test_topk_peak_memory_is_flat_in_queries(monkeypatch):
+    """Queries run in row blocks, those in flight together holding at
+    most BLOCK_CELLS similarities and as many partition copies, so the
+    peak does not follow the query count. Held whole instead, 2,000
     queries over 20,000 rows hold 320 MB of float64 similarities, ten
-    times what 200 queries hold."""
+    times what 200 queries hold. On two threads the peak stays within
+    what one serial block of BLOCK_CELLS cells and its partition copy
+    held before blocks ran on threads."""
     rng = np.random.default_rng(10)
     base = rng.normal(size=(20_000, 16)).astype(np.float32)
     queries = rng.normal(size=(2_000, 16)).astype(np.float32)
 
-    def peak(nq):
+    def peak(nq, threads):
+        use_threads(monkeypatch, threads)
         tracemalloc.start()
         try:
             m.cosine_topk(base, queries[:nq], 10)
@@ -184,7 +236,8 @@ def test_topk_peak_memory_is_flat_in_queries():
         finally:
             tracemalloc.stop()
 
-    assert peak(2_000) <= 1.25 * peak(200)
+    assert peak(2_000, 1) <= 1.25 * peak(200, 1)
+    assert peak(2_000, 2) <= 2 * m.BLOCK_CELLS * 8
 
 
 class TestRecallAtK:
@@ -208,6 +261,33 @@ class TestRecallAtK:
         cands = np.stack([rng.permutation(500)[:100] for _ in range(30)])
         report = m.recall_at_k(gt, cands, (20, 50, 100))
         assert report.recalls[0] <= report.recalls[1] <= report.recalls[2]
+
+    @pytest.mark.parametrize("ks", [(20,), (1, 5, 20)])
+    def test_repeated_ids_and_ids_beyond_the_corpus_count_per_query(self,
+                                                                     ks):
+        # ids up to 3x the corpus of 50, repeated within and across rows
+        rng = np.random.default_rng(12)
+        gt = rng.integers(0, 150, size=(40, 6))
+        cands = rng.integers(0, 150, size=(40, 20))
+        cands[::3, :6] = gt[::3]  # some queries hit all of their ids
+        assert any(len(set(row)) < len(row) for row in gt)
+        report = m.recall_at_k(gt, cands, ks, corpus_size=50)
+        assert report.recalls == per_query_recall(gt, cands, ks)
+        assert 0.0 < report.recalls[0] < 1.0
+
+    def test_ids_of_one_query_never_hit_another(self):
+        gt = np.array([[0, 7], [3, 4]])
+        cands = np.array([[3, 4], [0, 7]])
+        assert m.recall_at_k(gt, cands, (2,)).recalls == (0.0,)
+
+    @pytest.mark.parametrize("ks, message", [
+        ((), r"^need at least one k, got \(\)$"),
+        ((0,), "^k must be >= 1, got 0$"),
+        ((5, -1, 20), "^k must be >= 1, got -1$")])
+    def test_bad_ks_are_named(self, ks, message):
+        gt = np.arange(20).reshape(1, 20)
+        with pytest.raises(m.MetricError, match=message):
+            m.recall_at_k(gt, np.arange(50).reshape(1, 50), ks)
 
     def test_short_candidate_lists_rejected(self):
         gt = np.arange(20).reshape(1, 20)

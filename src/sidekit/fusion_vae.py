@@ -10,8 +10,9 @@ one head per signal, and training minimizes the mean of the per-signal
 cosine reconstruction losses plus, for parameterized quantizers, the
 commitment and codebook terms that bind the encoder and the component
 vectors together. FSQ has no trainable codebook and needs neither term;
-its grid is the spec's level count. The DPCA stack is one component and
-one offset parameter row per (group, depth), which `dpca_stack` gathers.
+its grid is the spec's level count. The DPCA stack is two parameters,
+"dpca.u" and "dpca.b", each (groups * depth, width) with row g * depth + t
+for group g at depth t; `dpca_stack` views them as (groups, depth, width).
 
 Signals are positional: a `FusionSpec` holds each signal's width in
 order, every bundle, batch and reconstruction is a list in that order,
@@ -19,10 +20,10 @@ and signal i is "sig{i}" in parameter names, loss terms and errors. A
 `ForwardResult` holds h, h_hat and the list of reconstruction nodes.
 
 The per-batch graph uses the fused ops of `nn_core`: DPCA's h_hat is one
-`nn.dpca_recon` node per product group over its component and offset
-parameters (the digits held fixed), and each cosine task loss is one
-`nn.cosine_loss` node. Both are bit-identical to the primitive-op chains
-they replace, so checkpoints and SIDs do not depend on which is used.
+`nn.dpca_recon` node over the two stack parameters (the digits held
+fixed), and each cosine task loss is one `nn.cosine_loss` node. Both are
+bit-identical to the primitive-op chains they replace, so checkpoints and
+SIDs do not depend on which is used.
 
 Inference records no graph. Encoding a corpus runs only the encoder half
 (`FusionModel.encode`, the same wiring `forward` uses) to the latent h and
@@ -142,26 +143,18 @@ class FusionModel:
         self.params.zeros("trunk.b", 1, h)
         if spec.kind == "dpca":
             width = spec.latent // spec.groups
+            rows = spec.groups * spec.depth
             comps = np.random.default_rng(seed + 1).normal(
-                0.0, DPCA_INIT_STD, (spec.groups, spec.depth, width))
-            for g, row in enumerate(self._dpca_names()):
-                for t, (u, b) in enumerate(row):
-                    self.params.add(u, comps[g, t].reshape(1, -1))
-                    self.params.zeros(b, 1, width)
-
-    def _dpca_names(self):
-        """Parameter names of the DPCA rows: per group, per depth t, the
-        (component, offset) pair "dpca.g{g}.d{t}.u" and "dpca.g{g}.d{t}.b"."""
-        return [[(f"dpca.g{g}.d{t}.u", f"dpca.g{g}.d{t}.b")
-                 for t in range(self.spec.depth)]
-                for g in range(self.spec.groups)]
+                0.0, DPCA_INIT_STD, (rows, width))
+            self.params.add("dpca.u", comps)
+            self.params.zeros("dpca.b", rows, width)
 
     def dpca_stack(self):
-        """Copies of the DPCA parameters: (components, offsets) arrays."""
-        get = self.params.get
-        names = self._dpca_names()
-        return (np.array([[get(u)[0] for u, _ in row] for row in names]),
-                np.array([[get(b)[0] for _, b in row] for row in names]))
+        """Views of the DPCA parameters as (groups, depth, width)
+        (components, offsets) arrays."""
+        shape = (self.spec.groups, self.spec.depth, -1)
+        return (self.params.get("dpca.u").reshape(shape),
+                self.params.get("dpca.b").reshape(shape))
 
     # -- graph building on the store's parameter leaves ------------------
 
@@ -186,14 +179,9 @@ class FusionModel:
         if spec.kind == "fsq":
             return nn.constant(fsq_quantize(spec.levels, h.value,
                                             dither_rng)[1], "h_hat")
-        codes = self.digits(h.value)
         p = self.params.leaves
-        group_nodes = [
-            nn.dpca_recon(codes[:, g * spec.depth:(g + 1) * spec.depth],
-                          [p[u] for u, _ in row], [p[b] for _, b in row])
-            for g, row in enumerate(self._dpca_names())]
-        return group_nodes[0] if len(group_nodes) == 1 \
-            else nn.concat_cols(group_nodes)
+        return nn.dpca_recon(self.digits(h.value), p["dpca.u"], p["dpca.b"],
+                             spec.groups)
 
     def digits(self, h):
         """Centered digits of latent values `h` (an array, not a node): the

@@ -9,13 +9,16 @@ into every reachable node that requires them. It never clears a `grad`:
 a fresh node starts from zeros, and a parameter leaf sums every pass
 until `fit` zeroes all parameter gradients, once per step.
 
-The engine holds only the ops a command runs. Four fused ops cover the
-subgraphs that training rebuilds every batch: `dpca_recon`, one DPCA
-product group's sum_t (s_t u_t + b_t); `cosine_loss`, one signal's mean
-cosine loss; `gather_mean`, the mean of an item's SID gram rows; and
+The engine holds only the ops a command runs. `gather_rows` is every
+table lookup: the mean of G table rows per output row, one row when G is
+1, so a segment lookup and an item's SID gram rows are the same op. Three
+fused ops cover the subgraphs that training rebuilds every batch:
+`dpca_recon`, the whole DPCA stack's sum_t (s_t u_t + b_t) in every
+product group; `cosine_loss`, one signal's mean cosine loss; and
 `pooled_attention`, softmax(q K^T / sqrt(d)) V with K = V Theta. The
-first three match the tests' chains of primitive ops bit for bit, and
-`pooled_attention` a float64 oracle within a float32 rounding bound.
+first two and `gather_rows` match the tests' chains of primitive ops bit
+for bit, and `pooled_attention` a float64 oracle within a float32
+rounding bound.
 
 Finiteness is checked once per `fit` step and per op everywhere else.
 While `fit` builds a step's graph, ops do not check their values; `fit`
@@ -267,17 +270,36 @@ def mean_all(a):
     return _make("mean", value, (a,), backward)
 
 
-def gather_rows(table, indices):
-    """Row lookup into a parameter table; backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+def gather_rows(table, rows):
+    """Mean of G table rows per output row: `rows` is (n, G), and output
+    row i is (table[rows[i, 0]] + ... + table[rows[i, G-1]]) * (1/G), the
+    sum taken left to right. A 1-D `rows` is G = 1, a plain row lookup.
+    Backward makes one scatter-add per column of `rows`, in column order,
+    as a chain of one-column lookups, adds and a scale does.
+    """
+    idx = np.asarray(rows, dtype=np.int64)
+    if idx.ndim == 1:
+        idx = idx[:, None]
+    if idx.ndim != 2 or not idx.shape[1]:
+        raise GraphError(f"expected (n,) or (n, G >= 1) row indices, got "
+                         f"shape {idx.shape}", "gather")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise GraphError(
             f"index out of range for table with {table.shape[0]} rows",
             "gather")
-    value = np.take(table.value, idx, axis=0)  # ~3x faster than value[idx]
+    grams = idx.shape[1]
+    c = DTYPE(1.0 / grams)
+    value = np.take(table.value, idx[:, 0], axis=0)  # ~3x faster than [idx]
+    if grams > 1:  # one row is the lookup alone, with no scale by 1
+        with np.errstate(all="ignore"):
+            for g in range(1, grams):
+                value += np.take(table.value, idx[:, g], axis=0)
+        value *= c
 
     def backward(out):
-        _scatter_add_rows(table.grad, idx, out.grad)
+        g_rows = out.grad * c if grams > 1 else out.grad
+        for g in range(grams):
+            _scatter_add_rows(table.grad, idx[:, g], g_rows)
     return _make("gather", value, (table,), backward)
 
 
@@ -305,39 +327,54 @@ def stop_gradient(a):
 # Fused ops: one node for a subgraph that training builds every batch.
 
 
-def dpca_recon(signs, comps, offs):
-    """sum_t (s_t * u_t + b_t) for one DPCA product group, added in t order.
+def dpca_recon(signs, comps, offs, groups):
+    """sum_t (s_t * u_t + b_t) in every DPCA product group, added in t
+    order.
 
-    `signs` is the (batch, depth) digit matrix, held fixed; `comps` and
-    `offs` are the depth (1, width) component and offset nodes. The chain
-    it replaces is mul, add, then a running add per depth.
+    `comps` and `offs` are the (groups * depth, width) component and
+    offset nodes, row g * depth + t for group g at depth t, and `signs`
+    the (batch, groups * depth) digit matrix in the same column order,
+    held fixed. Output columns g * width to (g + 1) * width - 1 are group
+    g's. Each group's float32 operations are a chain of mul, add, then a
+    running add per depth, in that order; backward sums each group's
+    gradient over the batch as that chain does.
     """
     s = np.asarray(signs, dtype=DTYPE)
-    if s.ndim != 2 or s.shape[1] != len(comps) or len(offs) != len(comps):
-        raise GraphError(f"{np.shape(signs)} digits for {len(comps)} "
-                         f"components and {len(offs)} offsets", "dpca_recon")
-    value = None
+    if (comps.shape != offs.shape or groups < 1 or comps.shape[0] % groups
+            or s.ndim != 2 or s.shape[1] != comps.shape[0]):
+        raise GraphError(f"{np.shape(signs)} digits for {comps.shape} "
+                         f"components and {offs.shape} offsets in {groups} "
+                         f"groups", "dpca_recon")
+    n = s.shape[0]
+    depth, width = comps.shape[0] // groups, comps.shape[1]
+    s3 = s.reshape(n, groups, depth)
+    u3 = comps.value.reshape(groups, depth, width)
+    b3 = offs.value.reshape(groups, depth, width)
     with np.errstate(all="ignore"):
-        for t, (u, b) in enumerate(zip(comps, offs)):
-            term = s[:, t:t + 1] * u.value
-            term += b.value
-            if value is None:
-                value = term
-            else:
-                value += term
+        value = s3[:, :, :1] * u3[:, 0]
+        value += b3[:, 0]
+        for t in range(1, depth):
+            term = s3[:, :, t:t + 1] * u3[:, t]
+            term += b3[:, t]
+            value += term
+    value = value.reshape(n, groups * width)
 
     def backward(out):
-        g = out.grad
-        g_off = None
-        for t, (u, b) in enumerate(zip(comps, offs)):
-            if u.requires_grad:
-                u.grad += (g * s[:, t:t + 1]).sum(axis=0, keepdims=True,
-                                                  dtype=DTYPE)
-            if b.requires_grad:
-                if g_off is None:
-                    g_off = g.sum(axis=0, keepdims=True, dtype=DTYPE)
-                b.grad += g_off
-    return _make("dpca_recon", value, (*comps, *offs), backward)
+        # group-major copies, so each group's sum over the batch runs as
+        # over its own contiguous (batch, width) gradient: numpy sums a
+        # contiguous column pairwise but a strided one in row order
+        g3 = np.ascontiguousarray(
+            out.grad.reshape(n, groups, width).transpose(1, 0, 2))
+        if comps.requires_grad:
+            s3t = np.ascontiguousarray(s3.transpose(1, 0, 2))
+            u_grad = comps.grad.reshape(groups, depth, width)
+            for t in range(depth):
+                u_grad[:, t] += (g3 * s3t[:, :, t:t + 1]).sum(axis=1,
+                                                              dtype=DTYPE)
+        if offs.requires_grad:
+            b_grad = offs.grad.reshape(groups, depth, width)
+            b_grad += g3.sum(axis=1, dtype=DTYPE)[:, None]
+    return _make("dpca_recon", value, (comps, offs), backward)
 
 
 def cosine_loss(target, norms, recon):
@@ -427,36 +464,6 @@ def pooled_attention(queries, values, theta, seq_len):
             theta.grad += values.value.T @ g_keys
     return _make("pooled_attention", value, (queries, values, theta),
                  backward, name)
-
-
-def gather_mean(table, rows):
-    """Mean of G table rows per output row: `rows` is (n, G), and output
-    row i is (table[rows[i, 0]] + ... + table[rows[i, G-1]]) * (1/G), the
-    sum taken left to right. It replaces G gather_rows, G - 1 adds and a
-    scale; backward makes one scatter-add per column of `rows`, in column
-    order, as the chain's gathers do.
-    """
-    idx = np.asarray(rows, dtype=np.int64)
-    if idx.ndim != 2 or not idx.shape[1]:
-        raise GraphError(f"expected (n, G >= 1) row indices, got shape "
-                         f"{idx.shape}", "gather_mean")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise GraphError(
-            f"index out of range for table with {table.shape[0]} rows",
-            "gather_mean")
-    grams = idx.shape[1]
-    c = DTYPE(1.0 / grams)
-    value = np.take(table.value, idx[:, 0], axis=0)
-    with np.errstate(all="ignore"):
-        for g in range(1, grams):
-            value += np.take(table.value, idx[:, g], axis=0)
-    value *= c
-
-    def backward(out):
-        g_rows = out.grad * c
-        for g in range(grams):
-            _scatter_add_rows(table.grad, idx[:, g], g_rows)
-    return _make("gather_mean", value, (table,), backward)
 
 
 def backward(loss):

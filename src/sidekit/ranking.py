@@ -19,7 +19,7 @@ rows some item hashes to, and the no-history ablation builds no history
 block, whose output would be exactly zero (see `ToyRankingModel`). The
 history block's attention is one `nn_core.pooled_attention` node, which
 takes its sums as batched matmuls, and a SID item's feature, the mean of
-its gram rows, one `nn_core.gather_mean`.
+its gram rows, one `nn_core.gather_rows`, the op that looks up segments.
 
 Synthetic engagement data plants a real signal in the history: items
 carry ternary-grid latents, each user's history is sampled around a
@@ -195,6 +195,7 @@ def generate_engagement(cfg):
         for u in range(lo, hi):
             # the count of CDF entries below each draw
             history[u] = np.searchsorted(cdf[u - lo], draws[u], side="left")
+        del cdf  # freed before the next block's buffer is allocated
 
     candidates = rng.integers(0, cfg.items, size=cfg.users)
     pref = np.empty((cfg.users, t))
@@ -285,7 +286,7 @@ class ToyRankingModel:
         p = self.params.leaves
         ids = np.asarray(item_ids).ravel()
         if self.variant == "sid":
-            return nn.gather_mean(p["feature.table"],
+            return nn.gather_rows(p["feature.table"],
                                   np.take(self.item_rows, ids, axis=0))
         digits = nn.constant(self.item_digits[ids])
         return nn.matmul(digits, p["feature.omega"])

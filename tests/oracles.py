@@ -12,8 +12,9 @@ from sidekit.quantizers import fsq_quantize, product_split
 from sidekit.sid_codec import SidError, SidScheme
 
 
-# Ops that no command runs: the tests' loss reducers and the steps of
-# `chain_cosine_loss`, built on nn_core's node constructors.
+# Ops that no command runs: the tests' loss reducers, the steps of
+# `chain_cosine_loss` and the row lookup of the chains, built on nn_core's
+# node constructors.
 
 
 def div(a, b):
@@ -32,6 +33,17 @@ def sum_all(a):
     def backward(out):
         a.grad += np.full(a.shape, out.grad[0, 0], dtype=nn.DTYPE)
     return nn._make("sum", value, (a,), backward)
+
+
+def take_rows(table, idx):
+    """Table row idx[i] as output row i: np.take forward, one unbuffered
+    row-wise np.add.at backward."""
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def backward(out):
+        np.add.at(table.grad, idx, out.grad)
+    return nn._make("take_rows", np.take(table.value, idx, axis=0), (table,),
+                    backward)
 
 
 def sum_axis1(a):
@@ -174,13 +186,30 @@ def chain_cosine_loss(target, norms, recon):
     return nn.mean_all(nn.sub(nn.constant(np.ones((n, 1))), div(dot, nrm)))
 
 
-def chain_gather_mean(table, rows):
-    """The mean of the table rows in each row of `rows` as the chain of
-    primitive nodes: one gather per column, a running add, then a scale."""
+def chain_dpca_stack(signs, comps, offs, groups):
+    """`nn.dpca_recon` over the (groups * depth, width) component and
+    offset nodes as primitive nodes: each row taken on its own, one
+    `chain_dpca_recon` per group, the groups' outputs side by side."""
+    depth = comps.shape[0] // groups
+    signs = np.asarray(signs)
+    parts = []
+    for g in range(groups):
+        rows = range(g * depth, (g + 1) * depth)
+        parts.append(chain_dpca_recon(signs[:, g * depth:(g + 1) * depth],
+                                      [take_rows(comps, [r]) for r in rows],
+                                      [take_rows(offs, [r]) for r in rows]))
+    return parts[0] if groups == 1 else nn.concat_cols(parts)
+
+
+def chain_gather_rows(table, rows):
+    """The mean of the table rows in each row of `rows`, a 1-D `rows`
+    being one column, as the chain of primitive nodes: one `take_rows` per
+    column, a running add, then a scale."""
     rows = np.asarray(rows)
+    rows = rows[:, None] if rows.ndim == 1 else rows
     acc = None
     for g in range(rows.shape[1]):
-        looked = nn.gather_rows(table, rows[:, g])
+        looked = take_rows(table, rows[:, g])
         acc = looked if acc is None else nn.add(acc, looked)
     return nn.scale(acc, 1.0 / rows.shape[1])
 

@@ -317,7 +317,7 @@ def test_a_non_finite_dpca_component_is_an_error(tmp_path, corpus, capsys,
     assert run("encode", "--corpus", corpus, "--config", cfg, "--ckpt", ckpt,
                "--out", sids) == 0
     arrays = load_checkpoint(ckpt)
-    arrays["dpca.g1.d0.u"][0, 1] = np.nan
+    arrays["dpca.u"][2, 1] = np.nan  # group 1, depth 0 of a depth-2 stack
     save_checkpoint(ckpt, arrays)
     capsys.readouterr()
     if command == "encode":
@@ -338,12 +338,14 @@ def test_kmeans_config_rejects_a_fusion_checkpoint(tmp_path, corpus, capsys):
     assert "no k-means codebooks" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body, unknown", [
-    ("quantizer=fsq\nlatent=4\nhidden=8", "dpca.g0.d0.u"),
-    ("quantizer=dpca\nlatent=4\nhidden=8\ndepth=1\ngroups=2", "dpca.g0.d1.u")])
+@pytest.mark.parametrize("body, reason", [
+    ("quantizer=fsq\nlatent=4\nhidden=8",
+     "parameter 'dpca.u' is not in the spec"),
+    ("quantizer=dpca\nlatent=4\nhidden=8\ndepth=1\ngroups=2",
+     "shape mismatch for 'dpca.u'")])
 def test_fusion_encode_rejects_parameters_the_config_lacks(tmp_path, corpus,
                                                            capsys, body,
-                                                           unknown):
+                                                           reason):
     # a depth-2, 2-group DPCA checkpoint under an fsq or a depth-1 config
     ckpt, sids = tmp_path / "q.ckpt", tmp_path / "x.sid"
     assert run("train", "--corpus", corpus, "--config",
@@ -353,8 +355,7 @@ def test_fusion_encode_rejects_parameters_the_config_lacks(tmp_path, corpus,
     capsys.readouterr()
     assert run("encode", "--corpus", corpus, "--config", other,
                "--ckpt", ckpt, "--out", sids) == 1
-    assert capsys.readouterr().err == (
-        f"error: checkpoint parameter '{unknown}' is not in the spec\n")
+    assert capsys.readouterr().err == f"error: checkpoint {reason}\n"
     assert not sids.exists()
 
 

@@ -1,12 +1,12 @@
 """Fused graph ops against independent references. `dpca_recon`,
-`cosine_loss` and `gather_mean` match the primitive-op chains they
+`cosine_loss` and `gather_rows` match the primitive-op chains they
 replace, values and gradients bit for bit, and whole fusion and ranker
 training runs with those chains swapped back in end on the same
 parameter bytes. `pooled_attention` matches a float64 oracle within a
 bound derived from float32 rounding, and the oracle matches the scalar
 `naive_pma` and central differences. Also: the NonFiniteError each op
-raises, the DPCA digit step against fsq_quantize, and the gather
-backward against a row-wise scatter."""
+raises, the DPCA digit step against fsq_quantize, and a one-row lookup
+against np.take and a row-wise scatter."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,10 @@ from sidekit import fusion_vae as fv
 from sidekit import nn_core as nn
 from sidekit import quantizers as q
 from sidekit import ranking as rk
-from oracles import (chain_cosine_loss, chain_dpca_recon, chain_gather_mean,
-                     float64_pooled_attention, fsq_dpca_encode, naive_pma,
-                     numeric_grad, row_scatter_add, sum_all)
+from oracles import (chain_cosine_loss, chain_dpca_recon, chain_dpca_stack,
+                     chain_gather_rows, float64_pooled_attention,
+                     fsq_dpca_encode, naive_pma, numeric_grad,
+                     row_scatter_add, sum_all)
 
 
 def bits(a):
@@ -40,54 +41,68 @@ def upstream(rng, shape):
 
 
 class TestDpcaRecon:
-    @settings(max_examples=60, deadline=None)
-    @given(batch=st.integers(1, 9), depth=st.integers(1, 4),
-           width=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-    def test_value_and_gradients_match_the_chain(self, batch, depth, width,
-                                                 seed):
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 40), groups=st.integers(1, 4),
+           depth=st.integers(1, 4), width=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_value_and_gradients_match_the_chain(self, batch, groups, depth,
+                                                 width, seed):
+        """The one stacked node against `chain_dpca_recon` run per group
+        over per-row leaves that hold the same values, the groups'
+        outputs side by side: every value bit and every gradient row."""
         rng = np.random.default_rng(seed)
-        signs = rng.integers(-1, 2, size=(batch, depth)).astype(np.int8)
-        signs[:, rng.integers(depth)] = 0  # one all-zero digit column
-        comps = [rng.normal(size=(1, width)).astype(np.float32)
-                 for _ in range(depth)]
-        offs = [rng.normal(size=(1, width)).astype(np.float32)
-                for _ in range(depth)]
-        offs[0][0, 0] = 0.0
-        w = upstream(rng, (batch, width))
+        rows = groups * depth
+        signs = rng.integers(-1, 2, size=(batch, rows)).astype(np.int8)
+        signs[:, rng.integers(rows)] = 0  # one all-zero digit column
+        comps = rng.normal(size=(rows, width)).astype(np.float32)
+        offs = rng.normal(size=(rows, width)).astype(np.float32)
+        offs[0, 0] = 0.0
+        w = nn.constant(upstream(rng, (batch, groups * width)))
 
-        def run(op):
-            us = [nn.leaf(u, requires_grad=True) for u in comps]
-            bs = [nn.leaf(b, requires_grad=True) for b in offs]
-            out = op(signs, us, bs)
-            nn.backward(sum_all(nn.mul(out, nn.constant(w))))
-            return out.value, [x.grad for x in us + bs]
+        u = nn.leaf(comps, requires_grad=True)
+        b = nn.leaf(offs, requires_grad=True)
+        out = nn.dpca_recon(signs, u, b, groups)
+        nn.backward(sum_all(nn.mul(out, w)))
 
-        value, grads = run(nn.dpca_recon)
-        chain_value, chain_grads = run(chain_dpca_recon)
-        assert_same_bits(value, chain_value)
-        for g, chain_g in zip(grads, chain_grads):
-            assert_same_bits(g, chain_g)
+        us = [nn.leaf(row[None], requires_grad=True) for row in comps]
+        bs = [nn.leaf(row[None], requires_grad=True) for row in offs]
+        parts = [chain_dpca_recon(signs[:, g * depth:(g + 1) * depth],
+                                  us[g * depth:(g + 1) * depth],
+                                  bs[g * depth:(g + 1) * depth])
+                 for g in range(groups)]
+        chain = parts[0] if groups == 1 else nn.concat_cols(parts)
+        nn.backward(sum_all(nn.mul(chain, w)))
+
+        assert_same_bits(out.value, chain.value)
+        for r in range(rows):
+            assert_same_bits(u.grad[r:r + 1], us[r].grad)
+            assert_same_bits(b.grad[r:r + 1], bs[r].grad)
 
     def test_is_one_node_over_its_parameters(self):
-        us = [nn.leaf(np.ones((1, 3)), f"u{t}", requires_grad=True)
-              for t in range(5)]
-        bs = [nn.leaf(np.zeros((1, 3)), f"b{t}", requires_grad=True)
-              for t in range(5)]
-        out = nn.dpca_recon(np.zeros((4, 5)), us, bs)
+        u = nn.leaf(np.ones((6, 3)), "u", requires_grad=True)
+        b = nn.leaf(np.zeros((6, 3)), "b", requires_grad=True)
+        out = nn.dpca_recon(np.zeros((4, 6)), u, b, 2)
         assert out.name.startswith("dpca_recon#")
-        assert out.inputs == (*us, *bs)
+        assert out.inputs == (u, b) and out.shape == (4, 6)
 
-    def test_digit_count_must_match_the_depth(self):
-        u = [nn.leaf(np.ones((1, 3)))] * 2
+    @pytest.mark.parametrize("digits, offs, groups", [
+        ((4, 5), (6, 3), 2),  # a digit count that is not groups * depth
+        ((4, 6), (6, 2), 2),  # offsets not shaped as the components
+        ((4, 6), (5, 3), 2),
+        ((4, 6), (6, 3), 4),  # 4 groups do not divide 6 rows
+        ((4, 6), (6, 3), 0)])
+    def test_rejects_a_stack_its_digits_do_not_fit(self, digits, offs,
+                                                   groups):
+        u = nn.leaf(np.ones((6, 3)))
         with pytest.raises(nn.GraphError, match="dpca_recon"):
-            nn.dpca_recon(np.zeros((4, 3)), u, u)
+            nn.dpca_recon(np.zeros(digits), u, nn.leaf(np.ones(offs)), groups)
 
     def test_overflow_names_the_node_and_first_bad_row(self):
         big = np.full((1, 2), 3e38, dtype=np.float32)
         u, b = nn.leaf(big, requires_grad=True), nn.leaf(big, requires_grad=True)
         signs = np.array([[0], [-1], [1], [1]])  # s*u + b overflows at s = 1
         with pytest.raises(nn.NonFiniteError) as exc:
-            nn.dpca_recon(signs, [u], [b])
+            nn.dpca_recon(signs, u, b, 1)
         assert exc.value.node.startswith("dpca_recon#") and exc.value.row == 2
 
 
@@ -162,7 +177,7 @@ def test_training_with_the_chains_ends_on_the_same_bytes(monkeypatch, kind):
         return model.params.flat.tobytes(), rows
 
     fused = trained()
-    monkeypatch.setattr(nn, "dpca_recon", chain_dpca_recon)
+    monkeypatch.setattr(nn, "dpca_recon", chain_dpca_stack)
     monkeypatch.setattr(nn, "cosine_loss", chain_cosine_loss)
     assert trained() == fused
 
@@ -372,7 +387,7 @@ class TestFloat64AttentionOracle:
                 rtol=1e-6, atol=1e-9, err_msg=key)
 
 
-class TestGatherMean:
+class TestGatherRows:
     @settings(max_examples=80, deadline=None)
     @given(table_rows=st.integers(1, 6), cols=st.integers(1, 6),
            n=st.integers(0, 40), grams=st.integers(1, 4),
@@ -391,34 +406,36 @@ class TestGatherMean:
             nn.backward(sum_all(nn.mul(out, nn.constant(w))))
             return out.value, t.grad
 
-        value, grad = run(nn.gather_mean)
-        chain_value, chain_grad = run(chain_gather_mean)
+        value, grad = run(nn.gather_rows)
+        chain_value, chain_grad = run(chain_gather_rows)
         assert_same_bits(value, chain_value)
         assert_same_bits(grad, chain_grad)
         with nn._no_record():
-            out = nn.gather_mean(nn.leaf(table), rows)
+            out = nn.gather_rows(nn.leaf(table), rows)
         assert out.inputs == () and out._backward is None
         assert_same_bits(out.value, chain_value)
 
     def test_is_one_node_over_its_table(self):
         t = nn.leaf(np.ones((4, 3)), "t", requires_grad=True)
-        out = nn.gather_mean(t, [[0, 1], [3, 3]])
-        assert out.name.startswith("gather_mean#") and out.inputs == (t,)
+        out = nn.gather_rows(t, [[0, 1], [3, 3]])
+        assert out.name.startswith("gather#") and out.inputs == (t,)
         np.testing.assert_array_equal(out.value, np.ones((2, 3)))
 
     @pytest.mark.parametrize("rows, message", [
         ([[0, 4]], "index out of range for table with 4 rows"),
-        ([[-1, 0]], "index out of range for table with 4 rows"),
-        ([0, 1], r"expected \(n, G >= 1\) row indices, got shape \(2,\)"),
+        ([-1, 0], "index out of range for table with 4 rows"),
+        ([[[0]]], r"expected \(n,\) or \(n, G >= 1\) row indices, got "
+                  r"shape \(1, 1, 1\)"),
         (np.zeros((3, 0), dtype=int), r"got shape \(3, 0\)")])
     def test_rejects_bad_rows(self, rows, message):
         with pytest.raises(nn.GraphError, match=message):
-            nn.gather_mean(nn.leaf(np.ones((4, 3))), rows)
+            nn.gather_rows(nn.leaf(np.ones((4, 3))), rows)
 
 
 @pytest.mark.parametrize("variant, feature_dim", [("sid", 16), ("sid", 1)])
 def test_ranker_training_with_the_chains_ends_on_the_same_bytes(
         monkeypatch, variant, feature_dim):
+    """Both lookups, the segments' and the SID grams', as chains."""
     ds = rk.generate_engagement(rk.EngagementConfig(
         users=300, items=60, seq_len=5, seed=2))
     cfg = nn.FitConfig(epochs=2, batch_size=64, lr=1e-2, seed=3)
@@ -428,7 +445,7 @@ def test_ranker_training_with_the_chains_ends_on_the_same_bytes(
         return model.params.flat.tobytes(), preds.tobytes()
 
     fused = trained()
-    monkeypatch.setattr(nn, "gather_mean", chain_gather_mean)
+    monkeypatch.setattr(nn, "gather_rows", chain_gather_rows)
     assert trained() == fused
 
 
@@ -477,11 +494,16 @@ class TestDpcaDigits:
 @given(rows=st.integers(1, 6), cols=st.integers(1, 5),
        picks=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
 def test_gather_backward_matches_a_row_scatter(rows, cols, picks, seed):
+    """A 1-D index and the same index as one column give the same bits:
+    np.take's rows forward and one unbuffered row-wise np.add.at back."""
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, rows, size=picks)  # many repeats of each row
-    table = nn.leaf(rng.normal(size=(rows, cols)), requires_grad=True)
+    table = signed_rows(rng, (rows, cols))
     w = upstream(rng, (picks, cols))
-    nn.backward(sum_all(nn.mul(nn.gather_rows(table, idx), nn.constant(w))))
-    expected = row_scatter_add(np.zeros((rows, cols), np.float32), idx,
-                               w.astype(np.float32))
-    assert_same_bits(table.grad, expected)
+    expected = row_scatter_add(np.zeros((rows, cols), np.float32), idx, w)
+    for index in (idx, idx[:, None]):
+        t = nn.leaf(table, requires_grad=True)
+        out = nn.gather_rows(t, index)
+        nn.backward(sum_all(nn.mul(out, nn.constant(w))))
+        assert_same_bits(out.value, np.take(table, idx, axis=0))
+        assert_same_bits(t.grad, expected)

@@ -156,11 +156,8 @@ class TestLoss:
         # exactly, so h on the grid gives exactly zero commit/codebook
         spec = spec_for(10, kind="dpca", latent=6, depth=3)
         model = fv.FusionModel(spec, seed=8)
-        basis = np.zeros((1, 3, 6), dtype=np.float32)
-        basis[0, 0, 0] = basis[0, 1, 1] = basis[0, 2, 2] = 1.0
-        for t in range(3):
-            model.params.set(f"dpca.g0.d{t}.u", basis[0, t].reshape(1, -1))
-            model.params.set(f"dpca.g0.d{t}.b", np.zeros((1, 6)))
+        model.params.set("dpca.u", np.eye(3, 6))
+        model.params.set("dpca.b", np.zeros((3, 6)))
         codes = np.array([[1, -1, 0], [0, 1, 1]], dtype=np.int8)
         h_val = q.dpca_decode(*model.dpca_stack(), codes)
         h = nn.leaf(h_val, requires_grad=True)
@@ -295,12 +292,12 @@ class TestTrain:
          "diverged in epoch 0: node 'add#79': non-finite output at "
          "batch row 0"),
         ("dpca", "enc.sig0.w1", 2, nn.TrainingDiverged,
-         "diverged in epoch 0: node 'matmul#47': non-finite output at "
+         "diverged in epoch 0: node 'matmul#45': non-finite output at "
          "batch row 0"),
         ("dpca", "enc.sig0.w2", 2, nn.TrainingDiverged,
-         "diverged in epoch 0: node 'matmul#50': non-finite output at "
+         "diverged in epoch 0: node 'matmul#48': non-finite output at "
          "batch row 0"),
-        ("dpca", "dpca.g1.d1.b", 3, q.QuantizerError,
+        ("dpca", "dpca.b", 3, q.QuantizerError,
          "non-finite latent input")])
     def test_a_parameter_poisoned_in_training_raises_the_per_op_error(
             self, monkeypatch, kind, param, from_call, error, message):
@@ -359,8 +356,7 @@ class TestCheckpointLayout:
             "enc.sig1.w1", "enc.sig1.b1", "enc.sig1.w2", "enc.sig1.b2",
             "head.sig1.w1", "head.sig1.b1", "head.sig1.w2", "head.sig1.b2",
             "fuse.w", "fuse.b", "trunk.w", "trunk.b",
-            "dpca.g0.d0.u", "dpca.g0.d0.b", "dpca.g0.d1.u", "dpca.g0.d1.b",
-            "dpca.g1.d0.u", "dpca.g1.d0.b", "dpca.g1.d1.u", "dpca.g1.d1.b"]
+            "dpca.u", "dpca.b"]
         assert model.params.names() == expected
         path = tmp_path / "m.ckpt"
         model.save(path)
@@ -373,8 +369,16 @@ class TestCheckpointLayout:
         comps, offs = model.dpca_stack()
         np.testing.assert_array_equal(comps, expect)
         np.testing.assert_array_equal(offs, np.zeros_like(expect))
-        assert model.params.get("dpca.g1.d0.u").tolist() == \
-            [expect[1, 0].tolist()]
+        # row g * depth + t of "dpca.u" is group g's component at depth t
+        assert model.params.get("dpca.u")[2].tolist() == expect[1, 0].tolist()
+
+    def test_the_stack_views_the_parameters(self):
+        """`dpca_stack` copies nothing: a parameter update shows in it."""
+        model = fv.FusionModel(self.SPEC, seed=5)
+        comps, offs = model.dpca_stack()
+        model.params.get("dpca.u")[3, 1] = 7.0
+        model.params.get("dpca.b")[1, 0] = -2.0
+        assert comps[1, 1, 1] == 7.0 and offs[0, 1, 0] == -2.0
 
 
 class TestLoad:
@@ -396,21 +400,38 @@ class TestLoad:
         np.testing.assert_array_equal(model.params.flat, before)
 
     def test_extra_parameter_rejected(self, tmp_path):
-        # a DPCA checkpoint under an FSQ spec, and a deeper stack than the
-        # spec's: both name the first parameter the spec lacks
+        # a DPCA checkpoint under an FSQ spec names the first parameter
+        # the spec lacks; a deeper stack than the spec's, its shape
         path = self._saved(tmp_path, depth=3)
         self._rejects(spec_for(10, kind="fsq", latent=6), path,
-                      "'dpca.g0.d0.u' is not in the spec")
+                      "'dpca.u' is not in the spec")
         self._rejects(spec_for(10, kind="dpca", latent=6, depth=2), path,
-                      "'dpca.g0.d2.u' is not in the spec")
+                      "shape mismatch for 'dpca.u'")
+
+    def test_per_row_dpca_checkpoint_rejected(self, tmp_path):
+        """A checkpoint holding the stack as one (1, width) member per
+        row, "dpca.g{g}.d{t}.u" and ".b", is refused by its first row's
+        name."""
+        path = self._saved(tmp_path, depth=2)
+        arrays = load_checkpoint(path)
+        comps, offs = arrays.pop("dpca.u"), arrays.pop("dpca.b")
+        latent = arrays.pop("meta.latent")
+        for t in range(2):
+            arrays[f"dpca.g0.d{t}.u"] = comps[t:t + 1]
+            arrays[f"dpca.g0.d{t}.b"] = offs[t:t + 1]
+        arrays["meta.latent"] = latent
+        save_checkpoint(path, arrays)
+        self._rejects(spec_for(10, kind="dpca", latent=6, depth=2), path,
+                      "^checkpoint parameter 'dpca.g0.d0.u' is not in the "
+                      "spec$")
 
     def test_missing_parameter_rejected(self, tmp_path):
         path = self._saved(tmp_path, depth=2)
         arrays = load_checkpoint(path)
-        del arrays["dpca.g0.d1.b"]
+        del arrays["dpca.b"]
         save_checkpoint(path, arrays)
         self._rejects(spec_for(10, kind="dpca", latent=6, depth=2), path,
-                      "missing parameter 'dpca.g0.d1.b'")
+                      "missing parameter 'dpca.b'")
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = self._saved(tmp_path, kind="fsq")

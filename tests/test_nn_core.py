@@ -768,7 +768,7 @@ def table_uses():
         "mean_all": lambda t: nn.mean_all(t),
         "sum_axis1": lambda t: sum_axis1(t),
         "stop_gradient": lambda t: nn.stop_gradient(t),
-        "dpca_recon": lambda t: nn.dpca_recon(ones, [t], [other]),
+        "dpca_recon": lambda t: nn.dpca_recon(np.ones((3, 2)), t, other, 2),
         "cosine_loss": lambda t: nn.cosine_loss(ones, [1.0, 1.0], t),
     }
 
